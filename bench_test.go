@@ -243,6 +243,40 @@ func BenchmarkSearchWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkPerfPwr measures one cold Perf-Pwr ideal (§IV-A) on the paper's
+// two labs: the serial host-count sweep from an empty evaluator cache, the
+// way a control window with a new workload band pays for it. candidates/op
+// is the number of configurations scored (cache lookups); allocs/op over it
+// is the per-candidate garbage the ceiling test in internal/core bounds.
+func BenchmarkPerfPwr(b *testing.B) {
+	for _, apps := range []int{2, 4} {
+		b.Run(fmt.Sprintf("%dapps", apps), func(b *testing.B) {
+			lab, err := experiments.NewLab(experiments.LabOptions{NumApps: apps, Seed: benchSeed})
+			if err != nil {
+				b.Fatal(err)
+			}
+			eval, err := lab.NewEvaluator()
+			if err != nil {
+				b.Fatal(err)
+			}
+			rates := lab.Traces.At(90 * time.Minute)
+			var ideal core.Ideal
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				eval.ResetCache()
+				if ideal, err = core.PerfPwr(eval, rates, core.PerfPwrOptions{Workers: 1}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			st := eval.CacheStats()
+			b.ReportMetric(float64(st.Hits+st.Misses), "candidates/op")
+			b.ReportMetric(ideal.Steady.NetRate(), "ideal_$/s")
+		})
+	}
+}
+
 // BenchmarkTable1Scalability regenerates Table I over 2/3/4 applications
 // on the full 6.5 h day (the naive searches are capped for tractability),
 // once on the serial evaluation path and once on the default worker pool —

@@ -128,10 +128,7 @@ func (s *Spec) Tier(name string) (TierSpec, bool) {
 // MixProbabilities returns the normalized transaction mix, aligned with
 // s.Txns.
 func (s *Spec) MixProbabilities() []float64 {
-	var total float64
-	for _, txn := range s.Txns {
-		total += txn.Weight
-	}
+	total := s.mixTotal()
 	probs := make([]float64, len(s.Txns))
 	for i, txn := range s.Txns {
 		probs[i] = txn.Weight / total
@@ -139,13 +136,24 @@ func (s *Spec) MixProbabilities() []float64 {
 	return probs
 }
 
+// mixTotal is the denominator of the normalized transaction mix.
+func (s *Spec) mixTotal() float64 {
+	var total float64
+	for _, txn := range s.Txns {
+		total += txn.Weight
+	}
+	return total
+}
+
 // MeanDemandMS returns the mix-weighted mean CPU demand per request on the
-// given tier, in milliseconds at reference speed.
+// given tier, in milliseconds at reference speed. It folds the mix in place
+// (the same terms in the same order as a MixProbabilities slice would give)
+// because the Perf-Pwr optimizer calls it per VM.
 func (s *Spec) MeanDemandMS(tier string) float64 {
-	probs := s.MixProbabilities()
+	total := s.mixTotal()
 	var demand float64
-	for i, txn := range s.Txns {
-		demand += probs[i] * txn.DemandMS[tier]
+	for _, txn := range s.Txns {
+		demand += txn.Weight / total * txn.DemandMS[tier]
 	}
 	return demand
 }
@@ -153,10 +161,10 @@ func (s *Spec) MeanDemandMS(tier string) float64 {
 // MeanLatencyMS returns the mix-weighted mean CPU-free latency per request
 // in milliseconds.
 func (s *Spec) MeanLatencyMS() float64 {
-	probs := s.MixProbabilities()
+	total := s.mixTotal()
 	var lat float64
-	for i, txn := range s.Txns {
-		lat += probs[i] * txn.LatencyMS
+	for _, txn := range s.Txns {
+		lat += txn.Weight / total * txn.LatencyMS
 	}
 	return lat
 }

@@ -102,6 +102,37 @@ func TestMeanDemandMatchesManualComputation(t *testing.T) {
 	}
 }
 
+// TestMeanFoldsBitIdenticalAndAllocFree pins the in-place mix folds to the
+// formulation they replaced (a MixProbabilities slice, then the weighted
+// sum): the Perf-Pwr gradient compares sums built from these values, so
+// the last bit matters.
+func TestMeanFoldsBitIdenticalAndAllocFree(t *testing.T) {
+	scaled := RUBiS("scaled")
+	scaled.ScaleDemands(0.8371946)
+	for _, s := range []*Spec{RUBiS("rubis"), scaled} {
+		probs := s.MixProbabilities()
+		var wantLat float64
+		for i, txn := range s.Txns {
+			wantLat += probs[i] * txn.LatencyMS
+		}
+		if got := s.MeanLatencyMS(); math.Float64bits(got) != math.Float64bits(wantLat) {
+			t.Errorf("%s: MeanLatencyMS = %v, old formula %v", s.Name, got, wantLat)
+		}
+		for _, tier := range []string{TierWeb, TierApp, TierDB, "ghost"} {
+			var want float64
+			for i, txn := range s.Txns {
+				want += probs[i] * txn.DemandMS[tier]
+			}
+			if got := s.MeanDemandMS(tier); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("%s: MeanDemandMS(%s) = %v, old formula %v", s.Name, tier, got, want)
+			}
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = s.MeanDemandMS(TierDB) + s.MeanLatencyMS() }); n != 0 {
+			t.Errorf("%s: mean folds allocate %v times per call, want 0", s.Name, n)
+		}
+	}
+}
+
 func TestScaleDemands(t *testing.T) {
 	s := RUBiS("a")
 	before := s.MeanDemandMS(TierDB)

@@ -126,10 +126,14 @@ type TierKey struct {
 // manage. Construct with NewCatalog, which validates internal consistency.
 type Catalog struct {
 	hosts     map[string]HostSpec
-	hostNames []string // sorted
+	hostNames []string   // sorted
+	hostSpecs []HostSpec // aligned with hostNames
+	hostIdx   map[string]int
 	vms       map[VMID]VMSpec
 	vmIDs     []VMID // sorted
+	vmIdx     map[VMID]int
 	byTier    map[TierKey][]VMID
+	tiers     []TierKey // sorted by (App, Tier)
 
 	// MinCPUPct is the smallest allocation any active VM may have (20 in
 	// the paper, to avoid request errors at low rates).
@@ -199,6 +203,12 @@ func NewCatalog(cfg CatalogConfig) (*Catalog, error) {
 		c.hostNames = append(c.hostNames, h.Name)
 	}
 	sort.Strings(c.hostNames)
+	c.hostSpecs = make([]HostSpec, len(c.hostNames))
+	c.hostIdx = make(map[string]int, len(c.hostNames))
+	for i, name := range c.hostNames {
+		c.hostSpecs[i] = c.hosts[name]
+		c.hostIdx[name] = i
+	}
 	for _, vm := range cfg.VMs {
 		if vm.ID == "" {
 			return nil, fmt.Errorf("cluster: VM with empty ID")
@@ -216,10 +226,21 @@ func NewCatalog(cfg CatalogConfig) (*Catalog, error) {
 		c.requiredTiers[k] = true
 	}
 	sort.Slice(c.vmIDs, func(i, j int) bool { return c.vmIDs[i] < c.vmIDs[j] })
+	c.vmIdx = make(map[VMID]int, len(c.vmIDs))
+	for i, id := range c.vmIDs {
+		c.vmIdx[id] = i
+	}
 	for k := range c.byTier {
 		ids := c.byTier[k]
 		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		c.tiers = append(c.tiers, k)
 	}
+	sort.Slice(c.tiers, func(i, j int) bool {
+		if c.tiers[i].App != c.tiers[j].App {
+			return c.tiers[i].App < c.tiers[j].App
+		}
+		return c.tiers[i].Tier < c.tiers[j].Tier
+	})
 	for _, k := range cfg.OptionalTiers {
 		if _, ok := c.byTier[k]; !ok {
 			return nil, fmt.Errorf("cluster: optional tier %v has no VMs", k)
@@ -239,6 +260,17 @@ func (c *Catalog) Host(name string) (HostSpec, bool) {
 // callers must not mutate it.
 func (c *Catalog) HostNames() []string { return c.hostNames }
 
+// HostSpecs returns every host's spec, aligned with HostNames. The slice is
+// shared; callers must not mutate it.
+func (c *Catalog) HostSpecs() []HostSpec { return c.hostSpecs }
+
+// HostIndex returns a host's position in HostNames, the index dense
+// per-host state (the LQN solver's, the Perf-Pwr reduction's) is keyed by.
+func (c *Catalog) HostIndex(name string) (int, bool) {
+	i, ok := c.hostIdx[name]
+	return i, ok
+}
+
 // VM returns the spec for a VM ID.
 func (c *Catalog) VM(id VMID) (VMSpec, bool) {
 	vm, ok := c.vms[id]
@@ -249,24 +281,19 @@ func (c *Catalog) VM(id VMID) (VMSpec, bool) {
 // is shared; callers must not mutate it.
 func (c *Catalog) VMIDs() []VMID { return c.vmIDs }
 
+// VMIndex returns a VM's position in VMIDs.
+func (c *Catalog) VMIndex(id VMID) (int, bool) {
+	i, ok := c.vmIdx[id]
+	return i, ok
+}
+
 // TierVMs returns the IDs of all VMs (replicas) belonging to a tier, sorted.
 // The slice is shared; callers must not mutate it.
 func (c *Catalog) TierVMs(k TierKey) []VMID { return c.byTier[k] }
 
-// Tiers returns all tier keys in deterministic order.
-func (c *Catalog) Tiers() []TierKey {
-	keys := make([]TierKey, 0, len(c.byTier))
-	for k := range c.byTier {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].App != keys[j].App {
-			return keys[i].App < keys[j].App
-		}
-		return keys[i].Tier < keys[j].Tier
-	})
-	return keys
-}
+// Tiers returns all tier keys sorted by application, then tier. The slice
+// is shared; callers must not mutate it.
+func (c *Catalog) Tiers() []TierKey { return c.tiers }
 
 // Apps returns the distinct application names in sorted order.
 func (c *Catalog) Apps() []string {

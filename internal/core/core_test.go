@@ -21,8 +21,9 @@ type env struct {
 }
 
 // newEnv builds nApps RUBiS applications on nHosts hosts, calibrated to the
-// paper's 400 ms @ 50 req/s operating point.
-func newEnv(t testing.TB, nHosts, nApps int) *env {
+// paper's 400 ms @ 50 req/s operating point. hostOpts adjust every host's
+// spec (DVFS levels, zones) before the catalog is built.
+func newEnv(t testing.TB, nHosts, nApps int, hostOpts ...func(*cluster.HostSpec)) *env {
 	t.Helper()
 	apps := make([]*app.Spec, nApps)
 	names := make([]string, nApps)
@@ -33,6 +34,9 @@ func newEnv(t testing.TB, nHosts, nApps int) *env {
 	hosts := make([]cluster.HostSpec, nHosts)
 	for i := range hosts {
 		hosts[i] = cluster.DefaultHostSpec("h" + string(rune('0'+i)))
+		for _, opt := range hostOpts {
+			opt(&hosts[i])
+		}
 	}
 	cat, err := app.BuildCatalog(hosts, apps)
 	if err != nil {

@@ -101,8 +101,8 @@ type evalShard struct {
 // read-only accessors are safe for concurrent use — the memo cache is
 // sharded behind per-shard mutexes with singleflight dedup of identical
 // in-flight solves, the underlying predictor modules are read-only
-// (lqn.Model.Evaluate builds only call-local state), and the counters are
-// atomic. SetObserver is not synchronized with the hot path: rebind
+// (lqn.Model.Solve keeps its state in a pooled per-call scratch), and the
+// counters are atomic. SetObserver is not synchronized with the hot path: rebind
 // observers before handing the evaluator to concurrent callers.
 type Evaluator struct {
 	cat   *cluster.Catalog
@@ -110,9 +110,9 @@ type Evaluator struct {
 	util  *utility.Params
 	costs *cost.Manager
 
-	// appNames is the sorted application universe of the LQN model, fixed
-	// at construction; it keys workload fingerprints without per-call
-	// sorting.
+	// appNames is the sorted application universe of the LQN model
+	// (lqn.Model.AppNames): it keys workload fingerprints without per-call
+	// sorting and orders every per-application fold over a Steady.
 	appNames []string
 	// utilNames is the sorted application universe of the utility params:
 	// the fold order PerfRateAll uses. Cached here so the hot paths can sum
@@ -154,11 +154,6 @@ func NewEvaluator(cat *cluster.Catalog, model *lqn.Model, util *utility.Params, 
 	if err := util.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	names := make([]string, 0, len(model.Apps()))
-	for name := range model.Apps() {
-		names = append(names, name)
-	}
-	sort.Strings(names)
 	utilNames := make([]string, 0, len(util.Apps))
 	for name := range util.Apps {
 		utilNames = append(utilNames, name)
@@ -169,7 +164,7 @@ func NewEvaluator(cat *cluster.Catalog, model *lqn.Model, util *utility.Params, 
 		model:     model,
 		util:      util,
 		costs:     costs,
-		appNames:  names,
+		appNames:  model.AppNames(),
 		utilNames: utilNames,
 	}
 	e.actScratch.New = func() any { return make(map[string]float64, len(utilNames)) }
@@ -466,7 +461,19 @@ func (e *Evaluator) Steady(cfg cluster.Config, rates map[string]float64) (Steady
 // decision and threaded through, so each lookup costs a 24-byte key build
 // and a map probe.
 func (e *Evaluator) SteadyFP(cfg cluster.Config, rates map[string]float64, rfp RatesFP) (Steady, error) {
+	return e.steadyOver(cfg, nil, rates, rfp)
+}
+
+// steadyOver evaluates the configuration cfg would be after the delta d
+// (nil: cfg itself) without building it: the cache key comes from
+// FingerprintWith and a miss solves through the overlay. This is how the
+// Perf-Pwr optimizer scores a candidate one placement or DVFS change away
+// from its base — the key and the Steady are those of the built candidate.
+func (e *Evaluator) steadyOver(cfg cluster.Config, d *cluster.Delta, rates map[string]float64, rfp RatesFP) (Steady, error) {
 	key := steadyKey{fp: cfg.Fingerprint(), rfp: rfp}
+	if d != nil {
+		key.fp = cfg.FingerprintWith(*d)
+	}
 	sh := &e.shards[shardOf(key)]
 	sh.mu.Lock()
 	if ent, ok := sh.entries[key]; ok {
@@ -489,7 +496,7 @@ func (e *Evaluator) SteadyFP(cfg cluster.Config, rates map[string]float64, rfp R
 	sh.entries[key] = ent
 	sh.mu.Unlock()
 
-	ent.s, ent.err = e.solve(cfg, rates)
+	ent.s, ent.err = e.solve(cfg, d, rates)
 	if ent.err != nil {
 		// Drop the failed entry (if a ResetCache has not replaced the map
 		// already) so later lookups retry instead of caching the error.
@@ -505,26 +512,24 @@ func (e *Evaluator) SteadyFP(cfg cluster.Config, rates map[string]float64, rfp R
 	return ent.s, ent.err
 }
 
-// solve performs one uncached steady evaluation: the LQN solve plus power
-// and utility-rate derivation.
-func (e *Evaluator) solve(cfg cluster.Config, rates map[string]float64) (Steady, error) {
-	res, err := e.model.Evaluate(cfg, rates, nil)
+// solve performs one uncached steady evaluation: the LQN solve (steady-only
+// projection, read through the delta overlay) plus power and utility-rate
+// derivation. The Steady it returns is the only thing it allocates.
+func (e *Evaluator) solve(cfg cluster.Config, d *cluster.Delta, rates map[string]float64) (Steady, error) {
+	sol, err := e.model.Solve(cfg, d, rates)
 	if err != nil {
 		return Steady{}, fmt.Errorf("core: steady evaluation: %w", err)
 	}
-	s := Steady{RTSec: make(map[string]float64, len(res.Apps))}
-	hostUtil := make(map[string]float64, len(res.Hosts))
-	for h, hr := range res.Hosts {
-		hostUtil[h] = hr.CPUUtil
-	}
-	s.Watts = power.SystemWatts(e.cat, cfg, hostUtil)
+	s := Steady{RTSec: make(map[string]float64, len(e.appNames))}
+	s.Watts = power.SystemWattsDense(e.model.Catalog().HostSpecs(), sol.HostOn, sol.HostCPUUtil, sol.HostFreq)
 	s.PowerRate = e.util.PowerRate(s.Watts)
-	for name, ar := range res.Apps {
-		s.RTSec[name] = ar.MeanRTSec
-		if ar.Saturated {
+	for i, name := range e.appNames {
+		s.RTSec[name] = sol.MeanRTSec[i]
+		if sol.Saturated[i] {
 			s.Saturated = true
 		}
 	}
+	e.model.Release(sol)
 	s.PerfRate = e.perfRateFold(rates, s.RTSec)
 	return s, nil
 }

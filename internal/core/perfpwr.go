@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
-	"sort"
+	"slices"
 	"time"
 
 	"github.com/mistralcloud/mistral/internal/cluster"
@@ -215,29 +215,28 @@ func EvaluatePlan(e *Evaluator, cfg cluster.Config, plan []cluster.Action, rates
 // sweepHostCounts runs the reduction/packing loop for every candidate host
 // count and keeps the best packed configuration. The arms — one per
 // (host count, affinity variant) pair — are independent full reduction
-// loops, so they evaluate concurrently on the worker pool; the fold over
-// their indexed results replays the serial sweep's order exactly, so the
-// winner (selected by strict improvement) and any returned error are
-// identical at every workers setting.
+// loops over one shared packPlan, so they evaluate concurrently on the
+// worker pool; the fold over their indexed results replays the serial
+// sweep's order exactly, so the winner (selected by strict improvement) and
+// any returned error are identical at every workers setting.
 func sweepHostCounts(e *Evaluator, rates map[string]float64, scope packScope, hosts []string, minHosts, workers int) (Ideal, error) {
 	multiZone := len(e.cat.Zones()) > 1
 	type arm struct {
-		n     int
-		scope packScope
+		n          int
+		noAffinity bool
 	}
 	var arms []arm
 	for n := len(hosts); n >= minHosts; n-- {
-		arms = append(arms, arm{n, scope})
+		arms = append(arms, arm{n, false})
 		if multiZone {
-			alt := scope
-			alt.noAffinity = true
-			arms = append(arms, arm{n, alt})
+			arms = append(arms, arm{n, true})
 		}
 	}
 	workers = par.Workers(workers)
 	e.gSweepWorkers.Set(float64(workers))
 	e.cSweepArms.Add(int64(len(arms)))
 
+	plan := newPackPlan(e, rates, scope, hosts)
 	type armResult struct {
 		ideal Ideal
 		ok    bool
@@ -245,13 +244,12 @@ func sweepHostCounts(e *Evaluator, rates map[string]float64, scope packScope, ho
 	}
 	results := make([]armResult, len(arms))
 	par.For(len(arms), workers, func(i int) {
-		a := arms[i]
-		cfg, ok, err := packWithReduction(e, rates, a.scope, hosts[:a.n])
+		cfg, ok, err := newReduction(plan, arms[i].n, arms[i].noAffinity).run()
 		if err != nil || !ok {
 			results[i] = armResult{err: err}
 			return
 		}
-		cfg, steady, err := polishAllocations(e, cfg, rates, a.scope)
+		cfg, steady, err := plan.polish(cfg)
 		if err != nil {
 			results[i] = armResult{err: err}
 			return
@@ -271,7 +269,7 @@ func sweepHostCounts(e *Evaluator, rates map[string]float64, scope packScope, ho
 		if dbg {
 			e.log.Debug("perfpwr sweep",
 				"hosts", arms[i].n,
-				"no_affinity", arms[i].scope.noAffinity,
+				"no_affinity", arms[i].noAffinity,
 				"net_rate", r.ideal.Steady.NetRate(),
 				"config", fmt.Sprint(r.ideal.Config))
 		}
@@ -286,46 +284,65 @@ func sweepHostCounts(e *Evaluator, rates map[string]float64, scope packScope, ho
 	return tuneDVFS(e, *best, rates, scope)
 }
 
-// polishAllocations hill-climbs a packed configuration's CPU allocations:
-// the reduction loop stops at the *first* packable state, which can leave
+// polish hill-climbs a packed configuration's CPU allocations: the
+// reduction loop stops at the *first* packable state, which can leave
 // allocations unbalanced (one tier starved just past the penalty cliff,
 // others over-provisioned). Single ±step moves that improve the net
 // utility rate — staying within host capacity, the VM minimum, and any
-// hard response-time targets — are applied until none remains.
-func polishAllocations(e *Evaluator, cfg cluster.Config, rates map[string]float64, scope packScope) (cluster.Config, Steady, error) {
-	cat := e.cat
-	cur, err := e.Steady(cfg, rates)
+// hard response-time targets — are applied until none remains. Each move
+// is scored through the delta overlay; only an accepted one touches cfg,
+// which polish owns and updates in place.
+func (p *packPlan) polish(cfg cluster.Config) (cluster.Config, Steady, error) {
+	cat := p.e.cat
+	cur, err := p.e.SteadyFP(cfg, p.rates, p.rfp)
 	if err != nil {
 		return cluster.Config{}, Steady{}, err
 	}
-	managed := make(map[cluster.VMID]bool, len(scope.managed))
-	for _, id := range scope.managed {
-		managed[id] = true
+	// The active set is fixed from here on; only allocations move.
+	ids := cfg.ActiveVMs()
+	host := make([]string, len(ids))
+	cpu := make([]float64, len(ids))
+	for i, id := range ids {
+		pl, _ := cfg.PlacementOf(id)
+		host[i], cpu[i] = pl.Host, pl.CPUPct
+	}
+	// allocated folds a host's allocations in sorted VM order, as
+	// Config.AllocatedCPU does.
+	allocated := func(h string) float64 {
+		var sum float64
+		for i := range ids {
+			if host[i] == h {
+				sum += cpu[i]
+			}
+		}
+		return sum
 	}
 	for iter := 0; iter < 64; iter++ {
 		improved := false
-		for _, id := range cfg.ActiveVMs() {
-			if !managed[id] {
+		for i, id := range ids {
+			if _, managed := slices.BinarySearch(p.ids, id); !managed {
 				continue
 			}
-			p, _ := cfg.PlacementOf(id)
-			spec, _ := cat.Host(p.Host)
-			for _, delta := range []float64{cat.CPUStepPct, -cat.CPUStepPct} {
-				next := p.CPUPct + delta
+			spec, _ := cat.Host(host[i])
+			// Both moves start from the allocation the VM had when its turn
+			// came, even when the first one was accepted.
+			from := cpu[i]
+			for _, delta := range [2]float64{cat.CPUStepPct, -cat.CPUStepPct} {
+				next := from + delta
 				if next < cat.MinCPUPct-1e-9 || next > spec.UsableCPUPct+1e-9 {
 					continue
 				}
-				if delta > 0 && cfg.AllocatedCPU(p.Host)+delta > spec.UsableCPUPct+1e-9 {
+				if delta > 0 && allocated(host[i])+delta > spec.UsableCPUPct+1e-9 {
 					continue
 				}
-				cand := cfg.Clone()
-				cand.Place(id, p.Host, next)
-				st, err := e.Steady(cand, rates)
+				d := cpuDelta(id, host[i], cpu[i], next)
+				st, err := p.e.steadyOver(cfg, &d, p.rates, p.rfp)
 				if err != nil {
 					return cluster.Config{}, Steady{}, err
 				}
-				if st.NetRate() > cur.NetRate()+1e-12 && scope.meetsTargets(st, rates) {
-					cfg, cur = cand, st
+				if st.NetRate() > cur.NetRate()+1e-12 && p.scope.meetsTargets(st, p.rates) {
+					cfg.Place(id, host[i], next)
+					cpu[i], cur = next, st
 					improved = true
 				}
 			}
@@ -335,6 +352,18 @@ func polishAllocations(e *Evaluator, cfg cluster.Config, rates map[string]float6
 		}
 	}
 	return cfg, cur, nil
+}
+
+// cpuDelta is the overlay for one VM's allocation moving from cpu to next
+// on its host.
+func cpuDelta(id cluster.VMID, host string, cpu, next float64) cluster.Delta {
+	return cluster.Delta{
+		VM:        id,
+		OldPlaced: true,
+		Old:       cluster.Placement{Host: host, CPUPct: cpu},
+		NewPlaced: true,
+		New:       cluster.Placement{Host: host, CPUPct: next},
+	}
 }
 
 // tuneDVFS greedily downclocks DVFS-capable hosts of an ideal configuration
@@ -357,15 +386,17 @@ func tuneDVFS(e *Evaluator, ideal Ideal, rates map[string]float64, scope packSco
 	for name, r := range rates {
 		guard[name] = r * 1.3
 	}
-	if st, err := e.Steady(ideal.Config, guard); err != nil || !scope.meetsTargets(st, guard) {
+	rfp, guardFP := e.RatesFingerprint(rates), e.RatesFingerprint(guard)
+	if st, err := e.SteadyFP(ideal.Config, guard, guardFP); err != nil || !scope.meetsTargets(st, guard) {
 		// The best packing has no slack (or is already overloaded):
 		// frequency scaling has nothing safe to offer.
 		return ideal, err
 	}
+	hosts := ideal.Config.ActiveHosts()
 	improved := true
 	for improved {
 		improved = false
-		for _, h := range ideal.Config.ActiveHosts() {
+		for _, h := range hosts {
 			spec, ok := e.cat.Host(h)
 			if !ok || !spec.SupportsDVFS() {
 				continue
@@ -374,9 +405,10 @@ func tuneDVFS(e *Evaluator, ideal Ideal, rates map[string]float64, scope packSco
 				if f == ideal.Config.HostFreq(h) {
 					continue
 				}
-				cand := ideal.Config.Clone()
-				cand.SetHostFreq(h, f)
-				st, err := e.Steady(cand, rates)
+				// Score the level through the overlay; the configuration is
+				// copied (its frequency map only) when the level is adopted.
+				d := cluster.Delta{FreqHost: h, NewFreq: f}
+				st, err := e.steadyOver(ideal.Config, &d, rates, rfp)
 				if err != nil {
 					return Ideal{}, err
 				}
@@ -384,14 +416,16 @@ func tuneDVFS(e *Evaluator, ideal Ideal, rates map[string]float64, scope packSco
 					continue
 				}
 				// The guard band: still within targets at 1.3× the rates.
-				gst, err := e.Steady(cand, guard)
+				gst, err := e.steadyOver(ideal.Config, &d, guard, guardFP)
 				if err != nil {
 					return Ideal{}, err
 				}
 				if !scope.meetsTargets(gst, guard) {
 					continue
 				}
-				ideal = Ideal{Config: cand, Steady: st}
+				cfg := ideal.Config.CloneShared()
+				cfg.SetHostFreq(h, f)
+				ideal = Ideal{Config: cfg, Steady: st}
 				improved = true
 			}
 		}
@@ -432,29 +466,6 @@ func minHostsNeeded(cat *cluster.Catalog, hosts []string) int {
 	return n
 }
 
-// allocState is the reduction search state: which replicas are active and
-// their CPU allocations.
-type allocState struct {
-	cpu map[cluster.VMID]float64 // active VMs only
-}
-
-func (s allocState) clone() allocState {
-	n := allocState{cpu: make(map[cluster.VMID]float64, len(s.cpu))}
-	for id, c := range s.cpu {
-		n.cpu[id] = c
-	}
-	return n
-}
-
-func (s allocState) sortedVMs() []cluster.VMID {
-	ids := make([]cluster.VMID, 0, len(s.cpu))
-	for id := range s.cpu {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
-
 // packScope bounds what the reduction/packing loop may touch: the VMs it
 // places (everything else is held fixed), whether it may deactivate
 // replicas, and optional hard response-time ceilings that reductions must
@@ -467,11 +478,6 @@ type packScope struct {
 	rtTargets           map[string]float64
 	zonePins            map[cluster.VMID]string
 	appPools            map[string][]string
-	// noAffinity disables the soft same-zone preference for unpinned VMs
-	// (pins stay hard). The sweep tries both variants: zone-local packing
-	// wins on WAN latency, cross-zone packing wins when the home zone has
-	// no capacity left — the model's net rate arbitrates.
-	noAffinity bool
 }
 
 func (s packScope) meetsTargets(st Steady, rates map[string]float64) bool {
@@ -486,217 +492,395 @@ func (s packScope) meetsTargets(st Steady, rates map[string]float64) bool {
 	return true
 }
 
-// packWithReduction runs the §IV-A loop for a fixed host subset.
-func packWithReduction(e *Evaluator, rates map[string]float64, scope packScope, hosts []string) (cluster.Config, bool, error) {
+// planVM is what a Perf-Pwr call knows about one managed VM up front.
+type planVM struct {
+	spec cluster.VMSpec // zero for a VM the catalog does not list
+	// tier indexes packPlan.tiers (-1 outside the catalog); demand is the
+	// CPU the VM's whole tier must serve, rate × mean demand / 1000, which
+	// allocUtil splits across the tier's replicas. counted is false for a
+	// VM whose tier or application catalog and model do not know: it
+	// carries no demand share.
+	tier    int
+	demand  float64
+	counted bool
+	pinZone string // zone pin; pinned false when free
+	pinned  bool
+	pool    []string // host pool of the VM's application; pooled false when unconfined
+	pooled  bool
+	appNo   int // dense application number, keys the packing's per-app zone memory
+}
+
+// packHost is one packing target's remaining capacity.
+type packHost struct {
+	name    string
+	zone    string
+	freeCPU float64
+	freeMem int
+	slots   int
+	used    bool
+}
+
+// packPlan is everything one Perf-Pwr call hoists out of its candidate
+// loops: the workload fingerprint and, aligned with the sorted managed-VM
+// list, what is known of each VM (catalog entry, tier, demand, zone pin,
+// host pool). The
+// sweep's arms share one plan read-only; the rule they follow is DESIGN.md
+// §9's — a reduction candidate is scored through an overlay on the arm's
+// base configuration and materialised only if it wins.
+type packPlan struct {
+	e     *Evaluator
+	rates map[string]float64
+	rfp   RatesFP
+	scope packScope
+
+	ids []cluster.VMID // scope.managed, sorted
+	vms []planVM       // aligned with ids
+	// apps is how many distinct applications the managed VMs belong to.
+	apps int
+
+	tiers []cluster.TierKey
+	// tierVMs lists each tier's managed replicas (indices into ids) in ID
+	// order; fixedReplicas counts its active replicas outside the scope.
+	tierVMs       [][]int
+	fixedReplicas []int
+
+	// hosts is the call's packing targets with the capacity the fixed VMs
+	// leave on each; arm n packs onto hosts[:n].
+	hosts []packHost
+}
+
+func newPackPlan(e *Evaluator, rates map[string]float64, scope packScope, hosts []string) *packPlan {
 	cat := e.cat
-	// Initial state: every managed replica active at maximum capacity.
-	state := allocState{cpu: make(map[cluster.VMID]float64, len(scope.managed))}
-	maxCPU := cat.MaxVMCPUPct()
-	for _, id := range scope.managed {
-		state.cpu[id] = maxCPU
-	}
-
-	evalState := func(s allocState) (float64, Steady, error) {
-		cfg := spreadConfig(s, scope, hosts)
-		st, err := e.Steady(cfg, rates)
-		if err != nil {
-			return 0, Steady{}, err
+	p := &packPlan{e: e, rates: rates, rfp: e.RatesFingerprint(rates), scope: scope, tiers: cat.Tiers()}
+	p.ids = slices.Clone(scope.managed)
+	slices.Sort(p.ids)
+	p.vms = make([]planVM, len(p.ids))
+	p.tierVMs = make([][]int, len(p.tiers))
+	p.fixedReplicas = make([]int, len(p.tiers))
+	tierNo := make(map[cluster.TierKey]int, len(p.tiers))
+	for t, k := range p.tiers {
+		tierNo[k] = t
+		for _, id := range cat.TierVMs(k) {
+			if scope.fixed.Active(id) {
+				p.fixedReplicas[t]++
+			}
 		}
-		return meanAllocUtil(s, rates, e, scope), st, nil
 	}
+	appNo := make(map[string]int)
+	for i, id := range p.ids {
+		vm, known := cat.VM(id)
+		v := planVM{spec: vm, tier: -1}
+		if known {
+			v.tier = tierNo[cluster.TierKey{App: vm.App, Tier: vm.Tier}]
+			p.tierVMs[v.tier] = append(p.tierVMs[v.tier], i)
+			if spec := e.model.Apps()[vm.App]; spec != nil {
+				v.counted = true
+				v.demand = rates[vm.App] * spec.MeanDemandMS(vm.Tier) / 1000
+			}
+		}
+		v.pinZone, v.pinned = scope.zonePins[id]
+		v.pool, v.pooled = scope.appPools[vm.App]
+		if _, seen := appNo[vm.App]; !seen {
+			appNo[vm.App] = len(appNo)
+		}
+		v.appNo = appNo[vm.App]
+		p.vms[i] = v
+	}
+	p.apps = len(appNo)
 
-	curRho, curSt, err := evalState(state)
-	if err != nil {
+	p.hosts = make([]packHost, len(hosts))
+	for hi, h := range hosts {
+		spec, _ := cat.Host(h)
+		ph := packHost{
+			name:    h,
+			zone:    cat.ZoneOf(h),
+			freeCPU: spec.UsableCPUPct,
+			freeMem: spec.MemoryMB - spec.Dom0MemoryMB,
+			slots:   spec.MaxVMs,
+		}
+		// Fixed VMs on in-scope hosts consume capacity up front.
+		for _, id := range scope.fixed.VMsOnHost(h) {
+			pl, _ := scope.fixed.PlacementOf(id)
+			vm, _ := cat.VM(id)
+			ph.freeCPU -= pl.CPUPct
+			ph.freeMem -= vm.MemoryMB
+			ph.slots--
+			ph.used = true
+		}
+		p.hosts[hi] = ph
+	}
+	return p
+}
+
+// reduction is one sweep arm's §IV-A state: which managed replicas are
+// active and their CPU allocations, as slices aligned with packPlan.ids,
+// plus base — that state spread round-robin over the arm's hosts, the
+// configuration every candidate of an iteration is one placement change
+// away from.
+type reduction struct {
+	*packPlan
+	hosts []packHost // the arm's packing targets, pristine
+	// noAffinity disables the soft same-zone preference for unpinned VMs
+	// (pins stay hard). The sweep tries both variants: zone-local packing
+	// wins on WAN latency, cross-zone packing wins when the home zone has
+	// no capacity left — the model's net rate arbitrates.
+	noAffinity bool
+
+	cpu      []float64 // meaningful while active
+	active   []bool
+	replicas []int    // active managed replicas per tier
+	hostOf   []string // each active VM's host in base
+	base     cluster.Config
+	// curRho and curPerf are the current state's mean allocation
+	// utilization and performance rate, the gradient's reference point.
+	curRho, curPerf float64
+
+	// binPack's working state, reused across iterations.
+	free       []packHost
+	order      []int
+	target     []int // host index per VM, set by a successful binPack
+	appZone    []string
+	appZoneSet []bool
+}
+
+func newReduction(p *packPlan, nHosts int, noAffinity bool) *reduction {
+	n := len(p.ids)
+	r := &reduction{
+		packPlan:   p,
+		hosts:      p.hosts[:nHosts],
+		noAffinity: noAffinity,
+		cpu:        make([]float64, n),
+		active:     make([]bool, n),
+		replicas:   make([]int, len(p.tiers)),
+		hostOf:     make([]string, n),
+		free:       make([]packHost, nHosts),
+		order:      make([]int, 0, n),
+		target:     make([]int, n),
+		appZone:    make([]string, p.apps),
+		appZoneSet: make([]bool, p.apps),
+	}
+	// Initial state: every managed replica active at maximum capacity.
+	maxCPU := p.e.cat.MaxVMCPUPct()
+	for i := range r.cpu {
+		r.cpu[i] = maxCPU
+		r.active[i] = true
+	}
+	for t := range r.replicas {
+		r.replicas[t] = len(p.tierVMs[t])
+	}
+	// Spread the state round-robin over the hosts (on top of the fixed
+	// remainder) ignoring capacity constraints — intermediate
+	// configurations are legal for model evaluation, which depends almost
+	// entirely on allocations. Built once per arm; winners update it.
+	r.base = p.scope.fixed.Clone()
+	for _, h := range r.hosts {
+		r.base.SetHostOn(h.name, true)
+	}
+	for i, id := range r.ids {
+		r.hostOf[i] = r.hostAt(i)
+		r.base.Place(id, r.hostOf[i], maxCPU)
+	}
+	return r
+}
+
+// hostAt is the round-robin spread: the host of the rank-th active VM.
+func (r *reduction) hostAt(rank int) string { return r.hosts[rank%len(r.hosts)].name }
+
+// run is the §IV-A loop for the arm's host subset: reduce by gradient until
+// the state bin-packs, then return the packed configuration.
+func (r *reduction) run() (cluster.Config, bool, error) {
+	if ok, err := r.start(); err != nil || !ok {
 		return cluster.Config{}, false, err
 	}
-	curPerf := curSt.PerfRate
-	if !scope.meetsTargets(curSt, rates) {
-		// Even maximum capacities violate a hard target: infeasible.
-		return cluster.Config{}, false, nil
-	}
-
-	var blocked cluster.VMID
 	for iter := 0; ; iter++ {
-		cfg, ok, blockedVM := binPack(cat, state, scope, hosts)
+		ok, blocked := r.binPack()
 		if ok {
-			if scope.rtTargets != nil {
-				st, err := e.Steady(cfg, rates)
+			cfg := r.packed()
+			if r.scope.rtTargets != nil {
+				st, err := r.e.SteadyFP(cfg, r.rates, r.rfp)
 				if err != nil {
 					return cluster.Config{}, false, err
 				}
-				if !scope.meetsTargets(st, rates) {
+				if !r.scope.meetsTargets(st, r.rates) {
 					return cluster.Config{}, false, nil
 				}
 			}
 			return cfg, true, nil
 		}
-		blocked = blockedVM
-		// When the blocker is pinned to a zone, cutting VMs pinned to a
-		// *different* zone cannot unblock the packing — unrestricted
-		// gradient cuts would starve unrelated applications first. VMs
-		// pinned to the same zone and unpinned VMs (which may be hogging
-		// the blocked zone) remain candidates.
-		var helps func(cluster.VMID) bool
-		if pin, pinned := scope.zonePins[blocked]; pinned {
-			helps = func(id cluster.VMID) bool {
-				z, ok := scope.zonePins[id]
-				return !ok || z == pin
-			}
-		} else {
-			helps = func(cluster.VMID) bool { return true }
+		if ok, err := r.reduce(blocked); err != nil || !ok {
+			return cluster.Config{}, false, err // !ok: fully reduced, still unpackable
 		}
-		// Generate reduction candidates.
-		type candidate struct {
-			state     allocState
-			rho, perf float64
-			gradient  float64
-			rt        float64
-		}
-		var candidates []candidate
-		consider := func(s allocState) error {
-			rho, st, err := evalState(s)
-			if err != nil {
-				return err
-			}
-			if !scope.meetsTargets(st, rates) {
-				return nil // hard targets: this reduction is off the table
-			}
-			perf := st.PerfRate
-			dRho := rho - curRho
-			dPerf := curPerf - perf // utility lost by the reduction
-			g := math.Inf(1)
-			if dPerf > 1e-12 {
-				g = dRho / dPerf
-			} else if dRho <= 1e-12 {
-				g = 0
-			}
-			candidates = append(candidates, candidate{state: s, rho: rho, perf: perf, gradient: g, rt: sumRT(st)})
-			return nil
-		}
-		// (a) reduce one VM's capacity by a step.
-		for _, id := range state.sortedVMs() {
-			if !helps(id) {
-				continue
-			}
-			if state.cpu[id]-cat.CPUStepPct >= cat.MinCPUPct-1e-9 {
-				s := state.clone()
-				s.cpu[id] -= cat.CPUStepPct
-				if err := consider(s); err != nil {
-					return cluster.Config{}, false, err
-				}
-			}
-		}
-		// (b) remove one replica from tiers with more than one active.
-		if scope.allowReplicaRemoval {
-			for _, k := range cat.Tiers() {
-				active := activeReplicas(cat, state, k)
-				if len(active) <= 1 {
-					continue
-				}
-				victim := active[len(active)-1]
-				if !helps(victim) {
-					continue
-				}
-				s := state.clone()
-				delete(s.cpu, victim)
-				if err := consider(s); err != nil {
-					return cluster.Config{}, false, err
-				}
-			}
-		}
-		if len(candidates) == 0 {
-			return cluster.Config{}, false, nil // fully reduced, still unpackable
-		}
-		// Highest gradient wins; ties (common when the flat penalty makes
-		// further cuts to a saturated VM "free") break toward the candidate
-		// with the lowest aggregate response time, so reductions spread
-		// rather than starving one VM.
-		best := candidates[0]
-		for _, c := range candidates[1:] {
-			if c.gradient > best.gradient || (c.gradient == best.gradient && c.rt < best.rt) {
-				best = c
-			}
-		}
-		state, curRho, curPerf = best.state, best.rho, best.perf
 		if iter > 10000 {
 			return cluster.Config{}, false, fmt.Errorf("core: Perf-Pwr reduction did not converge")
 		}
 	}
 }
 
-// sumRT aggregates the steady response times across applications, the
-// gradient tie-breaker. Sorted iteration keeps the floating-point fold
-// bit-identical across runs (map order would shuffle it).
-func sumRT(st Steady) float64 {
-	names := make([]string, 0, len(st.RTSec))
-	for name := range st.RTSec {
-		names = append(names, name)
+// start evaluates the initial state (every replica at maximum capacity); it
+// reports false when even that violates a hard target, so the arm is
+// infeasible.
+func (r *reduction) start() (bool, error) {
+	st, err := r.e.SteadyFP(r.base, r.rates, r.rfp)
+	if err != nil {
+		return false, err
 	}
-	sort.Strings(names)
-	var sum float64
-	for _, name := range names {
-		sum += st.RTSec[name]
-	}
-	return sum
+	r.curRho, r.curPerf = r.allocUtil(), st.PerfRate
+	return r.scope.meetsTargets(st, r.rates), nil
 }
 
-// activeReplicas lists a tier's active replicas in ID order.
-func activeReplicas(cat *cluster.Catalog, s allocState, k cluster.TierKey) []cluster.VMID {
-	var out []cluster.VMID
-	for _, id := range cat.TierVMs(k) {
-		if _, ok := s.cpu[id]; ok {
-			out = append(out, id)
+// reduce scores every reduction candidate of the current state — (a) one
+// VM's capacity cut by a step, (b) one replica removed — and applies the
+// one with the highest utilization-per-utility gradient ∇ρ; it reports
+// false when no candidate is left. blocked is the VM binPack failed on.
+// Only the winner changes the state.
+func (r *reduction) reduce(blocked int) (bool, error) {
+	e, cat := r.e, r.e.cat
+	// When the blocker is pinned to a zone, cutting VMs pinned to a
+	// *different* zone cannot unblock the packing — unrestricted gradient
+	// cuts would starve unrelated applications first. VMs pinned to the
+	// same zone and unpinned VMs (which may be hogging the blocked zone)
+	// remain candidates.
+	helps := func(i int) bool {
+		return !r.vms[blocked].pinned || !r.vms[i].pinned || r.vms[i].pinZone == r.vms[blocked].pinZone
+	}
+
+	// Highest gradient wins; ties (common when the flat penalty makes
+	// further cuts to a saturated VM "free") break toward the candidate
+	// with the lowest aggregate response time, so reductions spread rather
+	// than starving one VM. The first candidate seen wins remaining ties.
+	type move struct {
+		vm        int
+		remove    bool
+		without   cluster.Config // the built candidate of a removal
+		rho, perf float64
+		gradient  float64
+		rt        float64
+	}
+	var best move
+	found := false
+	consider := func(m move, st Steady) {
+		if !r.scope.meetsTargets(st, r.rates) {
+			return // hard targets: this reduction is off the table
+		}
+		m.perf = st.PerfRate
+		dRho := m.rho - r.curRho
+		dPerf := r.curPerf - m.perf // utility lost by the reduction
+		m.gradient = math.Inf(1)
+		if dPerf > 1e-12 {
+			m.gradient = dRho / dPerf
+		} else if dRho <= 1e-12 {
+			m.gradient = 0
+		}
+		m.rt = e.sumRT(st)
+		if !found || m.gradient > best.gradient || (m.gradient == best.gradient && m.rt < best.rt) {
+			best, found = m, true
 		}
 	}
-	return out
+	// (a) one placement change on base, scored through the overlay.
+	for i, id := range r.ids {
+		if !r.active[i] || !helps(i) {
+			continue
+		}
+		from := r.cpu[i]
+		if from-cat.CPUStepPct < cat.MinCPUPct-1e-9 {
+			continue
+		}
+		d := cpuDelta(id, r.hostOf[i], from, from-cat.CPUStepPct)
+		st, err := e.steadyOver(r.base, &d, r.rates, r.rfp)
+		if err != nil {
+			return false, err
+		}
+		r.cpu[i] = from - cat.CPUStepPct
+		rho := r.allocUtil()
+		r.cpu[i] = from
+		consider(move{vm: i, rho: rho}, st)
+	}
+	// (b) the last active replica of each tier with more than one. The VMs
+	// behind the victim shift one host along the round-robin, so this
+	// candidate is a copy-on-write child of base.
+	if r.scope.allowReplicaRemoval {
+		for t, vms := range r.tierVMs {
+			if r.replicas[t] <= 1 {
+				continue
+			}
+			victim := -1
+			for _, i := range vms {
+				if r.active[i] {
+					victim = i
+				}
+			}
+			if !helps(victim) {
+				continue
+			}
+			cfg := r.without(victim)
+			st, err := e.SteadyFP(cfg, r.rates, r.rfp)
+			if err != nil {
+				return false, err
+			}
+			r.active[victim] = false
+			r.replicas[t]--
+			rho := r.allocUtil()
+			r.active[victim] = true
+			r.replicas[t]++
+			consider(move{vm: victim, remove: true, without: cfg, rho: rho}, st)
+		}
+	}
+	if !found {
+		return false, nil
+	}
+	if i := best.vm; !best.remove {
+		r.cpu[i] -= cat.CPUStepPct
+		r.base.Place(r.ids[i], r.hostOf[i], r.cpu[i])
+	} else {
+		r.active[i] = false
+		r.replicas[r.vms[i].tier]--
+		r.base = best.without
+		rank := 0
+		for j := range r.ids {
+			if r.active[j] {
+				r.hostOf[j] = r.hostAt(rank)
+				rank++
+			}
+		}
+	}
+	r.curRho, r.curPerf = best.rho, best.perf
+	return true, nil
 }
 
-// spreadConfig places the state's VMs round-robin over the host subset
-// (on top of the fixed remainder) ignoring capacity constraints —
-// intermediate configurations are legal for model evaluation, which depends
-// almost entirely on allocations.
-func spreadConfig(s allocState, scope packScope, hosts []string) cluster.Config {
-	cfg := scope.fixed.Clone()
-	for _, h := range hosts {
-		cfg.SetHostOn(h, true)
-	}
-	for i, id := range s.sortedVMs() {
-		cfg.Place(id, hosts[i%len(hosts)], s.cpu[id])
+// without builds the candidate that deactivates one replica: a
+// copy-on-write child of base in which every active VM behind the victim
+// moves to the host the round-robin now gives it.
+func (r *reduction) without(victim int) cluster.Config {
+	cfg := r.base.CloneShared()
+	cfg.Unplace(r.ids[victim])
+	rank := 0
+	for i, id := range r.ids {
+		if !r.active[i] || i == victim {
+			continue
+		}
+		if h := r.hostAt(rank); h != r.hostOf[i] {
+			cfg.Place(id, h, r.cpu[i])
+		}
+		rank++
 	}
 	return cfg
 }
 
-// meanAllocUtil is the ∇ρ numerator source: the demand-weighted mean
+// allocUtil is the ∇ρ numerator source: the demand-weighted mean
 // utilization of the allocation, approximated from request rates and model
-// demands. Higher means tighter packing potential.
-func meanAllocUtil(s allocState, rates map[string]float64, e *Evaluator, scope packScope) float64 {
+// demands. Higher means tighter packing potential. The two sums fold in
+// sorted VM order: their last bits feed the ∇ρ gradient comparisons.
+func (r *reduction) allocUtil() float64 {
 	var totalDemand, totalAlloc float64
-	// Sorted VM order: the two sums are floating-point folds whose last
-	// bits feed the ∇ρ gradient comparisons; map order would flip ties.
-	for _, id := range s.sortedVMs() {
-		cpu := s.cpu[id]
-		vm, ok := e.cat.VM(id)
-		if !ok {
-			continue
-		}
-		spec := e.model.Apps()[vm.App]
-		if spec == nil {
+	for i := range r.ids {
+		v := &r.vms[i]
+		if !r.active[i] || !v.counted {
 			continue
 		}
 		// Demand share of this replica: tier demand split across active
 		// replicas of the tier, managed or fixed.
-		k := cluster.TierKey{App: vm.App, Tier: vm.Tier}
-		n := len(activeReplicas(e.cat, s, k))
-		for _, rid := range e.cat.TierVMs(k) {
-			if scope.fixed.Active(rid) {
-				n++
-			}
-		}
-		if n == 0 {
-			continue
-		}
-		totalDemand += rates[vm.App] * spec.MeanDemandMS(vm.Tier) / 1000 / float64(n)
-		totalAlloc += cpu / 100
+		totalDemand += v.demand / float64(r.replicas[v.tier]+r.fixedReplicas[v.tier])
+		totalAlloc += r.cpu[i] / 100
 	}
 	if totalAlloc <= 0 {
 		return 0
@@ -704,95 +888,76 @@ func meanAllocUtil(s allocState, rates map[string]float64, e *Evaluator, scope p
 	return totalDemand / totalAlloc
 }
 
-// binPack attempts the paper's worst-fit packing: VMs in decreasing size
-// order; each goes to the used host with the largest free capacity, or to a
-// new empty host if none fits. The packed result is merged over the scope's
-// fixed remainder. On failure the VM that could not be placed is returned,
-// so the reduction loop can aim its next cut at the actual bottleneck.
-func binPack(cat *cluster.Catalog, s allocState, scope packScope, hosts []string) (cluster.Config, bool, cluster.VMID) {
-	type hostState struct {
-		name    string
-		freeCPU float64
-		freeMem int
-		slots   int
-		used    bool
+// sumRT aggregates the steady response times across applications, the
+// gradient tie-breaker, in sorted application order so the floating-point
+// fold is bit-identical across runs.
+func (e *Evaluator) sumRT(st Steady) float64 {
+	var sum float64
+	for _, name := range e.appNames {
+		sum += st.RTSec[name]
 	}
-	hs := make([]*hostState, 0, len(hosts))
-	for _, h := range hosts {
-		spec, _ := cat.Host(h)
-		st := &hostState{
-			name:    h,
-			freeCPU: spec.UsableCPUPct,
-			freeMem: spec.MemoryMB - spec.Dom0MemoryMB,
-			slots:   spec.MaxVMs,
-		}
-		// Fixed VMs on in-scope hosts consume capacity up front.
-		for _, id := range scope.fixed.VMsOnHost(h) {
-			p, _ := scope.fixed.PlacementOf(id)
-			vm, _ := cat.VM(id)
-			st.freeCPU -= p.CPUPct
-			st.freeMem -= vm.MemoryMB
-			st.slots--
-			st.used = true
-		}
-		hs = append(hs, st)
-	}
-	ids := s.sortedVMs()
+	return sum
+}
+
+// binPack attempts the paper's worst-fit packing of the current state: VMs
+// in decreasing size order; each goes to the used host with the largest
+// free capacity, or to a new empty host if none fits. On success the
+// assignment is left in r.target and r.free for packed to materialise; on
+// failure the VM that could not be placed is returned, so the reduction
+// loop can aim its next cut at the actual bottleneck.
+func (r *reduction) binPack() (ok bool, blocked int) {
+	copy(r.free, r.hosts)
 	// Pack VMs of the same application together (largest first within an
 	// app) so the zone-affinity preference below can keep each app inside
-	// one data center.
-	sort.SliceStable(ids, func(i, j int) bool {
-		vi, _ := cat.VM(ids[i])
-		vj, _ := cat.VM(ids[j])
-		if vi.App != vj.App {
-			return vi.App < vj.App
+	// one data center: a stable insertion sort of the sorted active list.
+	order := r.order[:0]
+	for i := range r.ids {
+		if !r.active[i] {
+			continue
 		}
-		return s.cpu[ids[i]] > s.cpu[ids[j]]
-	})
+		j := len(order)
+		order = append(order, i)
+		for ; j > 0; j-- {
+			prev := order[j-1]
+			if a, b := r.vms[i].spec.App, r.vms[prev].spec.App; a > b || (a == b && r.cpu[i] <= r.cpu[prev]) {
+				break
+			}
+			order[j] = prev
+		}
+		order[j] = i
+	}
+	r.order = order
 
-	cfg := scope.fixed.Clone()
 	// appZone remembers where each application's first VM landed; later
 	// VMs of the app prefer that zone, keeping tiers off the WAN. In
 	// single-zone catalogs every host shares the "" zone and the
 	// preference is vacuous (the paper's original worst-fit).
-	appZone := make(map[string]string)
-	for _, id := range ids {
-		vm, _ := cat.VM(id)
-		need := s.cpu[id]
-		inPool := func(hostName string) bool {
-			pool, pooled := scope.appPools[vm.App]
-			if !pooled {
-				return true
-			}
-			for _, p := range pool {
-				if p == hostName {
-					return true
-				}
-			}
-			return false
-		}
-		fits := func(h *hostState) bool {
-			return h.freeCPU >= need-1e-9 && h.freeMem >= vm.MemoryMB && h.slots > 0 && inPool(h.name)
-		}
-		zone, hasZone := appZone[vm.App]
-		if scope.noAffinity {
+	clear(r.appZoneSet)
+	for _, i := range order {
+		v := &r.vms[i]
+		need, memMB := r.cpu[i], v.spec.MemoryMB
+		zone, hasZone := r.appZone[v.appNo], r.appZoneSet[v.appNo]
+		if r.noAffinity {
 			hasZone = false
 		}
-		pin, pinned := scope.zonePins[id]
-		if pinned {
-			zone, hasZone = pin, true
+		if v.pinned {
+			zone, hasZone = v.pinZone, true
 		}
-		pick := func(used bool, zoneOnly bool) *hostState {
-			var target *hostState
-			for _, h := range hs {
-				if h.used != used || !fits(h) {
+		pick := func(used, zoneOnly bool) int {
+			target := -1
+			for hi := range r.free {
+				h := &r.free[hi]
+				if h.used != used || h.freeCPU < need-1e-9 || h.freeMem < memMB || h.slots <= 0 {
 					continue
 				}
-				if zoneOnly && hasZone && cat.ZoneOf(h.name) != zone {
+				if v.pooled && !slices.Contains(v.pool, h.name) {
 					continue
 				}
-				if target == nil || h.freeCPU > target.freeCPU {
-					target = h
+				if zoneOnly && hasZone && h.zone != zone {
+					continue
+				}
+				if target < 0 || h.freeCPU > r.free[target].freeCPU {
+					target = hi
 				}
 				if !used {
 					break // first empty host (they are interchangeable)
@@ -801,111 +966,120 @@ func binPack(cat *cluster.Catalog, s allocState, scope packScope, hosts []string
 			return target
 		}
 		target := pick(true, true)
-		if target == nil {
+		if target < 0 {
 			target = pick(false, true)
 		}
 		// A pinned application never spills to another zone; unpinned apps
 		// fall back to any host (the original worst-fit).
-		if target == nil && !pinned {
+		if target < 0 && !v.pinned {
 			target = pick(true, false)
 		}
-		if target == nil && !pinned {
+		if target < 0 && !v.pinned {
 			target = pick(false, false)
 		}
-		if target == nil {
-			return cluster.Config{}, false, id
+		if target < 0 {
+			return false, i
 		}
-		target.used = true
-		target.freeCPU -= need
-		target.freeMem -= vm.MemoryMB
-		target.slots--
-		cfg.Place(id, target.name, need)
+		h := &r.free[target]
+		h.used = true
+		h.freeCPU -= need
+		h.freeMem -= memMB
+		h.slots--
+		r.target[i] = target
 		if !hasZone {
-			appZone[vm.App] = cat.ZoneOf(target.name)
+			r.appZone[v.appNo], r.appZoneSet[v.appNo] = h.zone, true
 		}
 	}
-	// Power on exactly the used hosts.
-	for _, h := range hs {
+	return true, -1
+}
+
+// packed materialises a successful binPack: the assignment merged over the
+// scope's fixed remainder, with exactly the used hosts powered on.
+func (r *reduction) packed() cluster.Config {
+	cfg := r.scope.fixed.Clone()
+	for _, i := range r.order {
+		cfg.Place(r.ids[i], r.free[r.target[i]].name, r.cpu[i])
+	}
+	for _, h := range r.free {
 		if h.used {
 			cfg.SetHostOn(h.name, true)
 		}
 	}
-	return cfg, true, ""
+	return cfg
 }
 
 // PerfPwrTune is the 1st-level controllers' quick variant: placements and
 // replication are fixed; only CPU allocations change. Starting from each
 // host's capacity split proportionally to current allocations, it reduces
-// by gradient until every host satisfies its capacity constraint.
+// by gradient until every host satisfies its capacity constraint. The
+// allocations live in slices aligned with the sorted active-VM list; each
+// cut is scored through the delta overlay and only the winner is applied.
 func PerfPwrTune(e *Evaluator, base cluster.Config, rates map[string]float64, hosts []string) (Ideal, error) {
 	cat := e.cat
-	inScope := func(h string) bool {
-		if len(hosts) == 0 {
-			return true
-		}
-		for _, s := range hosts {
-			if s == h {
-				return true
-			}
-		}
-		return false
-	}
+	rfp := e.RatesFingerprint(rates)
 
 	// Start: every in-scope VM raised to the maximum its host could give it
 	// alone; out-of-scope VMs stay fixed.
 	cfg := base.Clone()
-	var scoped []cluster.VMID
-	for _, id := range base.ActiveVMs() {
+	ids := base.ActiveVMs()
+	host := make([]string, len(ids))
+	cpu := make([]float64, len(ids))
+	scoped := make([]bool, len(ids))
+	anyScoped := false
+	for i, id := range ids {
 		p, _ := base.PlacementOf(id)
-		if !inScope(p.Host) {
+		host[i], cpu[i] = p.Host, p.CPUPct
+		if len(hosts) > 0 && !slices.Contains(hosts, p.Host) {
 			continue
 		}
 		spec, _ := cat.Host(p.Host)
-		cfg.Place(id, p.Host, spec.UsableCPUPct)
-		scoped = append(scoped, id)
+		cpu[i] = spec.UsableCPUPct
+		cfg.Place(id, p.Host, cpu[i])
+		scoped[i], anyScoped = true, true
 	}
-	if len(scoped) == 0 {
-		st, err := e.Steady(base, rates)
+	if !anyScoped {
+		st, err := e.SteadyFP(base, rates, rfp)
 		if err != nil {
 			return Ideal{}, err
 		}
 		return Ideal{Config: base.Clone(), Steady: st}, nil
 	}
 
-	overloaded := func(c cluster.Config) bool {
-		for _, h := range c.ActiveHosts() {
-			spec, _ := cat.Host(h)
-			if c.AllocatedCPU(h) > spec.UsableCPUPct+1e-9 {
-				return true
+	// overfull folds a host's allocations in sorted VM order, as
+	// Config.AllocatedCPU does, against its usable capacity.
+	overfull := func(h string) bool {
+		var sum float64
+		for i := range ids {
+			if host[i] == h {
+				sum += cpu[i]
 			}
 		}
-		return false
+		spec, _ := cat.Host(h)
+		return sum > spec.UsableCPUPct+1e-9
 	}
+	activeHosts := cfg.ActiveHosts()
+	overloaded := func() bool { return slices.ContainsFunc(activeHosts, overfull) }
 
-	for iter := 0; overloaded(cfg); iter++ {
+	for iter := 0; overloaded(); iter++ {
 		if iter > 10000 {
 			return Ideal{}, fmt.Errorf("core: Perf-Pwr tune did not converge")
 		}
-		curSteady, err := e.Steady(cfg, rates)
+		curSteady, err := e.SteadyFP(cfg, rates, rfp)
 		if err != nil {
 			return Ideal{}, err
 		}
 		bestGradient := math.Inf(-1)
 		bestRT := math.Inf(1)
-		var bestCfg cluster.Config
-		var found bool
-		for _, id := range scoped {
-			p, _ := cfg.PlacementOf(id)
-			spec, _ := cat.Host(p.Host)
-			if cfg.AllocatedCPU(p.Host) <= spec.UsableCPUPct+1e-9 {
+		best := -1
+		for i, id := range ids {
+			if !scoped[i] || !overfull(host[i]) {
 				continue // host already fits; don't shrink its VMs
 			}
-			if p.CPUPct-cat.CPUStepPct < cat.MinCPUPct-1e-9 {
+			if cpu[i]-cat.CPUStepPct < cat.MinCPUPct-1e-9 {
 				continue
 			}
-			cand := cfg.Clone()
-			cand.Place(id, p.Host, p.CPUPct-cat.CPUStepPct)
-			st, err := e.Steady(cand, rates)
+			d := cpuDelta(id, host[i], cpu[i], cpu[i]-cat.CPUStepPct)
+			st, err := e.steadyOver(cfg, &d, rates, rfp)
 			if err != nil {
 				return Ideal{}, err
 			}
@@ -914,20 +1088,18 @@ func PerfPwrTune(e *Evaluator, base cluster.Config, rates map[string]float64, ho
 			if dPerf > 1e-12 {
 				g = cat.CPUStepPct / dPerf
 			}
-			rt := sumRT(st)
+			rt := e.sumRT(st)
 			if g > bestGradient || (g == bestGradient && rt < bestRT) {
-				bestGradient = g
-				bestRT = rt
-				bestCfg = cand
-				found = true
+				bestGradient, bestRT, best = g, rt, i
 			}
 		}
-		if !found {
+		if best < 0 {
 			return Ideal{}, fmt.Errorf("core: Perf-Pwr tune cannot satisfy capacity constraints")
 		}
-		cfg = bestCfg
+		cpu[best] -= cat.CPUStepPct
+		cfg.Place(ids[best], host[best], cpu[best])
 	}
-	st, err := e.Steady(cfg, rates)
+	st, err := e.SteadyFP(cfg, rates, rfp)
 	if err != nil {
 		return Ideal{}, err
 	}

@@ -1,0 +1,517 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"sort"
+	"testing"
+
+	"github.com/mistralcloud/mistral/internal/cluster"
+)
+
+// The reference implementation: how the Perf-Pwr optimizer built and scored
+// reduction candidates before it scored them through the overlay — a
+// map-typed state, one configuration built per candidate, sorting folds.
+// Kept here so the differential tests below can hold the dense pipeline to
+// it, candidate by candidate.
+
+type refState map[cluster.VMID]float64 // active managed VMs and their CPU
+
+func (s refState) clone() refState {
+	n := make(refState, len(s))
+	for id, c := range s {
+		n[id] = c
+	}
+	return n
+}
+
+func (s refState) sortedVMs() []cluster.VMID {
+	ids := make([]cluster.VMID, 0, len(s))
+	for id := range s {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+func refActiveReplicas(cat *cluster.Catalog, s refState, k cluster.TierKey) []cluster.VMID {
+	var out []cluster.VMID
+	for _, id := range cat.TierVMs(k) {
+		if _, ok := s[id]; ok {
+			out = append(out, id)
+		}
+	}
+	return out
+}
+
+// refSpreadConfig places the state's VMs round-robin over the hosts on top
+// of the fixed remainder.
+func refSpreadConfig(s refState, fixed cluster.Config, hosts []string) cluster.Config {
+	cfg := fixed.Clone()
+	for _, h := range hosts {
+		cfg.SetHostOn(h, true)
+	}
+	for i, id := range s.sortedVMs() {
+		cfg.Place(id, hosts[i%len(hosts)], s[id])
+	}
+	return cfg
+}
+
+func refMeanAllocUtil(s refState, rates map[string]float64, e *Evaluator, fixed cluster.Config) float64 {
+	var totalDemand, totalAlloc float64
+	for _, id := range s.sortedVMs() {
+		vm, _ := e.cat.VM(id)
+		spec := e.model.Apps()[vm.App]
+		k := cluster.TierKey{App: vm.App, Tier: vm.Tier}
+		n := len(refActiveReplicas(e.cat, s, k))
+		for _, rid := range e.cat.TierVMs(k) {
+			if fixed.Active(rid) {
+				n++
+			}
+		}
+		probs := spec.MixProbabilities()
+		var demandMS float64
+		for i, txn := range spec.Txns {
+			demandMS += probs[i] * txn.DemandMS[vm.Tier]
+		}
+		totalDemand += rates[vm.App] * demandMS / 1000 / float64(n)
+		totalAlloc += s[id] / 100
+	}
+	if totalAlloc <= 0 {
+		return 0
+	}
+	return totalDemand / totalAlloc
+}
+
+func refSumRT(st Steady) float64 {
+	names := make([]string, 0, len(st.RTSec))
+	for name := range st.RTSec {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var sum float64
+	for _, name := range names {
+		sum += st.RTSec[name]
+	}
+	return sum
+}
+
+// refPolish is the hill-climb with one cloned configuration per move.
+func refPolish(e *Evaluator, cfg cluster.Config, rates map[string]float64, managed map[cluster.VMID]bool) (cluster.Config, Steady, error) {
+	cat := e.cat
+	cur, err := e.Steady(cfg, rates)
+	if err != nil {
+		return cluster.Config{}, Steady{}, err
+	}
+	for iter := 0; iter < 64; iter++ {
+		improved := false
+		for _, id := range cfg.ActiveVMs() {
+			if !managed[id] {
+				continue
+			}
+			p, _ := cfg.PlacementOf(id)
+			spec, _ := cat.Host(p.Host)
+			for _, delta := range []float64{cat.CPUStepPct, -cat.CPUStepPct} {
+				next := p.CPUPct + delta
+				if next < cat.MinCPUPct-1e-9 || next > spec.UsableCPUPct+1e-9 {
+					continue
+				}
+				if delta > 0 && cfg.AllocatedCPU(p.Host)+delta > spec.UsableCPUPct+1e-9 {
+					continue
+				}
+				cand := cfg.Clone()
+				cand.Place(id, p.Host, next)
+				st, err := e.Steady(cand, rates)
+				if err != nil {
+					return cluster.Config{}, Steady{}, err
+				}
+				if st.NetRate() > cur.NetRate()+1e-12 {
+					cfg, cur = cand, st
+					improved = true
+				}
+			}
+		}
+		if !improved {
+			break
+		}
+	}
+	return cfg, cur, nil
+}
+
+// cacheContents flattens an evaluator's memo cache.
+func cacheContents(e *Evaluator) map[steadyKey]Steady {
+	out := make(map[steadyKey]Steady)
+	for i := range e.shards {
+		sh := &e.shards[i]
+		sh.mu.Lock()
+		for k, ent := range sh.entries {
+			out[k] = ent.s
+		}
+		sh.mu.Unlock()
+	}
+	return out
+}
+
+func sameSteadyBits(a, b Steady) bool {
+	if math.Float64bits(a.PerfRate) != math.Float64bits(b.PerfRate) ||
+		math.Float64bits(a.PowerRate) != math.Float64bits(b.PowerRate) ||
+		math.Float64bits(a.Watts) != math.Float64bits(b.Watts) ||
+		a.Saturated != b.Saturated || len(a.RTSec) != len(b.RTSec) {
+		return false
+	}
+	for name, rt := range a.RTSec {
+		if brt, ok := b.RTSec[name]; !ok || math.Float64bits(rt) != math.Float64bits(brt) {
+			return false
+		}
+	}
+	return true
+}
+
+// unevenRates is a workload with every application at a different rate.
+func unevenRates(e *env) map[string]float64 {
+	w := make(map[string]float64, len(e.apps))
+	for i, a := range e.apps {
+		w[a.Name] = []float64{32, 57, 18, 44}[i%4]
+	}
+	return w
+}
+
+// TestPerfPwrCandidatesMatchReference walks one full PerfPwr sweep per lab
+// iteration by iteration. In every iteration it builds each reduction
+// candidate the old way (refSpreadConfig + Evaluator.Steady on a second,
+// overlay-free evaluator) and picks the winner the old way, then lets the
+// dense reduction take its step: the states, ρ and performance must agree
+// bit for bit, and in the end the two evaluators' caches must hold the same
+// fingerprints with the same Steady bits — every candidate scored through
+// the overlay equals the same candidate built and solved.
+func TestPerfPwrCandidatesMatchReference(t *testing.T) {
+	for _, lab := range []struct{ hosts, apps int }{{4, 2}, {8, 4}} {
+		e, refEnv := newEnv(t, lab.hosts, lab.apps), newEnv(t, lab.hosts, lab.apps)
+		ref := refEnv.eval
+		cat := e.cat
+		w := unevenRates(e)
+		hosts := cat.HostNames()
+		scope := packScope{managed: cat.VMIDs(), fixed: cluster.NewConfig(), allowReplicaRemoval: true}
+		plan := newPackPlan(e.eval, w, scope, hosts)
+		managed := make(map[cluster.VMID]bool)
+		for _, id := range scope.managed {
+			managed[id] = true
+		}
+
+		candidates := 0
+		for n := len(hosts); n >= minHostsNeeded(cat, hosts); n-- {
+			r := newReduction(plan, n, false)
+			if ok, err := r.start(); err != nil || !ok {
+				t.Fatalf("%d hosts: start = %v, %v", n, ok, err)
+			}
+			state := make(refState)
+			for _, id := range scope.managed {
+				state[id] = cat.MaxVMCPUPct()
+			}
+			st, err := ref.Steady(refSpreadConfig(state, scope.fixed, hosts[:n]), w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			curRho, curPerf := refMeanAllocUtil(state, w, ref, scope.fixed), st.PerfRate
+
+			packed := false
+			for iter := 0; iter < 10000; iter++ {
+				ok, blocked := r.binPack()
+				if ok {
+					packed = true
+					break
+				}
+				type cand struct {
+					state          refState
+					rho, perf      float64
+					gradient, sumR float64
+				}
+				var cands []cand
+				consider := func(s refState) {
+					st, err := ref.Steady(refSpreadConfig(s, scope.fixed, hosts[:n]), w)
+					if err != nil {
+						t.Fatal(err)
+					}
+					rho := refMeanAllocUtil(s, w, ref, scope.fixed)
+					dRho, dPerf := rho-curRho, curPerf-st.PerfRate
+					g := math.Inf(1)
+					if dPerf > 1e-12 {
+						g = dRho / dPerf
+					} else if dRho <= 1e-12 {
+						g = 0
+					}
+					cands = append(cands, cand{s, rho, st.PerfRate, g, refSumRT(st)})
+				}
+				for _, id := range state.sortedVMs() {
+					if state[id]-cat.CPUStepPct >= cat.MinCPUPct-1e-9 {
+						s := state.clone()
+						s[id] -= cat.CPUStepPct
+						consider(s)
+					}
+				}
+				for _, k := range cat.Tiers() {
+					if active := refActiveReplicas(cat, state, k); len(active) > 1 {
+						s := state.clone()
+						delete(s, active[len(active)-1])
+						consider(s)
+					}
+				}
+				candidates += len(cands)
+				moved, err := r.reduce(blocked)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if moved != (len(cands) > 0) {
+					t.Fatalf("%d hosts, iteration %d: reduce moved = %v with %d reference candidates", n, iter, moved, len(cands))
+				}
+				if !moved {
+					break
+				}
+				best := cands[0]
+				for _, c := range cands[1:] {
+					if c.gradient > best.gradient || (c.gradient == best.gradient && c.sumR < best.sumR) {
+						best = c
+					}
+				}
+				state, curRho, curPerf = best.state, best.rho, best.perf
+
+				if math.Float64bits(r.curRho) != math.Float64bits(curRho) || math.Float64bits(r.curPerf) != math.Float64bits(curPerf) {
+					t.Fatalf("%d hosts, iteration %d: (ρ, perf) = (%v, %v), reference (%v, %v)", n, iter, r.curRho, r.curPerf, curRho, curPerf)
+				}
+				for i, id := range r.ids {
+					cpu, active := state[id]
+					if active != r.active[i] || (active && math.Float64bits(cpu) != math.Float64bits(r.cpu[i])) {
+						t.Fatalf("%d hosts, iteration %d: VM %s is (%v, %v), reference (%v, %v)", n, iter, id, r.active[i], r.cpu[i], active, cpu)
+					}
+				}
+				if want := refSpreadConfig(state, scope.fixed, hosts[:n]); r.base.Fingerprint() != want.Fingerprint() ||
+					r.base.Fingerprint() != r.base.RecomputeFingerprint() {
+					t.Fatalf("%d hosts, iteration %d: base configuration diverged from the reference spread", n, iter)
+				}
+			}
+			if !packed {
+				continue
+			}
+			cfg := r.packed()
+			got, gotSt, err := plan.polish(cfg.Clone())
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, wantSt, err := refPolish(ref, cfg, w, managed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Fingerprint() != want.Fingerprint() || !sameSteadyBits(gotSt, wantSt) {
+				t.Fatalf("%d hosts: polished ideal differs from the reference", n)
+			}
+		}
+
+		if candidates < 100 {
+			t.Fatalf("%d apps: only %d candidates walked", lab.apps, candidates)
+		}
+		sameCaches(t, fmt.Sprintf("%d apps", lab.apps), e.eval, ref)
+		t.Logf("%d apps: %d reduction candidates, %d distinct evaluations", lab.apps, candidates, len(cacheContents(ref)))
+	}
+}
+
+// sameCaches fails unless the evaluator that scored through overlays holds
+// exactly the reference's evaluations, bit for bit.
+func sameCaches(t *testing.T, what string, overlay, ref *Evaluator) {
+	t.Helper()
+	got, want := cacheContents(overlay), cacheContents(ref)
+	if len(got) != len(want) {
+		t.Errorf("%s: %d cached evaluations, reference built %d", what, len(got), len(want))
+	}
+	for k, wst := range want {
+		if gst, ok := got[k]; !ok {
+			t.Fatalf("%s: reference candidate %v was never scored", what, k.fp)
+		} else if !sameSteadyBits(gst, wst) {
+			t.Fatalf("%s: candidate %v: overlay-scored %+v, built %+v", what, k.fp, gst, wst)
+		}
+	}
+}
+
+// TestPerfPwrTuneMatchesReference holds PerfPwrTune's overlay-scored cuts
+// to a clone-per-candidate replay on a second evaluator.
+func TestPerfPwrTuneMatchesReference(t *testing.T) {
+	e := newEnv(t, 4, 2)
+	ref := newEnv(t, 4, 2).eval
+	cat := e.cat
+	w := unevenRates(e)
+	tuned, err := PerfPwrTune(e.eval, e.cfg, w, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	cfg := e.cfg.Clone()
+	for _, id := range e.cfg.ActiveVMs() {
+		p, _ := e.cfg.PlacementOf(id)
+		spec, _ := cat.Host(p.Host)
+		cfg.Place(id, p.Host, spec.UsableCPUPct)
+	}
+	overloaded := func(c cluster.Config) bool {
+		for _, h := range c.ActiveHosts() {
+			spec, _ := cat.Host(h)
+			if c.AllocatedCPU(h) > spec.UsableCPUPct+1e-9 {
+				return true
+			}
+		}
+		return false
+	}
+	for overloaded(cfg) {
+		cur, err := ref.Steady(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bestG, bestRT := math.Inf(-1), math.Inf(1)
+		var best cluster.Config
+		for _, id := range cfg.ActiveVMs() {
+			p, _ := cfg.PlacementOf(id)
+			spec, _ := cat.Host(p.Host)
+			if cfg.AllocatedCPU(p.Host) <= spec.UsableCPUPct+1e-9 || p.CPUPct-cat.CPUStepPct < cat.MinCPUPct-1e-9 {
+				continue
+			}
+			cand := cfg.Clone()
+			cand.Place(id, p.Host, p.CPUPct-cat.CPUStepPct)
+			st, err := ref.Steady(cand, w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := math.Inf(1)
+			if dPerf := cur.PerfRate - st.PerfRate; dPerf > 1e-12 {
+				g = cat.CPUStepPct / dPerf
+			}
+			if rt := refSumRT(st); g > bestG || (g == bestG && rt < bestRT) {
+				bestG, bestRT, best = g, rt, cand
+			}
+		}
+		cfg = best
+	}
+	st, err := ref.Steady(cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tuned.Config.Fingerprint() != cfg.Fingerprint() || !sameSteadyBits(tuned.Steady, st) {
+		t.Fatal("PerfPwrTune differs from the clone-per-candidate reference")
+	}
+	sameCaches(t, "PerfPwrTune", e.eval, ref)
+}
+
+// TestTuneDVFSMatchesReference does the same for tuneDVFS's frequency
+// levels on DVFS-capable hosts, in a quiet phase where downclocking pays.
+func TestTuneDVFSMatchesReference(t *testing.T) {
+	dvfs := func(h *cluster.HostSpec) { h.DVFSLevels = []float64{0.6, 0.8} }
+	e := newEnv(t, 4, 2, dvfs)
+	ref := newEnv(t, 4, 2, dvfs).eval
+	w := map[string]float64{"rubis1": 9, "rubis2": 14}
+	guard := map[string]float64{"rubis1": 9 * 1.3, "rubis2": 14 * 1.3}
+	targets := make(map[string]float64)
+	for name, a := range ref.util.Apps {
+		targets[name] = a.TargetRT.Seconds()
+	}
+	meets := packScope{rtTargets: targets}.meetsTargets
+
+	st, err := e.eval.Steady(e.cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := tuneDVFS(e.eval, Ideal{Config: e.cfg, Steady: st}, w, packScope{})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	st, err = ref.Steady(e.cfg, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := Ideal{Config: e.cfg, Steady: st}
+	if gst, err := ref.Steady(want.Config, guard); err != nil || !meets(gst, guard) {
+		t.Fatalf("fixture has no DVFS slack (err %v)", err)
+	}
+	for improved := true; improved; {
+		improved = false
+		for _, h := range want.Config.ActiveHosts() {
+			spec, _ := e.cat.Host(h)
+			for _, f := range spec.DVFSLevels {
+				if f == want.Config.HostFreq(h) {
+					continue
+				}
+				cand := want.Config.Clone()
+				cand.SetHostFreq(h, f)
+				st, err := ref.Steady(cand, w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if st.NetRate() <= want.Steady.NetRate()+1e-12 || !meets(st, w) {
+					continue
+				}
+				gst, err := ref.Steady(cand, guard)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !meets(gst, guard) {
+					continue
+				}
+				want = Ideal{Config: cand, Steady: st}
+				improved = true
+			}
+		}
+	}
+	if want.Config.Fingerprint() == e.cfg.Fingerprint() {
+		t.Fatal("fixture never downclocks: the overlay path went unexercised")
+	}
+	if got.Config.Fingerprint() != want.Config.Fingerprint() || !sameSteadyBits(got.Steady, want.Steady) ||
+		got.Config.Fingerprint() != got.Config.RecomputeFingerprint() {
+		t.Fatal("tuneDVFS differs from the clone-per-level reference")
+	}
+	sameCaches(t, "tuneDVFS", e.eval, ref)
+}
+
+// TestPerfPwrAllocationCeilings bounds the garbage of the two hot paths on
+// the 4-app lab: a steady cache miss may allocate only what it keeps (the
+// cache entry, its done channel, the Steady's response-time map, amortised
+// cache growth), and a whole cold PerfPwr call stays within a dozen
+// allocations per candidate it scores.
+func TestPerfPwrAllocationCeilings(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops scratch under the race detector")
+	}
+	e := newEnv(t, 8, 4)
+	w := unevenRates(e)
+
+	// Distinct configurations, so every Steady below is a miss.
+	const runs = 200
+	cfgs := make([]cluster.Config, runs+1)
+	for i := range cfgs {
+		cfgs[i] = e.cfg.Clone()
+		cfgs[i].Place("rubis1-web-0", "h0", 20+0.01*float64(i))
+	}
+	rfp := e.eval.RatesFingerprint(w)
+	next := 0
+	perMiss := testing.AllocsPerRun(runs, func() {
+		if _, err := e.eval.SteadyFP(cfgs[next], w, rfp); err != nil {
+			t.Fatal(err)
+		}
+		next++
+	})
+	if st := e.eval.CacheStats(); st.Misses != runs+1 || st.Hits != 0 {
+		t.Fatalf("fixture did not miss every time: %+v", st)
+	}
+	if perMiss > 8 {
+		t.Errorf("steady cache miss allocates %.1f times, ceiling 8", perMiss)
+	}
+
+	perCall := testing.AllocsPerRun(1, func() {
+		e.eval.ResetCache()
+		if _, err := PerfPwr(e.eval, w, PerfPwrOptions{Workers: 1}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	st := e.eval.CacheStats()
+	if candidates := float64(st.Hits + st.Misses); perCall > 12*candidates {
+		t.Errorf("PerfPwr allocates %.0f times for %.0f candidates (%.1f each), ceiling 12 each",
+			perCall, candidates, perCall/candidates)
+	} else {
+		t.Logf("steady miss: %.1f allocs; PerfPwr: %.1f allocs per candidate over %.0f candidates", perMiss, perCall/candidates, candidates)
+	}
+}

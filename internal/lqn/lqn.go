@@ -76,16 +76,16 @@ func (o Options) withDefaults() Options {
 // applications. Construct with NewModel.
 //
 // Thread-safety contract: a Model is immutable after construction —
-// Evaluate reads the application specs, catalog, and options but builds
-// all iteration state (per-tier utilizations, response times, host
-// aggregations) in call-local maps, so any number of goroutines may call
-// Evaluate concurrently on one Model with distinct or identical inputs.
-// The concurrent evaluation plane (core.Evaluator's sharded memo cache,
-// the parallel A* child evaluation, and the Perf-Pwr sweep) relies on
-// this; TestModelEvaluateConcurrent pins it under -race.
+// Evaluate and Solve read the application specs, catalog, and options but
+// keep all iteration state (per-tier utilizations, response times, host
+// aggregations) in a pooled per-call scratch, so any number of goroutines
+// may call them concurrently on one Model with distinct or identical
+// inputs. The concurrent evaluation plane (core.Evaluator's sharded memo
+// cache, the parallel A* child evaluation, and the Perf-Pwr sweep) relies
+// on this; TestModelEvaluateConcurrent pins it under -race.
 type Model struct {
 	apps map[string]*app.Spec
-	// names holds the application names in sorted order. Evaluate iterates
+	// names holds the application names in sorted order. The solver iterates
 	// applications through it, never through the apps map: several passes
 	// accumulate floating-point sums per host across applications, and map
 	// iteration order would make those sums differ in their last bits from
@@ -100,9 +100,13 @@ type Model struct {
 	// (one pass per application, no fixed-point iteration), so once these
 	// are precomputed the only per-call state left is the scratch below.
 	skel []appSkel
-	// scratch pools per-solve working state (host accumulation maps and
-	// per-tier replica/factor buffers) so concurrent Evaluates allocate
-	// only the Result they return.
+	// hostZone numbers each catalog host's zone, aligned with
+	// Catalog.HostNames plus one trailing slot for hosts outside the catalog
+	// (zone "", like Catalog.ZoneOf reports them).
+	hostZone []int
+	// scratch pools per-solve working state (dense per-host and per-VM
+	// arrays, per-tier replica/factor buffers) so a solve allocates nothing
+	// and Evaluate only the Result it returns.
 	scratch sync.Pool
 }
 
@@ -123,6 +127,9 @@ type appSkel struct {
 type tierSkel struct {
 	demandMS float64
 	vmIDs    []cluster.VMID
+	// vmIdx is each replica's position in Catalog.VMIDs, or -1 for a VM the
+	// catalog does not list (read from the configuration directly then).
+	vmIdx []int
 }
 
 // repFactor is the per-replica residence multiplier of pass 3.
@@ -134,35 +141,85 @@ type repFactor struct {
 	overload float64 // extra seconds per request from overload
 }
 
+// replicaState captures one active replica's allocation for a tier.
+type replicaState struct {
+	vm   cluster.VMID
+	host int     // index into the per-host arrays
+	frac float64 // CPU allocation as fraction of reference capacity
+}
+
 // tierScratch is the per-solve mutable state of one tier.
 type tierScratch struct {
 	replicas []replicaState
 	sumFrac  float64
 	rho      float64
-	factors  []repFactor
+	// served marks a tier that had load, demand and an active replica: the
+	// tiers whose replicas report a VM utilization.
+	served  bool
+	factors []repFactor
 }
 
-// solveScratch is one Evaluate call's working state, pooled on the model.
+// vmPlace is one catalog VM's placement as the solve read it.
+type vmPlace struct {
+	host   int
+	cpuPct float64
+	freq   float64 // DVFS fraction of the VM's host
+	placed bool
+}
+
+// solveScratch is one solve's working state, pooled on the model. The
+// per-host arrays are aligned with Catalog.HostNames and carry one extra
+// trailing slot that absorbs placements on hosts the catalog does not know
+// (legal solver input; such hosts have no Dom-0 station, zone "" and draw no
+// power). Everything the two projections need is left here by solve.
 type solveScratch struct {
-	hostAlloc     map[string]float64
-	hostScale     map[string]float64
-	dom0DemandCPU map[string]float64
-	hostVMUtil    map[string]float64
-	dom0Util      map[string]float64
-	tiers         [][]tierScratch // aligned with skel / spec.Tiers
+	sol Solution // the steady-only projection, slices into this scratch
+
+	vms []vmPlace // aligned with Catalog.VMIDs
+
+	hostOn        []bool
+	hostFreq      []float64
+	hostAlloc     []float64
+	hostScale     []float64 // 0 = not oversubscribed
+	dom0DemandCPU []float64 // absolute CPU fraction demanded by Dom-0 work
+	hostVMUtil    []float64 // absolute CPU fraction used by VMs
+	dom0Util      []float64
+	hostCPUUtil   []float64
+
+	tiers     [][]tierScratch // aligned with skel / spec.Tiers
+	txnRT     [][]float64     // aligned with skel / spec.Txns
+	meanRT    []float64       // aligned with names
+	saturated []bool
 }
 
 func (m *Model) newScratch() *solveScratch {
+	nh := len(m.cat.HostNames()) + 1
 	sc := &solveScratch{
-		hostAlloc:     make(map[string]float64),
-		hostScale:     make(map[string]float64),
-		dom0DemandCPU: make(map[string]float64),
-		hostVMUtil:    make(map[string]float64),
-		dom0Util:      make(map[string]float64),
+		vms:           make([]vmPlace, len(m.cat.VMIDs())),
+		hostOn:        make([]bool, nh),
+		hostFreq:      make([]float64, nh),
+		hostAlloc:     make([]float64, nh),
+		hostScale:     make([]float64, nh),
+		dom0DemandCPU: make([]float64, nh),
+		hostVMUtil:    make([]float64, nh),
+		dom0Util:      make([]float64, nh),
+		hostCPUUtil:   make([]float64, nh),
 		tiers:         make([][]tierScratch, len(m.skel)),
+		txnRT:         make([][]float64, len(m.skel)),
+		meanRT:        make([]float64, len(m.skel)),
+		saturated:     make([]bool, len(m.skel)),
 	}
 	for ai := range m.skel {
 		sc.tiers[ai] = make([]tierScratch, len(m.skel[ai].tiers))
+		sc.txnRT[ai] = make([]float64, len(m.skel[ai].spec.Txns))
+	}
+	sc.sol = Solution{
+		MeanRTSec:   sc.meanRT,
+		Saturated:   sc.saturated,
+		HostOn:      sc.hostOn[:nh-1],
+		HostFreq:    sc.hostFreq[:nh-1],
+		HostCPUUtil: sc.hostCPUUtil[:nh-1],
+		sc:          sc,
 	}
 	return sc
 }
@@ -199,7 +256,13 @@ func NewModel(cat *cluster.Catalog, apps []*app.Spec, opts Options) (*Model, err
 		for ti, t := range spec.Tiers {
 			ts := tierSkel{demandMS: spec.MeanDemandMS(t.Name)}
 			for r := 0; r < t.MaxReplicas; r++ {
-				ts.vmIDs = append(ts.vmIDs, spec.VMIDFor(t.Name, r))
+				id := spec.VMIDFor(t.Name, r)
+				vi, ok := cat.VMIndex(id)
+				if !ok {
+					vi = -1
+				}
+				ts.vmIDs = append(ts.vmIDs, id)
+				ts.vmIdx = append(ts.vmIdx, vi)
 			}
 			sk.tiers[ti] = ts
 		}
@@ -213,12 +276,25 @@ func NewModel(cat *cluster.Catalog, apps []*app.Spec, opts Options) (*Model, err
 		}
 		m.skel = append(m.skel, sk)
 	}
+	zoneNo := map[string]int{"": 0}
+	for _, spec := range cat.HostSpecs() {
+		if _, ok := zoneNo[spec.Zone]; !ok {
+			zoneNo[spec.Zone] = len(zoneNo)
+		}
+		m.hostZone = append(m.hostZone, zoneNo[spec.Zone])
+	}
+	m.hostZone = append(m.hostZone, zoneNo[""])
 	m.scratch.New = func() any { return m.newScratch() }
 	return m, nil
 }
 
 // Apps returns the specs the model was built with, keyed by name.
 func (m *Model) Apps() map[string]*app.Spec { return m.apps }
+
+// AppNames returns the application names in sorted order: the order of
+// every per-application slice the model hands out. The slice is shared;
+// callers must not mutate it.
+func (m *Model) AppNames() []string { return m.names }
 
 // Catalog returns the catalog the model was built with.
 func (m *Model) Catalog() *cluster.Catalog { return m.cat }
@@ -265,36 +341,133 @@ func (r *Result) MeanRTSec(appName string) float64 {
 	return math.Inf(1)
 }
 
-// replicaState captures one active replica's allocation for a tier.
-type replicaState struct {
-	vm   cluster.VMID
-	host string
-	frac float64 // CPU allocation as fraction of reference capacity
+// Solution is the steady-only projection of one solve: what the controller
+// needs to price a configuration (Eq. 1 and 2) and nothing else. The
+// per-application slices are in AppNames order, the per-host slices in
+// Catalog.HostNames order. A Solution borrows the model's pooled solver
+// state: read it, then hand it back with Release; never retain its slices.
+type Solution struct {
+	// MeanRTSec is each application's mix-weighted mean response time.
+	MeanRTSec []float64
+	// Saturated marks applications with a tier beyond the soft cap.
+	Saturated []bool
+	// HostOn, HostFreq and HostCPUUtil are each catalog host's power state,
+	// DVFS fraction and total CPU utilization (zero for a host that is
+	// off): the power model's inputs.
+	HostOn      []bool
+	HostFreq    []float64
+	HostCPUUtil []float64
+
+	sc *solveScratch
 }
+
+// Solve predicts steady-state performance for the configuration cfg would
+// be after the optional delta d (nil: cfg itself) — the overlay lets a
+// caller score a candidate one mutation away from cfg without building it.
+// It runs the same solver as Evaluate and allocates nothing.
+func (m *Model) Solve(cfg cluster.Config, d *cluster.Delta, load map[string]float64) (*Solution, error) {
+	if err := m.checkLoad(load); err != nil {
+		return nil, err
+	}
+	return &m.solve(cfg, d, load, nil).sol, nil
+}
+
+// Release returns a Solution's solver state to the model's pool.
+func (m *Model) Release(s *Solution) { m.scratch.Put(s.sc) }
 
 // Evaluate predicts performance for configuration cfg under the workload
 // (requests/sec per application). dom0Background adds extra utilization (in
 // fraction of the Dom-0 share) to specific hosts, modeling transient load
 // such as live migrations. Unknown applications in load are an error;
-// applications without load default to zero rate.
+// applications without load default to zero rate. The Result is the rich
+// projection of the solve Solve exposes in steady-only form.
 func (m *Model) Evaluate(cfg cluster.Config, load map[string]float64, dom0Background map[string]float64) (*Result, error) {
-	for name := range load {
-		if _, ok := m.apps[name]; !ok {
-			return nil, fmt.Errorf("lqn: workload references unknown application %q", name)
-		}
+	if err := m.checkLoad(load); err != nil {
+		return nil, err
 	}
-
+	sc := m.solve(cfg, nil, load, dom0Background)
 	res := &Result{
 		Apps:   make(map[string]AppResult, len(m.apps)),
 		Hosts:  make(map[string]HostResult, len(m.cat.HostNames())),
 		VMUtil: make(map[cluster.VMID]float64),
 	}
+	for ai, name := range m.names {
+		spec := m.skel[ai].spec
+		ar := AppResult{
+			MeanRTSec: sc.meanRT[ai],
+			TxnRTSec:  make(map[string]float64, len(spec.Txns)),
+			Saturated: sc.saturated[ai],
+			TierUtil:  make(map[string]float64, len(spec.Tiers)),
+		}
+		for ti, t := range spec.Tiers {
+			ts := &sc.tiers[ai][ti]
+			ar.TierUtil[t.Name] = ts.rho
+			if ts.served {
+				for _, rep := range ts.replicas {
+					res.VMUtil[rep.vm] = ts.rho
+				}
+			}
+		}
+		for i, txn := range spec.Txns {
+			ar.TxnRTSec[txn.Name] = sc.txnRT[ai][i]
+		}
+		res.Apps[name] = ar
+	}
+	for hi, h := range m.cat.HostNames() {
+		if !sc.hostOn[hi] {
+			res.Hosts[h] = HostResult{}
+			continue
+		}
+		res.Hosts[h] = HostResult{CPUUtil: sc.hostCPUUtil[hi], Dom0Util: sc.dom0Util[hi]}
+	}
+	m.scratch.Put(sc)
+	return res, nil
+}
+
+func (m *Model) checkLoad(load map[string]float64) error {
+	for name := range load {
+		if _, ok := m.apps[name]; !ok {
+			return fmt.Errorf("lqn: workload references unknown application %q", name)
+		}
+	}
+	return nil
+}
+
+// solve is the solver core, the model's only numeric implementation: it
+// reads the configuration through the delta overlay and leaves every
+// per-application, per-transaction, per-tier and per-host quantity in a
+// pooled scratch, which the caller projects (Evaluate, Solve) and returns
+// to the pool. Every floating-point fold runs in model order (sorted
+// applications, tiers in call order, replicas and VMs in ID order, hosts in
+// catalog order), so results are bit-identical from run to run.
+func (m *Model) solve(cfg cluster.Config, d *cluster.Delta, load, dom0Background map[string]float64) *solveScratch {
 	sc := m.scratch.Get().(*solveScratch)
-	clear(sc.hostAlloc)
-	clear(sc.hostScale)
-	clear(sc.dom0DemandCPU)
-	clear(sc.hostVMUtil)
-	clear(sc.dom0Util)
+	hostNames := m.cat.HostNames()
+	hostSpecs := m.cat.HostSpecs()
+	sink := len(hostNames) // the slot for hosts outside the catalog
+	for hi := range sc.hostAlloc {
+		sc.hostAlloc[hi] = 0
+		sc.hostScale[hi] = 0
+		sc.dom0DemandCPU[hi] = 0
+		sc.hostVMUtil[hi] = 0
+		sc.dom0Util[hi] = 0
+	}
+	for hi, h := range hostNames {
+		sc.hostOn[hi] = cfg.HostOnOver(d, h)
+		sc.hostFreq[hi] = cfg.HostFreqOver(d, h)
+	}
+	// place reads one VM's placement, resolving its host to a dense index.
+	place := func(id cluster.VMID) vmPlace {
+		p, ok := cfg.PlacementOver(d, id)
+		if !ok {
+			return vmPlace{}
+		}
+		hi, known := m.cat.HostIndex(p.Host)
+		if !known {
+			return vmPlace{host: sink, cpuPct: p.CPUPct, freq: cfg.HostFreqOver(d, p.Host), placed: true}
+		}
+		return vmPlace{host: hi, cpuPct: p.CPUPct, freq: sc.hostFreq[hi], placed: true}
+	}
 
 	// Pass 0: hosts whose allocations are oversubscribed scale every VM's
 	// effective rate proportionally, as Xen's credit scheduler would. This
@@ -303,29 +476,20 @@ func (m *Model) Evaluate(cfg cluster.Config, load map[string]float64, dom0Backgr
 	// The catalog's sorted VM universe visits each host's VMs in the same
 	// order a sorted active-VM list would, so the per-host allocation folds
 	// are bit-identical to that (allocating) formulation.
-	hostScale := sc.hostScale
-	{
-		hostAlloc := sc.hostAlloc
-		for _, id := range m.cat.VMIDs() {
-			if p, ok := cfg.PlacementOf(id); ok {
-				hostAlloc[p.Host] += p.CPUPct
-			}
+	for vi, id := range m.cat.VMIDs() {
+		p := place(id)
+		sc.vms[vi] = p
+		if p.placed {
+			sc.hostAlloc[p.host] += p.cpuPct
 		}
-		for h, alloc := range hostAlloc {
-			spec, ok := m.cat.Host(h)
-			if !ok {
-				continue
-			}
-			if alloc > spec.UsableCPUPct {
-				hostScale[h] = spec.UsableCPUPct / alloc
-			}
+	}
+	for hi := range hostNames {
+		if alloc := sc.hostAlloc[hi]; alloc > hostSpecs[hi].UsableCPUPct {
+			sc.hostScale[hi] = hostSpecs[hi].UsableCPUPct / alloc
 		}
 	}
 
 	// Pass 1: per-tier replica states, utilizations, Dom-0 demand per host.
-	dom0DemandCPU := sc.dom0DemandCPU // host -> absolute CPU fraction demanded by Dom-0 work
-	hostVMUtil := sc.hostVMUtil       // host -> absolute CPU fraction used by VMs
-
 	for ai, name := range m.names {
 		sk := &m.skel[ai]
 		lambda := load[name]
@@ -335,53 +499,59 @@ func (m *Model) Evaluate(cfg cluster.Config, load map[string]float64, dom0Backgr
 			ts.replicas = ts.replicas[:0]
 			ts.sumFrac = 0
 			ts.rho = 0
-			for _, id := range tsk.vmIDs {
-				if p, ok := cfg.PlacementOf(id); ok {
-					// DVFS scales the host's compute: a VM's effective rate
-					// is its allocation times the frequency fraction.
-					frac := p.CPUPct / 100 * cfg.HostFreq(p.Host)
-					if scale, over := hostScale[p.Host]; over {
-						frac *= scale
-					}
-					ts.replicas = append(ts.replicas, replicaState{vm: id, host: p.Host, frac: frac})
-					ts.sumFrac += frac
+			ts.served = false
+			for r, id := range tsk.vmIDs {
+				var p vmPlace
+				if vi := tsk.vmIdx[r]; vi >= 0 {
+					p = sc.vms[vi]
+				} else {
+					p = place(id)
 				}
+				if !p.placed {
+					continue
+				}
+				// DVFS scales the host's compute: a VM's effective rate
+				// is its allocation times the frequency fraction.
+				frac := p.cpuPct / 100 * p.freq
+				if scale := sc.hostScale[p.host]; scale != 0 {
+					frac *= scale
+				}
+				ts.replicas = append(ts.replicas, replicaState{vm: id, host: p.host, frac: frac})
+				ts.sumFrac += frac
 			}
 			if lambda <= 0 || tsk.demandMS <= 0 {
 				continue
 			}
 			if ts.sumFrac <= 0 {
 				// No active replica for a tier with demand: the app cannot
-				// serve requests; handled in pass 2 as saturation.
+				// serve requests; handled in pass 3 as saturation.
 				continue
 			}
 			// Weighted load balancing yields equal per-replica utilization:
 			// rho_i = (lambda*f_i/sumF)*D/f_i = lambda*D/sumF.
 			ts.rho = lambda * (tsk.demandMS / 1000) / ts.sumFrac
+			ts.served = true
 			for _, rep := range ts.replicas {
 				lambdaI := lambda * rep.frac / ts.sumFrac
 				used := lambdaI * (tsk.demandMS / 1000) // absolute CPU fraction
 				if used > rep.frac {
 					used = rep.frac // work-conserving cap at the allocation
 				}
-				hostVMUtil[rep.host] += used
-				res.VMUtil[rep.vm] = ts.rho
+				sc.hostVMUtil[rep.host] += used
 				// Dom-0 demand: one visit per tier per request.
-				dom0DemandCPU[rep.host] += lambdaI * sk.dom0Sec
+				sc.dom0DemandCPU[rep.host] += lambdaI * sk.dom0Sec
 			}
 		}
 	}
 
 	// Pass 2: Dom-0 utilizations per host (shared by all apps on the host).
 	// The Dom-0 share slows with the host's DVFS frequency too.
-	dom0Util := sc.dom0Util
-	for _, h := range m.cat.HostNames() {
-		if !cfg.HostOn(h) {
+	for hi, h := range hostNames {
+		if !sc.hostOn[hi] {
 			continue
 		}
-		share := m.opts.Dom0CPUShare * cfg.HostFreq(h)
-		util := dom0DemandCPU[h]/share + dom0Background[h]
-		dom0Util[h] = util
+		share := m.opts.Dom0CPUShare * sc.hostFreq[hi]
+		sc.dom0Util[hi] = sc.dom0DemandCPU[hi]/share + dom0Background[h]
 	}
 
 	// Pass 3: per-application response times.
@@ -389,23 +559,19 @@ func (m *Model) Evaluate(cfg cluster.Config, load map[string]float64, dom0Backgr
 		sk := &m.skel[ai]
 		spec := sk.spec
 		lambda := load[name]
-		ar := AppResult{
-			TxnRTSec: make(map[string]float64, len(spec.Txns)),
-			TierUtil: make(map[string]float64, len(spec.Tiers)),
-		}
+		saturated := false
 
 		// Residence multiplier per tier replica: 1/(1-rho) with soft cap,
 		// plus Dom-0 residence on the replica's host.
-		for ti, t := range spec.Tiers {
+		for ti := range spec.Tiers {
 			tsk := &sk.tiers[ti]
 			ts := &sc.tiers[ai][ti]
 			ts.factors = ts.factors[:0]
-			ar.TierUtil[t.Name] = ts.rho
 			if lambda <= 0 || tsk.demandMS <= 0 {
 				continue
 			}
 			if ts.sumFrac <= 0 {
-				ar.Saturated = true
+				saturated = true
 				// Unserved tier: charge the full overload penalty.
 				ts.factors = append(ts.factors, repFactor{weight: 1, frac: 1, stretch: 1, overload: m.opts.OverloadPenaltySec})
 				continue
@@ -414,16 +580,15 @@ func (m *Model) Evaluate(cfg cluster.Config, load map[string]float64, dom0Backgr
 				rho := ts.rho
 				var overload float64
 				if rho > m.opts.MaxRho {
-					ar.Saturated = true
+					saturated = true
 					overload = (rho - m.opts.MaxRho) * m.opts.OverloadPenaltySec
 					rho = m.opts.MaxRho
 				}
-				d0 := dom0Util[rep.host]
-				d0rho := d0
+				d0rho := sc.dom0Util[rep.host]
 				if d0rho > m.opts.MaxRho {
 					overload += (d0rho - m.opts.MaxRho) * m.opts.OverloadPenaltySec
 					d0rho = m.opts.MaxRho
-					ar.Saturated = true
+					saturated = true
 				}
 				dom0Visit := sk.dom0Sec / m.opts.Dom0CPUShare / (1 - d0rho)
 				ts.factors = append(ts.factors, repFactor{
@@ -449,7 +614,7 @@ func (m *Model) Evaluate(cfg cluster.Config, load map[string]float64, dom0Backgr
 				var p float64
 				for _, ra := range up.replicas {
 					for _, rb := range down.replicas {
-						if m.cat.ZoneOf(ra.host) != m.cat.ZoneOf(rb.host) {
+						if m.hostZone[ra.host] != m.hostZone[rb.host] {
 							p += (ra.frac / up.sumFrac) * (rb.frac / down.sumFrac)
 						}
 					}
@@ -463,11 +628,7 @@ func (m *Model) Evaluate(cfg cluster.Config, load map[string]float64, dom0Backgr
 			rt := txn.LatencyMS/1000 + crossZoneSec // CPU-free I/O and WAN waits
 			for ti := range spec.Tiers {
 				demand := sk.txnDemandSec[i][ti]
-				fs := sc.tiers[ai][ti].factors
-				if len(fs) == 0 {
-					continue
-				}
-				for _, f := range fs {
+				for _, f := range sc.tiers[ai][ti].factors {
 					if f.frac <= 0 {
 						continue
 					}
@@ -475,27 +636,26 @@ func (m *Model) Evaluate(cfg cluster.Config, load map[string]float64, dom0Backgr
 					rt += f.weight * perVisit
 				}
 			}
-			ar.TxnRTSec[txn.Name] = rt
+			sc.txnRT[ai][i] = rt
 			meanRT += sk.probs[i] * rt
 		}
-		ar.MeanRTSec = meanRT
-		res.Apps[name] = ar
+		sc.meanRT[ai] = meanRT
+		sc.saturated[ai] = saturated
 	}
 
 	// Pass 4: host utilizations for the power model, as the busy fraction
 	// of the host's current (DVFS-scaled) capacity.
-	for _, h := range m.cat.HostNames() {
-		if !cfg.HostOn(h) {
-			res.Hosts[h] = HostResult{}
+	for hi := range hostNames {
+		if !sc.hostOn[hi] {
+			sc.hostCPUUtil[hi] = 0
 			continue
 		}
-		freq := cfg.HostFreq(h)
-		util := m.opts.BaseHostUtil + (hostVMUtil[h]+math.Min(dom0Util[h], 1)*m.opts.Dom0CPUShare*freq)/freq
+		freq := sc.hostFreq[hi]
+		util := m.opts.BaseHostUtil + (sc.hostVMUtil[hi]+math.Min(sc.dom0Util[hi], 1)*m.opts.Dom0CPUShare*freq)/freq
 		if util > 1 {
 			util = 1
 		}
-		res.Hosts[h] = HostResult{CPUUtil: util, Dom0Util: dom0Util[h]}
+		sc.hostCPUUtil[hi] = util
 	}
-	m.scratch.Put(sc)
-	return res, nil
+	return sc
 }

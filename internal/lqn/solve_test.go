@@ -1,0 +1,201 @@
+package lqn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"github.com/mistralcloud/mistral/internal/app"
+	"github.com/mistralcloud/mistral/internal/cluster"
+)
+
+// labModel builds the shape of the experiments' labs — nApps RUBiS
+// instances on 2·nApps hosts, every host DVFS-capable — optionally split
+// over two zones.
+func labModel(t testing.TB, nApps, zones int) *Model {
+	t.Helper()
+	apps := make([]*app.Spec, nApps)
+	for i := range apps {
+		apps[i] = app.RUBiS(fmt.Sprintf("rubis%d", i+1))
+	}
+	hosts := make([]cluster.HostSpec, 2*nApps)
+	for i := range hosts {
+		hosts[i] = cluster.DefaultHostSpec(fmt.Sprintf("h%d", i))
+		hosts[i].DVFSLevels = []float64{0.6, 0.8}
+		if zones > 1 {
+			hosts[i].Zone = fmt.Sprintf("dc%d", i*zones/len(hosts))
+		}
+	}
+	cat, err := app.BuildCatalog(hosts, apps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := NewModel(cat, apps, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// randomCase draws one solver input: a configuration that may oversubscribe
+// hosts, run them downclocked, leave whole tiers dormant and place VMs on
+// powered-off hosts (all legal solver input), a workload with zero-rate
+// applications, and one mutation of that configuration as a Delta.
+func randomCase(rng *rand.Rand, m *Model) (cluster.Config, map[string]float64, cluster.Delta) {
+	cat := m.Catalog()
+	hosts := cat.HostNames()
+	freqs := []float64{1, 1, 0.8, 0.6}
+	cfg := cluster.NewConfig()
+	for _, h := range hosts {
+		cfg.SetHostOn(h, rng.Intn(5) > 0)
+		cfg.SetHostFreq(h, freqs[rng.Intn(len(freqs))])
+	}
+	for _, k := range cat.Tiers() {
+		if rng.Intn(8) == 0 {
+			continue // dormant tier
+		}
+		for _, id := range cat.TierVMs(k) {
+			if rng.Intn(4) > 0 {
+				cfg.Place(id, hosts[rng.Intn(len(hosts))], float64(10+5*rng.Intn(15)))
+			}
+		}
+	}
+	load := make(map[string]float64)
+	for _, name := range m.AppNames() {
+		switch rng.Intn(5) {
+		case 0: // absent from the workload
+		case 1:
+			load[name] = 0
+		default:
+			load[name] = 5 + 90*rng.Float64()
+		}
+	}
+
+	var d cluster.Delta
+	id := cat.VMIDs()[rng.Intn(len(cat.VMIDs()))]
+	old, placed := cfg.PlacementOf(id)
+	switch rng.Intn(4) {
+	case 0: // placement change: resize, migrate, activate or deactivate
+		d = cluster.Delta{VM: id, OldPlaced: placed, Old: old}
+		if !placed || rng.Intn(4) > 0 {
+			d.NewPlaced = true
+			d.New = cluster.Placement{Host: hosts[rng.Intn(len(hosts))], CPUPct: float64(10 + 5*rng.Intn(15))}
+			if placed && rng.Intn(2) == 0 {
+				d.New.Host = old.Host
+			}
+		}
+	case 1:
+		h := hosts[rng.Intn(len(hosts))]
+		d = cluster.Delta{Host: h, On: !cfg.HostOn(h)}
+	case 2:
+		d = cluster.Delta{FreqHost: hosts[rng.Intn(len(hosts))], NewFreq: freqs[rng.Intn(len(freqs))]}
+	default: // the combined shape AddReplica stages: place a VM and boot its host
+		h := hosts[rng.Intn(len(hosts))]
+		d = cluster.Delta{VM: id, OldPlaced: placed, Old: old, NewPlaced: true,
+			New: cluster.Placement{Host: h, CPUPct: 40}, Host: h, On: true}
+	}
+	return cfg, load, d
+}
+
+// sameSolve fails unless the steady-only projection carries exactly the
+// bits of the rich one.
+func sameSolve(t *testing.T, m *Model, what string, sol *Solution, res *Result) {
+	t.Helper()
+	for ai, name := range m.AppNames() {
+		ar := res.Apps[name]
+		if math.Float64bits(sol.MeanRTSec[ai]) != math.Float64bits(ar.MeanRTSec) || sol.Saturated[ai] != ar.Saturated {
+			t.Fatalf("%s: app %s: steady-only (%v, %v) != rich (%v, %v)",
+				what, name, sol.MeanRTSec[ai], sol.Saturated[ai], ar.MeanRTSec, ar.Saturated)
+		}
+	}
+	for hi, h := range m.Catalog().HostNames() {
+		if math.Float64bits(sol.HostCPUUtil[hi]) != math.Float64bits(res.Hosts[h].CPUUtil) {
+			t.Fatalf("%s: host %s: steady-only util %v != rich %v", what, h, sol.HostCPUUtil[hi], res.Hosts[h].CPUUtil)
+		}
+	}
+}
+
+// TestSolveMatchesEvaluate is the differential test of the solver's two
+// projections and of its overlay: over seeded random inputs of the 2-app
+// lab, the 4-app lab and a two-zone lab, Solve agrees bit-for-bit with
+// Evaluate on application response time, saturation and host utilization,
+// and Solve through a Delta agrees with Evaluate on the configuration the
+// Delta builds.
+func TestSolveMatchesEvaluate(t *testing.T) {
+	for _, lab := range []struct{ nApps, zones int }{{2, 1}, {4, 1}, {2, 2}} {
+		m := labModel(t, lab.nApps, lab.zones)
+		rng := rand.New(rand.NewSource(int64(42 + 10*lab.nApps + lab.zones)))
+		var saturated, oversubscribed int
+		for i := 0; i < 300; i++ {
+			cfg, load, d := randomCase(rng, m)
+			what := fmt.Sprintf("%d apps, %d zones, case %d", lab.nApps, lab.zones, i)
+
+			res, err := m.Evaluate(cfg, load, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sol, err := m.Solve(cfg, nil, load)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSolve(t, m, what, sol, res)
+			for hi, h := range m.Catalog().HostNames() {
+				if sol.HostOn[hi] != cfg.HostOn(h) || sol.HostFreq[hi] != cfg.HostFreq(h) {
+					t.Fatalf("%s: host %s: power state or frequency misread", what, h)
+				}
+				spec, _ := m.Catalog().Host(h)
+				if cfg.AllocatedCPU(h) > spec.UsableCPUPct {
+					oversubscribed++
+				}
+			}
+			for _, s := range sol.Saturated {
+				if s {
+					saturated++
+				}
+			}
+			m.Release(sol)
+
+			built := cfg.Clone()
+			built.ApplyDelta(d)
+			res, err = m.Evaluate(built, load, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sol, err = m.Solve(cfg, &d, load)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSolve(t, m, what+" through overlay", sol, res)
+			m.Release(sol)
+		}
+		if saturated == 0 || oversubscribed == 0 {
+			t.Errorf("%d apps, %d zones: generator drew %d saturated apps and %d oversubscribed hosts; want both",
+				lab.nApps, lab.zones, saturated, oversubscribed)
+		}
+	}
+}
+
+// TestSolveUnknownAppInLoad mirrors Evaluate's input check.
+func TestSolveUnknownAppInLoad(t *testing.T) {
+	m := labModel(t, 2, 1)
+	if _, err := m.Solve(cluster.NewConfig(), nil, map[string]float64{"ghost": 1}); err == nil {
+		t.Error("unknown app accepted")
+	}
+}
+
+// TestSolveAllocatesNothing pins the steady-only entry's reason to exist.
+func TestSolveAllocatesNothing(t *testing.T) {
+	m := labModel(t, 4, 1)
+	cfg, load, d := randomCase(rand.New(rand.NewSource(1)), m)
+	n := testing.AllocsPerRun(100, func() {
+		sol, err := m.Solve(cfg, &d, load)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Release(sol)
+	})
+	if n != 0 && !raceEnabled {
+		t.Errorf("Solve allocates %v times per call, want 0", n)
+	}
+}

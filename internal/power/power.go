@@ -66,6 +66,21 @@ func SystemWatts(cat *cluster.Catalog, cfg cluster.Config, hostUtil map[string]f
 	return total
 }
 
+// SystemWattsDense is SystemWatts over per-host slices aligned with specs
+// (Catalog.HostSpecs order, which is the sorted order SystemWatts folds
+// in): power state, utilization and DVFS fraction per host. It is the form
+// the steady evaluation uses, which has those slices from the LQN solve and
+// no reason to build a map and a sorted host list per configuration.
+func SystemWattsDense(specs []cluster.HostSpec, on []bool, util, freq []float64) float64 {
+	var total float64
+	for i := range specs {
+		if on[i] {
+			total += HostWattsAtFreq(specs[i], util[i], freq[i])
+		}
+	}
+	return total
+}
+
 // Sample is one offline calibration measurement: metered watts at a given
 // CPU utilization.
 type Sample struct {

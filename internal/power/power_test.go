@@ -73,6 +73,12 @@ func TestSystemWattsSumsOnlyActiveHosts(t *testing.T) {
 	if got := SystemWatts(cat, cluster.NewConfig(), util); got != 0 {
 		t.Errorf("SystemWatts with all hosts off = %v, want 0", got)
 	}
+	// The dense form folds the same hosts in the same order.
+	cfg.SetHostFreq("h1", 0.6)
+	dense := SystemWattsDense(cat.HostSpecs(), []bool{true, true, false}, []float64{0.5, 0, 0.9}, []float64{1, 0.6, 1})
+	if want := SystemWatts(cat, cfg, util); dense != want {
+		t.Errorf("SystemWattsDense = %v, SystemWatts = %v", dense, want)
+	}
 }
 
 func TestFitRRecoversTrueExponent(t *testing.T) {
