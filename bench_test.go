@@ -203,8 +203,10 @@ func BenchmarkFig10SearchCost(b *testing.B) {
 // 4-application instance at several evaluation-concurrency settings. The
 // decisions are byte-identical at every setting (see the determinism
 // tests); only the wall clock moves — expansions/s is the real-time search
-// throughput, which the parallel child evaluation and frontier prewarm
-// should scale well past the serial baseline.
+// throughput. Children are staged serially at every setting (this
+// benchmark is what showed a per-child fan-out losing to the serial loop);
+// Workers > 1 buys the frontier prewarm, which pre-solves every surviving
+// child and pays off only with cores to spare.
 func BenchmarkSearchWorkers(b *testing.B) {
 	for _, w := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {

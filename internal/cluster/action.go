@@ -125,150 +125,25 @@ func PlanString(plan []Action) string {
 // The returned Action is the input with derived fields (FromHost, CPUPct)
 // filled in for cost accounting.
 //
-// Stage is the allocation-free core of Apply: search code stages candidate
-// children, evaluates them through the delta overlay and FingerprintWith,
-// and only materializes survivors.
+// The rules themselves live in View.stage, shared with the generator
+// (View.Expand) that stages every action of a configuration off one loaded
+// view; Stage loads just the entries its one action reads.
 func Stage(cat *Catalog, cfg Config, a Action) (Action, Delta, error) {
-	switch a.Kind {
-	case ActionIncreaseCPU:
-		p, ok := cfg.PlacementOf(a.VM)
-		if !ok {
-			return a, Delta{}, fmt.Errorf("cluster: increase-cpu: VM %q not active", a.VM)
-		}
-		delta := a.DeltaCPUPct
-		if delta <= 0 {
-			delta = cat.CPUStepPct
-			a.DeltaCPUPct = delta
-		}
-		spec, _ := cat.Host(p.Host)
-		if p.CPUPct+delta > spec.UsableCPUPct+1e-9 {
-			return a, Delta{}, fmt.Errorf("cluster: increase-cpu: VM %q would exceed host usable capacity (%.1f+%.1f > %.1f)", a.VM, p.CPUPct, delta, spec.UsableCPUPct)
-		}
-		a.Host = p.Host
-		return a, Delta{VM: a.VM, OldPlaced: true, Old: p, NewPlaced: true, New: Placement{Host: p.Host, CPUPct: p.CPUPct + delta}}, nil
-
-	case ActionDecreaseCPU:
-		p, ok := cfg.PlacementOf(a.VM)
-		if !ok {
-			return a, Delta{}, fmt.Errorf("cluster: decrease-cpu: VM %q not active", a.VM)
-		}
-		delta := a.DeltaCPUPct
-		if delta <= 0 {
-			delta = cat.CPUStepPct
-			a.DeltaCPUPct = delta
-		}
-		if p.CPUPct-delta < cat.MinCPUPct-1e-9 {
-			return a, Delta{}, fmt.Errorf("cluster: decrease-cpu: VM %q would fall below minimum (%.1f-%.1f < %.1f)", a.VM, p.CPUPct, delta, cat.MinCPUPct)
-		}
-		a.Host = p.Host
-		return a, Delta{VM: a.VM, OldPlaced: true, Old: p, NewPlaced: true, New: Placement{Host: p.Host, CPUPct: p.CPUPct - delta}}, nil
-
-	case ActionAddReplica:
-		if _, ok := cat.VM(a.VM); !ok {
-			return a, Delta{}, fmt.Errorf("cluster: add-replica: unknown VM %q", a.VM)
-		}
-		if cfg.Active(a.VM) {
-			return a, Delta{}, fmt.Errorf("cluster: add-replica: VM %q already active", a.VM)
-		}
-		if _, ok := cat.Host(a.Host); !ok {
-			return a, Delta{}, fmt.Errorf("cluster: add-replica: unknown host %q", a.Host)
-		}
-		if !cfg.HostOn(a.Host) {
-			return a, Delta{}, fmt.Errorf("cluster: add-replica: host %q is off", a.Host)
-		}
-		cpu := a.CPUPct
-		if cpu <= 0 {
-			cpu = cat.MinCPUPct
-			a.CPUPct = cpu
-		}
-		return a, Delta{VM: a.VM, NewPlaced: true, New: Placement{Host: a.Host, CPUPct: cpu}}, nil
-
-	case ActionRemoveReplica:
-		vm, ok := cat.VM(a.VM)
-		if !ok {
-			return a, Delta{}, fmt.Errorf("cluster: remove-replica: unknown VM %q", a.VM)
-		}
-		p, active := cfg.PlacementOf(a.VM)
-		if !active {
-			return a, Delta{}, fmt.Errorf("cluster: remove-replica: VM %q not active", a.VM)
-		}
-		k := TierKey{App: vm.App, Tier: vm.Tier}
-		if cat.TierRequired(k) && len(cfg.ActiveReplicas(cat, k)) <= 1 {
-			return a, Delta{}, fmt.Errorf("cluster: remove-replica: VM %q is the last replica of required tier %s/%s", a.VM, k.App, k.Tier)
-		}
-		a.FromHost = p.Host
-		return a, Delta{VM: a.VM, OldPlaced: true, Old: p}, nil
-
-	case ActionMigrate, ActionWANMigrate:
-		p, ok := cfg.PlacementOf(a.VM)
-		if !ok {
-			return a, Delta{}, fmt.Errorf("cluster: %s: VM %q not active", a.Kind, a.VM)
-		}
-		if _, ok := cat.Host(a.Host); !ok {
-			return a, Delta{}, fmt.Errorf("cluster: %s: unknown host %q", a.Kind, a.Host)
-		}
-		if a.Host == p.Host {
-			return a, Delta{}, fmt.Errorf("cluster: %s: VM %q already on host %q", a.Kind, a.VM, a.Host)
-		}
-		if !cfg.HostOn(a.Host) {
-			return a, Delta{}, fmt.Errorf("cluster: %s: destination host %q is off", a.Kind, a.Host)
-		}
-		sameZone := cat.ZoneOf(p.Host) == cat.ZoneOf(a.Host)
-		if a.Kind == ActionMigrate && !sameZone {
-			return a, Delta{}, fmt.Errorf("cluster: migrate: %q and %q are in different zones; use wan-migrate", p.Host, a.Host)
-		}
-		if a.Kind == ActionWANMigrate && sameZone {
-			return a, Delta{}, fmt.Errorf("cluster: wan-migrate: %q and %q share a zone; use migrate", p.Host, a.Host)
-		}
-		a.FromHost = p.Host
-		a.CPUPct = p.CPUPct
-		return a, Delta{VM: a.VM, OldPlaced: true, Old: p, NewPlaced: true, New: Placement{Host: a.Host, CPUPct: p.CPUPct}}, nil
-
-	case ActionStartHost:
-		if _, ok := cat.Host(a.Host); !ok {
-			return a, Delta{}, fmt.Errorf("cluster: start-host: unknown host %q", a.Host)
-		}
-		if cfg.HostOn(a.Host) {
-			return a, Delta{}, fmt.Errorf("cluster: start-host: host %q already on", a.Host)
-		}
-		return a, Delta{Host: a.Host, On: true}, nil
-
-	case ActionStopHost:
-		if _, ok := cat.Host(a.Host); !ok {
-			return a, Delta{}, fmt.Errorf("cluster: stop-host: unknown host %q", a.Host)
-		}
-		if !cfg.HostOn(a.Host) {
-			return a, Delta{}, fmt.Errorf("cluster: stop-host: host %q already off", a.Host)
-		}
-		if n := cfg.VMsOnHost(a.Host); len(n) > 0 {
-			return a, Delta{}, fmt.Errorf("cluster: stop-host: host %q still has %d VMs", a.Host, len(n))
-		}
-		return a, Delta{Host: a.Host, On: false}, nil
-
-	case ActionSetDVFS:
-		spec, ok := cat.Host(a.Host)
-		if !ok {
-			return a, Delta{}, fmt.Errorf("cluster: set-dvfs: unknown host %q", a.Host)
-		}
-		if !cfg.HostOn(a.Host) {
-			return a, Delta{}, fmt.Errorf("cluster: set-dvfs: host %q is off", a.Host)
-		}
-		if !spec.HasDVFSLevel(a.Freq) {
-			return a, Delta{}, fmt.Errorf("cluster: set-dvfs: host %q has no level %v", a.Host, a.Freq)
-		}
-		if cfg.HostFreq(a.Host) == a.Freq {
-			return a, Delta{}, fmt.Errorf("cluster: set-dvfs: host %q already at %v", a.Host, a.Freq)
-		}
-		return a, Delta{FreqHost: a.Host, NewFreq: a.Freq}, nil
-
-	default:
-		return a, Delta{}, fmt.Errorf("cluster: unknown action kind %d", int(a.Kind))
+	vm, host, _ := cat.ActionIndices(a)
+	v := viewPool.Get().(*View)
+	defer viewPool.Put(v)
+	if !v.loadFor(cat, cfg, a.Kind, vm, host) {
+		return a, Delta{}, fmt.Errorf("cluster: %s: VM %q is placed on a host outside the catalog", a.Kind, a.VM)
 	}
+	var d Delta
+	if why := v.stage(&a, vm, host, &d); why != feasible {
+		return a, Delta{}, v.refusalError(why, a, vm, host)
+	}
+	return a, d, nil
 }
 
 // Apply executes the action on cfg and returns the resulting configuration.
-// It is Stage followed by a deep clone and the staged delta; hot paths that
-// expand many candidates should Stage and materialize survivors themselves.
+// It is Stage followed by a deep clone and the staged delta.
 func Apply(cat *Catalog, cfg Config, a Action) (Config, Action, error) {
 	filled, d, err := Stage(cat, cfg, a)
 	if err != nil {
@@ -311,128 +186,41 @@ type ActionSpace struct {
 	AppPools map[string][]string
 }
 
-func (s ActionSpace) allowsKind(k ActionKind) bool {
-	if len(s.Kinds) == 0 {
-		return true
-	}
-	for _, allowed := range s.Kinds {
-		if allowed == k {
-			return true
-		}
-	}
-	return false
-}
-
-func (s ActionSpace) hostSet() map[string]bool {
-	if len(s.Hosts) == 0 {
+// Enumerate generates every feasible single action from cfg within the
+// action space, in the form a caller would write them (derived fields
+// unfilled). The result is deterministic: VMs, then hosts, in catalog order.
+// It is View.Expand for callers that hold a Config and want the actions
+// only.
+func Enumerate(cat *Catalog, cfg Config, space ActionSpace) []Action {
+	v := viewPool.Get().(*View)
+	defer viewPool.Put(v)
+	if !v.Load(cat, cfg) {
 		return nil
 	}
-	set := make(map[string]bool, len(s.Hosts))
-	for _, h := range s.Hosts {
-		set[h] = true
+	moves := space.Resolve(cat)
+	staged := v.Expand(&moves, nil)
+	if len(staged) == 0 {
+		return nil
 	}
-	return set
-}
-
-// allowsAppHost reports whether app may use host under the pools.
-func (s ActionSpace) allowsAppHost(appName, host string) bool {
-	pool, pooled := s.AppPools[appName]
-	if !pooled {
-		return true
-	}
-	for _, h := range pool {
-		if h == host {
-			return true
-		}
-	}
-	return false
-}
-
-// Enumerate generates every feasible single action from cfg within the
-// action space. The result is deterministic (sorted by VM/host iteration
-// order). Infeasible actions are filtered by attempting Stage, which
-// validates without cloning the configuration.
-func Enumerate(cat *Catalog, cfg Config, space ActionSpace) []Action {
-	hosts := space.hostSet()
-	inScope := func(h string) bool { return hosts == nil || hosts[h] }
-
-	var out []Action
-	tryAppend := func(a Action) {
-		if _, _, err := Stage(cat, cfg, a); err == nil {
-			out = append(out, a)
-		}
-	}
-
-	for _, id := range cat.VMIDs() {
-		p, active := cfg.PlacementOf(id)
-		if active && !inScope(p.Host) {
-			continue
-		}
-		if active {
-			if space.allowsKind(ActionIncreaseCPU) {
-				tryAppend(Action{Kind: ActionIncreaseCPU, VM: id, DeltaCPUPct: cat.CPUStepPct})
-			}
-			if space.allowsKind(ActionDecreaseCPU) {
-				tryAppend(Action{Kind: ActionDecreaseCPU, VM: id, DeltaCPUPct: cat.CPUStepPct})
-			}
-			if space.allowsKind(ActionMigrate) || space.allowsKind(ActionWANMigrate) {
-				vm, _ := cat.VM(id)
-				srcZone := cat.ZoneOf(p.Host)
-				for _, h := range cat.HostNames() {
-					if h == p.Host || !inScope(h) || !cfg.HostOn(h) || !space.allowsAppHost(vm.App, h) {
-						continue
-					}
-					kind := ActionMigrate
-					if cat.ZoneOf(h) != srcZone {
-						kind = ActionWANMigrate
-					}
-					if space.allowsKind(kind) {
-						tryAppend(Action{Kind: kind, VM: id, Host: h})
-					}
-				}
-			}
-			if space.allowsKind(ActionRemoveReplica) {
-				tryAppend(Action{Kind: ActionRemoveReplica, VM: id})
-			}
-		} else if space.allowsKind(ActionAddReplica) {
-			vm, _ := cat.VM(id)
-			for _, h := range cat.HostNames() {
-				if !inScope(h) || !cfg.HostOn(h) || !space.allowsAppHost(vm.App, h) {
-					continue
-				}
-				tryAppend(Action{Kind: ActionAddReplica, VM: id, Host: h, CPUPct: cat.MinCPUPct})
-			}
-		}
-	}
-	for _, h := range cat.HostNames() {
-		if !inScope(h) {
-			continue
-		}
-		if cfg.HostOn(h) {
-			if space.allowsKind(ActionStopHost) {
-				tryAppend(Action{Kind: ActionStopHost, Host: h})
-			}
-			if space.allowsKind(ActionSetDVFS) {
-				spec, _ := cat.Host(h)
-				hasNominal := false
-				for _, f := range spec.DVFSLevels {
-					if f == 1 {
-						hasNominal = true
-					}
-					if f != cfg.HostFreq(h) {
-						tryAppend(Action{Kind: ActionSetDVFS, Host: h, Freq: f})
-					}
-				}
-				// Returning to nominal speed is always available.
-				if !hasNominal && spec.SupportsDVFS() && cfg.HostFreq(h) != 1 {
-					tryAppend(Action{Kind: ActionSetDVFS, Host: h, Freq: 1})
-				}
-			}
-		} else if space.allowsKind(ActionStartHost) {
-			tryAppend(Action{Kind: ActionStartHost, Host: h})
-		}
+	out := make([]Action, len(staged))
+	for i := range staged {
+		out[i] = unfilled(staged[i].Act)
 	}
 	return out
+}
+
+// unfilled strips the fields stage derives from the configuration, leaving
+// the action as Expand proposed it.
+func unfilled(a Action) Action {
+	switch a.Kind {
+	case ActionIncreaseCPU, ActionDecreaseCPU:
+		a.Host = ""
+	case ActionRemoveReplica:
+		a.FromHost = ""
+	case ActionMigrate, ActionWANMigrate:
+		a.FromHost, a.CPUPct = "", 0
+	}
+	return a
 }
 
 // Inverse synthesizes the compensating action that undoes a previously

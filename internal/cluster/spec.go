@@ -134,6 +134,14 @@ type Catalog struct {
 	vmIdx     map[VMID]int
 	byTier    map[TierKey][]VMID
 	tiers     []TierKey // sorted by (App, Tier)
+	apps      []string  // sorted, distinct
+
+	// Dense per-VM facts aligned with vmIDs, and per-tier facts aligned
+	// with tiers: what a View needs to fold a Config without a map read.
+	vmApp        []int32 // index into apps
+	vmTier       []int32 // index into tiers
+	vmMem        []int   // VMSpec.MemoryMB
+	tierRequired []bool
 
 	// MinCPUPct is the smallest allocation any active VM may have (20 in
 	// the paper, to avoid request errors at low rates).
@@ -247,6 +255,26 @@ func NewCatalog(cfg CatalogConfig) (*Catalog, error) {
 		}
 		c.requiredTiers[k] = false
 	}
+	tierIdx := make(map[TierKey]int32, len(c.tiers))
+	appIdx := make(map[string]int32)
+	c.tierRequired = make([]bool, len(c.tiers))
+	for i, k := range c.tiers {
+		tierIdx[k] = int32(i)
+		c.tierRequired[i] = c.requiredTiers[k]
+		if _, ok := appIdx[k.App]; !ok {
+			appIdx[k.App] = int32(len(c.apps))
+			c.apps = append(c.apps, k.App)
+		}
+	}
+	c.vmApp = make([]int32, len(c.vmIDs))
+	c.vmTier = make([]int32, len(c.vmIDs))
+	c.vmMem = make([]int, len(c.vmIDs))
+	for i, id := range c.vmIDs {
+		vm := c.vms[id]
+		c.vmApp[i] = appIdx[vm.App]
+		c.vmTier[i] = tierIdx[TierKey{App: vm.App, Tier: vm.Tier}]
+		c.vmMem[i] = vm.MemoryMB
+	}
 	return c, nil
 }
 
@@ -295,17 +323,29 @@ func (c *Catalog) TierVMs(k TierKey) []VMID { return c.byTier[k] }
 // is shared; callers must not mutate it.
 func (c *Catalog) Tiers() []TierKey { return c.tiers }
 
-// Apps returns the distinct application names in sorted order.
-func (c *Catalog) Apps() []string {
-	seen := make(map[string]bool)
-	var apps []string
-	for _, k := range c.Tiers() {
-		if !seen[k.App] {
-			seen[k.App] = true
-			apps = append(apps, k.App)
-		}
+// Apps returns the distinct application names in sorted order. The slice
+// is shared; callers must not mutate it.
+func (c *Catalog) Apps() []string { return c.apps }
+
+// VMApp returns the position in Apps of the application the i-th VM of
+// VMIDs belongs to.
+func (c *Catalog) VMApp(i int) int { return int(c.vmApp[i]) }
+
+// ActionIndices resolves the names an action carries to catalog indices:
+// its VM's position in VMIDs and its Host's and FromHost's in HostNames,
+// each -1 when the action names none or one the catalog does not know.
+func (c *Catalog) ActionIndices(a Action) (vm, host, from int) {
+	vm, host, from = -1, -1, -1
+	if i, ok := c.vmIdx[a.VM]; ok {
+		vm = i
 	}
-	return apps
+	if i, ok := c.hostIdx[a.Host]; ok {
+		host = i
+	}
+	if i, ok := c.hostIdx[a.FromHost]; ok {
+		from = i
+	}
+	return vm, host, from
 }
 
 // TierRequired reports whether the tier must keep at least one active

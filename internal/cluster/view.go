@@ -1,0 +1,573 @@
+package cluster
+
+import (
+	"fmt"
+	"sync"
+)
+
+// Dormant is the View host index of a VM that is not placed.
+const Dormant = -1
+
+// View is a dense, catalog-indexed, pointer-free picture of one Config: the
+// per-VM and per-host state in Catalog.VMIDs / Catalog.HostNames order, plus
+// the per-host and per-tier aggregates every feasibility rule, constraint
+// check and co-location scan needs. Loading one reads the configuration's
+// string-keyed maps once; everything that then looks at many single-action
+// neighbours of the configuration — the action generator, the candidate
+// test, the search's child pricing — reads arrays.
+//
+// A View is scratch: Load overwrites it, it aliases nothing in the Config,
+// and it is never stored or serialised (Config stays the only stored
+// representation). The zero value is ready to Load.
+type View struct {
+	cat *Catalog
+
+	// Per VM: host index (Dormant when not placed) and CPU allocation.
+	VMHost []int32
+	VMCPU  []float64
+	// Per host: power state and DVFS fraction (1 = nominal).
+	HostOn   []bool
+	HostFreq []float64
+	// Per host, over the VMs placed there: allocated CPU (folded in sorted
+	// VM order, as Config.AllocatedCPU does), memory and VM count.
+	HostCPU []float64
+	HostMem []int
+	HostVMs []int32
+	// Per tier, in Catalog.Tiers order: active replicas.
+	TierActive []int32
+	// hostApps counts, per host and application (row-major by host), the
+	// VMs of that application placed on the host.
+	hostApps []int32
+}
+
+// viewPool backs the entry points that take a Config (Stage, Apply,
+// Enumerate), which load a view for one call; the search owns its own.
+var viewPool = sync.Pool{New: func() any { return new(View) }}
+
+// resize returns s with length n and every element zero.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// size readies the arrays for cat, zeroed.
+func (v *View) size(cat *Catalog) {
+	nh := len(cat.hostNames)
+	v.cat = cat
+	v.VMHost = resize(v.VMHost, len(cat.vmIDs))
+	v.VMCPU = resize(v.VMCPU, len(cat.vmIDs))
+	v.HostOn = resize(v.HostOn, nh)
+	v.HostFreq = resize(v.HostFreq, nh)
+	v.HostCPU = resize(v.HostCPU, nh)
+	v.HostMem = resize(v.HostMem, nh)
+	v.HostVMs = resize(v.HostVMs, nh)
+	v.TierActive = resize(v.TierActive, len(cat.tiers))
+	v.hostApps = resize(v.hostApps, nh*len(cat.apps))
+}
+
+// Load fills the view from cfg. It reports whether cfg fits the catalog —
+// every placed VM, every host it is placed on, and every host with a power
+// or DVFS entry is cataloged. A view of a configuration that does not fit
+// holds only the part that does and must not be used to judge it.
+func (v *View) Load(cat *Catalog, cfg Config) bool {
+	v.size(cat)
+	na := len(cat.apps)
+
+	fits := true
+	placed := 0
+	for i, id := range cat.vmIDs {
+		v.VMHost[i] = Dormant
+		p, ok := cfg.placements[id]
+		if !ok {
+			continue
+		}
+		placed++
+		h, known := cat.hostIdx[p.Host]
+		if !known {
+			fits = false
+			continue
+		}
+		v.VMHost[i] = int32(h)
+		v.VMCPU[i] = p.CPUPct
+		v.HostCPU[h] += p.CPUPct
+		v.HostMem[h] += cat.vmMem[i]
+		v.HostVMs[h]++
+		v.TierActive[cat.vmTier[i]]++
+		v.hostApps[h*na+int(cat.vmApp[i])]++
+	}
+	if placed != len(cfg.placements) {
+		fits = false
+	}
+	on, scaled := 0, 0
+	for h, name := range cat.hostNames {
+		if cfg.hostOn[name] {
+			v.HostOn[h] = true
+			on++
+		}
+		f, ok := cfg.hostFreq[name]
+		if ok {
+			scaled++
+		} else {
+			f = 1
+		}
+		v.HostFreq[h] = f
+	}
+	if on != cfg.NumActiveHosts() || scaled != len(cfg.hostFreq) {
+		fits = false
+	}
+	return fits
+}
+
+// loadFor fills only the entries stage reads to judge one action — of the
+// given kind, on the vm-th VM and the host-th host (-1: none) — so that
+// staging a single action costs a handful of map reads, as it always did,
+// instead of a full Load: the VM's placement, the host's power state and
+// DVFS level, the host's VM count for a stop, the tier's active replicas for
+// a removal. It reports false when the VM sits on a host outside the
+// catalog, which the arrays cannot express.
+func (v *View) loadFor(cat *Catalog, cfg Config, kind ActionKind, vm, host int) bool {
+	v.size(cat)
+	if vm >= 0 {
+		v.VMHost[vm] = Dormant
+		if p, ok := cfg.placements[cat.vmIDs[vm]]; ok {
+			h, known := cat.hostIdx[p.Host]
+			if !known {
+				return false
+			}
+			v.VMHost[vm] = int32(h)
+			v.VMCPU[vm] = p.CPUPct
+		}
+	}
+	if host >= 0 {
+		name := cat.hostNames[host]
+		v.HostOn[host] = cfg.hostOn[name]
+		v.HostFreq[host] = cfg.HostFreq(name)
+		if kind == ActionStopHost {
+			for _, p := range cfg.placements {
+				if p.Host == name {
+					v.HostVMs[host]++
+				}
+			}
+		}
+	}
+	if kind == ActionRemoveReplica && vm >= 0 {
+		t := cat.vmTier[vm]
+		for _, id := range cat.byTier[cat.tiers[t]] {
+			if _, ok := cfg.placements[id]; ok {
+				v.TierActive[t]++
+			}
+		}
+	}
+	return true
+}
+
+// AppOnHost reports whether any VM of the application (an index into
+// Catalog.Apps) is placed on the host.
+func (v *View) AppOnHost(host, app int) bool {
+	return v.hostApps[host*len(v.cat.apps)+app] > 0
+}
+
+// Candidate reports whether the loaded configuration satisfies every
+// allocation constraint — Config.IsCandidate read off the arrays, without
+// describing what is violated. The view must fit the catalog.
+func (v *View) Candidate() bool {
+	cat := v.cat
+	for i, h := range v.VMHost {
+		if h < 0 {
+			continue
+		}
+		cpu := v.VMCPU[i]
+		if !v.HostOn[h] || cpu < cat.MinCPUPct-1e-9 || cpu > cat.hostSpecs[h].UsableCPUPct+1e-9 {
+			return false
+		}
+	}
+	for h := range cat.hostSpecs {
+		spec := &cat.hostSpecs[h]
+		if v.HostVMs[h] > 0 && (v.HostCPU[h] > spec.UsableCPUPct+1e-9 ||
+			v.HostMem[h]+spec.Dom0MemoryMB > spec.MemoryMB ||
+			int(v.HostVMs[h]) > spec.MaxVMs) {
+			return false
+		}
+		if !spec.HasDVFSLevel(v.HostFreq[h]) {
+			return false
+		}
+	}
+	for t, required := range cat.tierRequired {
+		if required && v.TierActive[t] == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// Staged is one feasible action as the generator yields it: the filled
+// Action, the Delta it makes, and the catalog indices of the filled action's
+// VM and Host (-1 where it names none), so whoever prices the child reads
+// arrays instead of resolving names.
+type Staged struct {
+	Act   Action
+	Delta Delta
+	VM    int32
+	Host  int32
+}
+
+// Moves is an ActionSpace resolved against a catalog once, so generating a
+// configuration's actions tests a bit, a bool and a matrix cell instead of
+// scanning kind lists and building host sets per call.
+type Moves struct {
+	kinds   uint32 // bit per ActionKind; every bit set when unrestricted
+	hosts   []bool // per host: in scope; nil when unrestricted
+	appHost []bool // per (app, host), row-major by app; nil without pools
+	nHosts  int
+}
+
+// Resolve compiles the action space against cat.
+func (s ActionSpace) Resolve(cat *Catalog) Moves {
+	m := Moves{kinds: ^uint32(0), nHosts: len(cat.hostNames)}
+	if len(s.Kinds) > 0 {
+		m.kinds = 0
+		for _, k := range s.Kinds {
+			if k > 0 && k < 32 {
+				m.kinds |= 1 << uint(k)
+			}
+		}
+	}
+	if len(s.Hosts) > 0 {
+		m.hosts = make([]bool, m.nHosts)
+		for _, name := range s.Hosts {
+			if h, ok := cat.hostIdx[name]; ok {
+				m.hosts[h] = true
+			}
+		}
+	}
+	if len(s.AppPools) > 0 {
+		m.appHost = make([]bool, len(cat.apps)*m.nHosts)
+		for a, name := range cat.apps {
+			row := m.appHost[a*m.nHosts : (a+1)*m.nHosts]
+			pool, pooled := s.AppPools[name]
+			if !pooled {
+				for h := range row {
+					row[h] = true
+				}
+				continue
+			}
+			for _, host := range pool {
+				if h, ok := cat.hostIdx[host]; ok {
+					row[h] = true
+				}
+			}
+		}
+	}
+	return m
+}
+
+func (m *Moves) allows(k ActionKind) bool { return m.kinds&(1<<uint(k)) != 0 }
+func (m *Moves) inScope(h int) bool       { return m.hosts == nil || m.hosts[h] }
+func (m *Moves) appMayUse(app, h int) bool {
+	return m.appHost == nil || m.appHost[app*m.nHosts+h]
+}
+
+// Expand appends to out every feasible single action from the loaded
+// configuration within the resolved action space, each already staged, in
+// Enumerate's order: per VM in catalog order (CPU up, CPU down, migrations
+// by destination, removal — or additions by target for a dormant VM), then
+// per host (stop and DVFS levels, or start). An infeasible proposal costs a
+// branch in stage, nothing else.
+func (v *View) Expand(m *Moves, out []Staged) []Staged {
+	cat := v.cat
+	// Each proposal is staged in place in the slot it will keep; a refused
+	// one (rare: the loops below propose little that cannot be done) gives
+	// the slot back.
+	try := func(a Action, vm, host int) {
+		out = append(out, Staged{Act: a, VM: int32(vm), Host: int32(host)})
+		s := &out[len(out)-1]
+		if v.stage(&s.Act, vm, host, &s.Delta) != feasible {
+			out = out[:len(out)-1]
+		}
+	}
+	for i, id := range cat.vmIDs {
+		src := int(v.VMHost[i])
+		app := int(cat.vmApp[i])
+		if src < 0 {
+			if !m.allows(ActionAddReplica) {
+				continue
+			}
+			for h, name := range cat.hostNames {
+				if m.inScope(h) && v.HostOn[h] && m.appMayUse(app, h) {
+					try(Action{Kind: ActionAddReplica, VM: id, Host: name, CPUPct: cat.MinCPUPct}, i, h)
+				}
+			}
+			continue
+		}
+		if !m.inScope(src) {
+			continue
+		}
+		if m.allows(ActionIncreaseCPU) {
+			try(Action{Kind: ActionIncreaseCPU, VM: id, DeltaCPUPct: cat.CPUStepPct}, i, src)
+		}
+		if m.allows(ActionDecreaseCPU) {
+			try(Action{Kind: ActionDecreaseCPU, VM: id, DeltaCPUPct: cat.CPUStepPct}, i, src)
+		}
+		if m.allows(ActionMigrate) || m.allows(ActionWANMigrate) {
+			srcZone := cat.hostSpecs[src].Zone
+			for h, name := range cat.hostNames {
+				if h == src || !m.inScope(h) || !v.HostOn[h] || !m.appMayUse(app, h) {
+					continue
+				}
+				kind := ActionMigrate
+				if cat.hostSpecs[h].Zone != srcZone {
+					kind = ActionWANMigrate
+				}
+				if m.allows(kind) {
+					try(Action{Kind: kind, VM: id, Host: name}, i, h)
+				}
+			}
+		}
+		if m.allows(ActionRemoveReplica) {
+			try(Action{Kind: ActionRemoveReplica, VM: id}, i, -1)
+		}
+	}
+	for h, name := range cat.hostNames {
+		if !m.inScope(h) {
+			continue
+		}
+		if !v.HostOn[h] {
+			if m.allows(ActionStartHost) {
+				try(Action{Kind: ActionStartHost, Host: name}, -1, h)
+			}
+			continue
+		}
+		if m.allows(ActionStopHost) {
+			try(Action{Kind: ActionStopHost, Host: name}, -1, h)
+		}
+		if m.allows(ActionSetDVFS) {
+			spec := &cat.hostSpecs[h]
+			hasNominal := false
+			for _, f := range spec.DVFSLevels {
+				if f == 1 {
+					hasNominal = true
+				}
+				if f != v.HostFreq[h] {
+					try(Action{Kind: ActionSetDVFS, Host: name, Freq: f}, -1, h)
+				}
+			}
+			// Returning to nominal speed is always available.
+			if !hasNominal && spec.SupportsDVFS() && v.HostFreq[h] != 1 {
+				try(Action{Kind: ActionSetDVFS, Host: name, Freq: 1}, -1, h)
+			}
+		}
+	}
+	return out
+}
+
+// refusal says why an action is infeasible; Stage turns it into the error
+// text, the generator only branches on it.
+type refusal uint8
+
+const (
+	feasible refusal = iota
+	refuseNotActive
+	refuseOverHost
+	refuseUnderMin
+	refuseUnknownVM
+	refuseAlreadyActive
+	refuseUnknownHost
+	refuseHostOff
+	refuseLastReplica
+	refuseSameHost
+	refuseCrossZone
+	refuseSameZone
+	refuseAlreadyOn
+	refuseAlreadyOff
+	refuseHostBusy
+	refuseNoLevel
+	refuseAtLevel
+	refuseUnknownKind
+)
+
+// stage holds the feasibility rules — the only copy; Stage, Apply,
+// Enumerate and Expand all come through here. vm and host are the catalog
+// indices of a.VM and a.Host (-1 when unknown or unnamed). It checks that
+// the action makes sense in the loaded configuration (a migrated VM must be
+// active, the destination powered on, …), not candidate constraints: the
+// delta may oversubscribe a host, as the paper's search deliberately allows.
+// On success a's derived fields (Host, FromHost, CPUPct, DeltaCPUPct) are
+// filled in for cost accounting and *d is the change the action makes; on
+// refusal *d is untouched.
+func (v *View) stage(a *Action, vm, host int, d *Delta) refusal {
+	cat := v.cat
+	src := Dormant
+	if vm >= 0 {
+		src = int(v.VMHost[vm])
+	}
+	// placed is the VM's current placement; only read when src >= 0.
+	placed := func() Placement { return Placement{Host: cat.hostNames[src], CPUPct: v.VMCPU[vm]} }
+
+	switch a.Kind {
+	case ActionIncreaseCPU, ActionDecreaseCPU:
+		if src < 0 {
+			return refuseNotActive
+		}
+		if a.DeltaCPUPct <= 0 {
+			a.DeltaCPUPct = cat.CPUStepPct
+		}
+		p := placed()
+		next := p.CPUPct + a.DeltaCPUPct
+		if a.Kind == ActionDecreaseCPU {
+			next = p.CPUPct - a.DeltaCPUPct
+			if next < cat.MinCPUPct-1e-9 {
+				return refuseUnderMin
+			}
+		} else if next > cat.hostSpecs[src].UsableCPUPct+1e-9 {
+			return refuseOverHost
+		}
+		a.Host = p.Host
+		*d = Delta{VM: a.VM, OldPlaced: true, Old: p, NewPlaced: true, New: Placement{Host: p.Host, CPUPct: next}}
+		return feasible
+
+	case ActionAddReplica:
+		switch {
+		case vm < 0:
+			return refuseUnknownVM
+		case src >= 0:
+			return refuseAlreadyActive
+		case host < 0:
+			return refuseUnknownHost
+		case !v.HostOn[host]:
+			return refuseHostOff
+		}
+		if a.CPUPct <= 0 {
+			a.CPUPct = cat.MinCPUPct
+		}
+		*d = Delta{VM: a.VM, NewPlaced: true, New: Placement{Host: a.Host, CPUPct: a.CPUPct}}
+		return feasible
+
+	case ActionRemoveReplica:
+		switch {
+		case vm < 0:
+			return refuseUnknownVM
+		case src < 0:
+			return refuseNotActive
+		}
+		if t := cat.vmTier[vm]; cat.tierRequired[t] && v.TierActive[t] <= 1 {
+			return refuseLastReplica
+		}
+		p := placed()
+		a.FromHost = p.Host
+		*d = Delta{VM: a.VM, OldPlaced: true, Old: p}
+		return feasible
+
+	case ActionMigrate, ActionWANMigrate:
+		switch {
+		case src < 0:
+			return refuseNotActive
+		case host < 0:
+			return refuseUnknownHost
+		case host == src:
+			return refuseSameHost
+		case !v.HostOn[host]:
+			return refuseHostOff
+		}
+		sameZone := cat.hostSpecs[src].Zone == cat.hostSpecs[host].Zone
+		if a.Kind == ActionMigrate && !sameZone {
+			return refuseCrossZone
+		}
+		if a.Kind == ActionWANMigrate && sameZone {
+			return refuseSameZone
+		}
+		p := placed()
+		a.FromHost = p.Host
+		a.CPUPct = p.CPUPct
+		*d = Delta{VM: a.VM, OldPlaced: true, Old: p, NewPlaced: true, New: Placement{Host: a.Host, CPUPct: p.CPUPct}}
+		return feasible
+
+	case ActionStartHost:
+		switch {
+		case host < 0:
+			return refuseUnknownHost
+		case v.HostOn[host]:
+			return refuseAlreadyOn
+		}
+		*d = Delta{Host: a.Host, On: true}
+		return feasible
+
+	case ActionStopHost:
+		switch {
+		case host < 0:
+			return refuseUnknownHost
+		case !v.HostOn[host]:
+			return refuseAlreadyOff
+		case v.HostVMs[host] > 0:
+			return refuseHostBusy
+		}
+		*d = Delta{Host: a.Host, On: false}
+		return feasible
+
+	case ActionSetDVFS:
+		switch {
+		case host < 0:
+			return refuseUnknownHost
+		case !v.HostOn[host]:
+			return refuseHostOff
+		case !cat.hostSpecs[host].HasDVFSLevel(a.Freq):
+			return refuseNoLevel
+		case v.HostFreq[host] == a.Freq:
+			return refuseAtLevel
+		}
+		*d = Delta{FreqHost: a.Host, NewFreq: a.Freq}
+		return feasible
+
+	default:
+		return refuseUnknownKind
+	}
+}
+
+// refusalError renders why stage refused a, in Stage's historical wording.
+func (v *View) refusalError(why refusal, a Action, vm, host int) error {
+	cat := v.cat
+	switch why {
+	case refuseNotActive:
+		return fmt.Errorf("cluster: %s: VM %q not active", a.Kind, a.VM)
+	case refuseOverHost:
+		src := v.VMHost[vm]
+		return fmt.Errorf("cluster: increase-cpu: VM %q would exceed host usable capacity (%.1f+%.1f > %.1f)", a.VM, v.VMCPU[vm], a.DeltaCPUPct, cat.hostSpecs[src].UsableCPUPct)
+	case refuseUnderMin:
+		return fmt.Errorf("cluster: decrease-cpu: VM %q would fall below minimum (%.1f-%.1f < %.1f)", a.VM, v.VMCPU[vm], a.DeltaCPUPct, cat.MinCPUPct)
+	case refuseUnknownVM:
+		return fmt.Errorf("cluster: %s: unknown VM %q", a.Kind, a.VM)
+	case refuseAlreadyActive:
+		return fmt.Errorf("cluster: add-replica: VM %q already active", a.VM)
+	case refuseUnknownHost:
+		return fmt.Errorf("cluster: %s: unknown host %q", a.Kind, a.Host)
+	case refuseHostOff:
+		if a.Kind == ActionMigrate || a.Kind == ActionWANMigrate {
+			return fmt.Errorf("cluster: %s: destination host %q is off", a.Kind, a.Host)
+		}
+		return fmt.Errorf("cluster: %s: host %q is off", a.Kind, a.Host)
+	case refuseLastReplica:
+		k := cat.tiers[cat.vmTier[vm]]
+		return fmt.Errorf("cluster: remove-replica: VM %q is the last replica of required tier %s/%s", a.VM, k.App, k.Tier)
+	case refuseSameHost:
+		return fmt.Errorf("cluster: %s: VM %q already on host %q", a.Kind, a.VM, a.Host)
+	case refuseCrossZone:
+		return fmt.Errorf("cluster: migrate: %q and %q are in different zones; use wan-migrate", cat.hostNames[v.VMHost[vm]], a.Host)
+	case refuseSameZone:
+		return fmt.Errorf("cluster: wan-migrate: %q and %q share a zone; use migrate", cat.hostNames[v.VMHost[vm]], a.Host)
+	case refuseAlreadyOn:
+		return fmt.Errorf("cluster: start-host: host %q already on", a.Host)
+	case refuseAlreadyOff:
+		return fmt.Errorf("cluster: stop-host: host %q already off", a.Host)
+	case refuseHostBusy:
+		return fmt.Errorf("cluster: stop-host: host %q still has %d VMs", a.Host, v.HostVMs[host])
+	case refuseNoLevel:
+		return fmt.Errorf("cluster: set-dvfs: host %q has no level %v", a.Host, a.Freq)
+	case refuseAtLevel:
+		return fmt.Errorf("cluster: set-dvfs: host %q already at %v", a.Host, a.Freq)
+	default:
+		return fmt.Errorf("cluster: unknown action kind %d", int(a.Kind))
+	}
+}

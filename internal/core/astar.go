@@ -66,11 +66,13 @@ type SearchOptions struct {
 	// §IV-B describes; the margin bounds that tail for the naive search
 	// without affecting which plan wins by more than ε.
 	EpsilonMargin float64
-	// Workers bounds the goroutines evaluating an expansion's children
-	// concurrently (default min(GOMAXPROCS, 8); 1 reproduces the serial
-	// path exactly). Results are merged in enumeration order, so the plan,
-	// pruning, and self-aware accounting are identical at every setting —
-	// only wall-clock time changes. The simulated decision-making time
+	// Workers bounds the goroutines pre-solving the steady states of an
+	// expansion's surviving children (default min(GOMAXPROCS, 8); 1 solves
+	// each when it is popped). Children are staged and priced serially —
+	// one costs well under a microsecond, less than handing it to another
+	// goroutine — so the plan, pruning, and self-aware accounting are
+	// identical at every setting; only wall-clock time and the evaluator's
+	// hit/miss split change. The simulated decision-making time
 	// (TimePerChild per child) deliberately ignores Workers: it models the
 	// paper's single controller host.
 	Workers int
@@ -160,22 +162,37 @@ type SearchResult struct {
 	Prov *provenance.SearchDigest
 }
 
-// vertex is a node in the search graph. Its configuration shares unchanged
-// maps with its parent's (CloneShared + ApplyDelta), its identity is the
-// O(1) 128-bit fingerprint instead of a sorted key string, and its plan is
-// reconstructed on demand from the parent chain instead of being copied
-// into every child.
+// vertex is a node in the search graph. It carries how it was reached — its
+// parent, the staged action and the delta the action makes — and what the
+// frontier needs to rank and deduplicate it (fingerprint, priority, distance
+// to the ideal), but no configuration: cfg is built from the parent's when
+// the vertex is popped for expansion (materialize), which ≈ 1 in 25 frontier
+// vertices ever is. The plan is reconstructed on demand from the parent chain
+// instead of being copied into every child.
 type vertex struct {
-	cfg      cluster.Config
+	cfg      cluster.Config // zero until materialize
 	fp       cluster.Fingerprint
 	parent   *vertex        // expansion parent; nil at the root
 	act      cluster.Action // action that produced this vertex from parent
+	delta    cluster.Delta  // what act changes in parent's configuration
+	dist     float64        // distance to the ideal configuration
 	depth    int            // plan length (root: 0)
 	dur      time.Duration  // total duration of plan
 	accrued  float64        // utility accrued while executing plan, dollars
 	utility  float64        // priority: accrued + remaining-window bound
 	finished bool           // reached via the "null" action
-	index    int            // heap position
+}
+
+// materialize builds the vertex's configuration as a copy-on-write clone of
+// its parent's with the delta applied: only the map the delta touches is
+// copied. The parent was expanded before it could have children, so its
+// configuration exists, and expanded vertices are never recycled.
+func (v *vertex) materialize() {
+	if v.parent == nil {
+		return // the root was given its configuration
+	}
+	v.cfg = v.parent.cfg.CloneShared()
+	v.cfg.ApplyDelta(v.delta)
 }
 
 // planOf rebuilds the action sequence leading to v by walking the parent
@@ -192,14 +209,11 @@ func planOf(v *vertex) []cluster.Action {
 	return plan
 }
 
-// childDesc is a staged child during expansion: everything the dedup,
-// pruning, and priority logic needs, produced without cloning the parent
-// configuration. Only descriptors that survive dedup and pruning are
-// materialized into vertices.
-type childDesc struct {
-	ok      bool
-	act     cluster.Action
-	delta   cluster.Delta
+// child is one priced child of the vertex being expanded: what dedup,
+// pruning and the heap need to know about staged[at] before (and mostly
+// instead of) making it a vertex.
+type child struct {
+	at      int // index into the expansion's staged actions
 	fp      cluster.Fingerprint
 	dur     time.Duration
 	accrued float64
@@ -211,22 +225,35 @@ type vertexHeap []*vertex
 
 func (h vertexHeap) Len() int           { return len(h) }
 func (h vertexHeap) Less(i, j int) bool { return h[i].utility > h[j].utility }
-func (h vertexHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i]; h[i].index = i; h[j].index = j }
-func (h *vertexHeap) Push(x any)        { v := x.(*vertex); v.index = len(*h); *h = append(*h, v) }
+func (h vertexHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *vertexHeap) Push(x any)        { *h = append(*h, x.(*vertex)) }
 func (h *vertexHeap) Pop() any {
 	old := *h
 	n := len(old)
 	v := old[n-1]
 	old[n-1] = nil
-	v.index = -1
 	*h = old[:n-1]
 	return v
 }
 
-// Searcher runs adaptation searches against an evaluator.
+// Searcher runs adaptation searches against an evaluator, one at a time: the
+// expansion scratch below is reused across expansions and searches.
 type Searcher struct {
 	eval *Evaluator
 	opts SearchOptions
+
+	// Expansion scratch. price holds the dense view of the vertex being
+	// expanded — the generator, the candidate test, child pricing and the
+	// distance terms all read that one load — dist the ideal and the
+	// parent's distance terms, staged the generator's output and kids the
+	// children that fit the window; order and warm index and collect the
+	// survivors.
+	price  pricer
+	dist   distancer
+	staged []cluster.Staged
+	kids   []child
+	order  []int
+	warm   []*vertex
 
 	// vpool recycles search vertices across expansions and searches.
 	// Stale duplicates popped from the frontier were never expanded, so
@@ -273,6 +300,7 @@ func (s *Searcher) SetTrace(tc obs.TraceContext, name string) {
 // NewSearcher builds a searcher.
 func NewSearcher(eval *Evaluator, opts SearchOptions) *Searcher {
 	s := &Searcher{eval: eval, opts: opts.withDefaults()}
+	s.price.e = eval
 	s.vpool.New = func() any { return new(vertex) }
 	s.SetObserver(obs.Default())
 	return s
@@ -382,17 +410,27 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 	if st, err := s.eval.SteadyFP(cfg, rates, rfp); err == nil {
 		curRate = st.NetRate()
 	}
-	// dc folds the same distance as ConfigDistance, bit-for-bit, against
-	// per-search precomputed ideal state — and can measure a staged child
-	// through its Delta overlay before the child exists.
-	dc := newDistancer(s.eval.cat, ideal.Config)
-	rootDist := dc.distance(cfg, nil)
+	// The expansion reads the popped vertex through one dense view (see
+	// pricer): the workload, the ideal and the action space are resolved
+	// against the catalog once per search, so that nothing below the load
+	// of that view reads a string-keyed map.
+	price, dc := &s.price, &s.dist
+	view := &price.view
+	price.setRates(rates)
+	if err := dc.reset(s.eval.cat, ideal.Config); err != nil {
+		return SearchResult{}, err
+	}
+	moves := space.Resolve(s.eval.cat)
+	if !view.Load(s.eval.cat, cfg) {
+		return SearchResult{}, fmt.Errorf("core: configuration does not fit the catalog")
+	}
+	rootDist := dc.load(view)
 	var distWeight float64
 	if gain := (idealRate - curRate) * cwSec; gain > 0 && rootDist > 1e-9 {
 		distWeight = opts.ShapingFraction * gain / rootDist
 	}
 
-	root := &vertex{cfg: cfg, fp: cfg.Fingerprint()}
+	root := &vertex{cfg: cfg, fp: cfg.Fingerprint(), dist: rootDist}
 	root.utility = root.accrued + remaining(root.dur)*idealRate
 	if distWeight > 0 {
 		root.utility -= distWeight * rootDist
@@ -442,7 +480,7 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		if dig != nil {
 			res.Prov = dig.finalize(term, &res,
 				s.eval.PlanLedger(cfg, rates, cw, res.Plan),
-				harvestRejected(s.eval, open, bestByKey, v, cfg, ideal.Config, rates, cw))
+				harvestRejected(s.eval, open, bestByKey, v, cfg, rates, cw))
 		}
 		return res
 	}
@@ -461,16 +499,11 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		if dig != nil {
 			res.Prov = dig.finalize(term, &res,
 				s.eval.PlanLedger(cfg, rates, cw, nil),
-				harvestRejected(s.eval, open, bestByKey, nil, cfg, ideal.Config, rates, cw))
+				harvestRejected(s.eval, open, bestByKey, nil, cfg, rates, cw))
 		}
 		return res, nil
 	}
 
-	// Scratch reused across expansions so the steady-state loop allocates
-	// only for surviving children and heap growth.
-	var descs []childDesc
-	var pruneIdx []int
-	var warm []*vertex
 	var batchStart time.Duration // virtual start of the current trace batch
 
 	slack := opts.EpsilonMargin * (math.Abs(idealRate)*cwSec + 1e-9)
@@ -539,7 +572,7 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		}
 		if dig != nil {
 			dig.vertex(res.Expanded, vmax.depth, vmax.utility, vmax.accrued,
-				dc.distance(vmax.cfg, nil), open.Len())
+				vmax.dist, open.Len())
 		}
 		if dbg && res.Expanded%50 == 1 {
 			s.log.Debug("search pop",
@@ -547,35 +580,39 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 				"utility", vmax.utility,
 				"depth", vmax.depth,
 				"plan_dur", vmax.dur,
-				"distance", dc.distance(vmax.cfg, nil),
+				"distance", vmax.dist,
 				"accrued", vmax.accrued,
 				"frontier", open.Len())
 		}
 
+		vmax.materialize()
 		parentSteady, err := s.eval.SteadyFP(vmax.cfg, rates, rfp)
 		if err != nil {
 			return SearchResult{}, err
 		}
 
 		// Generate children: every feasible action plus "null" when the
-		// configuration is a candidate. Children are *staged*, not built:
-		// each worker validates its action (Stage), prices the transient
-		// (against the parent configuration), and derives the child's
-		// fingerprint, distance, and priority through the Delta overlay —
-		// no map is cloned. Workers fill per-action slots merged in
-		// enumeration order, so the frontier — and with it the plan,
-		// pruning, and self-aware accounting — is byte-identical at every
-		// Workers setting. Only children that survive dedup and pruning
-		// are materialized, as copy-on-write clones of the parent.
-		actions := cluster.Enumerate(s.eval.cat, vmax.cfg, space)
+		// configuration is a candidate. The popped configuration is loaded
+		// into the dense view once — the last map reads of this expansion —
+		// and everything per child reads arrays: the generator yields each
+		// feasible action already staged (filled Action + Delta), the
+		// transient is priced against the parent, and the child's distance
+		// is the parent's term vector re-folded with the one changed term.
+		// Nothing is built: a child is its parent plus a delta until it is
+		// popped.
+		if !price.setParent(vmax.cfg, parentSteady) {
+			return SearchResult{}, fmt.Errorf("core: configuration does not fit the catalog")
+		}
+		dc.load(view)
+		s.staged = view.Expand(&moves, s.staged[:0])
 		var finChild *vertex
-		if vmax.cfg.IsCandidate(s.eval.cat) {
+		if view.Candidate() {
 			finChild = s.getVertex()
 			*finChild = vertex{
-				cfg:      vmax.cfg,
 				fp:       vmax.fp,
 				parent:   vmax.parent,
 				act:      vmax.act,
+				dist:     vmax.dist,
 				depth:    vmax.depth,
 				dur:      vmax.dur,
 				accrued:  vmax.accrued,
@@ -583,62 +620,48 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 			}
 			finChild.utility = vmax.accrued + remaining(vmax.dur)*parentSteady.NetRate()
 		}
-		if cap(descs) < len(actions) {
-			descs = make([]childDesc, len(actions))
-		}
-		descs = descs[:len(actions)]
-		par.For(len(actions), opts.Workers, func(i int) {
-			descs[i] = childDesc{}
-			filled, delta, err := cluster.Stage(s.eval.cat, vmax.cfg, actions[i])
-			if err != nil {
-				return
-			}
-			ac := s.eval.Action(vmax.cfg, parentSteady, filled, rates)
+		kids := s.kids[:0]
+		for i := range s.staged {
+			st := &s.staged[i]
+			ac := price.cost(st.Act.Kind, int(st.VM), int(st.Host), -1)
 			// A plan must fit the control window: actions past its end
 			// would be charged against benefits the window cannot see —
 			// when the current configuration is bleeding, arbitrarily long
 			// plans would otherwise look free beyond the horizon.
 			if vmax.dur+ac.Duration > cw {
-				return
+				continue
 			}
-			d := &descs[i]
-			d.act = filled
-			d.delta = delta
-			d.fp = vmax.cfg.FingerprintWith(delta)
-			d.dur = vmax.dur + ac.Duration
-			d.accrued = vmax.accrued + ac.Duration.Seconds()*ac.Rate
-			d.dist = dc.distance(vmax.cfg, &d.delta)
-			d.utility = d.accrued + remaining(d.dur)*idealRate
+			k := child{
+				at:      i,
+				fp:      vmax.cfg.FingerprintWith(st.Delta),
+				dur:     vmax.dur + ac.Duration,
+				accrued: vmax.accrued + ac.Duration.Seconds()*ac.Rate,
+				dist:    dc.child(view, st),
+			}
+			k.utility = k.accrued + remaining(k.dur)*idealRate
 			if distWeight > 0 {
-				d.utility -= distWeight * d.dist
+				k.utility -= distWeight * k.dist
 			}
-			d.ok = true
-		})
-		nChildren := 0
+			kids = append(kids, k)
+		}
+		s.kids = kids
+		nChildren := len(kids)
 		if finChild != nil {
 			nChildren++
-		}
-		for i := range descs {
-			if descs[i].ok {
-				nChildren++
-			}
 		}
 		res.Generated += nChildren
 		s.hBatch.Observe(float64(nChildren))
 
-		// order lists the surviving children as descriptor indices (-1 is
+		// order lists the surviving children as indices into kids (-1 is
 		// the finished candidate), in the sequence they reach the heap:
-		// enumeration order normally, distance-sorted order after a prune —
-		// insertion order breaks heap ties, so it must match what inserting
-		// pruneByDistance's sorted output produced.
-		order := pruneIdx[:0]
+		// generation order normally, distance-sorted order after a prune —
+		// insertion order breaks heap ties.
+		order := s.order[:0]
 		if finChild != nil {
 			order = append(order, -1)
 		}
-		for i := range descs {
-			if descs[i].ok {
-				order = append(order, i)
-			}
+		for i := range kids {
+			order = append(order, i)
 		}
 
 		// Self-aware accounting: charge the time spent producing this
@@ -657,12 +680,12 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 			if keep < nChildren {
 				// Keep the fraction closest to the ideal: the finished
 				// candidate (distance -1) is never pruned, ties keep
-				// enumeration order (stable sort).
+				// generation order (stable sort).
 				distAt := func(i int) float64 {
 					if i < 0 {
 						return -1
 					}
-					return descs[i].dist
+					return kids[i].dist
 				}
 				sort.SliceStable(order, func(a, b int) bool { return distAt(order[a]) < distAt(order[b]) })
 				order = order[:keep]
@@ -680,9 +703,9 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 				dig.event(res.Expanded, provenance.EventWidthPrune, reason, before-nChildren, elapsed)
 			}
 		}
-		pruneIdx = order[:0]
+		s.order = order[:0]
 
-		warm = warm[:0]
+		warm := s.warm[:0]
 		for _, i := range order {
 			if i < 0 {
 				if bestCandidate == nil || finChild.utility > bestCandidate.utility {
@@ -691,126 +714,49 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 				heap.Push(open, finChild)
 				continue
 			}
-			d := &descs[i]
-			if prev, seen := bestByKey[d.fp]; seen && d.utility <= prev {
+			k := &kids[i]
+			if prev, seen := bestByKey[k.fp]; seen && k.utility <= prev {
 				continue
 			}
-			bestByKey[d.fp] = d.utility
-			// Materialize the survivor: a copy-on-write clone sharing the
-			// parent's maps, with only the map the delta touches copied.
-			// Done serially — the parent is frozen from here on.
-			ccfg := vmax.cfg.CloneShared()
-			ccfg.ApplyDelta(d.delta)
-			child := s.getVertex()
-			*child = vertex{
-				cfg:     ccfg,
-				fp:      d.fp,
-				parent:  vmax,
-				act:     d.act,
-				depth:   vmax.depth + 1,
-				dur:     d.dur,
-				accrued: d.accrued,
-				utility: d.utility,
-			}
-			heap.Push(open, child)
-			warm = append(warm, child)
+			bestByKey[k.fp] = k.utility
+			// Pooled vertices arrive zeroed; filling the fields in place
+			// spares a 300-byte temporary per survivor.
+			st := &s.staged[k.at]
+			v := s.getVertex()
+			v.fp = k.fp
+			v.parent = vmax
+			v.act = st.Act
+			v.delta = st.Delta
+			v.dist = k.dist
+			v.depth = vmax.depth + 1
+			v.dur = k.dur
+			v.accrued = k.accrued
+			v.utility = k.utility
+			heap.Push(open, v)
+			warm = append(warm, v)
 		}
 		if open.Len() > res.PeakFrontier {
 			res.PeakFrontier = open.Len()
 		}
 		// Pre-solve the steady states the coming expansions will look up,
 		// in parallel: the per-pop LQN solve is the search's serial
-		// bottleneck, and the memo cache turns these into hits. Results are
-		// pure and errors are dropped — a failing configuration fails
-		// identically when popped — so decisions do not depend on this
-		// (only wall-clock time and cache statistics do). Skipped at one
-		// worker, where it could only add work.
+		// bottleneck, and the memo cache turns these into hits. Each is
+		// solved through its delta over the parent, under the key the
+		// built child will have. Results are pure and errors are dropped —
+		// a failing configuration fails identically when popped — so
+		// decisions do not depend on this (only wall-clock time and cache
+		// statistics do). Skipped at one worker, where it could only add
+		// work.
 		if opts.Workers > 1 && len(warm) > 1 {
 			par.For(len(warm), opts.Workers, func(i int) {
-				_, _ = s.eval.SteadyFP(warm[i].cfg, rates, rfp)
+				_, _ = s.eval.steadyOver(vmax.cfg, &warm[i].delta, rates, rfp)
 			})
 		}
+		clear(warm) // do not pin vertices past the expansion
+		s.warm = warm[:0]
 	}
 
 	// Open set exhausted without a finished vertex (tiny action spaces):
 	// stay put.
 	return stayPut(provenance.TermExhausted)
-}
-
-// Distance weights: roughly proportional to the transient cost of the
-// action that repairs each kind of mismatch, so that the shaped cost-to-go
-// refunds structural progress (host power, placement) in proportion to what
-// reaching it costs, instead of letting cheap CPU plateaus dominate.
-const (
-	distHostWeight  = 1.5  // start/stop host per mismatched power state
-	distPlaceWeight = 1.0  // migration or replica add/remove per VM
-	distCPUWeight   = 0.02 // per 10% CPU-step gap, weighted by ideal size
-	distFreqWeight  = 0.02 // DVFS transitions are near-free
-)
-
-// ConfigDistance measures how far a configuration is from the ideal one,
-// following §IV-B: per-VM CPU differences weighted by the VM's relative
-// size in the ideal configuration, plus placement and host power-state
-// mismatch counts. It is used both to prune expansions in the Self-Aware
-// search and to shape the search's cost-to-go.
-func ConfigDistance(cfg, ideal cluster.Config) float64 {
-	idealVMs := ideal.ActiveVMs()
-	var totalIdeal float64
-	for _, id := range idealVMs {
-		p, _ := ideal.PlacementOf(id)
-		totalIdeal += p.CPUPct
-	}
-	var dist float64
-	seen := make(map[cluster.VMID]bool, len(idealVMs))
-	for _, id := range idealVMs {
-		ip, _ := ideal.PlacementOf(id)
-		seen[id] = true
-		p, active := cfg.PlacementOf(id)
-		if !active {
-			// Dormant here, active in the ideal: one replica addition.
-			dist += distPlaceWeight
-			continue
-		}
-		if p.Host != ip.Host {
-			// One migration.
-			dist += distPlaceWeight
-		}
-		// CPU gap in steps, weighted by relative ideal size (§IV-B's
-		// "2 times more weight to VMi than VMj" rule).
-		w := 1.0
-		if totalIdeal > 0 {
-			w = ip.CPUPct / totalIdeal * float64(len(idealVMs))
-		}
-		dist += distCPUWeight * w * math.Abs(p.CPUPct-ip.CPUPct) / 10
-	}
-	// Active here, dormant in the ideal: one replica removal.
-	for _, id := range cfg.ActiveVMs() {
-		if !seen[id] {
-			dist += distPlaceWeight
-		}
-	}
-	// Host power-state mismatches: one power-cycling action each. Without
-	// this term, starting a host toward the ideal would look like zero
-	// progress and the search could never justify it.
-	// Mismatches are counted first and folded in once: adding the two
-	// weights in map-iteration order would perturb the distance's last
-	// bits from run to run, and the search compares distances exactly.
-	union := make(map[string]bool)
-	for _, h := range cfg.ActiveHosts() {
-		union[h] = true
-	}
-	for _, h := range ideal.ActiveHosts() {
-		union[h] = true
-	}
-	var powerMismatch, freqMismatch int
-	for h := range union {
-		if cfg.HostOn(h) != ideal.HostOn(h) {
-			powerMismatch++
-		}
-		if cfg.HostFreq(h) != ideal.HostFreq(h) {
-			freqMismatch++
-		}
-	}
-	dist += float64(powerMismatch)*distHostWeight + float64(freqMismatch)*distFreqWeight
-	return dist
 }

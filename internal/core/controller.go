@@ -63,7 +63,7 @@ type ControllerOptions struct {
 	// pessimistic expected utility UH (default 3).
 	UtilityHistory int
 	// Workers bounds the controller's evaluation concurrency: the Perf-Pwr
-	// sweep arms and the search's per-expansion child evaluation (default
+	// sweep arms and the search's frontier prewarm (default
 	// min(GOMAXPROCS, 8); 1 reproduces the serial path). An explicit
 	// Search.Workers takes precedence for the search.
 	Workers int

@@ -257,6 +257,25 @@ func TestSearchNoopWhenIdealEqualsCurrent(t *testing.T) {
 	}
 }
 
+// TestSearchRejectsForeignConfig: the expansion reads configurations through
+// catalog-indexed arrays, so one naming a host the catalog does not know is
+// refused up front (the controller degrades to no adaptation) rather than
+// searched on the part that fits.
+func TestSearchRejectsForeignConfig(t *testing.T) {
+	e := newEnv(t, 4, 1)
+	w := rates(e, 40)
+	ideal, err := PerfPwr(e.eval, w, PerfPwrOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := e.cfg.Clone()
+	cfg.SetHostOn("ghost", true)
+	s := NewSearcher(e.eval, SearchOptions{})
+	if _, err := s.Search(cfg, w, 10*time.Minute, ideal, ExpectedUtility{}, cluster.ActionSpace{}); err == nil {
+		t.Error("search accepted a configuration outside the catalog")
+	}
+}
+
 func TestSearchPlanIsFeasibleAndBeatsDoingNothing(t *testing.T) {
 	e := newEnv(t, 4, 2)
 	w := rates(e, 10) // low load: consolidation should pay off
@@ -399,33 +418,6 @@ func TestSelfAwareSearchIsFasterThanNaive(t *testing.T) {
 	stay := cw.Seconds() * st.NetRate()
 	if aRes.Utility < stay-1e-9 || nRes.Utility < stay-1e-9 {
 		t.Errorf("utilities %v/%v below stay-put %v", aRes.Utility, nRes.Utility, stay)
-	}
-}
-
-func TestConfigDistance(t *testing.T) {
-	e := newEnv(t, 4, 1)
-	if d := ConfigDistance(e.cfg, e.cfg); d != 0 {
-		t.Errorf("self distance = %v, want 0", d)
-	}
-	other := e.cfg.Clone()
-	p, _ := other.PlacementOf("rubis1-web-0")
-	other.Place("rubis1-web-0", p.Host, p.CPUPct+20)
-	d1 := ConfigDistance(other, e.cfg)
-	if d1 <= 0 {
-		t.Errorf("CPU-changed distance = %v, want > 0", d1)
-	}
-	moved := e.cfg.Clone()
-	var dst string
-	for _, h := range moved.ActiveHosts() {
-		if h != p.Host {
-			dst = h
-			break
-		}
-	}
-	moved.Place("rubis1-web-0", dst, p.CPUPct)
-	d2 := ConfigDistance(moved, e.cfg)
-	if d2 <= 0 {
-		t.Errorf("moved distance = %v, want > 0", d2)
 	}
 }
 

@@ -1,95 +1,181 @@
 package core
 
 import (
+	"fmt"
 	"math"
 
 	"github.com/mistralcloud/mistral/internal/cluster"
 )
 
-// distancer evaluates ConfigDistance against one fixed ideal configuration
-// without allocating: the per-search constants (sorted ideal VM set, total
-// ideal CPU, membership index) are computed once, and each call folds over
-// the catalog's shared sorted slices plus an optional staged Delta overlay,
-// so a child's distance is available before the child is materialized.
+// Distance weights: roughly proportional to the transient cost of the
+// action that repairs each kind of mismatch, so that the shaped cost-to-go
+// refunds structural progress (host power, placement) in proportion to what
+// reaching it costs, instead of letting cheap CPU plateaus dominate.
+const (
+	distHostWeight  = 1.5  // start/stop host per mismatched power state
+	distPlaceWeight = 1.0  // migration or replica add/remove per VM
+	distCPUWeight   = 0.02 // per 10% CPU-step gap, weighted by ideal size
+	distFreqWeight  = 0.02 // DVFS transitions are near-free
+)
+
+// distancer measures how far configurations are from one fixed ideal
+// configuration, following §IV-B: per-VM CPU differences weighted by the
+// VM's relative size in the ideal configuration, plus placement and host
+// power-state mismatch counts. The search uses the distance both to prune
+// expansions (Self-Aware) and to shape its cost-to-go.
 //
-// The fold order is deliberately identical to ConfigDistance — same terms
-// added in the same sequence — so distances (which the search compares
-// exactly) are bit-identical to the public function. TestDistancerMatches
-// enforces this.
+// The distance is a floating-point fold the search compares exactly (the
+// prune sort, the heap), so its order is fixed: for every VM active in the
+// ideal, in catalog order, a placement term then a CPU term; for every other
+// VM a placement term; then the host power and frequency mismatch counts,
+// weighted, in one addition. load computes one parent's terms from its view;
+// child re-folds them with the one VM's or host's terms an action changes
+// replaced. A term that does not apply is +0.0, which leaves a non-negative
+// running sum bit-identical, so every distance equals the reference fold over
+// the built configuration (ConfigDistance in distance_test.go) to the bit.
 type distancer struct {
-	cat        *cluster.Catalog
-	ideal      cluster.Config
-	idealVMs   []cluster.VMID
-	idealIn    map[cluster.VMID]bool
-	totalIdeal float64
+	// ideal is the ideal configuration; cpuWeight holds, per catalog VM
+	// active in it, distCPUWeight times the VM's relative size there.
+	ideal     cluster.View
+	cpuWeight []float64
+	// Fold order: catalog indices of the VMs active in the ideal, then of
+	// the rest.
+	idealVMs, otherVMs []int32
+
+	// The loaded parent: its terms per catalog VM and mismatch counts.
+	place, cpu  []float64
+	power, freq int
 }
 
-func newDistancer(cat *cluster.Catalog, ideal cluster.Config) *distancer {
-	d := &distancer{
-		cat:      cat,
-		ideal:    ideal,
-		idealVMs: ideal.ActiveVMs(),
+// reset points the distancer at a new ideal configuration.
+func (d *distancer) reset(cat *cluster.Catalog, ideal cluster.Config) error {
+	iv := &d.ideal
+	if !iv.Load(cat, ideal) {
+		return fmt.Errorf("core: ideal configuration does not fit the catalog")
 	}
-	d.idealIn = make(map[cluster.VMID]bool, len(d.idealVMs))
-	for _, id := range d.idealVMs {
-		p, _ := ideal.PlacementOf(id)
-		d.totalIdeal += p.CPUPct
-		d.idealIn[id] = true
+	n := len(iv.VMHost)
+	d.cpuWeight = sized(d.cpuWeight, n)
+	d.place = sized(d.place, n)
+	d.cpu = sized(d.cpu, n)
+	d.idealVMs, d.otherVMs = d.idealVMs[:0], d.otherVMs[:0]
+	var totalIdeal float64
+	for i, h := range iv.VMHost {
+		if h >= 0 {
+			d.idealVMs = append(d.idealVMs, int32(i))
+			totalIdeal += iv.VMCPU[i]
+		} else {
+			d.otherVMs = append(d.otherVMs, int32(i))
+		}
 	}
-	return d
-}
-
-// distance is ConfigDistance(cfg+delta, ideal); pass a nil delta to measure
-// cfg itself.
-func (dc *distancer) distance(cfg cluster.Config, delta *cluster.Delta) float64 {
-	var dist float64
-	for _, id := range dc.idealVMs {
-		ip, _ := dc.ideal.PlacementOf(id)
-		p, active := cfg.PlacementOver(delta, id)
-		if !active {
-			dist += distPlaceWeight
-			continue
-		}
-		if p.Host != ip.Host {
-			dist += distPlaceWeight
-		}
+	for _, i := range d.idealVMs {
+		// Relative ideal size (§IV-B's "2 times more weight to VMi than
+		// VMj" rule).
 		w := 1.0
-		if dc.totalIdeal > 0 {
-			w = ip.CPUPct / dc.totalIdeal * float64(len(dc.idealVMs))
+		if totalIdeal > 0 {
+			w = iv.VMCPU[i] / totalIdeal * float64(len(d.idealVMs))
 		}
-		dist += distCPUWeight * w * math.Abs(p.CPUPct-ip.CPUPct) / 10
+		d.cpuWeight[i] = distCPUWeight * w
 	}
-	// VMs active here but dormant in the ideal. ConfigDistance walks the
-	// configuration's sorted active set; walking the catalog's sorted VM
-	// universe and filtering visits the same VMs in the same order (every
-	// placeable VM is cataloged), adding the same constant each time.
-	for _, id := range dc.cat.VMIDs() {
-		if dc.idealIn[id] {
+	return nil
+}
+
+// vmTerms returns the placement and CPU terms of the i-th catalog VM when it
+// sits on host (cluster.Dormant: not placed) with the given allocation.
+func (d *distancer) vmTerms(i int, host int32, cpu float64) (place, cpuTerm float64) {
+	idealHost := d.ideal.VMHost[i]
+	switch {
+	case idealHost < 0:
+		if host >= 0 {
+			place = distPlaceWeight // active here, dormant in the ideal: one removal
+		}
+		return place, 0
+	case host < 0:
+		return distPlaceWeight, 0 // dormant here, active in the ideal: one addition
+	}
+	if host != idealHost {
+		place = distPlaceWeight // one migration
+	}
+	return place, d.cpuWeight[i] * math.Abs(cpu-d.ideal.VMCPU[i]) / 10
+}
+
+// hostTerms returns a host's power and frequency mismatches (0 or 1 each).
+// Hosts off on both sides count for nothing, whatever DVFS level they
+// remember.
+func (d *distancer) hostTerms(h int, on bool, freq float64) (power, frequency int) {
+	ion := d.ideal.HostOn[h]
+	if !on && !ion {
+		return 0, 0
+	}
+	if on != ion {
+		power = 1
+	}
+	if freq != d.ideal.HostFreq[h] {
+		frequency = 1
+	}
+	return power, frequency
+}
+
+// fold sums the loaded terms in the fixed order, with VM k's terms (k < 0:
+// none) and the mismatch counts replaced by the arguments.
+func (d *distancer) fold(k int32, place, cpu float64, power, freq int) float64 {
+	var dist float64
+	for _, i := range d.idealVMs {
+		if i == k {
+			dist += place
+			dist += cpu
 			continue
 		}
-		if _, active := cfg.PlacementOver(delta, id); active {
-			dist += distPlaceWeight
-		}
+		dist += d.place[i]
+		dist += d.cpu[i]
 	}
-	// Host power/frequency mismatches are integer counts folded in once, so
-	// only membership in the active union matters, not visit order.
-	// ConfigDistance unions the two active host sets; restricting the
-	// catalog walk to hosts active on either side reproduces it (an off-off
-	// host with a leftover DVFS entry is skipped there too).
-	var powerMismatch, freqMismatch int
-	for _, h := range dc.cat.HostNames() {
-		on := cfg.HostOnOver(delta, h)
-		ion := dc.ideal.HostOn(h)
-		if !on && !ion {
+	for _, i := range d.otherVMs {
+		if i == k {
+			dist += place
 			continue
 		}
-		if on != ion {
-			powerMismatch++
-		}
-		if cfg.HostFreqOver(delta, h) != dc.ideal.HostFreq(h) {
-			freqMismatch++
-		}
+		dist += d.place[i]
 	}
-	dist += float64(powerMismatch)*distHostWeight + float64(freqMismatch)*distFreqWeight
-	return dist
+	// Mismatches are integer counts folded in once: without the power term,
+	// starting a host toward the ideal would look like zero progress and the
+	// search could never justify it.
+	return dist + (float64(power)*distHostWeight + float64(freq)*distFreqWeight)
+}
+
+// load takes v as the parent configuration and returns its distance.
+func (d *distancer) load(v *cluster.View) float64 {
+	for i, h := range v.VMHost {
+		d.place[i], d.cpu[i] = d.vmTerms(i, h, v.VMCPU[i])
+	}
+	d.power, d.freq = 0, 0
+	for h, on := range v.HostOn {
+		p, f := d.hostTerms(h, on, v.HostFreq[h])
+		d.power += p
+		d.freq += f
+	}
+	return d.fold(-1, 0, 0, d.power, d.freq)
+}
+
+// child returns the distance of the loaded parent after the staged action:
+// the parent's fold with the one VM's terms, or the one host's mismatches,
+// that the action changes recomputed.
+func (d *distancer) child(v *cluster.View, s *cluster.Staged) float64 {
+	if s.VM >= 0 {
+		host := int32(cluster.Dormant)
+		if s.Delta.NewPlaced {
+			host = s.Host
+		}
+		place, cpu := d.vmTerms(int(s.VM), host, s.Delta.New.CPUPct)
+		return d.fold(s.VM, place, cpu, d.power, d.freq)
+	}
+	h := int(s.Host)
+	on, freq := v.HostOn[h], v.HostFreq[h]
+	oldPower, oldFreq := d.hostTerms(h, on, freq)
+	if s.Delta.Host != "" {
+		on = s.Delta.On
+	}
+	if s.Delta.FreqHost != "" {
+		freq = s.Delta.NewFreq
+	}
+	newPower, newFreq := d.hostTerms(h, on, freq)
+	return d.fold(-1, 0, 0, d.power-oldPower+newPower, d.freq-oldFreq+newFreq)
 }

@@ -1,56 +1,102 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"github.com/mistralcloud/mistral/internal/cluster"
-	"github.com/mistralcloud/mistral/internal/sim"
 )
 
-// TestDistancerMatches pins the contract the search relies on: the
-// precomputed distancer folds the exact floating-point result of
-// ConfigDistance — bit-for-bit, not approximately — both when measuring a
-// configuration directly and when measuring a staged child through its
-// Delta overlay.
-func TestDistancerMatches(t *testing.T) {
-	cat := newEnv(t, 4, 2).cat
-	rng := sim.NewRNG(13, 0)
-	for trial := 0; trial < 40; trial++ {
-		ideal, ok := randomCandidate(cat, rng)
-		if !ok {
+// ConfigDistance is the reference the distancer is held to: §IV-B's distance
+// between two built configurations, folded through their maps the way the
+// search did before it measured children from a term vector — per-VM CPU
+// differences weighted by the VM's relative size in the ideal configuration,
+// plus placement and host power-state mismatch counts.
+func ConfigDistance(cfg, ideal cluster.Config) float64 {
+	idealVMs := ideal.ActiveVMs()
+	var totalIdeal float64
+	for _, id := range idealVMs {
+		p, _ := ideal.PlacementOf(id)
+		totalIdeal += p.CPUPct
+	}
+	var dist float64
+	seen := make(map[cluster.VMID]bool, len(idealVMs))
+	for _, id := range idealVMs {
+		ip, _ := ideal.PlacementOf(id)
+		seen[id] = true
+		p, active := cfg.PlacementOf(id)
+		if !active {
+			// Dormant here, active in the ideal: one replica addition.
+			dist += distPlaceWeight
 			continue
 		}
-		cfg, ok := randomCandidate(cat, rng)
-		if !ok {
-			continue
+		if p.Host != ip.Host {
+			// One migration.
+			dist += distPlaceWeight
 		}
-		// Leave a stale DVFS entry on an off host: ConfigDistance skips
-		// hosts off in both configurations even when hostFreq remembers
-		// them, and the distancer must too.
-		for _, h := range cat.HostNames() {
-			if !cfg.HostOn(h) && !ideal.HostOn(h) {
-				cfg.SetHostFreq(h, 0.867)
-				break
-			}
+		// CPU gap in steps, weighted by relative ideal size (§IV-B's
+		// "2 times more weight to VMi than VMj" rule).
+		w := 1.0
+		if totalIdeal > 0 {
+			w = ip.CPUPct / totalIdeal * float64(len(idealVMs))
 		}
-		dc := newDistancer(cat, ideal)
-		if got, want := dc.distance(cfg, nil), ConfigDistance(cfg, ideal); got != want {
-			t.Fatalf("trial %d: distancer %.17g != ConfigDistance %.17g", trial, got, want)
+		dist += distCPUWeight * w * math.Abs(p.CPUPct-ip.CPUPct) / 10
+	}
+	// Active here, dormant in the ideal: one replica removal.
+	for _, id := range cfg.ActiveVMs() {
+		if !seen[id] {
+			dist += distPlaceWeight
 		}
-		for _, a := range cluster.Enumerate(cat, cfg, cluster.ActionSpace{}) {
-			filled, delta, err := cluster.Stage(cat, cfg, a)
-			if err != nil {
-				t.Fatalf("trial %d: stage %s: %v", trial, a, err)
-			}
-			next, _, err := cluster.Apply(cat, cfg, a)
-			if err != nil {
-				t.Fatalf("trial %d: apply %s: %v", trial, a, err)
-			}
-			got := dc.distance(cfg, &delta)
-			want := ConfigDistance(next, ideal)
-			if got != want {
-				t.Fatalf("trial %d action %s: overlay distance %.17g != materialized %.17g", trial, filled, got, want)
-			}
+	}
+	// Host power-state mismatches: one power-cycling action each. Without
+	// this term, starting a host toward the ideal would look like zero
+	// progress and the search could never justify it.
+	// Mismatches are counted first and folded in once: adding the two
+	// weights in map-iteration order would perturb the distance's last
+	// bits from run to run, and the search compares distances exactly.
+	union := make(map[string]bool)
+	for _, h := range cfg.ActiveHosts() {
+		union[h] = true
+	}
+	for _, h := range ideal.ActiveHosts() {
+		union[h] = true
+	}
+	var powerMismatch, freqMismatch int
+	for h := range union {
+		if cfg.HostOn(h) != ideal.HostOn(h) {
+			powerMismatch++
 		}
+		if cfg.HostFreq(h) != ideal.HostFreq(h) {
+			freqMismatch++
+		}
+	}
+	dist += float64(powerMismatch)*distHostWeight + float64(freqMismatch)*distFreqWeight
+	return dist
+}
+
+func TestConfigDistance(t *testing.T) {
+	e := newEnv(t, 4, 1)
+	if d := ConfigDistance(e.cfg, e.cfg); d != 0 {
+		t.Errorf("self distance = %v, want 0", d)
+	}
+	other := e.cfg.Clone()
+	p, _ := other.PlacementOf("rubis1-web-0")
+	other.Place("rubis1-web-0", p.Host, p.CPUPct+20)
+	d1 := ConfigDistance(other, e.cfg)
+	if d1 <= 0 {
+		t.Errorf("CPU-changed distance = %v, want > 0", d1)
+	}
+	moved := e.cfg.Clone()
+	var dst string
+	for _, h := range moved.ActiveHosts() {
+		if h != p.Host {
+			dst = h
+			break
+		}
+	}
+	moved.Place("rubis1-web-0", dst, p.CPUPct)
+	d2 := ConfigDistance(moved, e.cfg)
+	if d2 <= 0 {
+		t.Errorf("moved distance = %v, want > 0", d2)
 	}
 }

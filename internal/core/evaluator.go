@@ -116,8 +116,11 @@ type Evaluator struct {
 	appNames []string
 	// utilNames is the sorted application universe of the utility params:
 	// the fold order PerfRateAll uses. Cached here so the hot paths can sum
-	// Eq. 1 in the identical order without the per-call sort.
+	// Eq. 1 in the identical order without the per-call sort. utilApp maps
+	// each to its position in the catalog's Apps (-1 for an application
+	// with no VMs), where the cost manager's dense deltas are indexed.
 	utilNames []string
+	utilApp   []int
 
 	shards    [cacheShards]evalShard
 	gen       atomic.Uint64
@@ -125,8 +128,8 @@ type Evaluator struct {
 	evals     atomic.Int64
 	dedups    atomic.Int64
 
-	// actScratch pools the per-call response-time delta maps of Action so
-	// the search's per-child transient evaluation allocates nothing.
+	// actScratch pools the pricers Action loads per call; the search prices
+	// its children through one of its own.
 	actScratch sync.Pool
 
 	// Observability sinks, resolved at construction (see obs.SetDefault)
@@ -167,7 +170,15 @@ func NewEvaluator(cat *cluster.Catalog, model *lqn.Model, util *utility.Params, 
 		appNames:  model.AppNames(),
 		utilNames: utilNames,
 	}
-	e.actScratch.New = func() any { return make(map[string]float64, len(utilNames)) }
+	catApps := cat.Apps()
+	e.utilApp = make([]int, len(utilNames))
+	for i, name := range utilNames {
+		e.utilApp[i] = -1
+		if j := sort.SearchStrings(catApps, name); j < len(catApps) && catApps[j] == name {
+			e.utilApp[i] = j
+		}
+	}
+	e.actScratch.New = func() any { return &pricer{e: e} }
 	for i := range e.shards {
 		e.shards[i].entries = make(map[steadyKey]*cacheEntry)
 	}
@@ -557,27 +568,18 @@ type ActionCost struct {
 
 // Action evaluates the transient cost of executing a from cfg, whose steady
 // state is base (pass the memoized Steady of cfg). Safe for concurrent use:
-// the cost tables and utility parameters are read-only, and the
-// response-time scratch map is pooled per call. The Eq. 1 fold visits the
-// same applications with the same values in the same order as building the
-// degraded rt map and summing it would, so the rate is bit-identical to
-// the allocating formulation it replaced.
+// the cost tables and utility parameters are read-only, and the pricer it
+// loads is pooled per call. Code that costs many actions from one
+// configuration — the search — loads a pricer once instead.
 func (e *Evaluator) Action(cfg cluster.Config, base Steady, a cluster.Action, rates map[string]float64) ActionCost {
-	deltaRT := e.actScratch.Get().(map[string]float64)
-	dur, deltaWatts := e.costs.PredictInto(cfg, a, rates, deltaRT)
-	var perf float64
-	for _, name := range e.utilNames {
-		// The degraded rt map had keys only for applications the model
-		// evaluated: others read as zero even when a delta exists.
-		rt, ok := base.RTSec[name]
-		if ok {
-			rt += deltaRT[name]
-		}
-		perf += e.util.PerfRate(name, rates[name], rt)
-	}
-	rate := perf + e.util.PowerRate(base.Watts+deltaWatts)
-	e.actScratch.Put(deltaRT)
-	return ActionCost{Duration: dur, Rate: rate}
+	p := e.actScratch.Get().(*pricer)
+	defer e.actScratch.Put(p)
+	p.setRates(rates)
+	// A configuration that does not fit the catalog is priced on the part
+	// that does, as cost.PredictInto does.
+	p.setParent(cfg, base)
+	vm, host, from := e.cat.ActionIndices(a)
+	return p.cost(a.Kind, vm, host, from)
 }
 
 // Model exposes the LQN model (used by scenario assembly).

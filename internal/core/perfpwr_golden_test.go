@@ -126,17 +126,24 @@ func TestPerfPwrGolden(t *testing.T) {
 			}
 			for _, workers := range []int{1, 4} {
 				got := perfPwrGolden(t, lab.opts, workers)
-				if bytes.Equal(got, want) {
-					continue
-				}
-				gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
-				for i := 0; i < len(gl) && i < len(wl); i++ {
-					if !bytes.Equal(gl[i], wl[i]) {
-						t.Fatalf("workers=%d: line %d differs\n got: %s\nwant: %s", workers, i+1, gl[i], wl[i])
-					}
-				}
-				t.Fatalf("workers=%d: %d lines, golden has %d", workers, len(gl), len(wl))
+				requireGolden(t, fmt.Sprintf("workers=%d", workers), got, want)
 			}
 		})
 	}
+}
+
+// requireGolden fails the test at the first line where got departs from the
+// golden file's contents.
+func requireGolden(t *testing.T, what string, got, want []byte) {
+	t.Helper()
+	if bytes.Equal(got, want) {
+		return
+	}
+	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(want, []byte("\n"))
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if !bytes.Equal(gl[i], wl[i]) {
+			t.Fatalf("%s: line %d differs\n got: %s\nwant: %s", what, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s: %d lines, golden has %d", what, len(gl), len(wl))
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sort"
 	"time"
 
 	"github.com/mistralcloud/mistral/internal/cluster"
@@ -82,21 +81,49 @@ func (b *digestBuilder) finalize(term string, res *SearchResult, chosen provenan
 	return &b.d
 }
 
+// rejectedCand is one open vertex competing for a place among the rejected
+// alternatives. Its plan string — one fmt.Sprintf per action — is rendered
+// only if the ranking ever needs it.
+type rejectedCand struct {
+	v    *vertex
+	plan string
+	drew bool
+}
+
+func (c *rejectedCand) planString() string {
+	if !c.drew {
+		c.plan, c.drew = cluster.PlanString(planOf(c.v)), true
+	}
+	return c.plan
+}
+
+// before reports whether c ranks strictly ahead of o: priority descending,
+// then depth ascending, then plan string ascending. Ties on utility and
+// depth are common — interchangeable hosts give equal utilities — and are
+// the only case that renders plan strings.
+func (c *rejectedCand) before(o *rejectedCand) bool {
+	if c.v.utility != o.v.utility {
+		return c.v.utility > o.v.utility
+	}
+	if c.v.depth != o.v.depth {
+		return c.v.depth < o.v.depth
+	}
+	return c.planString() < o.planString()
+}
+
 // harvestRejected digests the best alternatives still open when the search
 // committed: the plans it would have explored next. chosen is excluded,
 // stale duplicates (superseded by a better path to the same configuration)
-// are skipped, and the survivors are ordered best-first with a
-// deterministic tie-break (priority desc, depth asc, plan string asc) so
-// records are byte-identical at every Workers setting — the heap's
-// internal slice order for equal priorities is not guaranteed stable
-// across runs.
-func harvestRejected(e *Evaluator, open *vertexHeap, bestByKey map[cluster.Fingerprint]float64, chosen *vertex, root, ideal cluster.Config, rates map[string]float64, cw time.Duration) []provenance.Alternative {
-	type cand struct {
-		v       *vertex
-		actions []cluster.Action
-		plan    string
-	}
-	var cands []cand
+// are skipped, and the survivors are ranked best-first with a
+// deterministic tie-break (priority desc, depth asc, plan string asc, then
+// frontier order) so records are byte-identical at every Workers setting —
+// the heap's internal slice order for equal priorities is not guaranteed
+// stable across runs. The frontier holds thousands of vertices and only
+// provMaxRejected are kept, so one pass inserts each into a sorted top list
+// instead of rendering and sorting them all.
+func harvestRejected(e *Evaluator, open *vertexHeap, bestByKey map[cluster.Fingerprint]float64, chosen *vertex, root cluster.Config, rates map[string]float64, cw time.Duration) []provenance.Alternative {
+	var top [provMaxRejected]rejectedCand
+	n := 0
 	for _, v := range *open {
 		if v == chosen {
 			continue
@@ -104,32 +131,32 @@ func harvestRejected(e *Evaluator, open *vertexHeap, bestByKey map[cluster.Finge
 		if !v.finished && v.utility < bestByKey[v.fp]-1e-12 {
 			continue // stale duplicate; a better path to this config exists
 		}
-		actions := planOf(v)
-		cands = append(cands, cand{v: v, actions: actions, plan: cluster.PlanString(actions)})
-	}
-	sort.SliceStable(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
-		if a.v.utility != b.v.utility {
-			return a.v.utility > b.v.utility
+		c := rejectedCand{v: v}
+		// A vertex that ties a kept one on everything stays behind it:
+		// frontier order is the last key.
+		at := n
+		for at > 0 && c.before(&top[at-1]) {
+			at--
 		}
-		if a.v.depth != b.v.depth {
-			return a.v.depth < b.v.depth
+		if at == provMaxRejected {
+			continue
 		}
-		return a.plan < b.plan
-	})
-	if len(cands) > provMaxRejected {
-		cands = cands[:provMaxRejected]
+		if n < provMaxRejected {
+			n++
+		}
+		copy(top[at+1:n], top[at:n-1])
+		top[at] = c
 	}
-	out := make([]provenance.Alternative, 0, len(cands))
-	for _, c := range cands {
+	out := make([]provenance.Alternative, 0, n)
+	for _, c := range top[:n] {
 		out = append(out, provenance.Alternative{
 			Depth:    c.v.depth,
 			F:        c.v.utility,
 			G:        c.v.accrued,
 			H:        c.v.utility - c.v.accrued,
-			Distance: ConfigDistance(c.v.cfg, ideal),
+			Distance: c.v.dist,
 			Complete: c.v.finished,
-			Ledger:   e.PlanLedger(root, rates, cw, c.actions),
+			Ledger:   e.PlanLedger(root, rates, cw, planOf(c.v)),
 		})
 	}
 	return out

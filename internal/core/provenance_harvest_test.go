@@ -1,0 +1,154 @@
+package core
+
+import (
+	"math/rand/v2"
+	"reflect"
+	"sort"
+	"testing"
+	"time"
+
+	"github.com/mistralcloud/mistral/internal/cluster"
+	"github.com/mistralcloud/mistral/internal/provenance"
+)
+
+// referenceHarvest is harvestRejected as it was: render every live open
+// vertex's plan string, stable-sort them all, keep the head.
+func referenceHarvest(e *Evaluator, open *vertexHeap, bestByKey map[cluster.Fingerprint]float64, chosen *vertex, root cluster.Config, rates map[string]float64, cw time.Duration) []provenance.Alternative {
+	type cand struct {
+		v       *vertex
+		actions []cluster.Action
+		plan    string
+	}
+	var cands []cand
+	for _, v := range *open {
+		if v == chosen {
+			continue
+		}
+		if !v.finished && v.utility < bestByKey[v.fp]-1e-12 {
+			continue
+		}
+		actions := planOf(v)
+		cands = append(cands, cand{v: v, actions: actions, plan: cluster.PlanString(actions)})
+	}
+	sort.SliceStable(cands, func(i, j int) bool {
+		a, b := cands[i], cands[j]
+		if a.v.utility != b.v.utility {
+			return a.v.utility > b.v.utility
+		}
+		if a.v.depth != b.v.depth {
+			return a.v.depth < b.v.depth
+		}
+		return a.plan < b.plan
+	})
+	if len(cands) > provMaxRejected {
+		cands = cands[:provMaxRejected]
+	}
+	out := make([]provenance.Alternative, 0, len(cands))
+	for _, c := range cands {
+		out = append(out, provenance.Alternative{
+			Depth:    c.v.depth,
+			F:        c.v.utility,
+			G:        c.v.accrued,
+			H:        c.v.utility - c.v.accrued,
+			Distance: c.v.dist,
+			Complete: c.v.finished,
+			Ledger:   e.PlanLedger(root, rates, cw, c.actions),
+		})
+	}
+	return out
+}
+
+// TestHarvestRejectedMatchesReference compares the one-pass top-3 selection
+// with the collect-render-sort it replaced on 240 frontiers grown by real
+// expansions from the default configuration: feasible plans up to five
+// actions deep, frontiers from empty to a few hundred vertices in shuffled
+// (heap-like, arbitrary) order, stale duplicates, finished candidates, a
+// chosen vertex on or off the frontier. A third of the frontiers draw their
+// priorities from three values only, so utility ties, depth ties and —
+// through siblings duplicated on the frontier — equal plan strings decide
+// most ranks there, down to frontier order. (The search goldens pin the
+// Rejected lists of real searches through their digests.)
+func TestHarvestRejectedMatchesReference(t *testing.T) {
+	e := newEnv(t, 4, 2)
+	w := rates(e, 40)
+	cw := time.Hour
+	moves := cluster.ActionSpace{}.Resolve(e.cat)
+	rng := rand.New(rand.NewPCG(3, 11))
+	var view cluster.View
+	var staged []cluster.Staged
+	ties, rendered := 0, 0
+	for frontier := 0; frontier < 240; frontier++ {
+		tieHeavy := frontier%3 == 0
+		size := rng.IntN(300)
+		if frontier < 4 {
+			size = frontier // empty and below the cap
+		}
+		root := &vertex{cfg: e.cfg, fp: e.cfg.Fingerprint()}
+		nodes := []*vertex{root}
+		var open vertexHeap
+		bestByKey := make(map[cluster.Fingerprint]float64)
+		for len(open) < size {
+			parent := nodes[rng.IntN(len(nodes))]
+			if parent.depth >= 5 {
+				continue
+			}
+			if !view.Load(e.cat, parent.cfg) {
+				t.Fatal("tree configuration does not fit the catalog")
+			}
+			staged = view.Expand(&moves, staged[:0])
+			// A handful of siblings per pick: interchangeable hosts make
+			// their plans differ in one host name only.
+			for n := 1 + rng.IntN(4); n > 0 && len(open) < size; n-- {
+				st := staged[rng.IntN(len(staged))]
+				v := &vertex{
+					fp: parent.cfg.FingerprintWith(st.Delta), parent: parent, act: st.Act, delta: st.Delta,
+					depth: parent.depth + 1, accrued: -rng.Float64(), dist: 10 * rng.Float64(),
+					finished: rng.IntN(10) == 0,
+				}
+				v.utility = 100 * rng.Float64()
+				if tieHeavy {
+					v.utility = float64(1 + rng.IntN(3))
+				}
+				v.materialize()
+				nodes = append(nodes, v)
+				open = append(open, v)
+				if tieHeavy && rng.IntN(3) == 0 && len(open) < size {
+					dup := *v // the same plan reached twice
+					open = append(open, &dup)
+				}
+				switch prev, seen := bestByKey[v.fp]; {
+				case rng.IntN(5) == 0:
+					bestByKey[v.fp] = v.utility + 1 // superseded: stale
+				case !seen || v.utility > prev:
+					bestByKey[v.fp] = v.utility
+				}
+			}
+		}
+		rng.Shuffle(len(open), func(i, j int) { open[i], open[j] = open[j], open[i] })
+		var chosen *vertex
+		switch {
+		case len(open) > 0 && rng.IntN(3) > 0:
+			chosen = open[rng.IntN(len(open))]
+		case rng.IntN(2) == 0:
+			chosen = nodes[rng.IntN(len(nodes))]
+		}
+		want := referenceHarvest(e.eval, &open, bestByKey, chosen, e.cfg, w, cw)
+		got := harvestRejected(e.eval, &open, bestByKey, chosen, e.cfg, w, cw)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("frontier %d (%d open): rejected lists differ\n got %+v\nwant %+v", frontier, len(open), got, want)
+		}
+		for i := 1; i < len(want); i++ {
+			if want[i].F == want[i-1].F && want[i].Depth == want[i-1].Depth {
+				ties++
+			}
+		}
+		for _, alt := range want {
+			if alt.Ledger.Error == "" && len(alt.Ledger.Actions) > 0 {
+				rendered++
+			}
+		}
+	}
+	if ties < 40 || rendered < 200 {
+		t.Fatalf("fixture too weak: %d tie-decided ranks, %d replayed ledgers", ties, rendered)
+	}
+}

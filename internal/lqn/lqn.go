@@ -81,7 +81,7 @@ func (o Options) withDefaults() Options {
 // aggregations) in a pooled per-call scratch, so any number of goroutines
 // may call them concurrently on one Model with distinct or identical
 // inputs. The concurrent evaluation plane (core.Evaluator's sharded memo
-// cache, the parallel A* child evaluation, and the Perf-Pwr sweep) relies
+// cache, the A* frontier prewarm, and the Perf-Pwr sweep) relies
 // on this; TestModelEvaluateConcurrent pins it under -race.
 type Model struct {
 	apps map[string]*app.Spec

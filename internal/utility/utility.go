@@ -137,10 +137,16 @@ func (p *Params) PerfRate(appName string, rate, rtSec float64) float64 {
 	if !ok {
 		return 0
 	}
-	m := p.MonitoringInterval.Seconds()
+	return a.PerfRate(p.MonitoringInterval.Seconds(), rate, rtSec)
+}
+
+// PerfRate is Eq. 1 for this application over a monitoring interval of
+// intervalSec seconds: what Params.PerfRate computes once it has looked the
+// application up, for callers that hold the parameters in an array.
+func (a AppParams) PerfRate(intervalSec, rate, rtSec float64) float64 {
 	target := a.TargetRT.Seconds()
 	if rtSec <= target {
-		return a.reward(rate) / m
+		return a.reward(rate) / intervalSec
 	}
 	pen := a.penalty(rate)
 	if a.PenaltyGradient > 0 && target > 0 {
@@ -150,7 +156,7 @@ func (p *Params) PerfRate(appName string, rate, rtSec float64) float64 {
 		}
 		pen *= 1 + a.PenaltyGradient*over
 	}
-	return pen / m
+	return pen / intervalSec
 }
 
 // PerfRateAll sums Eq. 1 across all applications given per-app rates and
