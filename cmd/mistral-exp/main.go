@@ -4,11 +4,10 @@
 //
 // Usage:
 //
-//	mistral-exp [-run all|fig1|...|table1|faultsweep|ablations|chaossweep|bench]
+//	mistral-exp [-run all|fig1|...|table1|faultsweep|ablations|chaossweep]
 //	            [-seed N] [-fault-seed N] [-csv] [-outdir DIR] [-quick] [-workers N]
 //	            [-provenance FILE] [-trace FILE] [-metrics FILE]
 //	            [-log-level LEVEL] [-pprof ADDR]
-//	            [-bench-out FILE] [-bench-baseline FILE] [-bench-tolerance PCT]
 package main
 
 import (
@@ -61,7 +60,7 @@ func (e *emitter) emit(name string, tables []experiments.Table) error {
 
 func run() (err error) {
 	var (
-		which       = flag.String("run", "all", "which experiment: all, fig1, fig3, fig4, fig5, fig6, fig7, fig7m, fig89, fig10, table1, faultsweep, ablations, chaossweep, bench (chaossweep and bench are not part of all)")
+		which       = flag.String("run", "all", "which experiment: all, fig1, fig3, fig4, fig5, fig6, fig7, fig7m, fig89, fig10, table1, faultsweep, ablations, chaossweep (chaossweep is not part of all)")
 		seed        = flag.Uint64("seed", 42, "random seed")
 		faultSeed   = flag.Uint64("fault-seed", 0, "fault schedule seed for faultsweep/chaossweep (0 = use -seed)")
 		asCSV       = flag.Bool("csv", false, "emit CSV instead of ASCII tables")
@@ -73,9 +72,6 @@ func run() (err error) {
 		metricsPath = flag.String("metrics", "", `write metrics registry dump to FILE at exit ("-" = stderr)`)
 		logLevel    = flag.String("log-level", "", "structured logging to stderr: debug, info, warn, error")
 		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof and expvar (/debug/vars) on ADDR, e.g. localhost:6060")
-		benchOut    = flag.String("bench-out", "", "bench: write the perf snapshot as JSON to FILE (BENCH_search.json schema)")
-		benchBase   = flag.String("bench-baseline", "", "bench: compare ns/expansion against this committed BENCH_search.json and fail on regression")
-		benchTol    = flag.Float64("bench-tolerance", 20, "bench: allowed ns/expansion regression vs -bench-baseline, in percent")
 	)
 	flag.Parse()
 
@@ -275,32 +271,6 @@ func run() (err error) {
 			fmt.Sprintf("rt gap %.1f%%, watts gap %.2f%%", fid.RTGapPct, fid.WattsGapPct)})
 		if err := e.emit("ablations", []experiments.Table{t}); err != nil {
 			return err
-		}
-	}
-	if strings.EqualFold(*which, "bench") {
-		opts := experiments.BenchOptions{Workers: *workers}
-		if *quick {
-			opts.Windows = 16
-		}
-		r, err := mistral.RunBenchSearch(*seed, opts)
-		if err != nil {
-			return fmt.Errorf("bench: %w", err)
-		}
-		if err := e.emit("bench", []experiments.Table{r.Table()}); err != nil {
-			return err
-		}
-		if *benchOut != "" {
-			if err := r.WriteJSON(*benchOut); err != nil {
-				return fmt.Errorf("bench: %w", err)
-			}
-			fmt.Fprintf(os.Stderr, "wrote %s\n", *benchOut)
-		}
-		if *benchBase != "" {
-			verdict, err := r.CompareBaseline(*benchBase, *benchTol)
-			if err != nil {
-				return err
-			}
-			fmt.Fprintln(os.Stderr, verdict)
 		}
 	}
 	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))

@@ -98,7 +98,7 @@ func run() (err error) {
 		return err
 	}
 
-	s := &server{
+	s := &server{recipe: recipe{
 		strategyName: strings.ToLower(*strategyName),
 		workers:      *workers,
 		faultRate:    *faultRate,
@@ -106,7 +106,7 @@ func run() (err error) {
 		execPolicy:   exec,
 		guardOn:      *guardOn,
 		labOpts:      experiments.LabOptions{NumApps: *numApps, NumHosts: *numHosts, Seed: *seed, Zones: *zones},
-	}
+	}}
 	if *dvfs {
 		s.labOpts.DVFSLevels = []float64{0.6, 0.8}
 	}
@@ -171,15 +171,22 @@ func run() (err error) {
 	return nil
 }
 
-// server is the daemon: one engine plus the declarative fleet recipe it
-// was built from, all guarded by a single mutex (control decisions are
+// server is the daemon: one environment plus the declarative recipe it was
+// built from, all guarded by a single mutex (control decisions are
 // inherently serial — each window's decision depends on the last).
 type server struct {
 	mu sync.Mutex
 
 	ob *obs.Observer
 
-	// Environment recipe (what a checkpoint records).
+	recipe
+	env
+	windows []windowResp
+}
+
+// recipe is the declarative description of an environment: what a
+// checkpoint records and a fleet change edits.
+type recipe struct {
 	strategyName string
 	workers      int
 	faultRate    float64
@@ -187,8 +194,12 @@ type server struct {
 	execPolicy   testbed.ExecPolicy
 	guardOn      bool
 	labOpts      experiments.LabOptions
+}
 
-	// Live engine state, rebuilt on fleet changes and restores.
+// env is one environment built from a recipe. Fleet changes and restores
+// build a new one beside the live one and swap it in only once it stands,
+// so a rejected request leaves the daemon as it was.
+type env struct {
 	lab     *experiments.Lab
 	inj     *fault.Injector
 	guard   *guard.Guard
@@ -196,7 +207,6 @@ type server struct {
 	engine  *scenario.Engine
 	provBuf *lockedBuffer
 	rec     *provenance.Recorder
-	windows []windowResp
 }
 
 // lockedBuffer is the in-memory provenance sink: the recorder appends
@@ -221,37 +231,36 @@ func (b *lockedBuffer) Bytes() []byte {
 	return out
 }
 
-// rebuild constructs a fresh lab, testbed, strategy, and engine from the
-// current recipe, dropping all prior control state. Callers hold s.mu or
-// are single-threaded startup.
-func (s *server) rebuild() error {
-	lab, err := experiments.NewLab(s.labOpts)
+// build constructs a fresh lab, testbed, strategy, and engine from a
+// recipe without touching the live environment.
+func (s *server) build(r recipe) (env, error) {
+	lab, err := experiments.NewLab(r.labOpts)
 	if err != nil {
-		return err
+		return env{}, err
 	}
-	inj := fault.New(fault.Profile(s.faultRate, s.faultSeed))
-	tb, err := lab.NewTestbedExec(inj, s.execPolicy)
+	inj := fault.New(fault.Profile(r.faultRate, r.faultSeed))
+	tb, err := lab.NewTestbedExec(inj, r.execPolicy)
 	if err != nil {
-		return err
+		return env{}, err
 	}
 	var g *guard.Guard
-	if s.guardOn {
+	if r.guardOn {
 		g = guard.New(guard.Config{Obs: s.ob}, lab.Cat)
 	}
 	eval, err := lab.NewEvaluator()
 	if err != nil {
-		return err
+		return env{}, err
 	}
 	provBuf := &lockedBuffer{}
 	rec := provenance.NewRecorder(provBuf)
 	var decider mistral.Decider
-	switch s.strategyName {
+	switch r.strategyName {
 	case "mistral", "naive":
 		decider, err = strategy.NewMistral(eval, strategy.MistralConfig{
 			HostGroups:         lab.HostGroups(),
-			Naive:              s.strategyName == "naive",
+			Naive:              r.strategyName == "naive",
 			MonitoringInterval: lab.Util.MonitoringInterval,
-			Workers:            s.workers,
+			Workers:            r.workers,
 			Provenance:         true,
 		})
 	case "perf-pwr":
@@ -261,16 +270,16 @@ func (s *server) rebuild() error {
 	case "pwr-cost":
 		decider = strategy.NewPwrCost(eval)
 	default:
-		return fmt.Errorf("unknown strategy %q", s.strategyName)
+		return env{}, fmt.Errorf("unknown strategy %q", r.strategyName)
 	}
 	if err != nil {
-		return err
+		return env{}, err
 	}
 	engine, err := scenario.NewEngine(tb, decider, scenario.RunConfig{
 		Traces:     lab.Traces,
 		Interval:   lab.Util.MonitoringInterval,
 		Utility:    lab.Util,
-		Workers:    s.workers,
+		Workers:    r.workers,
 		Obs:        s.ob,
 		Fault:      inj,
 		Guard:      g,
@@ -281,32 +290,54 @@ func (s *server) rebuild() error {
 		StepProvenance: true,
 	})
 	if err != nil {
+		return env{}, err
+	}
+	return env{lab: lab, inj: inj, guard: g, decider: decider, engine: engine, provBuf: provBuf, rec: rec}, nil
+}
+
+// install makes a built environment the live one, dropping all prior
+// control state. Callers hold s.mu or are single-threaded startup.
+func (s *server) install(r recipe, e env) {
+	s.recipe, s.env, s.windows = r, e, nil
+}
+
+// rebuild replaces the live environment with a fresh one from the current
+// recipe.
+func (s *server) rebuild() error {
+	e, err := s.build(s.recipe)
+	if err != nil {
 		return err
 	}
-	s.lab, s.inj, s.guard, s.decider, s.engine = lab, inj, g, decider, engine
-	s.provBuf, s.rec = provBuf, rec
-	s.windows = nil
+	s.install(s.recipe, e)
 	return nil
 }
 
-// restoreFrom adopts a checkpoint's recipe, rebuilds the environment from
-// it, and restores the engine state.
+// restoreFrom builds the environment a checkpoint records, restores the
+// engine state into it, and only then adopts both: a checkpoint that fails
+// to restore leaves the live recipe and engine in place.
 func (s *server) restoreFrom(ck *checkpoint.File) error {
 	exec, err := testbed.ParseExecPolicy(ck.ExecPolicy)
 	if err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
 	}
-	s.strategyName = ck.Strategy
-	s.workers = ck.Workers
-	s.faultRate = ck.FaultRate
-	s.faultSeed = ck.FaultSeed
-	s.execPolicy = exec
-	s.guardOn = ck.Guard
-	s.labOpts = ck.Lab
-	if err := s.rebuild(); err != nil {
+	r := recipe{
+		strategyName: ck.Strategy,
+		workers:      ck.Workers,
+		faultRate:    ck.FaultRate,
+		faultSeed:    ck.FaultSeed,
+		execPolicy:   exec,
+		guardOn:      ck.Guard,
+		labOpts:      ck.Lab,
+	}
+	e, err := s.build(r)
+	if err != nil {
 		return err
 	}
-	return s.engine.Restore(ck.Scenario)
+	if err := e.engine.Restore(ck.Scenario); err != nil {
+		return err
+	}
+	s.install(r, e)
+	return nil
 }
 
 // windowResp is one completed window in API form.
@@ -621,13 +652,14 @@ func (s *server) resize(apps, hosts int) (any, error) {
 	if hosts < 0 {
 		return nil, badRequest("hosts must be positive (got %d)", hosts)
 	}
-	prev := s.labOpts
-	s.labOpts.NumApps = apps
-	s.labOpts.NumHosts = hosts
-	if err := s.rebuild(); err != nil {
-		s.labOpts = prev
+	r := s.recipe
+	r.labOpts.NumApps = apps
+	r.labOpts.NumHosts = hosts
+	e, err := s.build(r)
+	if err != nil {
 		return nil, badRequest("fleet rejected: %v", err)
 	}
+	s.install(r, e)
 	return s.stateLocked(), nil
 }
 

@@ -1,28 +1,34 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strings"
 	"testing"
 
 	"github.com/mistralcloud/mistral/internal/experiments"
+	"github.com/mistralcloud/mistral/internal/obs"
+	"github.com/mistralcloud/mistral/internal/obs/tsdb"
+	"github.com/mistralcloud/mistral/internal/scenario"
 	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
 // newTestServer builds a 1-app daemon on the cheap perf-pwr strategy and
-// mounts the control API exactly as the obs plane would.
+// mounts the control API beside /v1/query exactly as the obs plane would.
 func newTestServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
-	s := &server{
+	ob := &obs.Observer{Metrics: obs.NewRegistry(), Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})}
+	s := &server{ob: ob, recipe: recipe{
 		strategyName: "perf-pwr",
 		workers:      1,
 		execPolicy:   testbed.FailForward,
 		labOpts:      experiments.LabOptions{NumApps: 1, Seed: 7},
-	}
+	}}
 	if err := s.rebuild(); err != nil {
 		t.Fatal(err)
 	}
@@ -30,6 +36,7 @@ func newTestServer(t *testing.T) (*server, *httptest.Server) {
 	for path, h := range s.routes() {
 		mux.Handle(path, h)
 	}
+	mux.Handle("/v1/query", ob.History.Handler())
 	ts := httptest.NewServer(mux)
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -191,13 +198,13 @@ func TestServeStateReportsSafetyPlanes(t *testing.T) {
 }
 
 func TestServeGuardedStateAndBreaker(t *testing.T) {
-	s := &server{
+	s := &server{recipe: recipe{
 		strategyName: "perf-pwr",
 		workers:      1,
 		execPolicy:   testbed.RollbackOnFailure,
 		guardOn:      true,
 		labOpts:      experiments.LabOptions{NumApps: 1, Seed: 7},
-	}
+	}}
 	if err := s.rebuild(); err != nil {
 		t.Fatal(err)
 	}
@@ -242,8 +249,76 @@ func TestServeCheckpointRoundTripKeepsRecipe(t *testing.T) {
 	s.mu.Unlock()
 }
 
+// TestServeFailedRestoreLeavesDaemon pins that /v1/restore is all or
+// nothing: a checkpoint the engine refuses — here one written under the
+// retired v2 schema by a differently configured daemon — answers 400 and the
+// running daemon keeps its recipe, its position, its decision log and its
+// history.
+func TestServeFailedRestoreLeavesDaemon(t *testing.T) {
+	_, ts := newTestServer(t)
+	for i := 0; i < 5; i++ {
+		if status, msg, _ := do(t, post(t, ts.URL+"/v1/window", "application/json", "{}")); status != http.StatusOK {
+			t.Fatalf("window %d: %d (%s)", i, status, msg)
+		}
+	}
+	views := []string{"/v1/state", "/v1/decisions", "/v1/query", "/v1/query?series=utility,watts,actions"}
+	get := func() [][]byte {
+		out := make([][]byte, len(views))
+		for i, path := range views {
+			req, _ := http.NewRequest(http.MethodGet, ts.URL+path, nil)
+			status, _, body := do(t, req)
+			if status != http.StatusOK {
+				t.Fatalf("GET %s = %d (%s)", path, status, body)
+			}
+			out[i] = body
+		}
+		return out
+	}
+	before := get()
+
+	other := &server{recipe: recipe{
+		strategyName: "perf-pwr",
+		workers:      1,
+		execPolicy:   testbed.RollbackOnFailure,
+		guardOn:      true,
+		labOpts:      experiments.LabOptions{NumApps: 2, Seed: 9},
+	}}
+	if err := other.rebuild(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := other.engine.Step(); err != nil {
+		t.Fatal(err)
+	}
+	ck := t.TempDir() + "/ck.json"
+	if err := other.writeCheckpointLocked(ck); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := []byte(`"schema":"` + scenario.SnapshotSchema + `"`)
+	if bytes.Count(raw, current) != 1 {
+		t.Fatalf("checkpoint names its engine schema %d times, want once", bytes.Count(raw, current))
+	}
+	raw = bytes.Replace(raw, current, []byte(`"schema":"mistral.checkpoint/v2"`), 1)
+	if err := os.WriteFile(ck, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	status, msg, _ := do(t, post(t, ts.URL+"/v1/restore", "application/json", fmt.Sprintf(`{"path":%q}`, ck)))
+	if status != http.StatusBadRequest || !strings.Contains(msg, "unsupported checkpoint schema") {
+		t.Fatalf("restore of a v2 checkpoint = %d %q, want 400 naming the schema", status, msg)
+	}
+	for i, body := range get() {
+		if !bytes.Equal(before[i], body) {
+			t.Errorf("GET %s changed across a refused restore:\nbefore: %s\nafter:  %s", views[i], before[i], body)
+		}
+	}
+}
+
 func TestServeNotReady(t *testing.T) {
-	s := &server{strategyName: "perf-pwr", execPolicy: testbed.FailForward}
+	s := &server{recipe: recipe{strategyName: "perf-pwr", execPolicy: testbed.FailForward}}
 	mux := http.NewServeMux()
 	for path, h := range s.routes() {
 		mux.Handle(path, h)

@@ -7,7 +7,7 @@
 //	            [-apps N] [-duration 6h30m] [-seed N] [-zones N] [-workers N]
 //	            [-dvfs] [-csv] [-fault-rate P] [-fault-seed N]
 //	            [-provenance FILE] [-trace FILE] [-metrics FILE]
-//	            [-log-level LEVEL] [-pprof ADDR] [-bench-json FILE]
+//	            [-log-level LEVEL] [-pprof ADDR]
 //	            [-slo] [-slo-exit] [-profile-dir DIR] [-profile-budget D]
 //	            [-profile-max N] [-checkpoint FILE] [-resume FILE]
 //	            [-exec-policy fail-forward|rollback] [-guard] [-step-provenance]
@@ -17,7 +17,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"sort"
 	"strings"
 	"time"
@@ -59,7 +58,6 @@ func run() (err error) {
 		metricsPath  = flag.String("metrics", "", `write metrics registry dump to FILE at exit ("-" = stderr)`)
 		logLevel     = flag.String("log-level", "", "structured logging to stderr: debug, info, warn, error")
 		pprofAddr    = flag.String("pprof", "", "serve net/http/pprof and expvar (/debug/vars) on ADDR, e.g. localhost:6060")
-		benchJSON    = flag.String("bench-json", "", "write the run's perf counters as JSON to FILE (BENCH_search.json schema: expansions, ns/expansion, allocs/expansion, cache hit %, decide latency percentiles)")
 		sloReport    = flag.Bool("slo", false, "run the SLO self-monitoring engine and print the objective/error-budget report to stderr at exit")
 		profileDir   = flag.String("profile-dir", "", "capture pprof CPU/heap artifacts into DIR when a decide blows its wall-clock latency budget")
 		profileBud   = flag.Duration("profile-budget", 500*time.Millisecond, "wall-clock decide budget that triggers pprof capture (with -profile-dir)")
@@ -77,8 +75,8 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	if *benchJSON != "" || *sloReport || *sloExit {
-		// The perf counters and SLO gauges ride the metrics registry; make
+	if *sloReport || *sloExit {
+		// The SLO gauges ride the metrics registry; make
 		// sure one exists even when no other observability knob is set.
 		if ob == nil {
 			ob = &obs.Observer{Metrics: obs.NewRegistry()}
@@ -196,11 +194,6 @@ func run() (err error) {
 		defer prof.Close()
 	}
 
-	var mem0 runtime.MemStats
-	if *benchJSON != "" {
-		runtime.GC()
-		runtime.ReadMemStats(&mem0)
-	}
 	engine, err := scenario.NewEngine(tb, decider, scenario.RunConfig{
 		Traces:         lab.Traces,
 		Duration:       *duration,
@@ -327,47 +320,6 @@ func run() (err error) {
 		if arts := prof.Artifacts(); len(arts) > 0 {
 			fmt.Fprintf(os.Stderr, "profiling: %d pprof artifact(s) in %s (budget %v)\n", len(arts), *profileDir, *profileBud)
 		}
-	}
-	if *benchJSON != "" {
-		var mem1 runtime.MemStats
-		runtime.ReadMemStats(&mem1)
-		st := eval.CacheStats() // the last window's counters, not yet flushed
-		hits := int(ob.Metrics.CounterValue("eval_cache_hits_total")) + st.Hits
-		misses := int(ob.Metrics.CounterValue("eval_cache_misses_total")) + st.Misses
-		var decideWall time.Duration
-		for _, d := range res.DecideWall {
-			decideWall += d
-		}
-		br := &experiments.BenchResult{
-			Seed:       *seed,
-			Apps:       *numApps,
-			Hosts:      lab.Opts.NumHosts,
-			Windows:    len(res.Windows),
-			Workers:    *workers,
-			GoVersion:  runtime.Version(),
-			GOOS:       runtime.GOOS,
-			GOARCH:     runtime.GOARCH,
-			Expansions: int(ob.Metrics.CounterValue("search_expansions_total")),
-			Generated:  int(ob.Metrics.CounterValue("search_generated_total")),
-			WallSec:    decideWall.Seconds(),
-		}
-		if br.Expansions > 0 && decideWall > 0 {
-			br.ExpansionsPerSec = float64(br.Expansions) / decideWall.Seconds()
-			br.NsPerExpansion = float64(decideWall.Nanoseconds()) / float64(br.Expansions)
-			// Allocation counts cover the whole replay (testbed included),
-			// unlike mistral-exp -run bench, which isolates the decide path.
-			br.AllocsPerExpansion = float64(mem1.Mallocs-mem0.Mallocs) / float64(br.Expansions)
-			br.BytesPerExpansion = float64(mem1.TotalAlloc-mem0.TotalAlloc) / float64(br.Expansions)
-		}
-		if hits+misses > 0 {
-			br.CacheHitPct = 100 * float64(hits) / float64(hits+misses)
-		}
-		br.DecideP50Ms = experiments.QuantileMs(res.DecideWall, 0.50)
-		br.DecideP99Ms = experiments.QuantileMs(res.DecideWall, 0.99)
-		if err := br.WriteJSON(*benchJSON); err != nil {
-			return err
-		}
-		fmt.Fprintf(os.Stderr, "bench: wrote %s\n", *benchJSON)
 	}
 	if *sloExit && eng != nil {
 		snap := eng.Snapshot()

@@ -12,9 +12,8 @@ import (
 // drives it in production: a cycle of control windows with drifting
 // workload, each starting with the per-window cache boundary
 // (Evaluator.BeginWindow) and then a Self-Aware search from the default
-// configuration. One op is a full cycle over the workload points, so the
-// reported metrics average over both band-change re-solves and warm
-// repeats — the mix the cross-window cache is designed for.
+// configuration. One op is a full cycle over the workload points; every
+// window starts from an empty memo.
 //
 // Beyond the standard ns/op and allocs/op, three custom metrics make runs
 // comparable across fixtures: expansions/s (search throughput),
@@ -51,7 +50,7 @@ func BenchmarkSearchWorkers(b *testing.B) {
 				}
 				return expanded
 			}
-			run() // warm the cross-window cache, as consecutive windows would
+			run() // grow the memo's maps and the searcher's scratch once
 
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -67,12 +67,6 @@ type ControllerOptions struct {
 	// min(GOMAXPROCS, 8); 1 reproduces the serial path). An explicit
 	// Search.Workers takes precedence for the search.
 	Workers int
-	// RetainCache skips the per-decision evaluator cache reset. Set it
-	// when a coordinator owning the shared evaluator resets the cache once
-	// per control opportunity instead — the Mistral hierarchy's parallel
-	// 1st level, where concurrent per-controller resets would thrash the
-	// shared cache mid-flight.
-	RetainCache bool
 	// Obs overrides the process-default observer (obs.SetDefault) for this
 	// controller and its searcher; nil resolves the default.
 	Obs *obs.Observer
@@ -338,7 +332,10 @@ func (c *Controller) Restore(s ControllerState) {
 }
 
 // Decide runs one control cycle at virtual time now: band check, stability
-// interval bookkeeping, Perf-Pwr ideal, and the adaptation search.
+// interval bookkeeping, Perf-Pwr ideal, and the adaptation search. It does
+// not touch the evaluator's window boundary: whoever drives the controller
+// (a strategy's Decide) calls Evaluator.BeginWindow once per control
+// opportunity, so controllers sharing an evaluator share the window's memo.
 func (c *Controller) Decide(now time.Duration, cfg cluster.Config, rates map[string]float64) (Decision, error) {
 	if !c.ShouldRun(rates) {
 		return Decision{}, nil
@@ -375,9 +372,6 @@ func (c *Controller) Decide(now time.Duration, cfg cluster.Config, rates map[str
 	c.bandsSet = true
 	c.bandStart = now
 
-	if !c.opts.RetainCache {
-		c.eval.BeginWindow()
-	}
 	tr := c.obsv.Tracer()
 	pattrs := []obs.Attr{{Key: "controller", Value: c.opts.Name}}
 	if c.tc.Enabled() {

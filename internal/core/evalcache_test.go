@@ -4,40 +4,47 @@ import (
 	"testing"
 )
 
-// TestEvaluatorCrossWindowCache pins the cache lifecycle: BeginWindow keeps
-// memoized solves warm across control windows, ResetCache drops them.
-func TestEvaluatorCrossWindowCache(t *testing.T) {
+// TestEvaluatorWindowLifecycle pins the memo's lifecycle: it dedups lookups
+// inside one control window and BeginWindow (ResetCache is the same
+// operation) empties it, so the first lookup of the next window solves again.
+func TestEvaluatorWindowLifecycle(t *testing.T) {
 	e := newEnv(t, 4, 2)
 	w := rates(e, 50)
 
+	for _, b := range []struct {
+		name     string
+		boundary func()
+	}{
+		{"BeginWindow", e.eval.BeginWindow},
+		{"ResetCache", e.eval.ResetCache},
+	} {
+		name, boundary := b.name, b.boundary
+		for i := 0; i < 2; i++ {
+			if _, err := e.eval.Steady(e.cfg, w); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if st := e.eval.CacheStats(); st.Misses != 1 || st.Hits != 1 || st.Entries != 1 {
+			t.Fatalf("two lookups in one window: %+v, want 1 miss, 1 hit, 1 entry", st)
+		}
+		boundary()
+		if st := e.eval.CacheStats(); st != (CacheStats{}) {
+			t.Fatalf("after %s: %+v, want an empty memo and zeroed counters", name, st)
+		}
+		if _, err := e.eval.Steady(e.cfg, w); err != nil {
+			t.Fatal(err)
+		}
+		if got := e.eval.Evals(); got != 1 {
+			t.Fatalf("first lookup after %s: %d solves, want 1 (nothing carries across windows)", name, got)
+		}
+		boundary()
+	}
+
 	if _, err := e.eval.Steady(e.cfg, w); err != nil {
 		t.Fatal(err)
 	}
-	if got := e.eval.Evals(); got != 1 {
-		t.Fatalf("first lookup: %d solves, want 1", got)
-	}
-
-	e.eval.BeginWindow()
-	if _, err := e.eval.Steady(e.cfg, w); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.eval.Evals(); got != 0 {
-		t.Fatalf("lookup after BeginWindow re-solved (%d solves); cache should persist across windows", got)
-	}
-	if st := e.eval.CacheStats(); st.Hits != 1 {
-		t.Fatalf("lookup after BeginWindow: %d hits, want 1", st.Hits)
-	}
-
-	e.eval.ResetCache()
-	if _, err := e.eval.Steady(e.cfg, w); err != nil {
-		t.Fatal(err)
-	}
-	if got := e.eval.Evals(); got != 1 {
-		t.Fatalf("lookup after ResetCache: %d solves, want 1 (full drop)", got)
-	}
-
 	// A workload outside the fingerprint band must miss even on a warm
-	// cache; one inside the band (same 0.01 req/s bucket) must hit.
+	// memo; one inside the band (same 0.01 req/s bucket) must hit.
 	w2 := rates(e, 50.004)
 	if _, err := e.eval.Steady(e.cfg, w2); err != nil {
 		t.Fatal(err)
@@ -61,5 +68,22 @@ func TestEvaluatorCrossWindowCache(t *testing.T) {
 	}
 	if got := e.eval.Evals(); got != 3 {
 		t.Fatalf("different configuration did not solve (%d solves, want 3)", got)
+	}
+}
+
+// TestBeginWindowKeepsBuckets pins the boundary's cost: the shard maps are
+// emptied in place, so once a window has grown them a boundary allocates
+// nothing (fresh maps re-grew every window: +3–10 % allocation per window on
+// the benchmark replays).
+func TestBeginWindowKeepsBuckets(t *testing.T) {
+	e := newEnv(t, 4, 2)
+	if _, err := PerfPwr(e.eval, rates(e, 50), PerfPwrOptions{Workers: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if st := e.eval.CacheStats(); st.Entries < 2*cacheShards {
+		t.Fatalf("warm-up left %d entries, want every shard populated", st.Entries)
+	}
+	if n := testing.AllocsPerRun(20, e.eval.BeginWindow); n != 0 {
+		t.Fatalf("warmed BeginWindow allocates %v times, want 0", n)
 	}
 }

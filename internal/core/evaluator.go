@@ -49,12 +49,6 @@ func (s Steady) NetRate() float64 { return s.PerfRate + s.PowerRate }
 // keep lock contention negligible for the default worker counts (≤ 8).
 const cacheShards = 16
 
-// cacheMaxEntries bounds the cross-window memo cache (total across shards).
-// At roughly 200 bytes per entry the bound caps the cache near 13 MiB; a
-// replayed day of decisions stays well under it, so eviction only fires
-// under pathological workload churn.
-const cacheMaxEntries = 1 << 16
-
 // steadyKey identifies one steady evaluation: the configuration's
 // incremental 128-bit fingerprint plus the workload vector's fingerprint.
 // Comparing and hashing the 24-byte struct replaces the Key()+ratesKey
@@ -67,15 +61,11 @@ type steadyKey struct {
 // cacheEntry is one memoized (or in-flight) steady evaluation. The
 // goroutine that inserts the entry owns the solve; done is closed when s
 // and err are final, and concurrent lookups of the same key wait on it
-// instead of duplicating the LQN solve (singleflight). gen is the cache
-// generation of the entry's last hit (guarded by the shard mutex); the
-// generational sweep in BeginWindow evicts cold entries by comparing it to
-// the current generation.
+// instead of duplicating the LQN solve (singleflight).
 type cacheEntry struct {
 	done chan struct{}
 	s    Steady
 	err  error
-	gen  uint64
 }
 
 // evalShard is one mutex-guarded segment of the memo cache.
@@ -89,12 +79,11 @@ type evalShard struct {
 // the Cost Manager (cost tables) — behind the two operations the optimizer
 // needs: steady-state evaluation of a configuration and transient
 // evaluation of an action. Steady evaluations are memoized by
-// (configuration fingerprint, workload fingerprint); the cache persists
-// across control windows — configurations revisited by consecutive
-// searches under an unchanged workload band cost two word compares instead
-// of an LQN solve — with BeginWindow advancing a generation and sweeping
-// cold entries once the cache exceeds its size bound. ResetCache remains
-// the full drop (model or catalog change).
+// (configuration fingerprint, workload fingerprint) for one control window:
+// the memo dedups the lookups of a window's Perf-Pwr sweep and searches, and
+// BeginWindow — called by the strategy at the top of each Decide — empties
+// it. Nothing is carried across windows: measured on the benchmark replays,
+// retention bought no hits (the workload's rate band moves every window).
 //
 // Thread safety: Steady, Action, CacheStats, Evals, BeginWindow,
 // ResetCache, and the
@@ -123,7 +112,6 @@ type Evaluator struct {
 	utilApp   []int
 
 	shards    [cacheShards]evalShard
-	gen       atomic.Uint64
 	cacheHits atomic.Int64
 	evals     atomic.Int64
 	dedups    atomic.Int64
@@ -134,7 +122,7 @@ type Evaluator struct {
 
 	// Observability sinks, resolved at construction (see obs.SetDefault)
 	// and rebindable with SetObserver. Cache statistics are fed into the
-	// registry on each ResetCache rather than per lookup, so the memoized
+	// registry on each BeginWindow rather than per lookup, so the memoized
 	// hot path stays untouched.
 	log     *slog.Logger
 	cHits   *obs.Counter
@@ -201,7 +189,7 @@ func (e *Evaluator) SetObserver(o *obs.Observer) {
 }
 
 // CacheStats is the evaluator's memoization activity since the last
-// ResetCache. Misses equal the number of distinct steady evaluations
+// BeginWindow. Misses equal the number of distinct steady evaluations
 // performed (each one is an LQN solve); Entries is the live cache size.
 // Dedups counts lookups that joined an identical in-flight solve instead
 // of starting their own; when the joined solve succeeds they also count
@@ -218,7 +206,7 @@ func (s CacheStats) HitRate() float64 {
 	return float64(s.Hits) / float64(s.Hits+s.Misses)
 }
 
-// CacheStats reports cache activity since the last ResetCache.
+// CacheStats reports cache activity since the last BeginWindow.
 func (e *Evaluator) CacheStats() CacheStats {
 	st := CacheStats{
 		Hits:   int(e.cacheHits.Load()),
@@ -243,61 +231,23 @@ func (e *Evaluator) Utility() *utility.Params { return e.util }
 // Costs returns the cost manager.
 func (e *Evaluator) Costs() *cost.Manager { return e.costs }
 
-// ResetCache drops every memoized steady evaluation. Use it when the
-// predictor modules themselves change meaning (model swap, catalog edit,
-// fault injection mutating the world); per-decision callers should use
-// BeginWindow, which keeps the cache warm across windows. Safe to call
-// concurrently with Steady: the cache is workload-keyed, so resetting
-// mid-flight costs at most redundant solves, never correctness (a
-// concurrent leader finishing after the reset publishes into a shard map
-// that was already swapped out, which only forfeits its memoization).
-func (e *Evaluator) ResetCache() {
-	var entries int
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		entries += len(sh.entries)
-		sh.entries = make(map[steadyKey]*cacheEntry)
-		sh.mu.Unlock()
-	}
-	e.flushStats(entries)
-}
-
-// BeginWindow marks a control-window boundary: the cache generation
-// advances, the window's cache statistics are flushed into the metrics
-// registry (keeping the per-lookup path free of instrumentation), and —
-// only once the cache exceeds its size bound — entries not touched since
-// the previous window are swept. Evaluations are pure functions of their
-// key, so cross-window reuse changes which solves run, never their
-// results; the sweep is likewise invisible to decisions.
+// BeginWindow marks a control-window boundary: the window's cache
+// statistics are flushed into the metrics registry (keeping the per-lookup
+// path free of instrumentation) and the memo is emptied. The shard maps are
+// cleared in place — they keep their buckets, so a window's inserts do not
+// re-grow them. Safe to call concurrently with Steady: evaluations are pure
+// functions of their key, so emptying mid-flight costs at most redundant
+// solves, never correctness (a leader finishing after the boundary has
+// already lost its entry, which only forfeits its memoization).
 func (e *Evaluator) BeginWindow() {
-	gen := e.gen.Add(1)
 	var entries int
 	for i := range e.shards {
 		sh := &e.shards[i]
 		sh.mu.Lock()
-		if len(sh.entries) > cacheMaxEntries/cacheShards {
-			for k, ent := range sh.entries {
-				// gen was just advanced: ent.gen == gen-1 means the entry
-				// was hit in the window that just ended. Keep those, sweep
-				// older; if one overfull window produced them all, drop the
-				// shard outright rather than grow without bound.
-				if ent.gen+1 < gen {
-					delete(sh.entries, k)
-				}
-			}
-			if len(sh.entries) > cacheMaxEntries/cacheShards {
-				sh.entries = make(map[steadyKey]*cacheEntry)
-			}
-		}
 		entries += len(sh.entries)
+		clear(sh.entries)
 		sh.mu.Unlock()
 	}
-	e.flushStats(entries)
-}
-
-// flushStats publishes and zeroes the window's cache counters.
-func (e *Evaluator) flushStats(entries int) {
 	evals := e.evals.Swap(0)
 	e.cHits.Add(e.cacheHits.Swap(0))
 	e.cMisses.Add(evals)
@@ -306,124 +256,39 @@ func (e *Evaluator) flushStats(entries int) {
 	e.gSize.Set(float64(entries))
 }
 
+// ResetCache is BeginWindow under its older name.
+func (e *Evaluator) ResetCache() { e.BeginWindow() }
+
 // Evals reports how many distinct steady evaluations were performed since
-// the last reset (a proxy for model-solving work).
+// the last BeginWindow (a proxy for model-solving work).
 func (e *Evaluator) Evals() int { return int(e.evals.Load()) }
 
-// CacheEntryState is one memoized steady evaluation in serializable form.
-// Only completed, successful solves are captured (failed solves are never
-// cached; between control windows no solve is in flight).
-type CacheEntryState struct {
-	FP  [2]uint64 `json:"fp"`
-	RFP uint64    `json:"rfp"`
-	Gen uint64    `json:"gen"`
-
-	PerfRate  float64            `json:"perf_rate"`
-	PowerRate float64            `json:"power_rate"`
-	Watts     float64            `json:"watts"`
-	RTSec     map[string]float64 `json:"rt_sec,omitempty"`
-	Saturated bool               `json:"saturated,omitempty"`
-}
-
-// CacheSnapshot is the evaluator's complete memoization state: the cache
-// generation, the residual (un-flushed) activity counters, and every live
-// entry. Restoring it into a fresh evaluator reproduces which future solves
-// hit versus miss — and therefore the cache-hit counter stream the SLO
-// engine watches — exactly as if the original process had kept running.
+// CacheSnapshot is the part of the evaluator a checkpoint carries: the
+// activity counters not yet flushed into the registry. A snapshot is taken
+// between windows and the next Decide empties the memo, so its entries are
+// never persisted; the counters are, because the next BeginWindow publishes
+// them — restoring them keeps the eval_cache_*_total stream (and the SLO
+// objective and history series derived from it) identical across a resume.
 type CacheSnapshot struct {
-	Gen     uint64            `json:"gen"`
-	Hits    int64             `json:"hits"`
-	Evals   int64             `json:"evals"`
-	Dedups  int64             `json:"dedups"`
-	Entries []CacheEntryState `json:"entries,omitempty"`
+	Hits   int64 `json:"hits"`
+	Evals  int64 `json:"evals"`
+	Dedups int64 `json:"dedups"`
 }
 
-// SnapshotCache captures the memo cache. Not synchronized with in-flight
-// solves: call it only at a quiescent point (between control windows).
+// SnapshotCache captures the un-flushed counters.
 func (e *Evaluator) SnapshotCache() CacheSnapshot {
-	snap := CacheSnapshot{
-		Gen:    e.gen.Load(),
+	return CacheSnapshot{
 		Hits:   e.cacheHits.Load(),
 		Evals:  e.evals.Load(),
 		Dedups: e.dedups.Load(),
 	}
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		for k, ent := range sh.entries {
-			select {
-			case <-ent.done:
-			default:
-				continue // in-flight: caller violated quiescence; skip
-			}
-			if ent.err != nil {
-				continue
-			}
-			var rt map[string]float64
-			if len(ent.s.RTSec) > 0 {
-				rt = make(map[string]float64, len(ent.s.RTSec))
-				for app, v := range ent.s.RTSec {
-					rt[app] = v
-				}
-			}
-			snap.Entries = append(snap.Entries, CacheEntryState{
-				FP:        [2]uint64(k.fp),
-				RFP:       uint64(k.rfp),
-				Gen:       ent.gen,
-				PerfRate:  ent.s.PerfRate,
-				PowerRate: ent.s.PowerRate,
-				Watts:     ent.s.Watts,
-				RTSec:     rt,
-				Saturated: ent.s.Saturated,
-			})
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(snap.Entries, func(i, j int) bool {
-		a, b := &snap.Entries[i], &snap.Entries[j]
-		if a.FP != b.FP {
-			return a.FP[0] < b.FP[0] || (a.FP[0] == b.FP[0] && a.FP[1] < b.FP[1])
-		}
-		return a.RFP < b.RFP
-	})
-	return snap
 }
 
-// RestoreCache replaces the memo cache with a captured snapshot. Entries
-// are installed as completed solves (closed done channels), so lookups hit
-// them immediately.
+// RestoreCache installs captured counters in place of the evaluator's own.
 func (e *Evaluator) RestoreCache(snap CacheSnapshot) {
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		sh.entries = make(map[steadyKey]*cacheEntry)
-		sh.mu.Unlock()
-	}
-	e.gen.Store(snap.Gen)
 	e.cacheHits.Store(snap.Hits)
 	e.evals.Store(snap.Evals)
 	e.dedups.Store(snap.Dedups)
-	for _, es := range snap.Entries {
-		key := steadyKey{fp: cluster.Fingerprint(es.FP), rfp: RatesFP(es.RFP)}
-		ent := &cacheEntry{done: make(chan struct{}), gen: es.Gen}
-		ent.s = Steady{
-			PerfRate:  es.PerfRate,
-			PowerRate: es.PowerRate,
-			Watts:     es.Watts,
-			Saturated: es.Saturated,
-		}
-		if len(es.RTSec) > 0 {
-			ent.s.RTSec = make(map[string]float64, len(es.RTSec))
-			for app, v := range es.RTSec {
-				ent.s.RTSec[app] = v
-			}
-		}
-		close(ent.done)
-		sh := &e.shards[shardOf(key)]
-		sh.mu.Lock()
-		sh.entries[key] = ent
-		sh.mu.Unlock()
-	}
 }
 
 // RatesFP is a 64-bit fingerprint of a workload vector, the rate-band half
@@ -488,7 +353,6 @@ func (e *Evaluator) steadyOver(cfg cluster.Config, d *cluster.Delta, rates map[s
 	sh := &e.shards[shardOf(key)]
 	sh.mu.Lock()
 	if ent, ok := sh.entries[key]; ok {
-		ent.gen = e.gen.Load()
 		sh.mu.Unlock()
 		select {
 		case <-ent.done:
@@ -503,13 +367,13 @@ func (e *Evaluator) steadyOver(cfg cluster.Config, d *cluster.Delta, rates map[s
 		}
 		return ent.s, ent.err
 	}
-	ent := &cacheEntry{done: make(chan struct{}), gen: e.gen.Load()}
+	ent := &cacheEntry{done: make(chan struct{})}
 	sh.entries[key] = ent
 	sh.mu.Unlock()
 
 	ent.s, ent.err = e.solve(cfg, d, rates)
 	if ent.err != nil {
-		// Drop the failed entry (if a ResetCache has not replaced the map
+		// Drop the failed entry (if a BeginWindow has not emptied the map
 		// already) so later lookups retry instead of caching the error.
 		sh.mu.Lock()
 		if sh.entries[key] == ent {

@@ -87,7 +87,7 @@ func searchGolden(t *testing.T, opts experiments.LabOptions, workers int) []sear
 				Hosts: group,
 			},
 			Search: search, MonitoringInterval: interval, Workers: workers,
-			RetainCache: true, Provenance: true, Obs: o,
+			Provenance: true, Obs: o,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -106,6 +106,9 @@ func searchGolden(t *testing.T, opts experiments.LabOptions, workers int) []sear
 		for w := 0; w < windows; w++ {
 			now := time.Duration(w*stride) * interval
 			rates := lab.Traces.At(now)
+			// One window boundary per control opportunity, owned by whoever
+			// drives the controllers — here, as in strategy.Mistral.Decide.
+			eval.BeginWindow()
 			for _, c := range []*core.Controller{l2, l1} {
 				h0, m0 := lookups()
 				d, err := c.Decide(now, cfg, rates)

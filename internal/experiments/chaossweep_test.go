@@ -64,10 +64,6 @@ func TestChaosSweepInvariantsAndDeterminism(t *testing.T) {
 	// Determinism: evaluation concurrency must not perturb the chaos
 	// schedule, the guard verdicts, or the rollback path.
 	other := run(1)
-	for i := range sweep.Cells {
-		sweep.Cells[i].Result.DecideWall = nil // wall-clock, varies by construction
-		other.Cells[i].Result.DecideWall = nil
-	}
 	if !reflect.DeepEqual(sweep, other) {
 		t.Error("chaos sweep diverges across worker counts")
 	}

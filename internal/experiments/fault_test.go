@@ -43,9 +43,6 @@ func TestFaultDisabledIsByteIdentical(t *testing.T) {
 	if counts != (fault.Counts{}) {
 		t.Errorf("disabled injector drew faults: %+v", counts)
 	}
-	// DecideWall carries wall-clock (not virtual) decide durations for
-	// -bench-json; it is observational and never identical across runs.
-	base.DecideWall, viaFault.DecideWall = nil, nil
 	if !reflect.DeepEqual(base, viaFault) {
 		t.Errorf("zero-rate fault path diverges from fault-free path:\nbase: %+v\nfault: %+v", base, viaFault)
 	}
@@ -126,8 +123,6 @@ func TestFaultDeterminismAcrossWorkers(t *testing.T) {
 	}
 	serial := runFaultyMistral(t, 1)
 	parallel := runFaultyMistral(t, 8)
-	// Wall-clock decide samples (for -bench-json) differ by construction.
-	serial.DecideWall, parallel.DecideWall = nil, nil
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Errorf("faulty replay diverges across worker counts:\nworkers=1: %+v\nworkers=8: %+v", serial, parallel)
 	}

@@ -55,8 +55,7 @@ func runHistoryMistral(t *testing.T, workers int, faultRate float64, hist *tsdb.
 
 // historyVirtualJSON runs one replay and serializes the store's virtual
 // series state. Wall-clock series (decide_wall_ms) are observational by
-// construction — same exemption as Result.DecideWall — and are stripped
-// before any byte comparison.
+// construction and are stripped before any byte comparison.
 func historyVirtualJSON(t *testing.T, workers int, faultRate float64) []byte {
 	t.Helper()
 	hist := tsdb.New(tsdb.Options{})
@@ -126,7 +125,6 @@ func TestHistoryObserverDoesNotPerturbReplay(t *testing.T) {
 	bare := runHistoryMistral(t, 1, 0.15, nil)
 	hist := tsdb.New(tsdb.Options{})
 	observed := runHistoryMistral(t, 1, 0.15, hist)
-	bare.DecideWall, observed.DecideWall = nil, nil
 	if !reflect.DeepEqual(bare, observed) {
 		t.Errorf("history store perturbed the replay:\nbare:     %+v\nobserved: %+v", bare, observed)
 	}

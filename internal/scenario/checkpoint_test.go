@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/mistralcloud/mistral/internal/experiments"
 	"github.com/mistralcloud/mistral/internal/fault"
+	"github.com/mistralcloud/mistral/internal/guard"
 	"github.com/mistralcloud/mistral/internal/obs"
 	"github.com/mistralcloud/mistral/internal/obs/tsdb"
 	"github.com/mistralcloud/mistral/internal/provenance"
@@ -22,6 +25,7 @@ type ckEnv struct {
 	engine *scenario.Engine
 	prov   *bytes.Buffer
 	hist   *tsdb.Store
+	reg    *obs.Registry
 }
 
 func newCkEnv(t *testing.T, workers int) *ckEnv {
@@ -38,20 +42,23 @@ func newCkEnv(t *testing.T, workers int) *ckEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A fresh metrics registry per environment, fed by the evaluator and the
+	// controllers as the process default would be: the restore path must
+	// re-seat the cumulative counters the SLO engine diffs, exactly as a
+	// restarted process would have to.
+	ob := &obs.Observer{Metrics: obs.NewRegistry(), History: tsdb.New(tsdb.Options{})}
+	eval.SetObserver(ob)
 	dec, err := strategy.NewMistral(eval, strategy.MistralConfig{
 		HostGroups:         lab.HostGroups(),
 		MonitoringInterval: lab.Util.MonitoringInterval,
 		Workers:            workers,
 		Provenance:         true,
+		Obs:                ob,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	buf := &bytes.Buffer{}
-	// A fresh metrics registry per environment: the restore path must
-	// re-seat the cumulative counters the SLO engine diffs, exactly as a
-	// restarted process would have to.
-	ob := &obs.Observer{Metrics: obs.NewRegistry(), History: tsdb.New(tsdb.Options{})}
 	e, err := scenario.NewEngine(tb, dec, scenario.RunConfig{
 		Traces:     lab.Traces,
 		Duration:   100 * lab.Util.MonitoringInterval,
@@ -64,7 +71,7 @@ func newCkEnv(t *testing.T, workers int) *ckEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &ckEnv{engine: e, prov: buf, hist: ob.History}
+	return &ckEnv{engine: e, prov: buf, hist: ob.History, reg: ob.Metrics}
 }
 
 // histQueryJSON renders a raw-resolution trend query over the full window
@@ -92,17 +99,13 @@ func stepN(t *testing.T, e *scenario.Engine, n int) {
 	}
 }
 
-// resultJSON finalizes and serializes a result with the wall-clock decide
-// samples stripped — they are the one observational field that legitimately
-// differs between runs.
+// resultJSON finalizes and serializes a result.
 func resultJSON(t *testing.T, e *scenario.Engine) []byte {
 	t.Helper()
 	if err := e.Close(); err != nil {
 		t.Fatal(err)
 	}
-	res := *e.Result()
-	res.DecideWall = nil
-	raw, err := json.Marshal(res)
+	raw, err := json.Marshal(e.Result())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,9 +181,120 @@ func TestCheckpointRoundTripDeterminism(t *testing.T) {
 	}
 }
 
-// TestCheckpointMismatchRejected exercises the restore guard rails: wrong
-// schema, wrong strategy, and a fault-plane mismatch must all fail cleanly
-// instead of silently resuming into a different environment.
+// windowView is everything an operator can see of one completed window
+// besides the decision itself: the cache-counter stream, the derived history
+// series, the SLO report, and how far the provenance stream has grown.
+type windowView struct {
+	log          scenario.WindowLog
+	hits, misses int64
+	hist, slo    []byte
+	provLen      int
+}
+
+func stepViews(t *testing.T, env *ckEnv, n int) []windowView {
+	t.Helper()
+	views := make([]windowView, 0, n)
+	for i := 0; i < n; i++ {
+		sr, err := env.engine.Step()
+		if err != nil {
+			t.Fatalf("step %d: %v", sr.Index, err)
+		}
+		q, err := env.hist.Query([]string{"cache_hit_pct", "expansions"}, 0, sr.Index, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		hist, err := json.Marshal(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sloRaw, err := json.Marshal(env.engine.SLO().Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		views = append(views, windowView{
+			log:     sr.Window,
+			hits:    env.reg.CounterValue("eval_cache_hits_total"),
+			misses:  env.reg.CounterValue("eval_cache_misses_total"),
+			hist:    hist,
+			slo:     sloRaw,
+			provLen: env.prov.Len(),
+		})
+	}
+	return views
+}
+
+// TestResumeCarriesCountersNotEntries pins what a checkpoint must and must
+// not carry now that the eval memo is per-window: a Mistral engine with an
+// observer, snapshotted at windows 7 and 20 and restored into a fresh
+// environment, continues for 15 windows with the same window logs,
+// provenance bytes, eval_cache_*_total readings, cache_hit_pct and
+// expansions series and SLO report as a run that never stopped — on the
+// strength of three un-flushed counters, in a checkpoint that holds no memo
+// entries and stays small.
+func TestResumeCarriesCountersNotEntries(t *testing.T) {
+	const after = 15
+	full := newCkEnv(t, 1)
+	want := stepViews(t, full, 20+after)
+
+	for _, at := range []int{7, 20} {
+		t.Run(fmt.Sprintf("at=%d", at), func(t *testing.T) {
+			half := newCkEnv(t, 1)
+			stepN(t, half.engine, at)
+			snap, err := half.engine.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ckBytes, err := json.Marshal(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(ckBytes) >= 256<<10 {
+				t.Errorf("checkpoint at window %d encodes to %d bytes, want < 256 KB", at, len(ckBytes))
+			}
+			if bytes.Contains(snap.Decider, []byte(`"entries"`)) {
+				t.Errorf("decider state still carries memo entries: %.200s", snap.Decider)
+			}
+
+			var restored scenario.Snapshot
+			if err := json.Unmarshal(ckBytes, &restored); err != nil {
+				t.Fatal(err)
+			}
+			resumed := newCkEnv(t, 1)
+			if err := resumed.engine.Restore(&restored); err != nil {
+				t.Fatal(err)
+			}
+			got := stepViews(t, resumed, after)
+			provBase := want[at-1].provLen
+			for i, g := range got {
+				w := want[at+i]
+				if !reflect.DeepEqual(g.log, w.log) {
+					t.Errorf("window %d log diverges:\nfull:    %+v\nresumed: %+v", at+i, w.log, g.log)
+				}
+				if g.hits != w.hits || g.misses != w.misses {
+					t.Errorf("window %d eval_cache hits/misses = %d/%d, uninterrupted run read %d/%d", at+i, g.hits, g.misses, w.hits, w.misses)
+				}
+				if !bytes.Equal(g.hist, w.hist) {
+					t.Errorf("window %d cache_hit_pct/expansions series diverge:\nfull:    %s\nresumed: %s", at+i, w.hist, g.hist)
+				}
+				if !bytes.Equal(g.slo, w.slo) {
+					t.Errorf("window %d SLO report diverges:\nfull:    %s\nresumed: %s", at+i, w.slo, g.slo)
+				}
+				if g.provLen != w.provLen-provBase {
+					t.Errorf("window %d provenance stream at %d bytes, uninterrupted run at %d", at+i, g.provLen, w.provLen-provBase)
+				}
+			}
+			if fullProv := full.prov.Bytes()[provBase:want[at+after-1].provLen]; !bytes.Equal(fullProv, resumed.prov.Bytes()) {
+				t.Errorf("provenance bytes diverge over windows %d..%d", at, at+after-1)
+			}
+		})
+	}
+}
+
+// TestCheckpointMismatchRejected exercises the restore guard rails: retired
+// schemas, a wrong strategy, fault- and guard-plane mismatches and a
+// checkpointable strategy's missing state must all fail cleanly, before
+// Restore has changed anything, instead of silently resuming into a
+// different environment.
 func TestCheckpointMismatchRejected(t *testing.T) {
 	env := newCkEnv(t, 1)
 	stepN(t, env.engine, 2)
@@ -189,26 +303,48 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	fresh := newCkEnv(t, 1)
-
-	bad := *snap
-	bad.Schema = "mistral.checkpoint/v0"
-	if err := fresh.engine.Restore(&bad); err == nil {
-		t.Error("schema mismatch accepted")
+	// The target has state of its own, so "untouched" is observable.
+	target := newCkEnv(t, 1)
+	stepN(t, target.engine, 3)
+	state := func() []byte {
+		s, err := target.engine.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
 	}
+	before := state()
 
-	bad = *snap
-	bad.Strategy = "Perf-Pwr"
-	if err := fresh.engine.Restore(&bad); err == nil {
-		t.Error("strategy mismatch accepted")
+	for _, tc := range []struct {
+		name    string
+		mutate  func(*scenario.Snapshot)
+		wantErr string
+	}{
+		{"schema v1", func(s *scenario.Snapshot) { s.Schema = "mistral.checkpoint/v1" }, "unsupported checkpoint schema"},
+		{"schema v2", func(s *scenario.Snapshot) { s.Schema = "mistral.checkpoint/v2" }, "unsupported checkpoint schema"},
+		{"strategy", func(s *scenario.Snapshot) { s.Strategy = "Perf-Pwr" }, "is for strategy"},
+		// The checkpoint was taken without fault injection or a guard; a
+		// snapshot that claims either plane's state came from a differently
+		// wired environment.
+		{"fault plane", func(s *scenario.Snapshot) { s.Fault = &fault.State{} }, "fault-injection state"},
+		{"guard plane", func(s *scenario.Snapshot) { s.Guard = &guard.State{} }, "guard state"},
+		{"no decider state", func(s *scenario.Snapshot) { s.Decider = nil }, "carries no state for checkpointable strategy"},
+	} {
+		bad := *snap
+		tc.mutate(&bad)
+		err := target.engine.Restore(&bad)
+		if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+			t.Errorf("%s: Restore = %v, want an error containing %q", tc.name, err, tc.wantErr)
+		}
+		if after := state(); !bytes.Equal(before, after) {
+			t.Errorf("%s: refused Restore changed the engine", tc.name)
+		}
 	}
-
-	// The checkpoint was taken without fault injection; an engine restoring
-	// it must refuse a snapshot that claims fault-plane state (and vice
-	// versa) — they were produced by a differently wired environment.
-	bad = *snap
-	bad.Fault = &fault.State{}
-	if err := fresh.engine.Restore(&bad); err == nil {
-		t.Error("fault-plane mismatch accepted")
+	if err := target.engine.Restore(snap); err != nil {
+		t.Errorf("the unmodified checkpoint: %v", err)
 	}
 }

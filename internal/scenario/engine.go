@@ -44,6 +44,9 @@ type Engine struct {
 	slo  *slo.Engine
 	ops  *obs.OpsState
 	ta   TraceAware
+	// begun records that this engine has taken over the observer's ops
+	// plane and history store (see begin).
+	begun bool
 
 	// Telemetry history plane (see history.go). hist is nil when
 	// observability is fully off; histExp/histHits/histMisses are the
@@ -136,14 +139,10 @@ func NewEngine(tb *testbed.Testbed, d Decider, cfg RunConfig) (*Engine, error) {
 		e.slo = slo.New(slo.Config{Interval: cfg.Interval}, o)
 	}
 	e.ops = o.OpsState()
-	e.ops.BeginRun(d.Name(), cfg.Interval)
 
 	// Telemetry history defaults on with any observer, like the SLO
 	// engine: an explicit store in the config wins, then the observer's
-	// shared store (the one /v1/query serves), then a private one. The
-	// store resets per engine — sequential runs over a shared observer
-	// each re-begin, and a daemon restore repopulates it from the
-	// checkpoint right after construction.
+	// shared store (the one /v1/query serves), then a private one.
 	e.hist = cfg.History
 	if e.hist == nil && o != nil {
 		if e.hist = o.HistoryStore(); e.hist == nil {
@@ -151,12 +150,26 @@ func NewEngine(tb *testbed.Testbed, d Decider, cfg RunConfig) (*Engine, error) {
 		}
 	}
 	if e.hist != nil {
-		e.hist.Reset()
 		e.det = tsdb.NewDetector(tsdb.DetectorConfig{})
-		e.histSyncBaselines()
 	}
 	e.ta, _ = d.(TraceAware)
 	return e, nil
+}
+
+// begin takes over the observer's per-run planes: the ops surface and the
+// history store re-begin (sequential runs over a shared observer each start
+// empty). It runs when the engine first steps or is snapshotted, not at
+// construction, and Restore does the same once it can no longer fail — so an
+// engine built beside a running one, for a restore that may still be
+// refused, leaves what the running one publishes untouched.
+func (e *Engine) begin() {
+	if e.begun {
+		return
+	}
+	e.begun = true
+	e.ops.BeginRun(e.d.Name(), e.cfg.Interval)
+	e.hist.Reset()
+	e.histSyncBaselines()
 }
 
 // Result returns the accumulating result. The same pointer is live for the
@@ -284,6 +297,7 @@ func (e *Engine) record(log *WindowLog, busy bool, searchCost float64, provs []*
 // and even then the in-progress window (with its already-charged search
 // cost) is recorded first.
 func (e *Engine) StepRates(rates map[string]float64) (StepResult, error) {
+	e.begin()
 	t := e.t
 	cfg := e.cfg
 	res := e.res
@@ -375,7 +389,6 @@ func (e *Engine) StepRates(rates map[string]float64) (StepResult, error) {
 		wallT0 := time.Now()
 		dec, err := safeDecide(d, t, tb.Config(), rates)
 		decideWall = time.Since(wallT0)
-		res.DecideWall = append(res.DecideWall, decideWall)
 		if paths := cfg.Profile.EndDecide(e.winIdx, decideWall); len(paths) > 0 {
 			olog.Warn("decide blew latency budget; pprof captured",
 				"trace", tc.ID(), "wall", decideWall,

@@ -133,7 +133,6 @@ func TestRollbackDeterminismAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res.DecideWall = nil // wall-clock, legitimately varies
 		b, err := json.Marshal(res)
 		if err != nil {
 			t.Fatal(err)

@@ -244,11 +244,6 @@ type Result struct {
 	TotalActions int
 	// Invocations counts decision-procedure runs.
 	Invocations int
-	// DecideWall records each decision procedure's wall-clock (not
-	// virtual) duration, in call order — the raw samples behind
-	// mistral-sim's -bench-json latency percentiles. Wall time is
-	// observational only; it never feeds back into decisions.
-	DecideWall []time.Duration
 	// MeanSearchTime averages SearchTime over invocations.
 	MeanSearchTime time.Duration
 	// TargetViolations counts app-windows whose measured RT missed the

@@ -14,25 +14,21 @@ import (
 )
 
 // SnapshotSchema identifies the checkpoint format; Restore refuses any
-// other value except listed legacy versions. Bump it when a field changes
-// meaning — a version bump turns silent state corruption into a clean
-// "unsupported schema" error.
+// other value. Bump it when a field changes meaning — a version bump turns
+// silent state corruption into a clean "unsupported schema" error.
 //
-// v2 added the telemetry history plane (History/Anomaly); every v1 field
-// is unchanged, so v1 checkpoints restore with an empty history.
-const SnapshotSchema = "mistral.checkpoint/v2"
-
-// snapshotSchemaV1 is the pre-history checkpoint format, still accepted
-// on restore: old checkpoints simply carry no trend history.
-const snapshotSchemaV1 = "mistral.checkpoint/v1"
+// v3 dropped the evaluator's memo entries from the decider state (the memo
+// is per-window; only its un-flushed counters are carried). v1 and v2 files
+// are refused.
+const SnapshotSchema = "mistral.checkpoint/v3"
 
 // Snapshotter is the optional Decider extension that makes a strategy
 // checkpointable: SnapshotState serializes every piece of mutable decision
-// state (estimator histories, utility bands, eval-cache contents, per-level
-// invocation stats), and RestoreState rebuilds it in a freshly constructed
-// strategy. The encoding is the strategy's own business — the engine stores
-// it opaquely. A strategy that doesn't implement it can still be engine-
-// driven, just not checkpointed.
+// state (estimator histories, utility bands, per-level invocation stats,
+// the evaluator's un-flushed counters), and RestoreState rebuilds it in a
+// freshly constructed strategy. The encoding is the strategy's own business
+// — the engine stores it opaquely. A strategy that doesn't implement it can
+// still be engine-driven, just not checkpointed.
 type Snapshotter interface {
 	SnapshotState() (json.RawMessage, error)
 	RestoreState(json.RawMessage) error
@@ -80,10 +76,10 @@ type Snapshot struct {
 	RegCacheHits   int64 `json:"reg_cache_hits"`
 	RegCacheMisses int64 `json:"reg_cache_misses"`
 
-	// Telemetry history plane (v2): the tsdb store's complete ring
-	// contents and the anomaly detector's wall-clock EWMA baselines, so
-	// trends and drift detection survive a daemon restart. Absent from v1
-	// checkpoints and from engines running without observability.
+	// Telemetry history plane: the tsdb store's complete ring contents
+	// and the anomaly detector's wall-clock EWMA baselines, so trends and
+	// drift detection survive a daemon restart. Absent from engines
+	// running without observability.
 	History *tsdb.State         `json:"history,omitempty"`
 	Anomaly *tsdb.DetectorState `json:"anomaly,omitempty"`
 }
@@ -91,7 +87,10 @@ type Snapshot struct {
 // Snapshot captures the engine's complete state between steps. The engine
 // keeps running — snapshotting is non-destructive — so a daemon can
 // checkpoint periodically while serving. Call it only between Step calls.
+// (An engine that has not stepped yet begins here, so the history it
+// captures is its own and not a previous run's over the same observer.)
 func (e *Engine) Snapshot() (*Snapshot, error) {
+	e.begin()
 	tbState, err := e.tb.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
@@ -152,14 +151,14 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 // have been constructed with the same inputs (testbed catalog and specs,
 // strategy configuration, traces, utility params, fault options) as the
 // one that produced the snapshot; Restore verifies what it can — schema
-// version, strategy name, fault-plane presence — and trusts the caller for
-// the rest. After Restore, Step continues the replay as if the process had
-// never stopped.
+// version, strategy name, fault-plane, guard and decider-state presence —
+// before it changes anything, and trusts the caller for the rest. After
+// Restore, Step continues the replay as if the process had never stopped.
 func (e *Engine) Restore(s *Snapshot) error {
 	if s == nil {
 		return fmt.Errorf("scenario: nil snapshot")
 	}
-	if s.Schema != SnapshotSchema && s.Schema != snapshotSchemaV1 {
+	if s.Schema != SnapshotSchema {
 		return fmt.Errorf("scenario: unsupported checkpoint schema %q (want %q)", s.Schema, SnapshotSchema)
 	}
 	if s.Strategy != e.d.Name() {
@@ -174,17 +173,22 @@ func (e *Engine) Restore(s *Snapshot) error {
 	if s.Result == nil {
 		return fmt.Errorf("scenario: checkpoint has no result")
 	}
+	// A checkpointable strategy resumed without its state would run on
+	// fresh bands and estimators and drift silently: refuse instead.
+	sn, checkpointable := e.d.(Snapshotter)
+	switch {
+	case checkpointable && len(s.Decider) == 0:
+		return fmt.Errorf("scenario: checkpoint carries no state for checkpointable strategy %q", e.d.Name())
+	case !checkpointable && len(s.Decider) > 0:
+		return fmt.Errorf("scenario: checkpoint carries decider state but strategy %q cannot restore it", e.d.Name())
+	}
 	if err := e.tb.Restore(s.Testbed); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}
 	if err := e.cfg.Fault.Restore(s.Fault); err != nil {
 		return fmt.Errorf("scenario: fault restore: %w", err)
 	}
-	if len(s.Decider) > 0 {
-		sn, ok := e.d.(Snapshotter)
-		if !ok {
-			return fmt.Errorf("scenario: checkpoint carries decider state but strategy %q cannot restore it", e.d.Name())
-		}
+	if checkpointable {
 		if err := sn.RestoreState(s.Decider); err != nil {
 			return fmt.Errorf("scenario: decider restore: %w", err)
 		}
@@ -222,10 +226,20 @@ func (e *Engine) Restore(s *Snapshot) error {
 			return fmt.Errorf("scenario: guard restore: %w", err)
 		}
 	}
+	// Telemetry history: repopulate the store's rings from the checkpoint
+	// (a checkpoint written without observability carries none —
+	// Restore(nil) just resets). This is the last step that can fail, and
+	// it refuses before it overwrites; everything from here on publishes
+	// into planes the observer shares, so nothing before it may.
+	if err := e.hist.Restore(s.History); err != nil {
+		return fmt.Errorf("scenario: history restore: %w", err)
+	}
+	e.begun = true
+	e.ops.BeginRun(e.d.Name(), e.cfg.Interval)
 	// Re-seat the cumulative eval-cache counters the SLO engine diffs:
 	// Add the shortfall so a fresh registry reads exactly what the
 	// checkpointed one did (residual un-flushed evaluator stats were
-	// restored separately with the decider's cache state).
+	// restored separately with the decider's state).
 	if e.reg != nil {
 		if d := s.RegCacheHits - e.reg.CounterValue("eval_cache_hits_total"); d != 0 {
 			e.reg.Counter("eval_cache_hits_total").Add(d)
@@ -234,16 +248,11 @@ func (e *Engine) Restore(s *Snapshot) error {
 			e.reg.Counter("eval_cache_misses_total").Add(d)
 		}
 	}
-	// Telemetry history: repopulate the store's rings from the checkpoint
-	// (a v1 checkpoint carries none — Restore(nil) just resets), restore
-	// the wall-clock drift baselines, and re-sync the counter baselines
-	// the per-window fold diffs — the registry was just re-seated above,
-	// so "baseline == live counter value" holds again and the next
-	// window's deltas cover exactly that window.
+	// Restore the wall-clock drift baselines and re-sync the counter
+	// baselines the per-window fold diffs — the registry was just
+	// re-seated above, so "baseline == live counter value" holds again and
+	// the next window's deltas cover exactly that window.
 	if e.hist != nil {
-		if err := e.hist.Restore(s.History); err != nil {
-			return fmt.Errorf("scenario: history restore: %w", err)
-		}
 		e.det.Restore(s.Anomaly)
 		e.histSyncBaselines()
 		e.ops.SetHistory(e.hist.Summaries(opsSparkN))

@@ -185,12 +185,8 @@ func NewMistral(eval *core.Evaluator, cfg MistralConfig) (*Mistral, error) {
 			Search:             search,
 			MonitoringInterval: cfg.MonitoringInterval,
 			Workers:            cfg.Workers,
-			// The hierarchy resets the shared evaluator's cache once per
-			// control opportunity before fanning the 1st level out;
-			// per-controller resets would thrash it mid-flight.
-			RetainCache: true,
-			Obs:         cfg.Obs,
-			Provenance:  cfg.Provenance,
+			Obs:                cfg.Obs,
+			Provenance:         cfg.Provenance,
 		})
 		if err != nil {
 			return nil, err
@@ -249,6 +245,9 @@ func (m *Mistral) addStats(level int, searchTime time.Duration) {
 // disjoint host groups concatenate into one plan; their controllers run in
 // parallel, so the decision delay is the slowest of them.
 func (m *Mistral) Decide(now time.Duration, cfg cluster.Config, rates map[string]float64) (scenario.Decision, error) {
+	// One window boundary per control opportunity, before any controller
+	// evaluates: every level consulted below shares the window's memo.
+	m.eval.BeginWindow()
 	// Provenance entries accumulate across the levels consulted this
 	// opportunity, in controller order (L3 first when it ran, even if its
 	// empty plan fell through to the lower levels).
@@ -295,13 +294,10 @@ func (m *Mistral) Decide(now time.Duration, cfg cluster.Config, rates map[string
 		}, nil
 	}
 	// 1st-level controllers own disjoint host groups and share the
-	// thread-safe evaluator: reset the memo cache once for this control
-	// opportunity (their per-decision reset is disabled via RetainCache),
-	// then let them decide concurrently. Results land in per-controller
-	// slots and merge in controller order, so plans, the SearchCost sum
-	// (float addition is order-sensitive), and the returned error are
-	// byte-identical to the serial path.
-	m.eval.BeginWindow()
+	// thread-safe evaluator, so they decide concurrently. Results land in
+	// per-controller slots and merge in controller order, so plans, the
+	// SearchCost sum (float addition is order-sensitive), and the returned
+	// error are byte-identical to the serial path.
 	type l1Result struct {
 		d   core.Decision
 		err error

@@ -70,6 +70,7 @@ func (p *PerfCost) Name() string { return "Perf-Cost" }
 
 // Decide implements scenario.Decider.
 func (p *PerfCost) Decide(now time.Duration, cfg cluster.Config, rates map[string]float64) (scenario.Decision, error) {
+	p.eval.BeginWindow()
 	d, err := p.ctrl.Decide(now, cfg, rates)
 	if err != nil {
 		return scenario.Decision{}, err

@@ -32,12 +32,12 @@ func (p *PerfPwr) Name() string { return "Perf-Pwr" }
 
 // Decide implements scenario.Decider.
 func (p *PerfPwr) Decide(now time.Duration, cfg cluster.Config, rates map[string]float64) (scenario.Decision, error) {
+	p.eval.BeginWindow()
 	if !p.changed(rates) {
 		return scenario.Decision{}, nil
 	}
 	p.remember(rates)
 
-	p.eval.BeginWindow()
 	ideal, err := core.PerfPwr(p.eval, rates, core.PerfPwrOptions{})
 	if err != nil {
 		return scenario.Decision{}, err

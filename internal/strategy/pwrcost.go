@@ -46,6 +46,7 @@ func (p *PwrCost) RecordWindow(utilityDollars, perfRate, pwrRate float64) {}
 
 // Decide implements scenario.Decider.
 func (p *PwrCost) Decide(now time.Duration, cfg cluster.Config, rates map[string]float64) (scenario.Decision, error) {
+	p.eval.BeginWindow()
 	if !p.changed(rates) {
 		return scenario.Decision{}, nil
 	}
@@ -60,7 +61,6 @@ func (p *PwrCost) Decide(now time.Duration, cfg cluster.Config, rates map[string
 		cw = 2 * time.Minute
 	}
 
-	p.eval.BeginWindow()
 	target, err := core.PerfPwrMeetingTargets(p.eval, rates)
 	if err != nil {
 		// Targets unreachable even at maximum capacity: fall back to the

@@ -11,10 +11,11 @@ import (
 
 // Every strategy implements scenario.Snapshotter: SnapshotState serializes
 // its complete mutable decision state — controller band/history/estimator
-// state, last-seen rates, per-level stats, and the contents of the
-// evaluator cache(s) it drives — and RestoreState rebuilds it in a freshly
-// constructed strategy so a checkpointed run resumes with zero decision
-// drift. Construction inputs (catalog, search options, host groups) are
+// state, last-seen rates, per-level stats, and the un-flushed activity
+// counters of the evaluator it drives (the memo itself is per-window and
+// never persisted) — and RestoreState rebuilds it in a freshly constructed
+// strategy so a checkpointed run resumes with zero decision drift.
+// Construction inputs (catalog, search options, host groups) are
 // not serialized; state restores into a strategy built from the same
 // configuration.
 

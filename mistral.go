@@ -266,10 +266,3 @@ func RunFaultSweep(opts experiments.FaultSweepOptions) (*experiments.FaultSweepR
 func RunChaosSweep(opts experiments.ChaosSweepOptions) (*experiments.ChaosSweepResult, error) {
 	return experiments.ChaosSweep(opts)
 }
-
-// RunBenchSearch measures the decide hot path (per-window cache boundary,
-// Perf-Pwr ideal, Self-Aware A* search) over the paper's workload scenario
-// and returns the perf snapshot emitted as BENCH_search.json.
-func RunBenchSearch(seed uint64, opts experiments.BenchOptions) (*experiments.BenchResult, error) {
-	return experiments.BenchSearch(seed, opts)
-}
