@@ -279,11 +279,11 @@ func (c *Controller) expected(cw time.Duration) ExpectedUtility {
 // searcher) is not included — state is restored into a freshly constructed
 // controller with the same options.
 type ControllerState struct {
-	Bands        map[string]workload.Band `json:"bands,omitempty"`
-	BandsSet     bool                     `json:"bands_set"`
-	BandStartNS  int64                    `json:"band_start_ns"`
-	History      []WindowRecordState      `json:"history,omitempty"`
-	Estimator    predict.PersistState     `json:"estimator"`
+	Bands       map[string]workload.Band `json:"bands,omitempty"`
+	BandsSet    bool                     `json:"bands_set"`
+	BandStartNS int64                    `json:"band_start_ns"`
+	History     []WindowRecordState      `json:"history,omitempty"`
+	Estimator   predict.PersistState     `json:"estimator"`
 }
 
 // WindowRecordState is one past window's realized utility and rates.

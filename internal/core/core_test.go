@@ -26,10 +26,8 @@ type env struct {
 func newEnv(t testing.TB, nHosts, nApps int, hostOpts ...func(*cluster.HostSpec)) *env {
 	t.Helper()
 	apps := make([]*app.Spec, nApps)
-	names := make([]string, nApps)
 	for i := range apps {
-		names[i] = "rubis" + string(rune('1'+i))
-		apps[i] = app.RUBiS(names[i])
+		apps[i] = app.RUBiS("rubis" + string(rune('1'+i)))
 	}
 	hosts := make([]cluster.HostSpec, nHosts)
 	for i := range hosts {
@@ -37,6 +35,18 @@ func newEnv(t testing.TB, nHosts, nApps int, hostOpts ...func(*cluster.HostSpec)
 		for _, opt := range hostOpts {
 			opt(&hosts[i])
 		}
+	}
+	return buildEnv(t, hosts, apps)
+}
+
+// buildEnv assembles the evaluator stack over the given hosts and
+// applications, calibrated like the experiments' labs.
+func buildEnv(t testing.TB, hosts []cluster.HostSpec, apps []*app.Spec) *env {
+	t.Helper()
+	nHosts, nApps := len(hosts), len(apps)
+	names := make([]string, nApps)
+	for i, a := range apps {
+		names[i] = a.Name
 	}
 	cat, err := app.BuildCatalog(hosts, apps)
 	if err != nil {

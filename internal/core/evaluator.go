@@ -80,10 +80,13 @@ type evalShard struct {
 // needs: steady-state evaluation of a configuration and transient
 // evaluation of an action. Steady evaluations are memoized by
 // (configuration fingerprint, workload fingerprint) for one control window:
-// the memo dedups the lookups of a window's Perf-Pwr sweep and searches, and
-// BeginWindow — called by the strategy at the top of each Decide — empties
-// it. Nothing is carried across windows: measured on the benchmark replays,
-// retention bought no hits (the workload's rate band moves every window).
+// the memo dedups the lookups of a window's searches and of the Perf-Pwr
+// sweep's start, polish and DVFS steps, and BeginWindow — called by the
+// strategy at the top of each Decide — empties it. The sweep's reduction
+// candidates bypass it: they are scored on an open lqn.Session, never
+// looked up or kept, and counted as evaluations all the same. Nothing is
+// carried across windows: measured on the benchmark replays, retention
+// bought no hits (the workload's rate band moves every window).
 //
 // Thread safety: Steady, Action, CacheStats, Evals, BeginWindow,
 // ResetCache, and the
@@ -107,9 +110,12 @@ type Evaluator struct {
 	// the fold order PerfRateAll uses. Cached here so the hot paths can sum
 	// Eq. 1 in the identical order without the per-call sort. utilApp maps
 	// each to its position in the catalog's Apps (-1 for an application
-	// with no VMs), where the cost manager's dense deltas are indexed.
+	// with no VMs), where the cost manager's dense deltas are indexed, and
+	// utilModel to its position in appNames (-1 for an application the model
+	// does not evaluate: its response time reads as zero).
 	utilNames []string
 	utilApp   []int
+	utilModel []int
 
 	shards    [cacheShards]evalShard
 	cacheHits atomic.Int64
@@ -160,10 +166,14 @@ func NewEvaluator(cat *cluster.Catalog, model *lqn.Model, util *utility.Params, 
 	}
 	catApps := cat.Apps()
 	e.utilApp = make([]int, len(utilNames))
+	e.utilModel = make([]int, len(utilNames))
 	for i, name := range utilNames {
-		e.utilApp[i] = -1
+		e.utilApp[i], e.utilModel[i] = -1, -1
 		if j := sort.SearchStrings(catApps, name); j < len(catApps) && catApps[j] == name {
 			e.utilApp[i] = j
+		}
+		if j := sort.SearchStrings(e.appNames, name); j < len(e.appNames) && e.appNames[j] == name {
+			e.utilModel[i] = j
 		}
 	}
 	e.actScratch.New = func() any { return &pricer{e: e} }
@@ -189,8 +199,9 @@ func (e *Evaluator) SetObserver(o *obs.Observer) {
 }
 
 // CacheStats is the evaluator's memoization activity since the last
-// BeginWindow. Misses equal the number of distinct steady evaluations
-// performed (each one is an LQN solve); Entries is the live cache size.
+// BeginWindow. Misses count the steady evaluations performed, each one an
+// LQN solve: memo misses plus the reduction candidates Perf-Pwr scored
+// without a lookup; Entries is the live cache size.
 // Dedups counts lookups that joined an identical in-flight solve instead
 // of starting their own; when the joined solve succeeds they also count
 // as Hits (the solve itself is charged to its initiating miss).
@@ -259,8 +270,8 @@ func (e *Evaluator) BeginWindow() {
 // ResetCache is BeginWindow under its older name.
 func (e *Evaluator) ResetCache() { e.BeginWindow() }
 
-// Evals reports how many distinct steady evaluations were performed since
-// the last BeginWindow (a proxy for model-solving work).
+// Evals reports how many steady evaluations were performed since the last
+// BeginWindow (a proxy for model-solving work).
 func (e *Evaluator) Evals() int { return int(e.evals.Load()) }
 
 // CacheSnapshot is the part of the evaluator a checkpoint carries: the

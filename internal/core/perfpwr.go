@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"github.com/mistralcloud/mistral/internal/cluster"
+	"github.com/mistralcloud/mistral/internal/lqn"
 	"github.com/mistralcloud/mistral/internal/par"
 )
 
@@ -214,22 +215,27 @@ func EvaluatePlan(e *Evaluator, cfg cluster.Config, plan []cluster.Action, rates
 
 // sweepHostCounts runs the reduction/packing loop for every candidate host
 // count and keeps the best packed configuration. The arms — one per
-// (host count, affinity variant) pair — are independent full reduction
-// loops over one shared packPlan, so they evaluate concurrently on the
-// worker pool; the fold over their indexed results replays the serial
-// sweep's order exactly, so the winner (selected by strict improvement) and
-// any returned error are identical at every workers setting.
+// (host count, affinity variant) pair — are full reduction loops over one
+// shared packPlan, and the host counts are independent, so they evaluate
+// concurrently on the worker pool; the fold over their indexed results
+// replays the serial sweep's order exactly, so the winner (selected by
+// strict improvement) and any returned error are identical at every workers
+// setting.
 func sweepHostCounts(e *Evaluator, rates map[string]float64, scope packScope, hosts []string, minHosts, workers int) (Ideal, error) {
-	multiZone := len(e.cat.Zones()) > 1
+	// In a multi-zone catalog every host count is tried with and without
+	// the zone-affinity preference.
+	variants := 1
+	if len(e.cat.Zones()) > 1 {
+		variants = 2
+	}
 	type arm struct {
 		n          int
 		noAffinity bool
 	}
 	var arms []arm
 	for n := len(hosts); n >= minHosts; n-- {
-		arms = append(arms, arm{n, false})
-		if multiZone {
-			arms = append(arms, arm{n, true})
+		for v := 0; v < variants; v++ {
+			arms = append(arms, arm{n, v == 1})
 		}
 	}
 	workers = par.Workers(workers)
@@ -243,18 +249,26 @@ func sweepHostCounts(e *Evaluator, rates map[string]float64, scope packScope, ho
 		err   error
 	}
 	results := make([]armResult, len(arms))
-	par.For(len(arms), workers, func(i int) {
-		cfg, ok, err := newReduction(plan, arms[i].n, arms[i].noAffinity).run()
-		if err != nil || !ok {
-			results[i] = armResult{err: err}
-			return
+	// One unit of work is one host count. Its two variants walk the same
+	// states until their packings diverge, so they run back to back and the
+	// second replays the first's trail instead of scoring those states again.
+	par.For(len(arms)/variants, workers, func(u int) {
+		var trail []step
+		for i := u * variants; i < (u+1)*variants; i++ {
+			r := newReduction(plan, arms[i].n, arms[i].noAffinity)
+			r.trail = &trail
+			cfg, ok, err := r.run()
+			if err != nil || !ok {
+				results[i] = armResult{err: err}
+				continue
+			}
+			cfg, steady, err := plan.polish(cfg)
+			if err != nil {
+				results[i] = armResult{err: err}
+				continue
+			}
+			results[i] = armResult{ideal: Ideal{Config: cfg, Steady: steady}, ok: true}
 		}
-		cfg, steady, err := plan.polish(cfg)
-		if err != nil {
-			results[i] = armResult{err: err}
-			return
-		}
-		results[i] = armResult{ideal: Ideal{Config: cfg, Steady: steady}, ok: true}
 	})
 
 	var best *Ideal
@@ -436,10 +450,18 @@ func tuneDVFS(e *Evaluator, ideal Ideal, rates map[string]float64, scope packSco
 // minHostsNeeded lower-bounds the host count able to hold one replica of
 // every required tier at minimum capacity.
 func minHostsNeeded(cat *cluster.Catalog, hosts []string) int {
-	var required int
+	// The memory bound assumes every required replica is as small as the
+	// smallest one, so it never exceeds what a real packing needs.
+	required, minMem := 0, math.MaxInt
 	for _, k := range cat.Tiers() {
-		if cat.TierRequired(k) {
-			required++
+		if !cat.TierRequired(k) {
+			continue
+		}
+		required++
+		for _, id := range cat.TierVMs(k) {
+			if vm, _ := cat.VM(id); vm.MemoryMB < minMem {
+				minMem = vm.MemoryMB
+			}
 		}
 	}
 	if required == 0 || len(hosts) == 0 {
@@ -448,7 +470,7 @@ func minHostsNeeded(cat *cluster.Catalog, hosts []string) int {
 	spec, _ := cat.Host(hosts[0])
 	byCount := int(math.Ceil(float64(required) / float64(spec.MaxVMs)))
 	byCPU := int(math.Ceil(float64(required) * cat.MinCPUPct / spec.UsableCPUPct))
-	perHostMem := (spec.MemoryMB - spec.Dom0MemoryMB) / 200
+	perHostMem := (spec.MemoryMB - spec.Dom0MemoryMB) / minMem
 	byMem := 1
 	if perHostMem > 0 {
 		byMem = int(math.Ceil(float64(required) / float64(perHostMem)))
@@ -508,6 +530,7 @@ type planVM struct {
 	pool    []string // host pool of the VM's application; pooled false when unconfined
 	pooled  bool
 	appNo   int // dense application number, keys the packing's per-app zone memory
+	slot    int // the VM as an lqn.Session addresses it
 }
 
 // packHost is one packing target's remaining capacity.
@@ -523,10 +546,10 @@ type packHost struct {
 // packPlan is everything one Perf-Pwr call hoists out of its candidate
 // loops: the workload fingerprint and, aligned with the sorted managed-VM
 // list, what is known of each VM (catalog entry, tier, demand, zone pin,
-// host pool). The
-// sweep's arms share one plan read-only; the rule they follow is DESIGN.md
-// §9's — a reduction candidate is scored through an overlay on the arm's
-// base configuration and materialised only if it wins.
+// host pool, solver slot). The sweep's arms share one plan read-only; the
+// rule they follow is DESIGN.md §9's — an arm loads its base configuration
+// into the solver once, and a reduction candidate is a patch of that state,
+// scored for what the gradient reads and never built.
 type packPlan struct {
 	e     *Evaluator
 	rates map[string]float64
@@ -535,6 +558,12 @@ type packPlan struct {
 
 	ids []cluster.VMID // scope.managed, sorted
 	vms []planVM       // aligned with ids
+	// eq1 and targets are what scoring a candidate folds its response times
+	// through: the workload's Eq. 1 inputs and, aligned with
+	// Evaluator.appNames, the scope's hard response-time ceilings (+Inf for
+	// none; nil without targets).
+	eq1     eq1
+	targets []float64
 	// apps is how many distinct applications the managed VMs belong to.
 	apps int
 
@@ -555,6 +584,16 @@ func newPackPlan(e *Evaluator, rates map[string]float64, scope packScope, hosts 
 	p.ids = slices.Clone(scope.managed)
 	slices.Sort(p.ids)
 	p.vms = make([]planVM, len(p.ids))
+	p.eq1.load(e, rates)
+	if scope.rtTargets != nil {
+		p.targets = make([]float64, len(e.appNames))
+		for ai, name := range e.appNames {
+			p.targets[ai] = math.Inf(1)
+			if target, ok := scope.rtTargets[name]; ok && rates[name] > 0 {
+				p.targets[ai] = target
+			}
+		}
+	}
 	p.tierVMs = make([][]int, len(p.tiers))
 	p.fixedReplicas = make([]int, len(p.tiers))
 	tierNo := make(map[cluster.TierKey]int, len(p.tiers))
@@ -584,6 +623,7 @@ func newPackPlan(e *Evaluator, rates map[string]float64, scope packScope, hosts 
 			appNo[vm.App] = len(appNo)
 		}
 		v.appNo = appNo[vm.App]
+		v.slot = e.model.VMSlot(id)
 		p.vms[i] = v
 	}
 	p.apps = len(appNo)
@@ -613,10 +653,9 @@ func newPackPlan(e *Evaluator, rates map[string]float64, scope packScope, hosts 
 }
 
 // reduction is one sweep arm's §IV-A state: which managed replicas are
-// active and their CPU allocations, as slices aligned with packPlan.ids,
-// plus base — that state spread round-robin over the arm's hosts, the
-// configuration every candidate of an iteration is one placement change
-// away from.
+// active and their CPU allocations, as slices aligned with packPlan.ids, and
+// sess — that state spread round-robin over the arm's hosts, loaded into the
+// LQN solver once. Every candidate of an iteration is a patch of sess.
 type reduction struct {
 	*packPlan
 	hosts []packHost // the arm's packing targets, pristine
@@ -628,12 +667,22 @@ type reduction struct {
 
 	cpu      []float64 // meaningful while active
 	active   []bool
-	replicas []int    // active managed replicas per tier
-	hostOf   []string // each active VM's host in base
-	base     cluster.Config
+	replicas []int // active managed replicas per tier
+	// sess holds the current state from start to close; seats are the arm's
+	// hosts as it addresses them: the rank-th active VM sits on
+	// seats[rank%len(seats)].
+	sess  *lqn.Session
+	seats []lqn.HostSlot
 	// curRho and curPerf are the current state's mean allocation
 	// utilization and performance rate, the gradient's reference point.
 	curRho, curPerf float64
+
+	// trail is shared by the affinity variants of one host count: the first
+	// appends every step it takes, the second replays them from pos for as
+	// long as it is blocked in the same pin zone, and drops the trail (nil)
+	// once it is not.
+	trail *[]step
+	pos   int
 
 	// binPack's working state, reused across iterations.
 	free       []packHost
@@ -641,6 +690,24 @@ type reduction struct {
 	target     []int // host index per VM, set by a successful binPack
 	appZone    []string
 	appZoneSet []bool
+}
+
+// move is one scored reduction candidate: VM vm's capacity cut by a step,
+// or the replica removed.
+type move struct {
+	vm        int
+	remove    bool
+	rho, perf float64
+	rt        float64 // summed response times, the gradient's tie-breaker
+}
+
+// step is one reduce call's outcome, keyed by all of the blocked VM that
+// reduce reads: its zone pin.
+type step struct {
+	pinned  bool
+	pinZone string
+	best    move
+	found   bool
 }
 
 func newReduction(p *packPlan, nHosts int, noAffinity bool) *reduction {
@@ -652,7 +719,7 @@ func newReduction(p *packPlan, nHosts int, noAffinity bool) *reduction {
 		cpu:        make([]float64, n),
 		active:     make([]bool, n),
 		replicas:   make([]int, len(p.tiers)),
-		hostOf:     make([]string, n),
+		seats:      make([]lqn.HostSlot, nHosts),
 		free:       make([]packHost, nHosts),
 		order:      make([]int, 0, n),
 		target:     make([]int, n),
@@ -668,27 +735,13 @@ func newReduction(p *packPlan, nHosts int, noAffinity bool) *reduction {
 	for t := range r.replicas {
 		r.replicas[t] = len(p.tierVMs[t])
 	}
-	// Spread the state round-robin over the hosts (on top of the fixed
-	// remainder) ignoring capacity constraints — intermediate
-	// configurations are legal for model evaluation, which depends almost
-	// entirely on allocations. Built once per arm; winners update it.
-	r.base = p.scope.fixed.Clone()
-	for _, h := range r.hosts {
-		r.base.SetHostOn(h.name, true)
-	}
-	for i, id := range r.ids {
-		r.hostOf[i] = r.hostAt(i)
-		r.base.Place(id, r.hostOf[i], maxCPU)
-	}
 	return r
 }
-
-// hostAt is the round-robin spread: the host of the rank-th active VM.
-func (r *reduction) hostAt(rank int) string { return r.hosts[rank%len(r.hosts)].name }
 
 // run is the §IV-A loop for the arm's host subset: reduce by gradient until
 // the state bin-packs, then return the packed configuration.
 func (r *reduction) run() (cluster.Config, bool, error) {
+	defer r.close()
 	if ok, err := r.start(); err != nil || !ok {
 		return cluster.Config{}, false, err
 	}
@@ -707,8 +760,8 @@ func (r *reduction) run() (cluster.Config, bool, error) {
 			}
 			return cfg, true, nil
 		}
-		if ok, err := r.reduce(blocked); err != nil || !ok {
-			return cluster.Config{}, false, err // !ok: fully reduced, still unpackable
+		if !r.reduce(blocked) {
+			return cluster.Config{}, false, nil // fully reduced, still unpackable
 		}
 		if iter > 10000 {
 			return cluster.Config{}, false, fmt.Errorf("core: Perf-Pwr reduction did not converge")
@@ -716,16 +769,44 @@ func (r *reduction) run() (cluster.Config, bool, error) {
 	}
 }
 
-// start evaluates the initial state (every replica at maximum capacity); it
-// reports false when even that violates a hard target, so the arm is
-// infeasible.
+// start evaluates the initial state (every replica at maximum capacity) and
+// loads it into the solver; it reports false when even that violates a hard
+// target, so the arm is infeasible. Pair it with close.
 func (r *reduction) start() (bool, error) {
-	st, err := r.e.SteadyFP(r.base, r.rates, r.rfp)
+	// Spread the state round-robin over the hosts (on top of the fixed
+	// remainder) ignoring capacity constraints — intermediate
+	// configurations are legal for model evaluation, which depends almost
+	// entirely on allocations.
+	base := r.scope.fixed.Clone()
+	for _, h := range r.hosts {
+		base.SetHostOn(h.name, true)
+	}
+	for i, id := range r.ids {
+		base.Place(id, r.hosts[i%len(r.hosts)].name, r.cpu[i])
+	}
+	st, err := r.e.SteadyFP(base, r.rates, r.rfp)
 	if err != nil {
 		return false, err
 	}
 	r.curRho, r.curPerf = r.allocUtil(), st.PerfRate
-	return r.scope.meetsTargets(st, r.rates), nil
+	if !r.scope.meetsTargets(st, r.rates) {
+		return false, nil
+	}
+	if r.sess, err = r.e.model.Open(base, r.rates); err != nil {
+		return false, fmt.Errorf("core: steady evaluation: %w", err)
+	}
+	for k, h := range r.hosts {
+		r.seats[k] = r.sess.Host(h.name)
+	}
+	return true, nil
+}
+
+// close hands the arm's solver state back to the model.
+func (r *reduction) close() {
+	if r.sess != nil {
+		r.sess.Close()
+		r.sess = nil
+	}
 }
 
 // reduce scores every reduction candidate of the current state — (a) one
@@ -733,71 +814,62 @@ func (r *reduction) start() (bool, error) {
 // one with the highest utilization-per-utility gradient ∇ρ; it reports
 // false when no candidate is left. blocked is the VM binPack failed on.
 // Only the winner changes the state.
-func (r *reduction) reduce(blocked int) (bool, error) {
-	e, cat := r.e, r.e.cat
+func (r *reduction) reduce(blocked int) bool {
+	pinned, pinZone := r.vms[blocked].pinned, r.vms[blocked].pinZone
+	if r.trail != nil && r.pos < len(*r.trail) {
+		// The twin was here: same state, and the same steps follow for as
+		// long as the blocker's pin is the one it met.
+		if s := (*r.trail)[r.pos]; s.pinned == pinned && s.pinZone == pinZone {
+			r.pos++
+			if s.found {
+				r.apply(s.best)
+			}
+			return s.found
+		}
+		r.trail = nil
+	}
+	cat := r.e.cat
 	// When the blocker is pinned to a zone, cutting VMs pinned to a
 	// *different* zone cannot unblock the packing — unrestricted gradient
 	// cuts would starve unrelated applications first. VMs pinned to the
 	// same zone and unpinned VMs (which may be hogging the blocked zone)
 	// remain candidates.
 	helps := func(i int) bool {
-		return !r.vms[blocked].pinned || !r.vms[i].pinned || r.vms[i].pinZone == r.vms[blocked].pinZone
+		return !pinned || !r.vms[i].pinned || r.vms[i].pinZone == pinZone
 	}
 
 	// Highest gradient wins; ties (common when the flat penalty makes
 	// further cuts to a saturated VM "free") break toward the candidate
 	// with the lowest aggregate response time, so reductions spread rather
 	// than starving one VM. The first candidate seen wins remaining ties.
-	type move struct {
-		vm        int
-		remove    bool
-		without   cluster.Config // the built candidate of a removal
-		rho, perf float64
-		gradient  float64
-		rt        float64
-	}
 	var best move
+	var bestGradient float64
 	found := false
-	consider := func(m move, st Steady) {
-		if !r.scope.meetsTargets(st, r.rates) {
+	scored := 0
+	consider := func(m move, meets bool) {
+		scored++
+		if !meets {
 			return // hard targets: this reduction is off the table
 		}
-		m.perf = st.PerfRate
 		dRho := m.rho - r.curRho
 		dPerf := r.curPerf - m.perf // utility lost by the reduction
-		m.gradient = math.Inf(1)
+		gradient := math.Inf(1)
 		if dPerf > 1e-12 {
-			m.gradient = dRho / dPerf
+			gradient = dRho / dPerf
 		} else if dRho <= 1e-12 {
-			m.gradient = 0
+			gradient = 0
 		}
-		m.rt = e.sumRT(st)
-		if !found || m.gradient > best.gradient || (m.gradient == best.gradient && m.rt < best.rt) {
-			best, found = m, true
+		if !found || gradient > bestGradient || (gradient == bestGradient && m.rt < best.rt) {
+			best, bestGradient, found = m, gradient, true
 		}
 	}
-	// (a) one placement change on base, scored through the overlay.
-	for i, id := range r.ids {
-		if !r.active[i] || !helps(i) {
-			continue
+	// (a) one capacity step off each VM that has one to give.
+	for i := range r.ids {
+		if r.active[i] && helps(i) && r.cpu[i]-cat.CPUStepPct >= cat.MinCPUPct-1e-9 {
+			consider(r.try(move{vm: i}))
 		}
-		from := r.cpu[i]
-		if from-cat.CPUStepPct < cat.MinCPUPct-1e-9 {
-			continue
-		}
-		d := cpuDelta(id, r.hostOf[i], from, from-cat.CPUStepPct)
-		st, err := e.steadyOver(r.base, &d, r.rates, r.rfp)
-		if err != nil {
-			return false, err
-		}
-		r.cpu[i] = from - cat.CPUStepPct
-		rho := r.allocUtil()
-		r.cpu[i] = from
-		consider(move{vm: i, rho: rho}, st)
 	}
-	// (b) the last active replica of each tier with more than one. The VMs
-	// behind the victim shift one host along the round-robin, so this
-	// candidate is a copy-on-write child of base.
+	// (b) the last active replica of each tier with more than one.
 	if r.scope.allowReplicaRemoval {
 		for t, vms := range r.tierVMs {
 			if r.replicas[t] <= 1 {
@@ -809,61 +881,72 @@ func (r *reduction) reduce(blocked int) (bool, error) {
 					victim = i
 				}
 			}
-			if !helps(victim) {
-				continue
-			}
-			cfg := r.without(victim)
-			st, err := e.SteadyFP(cfg, r.rates, r.rfp)
-			if err != nil {
-				return false, err
-			}
-			r.active[victim] = false
-			r.replicas[t]--
-			rho := r.allocUtil()
-			r.active[victim] = true
-			r.replicas[t]++
-			consider(move{vm: victim, remove: true, without: cfg, rho: rho}, st)
-		}
-	}
-	if !found {
-		return false, nil
-	}
-	if i := best.vm; !best.remove {
-		r.cpu[i] -= cat.CPUStepPct
-		r.base.Place(r.ids[i], r.hostOf[i], r.cpu[i])
-	} else {
-		r.active[i] = false
-		r.replicas[r.vms[i].tier]--
-		r.base = best.without
-		rank := 0
-		for j := range r.ids {
-			if r.active[j] {
-				r.hostOf[j] = r.hostAt(rank)
-				rank++
+			if helps(victim) {
+				consider(r.try(move{vm: victim, remove: true}))
 			}
 		}
 	}
-	r.curRho, r.curPerf = best.rho, best.perf
-	return true, nil
+	// A scoring is a steady evaluation: counted where those are counted.
+	r.e.evals.Add(int64(scored))
+	if found {
+		r.apply(best)
+	}
+	if r.trail != nil {
+		*r.trail = append(*r.trail, step{pinned, pinZone, best, found})
+		r.pos++
+	}
+	return found
 }
 
-// without builds the candidate that deactivates one replica: a
-// copy-on-write child of base in which every active VM behind the victim
-// moves to the host the round-robin now gives it.
-func (r *reduction) without(victim int) cluster.Config {
-	cfg := r.base.CloneShared()
-	cfg.Unplace(r.ids[victim])
+// try scores one candidate: patched into the state, read for what the
+// gradient needs, and dropped again. It reports whether the hard targets
+// hold.
+func (r *reduction) try(m move) (move, bool) {
+	from := r.cpu[m.vm]
+	r.patch(m)
+	m.rho = r.allocUtil()
+	var meets bool
+	m.perf, m.rt, meets = r.e.score(r.sess, &r.eq1, r.targets)
+	r.sess.Restore()
+	if m.remove {
+		r.active[m.vm] = true
+		r.replicas[r.vms[m.vm].tier]++
+	} else {
+		r.cpu[m.vm] = from
+	}
+	return m, meets
+}
+
+// patch moves the state, and the solver's copy of it, to a candidate: one
+// slot lowered for a capacity cut; for a removal the victim unplaced and
+// every active VM behind it moved to the host the round-robin now gives it.
+func (r *reduction) patch(m move) {
+	i := m.vm
+	if !m.remove {
+		r.cpu[i] -= r.e.cat.CPUStepPct
+		r.sess.SetCPU(r.vms[i].slot, r.cpu[i])
+		return
+	}
 	rank := 0
-	for i, id := range r.ids {
-		if !r.active[i] || i == victim {
+	for j := range r.ids {
+		if !r.active[j] {
 			continue
 		}
-		if h := r.hostAt(rank); h != r.hostOf[i] {
-			cfg.Place(id, h, r.cpu[i])
+		if j > i {
+			r.sess.Move(r.vms[j].slot, r.seats[(rank-1)%len(r.seats)])
 		}
 		rank++
 	}
-	return cfg
+	r.sess.Unplace(r.vms[i].slot)
+	r.active[i] = false
+	r.replicas[r.vms[i].tier]--
+}
+
+// apply makes a scored move the current state.
+func (r *reduction) apply(m move) {
+	r.patch(m)
+	r.sess.Commit()
+	r.curRho, r.curPerf = m.rho, m.perf
 }
 
 // allocUtil is the ∇ρ numerator source: the demand-weighted mean
@@ -888,15 +971,29 @@ func (r *reduction) allocUtil() float64 {
 	return totalDemand / totalAlloc
 }
 
-// sumRT aggregates the steady response times across applications, the
-// gradient tie-breaker, in sorted application order so the floating-point
-// fold is bit-identical across runs.
-func (e *Evaluator) sumRT(st Steady) float64 {
-	var sum float64
-	for _, name := range e.appNames {
-		sum += st.RTSec[name]
+// score solves a session's patched state and folds what a reduction reads
+// from it, straight from the dense response times: the performance rate
+// (Eq. 1 summed in perfRateFold's order), the summed response times (the
+// gradient's tie-breaker, in sorted application order) and whether the hard
+// targets hold (nil: none). Every fold is the one Evaluator.Steady performs
+// on the same configuration built, so the bits agree.
+func (e *Evaluator) score(sess *lqn.Session, q *eq1, targets []float64) (perf, sumRT float64, meets bool) {
+	rt, _ := sess.Solve()
+	meets = true
+	for ai, v := range rt {
+		sumRT += v
+		if targets != nil && v > targets[ai] {
+			meets = false
+		}
 	}
-	return sum
+	for i, ai := range e.utilModel {
+		var v float64
+		if ai >= 0 {
+			v = rt[ai]
+		}
+		perf += q.params[i].PerfRate(q.interval, q.rate[i], v)
+	}
+	return perf, sumRT, meets
 }
 
 // binPack attempts the paper's worst-fit packing of the current state: VMs
@@ -1013,7 +1110,8 @@ func (r *reduction) packed() cluster.Config {
 // host's capacity split proportionally to current allocations, it reduces
 // by gradient until every host satisfies its capacity constraint. The
 // allocations live in slices aligned with the sorted active-VM list; each
-// cut is scored through the delta overlay and only the winner is applied.
+// cut is scored as a one-slot patch of the loaded start configuration and
+// only the winner is applied.
 func PerfPwrTune(e *Evaluator, base cluster.Config, rates map[string]float64, hosts []string) (Ideal, error) {
 	cat := e.cat
 	rfp := e.RatesFingerprint(rates)
@@ -1024,11 +1122,12 @@ func PerfPwrTune(e *Evaluator, base cluster.Config, rates map[string]float64, ho
 	ids := base.ActiveVMs()
 	host := make([]string, len(ids))
 	cpu := make([]float64, len(ids))
+	slot := make([]int, len(ids)) // each VM as the solver session addresses it
 	scoped := make([]bool, len(ids))
 	anyScoped := false
 	for i, id := range ids {
 		p, _ := base.PlacementOf(id)
-		host[i], cpu[i] = p.Host, p.CPUPct
+		host[i], cpu[i], slot[i] = p.Host, p.CPUPct, e.model.VMSlot(id)
 		if len(hosts) > 0 && !slices.Contains(hosts, p.Host) {
 			continue
 		}
@@ -1060,37 +1159,42 @@ func PerfPwrTune(e *Evaluator, base cluster.Config, rates map[string]float64, ho
 	activeHosts := cfg.ActiveHosts()
 	overloaded := func() bool { return slices.ContainsFunc(activeHosts, overfull) }
 
+	sess, err := e.model.Open(cfg, rates)
+	if err != nil {
+		return Ideal{}, fmt.Errorf("core: steady evaluation: %w", err)
+	}
+	defer sess.Close()
+	var q eq1
+	q.load(e, rates)
+	curPerf, _, _ := e.score(sess, &q, nil)
+	scored := int64(1)
+	defer func() { e.evals.Add(scored) }()
+
 	for iter := 0; overloaded(); iter++ {
 		if iter > 10000 {
 			return Ideal{}, fmt.Errorf("core: Perf-Pwr tune did not converge")
 		}
-		curSteady, err := e.SteadyFP(cfg, rates, rfp)
-		if err != nil {
-			return Ideal{}, err
-		}
 		bestGradient := math.Inf(-1)
 		bestRT := math.Inf(1)
-		best := -1
-		for i, id := range ids {
+		best, bestPerf := -1, 0.0
+		for i := range ids {
 			if !scoped[i] || !overfull(host[i]) {
 				continue // host already fits; don't shrink its VMs
 			}
 			if cpu[i]-cat.CPUStepPct < cat.MinCPUPct-1e-9 {
 				continue
 			}
-			d := cpuDelta(id, host[i], cpu[i], cpu[i]-cat.CPUStepPct)
-			st, err := e.steadyOver(cfg, &d, rates, rfp)
-			if err != nil {
-				return Ideal{}, err
-			}
-			dPerf := curSteady.PerfRate - st.PerfRate
+			sess.SetCPU(slot[i], cpu[i]-cat.CPUStepPct)
+			perf, rt, _ := e.score(sess, &q, nil)
+			sess.SetCPU(slot[i], cpu[i])
+			scored++
+			dPerf := curPerf - perf
 			g := math.Inf(1)
 			if dPerf > 1e-12 {
 				g = cat.CPUStepPct / dPerf
 			}
-			rt := e.sumRT(st)
 			if g > bestGradient || (g == bestGradient && rt < bestRT) {
-				bestGradient, bestRT, best = g, rt, i
+				bestGradient, bestRT, best, bestPerf = g, rt, i, perf
 			}
 		}
 		if best < 0 {
@@ -1098,6 +1202,8 @@ func PerfPwrTune(e *Evaluator, base cluster.Config, rates map[string]float64, ho
 		}
 		cpu[best] -= cat.CPUStepPct
 		cfg.Place(ids[best], host[best], cpu[best])
+		sess.SetCPU(slot[best], cpu[best])
+		curPerf = bestPerf
 	}
 	st, err := e.SteadyFP(cfg, rates, rfp)
 	if err != nil {

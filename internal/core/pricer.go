@@ -20,11 +20,7 @@ type pricer struct {
 
 	// Per workload, aligned with Catalog.Apps: request rates.
 	appRate []float64
-	// Per workload, aligned with Evaluator.utilNames: Eq. 1 parameters and
-	// request rates, and the monitoring interval they accrue over.
-	params   []utility.AppParams
-	rate     []float64
-	interval float64
+	eq1
 
 	// Per parent, aligned with utilNames: the steady response times the
 	// model evaluated (hasRT false where it evaluated none), and the
@@ -35,6 +31,26 @@ type pricer struct {
 
 	// deltaRT is cost's scratch, aligned with Catalog.Apps.
 	deltaRT []float64
+}
+
+// eq1 is what Eq. 1 needs of one workload, aligned with Evaluator.utilNames:
+// each application's parameters and request rate, and the monitoring
+// interval they accrue over. Loaded once, it lets a hot loop sum performance
+// rates without touching a map.
+type eq1 struct {
+	params   []utility.AppParams
+	rate     []float64
+	interval float64
+}
+
+func (q *eq1) load(e *Evaluator, rates map[string]float64) {
+	q.params = sized(q.params, len(e.utilNames))
+	q.rate = sized(q.rate, len(e.utilNames))
+	for i, name := range e.utilNames {
+		q.params[i] = e.util.Apps[name]
+		q.rate[i] = rates[name]
+	}
+	q.interval = e.util.MonitoringInterval.Seconds()
 }
 
 // sized returns s with length n, reusing its backing array when it fits.
@@ -55,13 +71,7 @@ func (p *pricer) setRates(rates map[string]float64) {
 		p.appRate[i] = rates[name]
 	}
 	p.deltaRT = sized(p.deltaRT, len(apps))
-	p.params = sized(p.params, len(e.utilNames))
-	p.rate = sized(p.rate, len(e.utilNames))
-	for i, name := range e.utilNames {
-		p.params[i] = e.util.Apps[name]
-		p.rate[i] = rates[name]
-	}
-	p.interval = e.util.MonitoringInterval.Seconds()
+	p.eq1.load(e, rates)
 }
 
 // setParent loads the configuration actions are executed from, whose steady

@@ -21,6 +21,7 @@ package lqn
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -76,13 +77,14 @@ func (o Options) withDefaults() Options {
 // applications. Construct with NewModel.
 //
 // Thread-safety contract: a Model is immutable after construction —
-// Evaluate and Solve read the application specs, catalog, and options but
-// keep all iteration state (per-tier utilizations, response times, host
-// aggregations) in a pooled per-call scratch, so any number of goroutines
-// may call them concurrently on one Model with distinct or identical
-// inputs. The concurrent evaluation plane (core.Evaluator's sharded memo
-// cache, the A* frontier prewarm, and the Perf-Pwr sweep) relies
-// on this; TestModelEvaluateConcurrent pins it under -race.
+// Evaluate, Solve and an open Session read the application specs, catalog,
+// and options but keep all iteration state (per-tier utilizations, response
+// times, host aggregations) in a pooled scratch held per call or per
+// session, so any number of goroutines may use them concurrently on one
+// Model with distinct or identical inputs. The concurrent evaluation plane
+// (core.Evaluator's sharded memo cache, the A* frontier prewarm, and the
+// Perf-Pwr sweep with one session per running arm) relies on this;
+// TestModelEvaluateConcurrent pins it under -race.
 type Model struct {
 	apps map[string]*app.Spec
 	// names holds the application names in sorted order. The solver iterates
@@ -104,9 +106,13 @@ type Model struct {
 	// Catalog.HostNames plus one trailing slot for hosts outside the catalog
 	// (zone "", like Catalog.ZoneOf reports them).
 	hostZone []int
+	// slots is the VM universe of the dense state: Catalog.VMIDs, then every
+	// tier replica the catalog does not list (legal solver input; such a VM
+	// serves its tier but is left out of its host's allocation fold).
+	slots []cluster.VMID
 	// scratch pools per-solve working state (dense per-host and per-VM
-	// arrays, per-tier replica/factor buffers) so a solve allocates nothing
-	// and Evaluate only the Result it returns.
+	// arrays, per-tier replica/factor buffers) so a solve or a session
+	// allocates nothing and Evaluate only the Result it returns.
 	scratch sync.Pool
 }
 
@@ -127,8 +133,7 @@ type appSkel struct {
 type tierSkel struct {
 	demandMS float64
 	vmIDs    []cluster.VMID
-	// vmIdx is each replica's position in Catalog.VMIDs, or -1 for a VM the
-	// catalog does not list (read from the configuration directly then).
+	// vmIdx is each replica's position in Model.slots.
 	vmIdx []int
 }
 
@@ -159,7 +164,7 @@ type tierScratch struct {
 	factors []repFactor
 }
 
-// vmPlace is one catalog VM's placement as the solve read it.
+// vmPlace is one VM slot's placement in the dense state.
 type vmPlace struct {
 	host   int
 	cpuPct float64
@@ -167,15 +172,20 @@ type vmPlace struct {
 	placed bool
 }
 
-// solveScratch is one solve's working state, pooled on the model. The
-// per-host arrays are aligned with Catalog.HostNames and carry one extra
-// trailing slot that absorbs placements on hosts the catalog does not know
-// (legal solver input; such hosts have no Dom-0 station, zone "" and draw no
-// power). Everything the two projections need is left here by solve.
+// solveScratch is one solve's working state, pooled on the model: the dense
+// configuration load fills (vms, hostOn, hostFreq, lambda) and everything
+// compute derives from it. The per-host arrays are aligned with
+// Catalog.HostNames and carry one extra trailing slot that absorbs
+// placements on hosts the catalog does not know (legal solver input; such
+// hosts have no Dom-0 station, zone "" and draw no power). Everything the
+// projections need is left here by compute.
 type solveScratch struct {
 	sol Solution // the steady-only projection, slices into this scratch
 
-	vms []vmPlace // aligned with Catalog.VMIDs
+	vms   []vmPlace // aligned with Model.slots
+	saved []vmPlace // a session's committed vms, what Restore returns to
+
+	lambda []float64 // request rate per application, aligned with names
 
 	hostOn        []bool
 	hostFreq      []float64
@@ -195,7 +205,9 @@ type solveScratch struct {
 func (m *Model) newScratch() *solveScratch {
 	nh := len(m.cat.HostNames()) + 1
 	sc := &solveScratch{
-		vms:           make([]vmPlace, len(m.cat.VMIDs())),
+		vms:           make([]vmPlace, len(m.slots)),
+		saved:         make([]vmPlace, len(m.slots)),
+		lambda:        make([]float64, len(m.skel)),
 		hostOn:        make([]bool, nh),
 		hostFreq:      make([]float64, nh),
 		hostAlloc:     make([]float64, nh),
@@ -245,6 +257,7 @@ func NewModel(cat *cluster.Catalog, apps []*app.Spec, opts Options) (*Model, err
 		m.names = append(m.names, a.Name)
 	}
 	sort.Strings(m.names)
+	m.slots = slices.Clone(cat.VMIDs())
 	for _, name := range m.names {
 		spec := m.apps[name]
 		sk := appSkel{
@@ -259,7 +272,8 @@ func NewModel(cat *cluster.Catalog, apps []*app.Spec, opts Options) (*Model, err
 				id := spec.VMIDFor(t.Name, r)
 				vi, ok := cat.VMIndex(id)
 				if !ok {
-					vi = -1
+					vi = len(m.slots)
+					m.slots = append(m.slots, id)
 				}
 				ts.vmIDs = append(ts.vmIDs, id)
 				ts.vmIdx = append(ts.vmIdx, vi)
@@ -366,10 +380,12 @@ type Solution struct {
 // caller score a candidate one mutation away from cfg without building it.
 // It runs the same solver as Evaluate and allocates nothing.
 func (m *Model) Solve(cfg cluster.Config, d *cluster.Delta, load map[string]float64) (*Solution, error) {
-	if err := m.checkLoad(load); err != nil {
+	sc, err := m.load(cfg, d, load)
+	if err != nil {
 		return nil, err
 	}
-	return &m.solve(cfg, d, load, nil).sol, nil
+	m.compute(sc, nil, false)
+	return &sc.sol, nil
 }
 
 // Release returns a Solution's solver state to the model's pool.
@@ -382,10 +398,11 @@ func (m *Model) Release(s *Solution) { m.scratch.Put(s.sc) }
 // applications without load default to zero rate. The Result is the rich
 // projection of the solve Solve exposes in steady-only form.
 func (m *Model) Evaluate(cfg cluster.Config, load map[string]float64, dom0Background map[string]float64) (*Result, error) {
-	if err := m.checkLoad(load); err != nil {
+	sc, err := m.load(cfg, nil, load)
+	if err != nil {
 		return nil, err
 	}
-	sc := m.solve(cfg, nil, load, dom0Background)
+	m.compute(sc, dom0Background, false)
 	res := &Result{
 		Apps:   make(map[string]AppResult, len(m.apps)),
 		Hosts:  make(map[string]HostResult, len(m.cat.HostNames())),
@@ -424,49 +441,156 @@ func (m *Model) Evaluate(cfg cluster.Config, load map[string]float64, dom0Backgr
 	return res, nil
 }
 
-func (m *Model) checkLoad(load map[string]float64) error {
-	for name := range load {
-		if _, ok := m.apps[name]; !ok {
-			return fmt.Errorf("lqn: workload references unknown application %q", name)
-		}
-	}
-	return nil
+// Session holds one loaded solver state open so that many configurations a
+// few placement changes apart are scored without re-reading any of them: Open
+// loads a configuration once, SetCPU / Move / Unplace patch single VM slots,
+// Solve runs the response-time half of the solver on the patched state,
+// Restore drops the patches made since the last Commit, and Close hands the
+// state back to the model's pool. This is how the Perf-Pwr reduction scores
+// its candidates. A Session belongs to one goroutine; any number may be open
+// on one Model at a time.
+type Session struct {
+	m   *Model
+	sc  *solveScratch
+	cfg cluster.Config // the opened configuration, to resolve HostSlots
 }
 
-// solve is the solver core, the model's only numeric implementation: it
-// reads the configuration through the delta overlay and leaves every
-// per-application, per-transaction, per-tier and per-host quantity in a
-// pooled scratch, which the caller projects (Evaluate, Solve) and returns
-// to the pool. Every floating-point fold runs in model order (sorted
+// HostSlot is a host as a Session addresses it, resolved once with
+// Session.Host.
+type HostSlot struct {
+	idx  int
+	freq float64
+}
+
+// Open loads cfg under the workload into a pooled solver state and returns
+// the session over it. Unknown applications in load are an error, as in
+// Solve.
+func (m *Model) Open(cfg cluster.Config, load map[string]float64) (*Session, error) {
+	sc, err := m.load(cfg, nil, load)
+	if err != nil {
+		return nil, err
+	}
+	copy(sc.saved, sc.vms)
+	return &Session{m: m, sc: sc, cfg: cfg}, nil
+}
+
+// VMSlot returns the slot a Session addresses the VM by, or -1 for a VM the
+// model never reads (neither in the catalog nor a replica of a modelled
+// tier): patching slot -1 is a no-op.
+func (m *Model) VMSlot(id cluster.VMID) int {
+	if vi, ok := m.cat.VMIndex(id); ok {
+		return vi
+	}
+	n := len(m.cat.VMIDs())
+	if k := slices.Index(m.slots[n:], id); k >= 0 {
+		return n + k
+	}
+	return -1
+}
+
+// Host resolves a host of the opened configuration for Move.
+func (s *Session) Host(name string) HostSlot { return s.m.hostSlot(s.sc, s.cfg, nil, name) }
+
+// SetCPU changes a placed VM's CPU allocation.
+func (s *Session) SetCPU(slot int, cpuPct float64) {
+	if slot >= 0 {
+		s.sc.vms[slot].cpuPct = cpuPct
+	}
+}
+
+// Move puts a placed VM on another host, keeping its allocation.
+func (s *Session) Move(slot int, h HostSlot) {
+	if slot >= 0 {
+		p := &s.sc.vms[slot]
+		p.host, p.freq = h.idx, h.freq
+	}
+}
+
+// Unplace deactivates a VM.
+func (s *Session) Unplace(slot int) {
+	if slot >= 0 {
+		s.sc.vms[slot] = vmPlace{}
+	}
+}
+
+// Solve evaluates the patched state's response times: each application's
+// mean and saturation flag in AppNames order, bit-identical to what Solve
+// reports for the same configuration built. Host utilisations and power
+// inputs are not derived. The slices are the session's; they are overwritten
+// by the next Solve.
+func (s *Session) Solve() (meanRTSec []float64, saturated []bool) {
+	s.m.compute(s.sc, nil, true)
+	return s.sc.meanRT, s.sc.saturated
+}
+
+// Commit makes the current patches the state Restore returns to.
+func (s *Session) Commit() { copy(s.sc.saved, s.sc.vms) }
+
+// Restore drops every patch made since the last Commit (or Open).
+func (s *Session) Restore() { copy(s.sc.vms, s.sc.saved) }
+
+// Close returns the session's state to the model's pool; the session must
+// not be used afterwards.
+func (s *Session) Close() {
+	s.m.scratch.Put(s.sc)
+	s.sc = nil
+}
+
+// hostSlot resolves a host name against the loaded host arrays: hosts
+// outside the catalog share the trailing sink slot and carry their own
+// frequency.
+func (m *Model) hostSlot(sc *solveScratch, cfg cluster.Config, d *cluster.Delta, name string) HostSlot {
+	if hi, known := m.cat.HostIndex(name); known {
+		return HostSlot{idx: hi, freq: sc.hostFreq[hi]}
+	}
+	return HostSlot{idx: len(sc.hostFreq) - 1, freq: cfg.HostFreqOver(d, name)}
+}
+
+// load is the first half of a solve: it checks the workload and reads it,
+// and the configuration through the delta overlay, into the dense state of a
+// scratch drawn from the pool. Nothing after it touches a string-keyed map of
+// either.
+func (m *Model) load(cfg cluster.Config, d *cluster.Delta, load map[string]float64) (*solveScratch, error) {
+	for name := range load {
+		if _, ok := m.apps[name]; !ok {
+			return nil, fmt.Errorf("lqn: workload references unknown application %q", name)
+		}
+	}
+	sc := m.scratch.Get().(*solveScratch)
+	for hi, h := range m.cat.HostNames() {
+		sc.hostOn[hi] = cfg.HostOnOver(d, h)
+		sc.hostFreq[hi] = cfg.HostFreqOver(d, h)
+	}
+	for vi, id := range m.slots {
+		sc.vms[vi] = vmPlace{}
+		if p, ok := cfg.PlacementOver(d, id); ok {
+			h := m.hostSlot(sc, cfg, d, p.Host)
+			sc.vms[vi] = vmPlace{host: h.idx, cpuPct: p.CPUPct, freq: h.freq, placed: true}
+		}
+	}
+	for ai, name := range m.names {
+		sc.lambda[ai] = load[name]
+	}
+	return sc, nil
+}
+
+// compute is the second half, the model's only numeric implementation: from
+// the loaded dense state it leaves every per-application, per-transaction,
+// per-tier and per-host quantity in the scratch for the caller to project
+// (Evaluate, Solve, Session.Solve). rtOnly stops at the response times: the
+// per-host VM utilisation and pass 4, which only the power model reads, are
+// skipped. Every floating-point fold runs in model order (sorted
 // applications, tiers in call order, replicas and VMs in ID order, hosts in
 // catalog order), so results are bit-identical from run to run.
-func (m *Model) solve(cfg cluster.Config, d *cluster.Delta, load, dom0Background map[string]float64) *solveScratch {
-	sc := m.scratch.Get().(*solveScratch)
+func (m *Model) compute(sc *solveScratch, dom0Background map[string]float64, rtOnly bool) {
 	hostNames := m.cat.HostNames()
 	hostSpecs := m.cat.HostSpecs()
-	sink := len(hostNames) // the slot for hosts outside the catalog
 	for hi := range sc.hostAlloc {
 		sc.hostAlloc[hi] = 0
 		sc.hostScale[hi] = 0
 		sc.dom0DemandCPU[hi] = 0
 		sc.hostVMUtil[hi] = 0
 		sc.dom0Util[hi] = 0
-	}
-	for hi, h := range hostNames {
-		sc.hostOn[hi] = cfg.HostOnOver(d, h)
-		sc.hostFreq[hi] = cfg.HostFreqOver(d, h)
-	}
-	// place reads one VM's placement, resolving its host to a dense index.
-	place := func(id cluster.VMID) vmPlace {
-		p, ok := cfg.PlacementOver(d, id)
-		if !ok {
-			return vmPlace{}
-		}
-		hi, known := m.cat.HostIndex(p.Host)
-		if !known {
-			return vmPlace{host: sink, cpuPct: p.CPUPct, freq: cfg.HostFreqOver(d, p.Host), placed: true}
-		}
-		return vmPlace{host: hi, cpuPct: p.CPUPct, freq: sc.hostFreq[hi], placed: true}
 	}
 
 	// Pass 0: hosts whose allocations are oversubscribed scale every VM's
@@ -476,9 +600,7 @@ func (m *Model) solve(cfg cluster.Config, d *cluster.Delta, load, dom0Background
 	// The catalog's sorted VM universe visits each host's VMs in the same
 	// order a sorted active-VM list would, so the per-host allocation folds
 	// are bit-identical to that (allocating) formulation.
-	for vi, id := range m.cat.VMIDs() {
-		p := place(id)
-		sc.vms[vi] = p
+	for _, p := range sc.vms[:len(m.cat.VMIDs())] {
 		if p.placed {
 			sc.hostAlloc[p.host] += p.cpuPct
 		}
@@ -490,9 +612,9 @@ func (m *Model) solve(cfg cluster.Config, d *cluster.Delta, load, dom0Background
 	}
 
 	// Pass 1: per-tier replica states, utilizations, Dom-0 demand per host.
-	for ai, name := range m.names {
+	for ai := range m.names {
 		sk := &m.skel[ai]
-		lambda := load[name]
+		lambda := sc.lambda[ai]
 		for ti := range sk.tiers {
 			tsk := &sk.tiers[ti]
 			ts := &sc.tiers[ai][ti]
@@ -501,12 +623,7 @@ func (m *Model) solve(cfg cluster.Config, d *cluster.Delta, load, dom0Background
 			ts.rho = 0
 			ts.served = false
 			for r, id := range tsk.vmIDs {
-				var p vmPlace
-				if vi := tsk.vmIdx[r]; vi >= 0 {
-					p = sc.vms[vi]
-				} else {
-					p = place(id)
-				}
+				p := sc.vms[tsk.vmIdx[r]]
 				if !p.placed {
 					continue
 				}
@@ -533,13 +650,16 @@ func (m *Model) solve(cfg cluster.Config, d *cluster.Delta, load, dom0Background
 			ts.served = true
 			for _, rep := range ts.replicas {
 				lambdaI := lambda * rep.frac / ts.sumFrac
+				// Dom-0 demand: one visit per tier per request.
+				sc.dom0DemandCPU[rep.host] += lambdaI * sk.dom0Sec
+				if rtOnly {
+					continue
+				}
 				used := lambdaI * (tsk.demandMS / 1000) // absolute CPU fraction
 				if used > rep.frac {
 					used = rep.frac // work-conserving cap at the allocation
 				}
 				sc.hostVMUtil[rep.host] += used
-				// Dom-0 demand: one visit per tier per request.
-				sc.dom0DemandCPU[rep.host] += lambdaI * sk.dom0Sec
 			}
 		}
 	}
@@ -555,10 +675,10 @@ func (m *Model) solve(cfg cluster.Config, d *cluster.Delta, load, dom0Background
 	}
 
 	// Pass 3: per-application response times.
-	for ai, name := range m.names {
+	for ai := range m.names {
 		sk := &m.skel[ai]
 		spec := sk.spec
-		lambda := load[name]
+		lambda := sc.lambda[ai]
 		saturated := false
 
 		// Residence multiplier per tier replica: 1/(1-rho) with soft cap,
@@ -624,8 +744,8 @@ func (m *Model) solve(cfg cluster.Config, d *cluster.Delta, load, dom0Background
 		}
 
 		var meanRT float64
-		for i, txn := range spec.Txns {
-			rt := txn.LatencyMS/1000 + crossZoneSec // CPU-free I/O and WAN waits
+		for i := range spec.Txns {
+			rt := spec.Txns[i].LatencyMS/1000 + crossZoneSec // CPU-free I/O and WAN waits
 			for ti := range spec.Tiers {
 				demand := sk.txnDemandSec[i][ti]
 				for _, f := range sc.tiers[ai][ti].factors {
@@ -643,6 +763,9 @@ func (m *Model) solve(cfg cluster.Config, d *cluster.Delta, load, dom0Background
 		sc.saturated[ai] = saturated
 	}
 
+	if rtOnly {
+		return
+	}
 	// Pass 4: host utilizations for the power model, as the busy fraction
 	// of the host's current (DVFS-scaled) capacity.
 	for hi := range hostNames {
@@ -657,5 +780,4 @@ func (m *Model) solve(cfg cluster.Config, d *cluster.Delta, load, dom0Background
 		}
 		sc.hostCPUUtil[hi] = util
 	}
-	return sc
 }

@@ -1,0 +1,184 @@
+package lqn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"slices"
+	"testing"
+
+	"github.com/mistralcloud/mistral/internal/cluster"
+)
+
+// sameRT fails unless a session's solve carries exactly the bits Solve
+// reports for the configuration the session's patches amount to.
+func sameRT(t *testing.T, m *Model, what string, s *Session, built cluster.Config, d *cluster.Delta, load map[string]float64) {
+	t.Helper()
+	sol, err := m.Solve(built, d, load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Release(sol)
+	rt, sat := s.Solve()
+	for ai, name := range m.AppNames() {
+		if math.Float64bits(rt[ai]) != math.Float64bits(sol.MeanRTSec[ai]) || sat[ai] != sol.Saturated[ai] {
+			t.Fatalf("%s: app %s: session (%v, %v) != Solve (%v, %v)", what, name, rt[ai], sat[ai], sol.MeanRTSec[ai], sol.Saturated[ai])
+		}
+	}
+}
+
+// placedSlots lists the session slots cfg places, in slot order.
+func placedSlots(m *Model, cfg cluster.Config) []int {
+	var out []int
+	for vi, id := range m.slots {
+		if cfg.Active(id) {
+			out = append(out, vi)
+		}
+	}
+	return out
+}
+
+// removeWithShift is the Perf-Pwr reduction's replica removal on both
+// sides: the victim is unplaced and every placed VM behind it takes the host
+// of the placed VM before it. It patches s and returns the configuration
+// built the slow way.
+func removeWithShift(m *Model, s *Session, cfg cluster.Config, victim int) cluster.Config {
+	built := cfg.Clone()
+	placed := placedSlots(m, cfg)
+	k := slices.Index(placed, victim)
+	for j := k + 1; j < len(placed); j++ {
+		prev, _ := cfg.PlacementOf(m.slots[placed[j-1]])
+		cur, _ := cfg.PlacementOf(m.slots[placed[j]])
+		built.Place(m.slots[placed[j]], prev.Host, cur.CPUPct)
+		s.Move(placed[j], s.Host(prev.Host))
+	}
+	built.Unplace(m.slots[victim])
+	s.Unplace(victim)
+	return built
+}
+
+// TestSessionMatchesSolve is the differential test of the load/compute
+// seam: over the seeded inputs of TestSolveMatchesEvaluate (oversubscribed
+// and downclocked hosts, dormant tiers, zero-rate applications, two zones,
+// a VM and a host outside the catalog) every single-slot CPU patch and every
+// removal-with-shift patch of an open session solves to the bits of Solve on
+// the same configuration built, Restore leaves the loaded state bit-equal,
+// and a 50-step sequence of committed patches tracks the built
+// configuration step by step.
+func TestSessionMatchesSolve(t *testing.T) {
+	for _, lab := range []struct{ nApps, zones int }{{2, 1}, {4, 1}, {2, 2}} {
+		m := labModel(t, lab.nApps, lab.zones)
+		rng := rand.New(rand.NewSource(int64(42 + 10*lab.nApps + lab.zones)))
+		var offCatalogVM, offCatalogHost int
+		for i := 0; i < 300; i++ {
+			cfg, load, _ := randomCase(rng, m)
+			what := fmt.Sprintf("%d apps, %d zones, case %d", lab.nApps, lab.zones, i)
+			s, err := m.Open(cfg, load)
+			if err != nil {
+				t.Fatal(err)
+			}
+			loaded := slices.Clone(s.sc.vms)
+			sameRT(t, m, what+" as opened", s, cfg, nil, load)
+
+			placed := placedSlots(m, cfg)
+			for _, vi := range placed {
+				id := m.slots[vi]
+				p, _ := cfg.PlacementOf(id)
+				if vi >= len(m.Catalog().VMIDs()) {
+					offCatalogVM++
+				}
+				if p.Host == ghost {
+					offCatalogHost++
+				}
+				d := cluster.Delta{VM: id, OldPlaced: true, Old: p, NewPlaced: true,
+					New: cluster.Placement{Host: p.Host, CPUPct: p.CPUPct - 5}}
+				s.SetCPU(vi, p.CPUPct-5)
+				sameRT(t, m, fmt.Sprintf("%s, %s cut", what, id), s, cfg, &d, load)
+				s.Restore()
+
+				built := removeWithShift(m, s, cfg, vi)
+				sameRT(t, m, fmt.Sprintf("%s, %s removed", what, id), s, built, nil, load)
+				s.Restore()
+			}
+			if !slices.Equal(s.sc.vms, loaded) {
+				t.Fatalf("%s: Restore left the loaded state changed", what)
+			}
+			sameRT(t, m, what+" after restores", s, cfg, nil, load)
+
+			cur := cfg
+			for step := 0; step < 50 && len(placed) > 0; step++ {
+				vi := placed[rng.Intn(len(placed))]
+				if len(placed) > 1 && rng.Intn(4) == 0 {
+					cur = removeWithShift(m, s, cur, vi)
+					placed = placedSlots(m, cur)
+				} else {
+					p, _ := cur.PlacementOf(m.slots[vi])
+					cur = cur.Clone()
+					cur.Place(m.slots[vi], p.Host, math.Max(5, p.CPUPct-5))
+					s.SetCPU(vi, math.Max(5, p.CPUPct-5))
+				}
+				s.Commit()
+				// A patch dropped after the commit must not disturb it.
+				s.Unplace(placed[0])
+				s.Restore()
+				sameRT(t, m, fmt.Sprintf("%s, applied step %d", what, step), s, cur, nil, load)
+			}
+			s.Close()
+		}
+		if offCatalogVM == 0 || offCatalogHost == 0 {
+			t.Errorf("%d apps, %d zones: generator patched %d off-catalog VMs and %d VMs on an off-catalog host; want both",
+				lab.nApps, lab.zones, offCatalogVM, offCatalogHost)
+		}
+	}
+}
+
+// TestSessionSlots pins slot resolution: catalog VMs by catalog index, a
+// modelled replica outside the catalog behind them, anything else -1 — and a
+// patch of slot -1 is a no-op.
+func TestSessionSlots(t *testing.T) {
+	m := labModel(t, 2, 1)
+	ids := m.Catalog().VMIDs()
+	if got := m.VMSlot(ids[3]); got != 3 {
+		t.Errorf("catalog VM slot = %d, want 3", got)
+	}
+	if got := m.VMSlot("rubis1-db-2"); got != len(ids) {
+		t.Errorf("off-catalog replica slot = %d, want %d", got, len(ids))
+	}
+	if got := m.VMSlot("stranger"); got != -1 {
+		t.Errorf("unmodelled VM slot = %d, want -1", got)
+	}
+	if _, err := m.Open(cluster.NewConfig(), map[string]float64{"ghost": 1}); err == nil {
+		t.Error("Open accepted a workload for an unknown application")
+	}
+	cfg, load, _ := randomCase(rand.New(rand.NewSource(3)), m)
+	s, err := m.Open(cfg, load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	s.SetCPU(-1, 50)
+	s.Move(-1, s.Host("h0"))
+	s.Unplace(-1)
+	sameRT(t, m, "after no-op patches", s, cfg, nil, load)
+}
+
+// TestSessionSolveAllocatesNothing pins the per-candidate cost the Perf-Pwr
+// reduction relies on: patch, solve, restore without a single allocation.
+func TestSessionSolveAllocatesNothing(t *testing.T) {
+	m := labModel(t, 4, 1)
+	cfg, load, _ := randomCase(rand.New(rand.NewSource(1)), m)
+	s, err := m.Open(cfg, load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	vi := placedSlots(m, cfg)[0]
+	n := testing.AllocsPerRun(100, func() {
+		s.SetCPU(vi, 15)
+		s.Solve()
+		s.Restore()
+	})
+	if n != 0 {
+		t.Errorf("patch + solve + restore allocates %v times, want 0", n)
+	}
+}

@@ -12,13 +12,16 @@ import (
 
 // labModel builds the shape of the experiments' labs — nApps RUBiS
 // instances on 2·nApps hosts, every host DVFS-capable — optionally split
-// over two zones.
+// over two zones. The model's first application has one database replica
+// more than the catalog lists: a VM outside the catalog.
 func labModel(t testing.TB, nApps, zones int) *Model {
 	t.Helper()
 	apps := make([]*app.Spec, nApps)
 	for i := range apps {
 		apps[i] = app.RUBiS(fmt.Sprintf("rubis%d", i+1))
 	}
+	modelApps := append([]*app.Spec{app.RUBiS("rubis1")}, apps[1:]...)
+	modelApps[0].Tiers[2].MaxReplicas++
 	hosts := make([]cluster.HostSpec, 2*nApps)
 	for i := range hosts {
 		hosts[i] = cluster.DefaultHostSpec(fmt.Sprintf("h%d", i))
@@ -31,17 +34,25 @@ func labModel(t testing.TB, nApps, zones int) *Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewModel(cat, apps, Options{})
+	m, err := NewModel(cat, modelApps, Options{})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(m.slots) != len(cat.VMIDs())+1 {
+		t.Fatalf("fixture has %d VM slots for %d catalog VMs, want one more", len(m.slots), len(cat.VMIDs()))
 	}
 	return m
 }
 
+// ghost is a host outside every lab's catalog.
+const ghost = "ghost"
+
 // randomCase draws one solver input: a configuration that may oversubscribe
-// hosts, run them downclocked, leave whole tiers dormant and place VMs on
-// powered-off hosts (all legal solver input), a workload with zero-rate
-// applications, and one mutation of that configuration as a Delta.
+// hosts, run them downclocked, leave whole tiers dormant, place VMs on
+// powered-off hosts and on a host outside the catalog with a frequency of
+// its own, and activate the VM outside the catalog (all legal solver input),
+// a workload with zero-rate applications, and one mutation of that
+// configuration as a Delta.
 func randomCase(rng *rand.Rand, m *Model) (cluster.Config, map[string]float64, cluster.Delta) {
 	cat := m.Catalog()
 	hosts := cat.HostNames()
@@ -51,14 +62,27 @@ func randomCase(rng *rand.Rand, m *Model) (cluster.Config, map[string]float64, c
 		cfg.SetHostOn(h, rng.Intn(5) > 0)
 		cfg.SetHostFreq(h, freqs[rng.Intn(len(freqs))])
 	}
+	cfg.SetHostOn(ghost, true)
+	cfg.SetHostFreq(ghost, freqs[rng.Intn(len(freqs))])
+	anyHost := func() string {
+		if rng.Intn(12) == 0 {
+			return ghost
+		}
+		return hosts[rng.Intn(len(hosts))]
+	}
 	for _, k := range cat.Tiers() {
 		if rng.Intn(8) == 0 {
 			continue // dormant tier
 		}
 		for _, id := range cat.TierVMs(k) {
 			if rng.Intn(4) > 0 {
-				cfg.Place(id, hosts[rng.Intn(len(hosts))], float64(10+5*rng.Intn(15)))
+				cfg.Place(id, anyHost(), float64(10+5*rng.Intn(15)))
 			}
+		}
+	}
+	for _, id := range m.slots[len(cat.VMIDs()):] {
+		if rng.Intn(2) == 0 {
+			cfg.Place(id, anyHost(), float64(10+5*rng.Intn(15)))
 		}
 	}
 	load := make(map[string]float64)

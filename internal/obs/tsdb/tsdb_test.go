@@ -87,7 +87,7 @@ func TestAligned(t *testing.T) {
 	for w := 0; w < 10; w++ {
 		s.Append("a", ClassVirtual, w, float64(w))
 		if w%2 == 0 {
-			s.Append("b", ClassVirtual, w, float64(w * 10))
+			s.Append("b", ClassVirtual, w, float64(w*10))
 		}
 	}
 	wins, vals := s.Aligned([]string{"a", "b"}, 0, -1)

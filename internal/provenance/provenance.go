@@ -149,8 +149,8 @@ type StepProv struct {
 	// Retry marks a re-execution of a previously failed action (with its
 	// attempt number); Retryable marks a failure the retry queue may yet
 	// complete.
-	Retry     int  `json:"retry,omitempty"`
-	Retryable bool `json:"retryable,omitempty"`
+	Retry     int    `json:"retry,omitempty"`
+	Retryable bool   `json:"retryable,omitempty"`
 	Err       string `json:"err,omitempty"`
 }
 

@@ -551,16 +551,16 @@ func (e *Engine) StepRates(rates map[string]float64) (StepResult, error) {
 	// ID, and the ops plane gets the refreshed health snapshot.
 	if e.slo != nil {
 		alerts := e.slo.ObserveWindow(slo.WindowObs{
-			Window:      e.winIdx,
-			Time:        log.Time,
-			Invoked:     log.Invoked,
-			Degraded:    log.Degraded,
-			SearchTime:  log.SearchTime,
-			Retries:       log.Retried,
-			CacheHits:     e.reg.CounterValue("eval_cache_hits_total"),
-			CacheMisses:   e.reg.CounterValue("eval_cache_misses_total"),
-			GuardChecked:  gp != nil,
-			GuardRejected: log.GuardRejected,
+			Window:         e.winIdx,
+			Time:           log.Time,
+			Invoked:        log.Invoked,
+			Degraded:       log.Degraded,
+			SearchTime:     log.SearchTime,
+			Retries:        log.Retried,
+			CacheHits:      e.reg.CounterValue("eval_cache_hits_total"),
+			CacheMisses:    e.reg.CounterValue("eval_cache_misses_total"),
+			GuardChecked:   gp != nil,
+			GuardRejected:  log.GuardRejected,
 			HistoryChecked: histChecked,
 			Anomalies:      histAnomalies,
 		})
