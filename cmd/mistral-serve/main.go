@@ -253,25 +253,12 @@ func (s *server) build(r recipe) (env, error) {
 	}
 	provBuf := &lockedBuffer{}
 	rec := provenance.NewRecorder(provBuf)
-	var decider mistral.Decider
-	switch r.strategyName {
-	case "mistral", "naive":
-		decider, err = strategy.NewMistral(eval, strategy.MistralConfig{
-			HostGroups:         lab.HostGroups(),
-			Naive:              r.strategyName == "naive",
-			MonitoringInterval: lab.Util.MonitoringInterval,
-			Workers:            r.workers,
-			Provenance:         true,
-		})
-	case "perf-pwr":
-		decider = strategy.NewPerfPwr(eval)
-	case "perf-cost":
-		decider, err = strategy.NewPerfCost(eval, lab.Util)
-	case "pwr-cost":
-		decider = strategy.NewPwrCost(eval)
-	default:
-		return env{}, fmt.Errorf("unknown strategy %q", r.strategyName)
-	}
+	decider, err := strategy.New(r.strategyName, eval, lab.Util, strategy.MistralConfig{
+		HostGroups:         lab.HostGroups(),
+		MonitoringInterval: lab.Util.MonitoringInterval,
+		Workers:            r.workers,
+		Provenance:         true,
+	})
 	if err != nil {
 		return env{}, err
 	}

@@ -21,7 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/mistralcloud/mistral"
 	"github.com/mistralcloud/mistral/internal/checkpoint"
 	"github.com/mistralcloud/mistral/internal/experiments"
 	"github.com/mistralcloud/mistral/internal/fault"
@@ -155,25 +154,12 @@ func run() (err error) {
 	if err != nil {
 		return err
 	}
-	var decider mistral.Decider
-	switch strings.ToLower(*strategyName) {
-	case "mistral", "naive":
-		decider, err = strategy.NewMistral(eval, strategy.MistralConfig{
-			HostGroups:         lab.HostGroups(),
-			Naive:              strings.EqualFold(*strategyName, "naive"),
-			MonitoringInterval: lab.Util.MonitoringInterval,
-			Workers:            *workers,
-			Provenance:         rec.Enabled(),
-		})
-	case "perf-pwr":
-		decider = strategy.NewPerfPwr(eval)
-	case "perf-cost":
-		decider, err = strategy.NewPerfCost(eval, lab.Util)
-	case "pwr-cost":
-		decider = strategy.NewPwrCost(eval)
-	default:
-		return fmt.Errorf("unknown strategy %q", *strategyName)
-	}
+	decider, err := strategy.New(*strategyName, eval, lab.Util, strategy.MistralConfig{
+		HostGroups:         lab.HostGroups(),
+		MonitoringInterval: lab.Util.MonitoringInterval,
+		Workers:            *workers,
+		Provenance:         rec.Enabled(),
+	})
 	if err != nil {
 		return err
 	}

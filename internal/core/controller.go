@@ -26,8 +26,8 @@ type ControllerOptions struct {
 	// Hosts scopes the controller to a host subset; empty means all.
 	Hosts []string
 	// Scope selects the Perf-Pwr variant used for the ideal configuration:
-	// ScopeFull repacks (2nd level), ScopeTune only reallocates CPU within
-	// existing placements (1st level).
+	// ScopeFull (the default) repacks everything (2nd level), ScopeSubset
+	// only the VMs inside Hosts (1st level).
 	Scope PerfPwrScope
 	// PinAppsToZones constrains the controller's ideal configuration to
 	// keep each application in its current data-center zone. Set it on
@@ -78,9 +78,6 @@ type ControllerOptions struct {
 }
 
 func (o ControllerOptions) withDefaults() ControllerOptions {
-	if o.Scope == 0 {
-		o.Scope = ScopeFull
-	}
 	if o.MonitoringInterval <= 0 {
 		o.MonitoringInterval = 2 * time.Minute
 	}
@@ -380,13 +377,10 @@ func (c *Controller) Decide(now time.Duration, cfg cluster.Config, rates map[str
 	}
 	psp := tr.Start("perfpwr", now, pattrs...)
 	var ideal Ideal
-	switch c.opts.Scope {
-	case ScopeTune:
-		ideal, err = PerfPwrTune(c.eval, cfg, rates, c.opts.Hosts)
-	case ScopeSubset:
+	if c.opts.Scope == ScopeSubset {
 		ideal, err = PerfPwrSubset(c.eval, cfg, rates, c.opts.Hosts, c.opts.Workers)
-	default:
-		popts := PerfPwrOptions{Scope: ScopeFull, Hosts: c.opts.Hosts, AppHostPools: c.opts.AppHostPools, Workers: c.opts.Workers}
+	} else {
+		popts := PerfPwrOptions{Hosts: c.opts.Hosts, AppHostPools: c.opts.AppHostPools, Workers: c.opts.Workers}
 		if c.opts.PinAppsToZones {
 			popts.VMZonePins = VMZonePinsOf(c.eval.cat, cfg)
 		}

@@ -208,40 +208,6 @@ func TestPerfPwrHostSubset(t *testing.T) {
 	}
 }
 
-func TestPerfPwrTuneKeepsPlacements(t *testing.T) {
-	e := newEnv(t, 4, 2)
-	w := rates(e, 60)
-	ideal, err := PerfPwrTune(e.eval, e.cfg, w, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ideal.Config.IsCandidate(e.cat) {
-		t.Fatalf("tuned config invalid: %v", ideal.Config.Validate(e.cat))
-	}
-	// Same VMs on the same hosts; only CPU may differ.
-	for _, id := range e.cfg.ActiveVMs() {
-		p0, _ := e.cfg.PlacementOf(id)
-		p1, ok := ideal.Config.PlacementOf(id)
-		if !ok || p1.Host != p0.Host {
-			t.Errorf("VM %s placement changed: %+v -> %+v", id, p0, p1)
-		}
-	}
-	if got, want := len(ideal.Config.ActiveVMs()), len(e.cfg.ActiveVMs()); got != want {
-		t.Errorf("replication changed: %d VMs, want %d", got, want)
-	}
-	// At 60 req/s the tuner should grant more CPU than the 40% default to
-	// at least one VM.
-	raised := false
-	for _, id := range e.cfg.ActiveVMs() {
-		if p, _ := ideal.Config.PlacementOf(id); p.CPUPct > 40 {
-			raised = true
-		}
-	}
-	if !raised {
-		t.Error("tuner raised no allocation at high load")
-	}
-}
-
 func TestMinHostsNeeded(t *testing.T) {
 	e := newEnv(t, 4, 2)
 	// 6 required tiers at 20% on 80%-usable 4-slot hosts -> ceil(6*20/80)=2.
@@ -479,7 +445,7 @@ func TestControllerZeroBandAlwaysRuns(t *testing.T) {
 	e := newEnv(t, 4, 1)
 	ctrl, err := NewController(e.eval, ControllerOptions{
 		Name:   "L1",
-		Scope:  ScopeTune,
+		Scope:  ScopeSubset,
 		Search: SearchOptions{MaxExpansions: 200},
 		Space:  cluster.ActionSpace{Kinds: []cluster.ActionKind{cluster.ActionIncreaseCPU, cluster.ActionDecreaseCPU}},
 	})

@@ -22,7 +22,7 @@ type Ideal struct {
 	Steady Steady
 }
 
-// PerfPwrScope selects how much freedom the Perf-Pwr optimizer has.
+// PerfPwrScope selects how much freedom a controller's Perf-Pwr ideal has.
 type PerfPwrScope int
 
 // Scopes.
@@ -30,9 +30,6 @@ const (
 	// ScopeFull repacks every VM (including dormant replicas) onto as few
 	// hosts as possible (the 2nd-level controller's view).
 	ScopeFull PerfPwrScope = iota + 1
-	// ScopeTune keeps placements and replication fixed and only retunes
-	// CPU allocations (the cheapest possible view).
-	ScopeTune
 	// ScopeSubset repacks only the VMs currently placed within a host
 	// subset, holding the rest of the system fixed (the 1st-level
 	// controllers' view: CPU tuning plus migrations inside their group).
@@ -41,8 +38,6 @@ const (
 
 // PerfPwrOptions tunes the optimizer.
 type PerfPwrOptions struct {
-	// Scope defaults to ScopeFull.
-	Scope PerfPwrScope
 	// Hosts restricts the optimizer to a subset of hosts (hierarchy
 	// levels); empty means all hosts.
 	Hosts []string
@@ -71,23 +66,10 @@ type PerfPwrOptions struct {
 // the hosts (worst-fit). The packed configuration with the highest overall
 // utility rate across host counts is the ideal configuration c*.
 func PerfPwr(e *Evaluator, rates map[string]float64, opts PerfPwrOptions) (Ideal, error) {
-	if opts.Scope == 0 {
-		opts.Scope = ScopeFull
-	}
 	hosts := opts.Hosts
 	if len(hosts) == 0 {
 		hosts = e.cat.HostNames()
 	}
-	switch opts.Scope {
-	case ScopeTune:
-		return Ideal{}, fmt.Errorf("core: ScopeTune requires a base configuration; use PerfPwrTune")
-	case ScopeSubset:
-		return Ideal{}, fmt.Errorf("core: ScopeSubset requires a base configuration; use PerfPwrSubset")
-	case ScopeFull:
-	default:
-		return Ideal{}, fmt.Errorf("core: unknown Perf-Pwr scope %d", int(opts.Scope))
-	}
-
 	scope := packScope{
 		managed:             e.cat.VMIDs(),
 		fixed:               cluster.NewConfig(),
@@ -1103,111 +1085,4 @@ func (r *reduction) packed() cluster.Config {
 		}
 	}
 	return cfg
-}
-
-// PerfPwrTune is the 1st-level controllers' quick variant: placements and
-// replication are fixed; only CPU allocations change. Starting from each
-// host's capacity split proportionally to current allocations, it reduces
-// by gradient until every host satisfies its capacity constraint. The
-// allocations live in slices aligned with the sorted active-VM list; each
-// cut is scored as a one-slot patch of the loaded start configuration and
-// only the winner is applied.
-func PerfPwrTune(e *Evaluator, base cluster.Config, rates map[string]float64, hosts []string) (Ideal, error) {
-	cat := e.cat
-	rfp := e.RatesFingerprint(rates)
-
-	// Start: every in-scope VM raised to the maximum its host could give it
-	// alone; out-of-scope VMs stay fixed.
-	cfg := base.Clone()
-	ids := base.ActiveVMs()
-	host := make([]string, len(ids))
-	cpu := make([]float64, len(ids))
-	slot := make([]int, len(ids)) // each VM as the solver session addresses it
-	scoped := make([]bool, len(ids))
-	anyScoped := false
-	for i, id := range ids {
-		p, _ := base.PlacementOf(id)
-		host[i], cpu[i], slot[i] = p.Host, p.CPUPct, e.model.VMSlot(id)
-		if len(hosts) > 0 && !slices.Contains(hosts, p.Host) {
-			continue
-		}
-		spec, _ := cat.Host(p.Host)
-		cpu[i] = spec.UsableCPUPct
-		cfg.Place(id, p.Host, cpu[i])
-		scoped[i], anyScoped = true, true
-	}
-	if !anyScoped {
-		st, err := e.SteadyFP(base, rates, rfp)
-		if err != nil {
-			return Ideal{}, err
-		}
-		return Ideal{Config: base.Clone(), Steady: st}, nil
-	}
-
-	// overfull folds a host's allocations in sorted VM order, as
-	// Config.AllocatedCPU does, against its usable capacity.
-	overfull := func(h string) bool {
-		var sum float64
-		for i := range ids {
-			if host[i] == h {
-				sum += cpu[i]
-			}
-		}
-		spec, _ := cat.Host(h)
-		return sum > spec.UsableCPUPct+1e-9
-	}
-	activeHosts := cfg.ActiveHosts()
-	overloaded := func() bool { return slices.ContainsFunc(activeHosts, overfull) }
-
-	sess, err := e.model.Open(cfg, rates)
-	if err != nil {
-		return Ideal{}, fmt.Errorf("core: steady evaluation: %w", err)
-	}
-	defer sess.Close()
-	var q eq1
-	q.load(e, rates)
-	curPerf, _, _ := e.score(sess, &q, nil)
-	scored := int64(1)
-	defer func() { e.evals.Add(scored) }()
-
-	for iter := 0; overloaded(); iter++ {
-		if iter > 10000 {
-			return Ideal{}, fmt.Errorf("core: Perf-Pwr tune did not converge")
-		}
-		bestGradient := math.Inf(-1)
-		bestRT := math.Inf(1)
-		best, bestPerf := -1, 0.0
-		for i := range ids {
-			if !scoped[i] || !overfull(host[i]) {
-				continue // host already fits; don't shrink its VMs
-			}
-			if cpu[i]-cat.CPUStepPct < cat.MinCPUPct-1e-9 {
-				continue
-			}
-			sess.SetCPU(slot[i], cpu[i]-cat.CPUStepPct)
-			perf, rt, _ := e.score(sess, &q, nil)
-			sess.SetCPU(slot[i], cpu[i])
-			scored++
-			dPerf := curPerf - perf
-			g := math.Inf(1)
-			if dPerf > 1e-12 {
-				g = cat.CPUStepPct / dPerf
-			}
-			if g > bestGradient || (g == bestGradient && rt < bestRT) {
-				bestGradient, bestRT, best, bestPerf = g, rt, i, perf
-			}
-		}
-		if best < 0 {
-			return Ideal{}, fmt.Errorf("core: Perf-Pwr tune cannot satisfy capacity constraints")
-		}
-		cpu[best] -= cat.CPUStepPct
-		cfg.Place(ids[best], host[best], cpu[best])
-		sess.SetCPU(slot[best], cpu[best])
-		curPerf = bestPerf
-	}
-	st, err := e.SteadyFP(cfg, rates, rfp)
-	if err != nil {
-		return Ideal{}, err
-	}
-	return Ideal{Config: cfg, Steady: st}, nil
 }

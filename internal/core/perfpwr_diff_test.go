@@ -362,78 +362,9 @@ func sameCaches(t *testing.T, what string, overlay, ref *Evaluator) {
 	}
 }
 
-// TestPerfPwrTuneMatchesReference holds PerfPwrTune's session-scored cuts
-// to a clone-per-candidate replay on a second evaluator.
-func TestPerfPwrTuneMatchesReference(t *testing.T) {
-	e := newEnv(t, 4, 2)
-	ref := newEnv(t, 4, 2).eval
-	cat := e.cat
-	w := unevenRates(e)
-	tuned, err := PerfPwrTune(e.eval, e.cfg, w, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cfg := e.cfg.Clone()
-	for _, id := range e.cfg.ActiveVMs() {
-		p, _ := e.cfg.PlacementOf(id)
-		spec, _ := cat.Host(p.Host)
-		cfg.Place(id, p.Host, spec.UsableCPUPct)
-	}
-	overloaded := func(c cluster.Config) bool {
-		for _, h := range c.ActiveHosts() {
-			spec, _ := cat.Host(h)
-			if c.AllocatedCPU(h) > spec.UsableCPUPct+1e-9 {
-				return true
-			}
-		}
-		return false
-	}
-	for overloaded(cfg) {
-		cur, err := ref.Steady(cfg, w)
-		if err != nil {
-			t.Fatal(err)
-		}
-		bestG, bestRT := math.Inf(-1), math.Inf(1)
-		var best cluster.Config
-		for _, id := range cfg.ActiveVMs() {
-			p, _ := cfg.PlacementOf(id)
-			spec, _ := cat.Host(p.Host)
-			if cfg.AllocatedCPU(p.Host) <= spec.UsableCPUPct+1e-9 || p.CPUPct-cat.CPUStepPct < cat.MinCPUPct-1e-9 {
-				continue
-			}
-			cand := cfg.Clone()
-			cand.Place(id, p.Host, p.CPUPct-cat.CPUStepPct)
-			st, err := ref.Steady(cand, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			g := math.Inf(1)
-			if dPerf := cur.PerfRate - st.PerfRate; dPerf > 1e-12 {
-				g = cat.CPUStepPct / dPerf
-			}
-			if rt := refSumRT(st); g > bestG || (g == bestG && rt < bestRT) {
-				bestG, bestRT, best = g, rt, cand
-			}
-		}
-		cfg = best
-	}
-	st, err := ref.Steady(cfg, w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tuned.Config.Fingerprint() != cfg.Fingerprint() || !sameSteadyBits(tuned.Steady, st) {
-		t.Fatal("PerfPwrTune differs from the clone-per-candidate reference")
-	}
-	// Every cut was scored, none entered the memo: one evaluation per
-	// distinct configuration the reference built, and only the result cached.
-	if got, want := e.eval.Evals(), len(cacheContents(ref)); got < want || len(cacheContents(e.eval)) != 1 {
-		t.Fatalf("PerfPwrTune performed %d evaluations for %d distinct candidates and cached %d", got, want, len(cacheContents(e.eval)))
-	}
-}
-
-// TestTuneDVFSMatchesReference does the same for tuneDVFS's frequency
-// levels on DVFS-capable hosts, in a quiet phase where downclocking pays.
+// TestTuneDVFSMatchesReference holds tuneDVFS's session-scored frequency
+// levels on DVFS-capable hosts to a clone-per-candidate replay on a second
+// evaluator, in a quiet phase where downclocking pays.
 func TestTuneDVFSMatchesReference(t *testing.T) {
 	dvfs := func(h *cluster.HostSpec) { h.DVFSLevels = []float64{0.6, 0.8} }
 	e := newEnv(t, 4, 2, dvfs)

@@ -37,8 +37,8 @@ var goldenLabs = []struct {
 // workload.PaperWorkloads(42, …) through every Perf-Pwr entry point on one
 // shared evaluator (BeginWindow between windows, as the controller does) and
 // renders one line per call: the ideal's fingerprint, the bits of its net
-// rate, and the call's sweep-arm, cache-hit and cache-miss counts. Subset and
-// Tune start from the previous window's full ideal, so their bases vary.
+// rate, and the call's sweep-arm, cache-hit and cache-miss counts. Subset
+// starts from the previous window's full ideal, so its base varies.
 func perfPwrGolden(t *testing.T, opts experiments.LabOptions, workers int) []byte {
 	t.Helper()
 	lab, err := experiments.NewLab(opts)
@@ -84,8 +84,6 @@ func perfPwrGolden(t *testing.T, opts experiments.LabOptions, workers int) []byt
 		for g, group := range lab.HostGroups() {
 			ideal, err := core.PerfPwrSubset(eval, base, rates, group, workers)
 			record(w, fmt.Sprintf("PerfPwrSubset[%d]", g), ideal, err)
-			ideal, err = core.PerfPwrTune(eval, base, rates, group)
-			record(w, fmt.Sprintf("PerfPwrTune[%d]", g), ideal, err)
 		}
 		ideal, err := core.PerfPwrMeetingTargets(eval, rates)
 		record(w, "PerfPwrMeetingTargets", ideal, err)

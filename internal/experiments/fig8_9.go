@@ -32,33 +32,25 @@ func buildDecider(lab *Lab, name StrategyName, naive bool) (scenario.Decider, *s
 	if err != nil {
 		return nil, nil, err
 	}
-	switch name {
-	case StrategyPerfPwr:
-		return strategy.NewPerfPwr(eval), nil, nil
-	case StrategyPerfCost:
-		d, err := strategy.NewPerfCost(eval, lab.Util)
-		return d, nil, err
-	case StrategyPwrCost:
-		return strategy.NewPwrCost(eval), nil, nil
-	case StrategyMistral:
-		search := core.SearchOptions{TimePerChild: 300 * time.Microsecond}
-		if naive {
-			// Without the Self-Aware beam and deadline the naive search
-			// grinds hard instances to the ε-margin or this cap; the cap
-			// keeps full-scenario replays tractable while leaving the
-			// paper's duration contrast (≈4×, Fig. 10b) visible.
-			search.MaxExpansions = 2500
-		}
-		m, err := strategy.NewMistral(eval, strategy.MistralConfig{
-			HostGroups:         lab.HostGroups(),
-			Naive:              naive,
-			MonitoringInterval: lab.Util.MonitoringInterval,
-			Search:             search,
-		})
-		return m, m, err
-	default:
-		return nil, nil, fmt.Errorf("experiments: unknown strategy %q", name)
+	search := core.SearchOptions{TimePerChild: 300 * time.Microsecond}
+	if naive {
+		// Without the Self-Aware beam and deadline the naive search
+		// grinds hard instances to the ε-margin or this cap; the cap
+		// keeps full-scenario replays tractable while leaving the
+		// paper's duration contrast (≈4×, Fig. 10b) visible.
+		search.MaxExpansions = 2500
 	}
+	d, err := strategy.New(string(name), eval, lab.Util, strategy.MistralConfig{
+		HostGroups:         lab.HostGroups(),
+		Naive:              naive,
+		MonitoringInterval: lab.Util.MonitoringInterval,
+		Search:             search,
+	})
+	if err != nil {
+		return nil, nil, fmt.Errorf("experiments: %w", err)
+	}
+	m, _ := d.(*strategy.Mistral)
+	return d, m, nil
 }
 
 // RunStrategy replays the lab's full scenario under one strategy.

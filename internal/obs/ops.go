@@ -54,10 +54,10 @@ type OpsSnapshot struct {
 	UpdatedUnixMS int64          `json:"updated_unix_ms,omitempty"`
 }
 
-// OpsWindow is one completed window's contribution to the ops state.
+// OpsWindow is one completed window's contribution to the ops state; its
+// trace identity is TraceID(Window).
 type OpsWindow struct {
 	Window     int
-	Trace      string
 	TimeSec    float64
 	CumUtility float64
 	Degraded   bool
@@ -112,7 +112,7 @@ func (s *OpsState) RecordWindow(w OpsWindow) {
 	defer s.mu.Unlock()
 	sn := &s.snap
 	sn.Window = w.Window
-	sn.Trace = w.Trace
+	sn.Trace = TraceID(w.Window)
 	sn.TimeSec = w.TimeSec
 	sn.Windows++
 	sn.CumUtility = w.CumUtility
@@ -127,7 +127,7 @@ func (s *OpsState) RecordWindow(w OpsWindow) {
 	sn.LastDecideWallMS = w.WallMS
 	sn.SlowestWindows = insertSlowWindow(sn.SlowestWindows, SlowWindow{
 		Window:        w.Window,
-		Trace:         w.Trace,
+		Trace:         sn.Trace,
 		WallMS:        w.WallMS,
 		SearchTimeSec: w.SearchTimeSec,
 		Degraded:      w.Degraded,

@@ -18,7 +18,6 @@ func TestOpsStateFold(t *testing.T) {
 	for i := 0; i < DefaultSlowWindows+5; i++ {
 		s.RecordWindow(OpsWindow{
 			Window:     i,
-			Trace:      TraceID(i),
 			TimeSec:    float64(i) * 120,
 			CumUtility: float64(i),
 			Degraded:   i == 3,

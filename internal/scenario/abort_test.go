@@ -1,0 +1,144 @@
+package scenario
+
+import (
+	"bytes"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"github.com/mistralcloud/mistral/internal/cluster"
+	"github.com/mistralcloud/mistral/internal/guard"
+	"github.com/mistralcloud/mistral/internal/obs"
+	"github.com/mistralcloud/mistral/internal/obs/tsdb"
+	"github.com/mistralcloud/mistral/internal/provenance"
+)
+
+// TestStepMeasureErrorBooksWindowOnly pins what a window whose measurement
+// fails reaches. The test advances the testbed's clock behind the engine's
+// back, so the engine's own MeasureWindow is refused: the window is booked
+// — Result.Windows, cumulative utility with the search cost charged,
+// provenance, the mean search time — and nothing that observes completed
+// windows sees it: counters, gauge, history, SLO, ops, the breaker, the
+// decider's feedback, and the engine's clock.
+func TestStepMeasureErrorBooksWindowOnly(t *testing.T) {
+	tb, util, traces, cat := setup(t)
+	invoked := Decision{Invoked: true, SearchTime: 10 * time.Second, SearchCost: 0.25}
+	// The third window's plan launches before its measurement is refused.
+	launched := invoked
+	launched.Plan = []cluster.Action{{Kind: cluster.ActionDecreaseCPU, VM: "rubis1-web-0", DeltaCPUPct: 10}}
+	d := &scripted{name: "scripted", decisions: []Decision{invoked, invoked, launched}}
+	ob := &obs.Observer{Metrics: obs.NewRegistry(), Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})}
+	// A threshold of one: a single degraded window reaching the breaker
+	// would open it.
+	g := guard.New(guard.Config{BreakerThreshold: 1}, cat)
+	var prov bytes.Buffer
+	e, err := NewEngine(tb, d, RunConfig{
+		Traces: traces, Duration: 30 * time.Minute, Utility: util,
+		Obs: ob, Guard: g, Provenance: provenance.NewRecorder(&prov),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := e.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cumBefore := e.Result().CumUtility
+	if e.Result().MeanSearchTime != 0 {
+		t.Fatalf("MeanSearchTime = %v before Close, want 0", e.Result().MeanSearchTime)
+	}
+
+	if _, err := tb.MeasureWindow(e.Now() + e.Interval()); err != nil {
+		t.Fatal(err)
+	}
+	sr, err := e.Step()
+	if err == nil || !strings.HasPrefix(err.Error(), "scenario: testbed: window end") {
+		t.Fatalf("Step error = %v, want the testbed's refusal", err)
+	}
+
+	// Booked: the window log, the charge, provenance, the mean search time.
+	res := e.Result()
+	if sr.Index != 2 || len(res.Windows) != 3 {
+		t.Fatalf("index %d, %d windows; want 2, 3", sr.Index, len(res.Windows))
+	}
+	last := res.Windows[2]
+	if !reflect.DeepEqual(last, sr.Window) {
+		t.Errorf("StepResult window %+v differs from the appended one %+v", sr.Window, last)
+	}
+	if !last.Degraded || !strings.HasPrefix(last.DegradedReason, "measure: testbed: window end") {
+		t.Errorf("aborted window degraded=%v reason %q", last.Degraded, last.DegradedReason)
+	}
+	if !last.Invoked || last.SearchTime != 10*time.Second || last.Utility != -0.25 {
+		t.Errorf("aborted window invoked=%v search=%v utility=%v, want true 10s -0.25", last.Invoked, last.SearchTime, last.Utility)
+	}
+	if last.Watts != 0 || last.RTSec != nil || last.ActiveHosts == 0 {
+		t.Errorf("aborted window watts=%v rt=%v hosts=%d, want unmeasured with hosts set", last.Watts, last.RTSec, last.ActiveHosts)
+	}
+	if res.CumUtility != cumBefore-0.25 || last.CumUtility != res.CumUtility {
+		t.Errorf("cum utility %v (window %v), want %v", res.CumUtility, last.CumUtility, cumBefore-0.25)
+	}
+	if res.Invocations != 3 || res.MeanSearchTime != 10*time.Second {
+		t.Errorf("invocations %d mean search %v, want 3 10s", res.Invocations, res.MeanSearchTime)
+	}
+	if last.Actions != 1 || res.TotalActions != 1 {
+		t.Errorf("actions %d (total %d), want the launched plan's 1", last.Actions, res.TotalActions)
+	}
+	var kwh, hostHours float64
+	for _, w := range res.Windows[:2] {
+		kwh += w.Watts * e.Interval().Hours() / 1000
+		hostHours += float64(w.ActiveHosts) * e.Interval().Hours()
+	}
+	if res.DegradedWindows != 0 || res.EnergyKWh != kwh || res.HostHours != hostHours {
+		t.Errorf("degraded windows %d, energy %v, host hours %v; want 0, %v, %v (the two completed windows)",
+			res.DegradedWindows, res.EnergyKWh, res.HostHours, kwh, hostHours)
+	}
+	recs, err := provenance.ReadAll(&prov)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 {
+		t.Fatalf("provenance records = %d, want 3", len(recs))
+	}
+	if r := recs[2]; r.Window != 2 || !r.Degraded || r.DegradedReason != last.DegradedReason ||
+		!r.Invoked || r.SearchCostDollars != 0.25 || r.UtilityDollars != -0.25 || r.CumUtilityDollars != res.CumUtility ||
+		r.Actions != 1 || r.Guard == nil || !r.Guard.Allowed {
+		t.Errorf("aborted window's provenance record %+v", r)
+	}
+
+	// Not completed: the clock, the decider's feedback and every observer.
+	if e.WindowIndex() != 2 || e.Now() != 2*e.Interval() {
+		t.Errorf("engine advanced to window %d at %v", e.WindowIndex(), e.Now())
+	}
+	if len(d.windows) != 2 {
+		t.Errorf("RecordWindow called %d times, want 2", len(d.windows))
+	}
+	for name, want := range map[string]int64{
+		"scenario_windows_total":          2,
+		"scenario_degraded_windows_total": 0,
+	} {
+		if got := ob.Metrics.CounterValue(name); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	snap := ob.Metrics.Snapshot()
+	if got := snap.Gauges["scenario_cum_utility_dollars"]; got != cumBefore {
+		t.Errorf("scenario_cum_utility_dollars = %v, want %v", got, cumBefore)
+	}
+	if got := snap.Histograms["scenario_window_utility_dollars"].Count; got != 2 {
+		t.Errorf("window-utility histogram count = %d, want 2", got)
+	}
+	if got := ob.History.LastWindow(); got != 1 {
+		t.Errorf("history last window = %d, want 1", got)
+	}
+	if got := e.SLO().Snapshot().Windows; got != 2 {
+		t.Errorf("SLO windows = %d, want 2", got)
+	}
+	if ops := ob.Ops.Snapshot(); ops.Windows != 2 || ops.Window != 1 || ops.DegradedWindows != 0 {
+		t.Errorf("ops windows=%d window=%d degraded=%d, want 2 1 0", ops.Windows, ops.Window, ops.DegradedWindows)
+	}
+	if g.Breaker() != guard.BreakerClosed {
+		t.Errorf("breaker = %v, want closed", g.Breaker())
+	}
+}

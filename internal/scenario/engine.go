@@ -16,13 +16,12 @@ import (
 )
 
 // Engine is the resumable heart of the replay loop: one instance owns the
-// per-run controller state Run used to keep in local variables — window
-// index, virtual clock, retry queue, accumulating Result, SLO engine —
-// and advances it one monitoring window per Step. Run is now a thin loop
-// over Step, so batch replays are byte-identical to the monolithic loop
-// they replaced; a daemon can instead drive Step (or StepRates, with
-// streamed workload samples) incrementally, Snapshot the engine to disk,
-// and Restore it in a fresh process without losing calibration.
+// per-run controller state — window index, virtual clock, retry queue,
+// accumulating Result, SLO engine — and advances it one monitoring window
+// per Step. Run is a thin loop over Step; a daemon can instead drive Step
+// (or StepRates, with streamed workload samples) incrementally, Snapshot
+// the engine to disk, and Restore it in a fresh process without losing
+// calibration.
 //
 // The engine is not safe for concurrent use: one goroutine steps it. The
 // observability sinks it feeds (metrics, ops plane, SLO snapshots) have
@@ -34,7 +33,7 @@ type Engine struct {
 
 	res         *Result
 	totalSearch time.Duration
-	retries     []pendingRetry
+	retries     []RetryState
 	winIdx      int
 	t           time.Duration
 
@@ -43,17 +42,16 @@ type Engine struct {
 	reg  *obs.Registry
 	slo  *slo.Engine
 	ops  *obs.OpsState
-	ta   TraceAware
 	// begun records that this engine has taken over the observer's ops
 	// plane and history store (see begin).
 	begun bool
 
 	// Telemetry history plane (see history.go). hist is nil when
-	// observability is fully off; histExp/histHits/histMisses are the
-	// cumulative registry baselines the per-window fold diffs against.
-	hist                          *tsdb.Store
-	det                           *tsdb.Detector
-	histExp, histHits, histMisses int64
+	// observability is fully off; histBase is the cumulative registry
+	// baseline the per-window fold diffs against.
+	hist     *tsdb.Store
+	det      *tsdb.Detector
+	histBase regCounters
 
 	cWindows       *obs.Counter
 	cViolations    *obs.Counter
@@ -68,10 +66,6 @@ type Engine struct {
 	cWallDrift     *obs.Counter
 	hWindowUtil    *obs.Histogram
 	gCumUtil       *obs.Gauge
-
-	// steps accumulates the current window's per-step execution outcomes
-	// when RunConfig.StepProvenance is on; reset at each StepRates entry.
-	steps []provenance.StepProv
 }
 
 // StepResult is what one completed monitoring window hands back to the
@@ -152,7 +146,6 @@ func NewEngine(tb *testbed.Testbed, d Decider, cfg RunConfig) (*Engine, error) {
 	if e.hist != nil {
 		e.det = tsdb.NewDetector(tsdb.DetectorConfig{})
 	}
-	e.ta, _ = d.(TraceAware)
 	return e, nil
 }
 
@@ -169,7 +162,7 @@ func (e *Engine) begin() {
 	e.begun = true
 	e.ops.BeginRun(e.d.Name(), e.cfg.Interval)
 	e.hist.Reset()
-	e.histSyncBaselines()
+	e.histBase = e.readCounters()
 }
 
 // Result returns the accumulating result. The same pointer is live for the
@@ -200,35 +193,224 @@ func (e *Engine) Step() (StepResult, error) {
 	return e.StepRates(e.cfg.Traces.At(e.t))
 }
 
-// countExec folds one ExecReport into the window and result totals and
-// queues retryable failures. attempt is how many times the report's
-// actions have now been executed.
-func (e *Engine) countExec(log *WindowLog, rep testbed.ExecReport, attempt int, now time.Duration) {
-	log.Actions += rep.Started()
-	e.res.TotalActions += rep.Started()
+func (e *Engine) readCounters() regCounters {
+	return regCounters{
+		expansions: e.reg.CounterValue("search_expansions_total"),
+		hits:       e.reg.CounterValue("eval_cache_hits_total"),
+		misses:     e.reg.CounterValue("eval_cache_misses_total"),
+	}
+}
+
+// StepRates runs one monitoring window under the given per-application
+// request rates, advancing the virtual clock by one interval: host crashes,
+// one due retry, the decision with its admission and launch, the
+// measurement, then one publish.
+//
+// The window degrades rather than aborts: a decision error (or panic), a
+// rejected plan, a failed or skipped action, a host crash, or a dropped
+// sensor window marks the window Degraded, is counted on the Result, and
+// the engine carries the reconciled testbed configuration into the next
+// window so the strategy can replan against reality. Only infrastructure
+// errors — invalid rates, a broken measurement pipeline — return an error,
+// and a window whose measurement failed is still booked (see publish).
+func (e *Engine) StepRates(rates map[string]float64) (StepResult, error) {
+	e.begin()
+	if err := e.tb.SetRates(rates); err != nil {
+		return StepResult{Index: e.winIdx, ProvErr: e.cfg.Provenance.Err()}, fmt.Errorf("scenario: %w", err)
+	}
+	w := window{index: e.winIdx, tc: obs.WindowTrace(e.winIdx)}
+	w.Time, w.Rates = e.t+e.cfg.Interval, rates
+	if e.o.Tracer() != nil {
+		if ta, ok := e.d.(TraceAware); ok {
+			ta.SetTraceContext(w.tc)
+		}
+		e.tb.SetTrace(w.tc)
+	}
+
+	e.crashHosts(&w)
+	e.retryDue(&w)
+	e.decide(&w)
+	err := e.measure(&w)
+	e.publish(&w)
+
+	sr := StepResult{Index: w.index, Window: w.WindowLog, ProvErr: e.cfg.Provenance.Err()}
+	if err != nil {
+		return sr, fmt.Errorf("scenario: %w", err)
+	}
+	return sr, nil
+}
+
+// crashHosts lands the window's host crashes first, and only while no plan
+// is in flight (so executing phases stay consistent): the strategy plans
+// against the post-crash configuration.
+func (e *Engine) crashHosts(w *window) {
+	if !e.cfg.Fault.Enabled() || e.tb.Busy() {
+		return
+	}
+	for _, h := range e.cfg.Fault.HostCrashes(e.tb.Config().ActiveHosts(), e.cfg.Interval) {
+		rep, err := e.tb.CrashHost(h)
+		if err != nil {
+			e.olog.Warn("host crash not applied", "host", h, "err", err)
+			continue
+		}
+		w.HostCrashes++
+		w.degrade("host crash: " + h)
+		e.olog.Warn("host crashed",
+			"host", h,
+			"displaced", len(rep.Displaced),
+			"stranded", len(rep.Stranded),
+			"recovery", rep.Recovery)
+	}
+}
+
+// retryDue re-executes one due retry per window while idle; if its recovery
+// phase occupies the testbed, the decision naturally defers to the next
+// window via decide's Busy check.
+func (e *Engine) retryDue(w *window) {
+	if e.tb.Busy() {
+		return
+	}
+	i := dueRetry(e.retries, e.t)
+	if i < 0 {
+		return
+	}
+	rt := e.retries[i]
+	e.retries = append(e.retries[:i], e.retries[i+1:]...)
+	w.Retried++
+	w.degrade(fmt.Sprintf("retry of failed %s", rt.Action.Kind))
+	e.o.Tracer().Event("retry", e.t, e.t, w.tc.Attr(),
+		obs.Attr{Key: "span", Value: w.tc.SpanID("retry", fmt.Sprint(rt.Action.Kind))},
+		obs.Attr{Key: "kind", Value: fmt.Sprint(rt.Action.Kind)},
+		obs.Attr{Key: "attempt", Value: rt.Attempt + 1})
+	rep, err := e.tb.Execute([]cluster.Action{rt.Action})
+	if err != nil {
+		// The cluster moved on (host crashed, VM re-placed); the action no
+		// longer applies. Abandon it.
+		e.olog.Warn("retry rejected", "kind", rt.Action.Kind, "err", err)
+		return
+	}
+	e.countExec(w, rep, rt.Attempt+1)
+}
+
+// decide invokes the strategy unless the testbed is still executing a
+// previously chosen plan, and launches the plan it returns. The engine owns
+// the root "decide" span, so controller-level children ("perfpwr", "search")
+// and testbed "action:*" events nest under it; it covers the decision and
+// the plan it launched — search time and execution overlap on the virtual
+// clock, so the span ends when the longer of the two does.
+func (e *Engine) decide(w *window) {
+	if w.busy = e.tb.Busy(); w.busy {
+		return
+	}
+	t := e.t
+	sp := e.o.Tracer().Start("decide", t,
+		obs.Attr{Key: "strategy", Value: e.d.Name()},
+		w.tc.Attr(),
+		obs.Attr{Key: "span", Value: w.tc.SpanID("decide")})
+	e.cfg.Profile.BeginDecide(w.index)
+	wallT0 := time.Now()
+	dec, err := safeDecide(e.d, t, e.tb.Config(), w.Rates)
+	w.decideWall = time.Since(wallT0)
+	if paths := e.cfg.Profile.EndDecide(w.index, w.decideWall); len(paths) > 0 {
+		e.olog.Warn("decide blew latency budget; pprof captured",
+			"trace", w.tc.ID(), "wall", w.decideWall,
+			"budget", e.cfg.Profile.Budget(), "artifacts", paths)
+	}
+	if err != nil {
+		w.decideErr = true
+		sp.End(t, obs.Attr{Key: "error", Value: err.Error()})
+		e.olog.Warn("decide failed; degrading to no adaptation",
+			"strategy", e.d.Name(), "t", t, "err", err)
+		w.degrade("decide: " + err.Error())
+		return
+	}
+	w.provs = dec.Provs
+	if dec.Invoked {
+		w.Invoked = true
+		w.SearchTime = dec.SearchTime
+		w.searchCost = dec.SearchCost
+	}
+	if dec.Degraded {
+		w.fallback = true
+		reason := dec.DegradedReason
+		if reason == "" {
+			reason = "strategy fallback"
+		}
+		w.degrade(reason)
+	}
+	end := t + dec.SearchTime
+	if len(dec.Plan) > 0 {
+		if pe := t + e.launch(w, dec.Plan); pe > end {
+			end = pe
+		}
+	}
+	sp.End(end,
+		obs.Attr{Key: "invoked", Value: dec.Invoked},
+		obs.Attr{Key: "actions", Value: len(dec.Plan)},
+		obs.Attr{Key: "search_cost", Value: dec.SearchCost})
+	w.Utility -= dec.SearchCost
+}
+
+// launch screens the plan against the guard's invariants (and the circuit
+// breaker) before a single action is scheduled — a nil guard admits
+// everything — then executes it and returns how long it will run.
+func (e *Engine) launch(w *window, plan []cluster.Action) time.Duration {
+	v := e.cfg.Guard.Admit(e.t, e.tb.FinalConfig(), plan)
+	if e.cfg.Guard.Enabled() {
+		w.guard = &provenance.GuardProv{
+			Allowed: v.Allowed,
+			Rule:    v.Rule,
+			Reason:  v.Reason,
+			Breaker: v.Breaker.String(),
+		}
+	}
+	if !v.Allowed {
+		w.GuardRejected = true
+		w.GuardRule = v.Rule
+		w.degrade("guard rejected plan: " + v.Rule)
+		e.olog.Warn("guard rejected plan",
+			"strategy", e.d.Name(), "t", e.t,
+			"rule", v.Rule, "reason", v.Reason,
+			"breaker", v.Breaker.String())
+		return 0
+	}
+	rep, err := e.tb.Execute(plan)
+	if err != nil {
+		// The whole plan was rejected — typically stale against a
+		// crash-reconciled configuration. Replan next window.
+		e.olog.Warn("plan rejected", "strategy", e.d.Name(), "t", e.t, "err", err)
+		w.execRejected = true
+		w.degrade("plan rejected: " + err.Error())
+		return 0
+	}
+	e.countExec(w, rep, 1)
+	return rep.Duration
+}
+
+// countExec fills the window from one ExecReport and queues retryable
+// failures. attempt is how many times the report's actions have now been
+// executed.
+func (e *Engine) countExec(w *window, rep testbed.ExecReport, attempt int) {
+	w.Actions += rep.Started()
 	if rep.Failed > 0 {
-		log.FailedActions += rep.Failed
-		e.res.FailedActions += rep.Failed
-		e.cFailedActions.Add(int64(rep.Failed))
-		log.degrade(fmt.Sprintf("%d action(s) failed", rep.Failed))
-		e.retries = queueRetries(e.retries, rep, attempt, now, e.cfg.Retry)
+		w.FailedActions += rep.Failed
+		w.degrade(fmt.Sprintf("%d action(s) failed", rep.Failed))
+		e.retries = queueRetries(e.retries, rep, attempt, e.t, e.cfg.Retry)
 	}
 	if rep.Skipped > 0 {
-		e.res.SkippedActions += rep.Skipped
-		log.degrade(fmt.Sprintf("%d action(s) skipped", rep.Skipped))
+		w.skipped += rep.Skipped
+		w.degrade(fmt.Sprintf("%d action(s) skipped", rep.Skipped))
 	}
 	if rep.Compensated {
 		// The plan aborted as a transaction and its applied prefix was
 		// rolled back. FPRestored cross-checks the testbed's guarantee:
 		// the scheduled final configuration's fingerprint returned to its
 		// pre-plan value.
-		log.RolledBack += rep.RolledBack
-		e.res.RolledBackActions += rep.RolledBack
-		e.cRolledBack.Add(int64(rep.RolledBack))
-		e.res.CompensatedPlans++
-		log.Compensated = true
-		log.FPRestored = rep.FinalFP == rep.PrePlanFP
-		log.degrade(fmt.Sprintf("plan rolled back (%d compensating step(s))", rep.RolledBack))
+		w.RolledBack += rep.RolledBack
+		w.compensated++
+		w.Compensated = true
+		w.FPRestored = rep.FinalFP == rep.PrePlanFP
+		w.degrade(fmt.Sprintf("plan rolled back (%d compensating step(s))", rep.RolledBack))
 	}
 	if e.cfg.StepProvenance && e.cfg.Provenance.Enabled() {
 		for _, st := range rep.Steps {
@@ -245,371 +427,179 @@ func (e *Engine) countExec(log *WindowLog, rep testbed.ExecReport, attempt int, 
 			if st.Err != nil {
 				sp.Err = st.Err.Error()
 			}
-			e.steps = append(e.steps, sp)
+			w.steps = append(w.steps, sp)
 		}
 	}
 }
 
-// record emits one provenance record for a completed (or aborted) window;
-// window indices count every window, busy ones included. The same index
-// seeds the window's trace context, so provenance readers recover the
-// trace ID with obs.TraceID(Record.Window) — no new serialized field, no
-// byte-level drift.
-func (e *Engine) record(log *WindowLog, busy bool, searchCost float64, provs []*provenance.DecisionProv, gp *provenance.GuardProv) {
-	if !e.cfg.Provenance.Enabled() {
+// measure closes the window on the testbed and accounts Eq. 3: the window's
+// utility is its performance and power accrual less the search cost decide
+// already charged. A failed measurement marks the window aborted.
+func (e *Engine) measure(w *window) error {
+	m, err := e.tb.MeasureWindow(w.Time)
+	w.ActiveHosts = e.tb.Config().NumActiveHosts()
+	if err != nil {
+		w.aborted = true
+		w.degrade("measure: " + err.Error())
+		w.CumUtility = e.res.CumUtility + w.Utility
+		return err
+	}
+	w.RTSec = m.RTSec
+	w.Watts = m.Watts
+	if m.SensorDropped {
+		w.SensorDropped = true
+		w.degrade("sensor window dropped")
+	}
+	w.perfRate = e.cfg.Utility.PerfRateAll(w.Rates, m.RTSec)
+	w.pwrRate = e.cfg.Utility.PowerRate(m.Watts)
+	w.Utility += e.cfg.Interval.Seconds() * (w.perfRate + w.pwrRate)
+	w.CumUtility = e.res.CumUtility + w.Utility
+	for name, a := range e.cfg.Utility.Apps {
+		if w.Rates[name] > 0 && m.RTSec[name] > a.TargetRT.Seconds() {
+			w.violations = append(w.violations, name)
+		}
+	}
+	w.reg = e.readCounters()
+	return nil
+}
+
+// publish derives every view of the window from its record, once. A window
+// whose measurement failed is booked — the Result, the counters of what had
+// happened by then, provenance, and the mean search time for a caller that
+// stops on the error — and nothing that observes completed windows sees it;
+// the clock stays put.
+func (e *Engine) publish(w *window) {
+	e.res.add(w, e.cfg.Interval)
+	e.totalSearch += w.SearchTime
+	e.cCrashes.Add(int64(w.HostCrashes))
+	e.cRetries.Add(int64(w.Retried))
+	e.cFailedActions.Add(int64(w.FailedActions))
+	e.cRolledBack.Add(int64(w.RolledBack))
+	e.cDecideErr.Add(int64(b2i(w.decideErr)))
+	e.cExecRej.Add(int64(b2i(w.execRejected)))
+	e.record(w)
+	if w.aborted {
+		e.setMeanSearchTime()
 		return
 	}
-	// Append's first error is sticky on the recorder, surfaced live on each
-	// StepResult and finally by Close; the window itself never aborts over
-	// a provenance write.
-	rec := &provenance.Record{
-		Window:            e.winIdx,
-		TimeSec:           log.Time.Seconds(),
-		Strategy:          e.res.Strategy,
-		Invoked:           log.Invoked,
-		Busy:              busy,
-		Degraded:          log.Degraded,
-		DegradedReason:    log.DegradedReason,
-		Actions:           log.Actions,
-		SearchTimeSec:     log.SearchTime.Seconds(),
-		SearchCostDollars: searchCost,
-		UtilityDollars:    log.Utility,
-		CumUtilityDollars: log.CumUtility,
-		Watts:             log.Watts,
-		Decisions:         provs,
-		Guard:             gp,
-	}
-	if e.cfg.StepProvenance {
-		rec.Steps = e.steps
-	}
-	_ = e.cfg.Provenance.Append(rec)
-}
 
-// StepRates runs one monitoring window under the given per-application
-// request rates, advancing the virtual clock by one interval.
-//
-// The window degrades rather than aborts: a decision error (or panic), a
-// rejected plan, a failed or skipped action, a host crash, or a dropped
-// sensor window marks the window Degraded, is counted on the Result, and
-// the engine carries the reconciled testbed configuration into the next
-// window so the strategy can replan against reality. Only infrastructure
-// errors — invalid rates, a broken measurement pipeline — return an error,
-// and even then the in-progress window (with its already-charged search
-// cost) is recorded first.
-func (e *Engine) StepRates(rates map[string]float64) (StepResult, error) {
-	e.begin()
-	t := e.t
-	cfg := e.cfg
-	res := e.res
-	tb := e.tb
-	d := e.d
-	tr := e.o.Tracer()
-	olog := e.olog
-
-	if err := tb.SetRates(rates); err != nil {
-		return StepResult{Index: e.winIdx, ProvErr: cfg.Provenance.Err()}, fmt.Errorf("scenario: %w", err)
-	}
-
-	log := WindowLog{Time: t + cfg.Interval, Rates: rates}
-	e.steps = nil
-
-	// The window's causal identity: spans, alerts, ops entries, and
-	// log lines below all carry tc's trace ID, and the provenance
-	// record's Window field pins the same identity.
-	tc := obs.WindowTrace(e.winIdx)
-	if tr != nil {
-		if e.ta != nil {
-			e.ta.SetTraceContext(tc)
-		}
-		tb.SetTrace(tc)
-	}
-
-	// Host crashes land first, and only while no plan is in flight (so
-	// executing phases stay consistent): the strategy plans against the
-	// post-crash configuration.
-	if cfg.Fault.Enabled() && !tb.Busy() {
-		for _, h := range cfg.Fault.HostCrashes(tb.Config().ActiveHosts(), cfg.Interval) {
-			rep, err := tb.CrashHost(h)
-			if err != nil {
-				olog.Warn("host crash not applied", "host", h, "err", err)
-				continue
-			}
-			log.HostCrashes++
-			log.degrade("host crash: " + h)
-			res.HostCrashes++
-			e.cCrashes.Inc()
-			olog.Warn("host crashed",
-				"host", h,
-				"displaced", len(rep.Displaced),
-				"stranded", len(rep.Stranded),
-				"recovery", rep.Recovery)
-		}
-	}
-
-	// Re-execute one due retry per window while idle; if its recovery
-	// phase occupies the testbed, the decision naturally defers to the
-	// next window via the Busy check below.
-	if !tb.Busy() {
-		if i := dueRetry(e.retries, t); i >= 0 {
-			rt := e.retries[i]
-			e.retries = append(e.retries[:i], e.retries[i+1:]...)
-			res.Retries++
-			e.cRetries.Inc()
-			log.Retried++
-			log.degrade(fmt.Sprintf("retry of failed %s", rt.action.Kind))
-			tr.Event("retry", t, t, tc.Attr(),
-				obs.Attr{Key: "span", Value: tc.SpanID("retry", fmt.Sprint(rt.action.Kind))},
-				obs.Attr{Key: "kind", Value: fmt.Sprint(rt.action.Kind)},
-				obs.Attr{Key: "attempt", Value: rt.attempt + 1})
-			rep, err := tb.Execute([]cluster.Action{rt.action})
-			if err != nil {
-				// The cluster moved on (host crashed, VM re-placed);
-				// the action no longer applies. Abandon it.
-				olog.Warn("retry rejected", "kind", rt.action.Kind, "err", err)
-			} else {
-				e.countExec(&log, rep, rt.attempt+1, t)
-			}
-		}
-	}
-
-	// Invoke the strategy unless the testbed is still executing a
-	// previously chosen plan.
-	busy := tb.Busy()
-	var searchCost float64
-	var provs []*provenance.DecisionProv
-	var gp *provenance.GuardProv
-	var decideWall time.Duration
-	decideErred := false
-	if !busy {
-		sp := tr.Start("decide", t,
-			obs.Attr{Key: "strategy", Value: d.Name()},
-			tc.Attr(),
-			obs.Attr{Key: "span", Value: tc.SpanID("decide")})
-		cfg.Profile.BeginDecide(e.winIdx)
-		wallT0 := time.Now()
-		dec, err := safeDecide(d, t, tb.Config(), rates)
-		decideWall = time.Since(wallT0)
-		if paths := cfg.Profile.EndDecide(e.winIdx, decideWall); len(paths) > 0 {
-			olog.Warn("decide blew latency budget; pprof captured",
-				"trace", tc.ID(), "wall", decideWall,
-				"budget", cfg.Profile.Budget(), "artifacts", paths)
-		}
-		if err != nil {
-			decideErred = true
-			sp.End(t, obs.Attr{Key: "error", Value: err.Error()})
-			olog.Warn("decide failed; degrading to no adaptation",
-				"strategy", d.Name(), "t", t, "err", err)
-			res.DecideErrors++
-			e.cDecideErr.Inc()
-			log.degrade("decide: " + err.Error())
-		} else {
-			provs = dec.Provs
-			if dec.Invoked {
-				res.Invocations++
-				e.totalSearch += dec.SearchTime
-				log.Invoked = true
-				log.SearchTime = dec.SearchTime
-				searchCost = dec.SearchCost
-			}
-			if dec.Degraded {
-				reason := dec.DegradedReason
-				if reason == "" {
-					reason = "strategy fallback"
-				}
-				log.degrade(reason)
-				res.FallbackDecisions++
-			}
-			var planDur time.Duration
-			if len(dec.Plan) > 0 {
-				// Admission: the guard screens the plan against its
-				// invariants (and the circuit breaker) before a single
-				// action is scheduled. A nil guard admits everything.
-				v := cfg.Guard.Admit(t, tb.FinalConfig(), dec.Plan)
-				if cfg.Guard.Enabled() {
-					gp = &provenance.GuardProv{
-						Allowed: v.Allowed,
-						Rule:    v.Rule,
-						Reason:  v.Reason,
-						Breaker: v.Breaker.String(),
-					}
-				}
-				if !v.Allowed {
-					res.GuardRejections++
-					log.GuardRejected = true
-					log.GuardRule = v.Rule
-					log.degrade("guard rejected plan: " + v.Rule)
-					olog.Warn("guard rejected plan",
-						"strategy", d.Name(), "t", t,
-						"rule", v.Rule, "reason", v.Reason,
-						"breaker", v.Breaker.String())
-				} else if rep, err := tb.Execute(dec.Plan); err != nil {
-					// The whole plan was rejected — typically stale
-					// against a crash-reconciled configuration. Replan
-					// next window.
-					olog.Warn("plan rejected", "strategy", d.Name(), "t", t, "err", err)
-					res.ExecRejections++
-					e.cExecRej.Inc()
-					log.degrade("plan rejected: " + err.Error())
-				} else {
-					planDur = rep.Duration
-					e.countExec(&log, rep, 1, t)
-				}
-			}
-			// The root span covers the decision and the plan it launched:
-			// search time and execution overlap on the virtual clock, so
-			// the span ends when the longer of the two does.
-			end := t + dec.SearchTime
-			if pe := t + planDur; pe > end {
-				end = pe
-			}
-			sp.End(end,
-				obs.Attr{Key: "invoked", Value: dec.Invoked},
-				obs.Attr{Key: "actions", Value: len(dec.Plan)},
-				obs.Attr{Key: "search_cost", Value: dec.SearchCost})
-			log.Utility -= dec.SearchCost
-		}
-	}
-
-	w, err := tb.MeasureWindow(t + cfg.Interval)
-	if err != nil {
-		// Record the in-progress window — its search cost is already
-		// charged — before surfacing the error.
-		res.CumUtility += log.Utility
-		log.CumUtility = res.CumUtility
-		log.ActiveHosts = tb.Config().NumActiveHosts()
-		log.degrade("measure: " + err.Error())
-		res.Windows = append(res.Windows, log)
-		e.record(&log, busy, searchCost, provs, gp)
-		if res.Invocations > 0 {
-			res.MeanSearchTime = e.totalSearch / time.Duration(res.Invocations)
-		}
-		return StepResult{Index: e.winIdx, Window: log, ProvErr: cfg.Provenance.Err()},
-			fmt.Errorf("scenario: %w", err)
-	}
-	log.RTSec = w.RTSec
-	log.Watts = w.Watts
-	if w.SensorDropped {
-		log.SensorDropped = true
-		log.degrade("sensor window dropped")
-		res.SensorDrops++
-	}
-
-	perfRate := cfg.Utility.PerfRateAll(rates, w.RTSec)
-	pwrRate := cfg.Utility.PowerRate(w.Watts)
-	log.Utility += cfg.Interval.Seconds() * (perfRate + pwrRate)
-	res.CumUtility += log.Utility
-	log.CumUtility = res.CumUtility
-	d.RecordWindow(log.Utility, perfRate, pwrRate)
-
-	violationsBefore := res.TargetViolations
-	for name, a := range cfg.Utility.Apps {
-		if rates[name] > 0 && w.RTSec[name] > a.TargetRT.Seconds() {
-			res.TargetViolations++
-			res.ViolationsByApp[name]++
-		}
-	}
-	if log.Degraded {
-		res.DegradedWindows++
-		e.cDegraded.Inc()
-		olog.Warn("window degraded",
-			"strategy", d.Name(),
-			"t", log.Time,
-			"reason", log.DegradedReason)
-	}
+	e.d.RecordWindow(w.Utility, w.perfRate, w.pwrRate)
 	e.cWindows.Inc()
-	e.cViolations.Add(int64(res.TargetViolations - violationsBefore))
-	e.hWindowUtil.ObserveExemplar(log.Utility, tc.ID())
-	e.gCumUtil.Set(res.CumUtility)
-	olog.Info("window",
-		"strategy", d.Name(),
-		"trace", tc.ID(),
-		"t", log.Time,
+	e.cViolations.Add(int64(len(w.violations)))
+	e.hWindowUtil.ObserveExemplar(w.Utility, w.tc.ID())
+	e.gCumUtil.Set(w.CumUtility)
+	if w.Degraded {
+		e.cDegraded.Inc()
+		e.olog.Warn("window degraded",
+			"strategy", e.d.Name(),
+			"t", w.Time,
+			"reason", w.DegradedReason)
+	}
+	e.olog.Info("window",
+		"strategy", e.d.Name(),
+		"trace", w.tc.ID(),
+		"t", w.Time,
 		"watts", w.Watts,
-		"utility", log.Utility,
-		"cum_utility", res.CumUtility,
-		"actions", log.Actions,
-		"invoked", log.Invoked,
-		"degraded", log.Degraded)
-	log.ActiveHosts = tb.Config().NumActiveHosts()
-	res.EnergyKWh += w.Watts * cfg.Interval.Hours() / 1000
-	res.HostHours += float64(log.ActiveHosts) * cfg.Interval.Hours()
-	res.Windows = append(res.Windows, log)
-	e.record(&log, busy, searchCost, provs, gp)
+		"utility", w.Utility,
+		"cum_utility", w.CumUtility,
+		"actions", w.Actions,
+		"invoked", w.Invoked,
+		"degraded", w.Degraded)
 
 	// The breaker consumes the window's health exactly once per window,
 	// busy windows included (its cooldown is counted in windows): this
 	// window's degraded status gates the next window's admission.
-	cfg.Guard.ObserveWindow(log.Degraded)
+	e.cfg.Guard.ObserveWindow(w.Degraded)
 
-	// Telemetry history: fold the window's canonical sample set into the
-	// tsdb store and score it for anomalies. Runs before the SLO fold so
-	// the history-anomaly objective sees this window's verdicts.
-	histChecked, histAnomalies := e.observeHistory(&log, busy, searchCost, decideWall, tc)
-
-	// Self-monitoring: the SLO engine folds the window's virtual-time
-	// facts in; any alerts surface on the log with the window's trace
-	// ID, and the ops plane gets the refreshed health snapshot.
-	if e.slo != nil {
-		alerts := e.slo.ObserveWindow(slo.WindowObs{
-			Window:         e.winIdx,
-			Time:           log.Time,
-			Invoked:        log.Invoked,
-			Degraded:       log.Degraded,
-			SearchTime:     log.SearchTime,
-			Retries:        log.Retried,
-			CacheHits:      e.reg.CounterValue("eval_cache_hits_total"),
-			CacheMisses:    e.reg.CounterValue("eval_cache_misses_total"),
-			GuardChecked:   gp != nil,
-			GuardRejected:  log.GuardRejected,
-			HistoryChecked: histChecked,
-			Anomalies:      histAnomalies,
-		})
-		for _, a := range alerts {
-			olog.Warn("slo alert",
-				"objective", a.Objective,
-				"severity", a.Severity,
-				"trace", a.Trace,
-				"msg", a.Message)
-		}
+	// History folds before the SLO engine so the history-anomaly objective
+	// sees this window's verdicts; the ops plane then gets the refreshed
+	// health snapshot and digests.
+	histChecked, anomalies := e.observeHistory(w)
+	alerts := e.slo.ObserveWindow(slo.WindowObs{
+		Window:         w.index,
+		Time:           w.Time,
+		Invoked:        w.Invoked,
+		Degraded:       w.Degraded,
+		SearchTime:     w.SearchTime,
+		Retries:        w.Retried,
+		CacheHits:      w.reg.hits,
+		CacheMisses:    w.reg.misses,
+		GuardChecked:   w.guard != nil,
+		GuardRejected:  w.GuardRejected,
+		HistoryChecked: histChecked,
+		Anomalies:      anomalies,
+	})
+	for _, a := range alerts {
+		e.olog.Warn("slo alert",
+			"objective", a.Objective,
+			"severity", a.Severity,
+			"trace", a.Trace,
+			"msg", a.Message)
 	}
+	// An ops plane implies an observer, and with it the SLO engine and the
+	// history store.
 	if e.ops != nil {
 		e.ops.RecordWindow(obs.OpsWindow{
-			Window:        e.winIdx,
-			Trace:         tc.ID(),
-			TimeSec:       log.Time.Seconds(),
-			CumUtility:    res.CumUtility,
-			Degraded:      log.Degraded,
-			Error:         decideErred,
-			Retries:       log.Retried,
-			Crashes:       log.HostCrashes,
-			WallMS:        float64(decideWall.Microseconds()) / 1000,
-			SearchTimeSec: log.SearchTime.Seconds(),
+			Window:        w.index,
+			TimeSec:       w.Time.Seconds(),
+			CumUtility:    w.CumUtility,
+			Degraded:      w.Degraded,
+			Error:         w.decideErr,
+			Retries:       w.Retried,
+			Crashes:       w.HostCrashes,
+			WallMS:        float64(w.decideWall.Microseconds()) / 1000,
+			SearchTimeSec: w.SearchTime.Seconds(),
 		})
-		if e.slo != nil {
-			if raw, err := json.Marshal(e.slo.Snapshot()); err == nil {
-				e.ops.SetSLO(raw)
-			}
+		if raw, err := json.Marshal(e.slo.Snapshot()); err == nil {
+			e.ops.SetSLO(raw)
 		}
-		if e.hist != nil {
-			e.ops.SetHistory(e.hist.Summaries(opsSparkN))
-		}
+		e.ops.SetHistory(e.hist.Summaries(opsSparkN))
 	}
-
-	sr := StepResult{Index: e.winIdx, Window: log, ProvErr: cfg.Provenance.Err()}
-	e.t = t + cfg.Interval
+	e.t = w.Time
 	e.winIdx++
-	return sr, nil
 }
 
-// Close finalizes the result (mean search time over invocations) and
-// surfaces the provenance recorder's sticky first write error, exactly as
-// the end of the monolithic Run did. It does not release resources — the
-// testbed and recorder belong to the caller — so an engine may be
-// snapshotted after Close and its state restored elsewhere.
-func (e *Engine) Close() error {
+// record appends the window's provenance record; window indices count every
+// window, busy ones included. Append's first error is sticky on the
+// recorder, surfaced live on each StepResult and finally by Close; the
+// window itself never aborts over a provenance write.
+func (e *Engine) record(w *window) {
+	if !e.cfg.Provenance.Enabled() {
+		return
+	}
+	_ = e.cfg.Provenance.Append(&provenance.Record{
+		Window:            w.index,
+		TimeSec:           w.Time.Seconds(),
+		Strategy:          e.res.Strategy,
+		Invoked:           w.Invoked,
+		Busy:              w.busy,
+		Degraded:          w.Degraded,
+		DegradedReason:    w.DegradedReason,
+		Actions:           w.Actions,
+		SearchTimeSec:     w.SearchTime.Seconds(),
+		SearchCostDollars: w.searchCost,
+		UtilityDollars:    w.Utility,
+		CumUtilityDollars: w.CumUtility,
+		Watts:             w.Watts,
+		Decisions:         w.provs,
+		Guard:             w.guard,
+		Steps:             w.steps,
+	})
+}
+
+// setMeanSearchTime finalizes the mean search time over invocations.
+func (e *Engine) setMeanSearchTime() {
 	if e.res.Invocations > 0 {
 		e.res.MeanSearchTime = e.totalSearch / time.Duration(e.res.Invocations)
 	}
+}
+
+// Close finalizes the result (mean search time over invocations) and
+// surfaces the provenance recorder's sticky first write error. It does not
+// release resources — the testbed and recorder belong to the caller — so an
+// engine may be snapshotted after Close and its state restored elsewhere.
+func (e *Engine) Close() error {
+	e.setMeanSearchTime()
 	if err := e.cfg.Provenance.Err(); err != nil {
 		return fmt.Errorf("scenario: %w", err)
 	}

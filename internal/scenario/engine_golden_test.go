@@ -1,0 +1,300 @@
+package scenario_test
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"log/slog"
+	"os"
+	"path/filepath"
+	"regexp"
+	"sort"
+	"strings"
+	"testing"
+
+	"github.com/mistralcloud/mistral/internal/experiments"
+	"github.com/mistralcloud/mistral/internal/fault"
+	"github.com/mistralcloud/mistral/internal/guard"
+	"github.com/mistralcloud/mistral/internal/obs"
+	"github.com/mistralcloud/mistral/internal/obs/tsdb"
+	"github.com/mistralcloud/mistral/internal/provenance"
+	"github.com/mistralcloud/mistral/internal/scenario"
+	"github.com/mistralcloud/mistral/internal/strategy"
+	"github.com/mistralcloud/mistral/internal/testbed"
+)
+
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/")
+
+// engineGoldenWindows is how many monitoring windows each engine golden
+// replays.
+const engineGoldenWindows = 40
+
+// engineStreams are the fixtures the engine goldens cover: every sink on a
+// clean Mistral replay, the same under the fault plane with rollback, guard
+// and step provenance, and a baseline with observability fully off.
+var engineStreams = []struct {
+	name      string
+	strategy  string
+	faults    bool
+	observers bool
+}{
+	{"mistral", "mistral", false, true},
+	{"mistral-faults", "mistral", true, true},
+	{"perfpwr-noobs", "perf-pwr", false, false},
+}
+
+var wallUS = regexp.MustCompile(`"wall_us":\d+`)
+
+// engineStreamsGolden replays engineGoldenWindows windows at Workers 1 and
+// renders one line per byte surface the engine publishes to — name, sha256
+// and length — with every wall-clock quantity cleared first. A surface the
+// fixture does not have renders as absent.
+func engineStreamsGolden(t *testing.T, strategyName string, faults, observers bool) []byte {
+	t.Helper()
+	lab, err := experiments.NewLab(experiments.LabOptions{NumApps: 2, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ob *obs.Observer
+	var trace, logs bytes.Buffer
+	if observers {
+		ob = &obs.Observer{
+			Metrics: obs.NewRegistry(),
+			Trace:   obs.NewTracer(&trace, obs.FormatJSONL),
+			Ops:     obs.NewOpsState(),
+			History: tsdb.New(tsdb.Options{}),
+			Log: slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{
+				ReplaceAttr: func(_ []string, a slog.Attr) slog.Attr {
+					if a.Key == slog.TimeKey {
+						return slog.Attr{}
+					}
+					return a
+				},
+			})),
+		}
+	}
+	// The testbed, fault plane, guard, evaluator and controllers resolve the
+	// process default at construction, as they do in the binaries.
+	obs.SetDefault(ob)
+	defer obs.SetDefault(nil)
+
+	var inj *fault.Injector
+	exec := testbed.FailForward
+	var grd *guard.Guard
+	if faults {
+		inj = fault.New(fault.Profile(0.3, 5))
+		exec = testbed.RollbackOnFailure
+		grd = guard.New(guard.Config{Obs: ob}, lab.Cat)
+	}
+	tb, err := lab.NewTestbedExec(inj, exec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eval, err := lab.NewEvaluator()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dec, err := strategy.New(strategyName, eval, lab.Util, strategy.MistralConfig{
+		HostGroups:         lab.HostGroups(),
+		MonitoringInterval: lab.Util.MonitoringInterval,
+		Workers:            1,
+		Provenance:         true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prov bytes.Buffer
+	e, err := scenario.NewEngine(tb, dec, scenario.RunConfig{
+		Traces:         lab.Traces,
+		Duration:       engineGoldenWindows * lab.Util.MonitoringInterval,
+		Interval:       lab.Util.MonitoringInterval,
+		Utility:        lab.Util,
+		Workers:        1,
+		Fault:          inj,
+		Guard:          grd,
+		Provenance:     provenance.NewRecorder(&prov),
+		StepProvenance: faults,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Registry values at every window boundary, not just the last.
+	var counters bytes.Buffer
+	for !e.Done() {
+		sr, err := e.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ob != nil {
+			fmt.Fprintf(&counters, "w=%02d %s\n", sr.Index, deterministicMetrics(ob.Metrics))
+		}
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var out bytes.Buffer
+	line := func(name string, b []byte) {
+		if b == nil {
+			fmt.Fprintf(&out, "%-12s absent\n", name)
+			return
+		}
+		fmt.Fprintf(&out, "%-12s sha256=%x len=%d\n", name, sha256.Sum256(b), len(b))
+	}
+	asJSON := func(v any) []byte {
+		raw, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+
+	line("result", asJSON(e.Result()))
+	line("provenance", prov.Bytes())
+
+	snap, err := e.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snap.History != nil {
+		for i := range snap.History.Series {
+			se := &snap.History.Series[i]
+			if se.Class != tsdb.ClassWall.String() {
+				continue
+			}
+			for j := range se.Raw {
+				se.Raw[j].Value = 0
+			}
+			for _, tier := range se.Tiers {
+				for j := range tier.Buckets {
+					tier.Buckets[j] = tsdb.Agg{Window: tier.Buckets[j].Window, Count: tier.Buckets[j].Count}
+				}
+			}
+		}
+	}
+	if snap.Anomaly != nil {
+		for name, st := range snap.Anomaly.EWMA {
+			snap.Anomaly.EWMA[name] = tsdb.EWMAState{N: st.N}
+		}
+	}
+	line("snapshot", asJSON(snap))
+
+	if ob == nil {
+		for _, name := range []string{"trace", "query", "slo", "ops", "metrics", "log"} {
+			line(name, nil)
+		}
+		return out.Bytes()
+	}
+
+	line("trace", wallUS.ReplaceAll(trace.Bytes(), []byte(`"wall_us":0`)))
+
+	var virtual []string
+	for _, s := range ob.History.Summaries(0) {
+		if s.Class == tsdb.ClassVirtual.String() {
+			virtual = append(virtual, s.Name)
+		}
+	}
+	resp, err := ob.History.Query(virtual, 0, -1, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	line("query", asJSON(resp))
+
+	line("slo", asJSON(e.SLO().Snapshot()))
+
+	ops := ob.Ops.Snapshot()
+	ops.LastDecideWallMS, ops.SlowestWindows, ops.UpdatedUnixMS = 0, nil, 0
+	hist := ops.History[:0]
+	for _, s := range ops.History {
+		if s.Class == tsdb.ClassVirtual.String() {
+			hist = append(hist, s)
+		}
+	}
+	ops.History = hist
+	line("ops", asJSON(ops))
+
+	line("metrics", counters.Bytes())
+
+	// Wall-latency drift warnings fire on the wall clock; every other line
+	// is deterministic once its timestamp is dropped.
+	var kept []string
+	for _, l := range strings.SplitAfter(logs.String(), "\n") {
+		if !strings.Contains(l, "decide wall-latency drift") {
+			kept = append(kept, l)
+		}
+	}
+	line("log", []byte(strings.Join(kept, "")))
+	return out.Bytes()
+}
+
+// deterministicMetrics renders the registry's deterministic counters, the
+// engine's gauges and its window-utility histogram, sorted by name.
+func deterministicMetrics(reg *obs.Registry) string {
+	snap := reg.Snapshot()
+	var parts []string
+	for name, v := range snap.Counters {
+		switch {
+		case strings.HasPrefix(name, "scenario_"), strings.HasPrefix(name, "fault_"),
+			strings.HasPrefix(name, "eval_cache_"),
+			name == "history_anomalies_total", name == "search_expansions_total":
+			parts = append(parts, fmt.Sprintf("%s=%d", name, v))
+		}
+	}
+	for name, v := range snap.Gauges {
+		if strings.HasPrefix(name, "scenario_") {
+			parts = append(parts, fmt.Sprintf("%s=%v", name, v))
+		}
+	}
+	for name, h := range snap.Histograms {
+		if strings.HasPrefix(name, "scenario_") {
+			raw, _ := json.Marshal(h)
+			parts = append(parts, fmt.Sprintf("%s=%s", name, raw))
+		}
+	}
+	sort.Strings(parts)
+	return strings.Join(parts, " ")
+}
+
+// TestEngineStreamsGolden pins every byte surface the engine's per-window
+// publish feeds — Result, provenance, spans, /v1/query, the SLO snapshot,
+// /ops, registry values at each window boundary, the log and the checkpoint
+// — to goldens generated before the engine was restructured. Regenerate with
+// `go test ./internal/scenario/ -run TestEngineStreamsGolden -update` only
+// when a change is meant to move one of them.
+func TestEngineStreamsGolden(t *testing.T) {
+	for _, s := range engineStreams {
+		s := s
+		t.Run(s.name, func(t *testing.T) {
+			path := filepath.Join("testdata", "engine_"+s.name+".golden")
+			got := engineStreamsGolden(t, s.strategy, s.faults, s.observers)
+			if *update {
+				if err := os.MkdirAll("testdata", 0o755); err != nil {
+					t.Fatal(err)
+				}
+				if err := os.WriteFile(path, got, 0o644); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatalf("%v (generate with -update)", err)
+			}
+			gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+			for i := 0; i < len(gl) || i < len(wl); i++ {
+				var g, w string
+				if i < len(gl) {
+					g = gl[i]
+				}
+				if i < len(wl) {
+					w = wl[i]
+				}
+				if g != w {
+					t.Errorf("surface differs from %s:\n got: %s\nwant: %s", path, g, w)
+				}
+			}
+		})
+	}
+}

@@ -1,8 +1,6 @@
 package scenario
 
 import (
-	"time"
-
 	"github.com/mistralcloud/mistral/internal/obs"
 	"github.com/mistralcloud/mistral/internal/obs/tsdb"
 )
@@ -23,75 +21,52 @@ import (
 // carry as sparkline vectors.
 const opsSparkN = 32
 
-// monitoredSeries are the continuous virtual series the anomaly detector
-// scores with a rolling median/MAD z-score. Flag-like series (degraded,
-// guard_rejected, ...) are excluded by design: their baselines are flat
-// and carry no robust scale.
-var monitoredSeries = []string{"utility", "watts", "expansions"}
-
-// histSyncBaselines re-reads the cumulative registry counters the history
-// fold diffs window over window. Called at construction and after a
-// checkpoint restore: the invariant is baseline == live counter value, so
-// the next window's delta covers exactly that window regardless of what
-// the registry held before this engine (a prior run in the same process,
-// a re-seated restore, or zero in a fresh one).
-func (e *Engine) histSyncBaselines() {
-	if e.hist == nil || e.reg == nil {
-		return
-	}
-	e.histExp = e.reg.CounterValue("search_expansions_total")
-	e.histHits = e.reg.CounterValue("eval_cache_hits_total")
-	e.histMisses = e.reg.CounterValue("eval_cache_misses_total")
-}
-
 // observeHistory folds one completed window into the history store and
 // scores it for anomalies. It reports whether the window was checked and
 // how many virtual series the detector flagged — the inputs of the SLO
 // engine's history-anomaly objective. Wall-clock drift verdicts surface
 // as warnings and a counter only; they never reach deterministic state.
-func (e *Engine) observeHistory(log *WindowLog, busy bool, searchCost float64, decideWall time.Duration, tc obs.TraceContext) (checked bool, anomalies int) {
+//
+// The expansion and cache series are the window's deltas of the cumulative
+// registry counters. The invariant is histBase == the counters' value when
+// the previous window was folded (or when the engine began, or was
+// restored), so the delta covers exactly this window regardless of what
+// the registry held before this engine.
+func (e *Engine) observeHistory(w *window) (checked bool, anomalies int) {
 	if e.hist == nil {
 		return false, 0
 	}
-	w := e.winIdx
-	t := log.Time
-
-	var expD, hitD, missD int64
-	if e.reg != nil {
-		exp := e.reg.CounterValue("search_expansions_total")
-		hits := e.reg.CounterValue("eval_cache_hits_total")
-		misses := e.reg.CounterValue("eval_cache_misses_total")
-		expD, hitD, missD = exp-e.histExp, hits-e.histHits, misses-e.histMisses
-		e.histExp, e.histHits, e.histMisses = exp, hits, misses
-	}
+	expD := w.reg.expansions - e.histBase.expansions
+	hitD, missD := w.reg.hits-e.histBase.hits, w.reg.misses-e.histBase.misses
+	e.histBase = w.reg
 	hitPct := 0.0
 	if hitD+missD > 0 {
 		hitPct = 100 * float64(hitD) / float64(hitD+missD)
 	}
 
-	// Score before appending: the baseline is strictly prior windows.
-	samples := map[string]float64{
-		"utility":    log.Utility,
-		"watts":      log.Watts,
-		"expansions": float64(expD),
-	}
-	tr := e.o.Tracer()
-	for _, name := range monitoredSeries {
-		a := e.det.ScoreVirtual(e.hist, name, w, samples[name])
+	// The continuous virtual series are scored with a rolling median/MAD
+	// z-score, before appending: the baseline is strictly prior windows.
+	// Flag-like series (degraded, guard_rejected, ...) are excluded by
+	// design: their baselines are flat and carry no robust scale.
+	for _, s := range []struct {
+		name  string
+		value float64
+	}{{"utility", w.Utility}, {"watts", w.Watts}, {"expansions", float64(expD)}} {
+		a := e.det.ScoreVirtual(e.hist, s.name, w.index, s.value)
 		if a == nil {
 			continue
 		}
 		anomalies++
 		e.cAnomalies.Inc()
-		tr.Event("history:anomaly", t, t, tc.Attr(),
-			obs.Attr{Key: "span", Value: tc.SpanID("history", a.Series)},
+		e.o.Tracer().Event("history:anomaly", w.Time, w.Time, w.tc.Attr(),
+			obs.Attr{Key: "span", Value: w.tc.SpanID("history", a.Series)},
 			obs.Attr{Key: "series", Value: a.Series},
 			obs.Attr{Key: "kind", Value: a.Kind},
 			obs.Attr{Key: "value", Value: a.Value},
 			obs.Attr{Key: "score", Value: a.Score},
 			obs.Attr{Key: "baseline", Value: a.Baseline})
 		e.olog.Warn("history anomaly",
-			"trace", tc.ID(),
+			"trace", w.tc.ID(),
 			"series", a.Series,
 			"kind", a.Kind,
 			"value", a.Value,
@@ -99,38 +74,32 @@ func (e *Engine) observeHistory(log *WindowLog, busy bool, searchCost float64, d
 			"baseline", a.Baseline)
 	}
 
-	b2f := func(b bool) float64 {
-		if b {
-			return 1
-		}
-		return 0
-	}
-	app := func(name string, v float64) { e.hist.Append(name, tsdb.ClassVirtual, w, v) }
-	app("utility", log.Utility)
-	app("cum_utility", log.CumUtility)
-	app("watts", log.Watts)
-	app("search_cost", searchCost)
-	app("search_time_sec", log.SearchTime.Seconds())
-	app("active_hosts", float64(log.ActiveHosts))
-	app("actions", float64(log.Actions))
-	app("degraded", b2f(log.Degraded))
-	app("retries", float64(log.Retried))
-	app("failed_actions", float64(log.FailedActions))
-	app("host_crashes", float64(log.HostCrashes))
-	app("guard_rejected", b2f(log.GuardRejected))
+	app := func(name string, v float64) { e.hist.Append(name, tsdb.ClassVirtual, w.index, v) }
+	app("utility", w.Utility)
+	app("cum_utility", w.CumUtility)
+	app("watts", w.Watts)
+	app("search_cost", w.searchCost)
+	app("search_time_sec", w.SearchTime.Seconds())
+	app("active_hosts", float64(w.ActiveHosts))
+	app("actions", float64(w.Actions))
+	app("degraded", float64(b2i(w.Degraded)))
+	app("retries", float64(w.Retried))
+	app("failed_actions", float64(w.FailedActions))
+	app("host_crashes", float64(w.HostCrashes))
+	app("guard_rejected", float64(b2i(w.GuardRejected)))
 	app("breaker_state", float64(e.cfg.Guard.Breaker()))
 	app("expansions", float64(expD))
 	app("cache_hit_pct", hitPct)
 
 	// Wall-clock decide latency: busy windows ran no decide, so the
 	// series only carries windows where a measurement exists.
-	if !busy {
-		ms := float64(decideWall.Microseconds()) / 1000
-		e.hist.Append("decide_wall_ms", tsdb.ClassWall, w, ms)
-		if a := e.det.ScoreWall("decide_wall_ms", w, ms); a != nil {
+	if !w.busy {
+		ms := float64(w.decideWall.Microseconds()) / 1000
+		e.hist.Append("decide_wall_ms", tsdb.ClassWall, w.index, ms)
+		if a := e.det.ScoreWall("decide_wall_ms", w.index, ms); a != nil {
 			e.cWallDrift.Inc()
 			e.olog.Warn("decide wall-latency drift",
-				"trace", tc.ID(),
+				"trace", w.tc.ID(),
 				"wall_ms", a.Value,
 				"score", a.Score,
 				"ewma_ms", a.Baseline)

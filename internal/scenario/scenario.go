@@ -234,6 +234,52 @@ func (w *WindowLog) degrade(reason string) {
 	w.DegradedReason += reason
 }
 
+// regCounters are the cumulative registry counters the history and SLO
+// folds diff window over window.
+type regCounters struct{ expansions, hits, misses int64 }
+
+// window is one monitoring window's record. The phases of StepRates only
+// fill it; publish alone derives the views from it — Result totals, registry
+// metrics, the decider's feedback, log lines, provenance, the breaker,
+// history, SLO, /ops. The embedded WindowLog is the part StepResult and
+// Result.Windows carry.
+type window struct {
+	WindowLog
+	index int
+	// tc is the window's causal identity: spans, alerts, ops entries and log
+	// lines carry its trace ID, and the provenance record's Window field pins
+	// the same identity (obs.TraceID(Record.Window)).
+	tc obs.TraceContext
+	// busy: the testbed was still executing an earlier plan; no decision ran.
+	busy bool
+	// aborted: the measurement failed; the window is booked, not completed.
+	aborted bool
+
+	decideWall   time.Duration
+	decideErr    bool
+	fallback     bool
+	execRejected bool
+	searchCost   float64
+	provs        []*provenance.DecisionProv
+	guard        *provenance.GuardProv
+
+	// skipped and compensated count plan steps skipped and plans rolled
+	// back; steps holds per-step outcomes under RunConfig.StepProvenance.
+	skipped, compensated int
+	steps                []provenance.StepProv
+
+	perfRate, pwrRate float64
+	violations        []string // applications whose measured RT missed the target
+	reg               regCounters
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
+}
+
 // Result is a completed scenario replay.
 type Result struct {
 	Strategy string
@@ -288,6 +334,37 @@ type Result struct {
 	GuardRejections int
 }
 
+// add folds one window's record into the totals. An aborted window books
+// what happened before its measurement failed — the charge, what executed,
+// its log — and stays out of the totals of completed windows.
+func (r *Result) add(w *window, interval time.Duration) {
+	r.CumUtility = w.CumUtility
+	r.Windows = append(r.Windows, w.WindowLog)
+	r.HostCrashes += w.HostCrashes
+	r.Retries += w.Retried
+	r.TotalActions += w.Actions
+	r.FailedActions += w.FailedActions
+	r.SkippedActions += w.skipped
+	r.RolledBackActions += w.RolledBack
+	r.CompensatedPlans += w.compensated
+	r.DecideErrors += b2i(w.decideErr)
+	r.Invocations += b2i(w.Invoked)
+	r.FallbackDecisions += b2i(w.fallback)
+	r.GuardRejections += b2i(w.GuardRejected)
+	r.ExecRejections += b2i(w.execRejected)
+	if w.aborted {
+		return
+	}
+	r.SensorDrops += b2i(w.SensorDropped)
+	r.DegradedWindows += b2i(w.Degraded)
+	r.TargetViolations += len(w.violations)
+	for _, name := range w.violations {
+		r.ViolationsByApp[name]++
+	}
+	r.EnergyKWh += w.Watts * interval.Hours() / 1000
+	r.HostHours += float64(w.ActiveHosts) * interval.Hours()
+}
+
 // MeanWatts is the time-averaged power draw over the replay.
 func (r *Result) MeanWatts() float64 {
 	if len(r.Windows) == 0 {
@@ -300,17 +377,10 @@ func (r *Result) MeanWatts() float64 {
 	return sum / float64(len(r.Windows))
 }
 
-// pendingRetry is a retryable failed action awaiting re-execution.
-type pendingRetry struct {
-	action  cluster.Action
-	attempt int           // executions so far
-	at      time.Duration // earliest re-execution time
-}
-
 // dueRetry returns the index of the first due retry (FIFO), or -1.
-func dueRetry(q []pendingRetry, now time.Duration) int {
+func dueRetry(q []RetryState, now time.Duration) int {
 	for i, r := range q {
-		if r.at <= now {
+		if r.AtNS <= int64(now) {
 			return i
 		}
 	}
@@ -319,7 +389,7 @@ func dueRetry(q []pendingRetry, now time.Duration) int {
 
 // queueRetries re-queues the report's retryable failed steps with doubling
 // backoff, dropping actions whose attempt budget is exhausted.
-func queueRetries(q []pendingRetry, rep testbed.ExecReport, attempt int, now time.Duration, pol RetryPolicy) []pendingRetry {
+func queueRetries(q []RetryState, rep testbed.ExecReport, attempt int, now time.Duration, pol RetryPolicy) []RetryState {
 	if pol.MaxAttempts < 0 {
 		return q
 	}
@@ -335,10 +405,10 @@ func queueRetries(q []pendingRetry, rep testbed.ExecReport, attempt int, now tim
 		if st.Status != testbed.StepFailed || !st.Retryable || attempt+1 > pol.MaxAttempts {
 			continue
 		}
-		q = append(q, pendingRetry{
-			action:  st.Action,
-			attempt: attempt,
-			at:      now + pol.Backoff<<(attempt-1),
+		q = append(q, RetryState{
+			Action:  st.Action,
+			Attempt: attempt,
+			AtNS:    int64(now + pol.Backoff<<(attempt-1)),
 		})
 	}
 	return q
@@ -357,10 +427,8 @@ func safeDecide(d Decider, now time.Duration, cfg cluster.Config, rates map[stri
 }
 
 // Run replays the traces on the testbed under the decider's control. It is
-// a thin loop over Engine.Step — batch replay is just the resumable engine
-// driven to the trace horizon — and its behaviour (decision stream, Result,
-// provenance records, error semantics) is byte-identical to the monolithic
-// loop it replaced.
+// a thin loop over Engine.Step: batch replay is the resumable engine driven
+// to the trace horizon.
 //
 // The loop degrades rather than aborts: a decision error (or panic), a
 // rejected plan, a failed or skipped action, a host crash, or a dropped

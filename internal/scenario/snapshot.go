@@ -3,6 +3,8 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 	"time"
 
 	"github.com/mistralcloud/mistral/internal/cluster"
@@ -34,7 +36,10 @@ type Snapshotter interface {
 	RestoreState(json.RawMessage) error
 }
 
-// RetryState is one pending action retry in serializable form.
+// RetryState is a retryable failed action awaiting re-execution: the
+// engine's retry queue holds these, and a checkpoint carries them as they
+// are. Attempt counts executions so far; AtNS is the earliest re-execution
+// time.
 type RetryState struct {
 	Action  cluster.Action `json:"action"`
 	Attempt int            `json:"attempt"`
@@ -84,6 +89,16 @@ type Snapshot struct {
 	Anomaly *tsdb.DetectorState `json:"anomaly,omitempty"`
 }
 
+// detached copies the result so that neither side sees the other's later
+// appends and counts. Completed WindowLogs are shared: their maps are never
+// written again.
+func (r *Result) detached() *Result {
+	c := *r
+	c.Windows = slices.Clone(r.Windows)
+	c.ViolationsByApp = maps.Clone(r.ViolationsByApp)
+	return &c
+}
+
 // Snapshot captures the engine's complete state between steps. The engine
 // keeps running — snapshotting is non-destructive — so a daemon can
 // checkpoint periodically while serving. Call it only between Step calls.
@@ -105,43 +120,21 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 		WindowIndex:   e.winIdx,
 		TimeNS:        int64(e.t),
 		TotalSearchNS: int64(e.totalSearch),
+		Retries:       slices.Clone(e.retries),
+		Result:        e.res.detached(),
 		Testbed:       tbState,
 		Fault:         faultState,
 	}
-	for _, r := range e.retries {
-		s.Retries = append(s.Retries, RetryState{
-			Action:  r.action,
-			Attempt: r.attempt,
-			AtNS:    int64(r.at),
-		})
-	}
-	// Deep-copy the result through JSON: encoding/json round-trips float64
-	// via shortest-representation exactly, and time.Duration as int64
-	// nanoseconds, so the copy is bit-faithful and detached from the
-	// engine's live pointer.
-	raw, err := json.Marshal(e.res)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: result snapshot: %w", err)
-	}
-	var res Result
-	if err := json.Unmarshal(raw, &res); err != nil {
-		return nil, fmt.Errorf("scenario: result snapshot: %w", err)
-	}
-	s.Result = &res
 	if sn, ok := e.d.(Snapshotter); ok {
 		s.Decider, err = sn.SnapshotState()
 		if err != nil {
 			return nil, fmt.Errorf("scenario: decider snapshot: %w", err)
 		}
 	}
-	if e.slo != nil {
-		s.SLO = e.slo.Persist()
-	}
+	s.SLO = e.slo.Persist()
 	s.Guard = e.cfg.Guard.Snapshot()
-	if e.reg != nil {
-		s.RegCacheHits = e.reg.CounterValue("eval_cache_hits_total")
-		s.RegCacheMisses = e.reg.CounterValue("eval_cache_misses_total")
-	}
+	reg := e.readCounters()
+	s.RegCacheHits, s.RegCacheMisses = reg.hits, reg.misses
 	s.History = e.hist.State()
 	s.Anomaly = e.det.State()
 	return s, nil
@@ -193,34 +186,15 @@ func (e *Engine) Restore(s *Snapshot) error {
 			return fmt.Errorf("scenario: decider restore: %w", err)
 		}
 	}
-	// Detach the restored result from the snapshot via the same exact
-	// JSON round-trip used on capture.
-	raw, err := json.Marshal(s.Result)
-	if err != nil {
-		return fmt.Errorf("scenario: result restore: %w", err)
+	e.res = s.Result.detached()
+	if e.res.ViolationsByApp == nil {
+		e.res.ViolationsByApp = make(map[string]int)
 	}
-	res := &Result{}
-	if err := json.Unmarshal(raw, res); err != nil {
-		return fmt.Errorf("scenario: result restore: %w", err)
-	}
-	if res.ViolationsByApp == nil {
-		res.ViolationsByApp = make(map[string]int)
-	}
-	e.res = res
 	e.winIdx = s.WindowIndex
 	e.t = time.Duration(s.TimeNS)
 	e.totalSearch = time.Duration(s.TotalSearchNS)
-	e.retries = nil
-	for _, r := range s.Retries {
-		e.retries = append(e.retries, pendingRetry{
-			action:  r.Action,
-			attempt: r.Attempt,
-			at:      time.Duration(r.AtNS),
-		})
-	}
-	if e.slo != nil {
-		e.slo.Restore(s.SLO)
-	}
+	e.retries = slices.Clone(s.Retries)
+	e.slo.Restore(s.SLO)
 	if s.Guard != nil {
 		if err := e.cfg.Guard.Restore(s.Guard); err != nil {
 			return fmt.Errorf("scenario: guard restore: %w", err)
@@ -252,11 +226,9 @@ func (e *Engine) Restore(s *Snapshot) error {
 	// baselines the per-window fold diffs — the registry was just
 	// re-seated above, so "baseline == live counter value" holds again and
 	// the next window's deltas cover exactly that window.
-	if e.hist != nil {
-		e.det.Restore(s.Anomaly)
-		e.histSyncBaselines()
-		e.ops.SetHistory(e.hist.Summaries(opsSparkN))
-	}
+	e.histBase = e.readCounters()
+	e.det.Restore(s.Anomaly)
+	e.ops.SetHistory(e.hist.Summaries(opsSparkN))
 	// Republish the headline gauges so a freshly restored daemon's
 	// /metrics reflects the checkpoint instead of zero.
 	e.gCumUtil.Set(e.res.CumUtility)

@@ -203,3 +203,35 @@ func TestStrategiesUtilityOrdering(t *testing.T) {
 		t.Errorf("Mistral (%.2f) did not beat cost-blind Perf-Pwr (%.2f)", mistral.CumUtility, perfPwr.CumUtility)
 	}
 }
+
+// TestNewMapsNamesToStrategies: the one name → strategy mapping the binaries
+// and the experiments share. Names match case-insensitively (the
+// experiments pass the figures' "Perf-Pwr" spellings), "naive" is the
+// hierarchy with the naive search, and an unknown name yields a nil Decider,
+// not a nil pointer inside one.
+func TestNewMapsNamesToStrategies(t *testing.T) {
+	l := newLab(t)
+	for name, want := range map[string]string{
+		"mistral":   "Mistral",
+		"Mistral":   "Mistral",
+		"naive":     "Mistral-Naive",
+		"perf-pwr":  "Perf-Pwr",
+		"Perf-Cost": "Perf-Cost",
+		"PWR-COST":  "Pwr-Cost",
+	} {
+		d, err := New(name, l.eval, l.util, MistralConfig{})
+		if err != nil {
+			t.Fatalf("New(%q): %v", name, err)
+		}
+		if d.Name() != want {
+			t.Errorf("New(%q) built %q, want %q", name, d.Name(), want)
+		}
+	}
+	if d, err := New("mistral", l.eval, l.util, MistralConfig{Naive: true}); err != nil || d.Name() != "Mistral-Naive" {
+		t.Errorf("New(mistral, Naive) = %v, %v; want the naive hierarchy", d, err)
+	}
+	d, err := New("pmapper", l.eval, l.util, MistralConfig{})
+	if d != nil || err == nil || err.Error() != `unknown strategy "pmapper"` {
+		t.Errorf("New(pmapper) = %v, %v; want nil and an unknown-strategy error", d, err)
+	}
+}
