@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"github.com/mistralcloud/mistral"
-	"github.com/mistralcloud/mistral/internal/cluster"
 	"github.com/mistralcloud/mistral/internal/core"
 	"github.com/mistralcloud/mistral/internal/experiments"
 	"github.com/mistralcloud/mistral/internal/obs"
@@ -197,52 +196,6 @@ func BenchmarkFig10SearchCost(b *testing.B) {
 		b.ReportMetric(r.Naive.CumUtility, "naive_$")
 	}
 	reportSearchMetrics(b, reg)
-}
-
-// BenchmarkSearchWorkers measures the adaptation search on the Table I
-// 4-application instance at several evaluation-concurrency settings. The
-// decisions are byte-identical at every setting (see the determinism
-// tests); only the wall clock moves — expansions/s is the real-time search
-// throughput. Children are staged serially at every setting (this
-// benchmark is what showed a per-child fan-out losing to the serial loop);
-// Workers > 1 buys the frontier prewarm, which pre-solves every surviving
-// child and pays off only with cores to spare.
-func BenchmarkSearchWorkers(b *testing.B) {
-	for _, w := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			lab, err := experiments.NewLab(experiments.LabOptions{NumApps: 4, Seed: benchSeed})
-			if err != nil {
-				b.Fatal(err)
-			}
-			eval, err := lab.NewEvaluator()
-			if err != nil {
-				b.Fatal(err)
-			}
-			rates := make(map[string]float64, len(lab.AppNames))
-			for _, n := range lab.AppNames {
-				rates[n] = 60 // high load: the ideal is far from the 40% default
-			}
-			ideal, err := core.PerfPwr(eval, rates, core.PerfPwrOptions{Workers: w})
-			if err != nil {
-				b.Fatal(err)
-			}
-			s := core.NewSearcher(eval, core.SearchOptions{SelfAware: true, MaxExpansions: 2500, Workers: w})
-			var expanded int
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				eval.ResetCache()
-				res, err := s.Search(lab.Initial, rates, 2*time.Hour, ideal, core.ExpectedUtility{}, cluster.ActionSpace{})
-				if err != nil {
-					b.Fatal(err)
-				}
-				expanded += res.Expanded
-			}
-			b.StopTimer()
-			if sec := b.Elapsed().Seconds(); sec > 0 {
-				b.ReportMetric(float64(expanded)/sec, "expansions/s")
-			}
-		})
-	}
 }
 
 // BenchmarkPerfPwr measures one cold Perf-Pwr ideal (§IV-A) on the paper's

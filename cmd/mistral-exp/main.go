@@ -66,7 +66,7 @@ func run() (err error) {
 		asCSV       = flag.Bool("csv", false, "emit CSV instead of ASCII tables")
 		outdir      = flag.String("outdir", "", "write outputs to this directory instead of stdout")
 		quick       = flag.Bool("quick", false, "cheaper variants of the slow experiments (shorter replays, fewer trials)")
-		workers     = flag.Int("workers", 0, "evaluation concurrency for table1's hierarchies (0 = min(GOMAXPROCS, 8), 1 = serial; results are identical either way)")
+		workers     = flag.Int("workers", 0, "evaluation concurrency for table1's hierarchies: Perf-Pwr sweep arms and 1st-level controllers, not the A* search (0 = min(GOMAXPROCS, 8), 1 = serial; results are identical either way)")
 		provPath    = flag.String("provenance", "", "write table1's decision-provenance records as JSONL to FILE (inspect with mistral-explain)")
 		tracePath   = flag.String("trace", "", "write span trace to FILE (.json = Chrome trace_event for Perfetto, else JSONL)")
 		metricsPath = flag.String("metrics", "", `write metrics registry dump to FILE at exit ("-" = stderr)`)

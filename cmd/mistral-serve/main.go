@@ -76,7 +76,7 @@ func run() (err error) {
 		numHosts     = flag.Int("hosts", 0, "number of application hosts (0 = 2 per app)")
 		seed         = flag.Uint64("seed", 42, "random seed")
 		zones        = flag.Int("zones", 1, "number of data centers (>1 enables the WAN extension; mistral/naive only)")
-		workers      = flag.Int("workers", 0, "evaluation concurrency (0 = min(GOMAXPROCS, 8), 1 = serial)")
+		workers      = flag.Int("workers", 0, "evaluation concurrency: Perf-Pwr sweep arms and 1st-level controllers, not the A* search (0 = min(GOMAXPROCS, 8), 1 = serial)")
 		dvfs         = flag.Bool("dvfs", false, "equip hosts with 60/80% DVFS levels")
 		faultRate    = flag.Float64("fault-rate", 0, "action-failure probability in [0,1]; >0 enables the fault plane")
 		faultSeed    = flag.Uint64("fault-seed", 0, "fault schedule seed (0 = use -seed)")

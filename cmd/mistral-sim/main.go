@@ -47,7 +47,7 @@ func run() (err error) {
 		duration     = flag.Duration("duration", 0, "replay duration (0 = full 6.5h scenario)")
 		seed         = flag.Uint64("seed", 42, "random seed")
 		zones        = flag.Int("zones", 1, "number of data centers (>1 enables the WAN extension; mistral/naive only)")
-		workers      = flag.Int("workers", 0, "evaluation concurrency for mistral/naive: sweep arms, the search frontier prewarm, and 1st-level controllers (0 = min(GOMAXPROCS, 8), 1 = serial; decisions are identical either way)")
+		workers      = flag.Int("workers", 0, "evaluation concurrency for mistral/naive: Perf-Pwr sweep arms and 1st-level controllers; the A* search is serial at every setting (0 = min(GOMAXPROCS, 8), 1 = serial; decisions are identical either way)")
 		dvfs         = flag.Bool("dvfs", false, "equip hosts with 60/80% DVFS levels (the §VI extension)")
 		faultRate    = flag.Float64("fault-rate", 0, "action-failure probability in [0,1]; >0 enables the fault plane (delays, host crashes, and sensor faults scale with it)")
 		faultSeed    = flag.Uint64("fault-seed", 0, "fault schedule seed (0 = use -seed)")

@@ -122,12 +122,14 @@ func PlanString(plan []Action) string {
 // migrated VM must be active and the destination powered on) but not
 // candidate constraints: the delta may lead to an intermediate configuration
 // that oversubscribes a host, as the paper's search deliberately allows.
-// The returned Action is the input with derived fields (FromHost, CPUPct)
-// filled in for cost accounting.
+// The returned Action is what the input names with the derived fields
+// (Host of a CPU change, FromHost, CPUPct, a defaulted DeltaCPUPct) filled in
+// for cost accounting.
 //
 // The rules themselves live in View.stage, shared with the generator
 // (View.Expand) that stages every action of a configuration off one loaded
-// view; Stage loads just the entries its one action reads.
+// view; Stage loads just the entries its one action reads and renders the
+// staged action back into names.
 func Stage(cat *Catalog, cfg Config, a Action) (Action, Delta, error) {
 	vm, host, _ := cat.ActionIndices(a)
 	v := viewPool.Get().(*View)
@@ -135,11 +137,12 @@ func Stage(cat *Catalog, cfg Config, a Action) (Action, Delta, error) {
 	if !v.loadFor(cat, cfg, a.Kind, vm, host) {
 		return a, Delta{}, fmt.Errorf("cluster: %s: VM %q is placed on a host outside the catalog", a.Kind, a.VM)
 	}
-	var d Delta
-	if why := v.stage(&a, vm, host, &d); why != feasible {
+	s := Staged{Kind: a.Kind, VM: int32(vm), Host: int32(host), DeltaCPU: a.DeltaCPUPct, NewCPU: a.CPUPct, Freq: a.Freq}
+	if why := v.stage(&s); why != feasible {
+		a.DeltaCPUPct = s.DeltaCPU // a CPU change's step is defaulted before it is judged
 		return a, Delta{}, v.refusalError(why, a, vm, host)
 	}
-	return a, d, nil
+	return s.Action(cat), s.Delta(cat), nil
 }
 
 // Apply executes the action on cfg and returns the resulting configuration.
@@ -204,7 +207,7 @@ func Enumerate(cat *Catalog, cfg Config, space ActionSpace) []Action {
 	}
 	out := make([]Action, len(staged))
 	for i := range staged {
-		out[i] = unfilled(staged[i].Act)
+		out[i] = unfilled(staged[i].Action(cat))
 	}
 	return out
 }

@@ -106,6 +106,28 @@ func tokFreq(host string, freq int64) Fingerprint {
 	return newTokenHash(tokKindFreq).string(host).int64(freq).fingerprint()
 }
 
+// buildTokens computes the token prefixes View.FingerprintWith folds a
+// staged action from: per (VM, host) the FNV state of a placement token up
+// to its CPU bucket, per host the finished power token and the FNV state of
+// a DVFS token up to its frequency bucket. Finishing a prefix gives exactly
+// the token the by-name functions above build.
+func (c *Catalog) buildTokens() {
+	nh := len(c.hostNames)
+	c.tokPlace = make([]tokenHash, len(c.vmIDs)*nh)
+	for i, id := range c.vmIDs {
+		pre := newTokenHash(tokKindPlacement).string(string(id))
+		for h, host := range c.hostNames {
+			c.tokPlace[i*nh+h] = pre.string(host)
+		}
+	}
+	c.tokOn = make([]Fingerprint, nh)
+	c.tokFreq = make([]tokenHash, nh)
+	for h, host := range c.hostNames {
+		c.tokOn[h] = tokHostOn(host)
+		c.tokFreq[h] = newTokenHash(tokKindFreq).string(host)
+	}
+}
+
 // Fingerprint returns the configuration's incrementally maintained
 // structural hash. O(1): the mutators keep it in sync.
 func (c Config) Fingerprint() Fingerprint { return c.fp }

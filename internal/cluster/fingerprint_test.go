@@ -194,16 +194,25 @@ func TestCloneSharedCopyOnWrite(t *testing.T) {
 
 // FuzzFingerprintOps feeds arbitrary mutation scripts to the mutators and
 // checks the incremental/recomputed fingerprint and the fp/Key identity
-// invariants hold after every operation.
+// invariants hold after every operation — and that every action staged from
+// where the operation left the configuration folds, from the view, to the
+// fingerprint of the applied configuration.
 func FuzzFingerprintOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x41, 0x82, 0xc3, 0x14})
 	f.Add([]byte{0xff, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06})
 	f.Add([]byte("place-unplace-place"))
+	// host0 to 0.6, host1 to 0.867, host0 back to nominal and down again:
+	// set-dvfs is staged to nominal, between levels, and on host2, which
+	// never had a hostFreq entry.
+	f.Add([]byte{0x03, 0x08, 0x3f, 0x03})
 	f.Fuzz(func(t *testing.T, script []byte) {
-		cat := testCatalog(t, 3, 1)
+		cat := testCatalog(t, 3, 1, 0.6, 0.733, 0.867)
 		hosts := cat.HostNames()
 		vms := cat.VMIDs()
 		cfg := baseConfig(t, cat, 2, 40)
+		moves := ActionSpace{}.Resolve(cat)
+		var view View
+		var staged []Staged
 		for i, b := range script {
 			switch b % 5 {
 			case 0:
@@ -222,6 +231,18 @@ func FuzzFingerprintOps(f *testing.F) {
 			}
 			if cfg.Fingerprint() != cfg.RecomputeFingerprint() {
 				t.Fatalf("op %d (byte %#x): incremental fingerprint diverged from recompute", i, b)
+			}
+			if !view.Load(cat, cfg) {
+				t.Fatalf("op %d (byte %#x): configuration left the catalog", i, b)
+			}
+			staged = view.Expand(&moves, staged[:0])
+			for k := range staged {
+				s := &staged[k]
+				built := cfg.Clone()
+				built.ApplyDelta(s.Delta(cat))
+				if got, want := view.FingerprintWith(cfg.Fingerprint(), s), built.RecomputeFingerprint(); got != want {
+					t.Fatalf("op %d (byte %#x): %s folds to %v, applied configuration %v", i, b, s.Action(cat), got, want)
+				}
 			}
 		}
 		clone := cfg.Clone()

@@ -143,6 +143,13 @@ type Catalog struct {
 	vmMem        []int   // VMSpec.MemoryMB
 	tierRequired []bool
 
+	// Fingerprint token prefixes, hashed from the names once (see
+	// buildTokens): tokPlace per (VM, host) row-major by VM, tokOn and
+	// tokFreq per host.
+	tokPlace []tokenHash
+	tokOn    []Fingerprint
+	tokFreq  []tokenHash
+
 	// MinCPUPct is the smallest allocation any active VM may have (20 in
 	// the paper, to avoid request errors at low rates).
 	MinCPUPct float64
@@ -275,6 +282,7 @@ func NewCatalog(cfg CatalogConfig) (*Catalog, error) {
 		c.vmTier[i] = tierIdx[TierKey{App: vm.App, Tier: vm.Tier}]
 		c.vmMem[i] = vm.MemoryMB
 	}
+	c.buildTokens()
 	return c, nil
 }
 

@@ -8,12 +8,14 @@ import (
 // testCatalog builds a catalog resembling the paper's testbed: nHosts
 // default hosts and, per app, 1 web VM, 2 app-tier VMs, 2 db VMs (the
 // paper's maximum replication levels), with app/db tiers' extra replicas
-// dormant-capable and web required.
-func testCatalog(t *testing.T, nHosts, nApps int) *Catalog {
+// dormant-capable and web required. Every host gets the given DVFS levels.
+func testCatalog(t *testing.T, nHosts, nApps int, dvfs ...float64) *Catalog {
 	t.Helper()
 	cfg := CatalogConfig{}
 	for i := 0; i < nHosts; i++ {
-		cfg.Hosts = append(cfg.Hosts, DefaultHostSpec(fmt.Sprintf("host%d", i)))
+		h := DefaultHostSpec(fmt.Sprintf("host%d", i))
+		h.DVFSLevels = dvfs
+		cfg.Hosts = append(cfg.Hosts, h)
 	}
 	for a := 0; a < nApps; a++ {
 		app := fmt.Sprintf("rubis%d", a+1)

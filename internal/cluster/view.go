@@ -204,15 +204,96 @@ func (v *View) Candidate() bool {
 	return true
 }
 
-// Staged is one feasible action as the generator yields it: the filled
-// Action, the Delta it makes, and the catalog indices of the filled action's
-// VM and Host (-1 where it names none), so whoever prices the child reads
-// arrays instead of resolving names.
+// Staged is the index form of one feasible action and nothing else: its
+// kind, the catalog indices of what it names, its numeric parameters and the
+// change it makes. It holds no pointer, so a search can keep one per frontier
+// vertex without giving the collector anything to scan; Action and Delta
+// render the named forms wherever names are needed (Stage, Apply, Enumerate,
+// the search's materialize and plan reconstruction).
 type Staged struct {
-	Act   Action
-	Delta Delta
-	VM    int32
-	Host  int32
+	Kind ActionKind
+	// VM and Host are the catalog indices of the filled action's VM and
+	// Host, -1 where it names none: Host is the target of an addition, a
+	// migration, a power or a DVFS change, the VM's own host for a CPU
+	// change, and -1 for a removal.
+	VM, Host int32
+	// OldHost and NewHost are where the VM sits before and after the action
+	// (Dormant: not placed; both Dormant when the action names no VM), and
+	// OldCPU and NewCPU its allocation there (0 while dormant).
+	OldHost, NewHost int32
+	OldCPU, NewCPU   float64
+	// DeltaCPU is the step of a CPU change, Freq the level a set-dvfs
+	// selects; zero for every other kind.
+	DeltaCPU, Freq float64
+}
+
+// Action renders the filled action by name.
+func (s *Staged) Action(cat *Catalog) Action {
+	a := Action{Kind: s.Kind, DeltaCPUPct: s.DeltaCPU, Freq: s.Freq}
+	if s.VM >= 0 {
+		a.VM = cat.vmIDs[s.VM]
+	}
+	if s.Host >= 0 {
+		a.Host = cat.hostNames[s.Host]
+	}
+	switch s.Kind {
+	case ActionAddReplica:
+		a.CPUPct = s.NewCPU
+	case ActionRemoveReplica:
+		a.FromHost = cat.hostNames[s.OldHost]
+	case ActionMigrate, ActionWANMigrate:
+		a.FromHost = cat.hostNames[s.OldHost]
+		a.CPUPct = s.OldCPU
+	}
+	return a
+}
+
+// Delta renders the change the action makes by name.
+func (s *Staged) Delta(cat *Catalog) Delta {
+	switch s.Kind {
+	case ActionStartHost, ActionStopHost:
+		return Delta{Host: cat.hostNames[s.Host], On: s.Kind == ActionStartHost}
+	case ActionSetDVFS:
+		return Delta{FreqHost: cat.hostNames[s.Host], NewFreq: s.Freq}
+	}
+	d := Delta{VM: cat.vmIDs[s.VM]}
+	if s.OldHost >= 0 {
+		d.OldPlaced, d.Old = true, Placement{Host: cat.hostNames[s.OldHost], CPUPct: s.OldCPU}
+	}
+	if s.NewHost >= 0 {
+		d.NewPlaced, d.New = true, Placement{Host: cat.hostNames[s.NewHost], CPUPct: s.NewCPU}
+	}
+	return d
+}
+
+// FingerprintWith returns the fingerprint of the loaded configuration, whose
+// fingerprint is fp, after the staged action: Config.FingerprintWith on the
+// rendered delta, bit for bit, folded from the catalog's token prefixes
+// instead of re-hashing names. It relies on Config never storing a nominal
+// DVFS level: a host runs at 1 exactly when it has no hostFreq entry.
+func (v *View) FingerprintWith(fp Fingerprint, s *Staged) Fingerprint {
+	cat := v.cat
+	switch s.Kind {
+	case ActionStartHost, ActionStopHost:
+		fp.xor(cat.tokOn[s.Host]) // staged, so the power state flips
+	case ActionSetDVFS:
+		pre := cat.tokFreq[s.Host]
+		if old := v.HostFreq[s.Host]; old != 1 {
+			fp.xor(pre.int64(freqBucket(old)).fingerprint())
+		}
+		if s.Freq != 1 {
+			fp.xor(pre.int64(freqBucket(s.Freq)).fingerprint())
+		}
+	default:
+		row := cat.tokPlace[int(s.VM)*len(cat.hostNames):]
+		if s.OldHost >= 0 {
+			fp.xor(row[s.OldHost].int64(cpuBucket(s.OldCPU)).fingerprint())
+		}
+		if s.NewHost >= 0 {
+			fp.xor(row[s.NewHost].int64(cpuBucket(s.NewCPU)).fingerprint())
+		}
+	}
+	return fp
 }
 
 // Moves is an ActionSpace resolved against a catalog once, so generating a
@@ -282,40 +363,40 @@ func (v *View) Expand(m *Moves, out []Staged) []Staged {
 	// Each proposal is staged in place in the slot it will keep; a refused
 	// one (rare: the loops below propose little that cannot be done) gives
 	// the slot back.
-	try := func(a Action, vm, host int) {
-		out = append(out, Staged{Act: a, VM: int32(vm), Host: int32(host)})
-		s := &out[len(out)-1]
-		if v.stage(&s.Act, vm, host, &s.Delta) != feasible {
+	try := func(p Staged) {
+		out = append(out, p)
+		if v.stage(&out[len(out)-1]) != feasible {
 			out = out[:len(out)-1]
 		}
 	}
-	for i, id := range cat.vmIDs {
-		src := int(v.VMHost[i])
+	for i := range cat.vmIDs {
+		vm := int32(i)
+		src := v.VMHost[i]
 		app := int(cat.vmApp[i])
 		if src < 0 {
 			if !m.allows(ActionAddReplica) {
 				continue
 			}
-			for h, name := range cat.hostNames {
+			for h := range cat.hostNames {
 				if m.inScope(h) && v.HostOn[h] && m.appMayUse(app, h) {
-					try(Action{Kind: ActionAddReplica, VM: id, Host: name, CPUPct: cat.MinCPUPct}, i, h)
+					try(Staged{Kind: ActionAddReplica, VM: vm, Host: int32(h), NewCPU: cat.MinCPUPct})
 				}
 			}
 			continue
 		}
-		if !m.inScope(src) {
+		if !m.inScope(int(src)) {
 			continue
 		}
 		if m.allows(ActionIncreaseCPU) {
-			try(Action{Kind: ActionIncreaseCPU, VM: id, DeltaCPUPct: cat.CPUStepPct}, i, src)
+			try(Staged{Kind: ActionIncreaseCPU, VM: vm, Host: src, DeltaCPU: cat.CPUStepPct})
 		}
 		if m.allows(ActionDecreaseCPU) {
-			try(Action{Kind: ActionDecreaseCPU, VM: id, DeltaCPUPct: cat.CPUStepPct}, i, src)
+			try(Staged{Kind: ActionDecreaseCPU, VM: vm, Host: src, DeltaCPU: cat.CPUStepPct})
 		}
 		if m.allows(ActionMigrate) || m.allows(ActionWANMigrate) {
 			srcZone := cat.hostSpecs[src].Zone
-			for h, name := range cat.hostNames {
-				if h == src || !m.inScope(h) || !v.HostOn[h] || !m.appMayUse(app, h) {
+			for h := range cat.hostNames {
+				if h == int(src) || !m.inScope(h) || !v.HostOn[h] || !m.appMayUse(app, h) {
 					continue
 				}
 				kind := ActionMigrate
@@ -323,26 +404,27 @@ func (v *View) Expand(m *Moves, out []Staged) []Staged {
 					kind = ActionWANMigrate
 				}
 				if m.allows(kind) {
-					try(Action{Kind: kind, VM: id, Host: name}, i, h)
+					try(Staged{Kind: kind, VM: vm, Host: int32(h)})
 				}
 			}
 		}
 		if m.allows(ActionRemoveReplica) {
-			try(Action{Kind: ActionRemoveReplica, VM: id}, i, -1)
+			try(Staged{Kind: ActionRemoveReplica, VM: vm, Host: -1})
 		}
 	}
-	for h, name := range cat.hostNames {
-		if !m.inScope(h) {
+	for i := range cat.hostNames {
+		h := int32(i)
+		if !m.inScope(i) {
 			continue
 		}
 		if !v.HostOn[h] {
 			if m.allows(ActionStartHost) {
-				try(Action{Kind: ActionStartHost, Host: name}, -1, h)
+				try(Staged{Kind: ActionStartHost, VM: -1, Host: h})
 			}
 			continue
 		}
 		if m.allows(ActionStopHost) {
-			try(Action{Kind: ActionStopHost, Host: name}, -1, h)
+			try(Staged{Kind: ActionStopHost, VM: -1, Host: h})
 		}
 		if m.allows(ActionSetDVFS) {
 			spec := &cat.hostSpecs[h]
@@ -352,12 +434,12 @@ func (v *View) Expand(m *Moves, out []Staged) []Staged {
 					hasNominal = true
 				}
 				if f != v.HostFreq[h] {
-					try(Action{Kind: ActionSetDVFS, Host: name, Freq: f}, -1, h)
+					try(Staged{Kind: ActionSetDVFS, VM: -1, Host: h, Freq: f})
 				}
 			}
 			// Returning to nominal speed is always available.
 			if !hasNominal && spec.SupportsDVFS() && v.HostFreq[h] != 1 {
-				try(Action{Kind: ActionSetDVFS, Host: name, Freq: 1}, -1, h)
+				try(Staged{Kind: ActionSetDVFS, VM: -1, Host: h, Freq: 1})
 			}
 		}
 	}
@@ -390,43 +472,42 @@ const (
 )
 
 // stage holds the feasibility rules — the only copy; Stage, Apply,
-// Enumerate and Expand all come through here. vm and host are the catalog
-// indices of a.VM and a.Host (-1 when unknown or unnamed). It checks that
-// the action makes sense in the loaded configuration (a migrated VM must be
-// active, the destination powered on, …), not candidate constraints: the
-// delta may oversubscribe a host, as the paper's search deliberately allows.
-// On success a's derived fields (Host, FromHost, CPUPct, DeltaCPUPct) are
-// filled in for cost accounting and *d is the change the action makes; on
-// refusal *d is untouched.
-func (v *View) stage(a *Action, vm, host int, d *Delta) refusal {
+// Enumerate and Expand all come through here. s arrives as the proposal: its
+// Kind, the catalog indices of the VM and Host it names (-1 when unknown or
+// unnamed) and the parameter its caller may choose — DeltaCPU of a CPU
+// change, NewCPU of an addition (zero: the catalog's step and minimum), Freq
+// of a set-dvfs. stage checks that the action makes sense in the loaded
+// configuration (a migrated VM must be active, the destination powered on,
+// …), not candidate constraints: the change may oversubscribe a host, as the
+// paper's search deliberately allows. On success *s is the staged action; on
+// refusal only a CPU change's defaulted DeltaCPU has been written.
+func (v *View) stage(s *Staged) refusal {
 	cat := v.cat
-	src := Dormant
+	vm, host := s.VM, s.Host
+	src := int32(Dormant)
+	var cpu float64 // the VM's current allocation; only read when src >= 0
 	if vm >= 0 {
-		src = int(v.VMHost[vm])
+		src, cpu = v.VMHost[vm], v.VMCPU[vm]
 	}
-	// placed is the VM's current placement; only read when src >= 0.
-	placed := func() Placement { return Placement{Host: cat.hostNames[src], CPUPct: v.VMCPU[vm]} }
 
-	switch a.Kind {
+	switch s.Kind {
 	case ActionIncreaseCPU, ActionDecreaseCPU:
 		if src < 0 {
 			return refuseNotActive
 		}
-		if a.DeltaCPUPct <= 0 {
-			a.DeltaCPUPct = cat.CPUStepPct
+		if s.DeltaCPU <= 0 {
+			s.DeltaCPU = cat.CPUStepPct
 		}
-		p := placed()
-		next := p.CPUPct + a.DeltaCPUPct
-		if a.Kind == ActionDecreaseCPU {
-			next = p.CPUPct - a.DeltaCPUPct
+		next := cpu + s.DeltaCPU
+		if s.Kind == ActionDecreaseCPU {
+			next = cpu - s.DeltaCPU
 			if next < cat.MinCPUPct-1e-9 {
 				return refuseUnderMin
 			}
 		} else if next > cat.hostSpecs[src].UsableCPUPct+1e-9 {
 			return refuseOverHost
 		}
-		a.Host = p.Host
-		*d = Delta{VM: a.VM, OldPlaced: true, Old: p, NewPlaced: true, New: Placement{Host: p.Host, CPUPct: next}}
+		*s = Staged{Kind: s.Kind, VM: vm, Host: src, OldHost: src, NewHost: src, OldCPU: cpu, NewCPU: next, DeltaCPU: s.DeltaCPU}
 		return feasible
 
 	case ActionAddReplica:
@@ -440,10 +521,11 @@ func (v *View) stage(a *Action, vm, host int, d *Delta) refusal {
 		case !v.HostOn[host]:
 			return refuseHostOff
 		}
-		if a.CPUPct <= 0 {
-			a.CPUPct = cat.MinCPUPct
+		cpu = s.NewCPU
+		if cpu <= 0 {
+			cpu = cat.MinCPUPct
 		}
-		*d = Delta{VM: a.VM, NewPlaced: true, New: Placement{Host: a.Host, CPUPct: a.CPUPct}}
+		*s = Staged{Kind: s.Kind, VM: vm, Host: host, OldHost: Dormant, NewHost: host, NewCPU: cpu}
 		return feasible
 
 	case ActionRemoveReplica:
@@ -456,9 +538,7 @@ func (v *View) stage(a *Action, vm, host int, d *Delta) refusal {
 		if t := cat.vmTier[vm]; cat.tierRequired[t] && v.TierActive[t] <= 1 {
 			return refuseLastReplica
 		}
-		p := placed()
-		a.FromHost = p.Host
-		*d = Delta{VM: a.VM, OldPlaced: true, Old: p}
+		*s = Staged{Kind: s.Kind, VM: vm, Host: -1, OldHost: src, NewHost: Dormant, OldCPU: cpu}
 		return feasible
 
 	case ActionMigrate, ActionWANMigrate:
@@ -473,16 +553,13 @@ func (v *View) stage(a *Action, vm, host int, d *Delta) refusal {
 			return refuseHostOff
 		}
 		sameZone := cat.hostSpecs[src].Zone == cat.hostSpecs[host].Zone
-		if a.Kind == ActionMigrate && !sameZone {
+		if s.Kind == ActionMigrate && !sameZone {
 			return refuseCrossZone
 		}
-		if a.Kind == ActionWANMigrate && sameZone {
+		if s.Kind == ActionWANMigrate && sameZone {
 			return refuseSameZone
 		}
-		p := placed()
-		a.FromHost = p.Host
-		a.CPUPct = p.CPUPct
-		*d = Delta{VM: a.VM, OldPlaced: true, Old: p, NewPlaced: true, New: Placement{Host: a.Host, CPUPct: p.CPUPct}}
+		*s = Staged{Kind: s.Kind, VM: vm, Host: host, OldHost: src, NewHost: host, OldCPU: cpu, NewCPU: cpu}
 		return feasible
 
 	case ActionStartHost:
@@ -492,7 +569,7 @@ func (v *View) stage(a *Action, vm, host int, d *Delta) refusal {
 		case v.HostOn[host]:
 			return refuseAlreadyOn
 		}
-		*d = Delta{Host: a.Host, On: true}
+		*s = hostAction(s.Kind, host, 0)
 		return feasible
 
 	case ActionStopHost:
@@ -504,7 +581,7 @@ func (v *View) stage(a *Action, vm, host int, d *Delta) refusal {
 		case v.HostVMs[host] > 0:
 			return refuseHostBusy
 		}
-		*d = Delta{Host: a.Host, On: false}
+		*s = hostAction(s.Kind, host, 0)
 		return feasible
 
 	case ActionSetDVFS:
@@ -513,17 +590,22 @@ func (v *View) stage(a *Action, vm, host int, d *Delta) refusal {
 			return refuseUnknownHost
 		case !v.HostOn[host]:
 			return refuseHostOff
-		case !cat.hostSpecs[host].HasDVFSLevel(a.Freq):
+		case !cat.hostSpecs[host].HasDVFSLevel(s.Freq):
 			return refuseNoLevel
-		case v.HostFreq[host] == a.Freq:
+		case v.HostFreq[host] == s.Freq:
 			return refuseAtLevel
 		}
-		*d = Delta{FreqHost: a.Host, NewFreq: a.Freq}
+		*s = hostAction(s.Kind, host, s.Freq)
 		return feasible
 
 	default:
 		return refuseUnknownKind
 	}
+}
+
+// hostAction is the staged form of a power or DVFS change: it names no VM.
+func hostAction(kind ActionKind, host int32, freq float64) Staged {
+	return Staged{Kind: kind, VM: -1, Host: host, OldHost: Dormant, NewHost: Dormant, Freq: freq}
 }
 
 // refusalError renders why stage refused a, in Stage's historical wording.

@@ -195,8 +195,8 @@ func TestViewMatchesReference(t *testing.T) {
 							t.Fatalf("trial %d: reference refuses its own action %s: %v", trial, a, err)
 						}
 						s := staged[i]
-						if s.Act != filled || s.Delta != delta {
-							t.Fatalf("trial %d space %d child %d:\n got %+v %+v\nwant %+v %+v", trial, si, i, s.Act, s.Delta, filled, delta)
+						if act, d := s.Action(cat), s.Delta(cat); act != filled || d != delta {
+							t.Fatalf("trial %d space %d child %d:\n got %+v %+v\nwant %+v %+v", trial, si, i, act, d, filled, delta)
 						}
 						if (s.VM < 0) != (filled.VM == "") || (s.VM >= 0 && cat.VMIDs()[s.VM] != filled.VM) {
 							t.Fatalf("trial %d child %s: VM index %d", trial, filled, s.VM)

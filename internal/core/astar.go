@@ -1,18 +1,14 @@
 package core
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"log/slog"
 	"math"
-	"sort"
-	"sync"
 	"time"
 
 	"github.com/mistralcloud/mistral/internal/cluster"
 	"github.com/mistralcloud/mistral/internal/obs"
-	"github.com/mistralcloud/mistral/internal/par"
 	"github.com/mistralcloud/mistral/internal/provenance"
 )
 
@@ -44,8 +40,8 @@ type SearchOptions struct {
 	// returned.
 	MaxExpansions int
 	// MaxSearchTime is a hard deadline on the search's simulated elapsed
-	// time (Expanded·TimePerChild bookkeeping, so it stays deterministic
-	// at any Workers setting). When hit, the best candidate found so far
+	// time (Generated·TimePerChild bookkeeping, never the wall clock, so it
+	// is deterministic). When hit, the best candidate found so far
 	// is returned and the result is marked Truncated. Zero disables it;
 	// the Self-Aware deadline (2× the delay budget) usually fires first.
 	MaxSearchTime time.Duration
@@ -66,15 +62,10 @@ type SearchOptions struct {
 	// §IV-B describes; the margin bounds that tail for the naive search
 	// without affecting which plan wins by more than ε.
 	EpsilonMargin float64
-	// Workers bounds the goroutines pre-solving the steady states of an
-	// expansion's surviving children (default min(GOMAXPROCS, 8); 1 solves
-	// each when it is popped). Children are staged and priced serially —
-	// one costs well under a microsecond, less than handing it to another
-	// goroutine — so the plan, pruning, and self-aware accounting are
-	// identical at every setting; only wall-clock time and the evaluator's
-	// hit/miss split change. The simulated decision-making time
-	// (TimePerChild per child) deliberately ignores Workers: it models the
-	// paper's single controller host.
+	// Workers is ignored: the search is serial at every setting (DESIGN.md
+	// §9 has the measurement). The field is declared only because
+	// bench/layers.go assigns it, and goes with that probe
+	// (par.search_speedup_w2) in a later benchmark issue.
 	Workers int
 	// Provenance enables the search flight recorder: the returned
 	// SearchResult carries a bounded provenance.SearchDigest (expanded
@@ -116,7 +107,6 @@ func (o SearchOptions) withDefaults() SearchOptions {
 	case o.ShapingFraction > 1:
 		o.ShapingFraction = 1
 	}
-	o.Workers = par.Workers(o.Workers)
 	return o
 }
 
@@ -162,53 +152,6 @@ type SearchResult struct {
 	Prov *provenance.SearchDigest
 }
 
-// vertex is a node in the search graph. It carries how it was reached — its
-// parent, the staged action and the delta the action makes — and what the
-// frontier needs to rank and deduplicate it (fingerprint, priority, distance
-// to the ideal), but no configuration: cfg is built from the parent's when
-// the vertex is popped for expansion (materialize), which ≈ 1 in 25 frontier
-// vertices ever is. The plan is reconstructed on demand from the parent chain
-// instead of being copied into every child.
-type vertex struct {
-	cfg      cluster.Config // zero until materialize
-	fp       cluster.Fingerprint
-	parent   *vertex        // expansion parent; nil at the root
-	act      cluster.Action // action that produced this vertex from parent
-	delta    cluster.Delta  // what act changes in parent's configuration
-	dist     float64        // distance to the ideal configuration
-	depth    int            // plan length (root: 0)
-	dur      time.Duration  // total duration of plan
-	accrued  float64        // utility accrued while executing plan, dollars
-	utility  float64        // priority: accrued + remaining-window bound
-	finished bool           // reached via the "null" action
-}
-
-// materialize builds the vertex's configuration as a copy-on-write clone of
-// its parent's with the delta applied: only the map the delta touches is
-// copied. The parent was expanded before it could have children, so its
-// configuration exists, and expanded vertices are never recycled.
-func (v *vertex) materialize() {
-	if v.parent == nil {
-		return // the root was given its configuration
-	}
-	v.cfg = v.parent.cfg.CloneShared()
-	v.cfg.ApplyDelta(v.delta)
-}
-
-// planOf rebuilds the action sequence leading to v by walking the parent
-// chain. Root (and finished-at-root) vertices yield a nil plan, matching
-// the stay-put decision's representation.
-func planOf(v *vertex) []cluster.Action {
-	if v == nil || v.depth == 0 {
-		return nil
-	}
-	plan := make([]cluster.Action, v.depth)
-	for cur := v; cur != nil && cur.depth > 0; cur = cur.parent {
-		plan[cur.depth-1] = cur.act
-	}
-	return plan
-}
-
 // child is one priced child of the vertex being expanded: what dedup,
 // pruning and the heap need to know about staged[at] before (and mostly
 // instead of) making it a vertex.
@@ -221,23 +164,35 @@ type child struct {
 	dist    float64 // distance to ideal, for pruning/shaping
 }
 
-type vertexHeap []*vertex
-
-func (h vertexHeap) Len() int           { return len(h) }
-func (h vertexHeap) Less(i, j int) bool { return h[i].utility > h[j].utility }
-func (h vertexHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *vertexHeap) Push(x any)        { *h = append(*h, x.(*vertex)) }
-func (h *vertexHeap) Pop() any {
-	old := *h
-	n := len(old)
-	v := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return v
+// closest returns the keep entries of order with the smallest dist, in the
+// order a stable sort by dist would put them, reusing order's storage: each
+// entry, in turn, goes behind every kept one at least as close. It selects
+// the head without sorting the rest — sorting all ≈ 120 children of a 4-app
+// expansion to keep 6 was a quarter of that search. dist is never NaN.
+func closest(order []int, keep int, dist func(int) float64) []int {
+	kept := order[:0] // slot i is read before anything is written to it
+	for _, x := range order {
+		d := dist(x)
+		at := len(kept)
+		for at > 0 && d < dist(kept[at-1]) {
+			at--
+		}
+		if at == keep {
+			continue
+		}
+		if len(kept) < keep {
+			kept = append(kept, x)
+		}
+		copy(kept[at+1:], kept[at:len(kept)-1])
+		kept[at] = x
+	}
+	return kept
 }
 
 // Searcher runs adaptation searches against an evaluator, one at a time: the
-// expansion scratch below is reused across expansions and searches.
+// expansion scratch below — sized by one expansion, not by the search — is
+// reused across expansions and searches. What grows with a search lives in
+// its searchMem and is dropped when it returns.
 type Searcher struct {
 	eval *Evaluator
 	opts SearchOptions
@@ -246,19 +201,12 @@ type Searcher struct {
 	// expanded — the generator, the candidate test, child pricing and the
 	// distance terms all read that one load — dist the ideal and the
 	// parent's distance terms, staged the generator's output and kids the
-	// children that fit the window; order and warm index and collect the
-	// survivors.
+	// children that fit the window; order indexes the survivors.
 	price  pricer
 	dist   distancer
 	staged []cluster.Staged
 	kids   []child
 	order  []int
-	warm   []*vertex
-
-	// vpool recycles search vertices across expansions and searches.
-	// Stale duplicates popped from the frontier were never expanded, so
-	// nothing references them and they return to the pool immediately.
-	vpool sync.Pool
 
 	// Observability sinks, resolved at construction (see obs.SetDefault)
 	// and rebindable with SetObserver. All are nil-safe no-ops when
@@ -273,7 +221,6 @@ type Searcher struct {
 	hExpansions *obs.Histogram
 	hSearchMS   *obs.Histogram
 	hBatch      *obs.Histogram
-	gWorkers    *obs.Gauge
 
 	// Trace context for expansion-batch events: tc identifies the
 	// window, tcName the owning controller (span-ID uniqueness across
@@ -301,21 +248,8 @@ func (s *Searcher) SetTrace(tc obs.TraceContext, name string) {
 func NewSearcher(eval *Evaluator, opts SearchOptions) *Searcher {
 	s := &Searcher{eval: eval, opts: opts.withDefaults()}
 	s.price.e = eval
-	s.vpool.New = func() any { return new(vertex) }
 	s.SetObserver(obs.Default())
 	return s
-}
-
-// getVertex draws a zeroed vertex from the pool.
-func (s *Searcher) getVertex() *vertex {
-	return s.vpool.Get().(*vertex)
-}
-
-// putVertex returns a vertex nothing references anymore. The struct is
-// cleared so pooled vertices do not pin configuration maps or parents.
-func (s *Searcher) putVertex(v *vertex) {
-	*v = vertex{}
-	s.vpool.Put(v)
 }
 
 // SetObserver rebinds the searcher's observability sinks (construction
@@ -331,7 +265,6 @@ func (s *Searcher) SetObserver(o *obs.Observer) {
 	s.hExpansions = o.Histogram("search_expansions", []float64{10, 50, 100, 250, 500, 1000, 2500})
 	s.hSearchMS = o.Histogram("search_time_ms", []float64{1, 5, 10, 50, 100, 500, 1000, 5000})
 	s.hBatch = o.Histogram("search_batch_children", []float64{1, 2, 4, 8, 16, 32, 64, 128})
-	s.gWorkers = o.Gauge("search_workers")
 }
 
 // Search finds the action sequence maximizing Eq. 3 from configuration cfg
@@ -352,7 +285,6 @@ func (s *Searcher) record(res SearchResult) {
 		return
 	}
 	s.cInvoked.Inc()
-	s.gWorkers.Set(float64(s.opts.Workers))
 	s.cExpanded.Add(int64(res.Expanded))
 	s.cGenerated.Add(int64(res.Generated))
 	s.cPruned.Add(int64(res.PrunedChildren))
@@ -430,19 +362,21 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		distWeight = opts.ShapingFraction * gain / rootDist
 	}
 
-	root := &vertex{cfg: cfg, fp: cfg.Fingerprint(), dist: rootDist}
+	mem := &searchMem{cat: s.eval.cat, cfgs: []cluster.Config{cfg}}
+	rootID, root, err := mem.verts.alloc()
+	if err != nil {
+		return SearchResult{}, err
+	}
+	*root = vertex{fp: cfg.Fingerprint(), parent: -1, dist: rootDist}
 	root.utility = root.accrued + remaining(root.dur)*idealRate
 	if distWeight > 0 {
 		root.utility -= distWeight * rootDist
 	}
-
-	open := &vertexHeap{}
-	heap.Init(open)
-	heap.Push(open, root)
-	bestByKey := map[cluster.Fingerprint]float64{root.fp: root.utility}
+	mem.push(rootID, root)
+	mem.best = map[cluster.Fingerprint]float64{root.fp: root.utility}
 
 	res := SearchResult{RootDistance: rootDist, PeakFrontier: 1}
-	var bestCandidate *vertex
+	bestCandidate := int32(-1) // arena index of the best complete plan; -1: none yet
 	var dig *digestBuilder
 	if opts.Provenance {
 		dig = newDigestBuilder(rootDist)
@@ -472,15 +406,15 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 	}
 	delayThreshold := time.Duration(float64(cw) * opts.DelayFraction)
 
-	finish := func(v *vertex, term string) SearchResult {
-		res.Plan = planOf(v)
-		res.Utility = v.utility
+	finish := func(id int32, term string) SearchResult {
+		res.Plan = mem.planOf(id)
+		res.Utility = mem.verts.at(id).utility
 		res.SearchTime = elapsed
 		res.SearchCost = upwrT
 		if dig != nil {
 			res.Prov = dig.finalize(term, &res,
 				s.eval.PlanLedger(cfg, rates, cw, res.Plan),
-				harvestRejected(s.eval, open, bestByKey, v, cfg, rates, cw))
+				harvestRejected(s.eval, mem, id, cfg, rates, cw))
 		}
 		return res
 	}
@@ -499,7 +433,7 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		if dig != nil {
 			res.Prov = dig.finalize(term, &res,
 				s.eval.PlanLedger(cfg, rates, cw, nil),
-				harvestRejected(s.eval, open, bestByKey, nil, cfg, rates, cw))
+				harvestRejected(s.eval, mem, -1, cfg, rates, cw))
 		}
 		return res, nil
 	}
@@ -507,26 +441,23 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 	var batchStart time.Duration // virtual start of the current trace batch
 
 	slack := opts.EpsilonMargin * (math.Abs(idealRate)*cwSec + 1e-9)
-	for open.Len() > 0 {
-		vmax := heap.Pop(open).(*vertex)
-		if vmax.utility < bestByKey[vmax.fp]-1e-12 && !vmax.finished {
-			// Stale duplicate: a better path to this configuration was
-			// found after this vertex was pushed. It was never expanded, so
-			// nothing references it and it can be recycled.
-			s.putVertex(vmax)
+	for len(mem.open) > 0 {
+		top := mem.open.pop()
+		vmax := mem.verts.at(top.vertex)
+		if mem.stale(vmax) {
 			continue
 		}
 		if vmax.finished {
-			return finish(vmax, provenance.TermGoal), nil
+			return finish(top.vertex, provenance.TermGoal), nil
 		}
 		// ε-termination: the frontier's optimism has decayed to within the
 		// margin of the best complete plan.
-		if bestCandidate != nil && bestCandidate.utility >= vmax.utility-slack {
+		if bestCandidate >= 0 && mem.verts.at(bestCandidate).utility >= vmax.utility-slack {
 			// The popped head goes back on the heap first: it is the very
 			// alternative the search declined to explore, and the rejected
 			// digest should lead with it.
 			if dig != nil {
-				heap.Push(open, vmax)
+				mem.open.push(top)
 			}
 			return finish(bestCandidate, provenance.TermEpsilon), nil
 		}
@@ -534,9 +465,9 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		// budget it commits to the best complete plan found — a suboptimal
 		// decision now beats an optimal one whose cost is never recouped
 		// ("consuming power to save power").
-		if opts.SelfAware && elapsed >= 2*delayThreshold && bestCandidate != nil {
+		if opts.SelfAware && elapsed >= 2*delayThreshold && bestCandidate >= 0 {
 			if dig != nil {
-				heap.Push(open, vmax)
+				mem.open.push(top)
 			}
 			return finish(bestCandidate, provenance.TermDeadline), nil
 		}
@@ -548,9 +479,9 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 				term = provenance.TermMaxSearchTime
 			}
 			if dig != nil {
-				heap.Push(open, vmax)
+				mem.open.push(top)
 			}
-			if bestCandidate != nil {
+			if bestCandidate >= 0 {
 				return finish(bestCandidate, term), nil
 			}
 			// No candidate seen: stay put.
@@ -567,12 +498,12 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 				obs.Attr{Key: "controller", Value: s.tcName},
 				obs.Attr{Key: "expanded", Value: res.Expanded},
 				obs.Attr{Key: "generated", Value: res.Generated},
-				obs.Attr{Key: "frontier", Value: open.Len()})
+				obs.Attr{Key: "frontier", Value: len(mem.open)})
 			batchStart = elapsed
 		}
 		if dig != nil {
-			dig.vertex(res.Expanded, vmax.depth, vmax.utility, vmax.accrued,
-				vmax.dist, open.Len())
+			dig.vertex(res.Expanded, int(vmax.depth), vmax.utility, vmax.accrued,
+				vmax.dist, len(mem.open))
 		}
 		if dbg && res.Expanded%50 == 1 {
 			s.log.Debug("search pop",
@@ -582,11 +513,11 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 				"plan_dur", vmax.dur,
 				"distance", vmax.dist,
 				"accrued", vmax.accrued,
-				"frontier", open.Len())
+				"frontier", len(mem.open))
 		}
 
-		vmax.materialize()
-		parentSteady, err := s.eval.SteadyFP(vmax.cfg, rates, rfp)
+		parentCfg := mem.materialize(vmax)
+		parentSteady, err := s.eval.SteadyFP(parentCfg, rates, rfp)
 		if err != nil {
 			return SearchResult{}, err
 		}
@@ -595,35 +526,31 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		// configuration is a candidate. The popped configuration is loaded
 		// into the dense view once — the last map reads of this expansion —
 		// and everything per child reads arrays: the generator yields each
-		// feasible action already staged (filled Action + Delta), the
-		// transient is priced against the parent, and the child's distance
-		// is the parent's term vector re-folded with the one changed term.
-		// Nothing is built: a child is its parent plus a delta until it is
-		// popped.
-		if !price.setParent(vmax.cfg, parentSteady) {
+		// feasible action staged in index form, the transient is priced
+		// against the parent, the child's fingerprint is the parent's with
+		// the changed tokens folded in from the catalog's prefixes, and its
+		// distance the parent's term vector re-folded with the one changed
+		// term. Nothing is built: a child is its parent plus a staged action
+		// until it is popped.
+		if !price.setParent(parentCfg, parentSteady) {
 			return SearchResult{}, fmt.Errorf("core: configuration does not fit the catalog")
 		}
 		dc.load(view)
 		s.staged = view.Expand(&moves, s.staged[:0])
-		var finChild *vertex
+		finChild := int32(-1)
 		if view.Candidate() {
-			finChild = s.getVertex()
-			*finChild = vertex{
-				fp:       vmax.fp,
-				parent:   vmax.parent,
-				act:      vmax.act,
-				dist:     vmax.dist,
-				depth:    vmax.depth,
-				dur:      vmax.dur,
-				accrued:  vmax.accrued,
-				finished: true,
+			var fin *vertex
+			if finChild, fin, err = mem.verts.alloc(); err != nil {
+				return SearchResult{}, err
 			}
-			finChild.utility = vmax.accrued + remaining(vmax.dur)*parentSteady.NetRate()
+			*fin = *vmax
+			fin.finished = true
+			fin.utility = vmax.accrued + remaining(vmax.dur)*parentSteady.NetRate()
 		}
 		kids := s.kids[:0]
 		for i := range s.staged {
 			st := &s.staged[i]
-			ac := price.cost(st.Act.Kind, int(st.VM), int(st.Host), -1)
+			ac := price.cost(st.Kind, int(st.VM), int(st.Host), -1)
 			// A plan must fit the control window: actions past its end
 			// would be charged against benefits the window cannot see —
 			// when the current configuration is bleeding, arbitrarily long
@@ -633,7 +560,7 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 			}
 			k := child{
 				at:      i,
-				fp:      vmax.cfg.FingerprintWith(st.Delta),
+				fp:      view.FingerprintWith(vmax.fp, st),
 				dur:     vmax.dur + ac.Duration,
 				accrued: vmax.accrued + ac.Duration.Seconds()*ac.Rate,
 				dist:    dc.child(view, st),
@@ -646,7 +573,7 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		}
 		s.kids = kids
 		nChildren := len(kids)
-		if finChild != nil {
+		if finChild >= 0 {
 			nChildren++
 		}
 		res.Generated += nChildren
@@ -657,7 +584,7 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		// generation order normally, distance-sorted order after a prune —
 		// insertion order breaks heap ties.
 		order := s.order[:0]
-		if finChild != nil {
+		if finChild >= 0 {
 			order = append(order, -1)
 		}
 		for i := range kids {
@@ -680,15 +607,13 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 			if keep < nChildren {
 				// Keep the fraction closest to the ideal: the finished
 				// candidate (distance -1) is never pruned, ties keep
-				// generation order (stable sort).
-				distAt := func(i int) float64 {
+				// generation order.
+				order = closest(order, keep, func(i int) float64 {
 					if i < 0 {
 						return -1
 					}
 					return kids[i].dist
-				}
-				sort.SliceStable(order, func(a, b int) bool { return distAt(order[a]) < distAt(order[b]) })
-				order = order[:keep]
+				})
 				nChildren = keep
 			}
 			res.PrunedChildren += before - nChildren
@@ -705,55 +630,39 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		}
 		s.order = order[:0]
 
-		warm := s.warm[:0]
 		for _, i := range order {
 			if i < 0 {
-				if bestCandidate == nil || finChild.utility > bestCandidate.utility {
+				fin := mem.verts.at(finChild)
+				if bestCandidate < 0 || fin.utility > mem.verts.at(bestCandidate).utility {
 					bestCandidate = finChild
 				}
-				heap.Push(open, finChild)
+				mem.push(finChild, fin)
 				continue
 			}
 			k := &kids[i]
-			if prev, seen := bestByKey[k.fp]; seen && k.utility <= prev {
+			if prev, seen := mem.best[k.fp]; seen && k.utility <= prev {
 				continue
 			}
-			bestByKey[k.fp] = k.utility
-			// Pooled vertices arrive zeroed; filling the fields in place
-			// spares a 300-byte temporary per survivor.
-			st := &s.staged[k.at]
-			v := s.getVertex()
-			v.fp = k.fp
-			v.parent = vmax
-			v.act = st.Act
-			v.delta = st.Delta
-			v.dist = k.dist
-			v.depth = vmax.depth + 1
-			v.dur = k.dur
-			v.accrued = k.accrued
-			v.utility = k.utility
-			heap.Push(open, v)
-			warm = append(warm, v)
+			mem.best[k.fp] = k.utility
+			id, v, err := mem.verts.alloc()
+			if err != nil {
+				return SearchResult{}, err
+			}
+			*v = vertex{
+				fp:      k.fp,
+				st:      s.staged[k.at],
+				parent:  top.vertex,
+				depth:   vmax.depth + 1,
+				dist:    k.dist,
+				dur:     k.dur,
+				accrued: k.accrued,
+				utility: k.utility,
+			}
+			mem.push(id, v)
 		}
-		if open.Len() > res.PeakFrontier {
-			res.PeakFrontier = open.Len()
+		if len(mem.open) > res.PeakFrontier {
+			res.PeakFrontier = len(mem.open)
 		}
-		// Pre-solve the steady states the coming expansions will look up,
-		// in parallel: the per-pop LQN solve is the search's serial
-		// bottleneck, and the memo cache turns these into hits. Each is
-		// solved through its delta over the parent, under the key the
-		// built child will have. Results are pure and errors are dropped —
-		// a failing configuration fails identically when popped — so
-		// decisions do not depend on this (only wall-clock time and cache
-		// statistics do). Skipped at one worker, where it could only add
-		// work.
-		if opts.Workers > 1 && len(warm) > 1 {
-			par.For(len(warm), opts.Workers, func(i int) {
-				_, _ = s.eval.steadyOver(vmax.cfg, &warm[i].delta, rates, rfp)
-			})
-		}
-		clear(warm) // do not pin vertices past the expansion
-		s.warm = warm[:0]
 	}
 
 	// Open set exhausted without a finished vertex (tiny action spaces):

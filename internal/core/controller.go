@@ -63,9 +63,8 @@ type ControllerOptions struct {
 	// pessimistic expected utility UH (default 3).
 	UtilityHistory int
 	// Workers bounds the controller's evaluation concurrency: the Perf-Pwr
-	// sweep arms and the search's frontier prewarm (default
-	// min(GOMAXPROCS, 8); 1 reproduces the serial path). An explicit
-	// Search.Workers takes precedence for the search.
+	// sweep arms (default min(GOMAXPROCS, 8); 1 reproduces the serial
+	// path). The search is serial at every setting.
 	Workers int
 	// Obs overrides the process-default observer (obs.SetDefault) for this
 	// controller and its searcher; nil resolves the default.
@@ -92,9 +91,6 @@ func (o ControllerOptions) withDefaults() ControllerOptions {
 	}
 	if o.UtilityHistory <= 0 {
 		o.UtilityHistory = 3
-	}
-	if o.Search.Workers == 0 {
-		o.Search.Workers = o.Workers
 	}
 	if o.Provenance {
 		o.Search.Provenance = true

@@ -160,21 +160,17 @@ func (d *distancer) load(v *cluster.View) float64 {
 // that the action changes recomputed.
 func (d *distancer) child(v *cluster.View, s *cluster.Staged) float64 {
 	if s.VM >= 0 {
-		host := int32(cluster.Dormant)
-		if s.Delta.NewPlaced {
-			host = s.Host
-		}
-		place, cpu := d.vmTerms(int(s.VM), host, s.Delta.New.CPUPct)
+		place, cpu := d.vmTerms(int(s.VM), s.NewHost, s.NewCPU)
 		return d.fold(s.VM, place, cpu, d.power, d.freq)
 	}
 	h := int(s.Host)
 	on, freq := v.HostOn[h], v.HostFreq[h]
 	oldPower, oldFreq := d.hostTerms(h, on, freq)
-	if s.Delta.Host != "" {
-		on = s.Delta.On
-	}
-	if s.Delta.FreqHost != "" {
-		freq = s.Delta.NewFreq
+	switch s.Kind {
+	case cluster.ActionStartHost, cluster.ActionStopHost:
+		on = s.Kind == cluster.ActionStartHost
+	case cluster.ActionSetDVFS:
+		freq = s.Freq
 	}
 	newPower, newFreq := d.hostTerms(h, on, freq)
 	return d.fold(-1, 0, 0, d.power-oldPower+newPower, d.freq-oldFreq+newFreq)

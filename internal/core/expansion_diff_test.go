@@ -133,10 +133,10 @@ func TestDistancerMatches(t *testing.T) {
 					for i := range staged {
 						st := &staged[i]
 						built := cfg.Clone()
-						built.ApplyDelta(st.Delta)
+						built.ApplyDelta(st.Delta(cat))
 						got, want := dc.child(&view, st), ConfigDistance(built, ideal)
 						if math.Float64bits(got) != math.Float64bits(want) {
-							t.Fatalf("trial %d action %s: term-vector distance %.17g != built %.17g", trial, st.Act, got, want)
+							t.Fatalf("trial %d action %s: term-vector distance %.17g != built %.17g", trial, st.Action(cat), got, want)
 						}
 						children++
 					}
@@ -200,10 +200,10 @@ func TestExpansionMatchesReference(t *testing.T) {
 						if err != nil {
 							t.Fatalf("trial %d: stage %s: %v", trial, actions[i], err)
 						}
-						if st.Act != filled || st.Delta != delta {
-							t.Fatalf("trial %d space %d child %d:\n got %+v %+v\nwant %+v %+v", trial, si, i, st.Act, st.Delta, filled, delta)
+						if act, d := st.Action(cat), st.Delta(cat); act != filled || d != delta {
+							t.Fatalf("trial %d space %d child %d:\n got %+v %+v\nwant %+v %+v", trial, si, i, act, d, filled, delta)
 						}
-						got := price.cost(st.Act.Kind, int(st.VM), int(st.Host), -1)
+						got := price.cost(st.Kind, int(st.VM), int(st.Host), -1)
 						want := referenceAction(e, cfg, base, filled, w)
 						if got.Duration != want.Duration || math.Float64bits(got.Rate) != math.Float64bits(want.Rate) {
 							t.Fatalf("trial %d action %s: priced %v %.17g, reference %v %.17g", trial, filled, got.Duration, got.Rate, want.Duration, want.Rate)

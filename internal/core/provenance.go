@@ -85,14 +85,15 @@ func (b *digestBuilder) finalize(term string, res *SearchResult, chosen provenan
 // alternatives. Its plan string — one fmt.Sprintf per action — is rendered
 // only if the ranking ever needs it.
 type rejectedCand struct {
+	id   int32
 	v    *vertex
 	plan string
 	drew bool
 }
 
-func (c *rejectedCand) planString() string {
+func (c *rejectedCand) planString(m *searchMem) string {
 	if !c.drew {
-		c.plan, c.drew = cluster.PlanString(planOf(c.v)), true
+		c.plan, c.drew = cluster.PlanString(m.planOf(c.id)), true
 	}
 	return c.plan
 }
@@ -101,41 +102,40 @@ func (c *rejectedCand) planString() string {
 // then depth ascending, then plan string ascending. Ties on utility and
 // depth are common — interchangeable hosts give equal utilities — and are
 // the only case that renders plan strings.
-func (c *rejectedCand) before(o *rejectedCand) bool {
+func (c *rejectedCand) before(o *rejectedCand, m *searchMem) bool {
 	if c.v.utility != o.v.utility {
 		return c.v.utility > o.v.utility
 	}
 	if c.v.depth != o.v.depth {
 		return c.v.depth < o.v.depth
 	}
-	return c.planString() < o.planString()
+	return c.planString(m) < o.planString(m)
 }
 
 // harvestRejected digests the best alternatives still open when the search
-// committed: the plans it would have explored next. chosen is excluded,
-// stale duplicates (superseded by a better path to the same configuration)
-// are skipped, and the survivors are ranked best-first with a
-// deterministic tie-break (priority desc, depth asc, plan string asc, then
-// frontier order) so records are byte-identical at every Workers setting —
-// the heap's internal slice order for equal priorities is not guaranteed
-// stable across runs. The frontier holds thousands of vertices and only
-// provMaxRejected are kept, so one pass inserts each into a sorted top list
-// instead of rendering and sorting them all.
-func harvestRejected(e *Evaluator, open *vertexHeap, bestByKey map[cluster.Fingerprint]float64, chosen *vertex, root cluster.Config, rates map[string]float64, cw time.Duration) []provenance.Alternative {
+// committed: the plans it would have explored next. chosen (an arena index;
+// -1: none) is excluded, stale duplicates (superseded by a better path to
+// the same configuration) are skipped, and the survivors are ranked
+// best-first with a deterministic tie-break: priority desc, depth asc, plan
+// string asc, then frontier order. The frontier holds thousands of vertices
+// and only provMaxRejected are kept, so one pass inserts each into a sorted
+// top list instead of rendering and sorting them all.
+func harvestRejected(e *Evaluator, m *searchMem, chosen int32, root cluster.Config, rates map[string]float64, cw time.Duration) []provenance.Alternative {
 	var top [provMaxRejected]rejectedCand
 	n := 0
-	for _, v := range *open {
-		if v == chosen {
+	for _, open := range m.open {
+		if open.vertex == chosen {
 			continue
 		}
-		if !v.finished && v.utility < bestByKey[v.fp]-1e-12 {
-			continue // stale duplicate; a better path to this config exists
+		v := m.verts.at(open.vertex)
+		if m.stale(v) {
+			continue // a better path to this config exists
 		}
-		c := rejectedCand{v: v}
+		c := rejectedCand{id: open.vertex, v: v}
 		// A vertex that ties a kept one on everything stays behind it:
 		// frontier order is the last key.
 		at := n
-		for at > 0 && c.before(&top[at-1]) {
+		for at > 0 && c.before(&top[at-1], m) {
 			at--
 		}
 		if at == provMaxRejected {
@@ -150,13 +150,13 @@ func harvestRejected(e *Evaluator, open *vertexHeap, bestByKey map[cluster.Finge
 	out := make([]provenance.Alternative, 0, n)
 	for _, c := range top[:n] {
 		out = append(out, provenance.Alternative{
-			Depth:    c.v.depth,
+			Depth:    int(c.v.depth),
 			F:        c.v.utility,
 			G:        c.v.accrued,
 			H:        c.v.utility - c.v.accrued,
 			Distance: c.v.dist,
 			Complete: c.v.finished,
-			Ledger:   e.PlanLedger(root, rates, cw, planOf(c.v)),
+			Ledger:   e.PlanLedger(root, rates, cw, m.planOf(c.id)),
 		})
 	}
 	return out

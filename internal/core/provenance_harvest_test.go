@@ -13,21 +13,22 @@ import (
 
 // referenceHarvest is harvestRejected as it was: render every live open
 // vertex's plan string, stable-sort them all, keep the head.
-func referenceHarvest(e *Evaluator, open *vertexHeap, bestByKey map[cluster.Fingerprint]float64, chosen *vertex, root cluster.Config, rates map[string]float64, cw time.Duration) []provenance.Alternative {
+func referenceHarvest(e *Evaluator, m *searchMem, chosen int32, root cluster.Config, rates map[string]float64, cw time.Duration) []provenance.Alternative {
 	type cand struct {
 		v       *vertex
 		actions []cluster.Action
 		plan    string
 	}
 	var cands []cand
-	for _, v := range *open {
-		if v == chosen {
+	for _, open := range m.open {
+		if open.vertex == chosen {
 			continue
 		}
-		if !v.finished && v.utility < bestByKey[v.fp]-1e-12 {
+		v := m.verts.at(open.vertex)
+		if !v.finished && v.utility < m.best[v.fp]-1e-12 {
 			continue
 		}
-		actions := planOf(v)
+		actions := m.planOf(open.vertex)
 		cands = append(cands, cand{v: v, actions: actions, plan: cluster.PlanString(actions)})
 	}
 	sort.SliceStable(cands, func(i, j int) bool {
@@ -46,7 +47,7 @@ func referenceHarvest(e *Evaluator, open *vertexHeap, bestByKey map[cluster.Fing
 	out := make([]provenance.Alternative, 0, len(cands))
 	for _, c := range cands {
 		out = append(out, provenance.Alternative{
-			Depth:    c.v.depth,
+			Depth:    int(c.v.depth),
 			F:        c.v.utility,
 			G:        c.v.accrued,
 			H:        c.v.utility - c.v.accrued,
@@ -60,14 +61,15 @@ func referenceHarvest(e *Evaluator, open *vertexHeap, bestByKey map[cluster.Fing
 
 // TestHarvestRejectedMatchesReference compares the one-pass top-3 selection
 // with the collect-render-sort it replaced on 240 frontiers grown by real
-// expansions from the default configuration: feasible plans up to five
-// actions deep, frontiers from empty to a few hundred vertices in shuffled
-// (heap-like, arbitrary) order, stale duplicates, finished candidates, a
-// chosen vertex on or off the frontier. A third of the frontiers draw their
-// priorities from three values only, so utility ties, depth ties and —
-// through siblings duplicated on the frontier — equal plan strings decide
-// most ranks there, down to frontier order. (The search goldens pin the
-// Rejected lists of real searches through their digests.)
+// expansions from the default configuration, through the arena and the typed
+// heap as the search grows them: feasible plans up to five actions deep,
+// frontiers from empty to a few hundred vertices in heap order, stale
+// duplicates, finished candidates, a head popped and pushed back as a
+// committing search does, a chosen vertex on or off the frontier. A third of
+// the frontiers draw their priorities from three values only, so utility
+// ties, depth ties and — through siblings duplicated on the frontier — equal
+// plan strings decide most ranks there, down to frontier order. (The search
+// goldens pin the Rejected lists of real searches through their digests.)
 func TestHarvestRejectedMatchesReference(t *testing.T) {
 	e := newEnv(t, 4, 2)
 	w := rates(e, 40)
@@ -83,25 +85,34 @@ func TestHarvestRejectedMatchesReference(t *testing.T) {
 		if frontier < 4 {
 			size = frontier // empty and below the cap
 		}
-		root := &vertex{cfg: e.cfg, fp: e.cfg.Fingerprint()}
-		nodes := []*vertex{root}
-		var open vertexHeap
-		bestByKey := make(map[cluster.Fingerprint]float64)
-		for len(open) < size {
-			parent := nodes[rng.IntN(len(nodes))]
+		mem := &searchMem{cat: e.cat, cfgs: []cluster.Config{e.cfg}, best: make(map[cluster.Fingerprint]float64)}
+		alloc := func() (int32, *vertex) {
+			id, v, err := mem.verts.alloc()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return id, v
+		}
+		rootID, root := alloc()
+		*root = vertex{fp: e.cfg.Fingerprint(), parent: -1}
+		nodes := []int32{rootID}
+		for len(mem.open) < size {
+			pid := nodes[rng.IntN(len(nodes))]
+			parent := mem.verts.at(pid)
 			if parent.depth >= 5 {
 				continue
 			}
-			if !view.Load(e.cat, parent.cfg) {
+			if !view.Load(e.cat, mem.cfgs[parent.cfg]) {
 				t.Fatal("tree configuration does not fit the catalog")
 			}
 			staged = view.Expand(&moves, staged[:0])
 			// A handful of siblings per pick: interchangeable hosts make
 			// their plans differ in one host name only.
-			for n := 1 + rng.IntN(4); n > 0 && len(open) < size; n-- {
-				st := staged[rng.IntN(len(staged))]
-				v := &vertex{
-					fp: parent.cfg.FingerprintWith(st.Delta), parent: parent, act: st.Act, delta: st.Delta,
+			for n := 1 + rng.IntN(4); n > 0 && len(mem.open) < size; n-- {
+				st := &staged[rng.IntN(len(staged))]
+				id, v := alloc()
+				*v = vertex{
+					fp: view.FingerprintWith(parent.fp, st), st: *st, parent: pid,
 					depth: parent.depth + 1, accrued: -rng.Float64(), dist: 10 * rng.Float64(),
 					finished: rng.IntN(10) == 0,
 				}
@@ -109,33 +120,36 @@ func TestHarvestRejectedMatchesReference(t *testing.T) {
 				if tieHeavy {
 					v.utility = float64(1 + rng.IntN(3))
 				}
-				v.materialize()
-				nodes = append(nodes, v)
-				open = append(open, v)
-				if tieHeavy && rng.IntN(3) == 0 && len(open) < size {
-					dup := *v // the same plan reached twice
-					open = append(open, &dup)
+				mem.materialize(v) // so that it can parent later picks
+				nodes = append(nodes, id)
+				mem.push(id, v)
+				if tieHeavy && rng.IntN(3) == 0 && len(mem.open) < size {
+					dupID, dup := alloc() // the same plan reached twice
+					*dup = *v
+					mem.push(dupID, dup)
 				}
-				switch prev, seen := bestByKey[v.fp]; {
+				switch prev, seen := mem.best[v.fp]; {
 				case rng.IntN(5) == 0:
-					bestByKey[v.fp] = v.utility + 1 // superseded: stale
+					mem.best[v.fp] = v.utility + 1 // superseded: stale
 				case !seen || v.utility > prev:
-					bestByKey[v.fp] = v.utility
+					mem.best[v.fp] = v.utility
 				}
 			}
 		}
-		rng.Shuffle(len(open), func(i, j int) { open[i], open[j] = open[j], open[i] })
-		var chosen *vertex
+		if len(mem.open) > 0 && rng.IntN(2) == 0 {
+			mem.open.push(mem.open.pop())
+		}
+		chosen := int32(-1)
 		switch {
-		case len(open) > 0 && rng.IntN(3) > 0:
-			chosen = open[rng.IntN(len(open))]
+		case len(mem.open) > 0 && rng.IntN(3) > 0:
+			chosen = mem.open[rng.IntN(len(mem.open))].vertex
 		case rng.IntN(2) == 0:
 			chosen = nodes[rng.IntN(len(nodes))]
 		}
-		want := referenceHarvest(e.eval, &open, bestByKey, chosen, e.cfg, w, cw)
-		got := harvestRejected(e.eval, &open, bestByKey, chosen, e.cfg, w, cw)
+		want := referenceHarvest(e.eval, mem, chosen, e.cfg, w, cw)
+		got := harvestRejected(e.eval, mem, chosen, e.cfg, w, cw)
 		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("frontier %d (%d open): rejected lists differ\n got %+v\nwant %+v", frontier, len(open), got, want)
+			t.Fatalf("frontier %d (%d open): rejected lists differ\n got %+v\nwant %+v", frontier, len(mem.open), got, want)
 		}
 		for i := 1; i < len(want); i++ {
 			if want[i].F == want[i-1].F && want[i].Depth == want[i-1].Depth {

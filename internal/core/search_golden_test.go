@@ -26,7 +26,7 @@ const goldenStride = 6
 
 // searchGoldenLine is one decision of the search golden: everything that
 // must repeat at every Workers setting, and the evaluator's hit/miss counts,
-// which legitimately depend on it.
+// recorded per setting (equal now that the search is serial).
 type searchGoldenLine struct {
 	head, tail   string
 	hits, misses int64
@@ -157,10 +157,10 @@ func searchGolden(t *testing.T, opts experiments.LabOptions, workers int) []sear
 // commit before the dense-view expansion (8ac8825): plans, utility bits,
 // expansion/generation/pruning counts, simulated search time and the
 // provenance digests must be the same at Workers 1 and 4 and repeat the file
-// exactly. The evaluator's hit/miss split legitimately depends on Workers
-// (the frontier prewarm turns pop-time misses into hits and solves survivors
-// that are never popped), so the file records both as hits=W1/W4
-// misses=W1/W4. Regenerate with
+// exactly. The file records the evaluator's hit/miss split at both settings
+// as hits=W1/W4 misses=W1/W4; the search is serial, so the halves are equal
+// (the Perf-Pwr sweep the controllers run first is what Workers still
+// sizes). Regenerate with
 // `go test ./internal/core/ -run TestSearchGolden -update` only when a change
 // is meant to move decisions.
 func TestSearchGolden(t *testing.T) {

@@ -82,8 +82,9 @@ func (o Options) withDefaults() Options {
 // times, host aggregations) in a pooled scratch held per call or per
 // session, so any number of goroutines may use them concurrently on one
 // Model with distinct or identical inputs. The concurrent evaluation plane
-// (core.Evaluator's sharded memo cache, the A* frontier prewarm, and the
-// Perf-Pwr sweep with one session per running arm) relies on this;
+// (core.Evaluator's sharded memo cache, the 1st-level controllers deciding
+// side by side, and the Perf-Pwr sweep with one session per running arm)
+// relies on this;
 // TestModelEvaluateConcurrent pins it under -race.
 type Model struct {
 	apps map[string]*app.Spec

@@ -46,8 +46,8 @@ type MistralConfig struct {
 	// floor (default 12×M; see core.ControllerOptions.CrisisCW).
 	CrisisCW time.Duration
 	// Workers bounds the hierarchy's evaluation concurrency: each
-	// controller's Perf-Pwr sweep and search fan-out, and how many
-	// 1st-level controllers decide concurrently over the shared evaluator
+	// controller's Perf-Pwr sweep, and how many 1st-level controllers
+	// decide concurrently over the shared evaluator
 	// (default min(GOMAXPROCS, 8); 1 is fully serial). Decisions are
 	// byte-identical at every setting — 1st-level results merge in
 	// controller order.

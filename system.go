@@ -156,7 +156,7 @@ type ControllerOptions struct {
 	// Search tunes the A* search.
 	Search SearchOptions
 	// Workers bounds the controller's evaluation concurrency (Perf-Pwr
-	// sweep arms, the search's frontier prewarm, 1st-level fan-out). Zero
+	// sweep arms, 1st-level fan-out; the search itself is serial). Zero
 	// resolves to min(GOMAXPROCS, 8); 1 is fully serial. Decisions are
 	// byte-identical at every setting.
 	Workers int
