@@ -238,7 +238,9 @@ func sweepHostCounts(e *Evaluator, rates map[string]float64, scope packScope, ho
 		var trail []step
 		for i := u * variants; i < (u+1)*variants; i++ {
 			r := newReduction(plan, arms[i].n, arms[i].noAffinity)
-			r.trail = &trail
+			if variants > 1 {
+				r.trail = &trail // a lone arm has no twin to record for
+			}
 			cfg, ok, err := r.run()
 			if err != nil || !ok {
 				results[i] = armResult{err: err}
@@ -449,25 +451,24 @@ func minHostsNeeded(cat *cluster.Catalog, hosts []string) int {
 	if required == 0 || len(hosts) == 0 {
 		return 1
 	}
-	spec, _ := cat.Host(hosts[0])
-	byCount := int(math.Ceil(float64(required) / float64(spec.MaxVMs)))
-	byCPU := int(math.Ceil(float64(required) * cat.MinCPUPct / spec.UsableCPUPct))
-	perHostMem := (spec.MemoryMB - spec.Dom0MemoryMB) / minMem
+	// Each per-host capacity is taken at its largest over the list, so the
+	// bound holds for whichever hosts a packing ends up using.
+	var maxVMs, freeMem int
+	var usableCPU float64
+	for _, h := range hosts {
+		spec, _ := cat.Host(h)
+		maxVMs = max(maxVMs, spec.MaxVMs)
+		usableCPU = max(usableCPU, spec.UsableCPUPct)
+		freeMem = max(freeMem, spec.MemoryMB-spec.Dom0MemoryMB)
+	}
+	byCount := int(math.Ceil(float64(required) / float64(maxVMs)))
+	byCPU := int(math.Ceil(float64(required) * cat.MinCPUPct / usableCPU))
+	perHostMem := freeMem / minMem
 	byMem := 1
 	if perHostMem > 0 {
 		byMem = int(math.Ceil(float64(required) / float64(perHostMem)))
 	}
-	n := byCount
-	if byCPU > n {
-		n = byCPU
-	}
-	if byMem > n {
-		n = byMem
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
+	return max(byCount, byCPU, byMem, 1)
 }
 
 // packScope bounds what the reduction/packing loop may touch: the VMs it
@@ -499,13 +500,10 @@ func (s packScope) meetsTargets(st Steady, rates map[string]float64) bool {
 // planVM is what a Perf-Pwr call knows about one managed VM up front.
 type planVM struct {
 	spec cluster.VMSpec // zero for a VM the catalog does not list
-	// tier indexes packPlan.tiers (-1 outside the catalog); demand is the
-	// CPU the VM's whole tier must serve, rate × mean demand / 1000, which
-	// allocUtil splits across the tier's replicas. counted is false for a
-	// VM whose tier or application catalog and model do not know: it
+	// tier indexes packPlan.tiers (-1 outside the catalog). counted is false
+	// for a VM whose tier or application catalog and model do not know: it
 	// carries no demand share.
 	tier    int
-	demand  float64
 	counted bool
 	pinZone string // zone pin; pinned false when free
 	pinned  bool
@@ -552,8 +550,12 @@ type packPlan struct {
 	tiers []cluster.TierKey
 	// tierVMs lists each tier's managed replicas (indices into ids) in ID
 	// order; fixedReplicas counts its active replicas outside the scope.
+	// tierDemand is the CPU the whole tier must serve, rate × mean demand /
+	// 1000 (zero for an application the model does not know), which allocUtil
+	// splits across the tier's replicas.
 	tierVMs       [][]int
 	fixedReplicas []int
+	tierDemand    []float64
 
 	// hosts is the call's packing targets with the capacity the fixed VMs
 	// leave on each; arm n packs onto hosts[:n].
@@ -578,9 +580,13 @@ func newPackPlan(e *Evaluator, rates map[string]float64, scope packScope, hosts 
 	}
 	p.tierVMs = make([][]int, len(p.tiers))
 	p.fixedReplicas = make([]int, len(p.tiers))
+	p.tierDemand = make([]float64, len(p.tiers))
 	tierNo := make(map[cluster.TierKey]int, len(p.tiers))
 	for t, k := range p.tiers {
 		tierNo[k] = t
+		if spec := e.model.Apps()[k.App]; spec != nil {
+			p.tierDemand[t] = rates[k.App] * spec.MeanDemandMS(k.Tier) / 1000
+		}
 		for _, id := range cat.TierVMs(k) {
 			if scope.fixed.Active(id) {
 				p.fixedReplicas[t]++
@@ -594,10 +600,7 @@ func newPackPlan(e *Evaluator, rates map[string]float64, scope packScope, hosts 
 		if known {
 			v.tier = tierNo[cluster.TierKey{App: vm.App, Tier: vm.Tier}]
 			p.tierVMs[v.tier] = append(p.tierVMs[v.tier], i)
-			if spec := e.model.Apps()[vm.App]; spec != nil {
-				v.counted = true
-				v.demand = rates[vm.App] * spec.MeanDemandMS(vm.Tier) / 1000
-			}
+			v.counted = e.model.Apps()[vm.App] != nil
 		}
 		v.pinZone, v.pinned = scope.zonePins[id]
 		v.pool, v.pooled = scope.appPools[vm.App]
@@ -650,6 +653,11 @@ type reduction struct {
 	cpu      []float64 // meaningful while active
 	active   []bool
 	replicas []int // active managed replicas per tier
+	// alloc and share are allocUtil's terms, kept current by setCPU and
+	// addReplicas: cpu[i]/100 per VM, and per tier its demand split across
+	// its active replicas, managed or fixed.
+	alloc []float64
+	share []float64
 	// sess holds the current state from start to close; seats are the arm's
 	// hosts as it addresses them: the rank-th active VM sits on
 	// seats[rank%len(seats)].
@@ -694,11 +702,14 @@ type step struct {
 
 func newReduction(p *packPlan, nHosts int, noAffinity bool) *reduction {
 	n := len(p.ids)
+	floats := make([]float64, 2*n+len(p.tiers))
 	r := &reduction{
 		packPlan:   p,
 		hosts:      p.hosts[:nHosts],
 		noAffinity: noAffinity,
-		cpu:        make([]float64, n),
+		cpu:        floats[:n:n],
+		alloc:      floats[n : 2*n : 2*n],
+		share:      floats[2*n:],
 		active:     make([]bool, n),
 		replicas:   make([]int, len(p.tiers)),
 		seats:      make([]lqn.HostSlot, nHosts),
@@ -711,13 +722,26 @@ func newReduction(p *packPlan, nHosts int, noAffinity bool) *reduction {
 	// Initial state: every managed replica active at maximum capacity.
 	maxCPU := p.e.cat.MaxVMCPUPct()
 	for i := range r.cpu {
-		r.cpu[i] = maxCPU
+		r.setCPU(i, maxCPU)
 		r.active[i] = true
 	}
 	for t := range r.replicas {
-		r.replicas[t] = len(p.tierVMs[t])
+		r.addReplicas(t, len(p.tierVMs[t]))
 	}
 	return r
+}
+
+// setCPU gives VM i an allocation.
+func (r *reduction) setCPU(i int, cpu float64) {
+	r.cpu[i] = cpu
+	r.alloc[i] = cpu / 100
+}
+
+// addReplicas changes tier t's count of active managed replicas by n. A tier
+// left without a replica has no share, and no active VM to read it.
+func (r *reduction) addReplicas(t, n int) {
+	r.replicas[t] += n
+	r.share[t] = r.tierDemand[t] / float64(r.replicas[t]+r.fixedReplicas[t])
 }
 
 // run is the §IV-A loop for the arm's host subset: reduce by gradient until
@@ -892,9 +916,9 @@ func (r *reduction) try(m move) (move, bool) {
 	r.sess.Restore()
 	if m.remove {
 		r.active[m.vm] = true
-		r.replicas[r.vms[m.vm].tier]++
+		r.addReplicas(r.vms[m.vm].tier, 1)
 	} else {
-		r.cpu[m.vm] = from
+		r.setCPU(m.vm, from)
 	}
 	return m, meets
 }
@@ -905,7 +929,7 @@ func (r *reduction) try(m move) (move, bool) {
 func (r *reduction) patch(m move) {
 	i := m.vm
 	if !m.remove {
-		r.cpu[i] -= r.e.cat.CPUStepPct
+		r.setCPU(i, r.cpu[i]-r.e.cat.CPUStepPct)
 		r.sess.SetCPU(r.vms[i].slot, r.cpu[i])
 		return
 	}
@@ -921,7 +945,7 @@ func (r *reduction) patch(m move) {
 	}
 	r.sess.Unplace(r.vms[i].slot)
 	r.active[i] = false
-	r.replicas[r.vms[i].tier]--
+	r.addReplicas(r.vms[i].tier, -1)
 }
 
 // apply makes a scored move the current state.
@@ -937,15 +961,13 @@ func (r *reduction) apply(m move) {
 // sorted VM order: their last bits feed the ∇ρ gradient comparisons.
 func (r *reduction) allocUtil() float64 {
 	var totalDemand, totalAlloc float64
-	for i := range r.ids {
+	for i, active := range r.active {
 		v := &r.vms[i]
-		if !r.active[i] || !v.counted {
+		if !active || !v.counted {
 			continue
 		}
-		// Demand share of this replica: tier demand split across active
-		// replicas of the tier, managed or fixed.
-		totalDemand += v.demand / float64(r.replicas[v.tier]+r.fixedReplicas[v.tier])
-		totalAlloc += r.cpu[i] / 100
+		totalDemand += r.share[v.tier] // this replica's share of its tier's demand
+		totalAlloc += r.alloc[i]
 	}
 	if totalAlloc <= 0 {
 		return 0
@@ -973,7 +995,7 @@ func (e *Evaluator) score(sess *lqn.Session, q *eq1, targets []float64) (perf, s
 		if ai >= 0 {
 			v = rt[ai]
 		}
-		perf += q.params[i].PerfRate(q.interval, q.rate[i], v)
+		perf += q.perfRate(i, v)
 	}
 	return perf, sumRT, meets
 }

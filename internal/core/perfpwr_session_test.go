@@ -151,3 +151,39 @@ func TestMinHostsNeededUsesCatalogMemory(t *testing.T) {
 		}
 	}
 }
+
+// TestMinHostsNeededOnMixedHosts pins the sweep's lower bound to the roomiest
+// host of the list, wherever it stands: sized from the first host alone, a
+// list that opens with a small one started the sweep at three hosts and never
+// tried the two that hold everything.
+func TestMinHostsNeededOnMixedHosts(t *testing.T) {
+	apps := []*app.Spec{app.RUBiS("rubis1"), app.RUBiS("rubis2")}
+	hosts := make([]cluster.HostSpec, 4)
+	for i := range hosts {
+		hosts[i] = cluster.DefaultHostSpec("h" + string(rune('0'+i)))
+		if i == 0 {
+			hosts[i].MaxVMs = 2 // six required tiers: three such hosts
+			continue
+		}
+		hosts[i].MaxVMs, hosts[i].TotalCPUPct, hosts[i].UsableCPUPct, hosts[i].MemoryMB = 8, 200, 160, 2048
+	}
+	e := buildEnv(t, hosts, apps)
+	names := e.cat.HostNames()
+	if got := minHostsNeeded(e.cat, names[:1]); got != 3 {
+		t.Errorf("small hosts only: minHostsNeeded = %d, want 3", got)
+	}
+	for _, list := range [][]string{names, {"h1", "h2", "h3", "h0"}, {"h1"}} {
+		if got := minHostsNeeded(e.cat, list); got != 1 {
+			t.Errorf("hosts %v: minHostsNeeded = %d, want 1 (one large host holds every required VM)", list, got)
+		}
+	}
+	// At a trickle of load the worst-fit packing fills the small host and one
+	// large one.
+	ideal, err := PerfPwr(e.eval, rates(e, 2), PerfPwrOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := ideal.Config.NumActiveHosts(); n != 2 {
+		t.Errorf("ideal uses %d hosts, want the 2-host packing", n)
+	}
+}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"github.com/mistralcloud/mistral/internal/cluster"
-	"github.com/mistralcloud/mistral/internal/utility"
-)
+import "github.com/mistralcloud/mistral/internal/cluster"
 
 // pricer evaluates the transient cost of single actions executed from one
 // parent configuration under one workload. setRates and setParent read the
@@ -33,24 +30,55 @@ type pricer struct {
 	deltaRT []float64
 }
 
-// eq1 is what Eq. 1 needs of one workload, aligned with Evaluator.utilNames:
-// each application's parameters and request rate, and the monitoring
-// interval they accrue over. Loaded once, it lets a hot loop sum performance
-// rates without touching a map.
+// eq1 is Eq. 1 under one workload, aligned with Evaluator.utilNames: what is
+// left of each application's utility.AppParams once its request rate is
+// known. Loaded once, it lets a hot loop sum performance rates without
+// touching a map, converting a duration or calling a reward or penalty
+// function (they are taken to be pure; each is called once per load).
 type eq1 struct {
-	params   []utility.AppParams
-	rate     []float64
-	interval float64
+	apps     []eq1App
+	interval float64 // monitoring interval, seconds
+}
+
+// eq1App is one application's Eq. 1 at a fixed request rate.
+type eq1App struct {
+	target   float64 // TargetRT, seconds
+	reward   float64 // accrual rate at or under the target: RewardAt(rate)/interval
+	penalty  float64 // PenaltyAt(rate), dollars per monitoring interval
+	gradient float64 // PenaltyGradient
 }
 
 func (q *eq1) load(e *Evaluator, rates map[string]float64) {
-	q.params = sized(q.params, len(e.utilNames))
-	q.rate = sized(q.rate, len(e.utilNames))
-	for i, name := range e.utilNames {
-		q.params[i] = e.util.Apps[name]
-		q.rate[i] = rates[name]
-	}
+	q.apps = sized(q.apps, len(e.utilNames))
 	q.interval = e.util.MonitoringInterval.Seconds()
+	for i, name := range e.utilNames {
+		a, rate := e.util.Apps[name], rates[name]
+		q.apps[i] = eq1App{
+			target:   a.TargetRT.Seconds(),
+			reward:   a.Reward(rate) / q.interval,
+			penalty:  a.Penalty(rate),
+			gradient: a.PenaltyGradient,
+		}
+	}
+}
+
+// perfRate is utility.AppParams.PerfRate for application i at the loaded
+// rate, bit for bit: the same operations on the same values, with the ones
+// that do not depend on the response time done by load.
+func (q *eq1) perfRate(i int, rtSec float64) float64 {
+	a := &q.apps[i]
+	if rtSec <= a.target {
+		return a.reward
+	}
+	pen := a.penalty
+	if a.gradient > 0 && a.target > 0 {
+		over := (rtSec - a.target) / a.target
+		if over > 3 {
+			over = 3
+		}
+		pen *= 1 + a.gradient*over
+	}
+	return pen / q.interval
 }
 
 // sized returns s with length n, reusing its backing array when it fits.
@@ -102,7 +130,7 @@ func (p *pricer) cost(kind cluster.ActionKind, vm, host, from int) ActionCost {
 	}
 	dur, deltaWatts, _ := e.costs.PredictView(&p.view, kind, vm, host, from, rate, p.deltaRT)
 	var perf float64
-	for i := range p.params {
+	for i := range p.apps {
 		// Applications the model did not evaluate read as zero even when a
 		// delta exists.
 		var rt float64
@@ -112,7 +140,7 @@ func (p *pricer) cost(kind cluster.ActionKind, vm, host, from int) ActionCost {
 				rt += p.deltaRT[app]
 			}
 		}
-		perf += p.params[i].PerfRate(p.interval, p.rate[i], rt)
+		perf += p.perfRate(i, rt)
 	}
 	return ActionCost{Duration: dur, Rate: perf + e.util.PowerRate(p.watts+deltaWatts)}
 }

@@ -105,8 +105,11 @@ type Model struct {
 	skel []appSkel
 	// hostZone numbers each catalog host's zone, aligned with
 	// Catalog.HostNames plus one trailing slot for hosts outside the catalog
-	// (zone "", like Catalog.ZoneOf reports them).
+	// (zone "", like Catalog.ZoneOf reports them). oneZone says they all
+	// share a number — no catalog host names a zone — so no tier hop can
+	// cross one and the WAN term is exactly +0.
 	hostZone []int
+	oneZone  bool
 	// slots is the VM universe of the dense state: Catalog.VMIDs, then every
 	// tier replica the catalog does not list (legal solver input; such a VM
 	// serves its tier but is left out of its host's allocation fold).
@@ -121,35 +124,33 @@ type Model struct {
 type appSkel struct {
 	spec  *app.Spec
 	probs []float64 // normalized transaction mix, aligned with spec.Txns
-	// dom0Sec is the Dom-0 CPU seconds consumed per tier visit.
-	dom0Sec float64
-	tiers   []tierSkel
-	// txnDemandSec[i][ti] is transaction i's CPU demand in seconds on tier
-	// ti (spec.Txns[i].DemandMS[tier]/1000, hoisted out of the hot loop).
-	txnDemandSec [][]float64
+	// dom0Sec is the Dom-0 CPU seconds consumed per tier visit; dom0Visit is
+	// the unloaded Dom-0 residence of one visit, dom0Sec/Dom0CPUShare.
+	dom0Sec   float64
+	dom0Visit float64
+	tiers     []tierSkel
+	// latencySec is each transaction's CPU-free wait in seconds
+	// (spec.Txns[i].LatencyMS/1000), aligned with spec.Txns.
+	latencySec []float64
 }
 
 // tierSkel is the fixed part of one tier: its mean demand and the identity
 // of every potential replica VM.
 type tierSkel struct {
-	demandMS float64
-	vmIDs    []cluster.VMID
+	demandMS  float64
+	demandSec float64 // demandMS/1000
+	vmIDs     []cluster.VMID
 	// vmIdx is each replica's position in Model.slots.
 	vmIdx []int
+	// txnDemandSec is every transaction's CPU demand on this tier in seconds
+	// (spec.Txns[i].DemandMS[tier]/1000), aligned with spec.Txns: the
+	// per-transaction table transposed, so pass 3 streams one tier's row.
+	txnDemandSec []float64
 }
 
-// repFactor is the per-replica residence multiplier of pass 3.
-type repFactor struct {
-	weight   float64 // fraction of tier load on this replica
-	frac     float64
-	stretch  float64 // 1/(1-rho_eff)
-	dom0Add  float64 // seconds per visit added by Dom-0
-	overload float64 // extra seconds per request from overload
-}
-
-// replicaState captures one active replica's allocation for a tier.
+// replicaState captures one active replica's allocation for a tier. It
+// carries no VM name: Evaluate reads those off the skeleton.
 type replicaState struct {
-	vm   cluster.VMID
 	host int     // index into the per-host arrays
 	frac float64 // CPU allocation as fraction of reference capacity
 }
@@ -161,8 +162,7 @@ type tierScratch struct {
 	rho      float64
 	// served marks a tier that had load, demand and an active replica: the
 	// tiers whose replicas report a VM utilization.
-	served  bool
-	factors []repFactor
+	served bool
 }
 
 // vmPlace is one VM slot's placement in the dense state.
@@ -224,6 +224,10 @@ func (m *Model) newScratch() *solveScratch {
 	}
 	for ai := range m.skel {
 		sc.tiers[ai] = make([]tierScratch, len(m.skel[ai].tiers))
+		for ti := range sc.tiers[ai] {
+			// At full capacity: pass 1 fills the list in place.
+			sc.tiers[ai][ti].replicas = make([]replicaState, 0, len(m.skel[ai].tiers[ti].vmIdx))
+		}
 		sc.txnRT[ai] = make([]float64, len(m.skel[ai].spec.Txns))
 	}
 	sc.sol = Solution{
@@ -262,13 +266,20 @@ func NewModel(cat *cluster.Catalog, apps []*app.Spec, opts Options) (*Model, err
 	for _, name := range m.names {
 		spec := m.apps[name]
 		sk := appSkel{
-			spec:    spec,
-			probs:   spec.MixProbabilities(),
-			dom0Sec: spec.Dom0OverheadMS / 1000,
-			tiers:   make([]tierSkel, len(spec.Tiers)),
+			spec:       spec,
+			probs:      spec.MixProbabilities(),
+			dom0Sec:    spec.Dom0OverheadMS / 1000,
+			tiers:      make([]tierSkel, len(spec.Tiers)),
+			latencySec: make([]float64, len(spec.Txns)),
 		}
+		sk.dom0Visit = sk.dom0Sec / m.opts.Dom0CPUShare
+		for i, txn := range spec.Txns {
+			sk.latencySec[i] = txn.LatencyMS / 1000
+		}
+		demands := make([]float64, len(spec.Tiers)*len(spec.Txns))
 		for ti, t := range spec.Tiers {
 			ts := tierSkel{demandMS: spec.MeanDemandMS(t.Name)}
+			ts.demandSec = ts.demandMS / 1000
 			for r := 0; r < t.MaxReplicas; r++ {
 				id := spec.VMIDFor(t.Name, r)
 				vi, ok := cat.VMIndex(id)
@@ -279,15 +290,11 @@ func NewModel(cat *cluster.Catalog, apps []*app.Spec, opts Options) (*Model, err
 				ts.vmIDs = append(ts.vmIDs, id)
 				ts.vmIdx = append(ts.vmIdx, vi)
 			}
-			sk.tiers[ti] = ts
-		}
-		sk.txnDemandSec = make([][]float64, len(spec.Txns))
-		for i, txn := range spec.Txns {
-			row := make([]float64, len(spec.Tiers))
-			for ti, t := range spec.Tiers {
-				row[ti] = txn.DemandMS[t.Name] / 1000
+			ts.txnDemandSec, demands = demands[:len(spec.Txns):len(spec.Txns)], demands[len(spec.Txns):]
+			for i, txn := range spec.Txns {
+				ts.txnDemandSec[i] = txn.DemandMS[t.Name] / 1000
 			}
-			sk.txnDemandSec[i] = row
+			sk.tiers[ti] = ts
 		}
 		m.skel = append(m.skel, sk)
 	}
@@ -299,6 +306,7 @@ func NewModel(cat *cluster.Catalog, apps []*app.Spec, opts Options) (*Model, err
 		m.hostZone = append(m.hostZone, zoneNo[spec.Zone])
 	}
 	m.hostZone = append(m.hostZone, zoneNo[""])
+	m.oneZone = len(zoneNo) == 1
 	m.scratch.New = func() any { return m.newScratch() }
 	return m, nil
 }
@@ -421,8 +429,11 @@ func (m *Model) Evaluate(cfg cluster.Config, load map[string]float64, dom0Backgr
 			ts := &sc.tiers[ai][ti]
 			ar.TierUtil[t.Name] = ts.rho
 			if ts.served {
-				for _, rep := range ts.replicas {
-					res.VMUtil[rep.vm] = ts.rho
+				tsk := &m.skel[ai].tiers[ti]
+				for r, vi := range tsk.vmIdx {
+					if sc.vms[vi].placed {
+						res.VMUtil[tsk.vmIDs[r]] = ts.rho
+					}
 				}
 			}
 		}
@@ -583,16 +594,22 @@ func (m *Model) load(cfg cluster.Config, d *cluster.Delta, load map[string]float
 // skipped. Every floating-point fold runs in model order (sorted
 // applications, tiers in call order, replicas and VMs in ID order, hosts in
 // catalog order), so results are bit-identical from run to run.
+//
+// It is written so that nothing is evaluated more often than it changes:
+// what the specs and options fix sits in the skeleton, what a tier fixes is
+// computed once per tier, and the innermost loop of pass 3 runs over the
+// transactions. Every expression keeps the operands, the order and the
+// statement shape of the plain formulation referenceCompute keeps in the
+// tests, so each result keeps its bits on every architecture.
 func (m *Model) compute(sc *solveScratch, dom0Background map[string]float64, rtOnly bool) {
 	hostNames := m.cat.HostNames()
 	hostSpecs := m.cat.HostSpecs()
-	for hi := range sc.hostAlloc {
-		sc.hostAlloc[hi] = 0
-		sc.hostScale[hi] = 0
-		sc.dom0DemandCPU[hi] = 0
-		sc.hostVMUtil[hi] = 0
-		sc.dom0Util[hi] = 0
-	}
+	maxRho, penaltySec := m.opts.MaxRho, m.opts.OverloadPenaltySec
+	clear(sc.hostAlloc)
+	clear(sc.hostScale)
+	clear(sc.dom0DemandCPU)
+	clear(sc.hostVMUtil)
+	clear(sc.dom0Util)
 
 	// Pass 0: hosts whose allocations are oversubscribed scale every VM's
 	// effective rate proportionally, as Xen's credit scheduler would. This
@@ -601,30 +618,31 @@ func (m *Model) compute(sc *solveScratch, dom0Background map[string]float64, rtO
 	// The catalog's sorted VM universe visits each host's VMs in the same
 	// order a sorted active-VM list would, so the per-host allocation folds
 	// are bit-identical to that (allocating) formulation.
-	for _, p := range sc.vms[:len(m.cat.VMIDs())] {
-		if p.placed {
+	catVMs := sc.vms[:len(m.cat.VMIDs())]
+	for i := range catVMs {
+		if p := &catVMs[i]; p.placed {
 			sc.hostAlloc[p.host] += p.cpuPct
 		}
 	}
-	for hi := range hostNames {
-		if alloc := sc.hostAlloc[hi]; alloc > hostSpecs[hi].UsableCPUPct {
-			sc.hostScale[hi] = hostSpecs[hi].UsableCPUPct / alloc
+	for hi := range hostSpecs {
+		if alloc, usable := sc.hostAlloc[hi], hostSpecs[hi].UsableCPUPct; alloc > usable {
+			sc.hostScale[hi] = usable / alloc
 		}
 	}
 
 	// Pass 1: per-tier replica states, utilizations, Dom-0 demand per host.
-	for ai := range m.names {
+	for ai := range m.skel {
 		sk := &m.skel[ai]
 		lambda := sc.lambda[ai]
+		tiers := sc.tiers[ai]
 		for ti := range sk.tiers {
 			tsk := &sk.tiers[ti]
-			ts := &sc.tiers[ai][ti]
-			ts.replicas = ts.replicas[:0]
-			ts.sumFrac = 0
-			ts.rho = 0
-			ts.served = false
-			for r, id := range tsk.vmIDs {
-				p := sc.vms[tsk.vmIdx[r]]
+			ts := &tiers[ti]
+			replicas := ts.replicas[:len(tsk.vmIdx)]
+			n := 0
+			var sumFrac float64
+			for _, vi := range tsk.vmIdx {
+				p := &sc.vms[vi]
 				if !p.placed {
 					continue
 				}
@@ -634,29 +652,35 @@ func (m *Model) compute(sc *solveScratch, dom0Background map[string]float64, rtO
 				if scale := sc.hostScale[p.host]; scale != 0 {
 					frac *= scale
 				}
-				ts.replicas = append(ts.replicas, replicaState{vm: id, host: p.host, frac: frac})
-				ts.sumFrac += frac
+				replicas[n] = replicaState{host: p.host, frac: frac}
+				n++
+				sumFrac += frac
 			}
+			replicas = replicas[:n]
+			ts.replicas = replicas
+			ts.sumFrac = sumFrac
+			ts.rho = 0
+			ts.served = false
 			if lambda <= 0 || tsk.demandMS <= 0 {
 				continue
 			}
-			if ts.sumFrac <= 0 {
+			if sumFrac <= 0 {
 				// No active replica for a tier with demand: the app cannot
 				// serve requests; handled in pass 3 as saturation.
 				continue
 			}
 			// Weighted load balancing yields equal per-replica utilization:
 			// rho_i = (lambda*f_i/sumF)*D/f_i = lambda*D/sumF.
-			ts.rho = lambda * (tsk.demandMS / 1000) / ts.sumFrac
+			ts.rho = lambda * tsk.demandSec / sumFrac
 			ts.served = true
-			for _, rep := range ts.replicas {
-				lambdaI := lambda * rep.frac / ts.sumFrac
+			for _, rep := range replicas {
+				lambdaI := lambda * rep.frac / sumFrac
 				// Dom-0 demand: one visit per tier per request.
 				sc.dom0DemandCPU[rep.host] += lambdaI * sk.dom0Sec
 				if rtOnly {
 					continue
 				}
-				used := lambdaI * (tsk.demandMS / 1000) // absolute CPU fraction
+				used := lambdaI * tsk.demandSec // absolute CPU fraction
 				if used > rep.frac {
 					used = rep.frac // work-conserving cap at the allocation
 				}
@@ -671,64 +695,33 @@ func (m *Model) compute(sc *solveScratch, dom0Background map[string]float64, rtO
 		if !sc.hostOn[hi] {
 			continue
 		}
+		var background float64
+		if dom0Background != nil {
+			background = dom0Background[h]
+		}
 		share := m.opts.Dom0CPUShare * sc.hostFreq[hi]
-		sc.dom0Util[hi] = sc.dom0DemandCPU[hi]/share + dom0Background[h]
+		sc.dom0Util[hi] = sc.dom0DemandCPU[hi]/share + background
 	}
 
-	// Pass 3: per-application response times.
-	for ai := range m.names {
+	// Pass 3: per-application response times. A transaction's time is one
+	// accumulator, txnRT[ai][i]; it starts at the transaction's CPU-free waits
+	// and receives one term per (tier, replica) in that order. The loops run
+	// replica-major — all transactions take a replica's term before the next
+	// replica is looked at — which reorders work across accumulators, never
+	// within one.
+	for ai := range m.skel {
 		sk := &m.skel[ai]
-		spec := sk.spec
 		lambda := sc.lambda[ai]
+		tiers := sc.tiers[ai]
 		saturated := false
-
-		// Residence multiplier per tier replica: 1/(1-rho) with soft cap,
-		// plus Dom-0 residence on the replica's host.
-		for ti := range spec.Tiers {
-			tsk := &sk.tiers[ti]
-			ts := &sc.tiers[ai][ti]
-			ts.factors = ts.factors[:0]
-			if lambda <= 0 || tsk.demandMS <= 0 {
-				continue
-			}
-			if ts.sumFrac <= 0 {
-				saturated = true
-				// Unserved tier: charge the full overload penalty.
-				ts.factors = append(ts.factors, repFactor{weight: 1, frac: 1, stretch: 1, overload: m.opts.OverloadPenaltySec})
-				continue
-			}
-			for _, rep := range ts.replicas {
-				rho := ts.rho
-				var overload float64
-				if rho > m.opts.MaxRho {
-					saturated = true
-					overload = (rho - m.opts.MaxRho) * m.opts.OverloadPenaltySec
-					rho = m.opts.MaxRho
-				}
-				d0rho := sc.dom0Util[rep.host]
-				if d0rho > m.opts.MaxRho {
-					overload += (d0rho - m.opts.MaxRho) * m.opts.OverloadPenaltySec
-					d0rho = m.opts.MaxRho
-					saturated = true
-				}
-				dom0Visit := sk.dom0Sec / m.opts.Dom0CPUShare / (1 - d0rho)
-				ts.factors = append(ts.factors, repFactor{
-					weight:   rep.frac / ts.sumFrac,
-					frac:     rep.frac,
-					stretch:  1 / (1 - rho),
-					dom0Add:  dom0Visit,
-					overload: overload,
-				})
-			}
-		}
 
 		// WAN penalty: the expected number of tier hops crossing zones,
 		// with replicas weighted by their share of tier load.
 		var crossZoneSec float64
-		if m.opts.CrossZoneLatencyMS > 0 && lambda > 0 {
-			for i := 0; i+1 < len(spec.Tiers); i++ {
-				up := &sc.tiers[ai][i]
-				down := &sc.tiers[ai][i+1]
+		if !m.oneZone && m.opts.CrossZoneLatencyMS > 0 && lambda > 0 {
+			for i := 0; i+1 < len(tiers); i++ {
+				up := &tiers[i]
+				down := &tiers[i+1]
 				if up.sumFrac <= 0 || down.sumFrac <= 0 {
 					continue
 				}
@@ -744,21 +737,51 @@ func (m *Model) compute(sc *solveScratch, dom0Background map[string]float64, rtO
 			}
 		}
 
-		var meanRT float64
-		for i := range spec.Txns {
-			rt := spec.Txns[i].LatencyMS/1000 + crossZoneSec // CPU-free I/O and WAN waits
-			for ti := range spec.Tiers {
-				demand := sk.txnDemandSec[i][ti]
-				for _, f := range sc.tiers[ai][ti].factors {
-					if f.frac <= 0 {
-						continue
-					}
-					perVisit := (demand/f.frac)*f.stretch + f.dom0Add + f.overload
-					rt += f.weight * perVisit
-				}
+		rt := sc.txnRT[ai]
+		for i, latency := range sk.latencySec {
+			rt[i] = latency + crossZoneSec // CPU-free I/O and WAN waits
+		}
+		for ti := range sk.tiers {
+			tsk := &sk.tiers[ti]
+			ts := &tiers[ti]
+			if lambda <= 0 || tsk.demandMS <= 0 {
+				continue
 			}
-			sc.txnRT[ai][i] = rt
-			meanRT += sk.probs[i] * rt
+			if ts.sumFrac <= 0 {
+				saturated = true
+				// Unserved tier: charge the full overload penalty.
+				addVisits(rt, tsk.txnDemandSec, 1, 1, 1, 0, penaltySec)
+				continue
+			}
+			// Residence multiplier 1/(1-rho) with soft cap: replicas of a
+			// tier are equally utilized, so it is the tier's.
+			rho := ts.rho
+			var tierOverload float64
+			if rho > maxRho {
+				saturated = true
+				tierOverload = (rho - maxRho) * penaltySec
+				rho = maxRho
+			}
+			stretch := 1 / (1 - rho)
+			for _, rep := range ts.replicas {
+				// Dom-0 residence on the replica's host.
+				overload := tierOverload
+				d0rho := sc.dom0Util[rep.host]
+				if d0rho > maxRho {
+					overload += (d0rho - maxRho) * penaltySec
+					d0rho = maxRho
+					saturated = true
+				}
+				if rep.frac <= 0 {
+					continue
+				}
+				addVisits(rt, tsk.txnDemandSec, rep.frac/ts.sumFrac, rep.frac, stretch, sk.dom0Visit/(1-d0rho), overload)
+			}
+		}
+
+		var meanRT float64
+		for i, prob := range sk.probs {
+			meanRT += prob * rt[i]
 		}
 		sc.meanRT[ai] = meanRT
 		sc.saturated[ai] = saturated
@@ -780,5 +803,17 @@ func (m *Model) compute(sc *solveScratch, dom0Background map[string]float64, rtO
 			util = 1
 		}
 		sc.hostCPUUtil[hi] = util
+	}
+}
+
+// addVisits adds one replica's residence to every transaction's response
+// time: the replica carries weight of its tier's load, serves a demand at
+// rate frac stretched by queueing, and each visit pays Dom-0 residence and
+// the overload penalty on top.
+func addVisits(rt, demandSec []float64, weight, frac, stretch, dom0Add, overload float64) {
+	rt = rt[:len(demandSec)]
+	for i, demand := range demandSec {
+		perVisit := (demand/frac)*stretch + dom0Add + overload
+		rt[i] += weight * perVisit
 	}
 }

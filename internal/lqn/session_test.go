@@ -182,3 +182,41 @@ func TestSessionSolveAllocatesNothing(t *testing.T) {
 		t.Errorf("patch + solve + restore allocates %v times, want 0", n)
 	}
 }
+
+// BenchmarkSessionSolve is the kernel's own ledger row: what scoring one
+// Perf-Pwr reduction candidate costs below the reduction. One session is
+// opened on a lab's round-robin spread (every catalog replica at 80 % over
+// all hosts, the reduction's initial state) and each op is a candidate: one
+// VM's allocation cut, the response times solved, the patch dropped.
+func BenchmarkSessionSolve(b *testing.B) {
+	for _, nApps := range []int{2, 4} {
+		b.Run(fmt.Sprintf("%dapps", nApps), func(b *testing.B) {
+			m := labModel(b, nApps, 1)
+			hosts := m.Catalog().HostNames()
+			cfg := cluster.NewConfig()
+			load := make(map[string]float64)
+			for _, h := range hosts {
+				cfg.SetHostOn(h, true)
+			}
+			for i, id := range m.Catalog().VMIDs() {
+				cfg.Place(id, hosts[i%len(hosts)], 80)
+			}
+			for i, name := range m.AppNames() {
+				load[name] = []float64{32, 57, 18, 44}[i%4]
+			}
+			s, err := m.Open(cfg, load)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			slots := placedSlots(m, cfg)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.SetCPU(slots[i%len(slots)], 75)
+				s.Solve()
+				s.Restore()
+			}
+		})
+	}
+}

@@ -16,6 +16,13 @@ import (
 // more than the catalog lists: a VM outside the catalog.
 func labModel(t testing.TB, nApps, zones int) *Model {
 	t.Helper()
+	return labModelZoned(t, nApps, zones, zones > 1)
+}
+
+// labModelZoned is labModel whose hosts name their zones (dc0, dc1, …) only
+// if named: a single zone can go by a name or by "".
+func labModelZoned(t testing.TB, nApps, zones int, named bool) *Model {
+	t.Helper()
 	apps := make([]*app.Spec, nApps)
 	for i := range apps {
 		apps[i] = app.RUBiS(fmt.Sprintf("rubis%d", i+1))
@@ -26,7 +33,7 @@ func labModel(t testing.TB, nApps, zones int) *Model {
 	for i := range hosts {
 		hosts[i] = cluster.DefaultHostSpec(fmt.Sprintf("h%d", i))
 		hosts[i].DVFSLevels = []float64{0.6, 0.8}
-		if zones > 1 {
+		if named {
 			hosts[i].Zone = fmt.Sprintf("dc%d", i*zones/len(hosts))
 		}
 	}

@@ -114,15 +114,20 @@ func (p *Params) Validate() error {
 	return nil
 }
 
-// reward and penalty fall back to the paper's curves when unset.
-func (a AppParams) reward(rate float64) float64 {
+// Reward is the reward (dollars per monitoring period) for meeting the
+// target at the given request rate: RewardAt, or the paper's curve when
+// unset.
+func (a AppParams) Reward(rate float64) float64 {
 	if a.RewardAt == nil {
 		return PaperReward(rate)
 	}
 	return a.RewardAt(rate)
 }
 
-func (a AppParams) penalty(rate float64) float64 {
+// Penalty is the penalty (negative dollars per monitoring period) for
+// missing the target at the given request rate: PenaltyAt, or the paper's
+// curve when unset.
+func (a AppParams) Penalty(rate float64) float64 {
 	if a.PenaltyAt == nil {
 		return PaperPenalty(rate)
 	}
@@ -146,9 +151,9 @@ func (p *Params) PerfRate(appName string, rate, rtSec float64) float64 {
 func (a AppParams) PerfRate(intervalSec, rate, rtSec float64) float64 {
 	target := a.TargetRT.Seconds()
 	if rtSec <= target {
-		return a.reward(rate) / intervalSec
+		return a.Reward(rate) / intervalSec
 	}
-	pen := a.penalty(rate)
+	pen := a.Penalty(rate)
 	if a.PenaltyGradient > 0 && target > 0 {
 		over := (rtSec - target) / target
 		if over > 3 {
