@@ -220,7 +220,7 @@ func BenchmarkPerfPwr(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				eval.ResetCache()
-				if ideal, err = core.PerfPwr(eval, rates, core.PerfPwrOptions{Workers: 1}); err != nil {
+				if ideal, err = core.PerfPwr(eval, rates, core.PerfPwrOptions{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -233,31 +233,22 @@ func BenchmarkPerfPwr(b *testing.B) {
 }
 
 // BenchmarkTable1Scalability regenerates Table I over 2/3/4 applications
-// on the full 6.5 h day (the naive searches are capped for tractability),
-// once on the serial evaluation path and once on the default worker pool —
-// the reported table is identical; only wall-clock time differs.
+// on the full 6.5 h day (the naive searches are capped for tractability).
 func BenchmarkTable1Scalability(b *testing.B) {
-	for _, leg := range []struct {
-		name    string
-		workers int
-	}{{"serial", 1}, {"parallel", 0}} {
-		b.Run(leg.name, func(b *testing.B) {
-			reg := benchRegistry(b)
-			for i := 0; i < b.N; i++ {
-				r, err := mistral.RunTable1(benchSeed, experiments.Table1Options{Workers: leg.workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				first := r.Scenarios[0]
-				last := r.Scenarios[len(r.Scenarios)-1]
-				b.ReportMetric(first.SelfAwareMean.Seconds(), "aware_s_2app")
-				b.ReportMetric(last.SelfAwareMean.Seconds(), "aware_s_4app")
-				b.ReportMetric(first.NaiveMean.Seconds(), "naive_s_2app")
-				b.ReportMetric(last.NaiveMean.Seconds(), "naive_s_4app")
-			}
-			reportSearchMetrics(b, reg)
-		})
+	reg := benchRegistry(b)
+	for i := 0; i < b.N; i++ {
+		r, err := mistral.RunTable1(benchSeed, experiments.Table1Options{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		first := r.Scenarios[0]
+		last := r.Scenarios[len(r.Scenarios)-1]
+		b.ReportMetric(first.SelfAwareMean.Seconds(), "aware_s_2app")
+		b.ReportMetric(last.SelfAwareMean.Seconds(), "aware_s_4app")
+		b.ReportMetric(first.NaiveMean.Seconds(), "naive_s_2app")
+		b.ReportMetric(last.NaiveMean.Seconds(), "naive_s_4app")
 	}
+	reportSearchMetrics(b, reg)
 }
 
 // Ablation benches beyond the paper (see DESIGN.md §6).

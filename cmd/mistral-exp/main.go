@@ -5,7 +5,7 @@
 // Usage:
 //
 //	mistral-exp [-run all|fig1|...|table1|faultsweep|ablations|chaossweep]
-//	            [-seed N] [-fault-seed N] [-csv] [-outdir DIR] [-quick] [-workers N]
+//	            [-seed N] [-fault-seed N] [-csv] [-outdir DIR] [-quick]
 //	            [-provenance FILE] [-trace FILE] [-metrics FILE]
 //	            [-log-level LEVEL] [-pprof ADDR]
 package main
@@ -66,7 +66,6 @@ func run() (err error) {
 		asCSV       = flag.Bool("csv", false, "emit CSV instead of ASCII tables")
 		outdir      = flag.String("outdir", "", "write outputs to this directory instead of stdout")
 		quick       = flag.Bool("quick", false, "cheaper variants of the slow experiments (shorter replays, fewer trials)")
-		workers     = flag.Int("workers", 0, "evaluation concurrency for table1's hierarchies: Perf-Pwr sweep arms and 1st-level controllers, not the A* search (0 = min(GOMAXPROCS, 8), 1 = serial; results are identical either way)")
 		provPath    = flag.String("provenance", "", "write table1's decision-provenance records as JSONL to FILE (inspect with mistral-explain)")
 		tracePath   = flag.String("trace", "", "write span trace to FILE (.json = Chrome trace_event for Perfetto, else JSONL)")
 		metricsPath = flag.String("metrics", "", `write metrics registry dump to FILE at exit ("-" = stderr)`)
@@ -168,7 +167,7 @@ func run() (err error) {
 		}
 	}
 	if want("table1") {
-		opts := experiments.Table1Options{Workers: *workers}
+		var opts experiments.Table1Options
 		if *quick {
 			opts.Duration = 2 * time.Hour
 		}
@@ -196,7 +195,7 @@ func run() (err error) {
 		}
 	}
 	if want("faultsweep") {
-		opts := experiments.FaultSweepOptions{Seed: *faultSeed, Workers: *workers}
+		opts := experiments.FaultSweepOptions{Seed: *faultSeed}
 		if *faultSeed == 0 {
 			opts.Seed = *seed
 		}
@@ -215,7 +214,7 @@ func run() (err error) {
 	// Like bench, chaossweep is opt-in: four full replays under maximum
 	// chaos are too slow to ride along with every "all" run.
 	if strings.EqualFold(*which, "chaossweep") {
-		opts := experiments.ChaosSweepOptions{Seed: *faultSeed, Workers: *workers}
+		opts := experiments.ChaosSweepOptions{Seed: *faultSeed}
 		if *faultSeed == 0 {
 			opts.Seed = *seed
 		}

@@ -28,7 +28,7 @@
 //
 //	mistral-serve [-addr localhost:7070]
 //	              [-strategy mistral|naive|perf-pwr|perf-cost|pwr-cost]
-//	              [-apps N] [-hosts N] [-seed N] [-zones N] [-workers N]
+//	              [-apps N] [-hosts N] [-seed N] [-zones N]
 //	              [-dvfs] [-fault-rate P] [-fault-seed N]
 //	              [-exec-policy fail-forward|rollback] [-guard]
 //	              [-log-level LEVEL] [-resume FILE] [-auto-checkpoint FILE]
@@ -76,7 +76,6 @@ func run() (err error) {
 		numHosts     = flag.Int("hosts", 0, "number of application hosts (0 = 2 per app)")
 		seed         = flag.Uint64("seed", 42, "random seed")
 		zones        = flag.Int("zones", 1, "number of data centers (>1 enables the WAN extension; mistral/naive only)")
-		workers      = flag.Int("workers", 0, "evaluation concurrency: Perf-Pwr sweep arms and 1st-level controllers, not the A* search (0 = min(GOMAXPROCS, 8), 1 = serial)")
 		dvfs         = flag.Bool("dvfs", false, "equip hosts with 60/80% DVFS levels")
 		faultRate    = flag.Float64("fault-rate", 0, "action-failure probability in [0,1]; >0 enables the fault plane")
 		faultSeed    = flag.Uint64("fault-seed", 0, "fault schedule seed (0 = use -seed)")
@@ -86,6 +85,7 @@ func run() (err error) {
 		guardOn      = flag.Bool("guard", false, "enable the admission guard and adaptation circuit breaker")
 		autoCkPath   = flag.String("auto-checkpoint", "", "on SIGTERM/SIGINT, drain the in-flight window and write a final checkpoint to FILE before exiting")
 	)
+	flag.Int("workers", 0, "ignored; accepted only because bench/ passes it")
 	flag.Parse()
 	if *faultRate < 0 || *faultRate > 1 {
 		return fmt.Errorf("-fault-rate %v out of [0,1]", *faultRate)
@@ -100,7 +100,6 @@ func run() (err error) {
 
 	s := &server{recipe: recipe{
 		strategyName: strings.ToLower(*strategyName),
-		workers:      *workers,
 		faultRate:    *faultRate,
 		faultSeed:    *faultSeed,
 		execPolicy:   exec,
@@ -188,7 +187,6 @@ type server struct {
 // checkpoint records and a fleet change edits.
 type recipe struct {
 	strategyName string
-	workers      int
 	faultRate    float64
 	faultSeed    uint64
 	execPolicy   testbed.ExecPolicy
@@ -256,7 +254,6 @@ func (s *server) build(r recipe) (env, error) {
 	decider, err := strategy.New(r.strategyName, eval, lab.Util, strategy.MistralConfig{
 		HostGroups:         lab.HostGroups(),
 		MonitoringInterval: lab.Util.MonitoringInterval,
-		Workers:            r.workers,
 		Provenance:         true,
 	})
 	if err != nil {
@@ -266,7 +263,6 @@ func (s *server) build(r recipe) (env, error) {
 		Traces:     lab.Traces,
 		Interval:   lab.Util.MonitoringInterval,
 		Utility:    lab.Util,
-		Workers:    r.workers,
 		Obs:        s.ob,
 		Fault:      inj,
 		Guard:      g,
@@ -309,7 +305,6 @@ func (s *server) restoreFrom(ck *checkpoint.File) error {
 	}
 	r := recipe{
 		strategyName: ck.Strategy,
-		workers:      ck.Workers,
 		faultRate:    ck.FaultRate,
 		faultSeed:    ck.FaultSeed,
 		execPolicy:   exec,
@@ -378,7 +373,6 @@ type stateResp struct {
 	IntervalSec float64  `json:"interval_sec"`
 	CumUtility  float64  `json:"cum_utility"`
 	FaultRate   float64  `json:"fault_rate,omitempty"`
-	Workers     int      `json:"workers"`
 	ExecPolicy  string   `json:"exec_policy"`
 	Guard       bool     `json:"guard,omitempty"`
 	Breaker     string   `json:"breaker,omitempty"`
@@ -498,7 +492,6 @@ func (s *server) stateLocked() stateResp {
 		IntervalSec: s.engine.Interval().Seconds(),
 		CumUtility:  s.engine.Result().CumUtility,
 		FaultRate:   s.faultRate,
-		Workers:     s.workers,
 		ExecPolicy:  s.execPolicy.String(),
 	}
 	if s.guardOn {
@@ -660,7 +653,6 @@ func (s *server) writeCheckpointLocked(path string) error {
 	return checkpoint.Write(path, &checkpoint.File{
 		Schema:     checkpoint.Schema,
 		Strategy:   s.strategyName,
-		Workers:    s.workers,
 		Lab:        s.labOpts,
 		FaultRate:  s.faultRate,
 		FaultSeed:  s.faultSeed,

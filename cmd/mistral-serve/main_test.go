@@ -25,7 +25,6 @@ func newTestServer(t *testing.T) (*server, *httptest.Server) {
 	ob := &obs.Observer{Metrics: obs.NewRegistry(), Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})}
 	s := &server{ob: ob, recipe: recipe{
 		strategyName: "perf-pwr",
-		workers:      1,
 		execPolicy:   testbed.FailForward,
 		labOpts:      experiments.LabOptions{NumApps: 1, Seed: 7},
 	}}
@@ -200,7 +199,6 @@ func TestServeStateReportsSafetyPlanes(t *testing.T) {
 func TestServeGuardedStateAndBreaker(t *testing.T) {
 	s := &server{recipe: recipe{
 		strategyName: "perf-pwr",
-		workers:      1,
 		execPolicy:   testbed.RollbackOnFailure,
 		guardOn:      true,
 		labOpts:      experiments.LabOptions{NumApps: 1, Seed: 7},
@@ -278,7 +276,6 @@ func TestServeFailedRestoreLeavesDaemon(t *testing.T) {
 
 	other := &server{recipe: recipe{
 		strategyName: "perf-pwr",
-		workers:      1,
 		execPolicy:   testbed.RollbackOnFailure,
 		guardOn:      true,
 		labOpts:      experiments.LabOptions{NumApps: 2, Seed: 9},

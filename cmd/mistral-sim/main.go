@@ -4,7 +4,7 @@
 // Usage:
 //
 //	mistral-sim [-strategy mistral|naive|perf-pwr|perf-cost|pwr-cost]
-//	            [-apps N] [-duration 6h30m] [-seed N] [-zones N] [-workers N]
+//	            [-apps N] [-duration 6h30m] [-seed N] [-zones N]
 //	            [-dvfs] [-csv] [-fault-rate P] [-fault-seed N]
 //	            [-provenance FILE] [-trace FILE] [-metrics FILE]
 //	            [-log-level LEVEL] [-pprof ADDR]
@@ -47,7 +47,6 @@ func run() (err error) {
 		duration     = flag.Duration("duration", 0, "replay duration (0 = full 6.5h scenario)")
 		seed         = flag.Uint64("seed", 42, "random seed")
 		zones        = flag.Int("zones", 1, "number of data centers (>1 enables the WAN extension; mistral/naive only)")
-		workers      = flag.Int("workers", 0, "evaluation concurrency for mistral/naive: Perf-Pwr sweep arms and 1st-level controllers; the A* search is serial at every setting (0 = min(GOMAXPROCS, 8), 1 = serial; decisions are identical either way)")
 		dvfs         = flag.Bool("dvfs", false, "equip hosts with 60/80% DVFS levels (the §VI extension)")
 		faultRate    = flag.Float64("fault-rate", 0, "action-failure probability in [0,1]; >0 enables the fault plane (delays, host crashes, and sensor faults scale with it)")
 		faultSeed    = flag.Uint64("fault-seed", 0, "fault schedule seed (0 = use -seed)")
@@ -63,7 +62,7 @@ func run() (err error) {
 		profileMax   = flag.Int("profile-max", 8, "maximum pprof artifacts written (with -profile-dir)")
 		sloExit      = flag.Bool("slo-exit", false, "exit nonzero when any SLO objective's error budget is exhausted at the end of the run (for CI gates; implies the SLO engine)")
 		ckptPath     = flag.String("checkpoint", "", "write an engine checkpoint to FILE when the run completes (resume with -resume)")
-		resumePath   = flag.String("resume", "", "restore the engine from a checkpoint FILE and continue the replay; the checkpoint's recorded environment (apps, seed, strategy, workers, fault profile) overrides the corresponding flags")
+		resumePath   = flag.String("resume", "", "restore the engine from a checkpoint FILE and continue the replay; the checkpoint's recorded environment (apps, seed, strategy, fault profile) overrides the corresponding flags")
 		execPolicy   = flag.String("exec-policy", "fail-forward", "plan execution policy: fail-forward (keep the applied prefix on failure) or rollback (compensate it, restoring the pre-plan configuration)")
 		guardOn      = flag.Bool("guard", false, "run every plan through the admission guard and adaptation circuit breaker before execution")
 		stepProv     = flag.Bool("step-provenance", false, "include per-step execution outcomes (applied/failed/skipped/rolled-back, with causes) in each provenance record (with -provenance)")
@@ -100,7 +99,6 @@ func run() (err error) {
 			return err
 		}
 		*strategyName = ckFile.Strategy
-		*workers = ckFile.Workers
 		*faultRate = ckFile.FaultRate
 		*faultSeed = ckFile.FaultSeed
 		*execPolicy = ckFile.ExecPolicy
@@ -157,7 +155,6 @@ func run() (err error) {
 	decider, err := strategy.New(*strategyName, eval, lab.Util, strategy.MistralConfig{
 		HostGroups:         lab.HostGroups(),
 		MonitoringInterval: lab.Util.MonitoringInterval,
-		Workers:            *workers,
 		Provenance:         rec.Enabled(),
 	})
 	if err != nil {
@@ -185,7 +182,6 @@ func run() (err error) {
 		Duration:       *duration,
 		Interval:       lab.Util.MonitoringInterval,
 		Utility:        lab.Util,
-		Workers:        *workers,
 		Fault:          inj,
 		Guard:          grd,
 		Provenance:     rec,
@@ -218,7 +214,6 @@ func run() (err error) {
 		if err := checkpoint.Write(*ckptPath, &checkpoint.File{
 			Schema:     checkpoint.Schema,
 			Strategy:   strings.ToLower(*strategyName),
-			Workers:    *workers,
 			Lab:        labOpts,
 			FaultRate:  *faultRate,
 			FaultSeed:  *faultSeed,

@@ -27,7 +27,8 @@ const Schema = "mistral.checkpoint-file/v1"
 type File struct {
 	Schema   string `json:"schema"`
 	Strategy string `json:"strategy"`
-	Workers  int    `json:"workers"`
+	// Deprecated: Workers is ignored; it remains only because bench/ sets it.
+	Workers int `json:"workers"`
 	// Lab holds the options as given to experiments.NewLab (pre-default):
 	// rebuilding applies the same defaulting the original construction did.
 	Lab       experiments.LabOptions `json:"lab"`

@@ -35,7 +35,6 @@ func realFile(tb testing.TB) *checkpoint.File {
 		Traces:   lab.Traces,
 		Interval: lab.Util.MonitoringInterval,
 		Utility:  lab.Util,
-		Workers:  1,
 	})
 	if err != nil {
 		tb.Fatal(err)
@@ -49,7 +48,7 @@ func realFile(tb testing.TB) *checkpoint.File {
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return &checkpoint.File{Strategy: "perf-pwr", Workers: 1, Lab: opts, ExecPolicy: "fail-forward", Scenario: snap}
+	return &checkpoint.File{Strategy: "perf-pwr", Lab: opts, ExecPolicy: "fail-forward", Scenario: snap}
 }
 
 // leftovers lists the temp files Write may have left in dir.

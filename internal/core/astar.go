@@ -62,10 +62,7 @@ type SearchOptions struct {
 	// §IV-B describes; the margin bounds that tail for the naive search
 	// without affecting which plan wins by more than ε.
 	EpsilonMargin float64
-	// Workers is ignored: the search is serial at every setting (DESIGN.md
-	// §9 has the measurement). The field is declared only because
-	// bench/layers.go assigns it, and goes with that probe
-	// (par.search_speedup_w2) in a later benchmark issue.
+	// Deprecated: Workers is ignored; it remains only because bench/ sets it.
 	Workers int
 	// Provenance enables the search flight recorder: the returned
 	// SearchResult carries a bounded provenance.SearchDigest (expanded
@@ -224,7 +221,7 @@ type Searcher struct {
 
 	// Trace context for expansion-batch events: tc identifies the
 	// window, tcName the owning controller (span-ID uniqueness across
-	// parallel 1st-level searches), traceBase the search's virtual start
+	// 1st-level searches), traceBase the search's virtual start
 	// time (set by the controller each Decide). Observational only.
 	tc        obs.TraceContext
 	tcName    string

@@ -62,10 +62,6 @@ type ControllerOptions struct {
 	// UtilityHistory is how many recent window utilities feed the
 	// pessimistic expected utility UH (default 3).
 	UtilityHistory int
-	// Workers bounds the controller's evaluation concurrency: the Perf-Pwr
-	// sweep arms (default min(GOMAXPROCS, 8); 1 reproduces the serial
-	// path). The search is serial at every setting.
-	Workers int
 	// Obs overrides the process-default observer (obs.SetDefault) for this
 	// controller and its searcher; nil resolves the default.
 	Obs *obs.Observer
@@ -374,9 +370,9 @@ func (c *Controller) Decide(now time.Duration, cfg cluster.Config, rates map[str
 	psp := tr.Start("perfpwr", now, pattrs...)
 	var ideal Ideal
 	if c.opts.Scope == ScopeSubset {
-		ideal, err = PerfPwrSubset(c.eval, cfg, rates, c.opts.Hosts, c.opts.Workers)
+		ideal, err = PerfPwrSubset(c.eval, cfg, rates, c.opts.Hosts)
 	} else {
-		popts := PerfPwrOptions{Hosts: c.opts.Hosts, AppHostPools: c.opts.AppHostPools, Workers: c.opts.Workers}
+		popts := PerfPwrOptions{Hosts: c.opts.Hosts, AppHostPools: c.opts.AppHostPools}
 		if c.opts.PinAppsToZones {
 			popts.VMZonePins = VMZonePinsOf(c.eval.cat, cfg)
 		}
@@ -403,8 +399,7 @@ func (c *Controller) Decide(now time.Duration, cfg cluster.Config, rates map[str
 	ssp := tr.Start("search", now, sattrs...)
 	c.searcher.traceBase = now
 	// Snapshot the evaluator's cache counters around the search so the
-	// span records this decision's cache behavior (tracer-gated: the
-	// snapshot walks the shard locks).
+	// span records this decision's cache behavior.
 	var st0 CacheStats
 	if tr != nil {
 		st0 = c.eval.CacheStats()

@@ -488,6 +488,32 @@ func TestControllerExpectedUtility(t *testing.T) {
 	}
 }
 
+// TestControllerDecideFallsBackOnEvalError: a workload naming an unknown
+// application cannot be evaluated, and the controller must not silently
+// report a zero baseline — but neither may it wedge the control loop. It
+// degrades to a no-adaptation decision and retries next window.
+func TestControllerDecideFallsBackOnEvalError(t *testing.T) {
+	e := newEnv(t, 4, 1)
+	ctrl, err := NewController(e.eval, ControllerOptions{Name: "L2-err"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := ctrl.Decide(0, e.cfg, map[string]float64{"ghost": 50})
+	if err != nil {
+		t.Fatalf("eval error aborted the decision: %v", err)
+	}
+	if !d.Degraded || !d.Invoked {
+		t.Errorf("decision = %+v, want invoked degraded fallback", d)
+	}
+	if len(d.Plan) != 0 {
+		t.Errorf("fallback decision carries a plan: %v", d.Plan)
+	}
+	// The bands were not re-seeded, so the controller still runs next time.
+	if !ctrl.ShouldRun(map[string]float64{"ghost": 50}) {
+		t.Error("controller stopped running after a degraded decision")
+	}
+}
+
 func TestSearchDeadlineTruncates(t *testing.T) {
 	e := newEnv(t, 4, 2)
 	w := rates(e, 10)
@@ -516,18 +542,18 @@ func TestSearchDeadlineTruncates(t *testing.T) {
 	if tight.SearchTime > free.SearchTime {
 		t.Errorf("deadline search took longer: %v vs %v", tight.SearchTime, free.SearchTime)
 	}
-	// The deadline is simulated time, so it is deterministic across Workers.
+	// The deadline is simulated time, so it is deterministic run to run.
 	e2 := newEnv(t, 4, 2)
-	par := func(workers int) SearchResult {
+	deadline := func() SearchResult {
 		e2.eval.ResetCache()
-		s := NewSearcher(e2.eval, SearchOptions{MaxExpansions: 4000, MaxSearchTime: 50 * time.Millisecond, Workers: workers})
+		s := NewSearcher(e2.eval, SearchOptions{MaxExpansions: 4000, MaxSearchTime: 50 * time.Millisecond})
 		res, err := s.Search(e2.cfg, w, 2*time.Hour, ideal, ExpectedUtility{}, cluster.ActionSpace{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	if a, b := par(1), par(8); !reflect.DeepEqual(a, b) {
-		t.Errorf("deadline search diverges across workers:\n%+v\n%+v", a, b)
+	if a, b := deadline(), deadline(); !reflect.DeepEqual(a, b) {
+		t.Errorf("deadline search diverges between two runs:\n%+v\n%+v", a, b)
 	}
 }

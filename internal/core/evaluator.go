@@ -11,8 +11,6 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/mistralcloud/mistral/internal/cluster"
@@ -44,11 +42,6 @@ type Steady struct {
 // NetRate is the combined accrual rate, dollars/second.
 func (s Steady) NetRate() float64 { return s.PerfRate + s.PowerRate }
 
-// cacheShards is the number of independently locked cache segments; a
-// power of two so the shard index is a mask of the key hash. 16 shards
-// keep lock contention negligible for the default worker counts (≤ 8).
-const cacheShards = 16
-
 // steadyKey identifies one steady evaluation: the configuration's
 // incremental 128-bit fingerprint plus the workload vector's fingerprint.
 // Comparing and hashing the 24-byte struct replaces the Key()+ratesKey
@@ -56,22 +49,6 @@ const cacheShards = 16
 type steadyKey struct {
 	fp  cluster.Fingerprint
 	rfp RatesFP
-}
-
-// cacheEntry is one memoized (or in-flight) steady evaluation. The
-// goroutine that inserts the entry owns the solve; done is closed when s
-// and err are final, and concurrent lookups of the same key wait on it
-// instead of duplicating the LQN solve (singleflight).
-type cacheEntry struct {
-	done chan struct{}
-	s    Steady
-	err  error
-}
-
-// evalShard is one mutex-guarded segment of the memo cache.
-type evalShard struct {
-	mu      sync.Mutex
-	entries map[steadyKey]*cacheEntry
 }
 
 // Evaluator bundles the predictor modules of Figure 2 — the Performance
@@ -88,14 +65,9 @@ type evalShard struct {
 // carried across windows: measured on the benchmark replays, retention
 // bought no hits (the workload's rate band moves every window).
 //
-// Thread safety: Steady, Action, CacheStats, Evals, BeginWindow,
-// ResetCache, and the
-// read-only accessors are safe for concurrent use — the memo cache is
-// sharded behind per-shard mutexes with singleflight dedup of identical
-// in-flight solves, the underlying predictor modules are read-only
-// (lqn.Model.Solve keeps its state in a pooled per-call scratch), and the
-// counters are atomic. SetObserver is not synchronized with the hot path: rebind
-// observers before handing the evaluator to concurrent callers.
+// An Evaluator has one caller at a time: the memo, the counters and the
+// pricer Action loads are unsynchronized. Every controller of a hierarchy
+// shares one, and they decide in turn.
 type Evaluator struct {
 	cat   *cluster.Catalog
 	model *lqn.Model
@@ -117,14 +89,16 @@ type Evaluator struct {
 	utilApp   []int
 	utilModel []int
 
-	shards    [cacheShards]evalShard
-	cacheHits atomic.Int64
-	evals     atomic.Int64
-	dedups    atomic.Int64
+	// memo holds the window's steady evaluations. Values stay pointers:
+	// BeginWindow keeps the map's buckets, and a Steady stored by value
+	// would about double the bytes they retain.
+	memo      map[steadyKey]*Steady
+	cacheHits int
+	evals     int
 
-	// actScratch pools the pricers Action loads per call; the search prices
-	// its children through one of its own.
-	actScratch sync.Pool
+	// act is the pricer Action loads per call; the search prices its
+	// children through one of its own.
+	act pricer
 
 	// Observability sinks, resolved at construction (see obs.SetDefault)
 	// and rebindable with SetObserver. Cache statistics are fed into the
@@ -134,13 +108,11 @@ type Evaluator struct {
 	cHits   *obs.Counter
 	cMisses *obs.Counter
 	cSolves *obs.Counter
-	cDedup  *obs.Counter
 	gSize   *obs.Gauge
 
-	// Sinks for the Perf-Pwr sweep (the sweep is a free function over the
-	// evaluator, so its instrumentation lives here).
-	gSweepWorkers *obs.Gauge
-	cSweepArms    *obs.Counter
+	// cSweepArms counts Perf-Pwr sweep arms (the sweep is a free function
+	// over the evaluator, so its instrumentation lives here).
+	cSweepArms *obs.Counter
 }
 
 // NewEvaluator builds an evaluator.
@@ -176,25 +148,20 @@ func NewEvaluator(cat *cluster.Catalog, model *lqn.Model, util *utility.Params, 
 			e.utilModel[i] = j
 		}
 	}
-	e.actScratch.New = func() any { return &pricer{e: e} }
-	for i := range e.shards {
-		e.shards[i].entries = make(map[steadyKey]*cacheEntry)
-	}
+	e.act.e = e
+	e.memo = make(map[steadyKey]*Steady)
 	e.SetObserver(obs.Default())
 	return e, nil
 }
 
 // SetObserver rebinds the evaluator's observability sinks (construction
-// resolves the process default); pass nil to disable. Not synchronized
-// with evaluation: call it before any concurrent use.
+// resolves the process default); pass nil to disable.
 func (e *Evaluator) SetObserver(o *obs.Observer) {
 	e.log = o.Logger()
 	e.cHits = o.Counter("eval_cache_hits_total")
 	e.cMisses = o.Counter("eval_cache_misses_total")
 	e.cSolves = o.Counter("lqn_solves_total")
-	e.cDedup = o.Counter("eval_inflight_dedup_total")
 	e.gSize = o.Gauge("eval_cache_entries")
-	e.gSweepWorkers = o.Gauge("perfpwr_workers")
 	e.cSweepArms = o.Counter("perfpwr_sweep_arms_total")
 }
 
@@ -202,11 +169,8 @@ func (e *Evaluator) SetObserver(o *obs.Observer) {
 // BeginWindow. Misses count the steady evaluations performed, each one an
 // LQN solve: memo misses plus the reduction candidates Perf-Pwr scored
 // without a lookup; Entries is the live cache size.
-// Dedups counts lookups that joined an identical in-flight solve instead
-// of starting their own; when the joined solve succeeds they also count
-// as Hits (the solve itself is charged to its initiating miss).
 type CacheStats struct {
-	Hits, Misses, Entries, Dedups int
+	Hits, Misses, Entries int
 }
 
 // HitRate is the fraction of lookups served from the cache.
@@ -219,18 +183,7 @@ func (s CacheStats) HitRate() float64 {
 
 // CacheStats reports cache activity since the last BeginWindow.
 func (e *Evaluator) CacheStats() CacheStats {
-	st := CacheStats{
-		Hits:   int(e.cacheHits.Load()),
-		Misses: int(e.evals.Load()),
-		Dedups: int(e.dedups.Load()),
-	}
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		st.Entries += len(sh.entries)
-		sh.mu.Unlock()
-	}
-	return st
+	return CacheStats{Hits: e.cacheHits, Misses: e.evals, Entries: len(e.memo)}
 }
 
 // Catalog returns the catalog.
@@ -244,27 +197,16 @@ func (e *Evaluator) Costs() *cost.Manager { return e.costs }
 
 // BeginWindow marks a control-window boundary: the window's cache
 // statistics are flushed into the metrics registry (keeping the per-lookup
-// path free of instrumentation) and the memo is emptied. The shard maps are
-// cleared in place — they keep their buckets, so a window's inserts do not
-// re-grow them. Safe to call concurrently with Steady: evaluations are pure
-// functions of their key, so emptying mid-flight costs at most redundant
-// solves, never correctness (a leader finishing after the boundary has
-// already lost its entry, which only forfeits its memoization).
+// path free of instrumentation) and the memo is emptied. The map is cleared
+// in place — it keeps its buckets, so a window's inserts do not re-grow it.
 func (e *Evaluator) BeginWindow() {
-	var entries int
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		entries += len(sh.entries)
-		clear(sh.entries)
-		sh.mu.Unlock()
-	}
-	evals := e.evals.Swap(0)
-	e.cHits.Add(e.cacheHits.Swap(0))
-	e.cMisses.Add(evals)
-	e.cSolves.Add(evals)
-	e.cDedup.Add(e.dedups.Swap(0))
+	entries := len(e.memo)
+	clear(e.memo)
+	e.cHits.Add(int64(e.cacheHits))
+	e.cMisses.Add(int64(e.evals))
+	e.cSolves.Add(int64(e.evals))
 	e.gSize.Set(float64(entries))
+	e.cacheHits, e.evals = 0, 0
 }
 
 // ResetCache is BeginWindow under its older name.
@@ -272,7 +214,7 @@ func (e *Evaluator) ResetCache() { e.BeginWindow() }
 
 // Evals reports how many steady evaluations were performed since the last
 // BeginWindow (a proxy for model-solving work).
-func (e *Evaluator) Evals() int { return int(e.evals.Load()) }
+func (e *Evaluator) Evals() int { return e.evals }
 
 // CacheSnapshot is the part of the evaluator a checkpoint carries: the
 // activity counters not yet flushed into the registry. A snapshot is taken
@@ -281,25 +223,18 @@ func (e *Evaluator) Evals() int { return int(e.evals.Load()) }
 // them — restoring them keeps the eval_cache_*_total stream (and the SLO
 // objective and history series derived from it) identical across a resume.
 type CacheSnapshot struct {
-	Hits   int64 `json:"hits"`
-	Evals  int64 `json:"evals"`
-	Dedups int64 `json:"dedups"`
+	Hits  int64 `json:"hits"`
+	Evals int64 `json:"evals"`
 }
 
 // SnapshotCache captures the un-flushed counters.
 func (e *Evaluator) SnapshotCache() CacheSnapshot {
-	return CacheSnapshot{
-		Hits:   e.cacheHits.Load(),
-		Evals:  e.evals.Load(),
-		Dedups: e.dedups.Load(),
-	}
+	return CacheSnapshot{Hits: int64(e.cacheHits), Evals: int64(e.evals)}
 }
 
 // RestoreCache installs captured counters in place of the evaluator's own.
 func (e *Evaluator) RestoreCache(snap CacheSnapshot) {
-	e.cacheHits.Store(snap.Hits)
-	e.evals.Store(snap.Evals)
-	e.dedups.Store(snap.Dedups)
+	e.cacheHits, e.evals = int(snap.Hits), int(snap.Evals)
 }
 
 // RatesFP is a 64-bit fingerprint of a workload vector, the rate-band half
@@ -329,16 +264,9 @@ func (e *Evaluator) RatesFingerprint(rates map[string]float64) RatesFP {
 	return RatesFP(h)
 }
 
-// shardOf maps a cache key to its shard index. Both halves of the key are
-// already well-mixed hashes, so folding their words is enough.
-func shardOf(k steadyKey) uint32 {
-	return uint32(k.fp[0]^k.fp[1]^uint64(k.rfp)) & (cacheShards - 1)
-}
-
 // Steady evaluates a configuration's steady-state utility rates under the
-// given per-application request rates. Safe for concurrent use: identical
-// concurrent lookups dedup onto a single LQN solve (singleflight); failed
-// solves are not cached, so every later lookup of that key retries.
+// given per-application request rates. Failed solves are not cached, so
+// every later lookup of that key retries.
 func (e *Evaluator) Steady(cfg cluster.Config, rates map[string]float64) (Steady, error) {
 	return e.SteadyFP(cfg, rates, e.RatesFingerprint(rates))
 }
@@ -361,41 +289,17 @@ func (e *Evaluator) steadyOver(cfg cluster.Config, d *cluster.Delta, rates map[s
 	if d != nil {
 		key.fp = cfg.FingerprintWith(*d)
 	}
-	sh := &e.shards[shardOf(key)]
-	sh.mu.Lock()
-	if ent, ok := sh.entries[key]; ok {
-		sh.mu.Unlock()
-		select {
-		case <-ent.done:
-		default:
-			// The solve is in flight on another goroutine; wait for it
-			// instead of duplicating the work.
-			e.dedups.Add(1)
-			<-ent.done
-		}
-		if ent.err == nil {
-			e.cacheHits.Add(1)
-		}
-		return ent.s, ent.err
+	if s, ok := e.memo[key]; ok {
+		e.cacheHits++
+		return *s, nil
 	}
-	ent := &cacheEntry{done: make(chan struct{})}
-	sh.entries[key] = ent
-	sh.mu.Unlock()
-
-	ent.s, ent.err = e.solve(cfg, d, rates)
-	if ent.err != nil {
-		// Drop the failed entry (if a BeginWindow has not emptied the map
-		// already) so later lookups retry instead of caching the error.
-		sh.mu.Lock()
-		if sh.entries[key] == ent {
-			delete(sh.entries, key)
-		}
-		sh.mu.Unlock()
-	} else {
-		e.evals.Add(1)
+	s, err := e.solve(cfg, d, rates)
+	if err != nil {
+		return Steady{}, err
 	}
-	close(ent.done)
-	return ent.s, ent.err
+	e.evals++
+	e.memo[key] = &s
+	return s, nil
 }
 
 // solve performs one uncached steady evaluation: the LQN solve (steady-only
@@ -442,13 +346,11 @@ type ActionCost struct {
 }
 
 // Action evaluates the transient cost of executing a from cfg, whose steady
-// state is base (pass the memoized Steady of cfg). Safe for concurrent use:
-// the cost tables and utility parameters are read-only, and the pricer it
-// loads is pooled per call. Code that costs many actions from one
-// configuration — the search — loads a pricer once instead.
+// state is base (pass the memoized Steady of cfg). It reloads the
+// evaluator's pricer on every call; code that costs many actions from one
+// configuration — the search — loads a pricer of its own once instead.
 func (e *Evaluator) Action(cfg cluster.Config, base Steady, a cluster.Action, rates map[string]float64) ActionCost {
-	p := e.actScratch.Get().(*pricer)
-	defer e.actScratch.Put(p)
+	p := &e.act
 	p.setRates(rates)
 	// A configuration that does not fit the catalog is priced on the part
 	// that does, as cost.PredictInto does.

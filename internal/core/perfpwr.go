@@ -10,7 +10,6 @@ import (
 
 	"github.com/mistralcloud/mistral/internal/cluster"
 	"github.com/mistralcloud/mistral/internal/lqn"
-	"github.com/mistralcloud/mistral/internal/par"
 )
 
 // Ideal is the output of the Perf-Pwr optimizer: the configuration that
@@ -50,10 +49,7 @@ type PerfPwrOptions struct {
 	// AppHostPools confines each application's VMs to a fixed host pool
 	// (the Perf-Cost baseline's "2 hosts per application").
 	AppHostPools map[string][]string
-	// Workers bounds the goroutines evaluating sweep arms (host-count ×
-	// affinity-variant combinations) concurrently (default
-	// min(GOMAXPROCS, 8); 1 reproduces the serial path). The winner is
-	// selected by the serial sweep's deterministic order regardless.
+	// Deprecated: Workers is ignored; it remains only because bench/ sets it.
 	Workers int
 }
 
@@ -78,7 +74,7 @@ func PerfPwr(e *Evaluator, rates map[string]float64, opts PerfPwrOptions) (Ideal
 		appPools:            opts.AppHostPools,
 	}
 	minHosts := minHostsNeeded(e.cat, hosts)
-	return sweepHostCounts(e, rates, scope, hosts, minHosts, opts.Workers)
+	return sweepHostCounts(e, rates, scope, hosts, minHosts)
 }
 
 // VMZonePinsOf pins every active VM of a configuration to its current
@@ -94,9 +90,8 @@ func VMZonePinsOf(cat *cluster.Catalog, cfg cluster.Config) map[cluster.VMID]str
 
 // PerfPwrSubset is the 1st-level controllers' ideal: repack only the VMs
 // currently placed within the host subset (no replication changes), holding
-// everything outside the subset fixed. workers bounds the sweep's
-// concurrency as in PerfPwrOptions.Workers (0 = default, 1 = serial).
-func PerfPwrSubset(e *Evaluator, base cluster.Config, rates map[string]float64, hosts []string, workers int) (Ideal, error) {
+// everything outside the subset fixed.
+func PerfPwrSubset(e *Evaluator, base cluster.Config, rates map[string]float64, hosts []string) (Ideal, error) {
 	if len(hosts) == 0 {
 		hosts = e.cat.HostNames()
 	}
@@ -129,7 +124,7 @@ func PerfPwrSubset(e *Evaluator, base cluster.Config, rates map[string]float64, 
 		return Ideal{Config: base.Clone(), Steady: st}, nil
 	}
 	scope := packScope{managed: managed, fixed: fixed}
-	return sweepHostCounts(e, rates, scope, hosts, 1, workers)
+	return sweepHostCounts(e, rates, scope, hosts, 1)
 }
 
 // PerfPwrMeetingTargets is the modified Perf-Pwr optimizer behind the
@@ -150,7 +145,7 @@ func PerfPwrMeetingTargets(e *Evaluator, rates map[string]float64) (Ideal, error
 		rtTargets:           targets,
 	}
 	hosts := e.cat.HostNames()
-	ideal, err := sweepHostCounts(e, rates, scope, hosts, minHostsNeeded(e.cat, hosts), 0)
+	ideal, err := sweepHostCounts(e, rates, scope, hosts, minHostsNeeded(e.cat, hosts))
 	if err != nil {
 		return Ideal{}, fmt.Errorf("core: no configuration meets all response-time targets: %w", err)
 	}
@@ -196,84 +191,55 @@ func EvaluatePlan(e *Evaluator, cfg cluster.Config, plan []cluster.Action, rates
 }
 
 // sweepHostCounts runs the reduction/packing loop for every candidate host
-// count and keeps the best packed configuration. The arms — one per
-// (host count, affinity variant) pair — are full reduction loops over one
-// shared packPlan, and the host counts are independent, so they evaluate
-// concurrently on the worker pool; the fold over their indexed results
-// replays the serial sweep's order exactly, so the winner (selected by
-// strict improvement) and any returned error are identical at every workers
-// setting.
-func sweepHostCounts(e *Evaluator, rates map[string]float64, scope packScope, hosts []string, minHosts, workers int) (Ideal, error) {
+// count, from the most hosts down, and keeps the best packed configuration.
+// The arms — one per (host count, affinity variant) pair — are full
+// reduction loops over one shared packPlan. The first arm whose evaluation
+// fails ends the sweep with its error; otherwise an arm replaces the best so
+// far only by a strictly higher net rate, so the earliest of equals wins.
+func sweepHostCounts(e *Evaluator, rates map[string]float64, scope packScope, hosts []string, minHosts int) (Ideal, error) {
 	// In a multi-zone catalog every host count is tried with and without
 	// the zone-affinity preference.
 	variants := 1
 	if len(e.cat.Zones()) > 1 {
 		variants = 2
 	}
-	type arm struct {
-		n          int
-		noAffinity bool
-	}
-	var arms []arm
-	for n := len(hosts); n >= minHosts; n-- {
-		for v := 0; v < variants; v++ {
-			arms = append(arms, arm{n, v == 1})
-		}
-	}
-	workers = par.Workers(workers)
-	e.gSweepWorkers.Set(float64(workers))
-	e.cSweepArms.Add(int64(len(arms)))
+	e.cSweepArms.Add(int64(max(len(hosts)-minHosts+1, 0) * variants))
 
 	plan := newPackPlan(e, rates, scope, hosts)
-	type armResult struct {
-		ideal Ideal
-		ok    bool
-		err   error
-	}
-	results := make([]armResult, len(arms))
-	// One unit of work is one host count. Its two variants walk the same
-	// states until their packings diverge, so they run back to back and the
-	// second replays the first's trail instead of scoring those states again.
-	par.For(len(arms)/variants, workers, func(u int) {
+	var best *Ideal
+	dbg := e.log.Enabled(context.Background(), slog.LevelDebug)
+	for n := len(hosts); n >= minHosts; n-- {
+		// The variants of one host count walk the same states until their
+		// packings diverge, so they run back to back and the second replays
+		// the first's trail instead of scoring those states again.
 		var trail []step
-		for i := u * variants; i < (u+1)*variants; i++ {
-			r := newReduction(plan, arms[i].n, arms[i].noAffinity)
+		for v := 0; v < variants; v++ {
+			noAffinity := v == 1
+			r := newReduction(plan, n, noAffinity)
 			if variants > 1 {
 				r.trail = &trail // a lone arm has no twin to record for
 			}
 			cfg, ok, err := r.run()
-			if err != nil || !ok {
-				results[i] = armResult{err: err}
+			if err != nil {
+				return Ideal{}, err
+			}
+			if !ok {
 				continue
 			}
 			cfg, steady, err := plan.polish(cfg)
 			if err != nil {
-				results[i] = armResult{err: err}
-				continue
+				return Ideal{}, err
 			}
-			results[i] = armResult{ideal: Ideal{Config: cfg, Steady: steady}, ok: true}
-		}
-	})
-
-	var best *Ideal
-	dbg := e.log.Enabled(context.Background(), slog.LevelDebug)
-	for i, r := range results {
-		if r.err != nil {
-			return Ideal{}, r.err
-		}
-		if !r.ok {
-			continue
-		}
-		if dbg {
-			e.log.Debug("perfpwr sweep",
-				"hosts", arms[i].n,
-				"no_affinity", arms[i].noAffinity,
-				"net_rate", r.ideal.Steady.NetRate(),
-				"config", fmt.Sprint(r.ideal.Config))
-		}
-		if best == nil || r.ideal.Steady.NetRate() > best.Steady.NetRate() {
-			b := r.ideal
-			best = &b
+			if dbg {
+				e.log.Debug("perfpwr sweep",
+					"hosts", n,
+					"no_affinity", noAffinity,
+					"net_rate", steady.NetRate(),
+					"config", fmt.Sprint(cfg))
+			}
+			if best == nil || steady.NetRate() > best.Steady.NetRate() {
+				best = &Ideal{Config: cfg, Steady: steady}
+			}
 		}
 	}
 	if best == nil {
@@ -893,7 +859,7 @@ func (r *reduction) reduce(blocked int) bool {
 		}
 	}
 	// A scoring is a steady evaluation: counted where those are counted.
-	r.e.evals.Add(int64(scored))
+	r.e.evals += scored
 	if found {
 		r.apply(best)
 	}

@@ -141,14 +141,9 @@ func refPolish(e *Evaluator, cfg cluster.Config, rates map[string]float64, manag
 
 // cacheContents flattens an evaluator's memo cache.
 func cacheContents(e *Evaluator) map[steadyKey]Steady {
-	out := make(map[steadyKey]Steady)
-	for i := range e.shards {
-		sh := &e.shards[i]
-		sh.mu.Lock()
-		for k, ent := range sh.entries {
-			out[k] = ent.s
-		}
-		sh.mu.Unlock()
+	out := make(map[steadyKey]Steady, len(e.memo))
+	for k, s := range e.memo {
+		out[k] = *s
 	}
 	return out
 }
@@ -434,9 +429,8 @@ func TestTuneDVFSMatchesReference(t *testing.T) {
 }
 
 // TestPerfPwrAllocationCeilings bounds the garbage of the hot paths on the
-// 4-app lab: a steady cache miss may allocate only what it keeps (the cache
-// entry, its done channel, the Steady's response-time map, amortised cache
-// growth), scoring a reduction candidate allocates nothing at all, and a
+// 4-app lab: a steady cache miss may allocate only what it keeps (the
+// Steady, its response-time map, amortised cache growth), scoring a reduction candidate allocates nothing at all, and a
 // whole cold PerfPwr call — plan, arms, packed configurations, polish —
 // stays under 1 000 allocations however many candidates it scores.
 func TestPerfPwrAllocationCeilings(t *testing.T) {
@@ -485,7 +479,7 @@ func TestPerfPwrAllocationCeilings(t *testing.T) {
 
 	perCall := testing.AllocsPerRun(1, func() {
 		e.eval.ResetCache()
-		if _, err := PerfPwr(e.eval, w, PerfPwrOptions{Workers: 1}); err != nil {
+		if _, err := PerfPwr(e.eval, w, PerfPwrOptions{}); err != nil {
 			t.Fatal(err)
 		}
 	})

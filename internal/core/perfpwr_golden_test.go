@@ -39,7 +39,7 @@ var goldenLabs = []struct {
 // renders one line per call: the ideal's fingerprint, the bits of its net
 // rate, and the call's sweep-arm, cache-hit and cache-miss counts. Subset
 // starts from the previous window's full ideal, so its base varies.
-func perfPwrGolden(t *testing.T, opts experiments.LabOptions, workers int) []byte {
+func perfPwrGolden(t *testing.T, opts experiments.LabOptions) []byte {
 	t.Helper()
 	lab, err := experiments.NewLab(opts)
 	if err != nil {
@@ -79,18 +79,18 @@ func perfPwrGolden(t *testing.T, opts experiments.LabOptions, workers int) []byt
 		last = core.CacheStats{} // BeginWindow flushed the counters
 		rates := lab.Traces.At(time.Duration(w) * lab.Util.MonitoringInterval)
 
-		full, fullErr := core.PerfPwr(eval, rates, core.PerfPwrOptions{Workers: workers})
+		full, fullErr := core.PerfPwr(eval, rates, core.PerfPwrOptions{})
 		record(w, "PerfPwr", full, fullErr)
 		for g, group := range lab.HostGroups() {
-			ideal, err := core.PerfPwrSubset(eval, base, rates, group, workers)
+			ideal, err := core.PerfPwrSubset(eval, base, rates, group)
 			record(w, fmt.Sprintf("PerfPwrSubset[%d]", g), ideal, err)
 		}
 		ideal, err := core.PerfPwrMeetingTargets(eval, rates)
 		record(w, "PerfPwrMeetingTargets", ideal, err)
 		ideal, err = core.PerfPwr(eval, rates, core.PerfPwrOptions{
-			VMZonePins: core.VMZonePinsOf(lab.Cat, base), Workers: workers})
+			VMZonePins: core.VMZonePinsOf(lab.Cat, base)})
 		record(w, "PerfPwr[pinned]", ideal, err)
-		ideal, err = core.PerfPwr(eval, rates, core.PerfPwrOptions{AppHostPools: pools, Workers: workers})
+		ideal, err = core.PerfPwr(eval, rates, core.PerfPwrOptions{AppHostPools: pools})
 		record(w, "PerfPwr[pools]", ideal, err)
 
 		if fullErr == nil {
@@ -101,7 +101,7 @@ func perfPwrGolden(t *testing.T, opts experiments.LabOptions, workers int) []byt
 }
 
 // TestPerfPwrGolden pins every Perf-Pwr entry point to the committed
-// goldens at Workers 1 and 4: ideals, net-rate bits, sweep arms and the
+// goldens: ideals, net-rate bits, sweep arms and the
 // evaluator's hit/miss counts must repeat exactly. Regenerate with
 // `go test ./internal/core/ -run TestPerfPwrGolden -update` only when a
 // change is meant to move decisions.
@@ -114,7 +114,7 @@ func TestPerfPwrGolden(t *testing.T) {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, perfPwrGolden(t, lab.opts, 1), 0o644); err != nil {
+				if err := os.WriteFile(path, perfPwrGolden(t, lab.opts), 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -122,10 +122,7 @@ func TestPerfPwrGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v (generate with -update)", err)
 			}
-			for _, workers := range []int{1, 4} {
-				got := perfPwrGolden(t, lab.opts, workers)
-				requireGolden(t, fmt.Sprintf("workers=%d", workers), got, want)
-			}
+			requireGolden(t, "perfpwr", perfPwrGolden(t, lab.opts), want)
 		})
 	}
 }

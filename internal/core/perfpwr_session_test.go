@@ -16,28 +16,26 @@ func twoZones(h *cluster.HostSpec) {
 	}
 }
 
-// TestPerfPwrWorkersDeterminism runs the sweep with one solver session per
-// concurrently running arm: the ideal and the number of evaluations behind
-// it are identical at Workers 1 and 4, on the 4-app lab and on a two-zone lab
-// whose arms pair up and whose VMs are pinned.
+// TestPerfPwrWorkersDeterminism runs the sweep twice on an emptied memo: the
+// ideal and the number of evaluations behind it repeat exactly, on the 4-app
+// lab and on a two-zone lab whose arms pair up and whose VMs are pinned.
 func TestPerfPwrWorkersDeterminism(t *testing.T) {
 	for _, lab := range []*env{newEnv(t, 8, 4), newEnv(t, 4, 2, twoZones)} {
 		w := unevenRates(lab)
 		opts := PerfPwrOptions{VMZonePins: VMZonePinsOf(lab.cat, lab.cfg)}
 		var want Ideal
 		var wantEvals int
-		for _, workers := range []int{1, 4, 4} {
+		for run := 0; run < 2; run++ {
 			lab.eval.ResetCache()
-			opts.Workers = workers
 			got, err := PerfPwr(lab.eval, w, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if workers == 1 {
+			if run == 0 {
 				want, wantEvals = got, lab.eval.Evals()
 			} else if !reflect.DeepEqual(got, want) || lab.eval.Evals() != wantEvals {
-				t.Fatalf("Workers=%d: ideal or evaluation count (%d, serial %d) diverges from the serial sweep",
-					workers, lab.eval.Evals(), wantEvals)
+				t.Fatalf("second sweep: ideal or evaluation count (%d, first %d) diverges",
+					lab.eval.Evals(), wantEvals)
 			}
 		}
 	}

@@ -6,9 +6,8 @@ import "github.com/mistralcloud/mistral/internal/cluster"
 // parent configuration under one workload. setRates and setParent read the
 // string-keyed maps (rates, utility parameters, the parent's Config and
 // Steady) once; cost then reads arrays only, so pricing the ≈ 47 children of
-// an expansion touches no map. A pricer is scratch owned by one goroutine:
-// the Searcher keeps one for its expansions, Evaluator.Action draws one from
-// a pool per call.
+// an expansion touches no map. A pricer is scratch: the Searcher keeps one
+// for its expansions, and the Evaluator one that Action reloads per call.
 type pricer struct {
 	e *Evaluator
 	// view is the parent configuration; the search's generator, candidate

@@ -49,7 +49,7 @@ func TestSearchAllocationCeiling(t *testing.T) {
 			var wins []window
 			for _, r := range []float64{10, 25, 40, 55, 70, 85} {
 				w := rates(e, r)
-				ideal, err := PerfPwr(e.eval, w, PerfPwrOptions{Workers: 1})
+				ideal, err := PerfPwr(e.eval, w, PerfPwrOptions{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -140,7 +140,7 @@ func TestSearchReleasesItsMemory(t *testing.T) {
 	}
 	search := func(s *Searcher, load float64) SearchResult {
 		w := rates(e, load)
-		ideal, err := PerfPwr(e.eval, w, PerfPwrOptions{Workers: 1})
+		ideal, err := PerfPwr(e.eval, w, PerfPwrOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -24,14 +24,6 @@ import (
 // consolidation phases.
 const goldenStride = 6
 
-// searchGoldenLine is one decision of the search golden: everything that
-// must repeat at every Workers setting, and the evaluator's hit/miss counts,
-// recorded per setting (equal now that the search is serial).
-type searchGoldenLine struct {
-	head, tail   string
-	hits, misses int64
-}
-
 // searchGolden replays goldenWindows windows of workload.PaperWorkloads(42, …),
 // goldenStride apart, through Controller.Decide, once with the Self-Aware
 // search and once with the Naive one. Each window consults two
@@ -42,10 +34,12 @@ type searchGoldenLine struct {
 // per decision: the plan, the bits of its utility, every search counter, the
 // evaluator's hit/miss counts over the decide, and the sha256 of the JSON
 // search digest (provenance is on, so the rejected alternatives, the vertex
-// distances and the Eq. 3 ledgers are pinned too).
-func searchGolden(t *testing.T, opts experiments.LabOptions, workers int) []searchGoldenLine {
+// distances and the Eq. 3 ledgers are pinned too). Each hit and miss count
+// is written twice, as hits=H/H misses=M/M: that is the committed files'
+// format, kept so they need no regeneration.
+func searchGolden(t *testing.T, opts experiments.LabOptions) []byte {
 	t.Helper()
-	var out []searchGoldenLine
+	var out bytes.Buffer
 	for _, naive := range []bool{false, true} {
 		lab, err := experiments.NewLab(opts)
 		if err != nil {
@@ -68,11 +62,11 @@ func searchGolden(t *testing.T, opts experiments.LabOptions, workers int) []sear
 		// The cap keeps the Naive search, which otherwise runs to the
 		// default 2500 expansions in a third of these windows, affordable
 		// under -race.
-		search := core.SearchOptions{SelfAware: !naive, Workers: workers, MaxExpansions: 500}
+		search := core.SearchOptions{SelfAware: !naive, MaxExpansions: 500}
 		group := lab.HostGroups()[0]
 		l2, err := core.NewController(eval, core.ControllerOptions{
 			Name: "L2", Scope: core.ScopeFull, Search: search,
-			MonitoringInterval: interval, Workers: workers, Provenance: true, Obs: o,
+			MonitoringInterval: interval, Provenance: true, Obs: o,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -86,8 +80,7 @@ func searchGolden(t *testing.T, opts experiments.LabOptions, workers int) []sear
 				},
 				Hosts: group,
 			},
-			Search: search, MonitoringInterval: interval, Workers: workers,
-			Provenance: true, Obs: o,
+			Search: search, MonitoringInterval: interval, Provenance: true, Obs: o,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -116,13 +109,9 @@ func searchGolden(t *testing.T, opts experiments.LabOptions, workers int) []sear
 					t.Fatal(err)
 				}
 				h1, m1 := lookups()
-				line := searchGoldenLine{
-					head: fmt.Sprintf("%s w=%02d %s", mode, w, c.Name()),
-					hits: h1 - h0, misses: m1 - m0,
-				}
+				fmt.Fprintf(&out, "%s w=%02d %s hits=%d/%[4]d misses=%d/%[5]d ", mode, w, c.Name(), h1-h0, m1-m0)
 				if d.Degraded {
-					line.tail = fmt.Sprintf("degraded=%q", d.DegradedReason)
-					out = append(out, line)
+					fmt.Fprintf(&out, "degraded=%q\n", d.DegradedReason)
 					continue
 				}
 				sr := d.Search
@@ -130,11 +119,10 @@ func searchGolden(t *testing.T, opts experiments.LabOptions, workers int) []sear
 				if err != nil {
 					t.Fatal(err)
 				}
-				line.tail = fmt.Sprintf("util=%016x exp=%d gen=%d pruned=%d peak=%d time=%d trunc=%t prov=%x plan=%s",
+				fmt.Fprintf(&out, "util=%016x exp=%d gen=%d pruned=%d peak=%d time=%d trunc=%t prov=%x plan=%s\n",
 					math.Float64bits(sr.Utility), sr.Expanded, sr.Generated, sr.PrunedChildren,
 					sr.PeakFrontier, int64(sr.SearchTime), sr.Truncated,
 					sha256.Sum256(digest), cluster.PlanString(sr.Plan))
-				out = append(out, line)
 				next, _, err := cluster.ApplyAll(lab.Cat, cfg, d.Plan)
 				if err != nil {
 					t.Fatal(err)
@@ -150,42 +138,27 @@ func searchGolden(t *testing.T, opts experiments.LabOptions, workers int) []sear
 			}
 		}
 	}
-	return out
+	return out.Bytes()
 }
 
 // TestSearchGolden pins the adaptation search to goldens generated from the
 // commit before the dense-view expansion (8ac8825): plans, utility bits,
 // expansion/generation/pruning counts, simulated search time and the
-// provenance digests must be the same at Workers 1 and 4 and repeat the file
-// exactly. The file records the evaluator's hit/miss split at both settings
-// as hits=W1/W4 misses=W1/W4; the search is serial, so the halves are equal
-// (the Perf-Pwr sweep the controllers run first is what Workers still
-// sizes). Regenerate with
+// provenance digests and the evaluator's hit/miss counts must repeat the file
+// exactly. Regenerate with
 // `go test ./internal/core/ -run TestSearchGolden -update` only when a change
 // is meant to move decisions.
 func TestSearchGolden(t *testing.T) {
 	for _, lab := range goldenLabs {
 		lab := lab
 		t.Run(lab.name, func(t *testing.T) {
-			w1 := searchGolden(t, lab.opts, 1)
-			w4 := searchGolden(t, lab.opts, 4)
-			if len(w1) != len(w4) {
-				t.Fatalf("%d decisions at Workers 1, %d at Workers 4", len(w1), len(w4))
-			}
-			var got bytes.Buffer
-			for i, a := range w1 {
-				b := w4[i]
-				if a.head != b.head || a.tail != b.tail {
-					t.Fatalf("decision %d depends on Workers\n w1: %s %s\n w4: %s %s", i+1, a.head, a.tail, b.head, b.tail)
-				}
-				fmt.Fprintf(&got, "%s hits=%d/%d misses=%d/%d %s\n", a.head, a.hits, b.hits, a.misses, b.misses, a.tail)
-			}
+			got := searchGolden(t, lab.opts)
 			path := filepath.Join("testdata", "search_"+lab.name+".golden")
 			if *update {
 				if err := os.MkdirAll("testdata", 0o755); err != nil {
 					t.Fatal(err)
 				}
-				if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+				if err := os.WriteFile(path, got, 0o644); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -193,7 +166,7 @@ func TestSearchGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v (generate with -update)", err)
 			}
-			requireGolden(t, "workers 1 and 4", got.Bytes(), want)
+			requireGolden(t, "search", got, want)
 		})
 	}
 }

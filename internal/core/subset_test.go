@@ -12,7 +12,7 @@ func TestPerfPwrSubsetRepacksOnlyScopedHosts(t *testing.T) {
 	subset := e.cat.HostNames()[:2]
 	inSubset := map[string]bool{subset[0]: true, subset[1]: true}
 
-	ideal, err := PerfPwrSubset(e.eval, e.cfg, w, subset, 0)
+	ideal, err := PerfPwrSubset(e.eval, e.cfg, w, subset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func TestPerfPwrSubsetEmptyScope(t *testing.T) {
 	if len(offHosts) == 0 {
 		t.Skip("all hosts on in this environment")
 	}
-	ideal, err := PerfPwrSubset(e.eval, e.cfg, w, offHosts, 0)
+	ideal, err := PerfPwrSubset(e.eval, e.cfg, w, offHosts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,8 +24,6 @@ type ChaosSweepOptions struct {
 	Rates []float64
 	// Duration bounds each replay (default 2 hours).
 	Duration time.Duration
-	// Workers is passed through to scenario.RunConfig.
-	Workers int
 }
 
 func (o ChaosSweepOptions) withDefaults() ChaosSweepOptions {
@@ -147,7 +145,6 @@ func runChaosCell(opts ChaosSweepOptions, rate float64, exec testbed.ExecPolicy)
 		Duration: duration,
 		Interval: sc.Interval,
 		Utility:  lab.Util,
-		Workers:  opts.Workers,
 		Fault:    inj,
 		Guard:    g,
 	})

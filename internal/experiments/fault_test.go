@@ -36,7 +36,7 @@ func TestFaultDisabledIsByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaFault, counts, err := RunStrategyWithFaults(lab, StrategyMistral, fault.Profile(0, 7), 0, 0)
+	viaFault, counts, err := RunStrategyWithFaults(lab, StrategyMistral, fault.Profile(0, 7), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestFaultReplayDegradesGracefully(t *testing.T) {
 		t.Skip("scenario replay")
 	}
 	lab := shortLab(t, 7)
-	res, counts, err := RunStrategyWithFaults(lab, StrategyMistral, fault.Profile(0.15, 7), 0, 0)
+	res, counts, err := RunStrategyWithFaults(lab, StrategyMistral, fault.Profile(0.15, 7), 0)
 	if err != nil {
 		t.Fatalf("15%% fault replay aborted: %v", err)
 	}
@@ -74,9 +74,9 @@ func TestFaultReplayDegradesGracefully(t *testing.T) {
 	}
 }
 
-// runFaultyMistral replays the trimmed scenario under Mistral built with an
-// explicit worker count and a 15% fault profile.
-func runFaultyMistral(t *testing.T, workers int) *scenario.Result {
+// runFaultyMistral replays the trimmed scenario under Mistral with a 15%
+// fault profile.
+func runFaultyMistral(t *testing.T) *scenario.Result {
 	t.Helper()
 	lab := shortLab(t, 11)
 	eval, err := lab.NewEvaluator()
@@ -87,7 +87,6 @@ func runFaultyMistral(t *testing.T, workers int) *scenario.Result {
 		HostGroups:         lab.HostGroups(),
 		MonitoringInterval: lab.Util.MonitoringInterval,
 		Search:             core.SearchOptions{TimePerChild: 300 * time.Microsecond},
-		Workers:            workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +102,6 @@ func runFaultyMistral(t *testing.T, workers int) *scenario.Result {
 		Duration: sc.Duration,
 		Interval: sc.Interval,
 		Utility:  lab.Util,
-		Workers:  workers,
 		Fault:    inj,
 	})
 	if err != nil {
@@ -112,29 +110,27 @@ func runFaultyMistral(t *testing.T, workers int) *scenario.Result {
 	return res
 }
 
-// TestFaultDeterminismAcrossWorkers pins the seeded fault schedule against
-// the concurrent evaluation plane: the identical fault seed must yield
-// byte-identical results whether the hierarchy evaluates serially or on 8
-// workers. Fault draws happen only on the sequential replay path, so
-// evaluation concurrency must never perturb them.
+// TestFaultDeterminismAcrossWorkers pins the seeded fault schedule: the
+// identical fault seed must yield byte-identical results on two fresh
+// replays.
 func TestFaultDeterminismAcrossWorkers(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario replay")
 	}
-	serial := runFaultyMistral(t, 1)
-	parallel := runFaultyMistral(t, 8)
-	if !reflect.DeepEqual(serial, parallel) {
-		t.Errorf("faulty replay diverges across worker counts:\nworkers=1: %+v\nworkers=8: %+v", serial, parallel)
+	first := runFaultyMistral(t)
+	second := runFaultyMistral(t)
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("faulty replay diverges run-to-run:\nfirst:  %+v\nsecond: %+v", first, second)
 	}
-	if serial.DegradedWindows == 0 {
+	if first.DegradedWindows == 0 {
 		t.Error("determinism run saw no degradation; fault schedule inert")
 	}
 }
 
 // TestFaultHammer drives the full strategy set at a hostile 30% failure
 // rate (with crashes, delays, and sensor faults scaled up accordingly).
-// Run under -race in CI, it shakes out data races between the injector,
-// the testbed, and the parallel evaluation plane; functionally it asserts
+// Run under -race in CI, it shakes out data races between the injector
+// and the testbed; functionally it asserts
 // the control loop survives and Mistral still beats at least one baseline.
 func TestFaultHammer(t *testing.T) {
 	if testing.Short() {

@@ -22,8 +22,6 @@ type FaultSweepOptions struct {
 	// retries, crashes, and degraded windows to show, short enough to keep
 	// the 4×4 sweep tractable).
 	Duration time.Duration
-	// Workers is passed through to scenario.RunConfig for observability.
-	Workers int
 }
 
 func (o FaultSweepOptions) withDefaults() FaultSweepOptions {
@@ -56,7 +54,7 @@ type FaultSweepResult struct {
 // a fault injector wired into both the testbed and the replay loop. A
 // disabled injector (nil, or all-zero rates) reproduces RunStrategy
 // exactly.
-func RunStrategyWithFaults(lab *Lab, name StrategyName, fo fault.Options, duration time.Duration, workers int) (*scenario.Result, fault.Counts, error) {
+func RunStrategyWithFaults(lab *Lab, name StrategyName, fo fault.Options, duration time.Duration) (*scenario.Result, fault.Counts, error) {
 	inj := fault.New(fo)
 	tb, err := lab.NewTestbedWithFaults(inj)
 	if err != nil {
@@ -75,7 +73,6 @@ func RunStrategyWithFaults(lab *Lab, name StrategyName, fo fault.Options, durati
 		Duration: duration,
 		Interval: sc.Interval,
 		Utility:  lab.Util,
-		Workers:  workers,
 		Fault:    inj,
 	})
 	if err != nil {
@@ -103,7 +100,7 @@ func FaultSweep(opts FaultSweepOptions) (*FaultSweepResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			res, counts, err := RunStrategyWithFaults(lab, name, fault.Profile(rate, opts.Seed), opts.Duration, opts.Workers)
+			res, counts, err := RunStrategyWithFaults(lab, name, fault.Profile(rate, opts.Seed), opts.Duration)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fault sweep %s @ %.0f%%: %w", name, rate*100, err)
 			}

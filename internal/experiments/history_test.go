@@ -16,7 +16,7 @@ import (
 
 // runHistoryMistral replays the trimmed scenario with an explicit telemetry
 // history store attached and returns the result plus the store.
-func runHistoryMistral(t *testing.T, workers int, faultRate float64, hist *tsdb.Store) *scenario.Result {
+func runHistoryMistral(t *testing.T, faultRate float64, hist *tsdb.Store) *scenario.Result {
 	t.Helper()
 	lab := shortLab(t, 11)
 	eval, err := lab.NewEvaluator()
@@ -27,7 +27,6 @@ func runHistoryMistral(t *testing.T, workers int, faultRate float64, hist *tsdb.
 		HostGroups:         lab.HostGroups(),
 		MonitoringInterval: lab.Util.MonitoringInterval,
 		Search:             core.SearchOptions{TimePerChild: 300 * time.Microsecond},
-		Workers:            workers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,7 +42,6 @@ func runHistoryMistral(t *testing.T, workers int, faultRate float64, hist *tsdb.
 		Duration: sc.Duration,
 		Interval: sc.Interval,
 		Utility:  lab.Util,
-		Workers:  workers,
 		Fault:    inj,
 		History:  hist,
 	})
@@ -56,10 +54,10 @@ func runHistoryMistral(t *testing.T, workers int, faultRate float64, hist *tsdb.
 // historyVirtualJSON runs one replay and serializes the store's virtual
 // series state. Wall-clock series (decide_wall_ms) are observational by
 // construction and are stripped before any byte comparison.
-func historyVirtualJSON(t *testing.T, workers int, faultRate float64) []byte {
+func historyVirtualJSON(t *testing.T, faultRate float64) []byte {
 	t.Helper()
 	hist := tsdb.New(tsdb.Options{})
-	runHistoryMistral(t, workers, faultRate, hist)
+	runHistoryMistral(t, faultRate, hist)
 	st := hist.State()
 	kept := st.Series[:0:0]
 	for _, s := range st.Series {
@@ -78,8 +76,7 @@ func historyVirtualJSON(t *testing.T, workers int, faultRate float64) []byte {
 // TestHistoryDeterminism pins the telemetry history plane's core contract:
 // every virtual series — rings, downsampled tiers, totals — is a pure
 // function of the replay, so the serialized store must be byte-identical
-// across evaluation worker counts, run-to-run, and under a seeded fault
-// schedule.
+// run-to-run, with and without a seeded fault schedule.
 func TestHistoryDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario replay")
@@ -92,17 +89,12 @@ func TestHistoryDeterminism(t *testing.T) {
 		{"fault=0.3", 0.3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			serial := historyVirtualJSON(t, 0, tc.rate)
-			parallel := historyVirtualJSON(t, 1, tc.rate)
-			again := historyVirtualJSON(t, 0, tc.rate)
-			if !bytes.Equal(serial, parallel) {
-				t.Errorf("history diverges across worker counts:\nworkers=0: %s\nworkers=1: %s", serial, parallel)
-			}
-			if !bytes.Equal(serial, again) {
-				t.Error("history diverges run-to-run at identical configuration")
+			first := historyVirtualJSON(t, tc.rate)
+			if again := historyVirtualJSON(t, tc.rate); !bytes.Equal(first, again) {
+				t.Errorf("history diverges run-to-run:\nfirst:  %s\nsecond: %s", first, again)
 			}
 			var st tsdb.State
-			if err := json.Unmarshal(serial, &st); err != nil {
+			if err := json.Unmarshal(first, &st); err != nil {
 				t.Fatal(err)
 			}
 			if st.LastWindow != 29 {
@@ -122,9 +114,9 @@ func TestHistoryObserverDoesNotPerturbReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario replay")
 	}
-	bare := runHistoryMistral(t, 1, 0.15, nil)
+	bare := runHistoryMistral(t, 0.15, nil)
 	hist := tsdb.New(tsdb.Options{})
-	observed := runHistoryMistral(t, 1, 0.15, hist)
+	observed := runHistoryMistral(t, 0.15, hist)
 	if !reflect.DeepEqual(bare, observed) {
 		t.Errorf("history store perturbed the replay:\nbare:     %+v\nobserved: %+v", bare, observed)
 	}

@@ -40,10 +40,6 @@ type Table1Options struct {
 	NaiveMaxExpansions int
 	// SkipNaive omits the naive runs (they dominate wall-clock time).
 	SkipNaive bool
-	// Workers bounds each hierarchy's evaluation concurrency (see
-	// strategy.MistralConfig.Workers; 0 = min(GOMAXPROCS, 8), 1 = serial).
-	// Decisions and utilities are identical at every setting.
-	Workers int
 	// Provenance, when non-nil and enabled, records one decision-provenance
 	// record per window of every replay in the study (self-aware and naive,
 	// all sizes) into a single JSONL stream; windows restart at 0 at each
@@ -94,7 +90,6 @@ func Table1Scalability(seed uint64, opts Table1Options) (*Table1Result, error) {
 				HostGroups:         lab.HostGroups(),
 				Naive:              naive,
 				MonitoringInterval: lab.Util.MonitoringInterval,
-				Workers:            opts.Workers,
 				Provenance:         opts.Provenance.Enabled(),
 				Search: core.SearchOptions{
 					TimePerChild:  300 * time.Microsecond,
@@ -109,7 +104,6 @@ func Table1Scalability(seed uint64, opts Table1Options) (*Table1Result, error) {
 				Duration:   opts.Duration,
 				Interval:   lab.Util.MonitoringInterval,
 				Utility:    lab.Util,
-				Workers:    opts.Workers,
 				Provenance: opts.Provenance,
 			})
 			return r, m, err

@@ -15,7 +15,7 @@
 //   - Deterministic: all draws come from seeded PCG streams (one per
 //     subsystem, derived via Split so draws in one never perturb another)
 //     and are serialized under a mutex, so identical seeds yield identical
-//     fault schedules at any Workers setting and under -race.
+//     fault schedules, under -race too.
 //   - Observable: injections surface as fault_* counters and as Counts()
 //     for tests.
 package fault

@@ -81,10 +81,7 @@ func (o Options) withDefaults() Options {
 // and options but keep all iteration state (per-tier utilizations, response
 // times, host aggregations) in a pooled scratch held per call or per
 // session, so any number of goroutines may use them concurrently on one
-// Model with distinct or identical inputs. The concurrent evaluation plane
-// (core.Evaluator's sharded memo cache, the 1st-level controllers deciding
-// side by side, and the Perf-Pwr sweep with one session per running arm)
-// relies on this;
+// Model with distinct or identical inputs;
 // TestModelEvaluateConcurrent pins it under -race.
 type Model struct {
 	apps map[string]*app.Spec

@@ -7,9 +7,8 @@
 // Determinism is a design constraint, not an accident: every input the
 // engine folds into its state is virtual-time or a deterministic count
 // (search time on the simulation clock, degraded flags, retry counts,
-// cache counters that are scheduling-independent at a fixed worker
-// setting). Wall-clock latency never enters; the Profiler in package
-// obs owns that side. Two runs with the same seed and workers produce
+// cache counters). Wall-clock latency never enters; the Profiler in
+// package obs owns that side. Two runs with the same seed produce
 // byte-identical Snapshots, which the determinism test asserts.
 package slo
 

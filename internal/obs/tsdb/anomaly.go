@@ -6,7 +6,7 @@ import "sort"
 //
 // Two regimes, matched to the two series classes:
 //
-//   - Virtual series (deterministic at fixed seed/workers) are scored with
+//   - Virtual series (deterministic at a fixed seed) are scored with
 //     a rolling median/MAD z-score over the trailing raw window. The
 //     scoring is stateless — it reads the store's retained samples — so a
 //     restored daemon flags exactly the anomalies an uninterrupted one

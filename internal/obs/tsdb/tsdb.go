@@ -10,7 +10,7 @@
 // Determinism is the design constraint the whole control plane already
 // lives under: appends are keyed by window index, aggregation is plain
 // float64 arithmetic in append order, and every query renders series in
-// sorted-name order, so two runs with the same seed and workers produce
+// sorted-name order, so two runs with the same seed produce
 // byte-identical query responses and State documents. Wall-clock-valued
 // series (decide wall latency) are carried with Class ClassWall so
 // consumers can tell the observational series from the reproducible ones.
@@ -38,7 +38,7 @@ type Class int
 
 const (
 	// ClassVirtual marks a series whose values are deterministic at a
-	// fixed seed and worker setting (virtual-time quantities and counts).
+	// fixed seed (virtual-time quantities and counts).
 	ClassVirtual Class = iota
 	// ClassWall marks a series carrying wall-clock measurements
 	// (observational only; never byte-stable across runs).

@@ -12,7 +12,7 @@
 // provenance is off — the default — and replays are byte-identical to an
 // uninstrumented build. Records serialize as deterministic JSONL (struct
 // fields in declaration order, map-free schema), so a fixed-seed replay
-// produces byte-identical record streams at every Workers setting.
+// produces byte-identical record streams.
 package provenance
 
 import (

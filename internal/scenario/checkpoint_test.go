@@ -5,9 +5,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"regexp"
 	"strings"
 	"testing"
 
+	"github.com/mistralcloud/mistral/internal/checkpoint"
 	"github.com/mistralcloud/mistral/internal/experiments"
 	"github.com/mistralcloud/mistral/internal/fault"
 	"github.com/mistralcloud/mistral/internal/guard"
@@ -28,7 +30,7 @@ type ckEnv struct {
 	reg    *obs.Registry
 }
 
-func newCkEnv(t *testing.T, workers int) *ckEnv {
+func newCkEnv(t *testing.T) *ckEnv {
 	t.Helper()
 	lab, err := experiments.NewLab(experiments.LabOptions{NumApps: 2, Seed: 42})
 	if err != nil {
@@ -51,7 +53,6 @@ func newCkEnv(t *testing.T, workers int) *ckEnv {
 	dec, err := strategy.NewMistral(eval, strategy.MistralConfig{
 		HostGroups:         lab.HostGroups(),
 		MonitoringInterval: lab.Util.MonitoringInterval,
-		Workers:            workers,
 		Provenance:         true,
 		Obs:                ob,
 	})
@@ -64,7 +65,6 @@ func newCkEnv(t *testing.T, workers int) *ckEnv {
 		Duration:   100 * lab.Util.MonitoringInterval,
 		Interval:   lab.Util.MonitoringInterval,
 		Utility:    lab.Util,
-		Workers:    workers,
 		Obs:        ob,
 		Provenance: provenance.NewRecorder(buf),
 	})
@@ -121,34 +121,56 @@ func sloJSON(t *testing.T, e *scenario.Engine) []byte {
 	return raw
 }
 
+// evalCounters matches the evaluator's counters in a Mistral decider's
+// checkpointed state.
+var evalCounters = regexp.MustCompile(`"eval":\{"hits":\d+,"evals":\d+`)
+
 // TestCheckpointRoundTripDeterminism is the resumable engine's hard
 // compatibility bar: a 100-window fixed-seed run and a checkpoint-at-50 +
 // restore-into-a-fresh-environment run must produce byte-identical
 // decisions, provenance streams, and SLO state. The checkpoint crosses a
-// JSON serialization boundary, as it would a process boundary.
+// JSON serialization boundary inside the checkpoint.File envelope, as it
+// would a process boundary. Each input records a different worker count in
+// the envelope, the value older builds wrote there; the last also carries
+// the in-flight dedup counter older builds kept in the decider state.
+// Restore ignores both.
 func TestCheckpointRoundTripDeterminism(t *testing.T) {
-	for _, workers := range []int{0, 1} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			full := newCkEnv(t, workers)
+	for _, tc := range []struct {
+		workers int
+		dedups  bool
+	}{{0, false}, {1, false}, {4, true}} {
+		name := fmt.Sprintf("workers=%d", tc.workers)
+		if tc.dedups {
+			name += ",dedups=7"
+		}
+		t.Run(name, func(t *testing.T) {
+			full := newCkEnv(t)
 			stepN(t, full.engine, 100)
 
-			half := newCkEnv(t, workers)
+			half := newCkEnv(t)
 			stepN(t, half.engine, 50)
 			snap, err := half.engine.Snapshot()
 			if err != nil {
 				t.Fatal(err)
 			}
-			ckBytes, err := json.Marshal(snap)
+			ckBytes, err := json.Marshal(&checkpoint.File{Schema: checkpoint.Schema, Strategy: "mistral", Scenario: snap})
 			if err != nil {
 				t.Fatal(err)
 			}
+			ckBytes = bytes.Replace(ckBytes, []byte(`"workers":0`), []byte(fmt.Sprintf(`"workers":%d`, tc.workers)), 1)
+			if tc.dedups {
+				if n := len(evalCounters.FindAll(ckBytes, -1)); n != 1 {
+					t.Fatalf("checkpoint holds %d evaluator counter sets, want 1", n)
+				}
+				ckBytes = evalCounters.ReplaceAll(ckBytes, []byte(`$0,"dedups":7`))
+			}
 
-			resumed := newCkEnv(t, workers)
-			var restored scenario.Snapshot
-			if err := json.Unmarshal(ckBytes, &restored); err != nil {
+			resumed := newCkEnv(t)
+			restored, err := checkpoint.Decode(ckBytes)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := resumed.engine.Restore(&restored); err != nil {
+			if err := resumed.engine.Restore(restored.Scenario); err != nil {
 				t.Fatal(err)
 			}
 			if got := resumed.engine.WindowIndex(); got != 50 {
@@ -233,12 +255,12 @@ func stepViews(t *testing.T, env *ckEnv, n int) []windowView {
 // entries and stays small.
 func TestResumeCarriesCountersNotEntries(t *testing.T) {
 	const after = 15
-	full := newCkEnv(t, 1)
+	full := newCkEnv(t)
 	want := stepViews(t, full, 20+after)
 
 	for _, at := range []int{7, 20} {
 		t.Run(fmt.Sprintf("at=%d", at), func(t *testing.T) {
-			half := newCkEnv(t, 1)
+			half := newCkEnv(t)
 			stepN(t, half.engine, at)
 			snap, err := half.engine.Snapshot()
 			if err != nil {
@@ -259,7 +281,7 @@ func TestResumeCarriesCountersNotEntries(t *testing.T) {
 			if err := json.Unmarshal(ckBytes, &restored); err != nil {
 				t.Fatal(err)
 			}
-			resumed := newCkEnv(t, 1)
+			resumed := newCkEnv(t)
 			if err := resumed.engine.Restore(&restored); err != nil {
 				t.Fatal(err)
 			}
@@ -296,7 +318,7 @@ func TestResumeCarriesCountersNotEntries(t *testing.T) {
 // Restore has changed anything, instead of silently resuming into a
 // different environment.
 func TestCheckpointMismatchRejected(t *testing.T) {
-	env := newCkEnv(t, 1)
+	env := newCkEnv(t)
 	stepN(t, env.engine, 2)
 	snap, err := env.engine.Snapshot()
 	if err != nil {
@@ -304,7 +326,7 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 	}
 
 	// The target has state of its own, so "untouched" is observable.
-	target := newCkEnv(t, 1)
+	target := newCkEnv(t)
 	stepN(t, target.engine, 3)
 	state := func() []byte {
 		s, err := target.engine.Snapshot()

@@ -10,7 +10,6 @@ import (
 	"github.com/mistralcloud/mistral/internal/obs"
 	"github.com/mistralcloud/mistral/internal/obs/slo"
 	"github.com/mistralcloud/mistral/internal/obs/tsdb"
-	"github.com/mistralcloud/mistral/internal/par"
 	"github.com/mistralcloud/mistral/internal/provenance"
 	"github.com/mistralcloud/mistral/internal/testbed"
 )
@@ -117,7 +116,6 @@ func NewEngine(tb *testbed.Testbed, d Decider, cfg RunConfig) (*Engine, error) {
 	e.cWallDrift = o.Counter("history_wall_drift_total")
 	e.hWindowUtil = o.Histogram("scenario_window_utility_dollars", []float64{-10, -1, -0.1, 0, 0.1, 1, 10})
 	e.gCumUtil = o.Gauge("scenario_cum_utility_dollars")
-	o.Gauge("scenario_workers").Set(float64(par.Workers(cfg.Workers)))
 
 	// Causal identity: each window gets a deterministic trace context
 	// (obs.WindowTrace) shared by spans, SLO alerts, the ops plane, and —

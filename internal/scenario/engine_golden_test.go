@@ -47,8 +47,7 @@ var engineStreams = []struct {
 
 var wallUS = regexp.MustCompile(`"wall_us":\d+`)
 
-// engineStreamsGolden replays engineGoldenWindows windows at Workers 1 and
-// renders one line per byte surface the engine publishes to — name, sha256
+// engineStreamsGolden replays engineGoldenWindows windows and renders one line per byte surface the engine publishes to — name, sha256
 // and length — with every wall-clock quantity cleared first. A surface the
 // fixture does not have renders as absent.
 func engineStreamsGolden(t *testing.T, strategyName string, faults, observers bool) []byte {
@@ -99,7 +98,6 @@ func engineStreamsGolden(t *testing.T, strategyName string, faults, observers bo
 	dec, err := strategy.New(strategyName, eval, lab.Util, strategy.MistralConfig{
 		HostGroups:         lab.HostGroups(),
 		MonitoringInterval: lab.Util.MonitoringInterval,
-		Workers:            1,
 		Provenance:         true,
 	})
 	if err != nil {
@@ -111,7 +109,6 @@ func engineStreamsGolden(t *testing.T, strategyName string, faults, observers bo
 		Duration:       engineGoldenWindows * lab.Util.MonitoringInterval,
 		Interval:       lab.Util.MonitoringInterval,
 		Utility:        lab.Util,
-		Workers:        1,
 		Fault:          inj,
 		Guard:          grd,
 		Provenance:     provenance.NewRecorder(&prov),

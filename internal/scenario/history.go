@@ -12,10 +12,8 @@ import (
 // and stdout are untouched — history is a pure observer.
 //
 // Series classes follow the checkpoint discipline: everything below is
-// ClassVirtual (deterministic at a fixed seed and worker setting; the
-// expansion/cache counters additionally depend on the worker setting,
-// like the SLO engine's cache objective always has) except
-// decide_wall_ms, which is explicitly ClassWall.
+// ClassVirtual (deterministic at a fixed seed) except decide_wall_ms,
+// which is explicitly ClassWall.
 
 // opsSparkN is how many trailing raw values the /ops history digests
 // carry as sparkline vectors.

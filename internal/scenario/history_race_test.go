@@ -38,7 +38,6 @@ func TestConcurrentScrapesWhileStepping(t *testing.T) {
 	dec, err := strategy.NewMistral(eval, strategy.MistralConfig{
 		HostGroups:         lab.HostGroups(),
 		MonitoringInterval: lab.Util.MonitoringInterval,
-		Workers:            1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +52,6 @@ func TestConcurrentScrapesWhileStepping(t *testing.T) {
 		Duration: 60 * lab.Util.MonitoringInterval,
 		Interval: lab.Util.MonitoringInterval,
 		Utility:  lab.Util,
-		Workers:  1,
 		Obs:      ob,
 	})
 	if err != nil {

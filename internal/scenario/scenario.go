@@ -78,11 +78,7 @@ type RunConfig struct {
 	Interval time.Duration
 	// Utility computes window utilities (required).
 	Utility *utility.Params
-	// Workers records the evaluation concurrency the decider was built
-	// with (see strategy.MistralConfig.Workers), purely for observability:
-	// the replay loop itself is inherently sequential — each window's
-	// decision depends on the previous window's testbed state — so the
-	// value is exported as the scenario_workers gauge, not consumed here.
+	// Deprecated: Workers is ignored; it remains only because bench/ sets it.
 	Workers int
 	// Obs overrides the process-default observer (obs.SetDefault) for the
 	// replay loop's spans and window metrics; nil resolves the default.

@@ -16,7 +16,6 @@ import (
 	"github.com/mistralcloud/mistral/internal/cluster"
 	"github.com/mistralcloud/mistral/internal/core"
 	"github.com/mistralcloud/mistral/internal/obs"
-	"github.com/mistralcloud/mistral/internal/par"
 	"github.com/mistralcloud/mistral/internal/provenance"
 	"github.com/mistralcloud/mistral/internal/scenario"
 )
@@ -45,12 +44,7 @@ type MistralConfig struct {
 	// CrisisCW overrides the 2nd-level controller's crisis control-window
 	// floor (default 12×M; see core.ControllerOptions.CrisisCW).
 	CrisisCW time.Duration
-	// Workers bounds the hierarchy's evaluation concurrency: each
-	// controller's Perf-Pwr sweep, and how many 1st-level controllers
-	// decide concurrently over the shared evaluator
-	// (default min(GOMAXPROCS, 8); 1 is fully serial). Decisions are
-	// byte-identical at every setting — 1st-level results merge in
-	// controller order.
+	// Deprecated: Workers is ignored; it remains only because bench/ sets it.
 	Workers int
 	// Obs overrides the process-default observer (obs.SetDefault) for
 	// every controller in the hierarchy; nil resolves the default.
@@ -80,16 +74,14 @@ func (s LevelStats) MeanSearch() time.Duration {
 // within their host group, and a 2nd-level controller with a wider band and
 // the full action set over all hosts.
 type Mistral struct {
-	name    string
-	eval    *core.Evaluator
-	workers int
-	l3      *core.Controller // nil in single-zone deployments
-	l2      *core.Controller
-	l1      []*core.Controller
+	name string
+	eval *core.Evaluator
+	l3   *core.Controller // nil in single-zone deployments
+	l2   *core.Controller
+	l1   []*core.Controller
 
-	// statsMu guards stats: Decide mutates them only from its own
-	// goroutine (1st-level results are merged serially after the fan-out),
-	// but the lock keeps Stats/StatsL3 safe to poll concurrently.
+	// statsMu guards stats, so Stats/StatsL3 are safe to poll while
+	// another goroutine drives Decide.
 	statsMu sync.Mutex
 	stats   [3]LevelStats // [0] = level 1 aggregate, [1] = level 2, [2] = level 3
 }
@@ -134,14 +126,13 @@ func NewMistral(eval *core.Evaluator, cfg MistralConfig) (*Mistral, error) {
 		Search:             search,
 		MonitoringInterval: cfg.MonitoringInterval,
 		CrisisCW:           cfg.CrisisCW,
-		Workers:            cfg.Workers,
 		Obs:                cfg.Obs,
 		Provenance:         cfg.Provenance,
 	})
 	if err != nil {
 		return nil, err
 	}
-	m := &Mistral{name: name, eval: eval, workers: par.Workers(cfg.Workers), l2: l2}
+	m := &Mistral{name: name, eval: eval, l2: l2}
 	if multiZone {
 		if cfg.L3Band <= 0 {
 			cfg.L3Band = 20
@@ -155,7 +146,6 @@ func NewMistral(eval *core.Evaluator, cfg MistralConfig) (*Mistral, error) {
 			// WAN migrations take tens of minutes: plan over hour-scale
 			// windows or they can never pay off.
 			MinCW:      30 * time.Minute,
-			Workers:    cfg.Workers,
 			Obs:        cfg.Obs,
 			Provenance: cfg.Provenance,
 		})
@@ -184,7 +174,6 @@ func NewMistral(eval *core.Evaluator, cfg MistralConfig) (*Mistral, error) {
 			},
 			Search:             search,
 			MonitoringInterval: cfg.MonitoringInterval,
-			Workers:            cfg.Workers,
 			Obs:                cfg.Obs,
 			Provenance:         cfg.Provenance,
 		})
@@ -201,7 +190,7 @@ func (m *Mistral) Name() string { return m.name }
 
 // SetTraceContext implements scenario.TraceAware: the window's causal
 // identity fans out to every controller in the hierarchy, so their
-// spans — including parallel 1st-level searches — carry the same trace
+// spans — including every 1st-level search — carry the same trace
 // ID as the scenario's root decide span and the window's provenance
 // record. Called once per window before Decide, never concurrently
 // with it.
@@ -242,8 +231,9 @@ func (m *Mistral) addStats(level int, searchTime time.Duration) {
 // Decide implements scenario.Decider: if the 2nd-level band is violated the
 // 2nd-level controller decides with the full action set; otherwise every
 // 1st-level controller refines its own host group. 1st-level decisions on
-// disjoint host groups concatenate into one plan; their controllers run in
-// parallel, so the decision delay is the slowest of them.
+// disjoint host groups concatenate into one plan. The paper's 1st-level
+// controllers run independently, side by side, so the decision delay is the
+// slowest of them, even though this process decides them one after another.
 func (m *Mistral) Decide(now time.Duration, cfg cluster.Config, rates map[string]float64) (scenario.Decision, error) {
 	// One window boundary per control opportunity, before any controller
 	// evaluates: every level consulted below shares the window's memo.
@@ -293,26 +283,14 @@ func (m *Mistral) Decide(now time.Duration, cfg cluster.Config, rates map[string
 			Provs:          provs,
 		}, nil
 	}
-	// 1st-level controllers own disjoint host groups and share the
-	// thread-safe evaluator, so they decide concurrently. Results land in
-	// per-controller slots and merge in controller order, so plans, the
-	// SearchCost sum (float addition is order-sensitive), and the returned
-	// error are byte-identical to the serial path.
-	type l1Result struct {
-		d   core.Decision
-		err error
-	}
-	results := make([]l1Result, len(m.l1))
-	par.For(len(m.l1), m.workers, func(i int) {
-		d, err := m.l1[i].Decide(now, cfg, rates)
-		results[i] = l1Result{d: d, err: err}
-	})
+	// 1st-level results merge in controller order: plans, provenance and
+	// the SearchCost sum (float addition is order-sensitive) depend on it.
 	out := scenario.Decision{Provs: provs}
-	for i, r := range results {
-		if r.err != nil {
-			return scenario.Decision{}, r.err
+	for _, l1 := range m.l1 {
+		d, err := l1.Decide(now, cfg, rates)
+		if err != nil {
+			return scenario.Decision{}, err
 		}
-		d := r.d
 		if !d.Invoked {
 			continue
 		}
@@ -327,7 +305,7 @@ func (m *Mistral) Decide(now time.Duration, cfg cluster.Config, rates map[string
 			if out.DegradedReason != "" {
 				out.DegradedReason += "; "
 			}
-			out.DegradedReason += m.l1[i].Name() + ": " + reason
+			out.DegradedReason += l1.Name() + ": " + reason
 		}
 		if d.Prov != nil {
 			out.Provs = append(out.Provs, d.Prov)

