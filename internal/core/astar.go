@@ -189,7 +189,7 @@ func closest(order []int, keep int, dist func(int) float64) []int {
 // Searcher runs adaptation searches against an evaluator, one at a time: the
 // expansion scratch below — sized by one expansion, not by the search — is
 // reused across expansions and searches. What grows with a search lives in
-// its searchMem and is dropped when it returns.
+// the searchMem it takes from searchPool and returns to it, never here.
 type Searcher struct {
 	eval *Evaluator
 	opts SearchOptions
@@ -359,7 +359,12 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		distWeight = opts.ShapingFraction * gain / rootDist
 	}
 
-	mem := &searchMem{cat: s.eval.cat, cfgs: []cluster.Config{cfg}}
+	// mem goes back to the pool after the return values — the plan, the
+	// digest's rejected alternatives — have been read out of it.
+	mem := searchPool.Get().(*searchMem)
+	defer mem.release()
+	mem.cat = s.eval.cat
+	mem.cfgs = append(mem.cfgs, cfg)
 	rootID, root, err := mem.verts.alloc()
 	if err != nil {
 		return SearchResult{}, err
@@ -370,7 +375,7 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		root.utility -= distWeight * rootDist
 	}
 	mem.push(rootID, root)
-	mem.best = map[cluster.Fingerprint]float64{root.fp: root.utility}
+	mem.best.improve(root.fp, root.utility)
 
 	res := SearchResult{RootDistance: rootDist, PeakFrontier: 1}
 	bestCandidate := int32(-1) // arena index of the best complete plan; -1: none yet
@@ -637,10 +642,9 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 				continue
 			}
 			k := &kids[i]
-			if prev, seen := mem.best[k.fp]; seen && k.utility <= prev {
+			if !mem.best.improve(k.fp, k.utility) {
 				continue
 			}
-			mem.best[k.fp] = k.utility
 			id, v, err := mem.verts.alloc()
 			if err != nil {
 				return SearchResult{}, err

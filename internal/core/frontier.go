@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/bits"
+	"sync"
 	"time"
 
 	"github.com/mistralcloud/mistral/internal/cluster"
@@ -38,8 +39,9 @@ const (
 	arenaMaxBits   = 13
 )
 
-// arena hands out vertices by index. Chunks are never moved or reused, so a
-// *vertex stays valid for the life of the search that owns the arena.
+// arena hands out vertices by index. Chunks are never moved, so a *vertex
+// stays valid for the life of the search that owns the arena; the next search
+// to take the arena from searchPool refills them from index 0.
 type arena struct {
 	chunks [][]vertex
 	n      int32
@@ -64,7 +66,8 @@ func (a *arena) at(i int32) *vertex {
 	return &a.chunks[c][off]
 }
 
-// alloc returns the next vertex, zeroed, and its index.
+// alloc returns the next vertex, zeroed — a reused chunk still holds an
+// earlier search's — and its index.
 func (a *arena) alloc() (int32, *vertex, error) {
 	if a.n == math.MaxInt32 {
 		return 0, nil, errArenaFull
@@ -74,7 +77,9 @@ func (a *arena) alloc() (int32, *vertex, error) {
 		a.chunks = append(a.chunks, make([]vertex, 1<<min(c+arenaFirstBits, arenaMaxBits)))
 	}
 	a.n++
-	return a.n - 1, &a.chunks[c][off], nil
+	v := &a.chunks[c][off]
+	*v = vertex{}
+	return a.n - 1, v, nil
 }
 
 // frontierEntry is one open vertex: its priority, copied out so that ordering
@@ -125,18 +130,131 @@ func (h *frontier) pop() frontierEntry {
 	return s[n]
 }
 
+// bestSlot is one entry of a bestTable: a configuration and the highest
+// priority seen for it, live while gen is the table's generation.
+type bestSlot struct {
+	fp   cluster.Fingerprint
+	util float64
+	gen  uint32
+}
+
+// bestFirstSlots is the size of a bestTable's first slot array.
+const bestFirstSlots = 64
+
+// bestTable is the search's dedup: the highest priority seen per
+// configuration, in an open-addressed, linear-probing table of pointer-free
+// slots kept at most half full. A fingerprint lane is already a xor-fold of
+// splitmix64 outputs, so its low bits index the table without another hash.
+// Emptying the table bumps its generation rather than touching the slots, so
+// a small search after a large one does not pay for the large one's table.
+// Within a generation entries are only added, so a probe ends at the first
+// slot of another generation. The zero value is empty and ready to use.
+type bestTable struct {
+	slots []bestSlot
+	mask  uint64
+	n     int    // live entries
+	gen   uint32 // generation of the live entries; 0 only before the first grow
+}
+
+// get returns the priority stored for fp, 0 when there is none.
+func (t *bestTable) get(fp cluster.Fingerprint) float64 {
+	if len(t.slots) == 0 {
+		return 0
+	}
+	for i := fp[0] & t.mask; ; i = (i + 1) & t.mask {
+		s := &t.slots[i]
+		if s.gen != t.gen {
+			return 0
+		}
+		if s.fp == fp {
+			return s.util
+		}
+	}
+}
+
+// improve stores u as fp's priority unless one at least as high is already
+// stored, and reports whether it did.
+func (t *bestTable) improve(fp cluster.Fingerprint, u float64) bool {
+	if 2*t.n >= len(t.slots) {
+		t.grow()
+	}
+	for i := fp[0] & t.mask; ; i = (i + 1) & t.mask {
+		s := &t.slots[i]
+		if s.gen != t.gen {
+			*s = bestSlot{fp: fp, util: u, gen: t.gen}
+			t.n++
+			return true
+		}
+		if s.fp == fp {
+			if u <= s.util {
+				return false
+			}
+			s.util = u
+			return true
+		}
+	}
+}
+
+// grow doubles the slot array and moves the live entries into it.
+func (t *bestTable) grow() {
+	old := t.slots
+	t.slots = make([]bestSlot, max(2*len(old), bestFirstSlots))
+	t.mask = uint64(len(t.slots) - 1)
+	if t.gen == 0 {
+		t.gen = 1 // fresh slots are generation 0: empty
+	}
+	for _, s := range old {
+		if s.gen != t.gen {
+			continue
+		}
+		i := s.fp[0] & t.mask
+		for t.slots[i].gen != 0 {
+			i = (i + 1) & t.mask
+		}
+		t.slots[i] = s
+	}
+}
+
+// reset empties the table, keeping its slots. When the generation wraps
+// around, slots stamped with the new one may still exist and are cleared.
+func (t *bestTable) reset() {
+	t.n = 0
+	t.gen++
+	if t.gen == 0 {
+		clear(t.slots)
+		t.gen = 1
+	}
+}
+
 // searchMem is everything one search keeps that grows with the search: the
 // vertex arena, the configurations of the expanded vertices, the frontier and
-// the dedup map. The search allocates it and drops it when it returns —
-// kept on the Searcher, a daemon's resting heap would hold the largest
-// search it ever ran.
+// the dedup table. A search takes one from searchPool and puts it back,
+// emptied but with its storage, when it returns: the next search refills the
+// arena's chunks and the slices' backing arrays instead of allocating them.
+// The collector empties the pool within two cycles, so a resting daemon's
+// heap does not keep the largest search it ran, as it would if the Searcher
+// held the memory.
 type searchMem struct {
 	cat   *cluster.Catalog
 	verts arena
 	cfgs  []cluster.Config
 	open  frontier
 	// best is the highest priority seen per configuration.
-	best map[cluster.Fingerprint]float64
+	best bestTable
+}
+
+var searchPool = sync.Pool{New: func() any { return new(searchMem) }}
+
+// release empties m, dropping every reference into the search's
+// configurations, and returns it to searchPool.
+func (m *searchMem) release() {
+	m.cat = nil
+	m.verts.n = 0
+	clear(m.cfgs)
+	m.cfgs = m.cfgs[:0]
+	m.open = m.open[:0]
+	m.best.reset()
+	searchPool.Put(m)
 }
 
 func (m *searchMem) push(id int32, v *vertex) {
@@ -146,7 +264,7 @@ func (m *searchMem) push(id int32, v *vertex) {
 // stale reports whether a better path to v's configuration was found after
 // v was pushed.
 func (m *searchMem) stale(v *vertex) bool {
-	return !v.finished && v.utility < m.best[v.fp]-1e-12
+	return !v.finished && v.utility < m.best.get(v.fp)-1e-12
 }
 
 // materialize builds the configuration of a vertex about to be expanded as a

@@ -2,10 +2,13 @@ package core
 
 import (
 	"container/heap"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"sort"
 	"testing"
+
+	"github.com/mistralcloud/mistral/internal/cluster"
 )
 
 // refHeap is the frontier as it was: container/heap over a
@@ -88,6 +91,92 @@ func TestFrontierHeapMatchesContainerHeap(t *testing.T) {
 	}
 	if ops < 10000 || tiedPops < ops/4 {
 		t.Fatalf("fixture too weak: %d pops, %d of them with an equal priority left behind", ops, tiedPops)
+	}
+}
+
+// TestBestTableMatchesMap holds the search's dedup table to the Go map it
+// replaced: improve must answer what "seen and not higher: skip, else store"
+// answered, and get what a map read returned, 0 on a miss. Rounds of random
+// operations end in a reset, as searches do; half the keys share a few
+// values of the indexing lane and differ only in the other, so probes run
+// long and both lanes decide equality; some rounds grow the table through
+// several doublings. Priorities are drawn from a few values, negative ones
+// included, so ties are common.
+func TestBestTableMatchesMap(t *testing.T) {
+	rng := rand.New(rand.NewPCG(29, 3))
+	key := func() cluster.Fingerprint {
+		if rng.IntN(2) == 0 {
+			return cluster.Fingerprint{uint64(rng.IntN(16)), rng.Uint64()}
+		}
+		return cluster.Fingerprint{rng.Uint64(), rng.Uint64()}
+	}
+	var tb bestTable
+	ref := map[cluster.Fingerprint]float64{}
+	same := func(round int, fp cluster.Fingerprint) {
+		t.Helper()
+		if got, want := tb.get(fp), ref[fp]; got != want {
+			t.Fatalf("round %d: get(%v) = %v, map %v", round, fp, got, want)
+		}
+	}
+	skipped, maxSlots := 0, 0
+	for round := 0; round < 300; round++ {
+		keys := make([]cluster.Fingerprint, 1+rng.IntN(40))
+		if round%25 == 0 {
+			keys = make([]cluster.Fingerprint, 1000+rng.IntN(3000))
+		}
+		for i := range keys {
+			keys[i] = key()
+		}
+		for step := 0; step < 3*len(keys); step++ {
+			fp := keys[rng.IntN(len(keys))]
+			u := float64(rng.IntN(7) - 3)
+			prev, seen := ref[fp]
+			want := !seen || u > prev
+			if want {
+				ref[fp] = u
+			} else {
+				skipped++
+			}
+			if got := tb.improve(fp, u); got != want {
+				t.Fatalf("round %d: improve(%v, %v) = %t, map says %t", round, fp, u, got, want)
+			}
+			same(round, keys[rng.IntN(len(keys))])
+			same(round, key()) // almost surely absent
+		}
+		for _, fp := range keys {
+			same(round, fp)
+		}
+		if tb.n != len(ref) || 2*tb.n > len(tb.slots) {
+			t.Fatalf("round %d: %d entries (map %d) in %d slots", round, tb.n, len(ref), len(tb.slots))
+		}
+		maxSlots = max(maxSlots, len(tb.slots))
+		tb.reset()
+		clear(ref)
+		for _, fp := range keys {
+			same(round, fp)
+		}
+	}
+	if maxSlots < bestFirstSlots<<6 || skipped < 10000 {
+		t.Fatalf("fixture too weak: at most %d slots, %d improvements refused", maxSlots, skipped)
+	}
+
+	// Wrap-around: a fresh table stamps its entries with generation 1, the
+	// one that follows math.MaxUint32, so they must not outlive the wrap.
+	tb = bestTable{}
+	keys := make([]cluster.Fingerprint, 200)
+	for i := range keys {
+		keys[i] = key()
+		tb.improve(keys[i], 1)
+	}
+	tb.gen = math.MaxUint32
+	tb.reset()
+	for _, fp := range keys {
+		if got := tb.get(fp); got != 0 {
+			t.Fatalf("after the generation wrapped, get(%v) = %v", fp, got)
+		}
+		if !tb.improve(fp, 0) {
+			t.Fatalf("after the generation wrapped, improve(%v, 0) refused", fp)
+		}
 	}
 }
 

@@ -25,7 +25,7 @@ func referenceHarvest(e *Evaluator, m *searchMem, chosen int32, root cluster.Con
 			continue
 		}
 		v := m.verts.at(open.vertex)
-		if !v.finished && v.utility < m.best[v.fp]-1e-12 {
+		if !v.finished && v.utility < m.best.get(v.fp)-1e-12 {
 			continue
 		}
 		actions := m.planOf(open.vertex)
@@ -78,14 +78,14 @@ func TestHarvestRejectedMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 11))
 	var view cluster.View
 	var staged []cluster.Staged
-	ties, rendered := 0, 0
+	ties, rendered, stale := 0, 0, 0
 	for frontier := 0; frontier < 240; frontier++ {
 		tieHeavy := frontier%3 == 0
 		size := rng.IntN(300)
 		if frontier < 4 {
 			size = frontier // empty and below the cap
 		}
-		mem := &searchMem{cat: e.cat, cfgs: []cluster.Config{e.cfg}, best: make(map[cluster.Fingerprint]float64)}
+		mem := &searchMem{cat: e.cat, cfgs: []cluster.Config{e.cfg}}
 		alloc := func() (int32, *vertex) {
 			id, v, err := mem.verts.alloc()
 			if err != nil {
@@ -128,16 +128,20 @@ func TestHarvestRejectedMatchesReference(t *testing.T) {
 					*dup = *v
 					mem.push(dupID, dup)
 				}
-				switch prev, seen := mem.best[v.fp]; {
-				case rng.IntN(5) == 0:
-					mem.best[v.fp] = v.utility + 1 // superseded: stale
-				case !seen || v.utility > prev:
-					mem.best[v.fp] = v.utility
+				best := v.utility
+				if rng.IntN(5) == 0 {
+					best++ // superseded: stale
 				}
+				mem.best.improve(v.fp, best)
 			}
 		}
 		if len(mem.open) > 0 && rng.IntN(2) == 0 {
 			mem.open.push(mem.open.pop())
+		}
+		for _, open := range mem.open {
+			if mem.stale(mem.verts.at(open.vertex)) {
+				stale++
+			}
 		}
 		chosen := int32(-1)
 		switch {
@@ -162,7 +166,7 @@ func TestHarvestRejectedMatchesReference(t *testing.T) {
 			}
 		}
 	}
-	if ties < 40 || rendered < 200 {
-		t.Fatalf("fixture too weak: %d tie-decided ranks, %d replayed ledgers", ties, rendered)
+	if ties < 40 || rendered < 200 || stale < 1000 {
+		t.Fatalf("fixture too weak: %d tie-decided ranks, %d replayed ledgers, %d stale open vertices", ties, rendered, stale)
 	}
 }
