@@ -21,6 +21,12 @@ import (
 // VMID uniquely identifies a virtual machine within a Catalog.
 type VMID string
 
+// Dom0CPUShare is the fraction of a host's CPU reserved for Dom-0, the share
+// the paper's 80% VM cap leaves on a 100% host. The performance model and the
+// request-level simulator both size the Dom-0 station with it. It is written
+// out, not derived from UsableCPUPct: 1-80/100 is not 0.20 in float64.
+const Dom0CPUShare = 0.20
+
 // HostSpec describes a physical machine. The defaults mirror the paper's
 // testbed: Pentium-4 class hosts with 1 GB of memory, 200 MB reserved for
 // Dom-0, at most 4 VMs per host, and 80% of CPU available to guest VMs.
@@ -31,7 +37,7 @@ type HostSpec struct {
 	// single core at reference speed).
 	TotalCPUPct float64
 	// UsableCPUPct caps the sum of VM CPU allocations, reserving headroom
-	// for Dom-0 (80 in the paper).
+	// for Dom-0 (80 in the paper; see Dom0CPUShare).
 	UsableCPUPct float64
 	// MemoryMB is total physical memory.
 	MemoryMB int

@@ -20,48 +20,14 @@ type SearchOptions struct {
 	// PruneFraction is the fraction of expanded children kept once the
 	// Self-Aware trigger fires (default 0.05, the paper's top 5%).
 	PruneFraction float64
-	// PruneMinKeep floors the pruned width (default 6): a beam of one or
-	// two children collapses into already-visited configurations and
-	// drains the frontier before any plan is found.
-	PruneMinKeep int
-	// DelayFraction is the search delay threshold T̄ as a fraction of the
-	// control window (default 0.05, the paper's 5%).
-	DelayFraction float64
 	// TimePerChild is the simulated decision-making time charged per
 	// generated child vertex; it makes self-awareness deterministic
 	// (default 250 µs, calibrated to the paper's search durations).
 	TimePerChild time.Duration
-	// SearchWatts is the power drawn by the controller host while
-	// searching; the paper measures ≈12% over a 60 W idle host (default
-	// 67 W).
-	SearchWatts float64
 	// MaxExpansions bounds the number of vertex expansions as a safety
 	// valve (default 2500). When hit, the best candidate found so far is
 	// returned.
 	MaxExpansions int
-	// MaxSearchTime is a hard deadline on the search's simulated elapsed
-	// time (Generated·TimePerChild bookkeeping, never the wall clock, so it
-	// is deterministic). When hit, the best candidate found so far
-	// is returned and the result is marked Truncated. Zero disables it;
-	// the Self-Aware deadline (2× the delay budget) usually fires first.
-	MaxSearchTime time.Duration
-	// ShapingFraction controls how strongly the search discounts its
-	// cost-to-go by §IV-B's weighted Euclidean distance to the ideal
-	// configuration: traversing the entire root-to-ideal distance forfeits
-	// this fraction of the potential gain (default 0.8; set negative to
-	// disable). Values near 1 turn the search into greedy descent toward
-	// c*. Both variants shape (a pure admissible bound degenerates into
-	// near-exhaustive exploration); what distinguishes Self-Aware is the
-	// width pruning, decision deadline, and expected-utility budget.
-	ShapingFraction float64
-	// EpsilonMargin terminates the search once the best candidate found is
-	// within this fraction of the theoretical utility upper bound
-	// (default 0.01). The admissible heuristic makes shallow intermediates
-	// look marginally better than any reachable candidate, so exact A*
-	// degenerates into near-exhaustive search — precisely the blow-up
-	// §IV-B describes; the margin bounds that tail for the naive search
-	// without affecting which plan wins by more than ε.
-	EpsilonMargin float64
 	// Deprecated: Workers is ignored; it remains only because bench/ sets it.
 	Workers int
 	// Provenance enables the search flight recorder: the returned
@@ -78,34 +44,44 @@ func (o SearchOptions) withDefaults() SearchOptions {
 	if o.PruneFraction <= 0 || o.PruneFraction > 1 {
 		o.PruneFraction = 0.05
 	}
-	if o.PruneMinKeep <= 0 {
-		o.PruneMinKeep = 6
-	}
-	if o.DelayFraction <= 0 {
-		o.DelayFraction = 0.05
-	}
 	if o.TimePerChild <= 0 {
 		o.TimePerChild = 250 * time.Microsecond
-	}
-	if o.SearchWatts <= 0 {
-		o.SearchWatts = 67
 	}
 	if o.MaxExpansions <= 0 {
 		o.MaxExpansions = 2500
 	}
-	if o.EpsilonMargin <= 0 {
-		o.EpsilonMargin = 0.01
-	}
-	switch {
-	case o.ShapingFraction == 0:
-		o.ShapingFraction = 0.8
-	case o.ShapingFraction < 0:
-		o.ShapingFraction = 0
-	case o.ShapingFraction > 1:
-		o.ShapingFraction = 1
-	}
 	return o
 }
+
+const (
+	// pruneMinKeep floors the pruned width: a beam of one or two children
+	// collapses into already-visited configurations and drains the frontier
+	// before any plan is found.
+	pruneMinKeep = 6
+	// delayFraction is the search delay threshold T̄ as a fraction of the
+	// control window, the paper's 5%.
+	delayFraction = 0.05
+	// searchWatts is the power drawn by the controller host while searching;
+	// the paper measures ≈12% over a 60 W idle host.
+	searchWatts = 67
+	// shapingFraction controls how strongly the search discounts its
+	// cost-to-go by §IV-B's weighted Euclidean distance to the ideal
+	// configuration: traversing the entire root-to-ideal distance forfeits
+	// this fraction of the potential gain. Values near 1 turn the search
+	// into greedy descent toward c*. Both variants shape (a pure admissible
+	// bound degenerates into near-exhaustive exploration); what
+	// distinguishes Self-Aware is the width pruning, decision deadline, and
+	// expected-utility budget.
+	shapingFraction = 0.8
+	// epsilonMargin terminates the search once the best candidate found is
+	// within this fraction of the theoretical utility upper bound. The
+	// admissible heuristic makes shallow intermediates look marginally
+	// better than any reachable candidate, so exact A* degenerates into
+	// near-exhaustive search — precisely the blow-up §IV-B describes; the
+	// margin bounds that tail for the naive search without affecting which
+	// plan wins by more than ε.
+	epsilonMargin = 0.01
+)
 
 // ExpectedUtility carries the controller's pessimistic estimate UH of the
 // utility a control window should deliver, with the rates used to decay it
@@ -331,9 +307,8 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 	// near-free actions. The same weighted Euclidean distance §IV-B defines
 	// for pruning is folded into the cost-to-go as a penalty scaled so that
 	// traversing the full distance from the current configuration to the
-	// ideal one forfeits opts.ShapingFraction of the potential gain (0.8 by
-	// default — see SearchOptions.ShapingFraction). This grades the
-	// frontier toward c* at the price of ε-bounded (rather than exact)
+	// ideal one forfeits shapingFraction of the potential gain. This grades
+	// the frontier toward c* at the price of ε-bounded (rather than exact)
 	// optimality.
 	curRate := 0.0
 	if st, err := s.eval.SteadyFP(cfg, rates, rfp); err == nil {
@@ -356,7 +331,7 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 	rootDist := dc.load(view)
 	var distWeight float64
 	if gain := (idealRate - curRate) * cwSec; gain > 0 && rootDist > 1e-9 {
-		distWeight = opts.ShapingFraction * gain / rootDist
+		distWeight = shapingFraction * gain / rootDist
 	}
 
 	// mem goes back to the pool after the return values — the plan, the
@@ -393,7 +368,7 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 	// threshold T̄ passes — the search restricts its width. A system
 	// bleeding utility therefore triggers restriction almost immediately:
 	// deciding soon beats deciding optimally.
-	searchRate := -s.eval.util.PowerRate(opts.SearchWatts) // $/s burned by searching
+	searchRate := -s.eval.util.PowerRate(searchWatts) // $/s burned by searching
 	uh := expected.Total
 	var ut, upwrT float64
 	var elapsed time.Duration
@@ -406,7 +381,7 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 	if forgoneRate < 0 {
 		forgoneRate = 0 // a current config above expectations forgoes nothing
 	}
-	delayThreshold := time.Duration(float64(cw) * opts.DelayFraction)
+	delayThreshold := time.Duration(float64(cw) * delayFraction)
 
 	finish := func(id int32, term string) SearchResult {
 		res.Plan = mem.planOf(id)
@@ -442,7 +417,7 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 
 	var batchStart time.Duration // virtual start of the current trace batch
 
-	slack := opts.EpsilonMargin * (math.Abs(idealRate)*cwSec + 1e-9)
+	slack := epsilonMargin * (math.Abs(idealRate)*cwSec + 1e-9)
 	for len(mem.open) > 0 {
 		top := mem.open.pop()
 		vmax := mem.verts.at(top.vertex)
@@ -473,21 +448,16 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 			}
 			return finish(bestCandidate, provenance.TermDeadline), nil
 		}
-		if res.Expanded >= opts.MaxExpansions ||
-			(opts.MaxSearchTime > 0 && elapsed >= opts.MaxSearchTime) {
+		if res.Expanded >= opts.MaxExpansions {
 			res.Truncated = true
-			term := provenance.TermMaxExpansions
-			if res.Expanded < opts.MaxExpansions {
-				term = provenance.TermMaxSearchTime
-			}
 			if dig != nil {
 				mem.open.push(top)
 			}
 			if bestCandidate >= 0 {
-				return finish(bestCandidate, term), nil
+				return finish(bestCandidate, provenance.TermMaxExpansions), nil
 			}
 			// No candidate seen: stay put.
-			return stayPut(term)
+			return stayPut(provenance.TermMaxExpansions)
 		}
 		res.Expanded++
 		// Expansion-batch trace events: every expandBatchEvery expansions
@@ -603,8 +573,8 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		if opts.SelfAware && ((ut+upwrT) >= uh || elapsed >= delayThreshold) {
 			before := nChildren
 			keep := int(math.Ceil(float64(nChildren) * opts.PruneFraction))
-			if keep < opts.PruneMinKeep {
-				keep = opts.PruneMinKeep
+			if keep < pruneMinKeep {
+				keep = pruneMinKeep
 			}
 			if keep < nChildren {
 				// Keep the fraction closest to the ideal: the finished

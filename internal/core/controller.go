@@ -42,26 +42,12 @@ type ControllerOptions struct {
 	Search SearchOptions
 	// MonitoringInterval is the unit monitoring interval M.
 	MonitoringInterval time.Duration
-	// InitialCW seeds the stability-interval estimator before any
-	// measurement (default 2×M).
-	InitialCW time.Duration
-	// MinCW floors the control window (default 2×M). During steep ramps
+	// MinCW floors the control window (default 4×M). During steep ramps
 	// every monitoring interval crosses the band, driving the ARMA
 	// estimate to its minimum; without a floor no adaptation with a
 	// minute-scale cost can ever pay off and the controller freezes
 	// exactly when action is most needed.
 	MinCW time.Duration
-	// CrisisCW optionally floors the control window while the current
-	// configuration misses a response-time target (default: same as MinCW,
-	// i.e. no extra floor). Raising it lets deep recoveries (boots plus
-	// replicas, minutes of transients) amortize past the next band escape;
-	// empirically the MinCW floor suffices on the paper's scenarios, and
-	// larger values over-commit to recoveries just as flash crowds
-	// subside.
-	CrisisCW time.Duration
-	// UtilityHistory is how many recent window utilities feed the
-	// pessimistic expected utility UH (default 3).
-	UtilityHistory int
 	// Obs overrides the process-default observer (obs.SetDefault) for this
 	// controller and its searcher; nil resolves the default.
 	Obs *obs.Observer
@@ -76,23 +62,18 @@ func (o ControllerOptions) withDefaults() ControllerOptions {
 	if o.MonitoringInterval <= 0 {
 		o.MonitoringInterval = 2 * time.Minute
 	}
-	if o.InitialCW <= 0 {
-		o.InitialCW = 2 * o.MonitoringInterval
-	}
 	if o.MinCW <= 0 {
 		o.MinCW = 4 * o.MonitoringInterval
-	}
-	if o.CrisisCW <= 0 {
-		o.CrisisCW = o.MinCW
-	}
-	if o.UtilityHistory <= 0 {
-		o.UtilityHistory = 3
 	}
 	if o.Provenance {
 		o.Search.Provenance = true
 	}
 	return o
 }
+
+// utilityHistory is how many recent window utilities feed the pessimistic
+// expected utility UH.
+const utilityHistory = 3
 
 // windowRecord is one past window's realized utility and rates.
 type windowRecord struct {
@@ -144,7 +125,9 @@ func NewController(eval *Evaluator, opts ControllerOptions) (*Controller, error)
 		opts:     opts,
 		eval:     eval,
 		searcher: NewSearcher(eval, opts.Search),
-		est:      predict.NewEstimator(0, 0, opts.InitialCW),
+		// The stability-interval estimator is seeded with 2×M before any
+		// measurement.
+		est: predict.NewEstimator(0, 0, 2*opts.MonitoringInterval),
 	}
 	o := obs.Resolve(opts.Obs)
 	c.obsv = o
@@ -218,27 +201,21 @@ func (c *Controller) fallback(now time.Duration, stage string, err error) Decisi
 // ShouldRun reports whether the current rates escape the controller's
 // bands. Before the first decision it is always true. A zero band width
 // means the controller is invoked on every unit monitoring interval, the
-// paper's 1st-level setting.
+// paper's 1st-level setting. Every application's rate counts at every
+// level: the paper partitions hosts, not applications.
 func (c *Controller) ShouldRun(rates map[string]float64) bool {
 	if !c.bandsSet || c.opts.BandWidth <= 0 {
 		return true
 	}
-	return workload.AnyOutside(c.bands, c.scopedRates(rates))
-}
-
-// scopedRates filters rates to the applications this controller can see.
-// All applications are visible to every level in this implementation (the
-// paper partitions hosts, not applications).
-func (c *Controller) scopedRates(rates map[string]float64) map[string]float64 {
-	return rates
+	return workload.AnyOutside(c.bands, rates)
 }
 
 // RecordWindow feeds one completed monitoring window's realized utility so
 // the controller can maintain its pessimistic expected utility UH.
 func (c *Controller) RecordWindow(utilityDollars, perfRate, pwrRate float64) {
 	c.history = append(c.history, windowRecord{utility: utilityDollars, perfRate: perfRate, pwrRate: pwrRate})
-	if len(c.history) > c.opts.UtilityHistory {
-		c.history = c.history[len(c.history)-c.opts.UtilityHistory:]
+	if len(c.history) > utilityHistory {
+		c.history = c.history[len(c.history)-utilityHistory:]
 	}
 }
 
@@ -345,19 +322,12 @@ func (c *Controller) Decide(now time.Duration, cfg cluster.Config, rates map[str
 	cur, err := c.eval.Steady(cfg, rates)
 	if err != nil {
 		// Without the current configuration's steady state the decision
-		// has no baseline: CurrentNetRate would silently report 0 and the
-		// crisis floor could not trigger. Degrade to no adaptation — the
-		// bands were not re-seeded, so the controller retries next window.
+		// has no baseline: CurrentNetRate would silently report 0. Degrade to
+		// no adaptation — the bands were not re-seeded, so the controller
+		// retries next window.
 		return c.fallback(now, "steady", err), nil
 	}
-	for name, a := range c.eval.Utility().Apps {
-		if rates[name] > 0 && cur.RTSec[name] > a.TargetRT.Seconds() && cw < c.opts.CrisisCW {
-			cw = c.opts.CrisisCW
-			floor = "crisis-cw"
-			break
-		}
-	}
-	c.bands = workload.NewBands(c.scopedRates(rates), c.opts.BandWidth)
+	c.bands = workload.NewBands(rates, c.opts.BandWidth)
 	c.bandsSet = true
 	c.bandStart = now
 

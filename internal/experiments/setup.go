@@ -250,7 +250,7 @@ func (l *Lab) NewTestbedExec(inj *fault.Injector, exec testbed.ExecPolicy) (*tes
 // tightened by the planning headroom; scenario scoring uses the untouched
 // targets in l.Util.
 func (l *Lab) NewEvaluator() (*core.Evaluator, error) {
-	model, err := lqn.NewModel(l.Cat, l.CtrlApps, lqn.Options{})
+	model, err := lqn.NewModel(l.Cat, l.CtrlApps)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}
@@ -281,7 +281,7 @@ func (l *Lab) NewEvaluator() (*core.Evaluator, error) {
 // TrueEvaluator builds an evaluator over the ground-truth model (used to
 // compute ideal utilities for Table I).
 func (l *Lab) TrueEvaluator() (*core.Evaluator, error) {
-	model, err := lqn.NewModel(l.Cat, l.Apps, lqn.Options{})
+	model, err := lqn.NewModel(l.Cat, l.Apps)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %w", err)
 	}

@@ -33,13 +33,6 @@ type Table1Result struct {
 type Table1Options struct {
 	// Duration truncates the replay (zero = the full 6.5 h scenario).
 	Duration time.Duration
-	// NaiveMaxExpansions caps the naive search (default 2500, matching the
-	// Fig. 10 runs so the two algorithms face the same budget; the naive
-	// search's cost per expansion grows with the action space, so its
-	// duration scales steeply with system size).
-	NaiveMaxExpansions int
-	// SkipNaive omits the naive runs (they dominate wall-clock time).
-	SkipNaive bool
 	// Provenance, when non-nil and enabled, records one decision-provenance
 	// record per window of every replay in the study (self-aware and naive,
 	// all sizes) into a single JSONL stream; windows restart at 0 at each
@@ -52,9 +45,6 @@ type Table1Options struct {
 // search durations for the Self-Aware and Naive algorithms and total
 // utility against the ideal (cost-free) utility.
 func Table1Scalability(seed uint64, opts Table1Options) (*Table1Result, error) {
-	if opts.NaiveMaxExpansions <= 0 {
-		opts.NaiveMaxExpansions = 2500
-	}
 	res := &Table1Result{}
 	for _, napps := range []int{2, 3, 4} {
 		lab, err := NewLab(LabOptions{NumApps: napps, Seed: seed})
@@ -77,7 +67,10 @@ func Table1Scalability(seed uint64, opts Table1Options) (*Table1Result, error) {
 			Hosts: len(lab.Cat.HostNames()),
 		}
 
-		runMistral := func(naive bool, maxExp int) (*scenario.Result, *strategy.Mistral, error) {
+		// Both algorithms face the search's default expansion cap, as in the
+		// Fig. 10 runs; the naive search's cost per expansion grows with the
+		// action space, so its duration scales steeply with system size.
+		runMistral := func(naive bool) (*scenario.Result, *strategy.Mistral, error) {
 			tb, err := lab.NewTestbed()
 			if err != nil {
 				return nil, nil, err
@@ -91,10 +84,7 @@ func Table1Scalability(seed uint64, opts Table1Options) (*Table1Result, error) {
 				Naive:              naive,
 				MonitoringInterval: lab.Util.MonitoringInterval,
 				Provenance:         opts.Provenance.Enabled(),
-				Search: core.SearchOptions{
-					TimePerChild:  300 * time.Microsecond,
-					MaxExpansions: maxExp,
-				},
+				Search:             core.SearchOptions{TimePerChild: 300 * time.Microsecond},
 			})
 			if err != nil {
 				return nil, nil, err
@@ -109,7 +99,7 @@ func Table1Scalability(seed uint64, opts Table1Options) (*Table1Result, error) {
 			return r, m, err
 		}
 
-		aware, awareM, err := runMistral(false, 0)
+		aware, awareM, err := runMistral(false)
 		if err != nil {
 			return nil, fmt.Errorf("experiments: table1 %d-app self-aware: %w", napps, err)
 		}
@@ -118,16 +108,14 @@ func Table1Scalability(seed uint64, opts Table1Options) (*Table1Result, error) {
 		sc.SelfAwareL1, sc.SelfAwareL2 = l1.MeanSearch(), l2.MeanSearch()
 		sc.MistralUtility = aware.CumUtility
 
-		if !opts.SkipNaive {
-			naive, naiveM, err := runMistral(true, opts.NaiveMaxExpansions)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: table1 %d-app naive: %w", napps, err)
-			}
-			sc.NaiveMean = naive.MeanSearchTime
-			nl1, nl2 := naiveM.Stats()
-			sc.NaiveL1, sc.NaiveL2 = nl1.MeanSearch(), nl2.MeanSearch()
-			sc.NaiveUtility = naive.CumUtility
+		naive, naiveM, err := runMistral(true)
+		if err != nil {
+			return nil, fmt.Errorf("experiments: table1 %d-app naive: %w", napps, err)
 		}
+		sc.NaiveMean = naive.MeanSearchTime
+		nl1, nl2 := naiveM.Stats()
+		sc.NaiveL1, sc.NaiveL2 = nl1.MeanSearch(), nl2.MeanSearch()
+		sc.NaiveUtility = naive.CumUtility
 
 		ideal, err := IdealUtility(lab, opts.Duration)
 		if err != nil {

@@ -33,7 +33,7 @@ func CalibrateDemands(cat *cluster.Catalog, apps []*app.Spec, cfg cluster.Config
 			scaled[i] = a.Clone(a.Name)
 			scaled[i].ScaleDemands(k)
 		}
-		m, err := NewModel(cat, scaled, Options{})
+		m, err := NewModel(cat, scaled)
 		if err != nil {
 			return 0, err
 		}

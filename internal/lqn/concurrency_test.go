@@ -18,7 +18,7 @@ func TestModelEvaluateConcurrent(t *testing.T) {
 	b := singleTierApp("b", 12)
 	specs := []*app.Spec{a, b}
 	cat := twoHostCatalog(t, specs)
-	m, err := NewModel(cat, specs, Options{})
+	m, err := NewModel(cat, specs)
 	if err != nil {
 		t.Fatalf("NewModel: %v", err)
 	}

@@ -23,7 +23,7 @@ func TestDom0SaturationPenalizesAndFlags(t *testing.T) {
 	cfg.Place("a-app-0", "h0", 20)
 	cfg.Place("a-db-0", "h0", 20)
 
-	m, err := NewModel(cat, []*app.Spec{a}, Options{})
+	m, err := NewModel(cat, []*app.Spec{a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestDom0SharedAcrossApps(t *testing.T) {
 	cfg.Place("b-app-0", "h1", 20)
 	cfg.Place("b-db-0", "h1", 20)
 
-	m, err := NewModel(cat, []*app.Spec{a, b}, Options{})
+	m, err := NewModel(cat, []*app.Spec{a, b})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,7 @@ func TestDVFSSlowsServiceAndSavesPower(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewModel(cat, []*app.Spec{a}, Options{})
+	m, err := NewModel(cat, []*app.Spec{a})
 	if err != nil {
 		t.Fatal(err)
 	}

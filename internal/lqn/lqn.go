@@ -29,56 +29,28 @@ import (
 	"github.com/mistralcloud/mistral/internal/cluster"
 )
 
-// Options tunes the solver. The zero value selects the defaults below.
-type Options struct {
-	// Dom0CPUShare is the fraction of host CPU reserved for Dom-0
-	// (default 0.20, matching the paper's 80% VM cap on 100% hosts).
-	Dom0CPUShare float64
-	// MaxRho is the utilization soft cap used in residence-time formulas
-	// (default 0.97).
-	MaxRho float64
-	// OverloadPenaltySec is the response-time penalty per unit of demand
-	// exceeding the soft cap (default 4 s), keeping overload finite and
-	// monotone, as a closed client population does in practice.
-	OverloadPenaltySec float64
-	// BaseHostUtil is the utilization floor of a powered-on host from OS
-	// housekeeping (default 0.02; set negative for an explicit zero).
-	BaseHostUtil float64
-	// CrossZoneLatencyMS is the round-trip penalty added per tier hop that
-	// crosses data-center zones (default 40 ms; the §VI WAN extension).
-	CrossZoneLatencyMS float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.Dom0CPUShare <= 0 {
-		o.Dom0CPUShare = 0.20
-	}
-	if o.MaxRho <= 0 || o.MaxRho >= 1 {
-		o.MaxRho = 0.97
-	}
-	if o.OverloadPenaltySec <= 0 {
-		o.OverloadPenaltySec = 4.0
-	}
-	switch {
-	case o.BaseHostUtil == 0:
-		o.BaseHostUtil = 0.02
-	case o.BaseHostUtil < 0:
-		o.BaseHostUtil = 0
-	}
-	if o.CrossZoneLatencyMS == 0 {
-		o.CrossZoneLatencyMS = 40
-	} else if o.CrossZoneLatencyMS < 0 {
-		o.CrossZoneLatencyMS = 0
-	}
-	return o
-}
+// Solver constants. The Dom-0 share is cluster.Dom0CPUShare.
+const (
+	// maxRho is the utilization soft cap used in residence-time formulas.
+	maxRho = 0.97
+	// overloadPenaltySec is the response-time penalty per unit of demand
+	// exceeding the soft cap, keeping overload finite and monotone, as a
+	// closed client population does in practice.
+	overloadPenaltySec = 4.0
+	// baseHostUtil is the utilization floor of a powered-on host from OS
+	// housekeeping.
+	baseHostUtil = 0.02
+	// crossZoneLatencyMS is the round-trip penalty added per tier hop that
+	// crosses data-center zones (the §VI WAN extension).
+	crossZoneLatencyMS = 40
+)
 
 // Model evaluates the layered queuing network for a fixed set of
 // applications. Construct with NewModel.
 //
 // Thread-safety contract: a Model is immutable after construction —
-// Evaluate, Solve and an open Session read the application specs, catalog,
-// and options but keep all iteration state (per-tier utilizations, response
+// Evaluate, Solve and an open Session read the application specs and the
+// catalog but keep all iteration state (per-tier utilizations, response
 // times, host aggregations) in a pooled scratch held per call or per
 // session, so any number of goroutines may use them concurrently on one
 // Model with distinct or identical inputs;
@@ -92,7 +64,6 @@ type Model struct {
 	// run to run.
 	names []string
 	cat   *cluster.Catalog
-	opts  Options
 
 	// skel holds the per-application solver inputs that depend only on the
 	// specs — mix probabilities, mean tier demands, per-transaction demand
@@ -122,7 +93,7 @@ type appSkel struct {
 	spec  *app.Spec
 	probs []float64 // normalized transaction mix, aligned with spec.Txns
 	// dom0Sec is the Dom-0 CPU seconds consumed per tier visit; dom0Visit is
-	// the unloaded Dom-0 residence of one visit, dom0Sec/Dom0CPUShare.
+	// the unloaded Dom-0 residence of one visit, dom0Sec/cluster.Dom0CPUShare.
 	dom0Sec   float64
 	dom0Visit float64
 	tiers     []tierSkel
@@ -242,11 +213,10 @@ func (m *Model) newScratch() *solveScratch {
 // specs' demands, mix, and tier structure are baked into per-application
 // solver skeletons here: mutating a spec after construction (ScaleDemands)
 // is not observed — rebuild the model, as calibration does.
-func NewModel(cat *cluster.Catalog, apps []*app.Spec, opts Options) (*Model, error) {
+func NewModel(cat *cluster.Catalog, apps []*app.Spec) (*Model, error) {
 	m := &Model{
 		apps: make(map[string]*app.Spec, len(apps)),
 		cat:  cat,
-		opts: opts.withDefaults(),
 	}
 	for _, a := range apps {
 		if err := a.Validate(); err != nil {
@@ -269,7 +239,7 @@ func NewModel(cat *cluster.Catalog, apps []*app.Spec, opts Options) (*Model, err
 			tiers:      make([]tierSkel, len(spec.Tiers)),
 			latencySec: make([]float64, len(spec.Txns)),
 		}
-		sk.dom0Visit = sk.dom0Sec / m.opts.Dom0CPUShare
+		sk.dom0Visit = sk.dom0Sec / cluster.Dom0CPUShare
 		for i, txn := range spec.Txns {
 			sk.latencySec[i] = txn.LatencyMS / 1000
 		}
@@ -593,7 +563,7 @@ func (m *Model) load(cfg cluster.Config, d *cluster.Delta, load map[string]float
 // catalog order), so results are bit-identical from run to run.
 //
 // It is written so that nothing is evaluated more often than it changes:
-// what the specs and options fix sits in the skeleton, what a tier fixes is
+// what the specs fix sits in the skeleton, what a tier fixes is
 // computed once per tier, and the innermost loop of pass 3 runs over the
 // transactions. Every expression keeps the operands, the order and the
 // statement shape of the plain formulation referenceCompute keeps in the
@@ -601,7 +571,6 @@ func (m *Model) load(cfg cluster.Config, d *cluster.Delta, load map[string]float
 func (m *Model) compute(sc *solveScratch, dom0Background map[string]float64, rtOnly bool) {
 	hostNames := m.cat.HostNames()
 	hostSpecs := m.cat.HostSpecs()
-	maxRho, penaltySec := m.opts.MaxRho, m.opts.OverloadPenaltySec
 	clear(sc.hostAlloc)
 	clear(sc.hostScale)
 	clear(sc.dom0DemandCPU)
@@ -696,7 +665,7 @@ func (m *Model) compute(sc *solveScratch, dom0Background map[string]float64, rtO
 		if dom0Background != nil {
 			background = dom0Background[h]
 		}
-		share := m.opts.Dom0CPUShare * sc.hostFreq[hi]
+		share := cluster.Dom0CPUShare * sc.hostFreq[hi]
 		sc.dom0Util[hi] = sc.dom0DemandCPU[hi]/share + background
 	}
 
@@ -715,7 +684,7 @@ func (m *Model) compute(sc *solveScratch, dom0Background map[string]float64, rtO
 		// WAN penalty: the expected number of tier hops crossing zones,
 		// with replicas weighted by their share of tier load.
 		var crossZoneSec float64
-		if !m.oneZone && m.opts.CrossZoneLatencyMS > 0 && lambda > 0 {
+		if !m.oneZone && lambda > 0 {
 			for i := 0; i+1 < len(tiers); i++ {
 				up := &tiers[i]
 				down := &tiers[i+1]
@@ -730,7 +699,7 @@ func (m *Model) compute(sc *solveScratch, dom0Background map[string]float64, rtO
 						}
 					}
 				}
-				crossZoneSec += p * m.opts.CrossZoneLatencyMS / 1000
+				crossZoneSec += p * crossZoneLatencyMS / 1000
 			}
 		}
 
@@ -747,7 +716,7 @@ func (m *Model) compute(sc *solveScratch, dom0Background map[string]float64, rtO
 			if ts.sumFrac <= 0 {
 				saturated = true
 				// Unserved tier: charge the full overload penalty.
-				addVisits(rt, tsk.txnDemandSec, 1, 1, 1, 0, penaltySec)
+				addVisits(rt, tsk.txnDemandSec, 1, 1, 1, 0, overloadPenaltySec)
 				continue
 			}
 			// Residence multiplier 1/(1-rho) with soft cap: replicas of a
@@ -756,7 +725,7 @@ func (m *Model) compute(sc *solveScratch, dom0Background map[string]float64, rtO
 			var tierOverload float64
 			if rho > maxRho {
 				saturated = true
-				tierOverload = (rho - maxRho) * penaltySec
+				tierOverload = (rho - maxRho) * overloadPenaltySec
 				rho = maxRho
 			}
 			stretch := 1 / (1 - rho)
@@ -765,7 +734,7 @@ func (m *Model) compute(sc *solveScratch, dom0Background map[string]float64, rtO
 				overload := tierOverload
 				d0rho := sc.dom0Util[rep.host]
 				if d0rho > maxRho {
-					overload += (d0rho - maxRho) * penaltySec
+					overload += (d0rho - maxRho) * overloadPenaltySec
 					d0rho = maxRho
 					saturated = true
 				}
@@ -795,7 +764,7 @@ func (m *Model) compute(sc *solveScratch, dom0Background map[string]float64, rtO
 			continue
 		}
 		freq := sc.hostFreq[hi]
-		util := m.opts.BaseHostUtil + (sc.hostVMUtil[hi]+math.Min(sc.dom0Util[hi], 1)*m.opts.Dom0CPUShare*freq)/freq
+		util := baseHostUtil + (sc.hostVMUtil[hi]+math.Min(sc.dom0Util[hi], 1)*cluster.Dom0CPUShare*freq)/freq
 		if util > 1 {
 			util = 1
 		}

@@ -35,7 +35,7 @@ func twoHostCatalog(t *testing.T, apps []*app.Spec) *cluster.Catalog {
 func TestEvaluateMatchesMG1PSClosedForm(t *testing.T) {
 	a := singleTierApp("a", 8) // 8 ms demand
 	cat := twoHostCatalog(t, []*app.Spec{a})
-	m, err := NewModel(cat, []*app.Spec{a}, Options{BaseHostUtil: -1}) // -1 -> clamped to 0
+	m, err := NewModel(cat, []*app.Spec{a})
 	if err != nil {
 		t.Fatalf("NewModel: %v", err)
 	}
@@ -65,9 +65,10 @@ func TestEvaluateMatchesMG1PSClosedForm(t *testing.T) {
 	if got := res.VMUtil["a-t-0"]; math.Abs(got-0.6) > 1e-9 {
 		t.Errorf("VMUtil = %v, want 0.6", got)
 	}
-	// Host CPU: absolute demand lambda*D = 0.24 (no dom0, no base).
-	if got := res.Hosts["h0"].CPUUtil; math.Abs(got-0.24) > 1e-9 {
-		t.Errorf("host util = %v, want 0.24", got)
+	// Host CPU: absolute demand lambda*D = 0.24 (no dom0) on top of the
+	// housekeeping floor.
+	if got, want := res.Hosts["h0"].CPUUtil, 0.24+baseHostUtil; math.Abs(got-want) > 1e-9 {
+		t.Errorf("host util = %v, want %v", got, want)
 	}
 	if got := res.Hosts["h1"].CPUUtil; got != 0 {
 		t.Errorf("off host util = %v, want 0", got)
@@ -77,7 +78,7 @@ func TestEvaluateMatchesMG1PSClosedForm(t *testing.T) {
 func TestEvaluateTwoReplicasHalveLoad(t *testing.T) {
 	a := singleTierApp("a", 8)
 	cat := twoHostCatalog(t, []*app.Spec{a})
-	m, _ := NewModel(cat, []*app.Spec{a}, Options{})
+	m, _ := NewModel(cat, []*app.Spec{a})
 	one := cluster.NewConfig()
 	one.SetHostOn("h0", true)
 	one.Place("a-t-0", "h0", 40)
@@ -106,7 +107,7 @@ func TestEvaluateTwoReplicasHalveLoad(t *testing.T) {
 func TestEvaluateMoreCPUReducesRT(t *testing.T) {
 	a := app.RUBiS("a")
 	cat := twoHostCatalog(t, []*app.Spec{a})
-	m, _ := NewModel(cat, []*app.Spec{a}, Options{})
+	m, _ := NewModel(cat, []*app.Spec{a})
 	lo, err := app.DefaultConfig(cat, []*app.Spec{a}, 2, 25)
 	if err != nil {
 		t.Fatal(err)
@@ -132,7 +133,7 @@ func TestEvaluateMoreCPUReducesRT(t *testing.T) {
 func TestEvaluateSaturationIsFlaggedAndFinite(t *testing.T) {
 	a := singleTierApp("a", 8)
 	cat := twoHostCatalog(t, []*app.Spec{a})
-	m, _ := NewModel(cat, []*app.Spec{a}, Options{})
+	m, _ := NewModel(cat, []*app.Spec{a})
 	cfg := cluster.NewConfig()
 	cfg.SetHostOn("h0", true)
 	cfg.Place("a-t-0", "h0", 40)
@@ -157,7 +158,7 @@ func TestEvaluateSaturationIsFlaggedAndFinite(t *testing.T) {
 func TestEvaluateMissingTierSaturates(t *testing.T) {
 	a := app.RUBiS("a")
 	cat := twoHostCatalog(t, []*app.Spec{a})
-	m, _ := NewModel(cat, []*app.Spec{a}, Options{})
+	m, _ := NewModel(cat, []*app.Spec{a})
 	cfg := cluster.NewConfig()
 	cfg.SetHostOn("h0", true)
 	cfg.Place("a-web-0", "h0", 40) // no app/db tier
@@ -176,7 +177,7 @@ func TestEvaluateMissingTierSaturates(t *testing.T) {
 func TestEvaluateDom0BackgroundRaisesRTAndUtil(t *testing.T) {
 	a := app.RUBiS("a")
 	cat := twoHostCatalog(t, []*app.Spec{a})
-	m, _ := NewModel(cat, []*app.Spec{a}, Options{})
+	m, _ := NewModel(cat, []*app.Spec{a})
 	cfg, err := app.DefaultConfig(cat, []*app.Spec{a}, 2, 40)
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +205,7 @@ func TestEvaluateDom0BackgroundRaisesRTAndUtil(t *testing.T) {
 func TestEvaluateUnknownAppInLoad(t *testing.T) {
 	a := app.RUBiS("a")
 	cat := twoHostCatalog(t, []*app.Spec{a})
-	m, _ := NewModel(cat, []*app.Spec{a}, Options{})
+	m, _ := NewModel(cat, []*app.Spec{a})
 	if _, err := m.Evaluate(cluster.NewConfig(), map[string]float64{"ghost": 1}, nil); err == nil {
 		t.Error("unknown app accepted")
 	}
@@ -213,7 +214,7 @@ func TestEvaluateUnknownAppInLoad(t *testing.T) {
 func TestEvaluateZeroLoad(t *testing.T) {
 	a := app.RUBiS("a")
 	cat := twoHostCatalog(t, []*app.Spec{a})
-	m, _ := NewModel(cat, []*app.Spec{a}, Options{})
+	m, _ := NewModel(cat, []*app.Spec{a})
 	cfg, err := app.DefaultConfig(cat, []*app.Spec{a}, 2, 40)
 	if err != nil {
 		t.Fatal(err)
@@ -237,12 +238,12 @@ func TestEvaluateZeroLoad(t *testing.T) {
 func TestNewModelRejectsDuplicatesAndInvalid(t *testing.T) {
 	a := app.RUBiS("a")
 	cat := twoHostCatalog(t, []*app.Spec{a})
-	if _, err := NewModel(cat, []*app.Spec{a, a}, Options{}); err == nil {
+	if _, err := NewModel(cat, []*app.Spec{a, a}); err == nil {
 		t.Error("duplicate app accepted")
 	}
 	bad := app.RUBiS("b")
 	bad.Txns = nil
-	if _, err := NewModel(cat, []*app.Spec{bad}, Options{}); err == nil {
+	if _, err := NewModel(cat, []*app.Spec{bad}); err == nil {
 		t.Error("invalid app accepted")
 	}
 }
@@ -250,7 +251,7 @@ func TestNewModelRejectsDuplicatesAndInvalid(t *testing.T) {
 func TestRTMonotoneInLoadProperty(t *testing.T) {
 	a := app.RUBiS("a")
 	cat := twoHostCatalog(t, []*app.Spec{a})
-	m, _ := NewModel(cat, []*app.Spec{a}, Options{})
+	m, _ := NewModel(cat, []*app.Spec{a})
 	cfg, err := app.DefaultConfig(cat, []*app.Spec{a}, 2, 40)
 	if err != nil {
 		t.Fatal(err)
@@ -296,7 +297,7 @@ func TestCalibrateDemandsHitsTarget(t *testing.T) {
 	if k <= 0 {
 		t.Fatalf("scale = %v", k)
 	}
-	m, _ := NewModel(cat, apps, Options{})
+	m, _ := NewModel(cat, apps)
 	res, err := m.Evaluate(cfg, load, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -186,7 +186,7 @@ func referenceCompute(m *Model, sc *refScratch, dom0Background map[string]float6
 		if !sc.hostOn[hi] {
 			continue
 		}
-		share := m.opts.Dom0CPUShare * sc.hostFreq[hi]
+		share := cluster.Dom0CPUShare * sc.hostFreq[hi]
 		sc.dom0Util[hi] = sc.dom0DemandCPU[hi]/share + dom0Background[h]
 	}
 
@@ -209,24 +209,24 @@ func referenceCompute(m *Model, sc *refScratch, dom0Background map[string]float6
 			if ts.sumFrac <= 0 {
 				saturated = true
 				// Unserved tier: charge the full overload penalty.
-				ts.factors = append(ts.factors, refFactor{weight: 1, frac: 1, stretch: 1, overload: m.opts.OverloadPenaltySec})
+				ts.factors = append(ts.factors, refFactor{weight: 1, frac: 1, stretch: 1, overload: overloadPenaltySec})
 				continue
 			}
 			for _, rep := range ts.replicas {
 				rho := ts.rho
 				var overload float64
-				if rho > m.opts.MaxRho {
+				if rho > maxRho {
 					saturated = true
-					overload = (rho - m.opts.MaxRho) * m.opts.OverloadPenaltySec
-					rho = m.opts.MaxRho
+					overload = (rho - maxRho) * overloadPenaltySec
+					rho = maxRho
 				}
 				d0rho := sc.dom0Util[rep.host]
-				if d0rho > m.opts.MaxRho {
-					overload += (d0rho - m.opts.MaxRho) * m.opts.OverloadPenaltySec
-					d0rho = m.opts.MaxRho
+				if d0rho > maxRho {
+					overload += (d0rho - maxRho) * overloadPenaltySec
+					d0rho = maxRho
 					saturated = true
 				}
-				dom0Visit := sk.dom0Sec / m.opts.Dom0CPUShare / (1 - d0rho)
+				dom0Visit := sk.dom0Sec / cluster.Dom0CPUShare / (1 - d0rho)
 				ts.factors = append(ts.factors, refFactor{
 					weight:   rep.frac / ts.sumFrac,
 					frac:     rep.frac,
@@ -240,7 +240,7 @@ func referenceCompute(m *Model, sc *refScratch, dom0Background map[string]float6
 		// WAN penalty: the expected number of tier hops crossing zones,
 		// with replicas weighted by their share of tier load.
 		var crossZoneSec float64
-		if m.opts.CrossZoneLatencyMS > 0 && lambda > 0 {
+		if lambda > 0 {
 			for i := 0; i+1 < len(spec.Tiers); i++ {
 				up := &sc.tiers[ai][i]
 				down := &sc.tiers[ai][i+1]
@@ -255,7 +255,7 @@ func referenceCompute(m *Model, sc *refScratch, dom0Background map[string]float6
 						}
 					}
 				}
-				crossZoneSec += p * m.opts.CrossZoneLatencyMS / 1000
+				crossZoneSec += p * crossZoneLatencyMS / 1000
 			}
 		}
 
@@ -290,7 +290,7 @@ func referenceCompute(m *Model, sc *refScratch, dom0Background map[string]float6
 			continue
 		}
 		freq := sc.hostFreq[hi]
-		util := m.opts.BaseHostUtil + (sc.hostVMUtil[hi]+math.Min(sc.dom0Util[hi], 1)*m.opts.Dom0CPUShare*freq)/freq
+		util := baseHostUtil + (sc.hostVMUtil[hi]+math.Min(sc.dom0Util[hi], 1)*cluster.Dom0CPUShare*freq)/freq
 		if util > 1 {
 			util = 1
 		}
@@ -400,7 +400,7 @@ func TestComputeMatchesReference(t *testing.T) {
 						}
 					}
 					for _, u := range ref.dom0Util {
-						if u > m.opts.MaxRho {
+						if u > maxRho {
 							dom0Saturated++
 						}
 					}

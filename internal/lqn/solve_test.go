@@ -41,7 +41,7 @@ func labModelZoned(t testing.TB, nApps, zones int, named bool) *Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewModel(cat, modelApps, Options{})
+	m, err := NewModel(cat, modelApps)
 	if err != nil {
 		t.Fatal(err)
 	}

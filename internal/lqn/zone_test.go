@@ -21,7 +21,7 @@ func TestCrossZoneLatencyPenalty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewModel(cat, []*app.Spec{a}, Options{})
+	m, err := NewModel(cat, []*app.Spec{a})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,22 +50,9 @@ func TestCrossZoneLatencyPenalty(t *testing.T) {
 	}
 
 	gap := rSplit.MeanRTSec("a") - rLocal.MeanRTSec("a")
-	// One crossing hop (app->db) at the default 40 ms.
+	// One crossing hop (app->db) at crossZoneLatencyMS.
 	if math.Abs(gap-0.040) > 0.010 {
 		t.Errorf("cross-zone RT gap = %vs, want ≈0.040s", gap)
 	}
 
-	// The penalty is configurable and disabled with a negative value.
-	mOff, err := NewModel(cat, []*app.Spec{a}, Options{CrossZoneLatencyMS: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rOff, err := mOff.Evaluate(split, load, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	offGap := rOff.MeanRTSec("a") - rLocal.MeanRTSec("a")
-	if math.Abs(offGap) > 0.010 {
-		t.Errorf("disabled penalty still shows gap %v", offGap)
-	}
 }

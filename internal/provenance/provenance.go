@@ -50,7 +50,9 @@ const (
 	TermDeadline = "self-aware-deadline"
 	// TermMaxExpansions: the expansion cap was hit (best-so-far returned).
 	TermMaxExpansions = "max-expansions"
-	// TermMaxSearchTime: the simulated search-time deadline was hit.
+	// TermMaxSearchTime: the simulated search-time deadline was hit. The
+	// search no longer has that deadline; Validate still accepts records
+	// that name it.
 	TermMaxSearchTime = "max-search-time"
 	// TermExhausted: the open set drained without a finished vertex.
 	TermExhausted = "frontier-exhausted"
@@ -177,12 +179,12 @@ type PredictProv struct {
 	BandWidth float64 `json:"band_width"`
 	// MeasuredSec is the just-completed stability interval; PredictedSec
 	// the raw ARMA prediction for the next one; CWSec the control window
-	// after the MinCW/CrisisCW floors.
+	// after the MinCW floor.
 	MeasuredSec  float64 `json:"measured_interval_sec"`
 	PredictedSec float64 `json:"predicted_interval_sec"`
 	CWSec        float64 `json:"cw_sec"`
-	// Floor names the floor that raised the prediction to CWSec:
-	// "min-cw", "crisis-cw", or empty when the raw prediction was used.
+	// Floor names the floor that raised the prediction to CWSec: "min-cw",
+	// or empty when the raw prediction was used.
 	Floor string `json:"floor,omitempty"`
 	// Beta is the ARMA mixing weight used for the current prediction;
 	// ARMAMeasured / ARMAErrors are the estimator's bounded histories

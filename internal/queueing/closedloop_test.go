@@ -22,7 +22,7 @@ func closedLoopSystem(t *testing.T) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := New(cat, []*app.Spec{a}, cfg, Options{Seed: 21})
+	sys, err := New(cat, []*app.Spec{a}, cfg, 21)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,7 +23,7 @@ func hostOpsSystem(t *testing.T) *System {
 	cfg.Place("a-web-0", "h0", 30)
 	cfg.Place("a-app-0", "h0", 30)
 	cfg.Place("a-db-0", "h1", 30)
-	sys, err := New(cat, []*app.Spec{a}, cfg, Options{Seed: 31})
+	sys, err := New(cat, []*app.Spec{a}, cfg, 31)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,32 +11,13 @@ import (
 	"github.com/mistralcloud/mistral/internal/stats"
 )
 
-// Options tunes the request-level simulator.
-type Options struct {
-	// Seed drives all random streams; equal seeds reproduce runs exactly.
-	Seed uint64
-	// ServiceCV is the coefficient of variation of service demands
-	// (log-normal); default 0.8, roughly what bursty CPU-bound servlet
-	// work exhibits.
-	ServiceCV float64
-	// Dom0Share is the CPU fraction reserved for Dom-0 (default 0.20).
-	Dom0Share float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.ServiceCV <= 0 {
-		o.ServiceCV = 0.8
-	}
-	if o.Dom0Share <= 0 {
-		o.Dom0Share = 0.20
-	}
-	return o
-}
+// serviceCV is the coefficient of variation of service demands (log-normal),
+// roughly what bursty CPU-bound servlet work exhibits.
+const serviceCV = 0.8
 
 // System is a runnable request-level simulation of a configuration.
 type System struct {
 	eng  *sim.Engine
-	opts Options
 	cat  *cluster.Catalog
 	apps []*app.Spec
 
@@ -64,13 +45,12 @@ type collector struct {
 
 // New builds a system for the given configuration. Every active VM gets a
 // PS station at its allocated rate; every powered-on host gets a Dom-0
-// station.
-func New(cat *cluster.Catalog, apps []*app.Spec, cfg cluster.Config, opts Options) (*System, error) {
-	opts = opts.withDefaults()
-	root := sim.NewRNG(opts.Seed, 0x9e3779b97f4a7c15)
+// station. The seed drives all random streams; equal seeds reproduce runs
+// exactly.
+func New(cat *cluster.Catalog, apps []*app.Spec, cfg cluster.Config, seed uint64) (*System, error) {
+	root := sim.NewRNG(seed, 0x9e3779b97f4a7c15)
 	s := &System{
 		eng:        sim.NewEngine(),
-		opts:       opts,
 		cat:        cat,
 		apps:       apps,
 		arrivalRNG: root.Split(),
@@ -95,7 +75,7 @@ func New(cat *cluster.Catalog, apps []*app.Spec, cfg cluster.Config, opts Option
 		if _, ok := cat.Host(h); !ok {
 			return nil, fmt.Errorf("queueing: config references unknown host %q", h)
 		}
-		s.dom0[h] = NewStation(s.eng, opts.Dom0Share)
+		s.dom0[h] = NewStation(s.eng, cluster.Dom0CPUShare)
 		tw := &stats.TimeWeighted{}
 		tw.Set(0, 0)
 		s.dom0BGUse[h] = tw
@@ -311,14 +291,14 @@ func (s *System) visitTier(a *app.Spec, txn app.TxnSpec, i int, start time.Durat
 		return
 	}
 	proceed := func() {
-		demand := s.serviceRNG.LogNormal(txn.DemandMS[tier]/1000, s.opts.ServiceCV)
+		demand := s.serviceRNG.LogNormal(txn.DemandMS[tier]/1000, serviceCV)
 		s.vmStations[id].Submit(demand, func() {
 			s.visitTier(a, txn, i+1, start, done)
 		})
 	}
 	// Dom-0 handles the virtualization overhead of the visit first.
 	if d0 := s.dom0[s.vmHost[id]]; d0 != nil && a.Dom0OverheadMS > 0 {
-		overhead := s.serviceRNG.LogNormal(a.Dom0OverheadMS/1000, s.opts.ServiceCV)
+		overhead := s.serviceRNG.LogNormal(a.Dom0OverheadMS/1000, serviceCV)
 		d0.Submit(overhead, proceed)
 	} else {
 		proceed()
@@ -382,7 +362,7 @@ func (s *System) SetHostFreq(host string, freq float64, allocs map[cluster.VMID]
 		}
 		s.vmStations[id].SetRate(alloc / 100 * freq)
 	}
-	d0.SetRate(s.opts.Dom0Share * freq * (1 - s.dom0BG[host]))
+	d0.SetRate(cluster.Dom0CPUShare * freq * (1 - s.dom0BG[host]))
 	return nil
 }
 
@@ -395,7 +375,7 @@ func (s *System) AddHost(host string) error {
 	if _, ok := s.dom0[host]; ok {
 		return fmt.Errorf("queueing: host %q already active", host)
 	}
-	s.dom0[host] = NewStation(s.eng, s.opts.Dom0Share)
+	s.dom0[host] = NewStation(s.eng, cluster.Dom0CPUShare)
 	tw := &stats.TimeWeighted{}
 	tw.Set(s.eng.Now(), 0)
 	s.dom0BGUse[host] = tw
@@ -456,8 +436,8 @@ func (s *System) SetDom0Background(host string, frac float64) error {
 	}
 	frac = stats.Clamp(frac, 0, 1)
 	s.dom0BG[host] = frac
-	d0.SetRate(s.opts.Dom0Share * (1 - frac))
-	s.dom0BGUse[host].Set(s.eng.Now(), s.opts.Dom0Share*frac)
+	d0.SetRate(cluster.Dom0CPUShare * (1 - frac))
+	s.dom0BGUse[host].Set(s.eng.Now(), cluster.Dom0CPUShare*frac)
 	return nil
 }
 
@@ -497,7 +477,7 @@ func (s *System) ResetWindow() {
 	}
 	for h, st := range s.dom0 {
 		st.ResetUsage()
-		s.dom0BGUse[h].Reset(s.eng.Now(), s.opts.Dom0Share*s.dom0BG[h])
+		s.dom0BGUse[h].Reset(s.eng.Now(), cluster.Dom0CPUShare*s.dom0BG[h])
 	}
 }
 

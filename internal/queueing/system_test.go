@@ -44,7 +44,7 @@ func TestSystemMatchesPSTheory(t *testing.T) {
 	cfg := cluster.NewConfig()
 	cfg.SetHostOn("h0", true)
 	cfg.Place("a-t-0", "h0", 40)
-	sys, err := New(cat, []*app.Spec{a}, cfg, Options{Seed: 3})
+	sys, err := New(cat, []*app.Spec{a}, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSystemDeterministicAcrossRuns(t *testing.T) {
 	mk := func() Window {
 		a := app.RUBiS("a")
 		cat, cfg := testSetup(t, []*app.Spec{a})
-		sys, err := New(cat, []*app.Spec{a}, cfg, Options{Seed: 11})
+		sys, err := New(cat, []*app.Spec{a}, cfg, 11)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -105,7 +105,7 @@ func TestSystemDom0BackgroundDegradesRT(t *testing.T) {
 	a.ScaleDemands(2.0) // moderate load
 	cat, cfg := testSetup(t, []*app.Spec{a})
 	run := func(bg float64) float64 {
-		sys, err := New(cat, []*app.Spec{a}, cfg, Options{Seed: 5})
+		sys, err := New(cat, []*app.Spec{a}, cfg, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestSystemDom0BackgroundCountsAsUtil(t *testing.T) {
 	cfg := cluster.NewConfig()
 	cfg.SetHostOn("h0", true)
 	cfg.Place("a-t-0", "h0", 40)
-	sys, err := New(cat, []*app.Spec{a}, cfg, Options{Seed: 5})
+	sys, err := New(cat, []*app.Spec{a}, cfg, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestSystemPauseVM(t *testing.T) {
 	cfg := cluster.NewConfig()
 	cfg.SetHostOn("h0", true)
 	cfg.Place("a-t-0", "h0", 40)
-	sys, err := New(cat, []*app.Spec{a}, cfg, Options{Seed: 9})
+	sys, err := New(cat, []*app.Spec{a}, cfg, 9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestSystemPauseVM(t *testing.T) {
 func TestSystemSetVMRateAndMove(t *testing.T) {
 	a := app.RUBiS("a")
 	cat, cfg := testSetup(t, []*app.Spec{a})
-	sys, err := New(cat, []*app.Spec{a}, cfg, Options{Seed: 1})
+	sys, err := New(cat, []*app.Spec{a}, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestSystemReplicaWeighting(t *testing.T) {
 	cfg.SetHostOn("h1", true)
 	cfg.Place("a-t-0", "h0", 60)
 	cfg.Place("a-t-1", "h1", 20)
-	sys, err := New(cat, []*app.Spec{a}, cfg, Options{Seed: 13})
+	sys, err := New(cat, []*app.Spec{a}, cfg, 13)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,21 +272,21 @@ func TestSystemValidation(t *testing.T) {
 	a := app.RUBiS("a")
 	cat, cfg := testSetup(t, []*app.Spec{a})
 
-	if _, err := New(cat, []*app.Spec{a}, cfg, Options{}); err != nil {
+	if _, err := New(cat, []*app.Spec{a}, cfg, 0); err != nil {
 		t.Errorf("valid system rejected: %v", err)
 	}
 	bad := app.RUBiS("bad")
 	bad.Txns = nil
-	if _, err := New(cat, []*app.Spec{bad}, cfg, Options{}); err == nil {
+	if _, err := New(cat, []*app.Spec{bad}, cfg, 0); err == nil {
 		t.Error("invalid app accepted")
 	}
 	// VM on an inactive host.
 	broken := cfg.Clone()
 	broken.SetHostOn("h1", false)
-	if _, err := New(cat, []*app.Spec{a}, broken, Options{}); err == nil {
+	if _, err := New(cat, []*app.Spec{a}, broken, 0); err == nil {
 		t.Error("VM on off host accepted")
 	}
-	sys, err := New(cat, []*app.Spec{a}, cfg, Options{})
+	sys, err := New(cat, []*app.Spec{a}, cfg, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestSystemValidation(t *testing.T) {
 func TestSystemZeroRateStopsArrivals(t *testing.T) {
 	a := app.RUBiS("a")
 	cat, cfg := testSetup(t, []*app.Spec{a})
-	sys, err := New(cat, []*app.Spec{a}, cfg, Options{Seed: 17})
+	sys, err := New(cat, []*app.Spec{a}, cfg, 17)
 	if err != nil {
 		t.Fatal(err)
 	}

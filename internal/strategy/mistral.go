@@ -28,11 +28,6 @@ type MistralConfig struct {
 	// L2Band is the 2nd-level controller's workload band width in req/s
 	// (default 8, the paper's setting). 1st-level bands are always 0.
 	L2Band float64
-	// L3Band is the 3rd-level (cross-data-center) controller's band width
-	// (default 20 req/s). The 3rd level exists only when the catalog spans
-	// more than one zone; it alone wields WAN migration (§VI extension)
-	// and plans over much longer control windows.
-	L3Band float64
 	// Search configures the A* search; its SelfAware flag is overridden by
 	// Naive below.
 	Search core.SearchOptions
@@ -41,9 +36,6 @@ type MistralConfig struct {
 	Naive bool
 	// MonitoringInterval is M (default 2 minutes).
 	MonitoringInterval time.Duration
-	// CrisisCW overrides the 2nd-level controller's crisis control-window
-	// floor (default 12×M; see core.ControllerOptions.CrisisCW).
-	CrisisCW time.Duration
 	// Deprecated: Workers is ignored; it remains only because bench/ sets it.
 	Workers int
 	// Obs overrides the process-default observer (obs.SetDefault) for
@@ -86,6 +78,12 @@ type Mistral struct {
 	stats   [3]LevelStats // [0] = level 1 aggregate, [1] = level 2, [2] = level 3
 }
 
+// l3Band is the 3rd-level (cross-data-center) controller's band width in
+// req/s. The 3rd level exists only when the catalog spans more than one
+// zone; it alone wields WAN migration (§VI extension) and plans over much
+// longer control windows.
+const l3Band = 20
+
 // NewMistral builds the hierarchy over a shared evaluator.
 func NewMistral(eval *core.Evaluator, cfg MistralConfig) (*Mistral, error) {
 	if cfg.L2Band <= 0 {
@@ -125,7 +123,6 @@ func NewMistral(eval *core.Evaluator, cfg MistralConfig) (*Mistral, error) {
 		PinAppsToZones:     multiZone, // WAN moves belong to the 3rd level
 		Search:             search,
 		MonitoringInterval: cfg.MonitoringInterval,
-		CrisisCW:           cfg.CrisisCW,
 		Obs:                cfg.Obs,
 		Provenance:         cfg.Provenance,
 	})
@@ -134,12 +131,9 @@ func NewMistral(eval *core.Evaluator, cfg MistralConfig) (*Mistral, error) {
 	}
 	m := &Mistral{name: name, eval: eval, l2: l2}
 	if multiZone {
-		if cfg.L3Band <= 0 {
-			cfg.L3Band = 20
-		}
 		l3, err := core.NewController(eval, core.ControllerOptions{
 			Name:               name + "/L3",
-			BandWidth:          cfg.L3Band,
+			BandWidth:          l3Band,
 			Scope:              core.ScopeFull,
 			Search:             search,
 			MonitoringInterval: cfg.MonitoringInterval,

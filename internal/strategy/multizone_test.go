@@ -37,7 +37,7 @@ func zonedLab(t *testing.T) *lab {
 	if _, err := lqn.CalibrateDemands(cat, apps, cfg, map[string]float64{"rubis1": 50, "rubis2": 50}, "rubis1"); err != nil {
 		t.Fatal(err)
 	}
-	model, err := lqn.NewModel(cat, apps, lqn.Options{})
+	model, err := lqn.NewModel(cat, apps)
 	if err != nil {
 		t.Fatal(err)
 	}

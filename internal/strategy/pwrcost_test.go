@@ -130,17 +130,3 @@ func TestControllerAppHostPoolsConstrainPlans(t *testing.T) {
 		cfg = next
 	}
 }
-
-func TestMistralCrisisCWOverride(t *testing.T) {
-	l := newLab(t)
-	m, err := NewMistral(l.eval, MistralConfig{
-		CrisisCW: 30 * time.Minute,
-		Search:   core.SearchOptions{MaxExpansions: 100, TimePerChild: time.Millisecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.l2.Options().CrisisCW; got != 30*time.Minute {
-		t.Errorf("L2 crisis CW = %v, want 30m", got)
-	}
-}

@@ -105,35 +105,12 @@ type Options struct {
 	// WattsNoise is the relative stddev of per-window power measurement
 	// noise in analytic mode (default 0.015; negative for 0).
 	WattsNoise float64
-	// MigrationDom0Load is the fraction of the Dom-0 share consumed on the
-	// source and destination hosts while a live migration copies pages in
-	// request-level mode (default 0.6).
-	MigrationDom0Load float64
-	// MigrationVMSlowdown is the fraction of the migrating VM's CPU lost to
-	// shadow page-table maintenance and page dirtying while the migration
-	// runs in request-level mode (default 0.15).
-	MigrationVMSlowdown float64
-	// MigrationDowntime is the stop-and-copy pause at the end of a live
-	// migration in request-level mode (default 300 ms).
-	MigrationDowntime time.Duration
-	// MigrationNetWatts is the per-involved-host power draw of the NIC,
-	// chipset, and memory subsystem while migration traffic flows — power
-	// that CPU utilization alone does not capture (default 8 W).
-	MigrationNetWatts float64
-	// LQN configures the analytic model.
-	LQN lqn.Options
 	// ClosedLoop drives request-level traffic with the paper's client
 	// emulator model — a fixed population of sessions (8 per req/s of
 	// offered rate) with exponential think times — instead of an open
 	// Poisson stream. Closed loops bound queue growth under transient
 	// overload exactly as real user populations do.
 	ClosedLoop bool
-	// ClosedLoopThink is the mean think time of emulated sessions
-	// (default 7.6 s, which makes 8 sessions offer ≈1 req/s at the 400 ms
-	// operating point).
-	ClosedLoopThink time.Duration
-	// Queue configures the request-level simulator.
-	Queue queueing.Options
 	// Fault optionally injects action failures, transient delays, and sensor
 	// faults (package fault). Nil — the default — executes every plan
 	// infallibly, byte-identical to a testbed built without the fault plane.
@@ -164,23 +141,29 @@ func (o Options) withDefaults() Options {
 	case o.WattsNoise < 0:
 		o.WattsNoise = 0
 	}
-	if o.MigrationDom0Load <= 0 {
-		o.MigrationDom0Load = 0.6
-	}
-	if o.MigrationVMSlowdown <= 0 {
-		o.MigrationVMSlowdown = 0.15
-	}
-	if o.MigrationDowntime <= 0 {
-		o.MigrationDowntime = 300 * time.Millisecond
-	}
-	if o.MigrationNetWatts <= 0 {
-		o.MigrationNetWatts = 8
-	}
-	if o.ClosedLoopThink <= 0 {
-		o.ClosedLoopThink = 7600 * time.Millisecond
-	}
 	return o
 }
+
+const (
+	// migrationDom0Load is the fraction of the Dom-0 share consumed on the
+	// source and destination hosts while a live migration copies pages in
+	// request-level mode.
+	migrationDom0Load = 0.6
+	// migrationVMSlowdown is the fraction of the migrating VM's CPU lost to
+	// shadow page-table maintenance and page dirtying while the migration
+	// runs in request-level mode.
+	migrationVMSlowdown = 0.15
+	// migrationDowntime is the stop-and-copy pause at the end of a live
+	// migration in request-level mode.
+	migrationDowntime = 300 * time.Millisecond
+	// migrationNetWatts is the per-involved-host power draw of the NIC,
+	// chipset, and memory subsystem while migration traffic flows — power
+	// that CPU utilization alone does not capture.
+	migrationNetWatts = 8
+	// closedLoopThink is the mean think time of emulated sessions, which
+	// makes 8 sessions offer ≈1 req/s at the 400 ms operating point.
+	closedLoopThink = 7600 * time.Millisecond
+)
 
 // phase is one scheduled action execution on the timeline.
 type phase struct {
@@ -235,7 +218,7 @@ func New(cat *cluster.Catalog, apps []*app.Spec, initial cluster.Config, rates m
 	if vs := initial.Validate(cat); len(vs) > 0 {
 		return nil, fmt.Errorf("testbed: initial config invalid: %v", vs[0])
 	}
-	model, err := lqn.NewModel(cat, apps, opts.LQN)
+	model, err := lqn.NewModel(cat, apps)
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
@@ -269,11 +252,7 @@ func New(cat *cluster.Catalog, apps []*app.Spec, initial cluster.Config, rates m
 		tb.cByKind = make(map[cluster.ActionKind]*obs.Counter)
 	}
 	if opts.Mode == ModeRequestLevel {
-		q := opts.Queue
-		if q.Seed == 0 {
-			q.Seed = opts.Seed + 1
-		}
-		tb.qsys, err = queueing.New(cat, apps, initial, q)
+		tb.qsys, err = queueing.New(cat, apps, initial, opts.Seed+1)
 		if err != nil {
 			return nil, fmt.Errorf("testbed: %w", err)
 		}
@@ -291,7 +270,7 @@ func New(cat *cluster.Catalog, apps []*app.Spec, initial cluster.Config, rates m
 func (tb *Testbed) applyRate(name string, r float64) error {
 	if tb.opts.ClosedLoop {
 		sessions := int(r*8 + 0.5)
-		return tb.qsys.SetSessions(name, sessions, tb.opts.ClosedLoopThink)
+		return tb.qsys.SetSessions(name, sessions, closedLoopThink)
 	}
 	return tb.qsys.SetRate(name, r)
 }
@@ -632,18 +611,18 @@ func (tb *Testbed) injectPhases(phases []phase) {
 				}
 			})
 		case cluster.ActionMigrate:
-			load := tb.opts.MigrationDom0Load
+			load := migrationDom0Load
 			cpuPct := ph.action.CPUPct
 			eng.ScheduleAt(ph.start, func() {
 				_ = tb.qsys.SetDom0Background(ph.action.FromHost, load)
 				_ = tb.qsys.SetDom0Background(ph.action.Host, load)
 				// The migrating VM loses part of its CPU to shadow paging.
-				_ = tb.qsys.SetVMRate(ph.action.VM, cpuPct*(1-tb.opts.MigrationVMSlowdown))
+				_ = tb.qsys.SetVMRate(ph.action.VM, cpuPct*(1-migrationVMSlowdown))
 			})
 			// Stop-and-copy: the VM is frozen for the final downtime, then
 			// resumes at full allocation on the destination (the explicit
 			// rate-set at ph.end below, which runs after this freeze).
-			eng.ScheduleAt(ph.end-tb.opts.MigrationDowntime, func() {
+			eng.ScheduleAt(ph.end-migrationDowntime, func() {
 				_ = tb.qsys.SetVMRate(ph.action.VM, 0)
 			})
 			eng.ScheduleAt(ph.end, func() {
@@ -653,7 +632,7 @@ func (tb *Testbed) injectPhases(phases []phase) {
 				_ = tb.qsys.SetVMRate(ph.action.VM, cpuPct)
 			})
 		case cluster.ActionAddReplica:
-			load := tb.opts.MigrationDom0Load * 0.8
+			load := migrationDom0Load * 0.8
 			eng.ScheduleAt(ph.start, func() {
 				_ = tb.qsys.SetDom0Background(ph.action.Host, load)
 			})
@@ -666,13 +645,13 @@ func (tb *Testbed) injectPhases(phases []phase) {
 		case cluster.ActionWANMigrate:
 			// Sustained but lighter background copy over the WAN link, a
 			// longer stop-and-copy pause, and the same endpoint slowdown.
-			load := tb.opts.MigrationDom0Load * 0.5
+			load := migrationDom0Load * 0.5
 			cpuPct := ph.action.CPUPct
-			downtime := 4 * tb.opts.MigrationDowntime
+			downtime := 4 * migrationDowntime
 			eng.ScheduleAt(ph.start, func() {
 				_ = tb.qsys.SetDom0Background(ph.action.FromHost, load)
 				_ = tb.qsys.SetDom0Background(ph.action.Host, load)
-				_ = tb.qsys.SetVMRate(ph.action.VM, cpuPct*(1-tb.opts.MigrationVMSlowdown))
+				_ = tb.qsys.SetVMRate(ph.action.VM, cpuPct*(1-migrationVMSlowdown))
 			})
 			eng.ScheduleAt(ph.end-downtime, func() {
 				_ = tb.qsys.SetVMRate(ph.action.VM, 0)
@@ -694,7 +673,7 @@ func (tb *Testbed) injectPhases(phases []phase) {
 				_ = tb.qsys.SetHostFreq(ph.action.Host, ph.action.Freq, allocs)
 			})
 		case cluster.ActionRemoveReplica:
-			load := tb.opts.MigrationDom0Load * 0.6
+			load := migrationDom0Load * 0.6
 			eng.ScheduleAt(ph.start, func() {
 				_ = tb.qsys.SetDom0Background(ph.action.FromHost, load)
 				_ = tb.qsys.RemoveVM(ph.action.VM)
@@ -714,7 +693,7 @@ func (tb *Testbed) injectFailedPhase(ph phase) {
 	eng := tb.qsys.Engine()
 	switch ph.action.Kind {
 	case cluster.ActionMigrate, cluster.ActionWANMigrate:
-		load := tb.opts.MigrationDom0Load
+		load := migrationDom0Load
 		if ph.action.Kind == cluster.ActionWANMigrate {
 			load *= 0.5
 		}
@@ -722,7 +701,7 @@ func (tb *Testbed) injectFailedPhase(ph phase) {
 		eng.ScheduleAt(ph.start, func() {
 			_ = tb.qsys.SetDom0Background(ph.action.FromHost, load)
 			_ = tb.qsys.SetDom0Background(ph.action.Host, load)
-			_ = tb.qsys.SetVMRate(ph.action.VM, cpuPct*(1-tb.opts.MigrationVMSlowdown))
+			_ = tb.qsys.SetVMRate(ph.action.VM, cpuPct*(1-migrationVMSlowdown))
 		})
 		eng.ScheduleAt(ph.end, func() {
 			_ = tb.qsys.SetDom0Background(ph.action.FromHost, 0)
@@ -731,7 +710,7 @@ func (tb *Testbed) injectFailedPhase(ph phase) {
 			_ = tb.qsys.SetVMRate(ph.action.VM, cpuPct)
 		})
 	case cluster.ActionAddReplica:
-		load := tb.opts.MigrationDom0Load * 0.8
+		load := migrationDom0Load * 0.8
 		eng.ScheduleAt(ph.start, func() {
 			_ = tb.qsys.SetDom0Background(ph.action.Host, load)
 		})
@@ -739,7 +718,7 @@ func (tb *Testbed) injectFailedPhase(ph phase) {
 			_ = tb.qsys.SetDom0Background(ph.action.Host, 0)
 		})
 	case cluster.ActionRemoveReplica:
-		load := tb.opts.MigrationDom0Load * 0.6
+		load := migrationDom0Load * 0.6
 		eng.ScheduleAt(ph.start, func() {
 			_ = tb.qsys.SetDom0Background(ph.action.FromHost, load)
 		})
@@ -1141,7 +1120,7 @@ func (tb *Testbed) windowNetWatts(from, to time.Duration) float64 {
 			hi = to
 		}
 		if hi > lo {
-			watts += tb.opts.MigrationNetWatts * hosts * (hi - lo).Seconds() / window
+			watts += migrationNetWatts * hosts * (hi - lo).Seconds() / window
 		}
 	}
 	return watts

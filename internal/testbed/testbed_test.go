@@ -78,7 +78,7 @@ func TestSteadyWindowMatchesModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := lqn.NewModel(cat, apps, lqn.Options{})
+	model, err := lqn.NewModel(cat, apps)
 	if err != nil {
 		t.Fatal(err)
 	}
