@@ -5,7 +5,7 @@
 // Usage:
 //
 //	mistral-exp [-run all|fig1|...|table1|faultsweep|ablations|chaossweep]
-//	            [-seed N] [-fault-seed N] [-csv] [-outdir DIR] [-quick]
+//	            [-seed N] [-csv] [-outdir DIR] [-quick]
 //	            [-provenance FILE] [-trace FILE] [-metrics FILE]
 //	            [-log-level LEVEL] [-pprof ADDR]
 package main
@@ -59,22 +59,19 @@ func (e *emitter) emit(name string, tables []experiments.Table) error {
 }
 
 func run() (err error) {
+	var cli obs.CLI
+	cli.RegisterFlags(flag.CommandLine)
 	var (
-		which       = flag.String("run", "all", "which experiment: all, fig1, fig3, fig4, fig5, fig6, fig7, fig7m, fig89, fig10, table1, faultsweep, ablations, chaossweep (chaossweep is not part of all)")
-		seed        = flag.Uint64("seed", 42, "random seed")
-		faultSeed   = flag.Uint64("fault-seed", 0, "fault schedule seed for faultsweep/chaossweep (0 = use -seed)")
-		asCSV       = flag.Bool("csv", false, "emit CSV instead of ASCII tables")
-		outdir      = flag.String("outdir", "", "write outputs to this directory instead of stdout")
-		quick       = flag.Bool("quick", false, "cheaper variants of the slow experiments (shorter replays, fewer trials)")
-		provPath    = flag.String("provenance", "", "write table1's decision-provenance records as JSONL to FILE (inspect with mistral-explain)")
-		tracePath   = flag.String("trace", "", "write span trace to FILE (.json = Chrome trace_event for Perfetto, else JSONL)")
-		metricsPath = flag.String("metrics", "", `write metrics registry dump to FILE at exit ("-" = stderr)`)
-		logLevel    = flag.String("log-level", "", "structured logging to stderr: debug, info, warn, error")
-		pprofAddr   = flag.String("pprof", "", "serve net/http/pprof and expvar (/debug/vars) on ADDR, e.g. localhost:6060")
+		which    = flag.String("run", "all", "which experiment: all, fig1, fig3, fig4, fig5, fig6, fig7, fig7m, fig89, fig10, table1, faultsweep, ablations, chaossweep (chaossweep is not part of all)")
+		seed     = flag.Uint64("seed", 42, "random seed (the faultsweep and chaossweep fault schedules too)")
+		asCSV    = flag.Bool("csv", false, "emit CSV instead of ASCII tables")
+		outdir   = flag.String("outdir", "", "write outputs to this directory instead of stdout")
+		quick    = flag.Bool("quick", false, "cheaper variants of the slow experiments (shorter replays, fewer trials)")
+		provPath = flag.String("provenance", "", "write table1's decision-provenance records as JSONL to FILE (inspect with mistral-explain)")
 	)
 	flag.Parse()
 
-	ob, closeObs, err := obs.CLI{TracePath: *tracePath, MetricsPath: *metricsPath, LogLevel: *logLevel, PprofAddr: *pprofAddr}.Build()
+	ob, closeObs, err := cli.Build()
 	if err != nil {
 		return err
 	}
@@ -195,10 +192,7 @@ func run() (err error) {
 		}
 	}
 	if want("faultsweep") {
-		opts := experiments.FaultSweepOptions{Seed: *faultSeed}
-		if *faultSeed == 0 {
-			opts.Seed = *seed
-		}
+		opts := experiments.FaultSweepOptions{Seed: *seed}
 		if *quick {
 			opts.Rates = []float64{0, 0.15, 0.30}
 			opts.Duration = time.Hour
@@ -214,10 +208,7 @@ func run() (err error) {
 	// Like bench, chaossweep is opt-in: four full replays under maximum
 	// chaos are too slow to ride along with every "all" run.
 	if strings.EqualFold(*which, "chaossweep") {
-		opts := experiments.ChaosSweepOptions{Seed: *faultSeed}
-		if *faultSeed == 0 {
-			opts.Seed = *seed
-		}
+		opts := experiments.ChaosSweepOptions{Seed: *seed}
 		if *quick {
 			opts.Rates = []float64{0.30}
 			opts.Duration = time.Hour

@@ -49,16 +49,12 @@ import (
 	"sync"
 	"syscall"
 
-	"github.com/mistralcloud/mistral"
 	"github.com/mistralcloud/mistral/internal/checkpoint"
 	"github.com/mistralcloud/mistral/internal/experiments"
-	"github.com/mistralcloud/mistral/internal/fault"
-	"github.com/mistralcloud/mistral/internal/guard"
 	"github.com/mistralcloud/mistral/internal/obs"
 	"github.com/mistralcloud/mistral/internal/provenance"
 	"github.com/mistralcloud/mistral/internal/scenario"
 	"github.com/mistralcloud/mistral/internal/strategy"
-	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
 func main() {
@@ -69,46 +65,19 @@ func main() {
 }
 
 func run() (err error) {
+	var rc experiments.Recipe
+	rc.RegisterFlags(flag.CommandLine)
 	var (
-		addr         = flag.String("addr", "localhost:7070", "HTTP listen address for the control API, /metrics, /ops, and /debug/pprof")
-		strategyName = flag.String("strategy", "mistral", "control strategy: mistral, naive, perf-pwr, perf-cost, pwr-cost")
-		numApps      = flag.Int("apps", 2, "number of RUBiS applications admitted at start (1-4)")
-		numHosts     = flag.Int("hosts", 0, "number of application hosts (0 = 2 per app)")
-		seed         = flag.Uint64("seed", 42, "random seed")
-		zones        = flag.Int("zones", 1, "number of data centers (>1 enables the WAN extension; mistral/naive only)")
-		dvfs         = flag.Bool("dvfs", false, "equip hosts with 60/80% DVFS levels")
-		faultRate    = flag.Float64("fault-rate", 0, "action-failure probability in [0,1]; >0 enables the fault plane")
-		faultSeed    = flag.Uint64("fault-seed", 0, "fault schedule seed (0 = use -seed)")
-		logLevel     = flag.String("log-level", "", "structured logging to stderr: debug, info, warn, error")
-		resumePath   = flag.String("resume", "", "restore the engine from a checkpoint FILE at startup; the checkpoint's recorded environment overrides the corresponding flags")
-		execPolicy   = flag.String("exec-policy", "fail-forward", "plan execution policy: fail-forward or rollback (compensate applied steps on non-retryable failure)")
-		guardOn      = flag.Bool("guard", false, "enable the admission guard and adaptation circuit breaker")
-		autoCkPath   = flag.String("auto-checkpoint", "", "on SIGTERM/SIGINT, drain the in-flight window and write a final checkpoint to FILE before exiting")
+		addr       = flag.String("addr", "localhost:7070", "HTTP listen address for the control API, /metrics, /ops, and /debug/pprof")
+		numHosts   = flag.Int("hosts", 0, "number of application hosts (0 = 2 per app)")
+		logLevel   = flag.String("log-level", "", "structured logging to stderr: debug, info, warn, error")
+		resumePath = flag.String("resume", "", "restore the engine from a checkpoint FILE at startup; the checkpoint's recorded environment overrides the corresponding flags")
+		autoCkPath = flag.String("auto-checkpoint", "", "on SIGTERM/SIGINT, drain the in-flight window and write a final checkpoint to FILE before exiting")
 	)
 	flag.Int("workers", 0, "ignored; accepted only because bench/ passes it")
 	flag.Parse()
-	if *faultRate < 0 || *faultRate > 1 {
-		return fmt.Errorf("-fault-rate %v out of [0,1]", *faultRate)
-	}
-	if *faultSeed == 0 {
-		*faultSeed = *seed
-	}
-	exec, err := testbed.ParseExecPolicy(*execPolicy)
-	if err != nil {
-		return err
-	}
-
-	s := &server{recipe: recipe{
-		strategyName: strings.ToLower(*strategyName),
-		faultRate:    *faultRate,
-		faultSeed:    *faultSeed,
-		execPolicy:   exec,
-		guardOn:      *guardOn,
-		labOpts:      experiments.LabOptions{NumApps: *numApps, NumHosts: *numHosts, Seed: *seed, Zones: *zones},
-	}}
-	if *dvfs {
-		s.labOpts.DVFSLevels = []float64{0.6, 0.8}
-	}
+	rc.Lab.NumHosts = *numHosts
+	s := &server{}
 
 	// The control API mounts next to /metrics//ops on one listener; the
 	// handlers hold the server pointer, so they serve correctly once the
@@ -138,14 +107,14 @@ func run() (err error) {
 		if err := s.restoreFrom(ck); err != nil {
 			return err
 		}
-	} else if err := s.rebuild(); err != nil {
+	} else if err := s.rebuild(rc); err != nil {
 		return err
 	}
 
 	s.mu.Lock()
 	fmt.Fprintf(os.Stderr, "mistral-serve: %s strategy, %d apps on %d hosts, interval %s, window %d — control API on http://%s/v1/\n",
-		s.engine.Result().Strategy, s.lab.Opts.NumApps, s.lab.Opts.NumHosts,
-		s.engine.Interval(), s.engine.WindowIndex(), ob.HTTPAddr)
+		s.Engine.Result().Strategy, s.Lab.Opts.NumApps, s.Lab.Opts.NumHosts,
+		s.Engine.Interval(), s.Engine.WindowIndex(), ob.HTTPAddr)
 	s.mu.Unlock()
 
 	// Serve until interrupted; the obs closer shuts the listener down.
@@ -164,13 +133,13 @@ func run() (err error) {
 			s.mu.Unlock()
 			return fmt.Errorf("auto-checkpoint: %w", err)
 		}
-		fmt.Fprintf(os.Stderr, "mistral-serve: checkpoint written to %s (window %d)\n", *autoCkPath, s.engine.WindowIndex())
+		fmt.Fprintf(os.Stderr, "mistral-serve: checkpoint written to %s (window %d)\n", *autoCkPath, s.Engine.WindowIndex())
 	}
 	fmt.Fprintln(os.Stderr, "mistral-serve: shutting down")
 	return nil
 }
 
-// server is the daemon: one environment plus the declarative recipe it was
+// server is the daemon: one environment, which carries the recipe it was
 // built from, all guarded by a single mutex (control decisions are
 // inherently serial — each window's decision depends on the last).
 type server struct {
@@ -178,33 +147,17 @@ type server struct {
 
 	ob *obs.Observer
 
-	recipe
 	env
 	windows []windowResp
 }
 
-// recipe is the declarative description of an environment: what a
-// checkpoint records and a fleet change edits.
-type recipe struct {
-	strategyName string
-	faultRate    float64
-	faultSeed    uint64
-	execPolicy   testbed.ExecPolicy
-	guardOn      bool
-	labOpts      experiments.LabOptions
-}
-
-// env is one environment built from a recipe. Fleet changes and restores
-// build a new one beside the live one and swap it in only once it stands,
-// so a rejected request leaves the daemon as it was.
+// env is one environment built from a recipe, plus the in-memory sink its
+// provenance recorder writes to. Fleet changes and restores build a new one
+// beside the live one and swap it in only once it stands, so a rejected
+// request leaves the daemon as it was.
 type env struct {
-	lab     *experiments.Lab
-	inj     *fault.Injector
-	guard   *guard.Guard
-	decider mistral.Decider
-	engine  *scenario.Engine
+	*experiments.Replay
 	provBuf *lockedBuffer
-	rec     *provenance.Recorder
 }
 
 // lockedBuffer is the in-memory provenance sink: the recorder appends
@@ -229,44 +182,13 @@ func (b *lockedBuffer) Bytes() []byte {
 	return out
 }
 
-// build constructs a fresh lab, testbed, strategy, and engine from a
-// recipe without touching the live environment.
-func (s *server) build(r recipe) (env, error) {
-	lab, err := experiments.NewLab(r.labOpts)
-	if err != nil {
-		return env{}, err
-	}
-	inj := fault.New(fault.Profile(r.faultRate, r.faultSeed))
-	tb, err := lab.NewTestbedExec(inj, r.execPolicy)
-	if err != nil {
-		return env{}, err
-	}
-	var g *guard.Guard
-	if r.guardOn {
-		g = guard.New(guard.Config{Obs: s.ob}, lab.Cat)
-	}
-	eval, err := lab.NewEvaluator()
-	if err != nil {
-		return env{}, err
-	}
+// build constructs a fresh environment from a recipe without touching the
+// live one.
+func (s *server) build(rc experiments.Recipe) (env, error) {
 	provBuf := &lockedBuffer{}
-	rec := provenance.NewRecorder(provBuf)
-	decider, err := strategy.New(r.strategyName, eval, lab.Util, strategy.MistralConfig{
-		HostGroups:         lab.HostGroups(),
-		MonitoringInterval: lab.Util.MonitoringInterval,
-		Provenance:         true,
-	})
-	if err != nil {
-		return env{}, err
-	}
-	engine, err := scenario.NewEngine(tb, decider, scenario.RunConfig{
-		Traces:     lab.Traces,
-		Interval:   lab.Util.MonitoringInterval,
-		Utility:    lab.Util,
+	rp, err := rc.Build(strategy.MistralConfig{}, scenario.RunConfig{
 		Obs:        s.ob,
-		Fault:      inj,
-		Guard:      g,
-		Provenance: rec,
+		Provenance: provenance.NewRecorder(provBuf),
 		// The daemon's flight recorder always carries per-step outcomes:
 		// a skipped or rolled-back step's cause is an operator question,
 		// and the daemon has no byte-compat goldens to preserve.
@@ -275,50 +197,37 @@ func (s *server) build(r recipe) (env, error) {
 	if err != nil {
 		return env{}, err
 	}
-	return env{lab: lab, inj: inj, guard: g, decider: decider, engine: engine, provBuf: provBuf, rec: rec}, nil
+	return env{Replay: rp, provBuf: provBuf}, nil
 }
 
-// install makes a built environment the live one, dropping all prior
-// control state. Callers hold s.mu or are single-threaded startup.
-func (s *server) install(r recipe, e env) {
-	s.recipe, s.env, s.windows = r, e, nil
-}
-
-// rebuild replaces the live environment with a fresh one from the current
-// recipe.
-func (s *server) rebuild() error {
-	e, err := s.build(s.recipe)
+// rebuild replaces the live environment with a fresh one built from rc,
+// dropping all prior control state. Callers hold s.mu or are
+// single-threaded startup.
+func (s *server) rebuild(rc experiments.Recipe) error {
+	e, err := s.build(rc)
 	if err != nil {
 		return err
 	}
-	s.install(s.recipe, e)
+	s.env, s.windows = e, nil
 	return nil
 }
 
 // restoreFrom builds the environment a checkpoint records, restores the
-// engine state into it, and only then adopts both: a checkpoint that fails
-// to restore leaves the live recipe and engine in place.
+// engine state into it, and only then adopts it: a checkpoint that fails
+// to restore leaves the live environment in place.
 func (s *server) restoreFrom(ck *checkpoint.File) error {
-	exec, err := testbed.ParseExecPolicy(ck.ExecPolicy)
-	if err != nil {
-		return fmt.Errorf("checkpoint: %w", err)
-	}
-	r := recipe{
-		strategyName: ck.Strategy,
-		faultRate:    ck.FaultRate,
-		faultSeed:    ck.FaultSeed,
-		execPolicy:   exec,
-		guardOn:      ck.Guard,
-		labOpts:      ck.Lab,
-	}
-	e, err := s.build(r)
+	rc, err := ck.Recipe()
 	if err != nil {
 		return err
 	}
-	if err := e.engine.Restore(ck.Scenario); err != nil {
+	e, err := s.build(rc)
+	if err != nil {
 		return err
 	}
-	s.install(r, e)
+	if err := e.Engine.Restore(ck.Scenario); err != nil {
+		return err
+	}
+	s.env, s.windows = e, nil
 	return nil
 }
 
@@ -465,7 +374,7 @@ func (s *server) handler(method string, fn func(r *http.Request) (any, error)) h
 		}
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if s.engine == nil {
+		if s.Replay == nil {
 			writeErr(http.StatusServiceUnavailable, "engine not ready")
 			return
 		}
@@ -484,19 +393,19 @@ func (s *server) handler(method string, fn func(r *http.Request) (any, error)) h
 
 func (s *server) stateLocked() stateResp {
 	st := stateResp{
-		Strategy:    s.engine.Result().Strategy,
-		Apps:        append([]string(nil), s.lab.AppNames...),
-		Hosts:       s.lab.Opts.NumHosts,
-		Window:      s.engine.WindowIndex(),
-		NowSec:      s.engine.Now().Seconds(),
-		IntervalSec: s.engine.Interval().Seconds(),
-		CumUtility:  s.engine.Result().CumUtility,
-		FaultRate:   s.faultRate,
-		ExecPolicy:  s.execPolicy.String(),
+		Strategy:    s.Engine.Result().Strategy,
+		Apps:        append([]string(nil), s.Lab.AppNames...),
+		Hosts:       s.Lab.Opts.NumHosts,
+		Window:      s.Engine.WindowIndex(),
+		NowSec:      s.Engine.Now().Seconds(),
+		IntervalSec: s.Engine.Interval().Seconds(),
+		CumUtility:  s.Engine.Result().CumUtility,
+		FaultRate:   s.Recipe.FaultRate,
+		ExecPolicy:  s.Recipe.ExecPolicy.String(),
 	}
-	if s.guardOn {
+	if s.Recipe.Guard {
 		st.Guard = true
-		st.Breaker = s.guard.Breaker().String()
+		st.Breaker = s.Guard.Breaker().String()
 	}
 	return st
 }
@@ -523,9 +432,9 @@ func (s *server) handleWindow(r *http.Request) (any, error) {
 	// An optional sequence number makes the step idempotent against retries:
 	// a client that resends after a lost response (or races another client)
 	// gets a conflict instead of silently double-advancing the replay.
-	if req.Window != nil && *req.Window != s.engine.WindowIndex() {
+	if req.Window != nil && *req.Window != s.Engine.WindowIndex() {
 		return nil, &apiError{status: http.StatusConflict,
-			msg: fmt.Sprintf("window %d out of sequence (next window is %d)", *req.Window, s.engine.WindowIndex())}
+			msg: fmt.Sprintf("window %d out of sequence (next window is %d)", *req.Window, s.Engine.WindowIndex())}
 	}
 	n := req.Windows
 	if n <= 0 {
@@ -536,9 +445,9 @@ func (s *server) handleWindow(r *http.Request) (any, error) {
 		var sr scenario.StepResult
 		var err error
 		if req.Rates != nil {
-			sr, err = s.engine.StepRates(req.Rates)
+			sr, err = s.Engine.StepRates(req.Rates)
 		} else {
-			sr, err = s.engine.Step()
+			sr, err = s.Engine.Step()
 		}
 		if err != nil {
 			return nil, badRequest("window %d: %v", sr.Index, err)
@@ -604,7 +513,7 @@ func (s *server) handleFleet(r *http.Request) (any, error) {
 		return nil, err
 	}
 	if req.Apps == 0 {
-		req.Apps = s.lab.Opts.NumApps
+		req.Apps = s.Lab.Opts.NumApps
 	}
 	return s.resize(req.Apps, req.Hosts)
 }
@@ -612,8 +521,8 @@ func (s *server) handleFleet(r *http.Request) (any, error) {
 // deltaHandler returns an endpoint that admits or removes one app or host.
 func (s *server) deltaHandler(dApps, dHosts int) func(r *http.Request) (any, error) {
 	return func(r *http.Request) (any, error) {
-		apps := s.lab.Opts.NumApps + dApps
-		hosts := s.lab.Opts.NumHosts
+		apps := s.Lab.Opts.NumApps + dApps
+		hosts := s.Lab.Opts.NumHosts
 		if dHosts != 0 {
 			hosts += dHosts
 		} else if dApps != 0 {
@@ -632,34 +541,23 @@ func (s *server) resize(apps, hosts int) (any, error) {
 	if hosts < 0 {
 		return nil, badRequest("hosts must be positive (got %d)", hosts)
 	}
-	r := s.recipe
-	r.labOpts.NumApps = apps
-	r.labOpts.NumHosts = hosts
-	e, err := s.build(r)
-	if err != nil {
+	rc := s.Recipe
+	rc.Lab.NumApps = apps
+	rc.Lab.NumHosts = hosts
+	if err := s.rebuild(rc); err != nil {
 		return nil, badRequest("fleet rejected: %v", err)
 	}
-	s.install(r, e)
 	return s.stateLocked(), nil
 }
 
 // writeCheckpointLocked snapshots the engine and persists the full
 // checkpoint envelope; callers hold s.mu.
 func (s *server) writeCheckpointLocked(path string) error {
-	snap, err := s.engine.Snapshot()
+	snap, err := s.Engine.Snapshot()
 	if err != nil {
 		return err
 	}
-	return checkpoint.Write(path, &checkpoint.File{
-		Schema:     checkpoint.Schema,
-		Strategy:   s.strategyName,
-		Lab:        s.labOpts,
-		FaultRate:  s.faultRate,
-		FaultSeed:  s.faultSeed,
-		ExecPolicy: s.execPolicy.String(),
-		Guard:      s.guardOn,
-		Scenario:   snap,
-	})
+	return checkpoint.Write(path, checkpoint.New(s.Recipe, snap))
 }
 
 func (s *server) handleCheckpoint(r *http.Request) (any, error) {
@@ -675,7 +573,7 @@ func (s *server) handleCheckpoint(r *http.Request) (any, error) {
 	if err := s.writeCheckpointLocked(req.Path); err != nil {
 		return nil, err
 	}
-	return map[string]any{"path": req.Path, "window": s.engine.WindowIndex(), "time_sec": s.engine.Now().Seconds()}, nil
+	return map[string]any{"path": req.Path, "window": s.Engine.WindowIndex(), "time_sec": s.Engine.Now().Seconds()}, nil
 }
 
 func (s *server) handleRestore(r *http.Request) (any, error) {

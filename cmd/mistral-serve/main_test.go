@@ -23,12 +23,8 @@ import (
 func newTestServer(t *testing.T) (*server, *httptest.Server) {
 	t.Helper()
 	ob := &obs.Observer{Metrics: obs.NewRegistry(), Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})}
-	s := &server{ob: ob, recipe: recipe{
-		strategyName: "perf-pwr",
-		execPolicy:   testbed.FailForward,
-		labOpts:      experiments.LabOptions{NumApps: 1, Seed: 7},
-	}}
-	if err := s.rebuild(); err != nil {
+	s := &server{ob: ob}
+	if err := s.rebuild(experiments.Recipe{Strategy: "perf-pwr", Lab: experiments.LabOptions{NumApps: 1, Seed: 7}}); err != nil {
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
@@ -174,7 +170,7 @@ func TestServeWindowSequencing(t *testing.T) {
 		t.Errorf("future window = %d, want 409", status)
 	}
 	s.mu.Lock()
-	if got := s.engine.WindowIndex(); got != 1 {
+	if got := s.Engine.WindowIndex(); got != 1 {
 		t.Errorf("engine advanced to window %d, want 1 (conflicts must not step)", got)
 	}
 	s.mu.Unlock()
@@ -197,13 +193,13 @@ func TestServeStateReportsSafetyPlanes(t *testing.T) {
 }
 
 func TestServeGuardedStateAndBreaker(t *testing.T) {
-	s := &server{recipe: recipe{
-		strategyName: "perf-pwr",
-		execPolicy:   testbed.RollbackOnFailure,
-		guardOn:      true,
-		labOpts:      experiments.LabOptions{NumApps: 1, Seed: 7},
-	}}
-	if err := s.rebuild(); err != nil {
+	s := &server{}
+	if err := s.rebuild(experiments.Recipe{
+		Strategy:   "perf-pwr",
+		ExecPolicy: testbed.RollbackOnFailure,
+		Guard:      true,
+		Lab:        experiments.LabOptions{NumApps: 1, Seed: 7},
+	}); err != nil {
 		t.Fatal(err)
 	}
 	st := s.stateLocked()
@@ -241,7 +237,7 @@ func TestServeCheckpointRoundTripKeepsRecipe(t *testing.T) {
 		t.Errorf("restored state window=%d exec=%q, want 3/fail-forward", st.Window, st.ExecPolicy)
 	}
 	s.mu.Lock()
-	if got := s.engine.WindowIndex(); got != 3 {
+	if got := s.Engine.WindowIndex(); got != 3 {
 		t.Errorf("restored engine at window %d, want 3", got)
 	}
 	s.mu.Unlock()
@@ -274,16 +270,16 @@ func TestServeFailedRestoreLeavesDaemon(t *testing.T) {
 	}
 	before := get()
 
-	other := &server{recipe: recipe{
-		strategyName: "perf-pwr",
-		execPolicy:   testbed.RollbackOnFailure,
-		guardOn:      true,
-		labOpts:      experiments.LabOptions{NumApps: 2, Seed: 9},
-	}}
-	if err := other.rebuild(); err != nil {
+	other := &server{}
+	if err := other.rebuild(experiments.Recipe{
+		Strategy:   "perf-pwr",
+		ExecPolicy: testbed.RollbackOnFailure,
+		Guard:      true,
+		Lab:        experiments.LabOptions{NumApps: 2, Seed: 9},
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := other.engine.Step(); err != nil {
+	if _, err := other.Engine.Step(); err != nil {
 		t.Fatal(err)
 	}
 	ck := t.TempDir() + "/ck.json"
@@ -315,7 +311,7 @@ func TestServeFailedRestoreLeavesDaemon(t *testing.T) {
 }
 
 func TestServeNotReady(t *testing.T) {
-	s := &server{recipe: recipe{strategyName: "perf-pwr", execPolicy: testbed.FailForward}}
+	s := &server{}
 	mux := http.NewServeMux()
 	for path, h := range s.routes() {
 		mux.Handle(path, h)

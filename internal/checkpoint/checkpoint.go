@@ -1,10 +1,9 @@
 // Package checkpoint is the on-disk envelope around a scenario engine
-// snapshot: the engine state itself plus the construction recipe (lab
-// options, strategy, fault profile) a fresh process needs to rebuild an
-// identical environment before restoring into it. mistral-sim's
-// -checkpoint/-resume flags and mistral-serve's /checkpoint endpoints both
-// speak this format, so a batch run can be resumed by the daemon and vice
-// versa.
+// snapshot: the engine state itself plus the experiments.Recipe (lab
+// options, strategy, fault profile, execution policy, guard) a fresh
+// process rebuilds an identical environment from before restoring into it.
+// New and File.Recipe are the one conversion between the two, so a batch
+// run can be resumed by the daemon and vice versa.
 package checkpoint
 
 import (
@@ -15,6 +14,7 @@ import (
 
 	"github.com/mistralcloud/mistral/internal/experiments"
 	"github.com/mistralcloud/mistral/internal/scenario"
+	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
 // Schema identifies the envelope format; Read refuses any other value.
@@ -41,6 +41,37 @@ type File struct {
 	// snapshot carries its state when true.
 	Guard    bool               `json:"guard,omitempty"`
 	Scenario *scenario.Snapshot `json:"scenario"`
+}
+
+// New wraps an engine snapshot and the recipe its environment was built
+// from.
+func New(rc experiments.Recipe, snap *scenario.Snapshot) *File {
+	return &File{
+		Schema:     Schema,
+		Strategy:   rc.Strategy,
+		Lab:        rc.Lab,
+		FaultRate:  rc.FaultRate,
+		FaultSeed:  rc.FaultSeed,
+		ExecPolicy: rc.ExecPolicy.String(),
+		Guard:      rc.Guard,
+		Scenario:   snap,
+	}
+}
+
+// Recipe is the recipe the file records.
+func (f *File) Recipe() (experiments.Recipe, error) {
+	exec, err := testbed.ParseExecPolicy(f.ExecPolicy)
+	if err != nil {
+		return experiments.Recipe{}, fmt.Errorf("checkpoint: %w", err)
+	}
+	return experiments.Recipe{
+		Lab:        f.Lab,
+		Strategy:   f.Strategy,
+		FaultRate:  f.FaultRate,
+		FaultSeed:  f.FaultSeed,
+		ExecPolicy: exec,
+		Guard:      f.Guard,
+	}, nil
 }
 
 // Write atomically persists the checkpoint: the JSON lands in a temp file

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -12,43 +13,36 @@ import (
 	"github.com/mistralcloud/mistral/internal/experiments"
 	"github.com/mistralcloud/mistral/internal/scenario"
 	"github.com/mistralcloud/mistral/internal/strategy"
+	"github.com/mistralcloud/mistral/internal/testbed"
 )
+
+// realRecipe is what realFile builds: a 1-app Perf-Pwr replay, its fault
+// seed resolved to the lab's.
+var realRecipe = experiments.Recipe{
+	Lab:        experiments.LabOptions{NumApps: 1, Seed: 7},
+	Strategy:   "perf-pwr",
+	FaultSeed:  7,
+	ExecPolicy: testbed.FailForward,
+}
 
 // realFile steps a small Perf-Pwr replay a few windows and wraps its engine
 // snapshot in the envelope the binaries write.
 func realFile(tb testing.TB) *checkpoint.File {
 	tb.Helper()
-	opts := experiments.LabOptions{NumApps: 1, Seed: 7}
-	lab, err := experiments.NewLab(opts)
-	if err != nil {
-		tb.Fatal(err)
-	}
-	bed, err := lab.NewTestbed()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	eval, err := lab.NewEvaluator()
-	if err != nil {
-		tb.Fatal(err)
-	}
-	engine, err := scenario.NewEngine(bed, strategy.NewPerfPwr(eval), scenario.RunConfig{
-		Traces:   lab.Traces,
-		Interval: lab.Util.MonitoringInterval,
-		Utility:  lab.Util,
-	})
+	rp, err := experiments.Recipe{Lab: realRecipe.Lab, Strategy: "Perf-Pwr"}.Build(strategy.MistralConfig{}, scenario.RunConfig{})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		if _, err := engine.Step(); err != nil {
+		if _, err := rp.Engine.Step(); err != nil {
 			tb.Fatal(err)
 		}
 	}
-	snap, err := engine.Snapshot()
+	snap, err := rp.Engine.Snapshot()
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return &checkpoint.File{Strategy: "perf-pwr", Lab: opts, ExecPolicy: "fail-forward", Scenario: snap}
+	return checkpoint.New(rp.Recipe, snap)
 }
 
 // leftovers lists the temp files Write may have left in dir.
@@ -61,33 +55,53 @@ func leftovers(t *testing.T, dir string) []string {
 	return tmps
 }
 
+// TestWriteReadRoundTrip writes and reads back the envelope a built replay
+// makes, one without a schema (Write stamps it) and one from before the
+// exec_policy field existed: each file survives byte for byte, and each
+// reads back as the recipe it was built from.
 func TestWriteReadRoundTrip(t *testing.T) {
-	f := realFile(t)
-	dir := t.TempDir()
-	path := filepath.Join(dir, "ck.json")
-	if err := checkpoint.Write(path, f); err != nil {
-		t.Fatal(err)
-	}
-	if f.Schema != checkpoint.Schema {
-		t.Errorf("Write left schema %q, want %q", f.Schema, checkpoint.Schema)
-	}
-	got, err := checkpoint.Read(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := json.Marshal(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	back, err := json.Marshal(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(want, back) {
-		t.Errorf("round trip is lossy:\nwrote: %s\nread:  %s", want, back)
-	}
-	if tmps := leftovers(t, dir); len(tmps) != 0 {
-		t.Errorf("successful Write left %v behind", tmps)
+	built := realFile(t)
+	unstamped := *built
+	unstamped.Schema = ""
+	legacy := *built
+	legacy.ExecPolicy = ""
+	for _, tc := range []struct {
+		name string
+		file *checkpoint.File
+	}{
+		{"built", built},
+		{"no schema", &unstamped},
+		{"empty exec_policy", &legacy},
+	} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, "ck.json")
+		if err := checkpoint.Write(path, tc.file); err != nil {
+			t.Fatal(err)
+		}
+		if tc.file.Schema != checkpoint.Schema {
+			t.Errorf("%s: Write left schema %q, want %q", tc.name, tc.file.Schema, checkpoint.Schema)
+		}
+		got, err := checkpoint.Read(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := json.Marshal(tc.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		back, err := json.Marshal(got)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(want, back) {
+			t.Errorf("%s: round trip is lossy:\nwrote: %s\nread:  %s", tc.name, want, back)
+		}
+		if rc, err := got.Recipe(); err != nil || !reflect.DeepEqual(rc, realRecipe) {
+			t.Errorf("%s: Recipe() = %+v, %v; want %+v", tc.name, rc, err, realRecipe)
+		}
+		if tmps := leftovers(t, dir); len(tmps) != 0 {
+			t.Errorf("%s: successful Write left %v behind", tc.name, tmps)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 	"time"
 
-	"github.com/mistralcloud/mistral/internal/core"
 	"github.com/mistralcloud/mistral/internal/scenario"
 	"github.com/mistralcloud/mistral/internal/stats"
 	"github.com/mistralcloud/mistral/internal/strategy"
@@ -25,38 +24,15 @@ type AblationRow struct {
 // crowd (the interesting control regime).
 const ablationDuration = 3 * time.Hour
 
-// runMistralVariant replays a shortened scenario under a Mistral variant.
-func runMistralVariant(seed uint64, mutate func(*strategy.MistralConfig)) (*scenario.Result, error) {
-	lab, err := NewLab(LabOptions{NumApps: 2, Seed: seed})
+// ablationRow replays the shortened scenario under Mistral on lab with the
+// search and hierarchy of mc.
+func ablationRow(label string, lab LabOptions, mc strategy.MistralConfig) (AblationRow, error) {
+	rp, err := replay(Recipe{Lab: lab, Strategy: "mistral"}, mc, scenario.RunConfig{Duration: ablationDuration})
 	if err != nil {
-		return nil, err
+		return AblationRow{}, fmt.Errorf("experiments: ablation %s: %w", label, err)
 	}
-	tb, err := lab.NewTestbed()
-	if err != nil {
-		return nil, err
-	}
-	eval, err := lab.NewEvaluator()
-	if err != nil {
-		return nil, err
-	}
-	cfg := strategy.MistralConfig{
-		HostGroups:         lab.HostGroups(),
-		MonitoringInterval: lab.Util.MonitoringInterval,
-		Search:             core.SearchOptions{TimePerChild: 300 * time.Microsecond},
-	}
-	if mutate != nil {
-		mutate(&cfg)
-	}
-	m, err := strategy.NewMistral(eval, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return scenario.Run(tb, m, scenario.RunConfig{
-		Traces:   lab.Traces,
-		Duration: ablationDuration,
-		Interval: lab.Util.MonitoringInterval,
-		Utility:  lab.Util,
-	})
+	res := rp.Engine.Result()
+	return AblationRow{Label: label, Utility: res.CumUtility, Actions: res.TotalActions, MeanSearch: res.MeanSearchTime}, nil
 }
 
 // AblationPruneFraction sweeps the Self-Aware beam width (the paper fixes
@@ -64,18 +40,13 @@ func runMistralVariant(seed uint64, mutate func(*strategy.MistralConfig)) (*scen
 func AblationPruneFraction(seed uint64) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, frac := range []float64{0.01, 0.05, 0.20} {
-		res, err := runMistralVariant(seed, func(c *strategy.MistralConfig) {
-			c.Search.PruneFraction = frac
-		})
+		mc := paperMistral()
+		mc.Search.PruneFraction = frac
+		row, err := ablationRow(fmt.Sprintf("%.0f%%", frac*100), LabOptions{NumApps: 2, Seed: seed}, mc)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: prune ablation %v: %w", frac, err)
+			return nil, err
 		}
-		rows = append(rows, AblationRow{
-			Label:      fmt.Sprintf("%.0f%%", frac*100),
-			Utility:    res.CumUtility,
-			Actions:    res.TotalActions,
-			MeanSearch: res.MeanSearchTime,
-		})
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -85,18 +56,13 @@ func AblationPruneFraction(seed uint64) ([]AblationRow, error) {
 func AblationBandWidth(seed uint64) ([]AblationRow, error) {
 	var rows []AblationRow
 	for _, band := range []float64{2, 8, 16} {
-		res, err := runMistralVariant(seed, func(c *strategy.MistralConfig) {
-			c.L2Band = band
-		})
+		mc := paperMistral()
+		mc.L2Band = band
+		row, err := ablationRow(fmt.Sprintf("%.0freq/s", band), LabOptions{NumApps: 2, Seed: seed}, mc)
 		if err != nil {
-			return nil, fmt.Errorf("experiments: band ablation %v: %w", band, err)
+			return nil, err
 		}
-		rows = append(rows, AblationRow{
-			Label:      fmt.Sprintf("%.0freq/s", band),
-			Utility:    res.CumUtility,
-			Actions:    res.TotalActions,
-			MeanSearch: res.MeanSearchTime,
-		})
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -168,41 +134,11 @@ func AblationDVFS(seed uint64) ([]AblationRow, error) {
 		if levels != nil {
 			label = "dvfs-60/80"
 		}
-		lab, err := NewLab(LabOptions{NumApps: 2, Seed: seed, DVFSLevels: levels})
+		row, err := ablationRow(label, LabOptions{NumApps: 2, Seed: seed, DVFSLevels: levels}, paperMistral())
 		if err != nil {
 			return nil, err
 		}
-		tb, err := lab.NewTestbed()
-		if err != nil {
-			return nil, err
-		}
-		eval, err := lab.NewEvaluator()
-		if err != nil {
-			return nil, err
-		}
-		m, err := strategy.NewMistral(eval, strategy.MistralConfig{
-			HostGroups:         lab.HostGroups(),
-			MonitoringInterval: lab.Util.MonitoringInterval,
-			Search:             core.SearchOptions{TimePerChild: 300 * time.Microsecond},
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := scenario.Run(tb, m, scenario.RunConfig{
-			Traces:   lab.Traces,
-			Duration: ablationDuration,
-			Interval: lab.Util.MonitoringInterval,
-			Utility:  lab.Util,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: DVFS ablation %s: %w", label, err)
-		}
-		rows = append(rows, AblationRow{
-			Label:      label,
-			Utility:    res.CumUtility,
-			Actions:    res.TotalActions,
-			MeanSearch: res.MeanSearchTime,
-		})
+		rows = append(rows, row)
 	}
 	return rows, nil
 }
@@ -219,41 +155,11 @@ func AblationMultiZone(seed uint64) ([]AblationRow, error) {
 		if zones > 1 {
 			label = fmt.Sprintf("%d-zones", zones)
 		}
-		lab, err := NewLab(LabOptions{NumApps: 2, Seed: seed, Zones: zones})
+		row, err := ablationRow(label, LabOptions{NumApps: 2, Seed: seed, Zones: zones}, paperMistral())
 		if err != nil {
 			return nil, err
 		}
-		tb, err := lab.NewTestbed()
-		if err != nil {
-			return nil, err
-		}
-		eval, err := lab.NewEvaluator()
-		if err != nil {
-			return nil, err
-		}
-		m, err := strategy.NewMistral(eval, strategy.MistralConfig{
-			HostGroups:         lab.HostGroups(),
-			MonitoringInterval: lab.Util.MonitoringInterval,
-			Search:             core.SearchOptions{TimePerChild: 300 * time.Microsecond},
-		})
-		if err != nil {
-			return nil, err
-		}
-		res, err := scenario.Run(tb, m, scenario.RunConfig{
-			Traces:   lab.Traces,
-			Duration: ablationDuration,
-			Interval: lab.Util.MonitoringInterval,
-			Utility:  lab.Util,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("experiments: multizone ablation %s: %w", label, err)
-		}
-		rows = append(rows, AblationRow{
-			Label:      label,
-			Utility:    res.CumUtility,
-			Actions:    res.TotalActions,
-			MeanSearch: res.MeanSearchTime,
-		})
+		rows = append(rows, row)
 	}
 	return rows, nil
 }

@@ -7,9 +7,9 @@ import (
 
 	"github.com/mistralcloud/mistral/internal/cluster"
 	"github.com/mistralcloud/mistral/internal/fault"
-	"github.com/mistralcloud/mistral/internal/guard"
 	"github.com/mistralcloud/mistral/internal/scenario"
 	"github.com/mistralcloud/mistral/internal/testbed"
+	"github.com/mistralcloud/mistral/internal/workload"
 )
 
 // ChaosSweepOptions configures the transactional-robustness study: the
@@ -22,7 +22,8 @@ type ChaosSweepOptions struct {
 	Seed uint64
 	// Rates are the headline chaos rates (default 15% and 30%).
 	Rates []float64
-	// Duration bounds each replay (default 2 hours).
+	// Duration bounds each replay (default 2 hours; at most the whole
+	// scenario).
 	Duration time.Duration
 }
 
@@ -33,6 +34,7 @@ func (o ChaosSweepOptions) withDefaults() ChaosSweepOptions {
 	if o.Duration <= 0 {
 		o.Duration = 2 * time.Hour
 	}
+	o.Duration = min(o.Duration, workload.ScenarioDuration)
 	return o
 }
 
@@ -121,48 +123,23 @@ func chaosInvariants(idx int, cat *cluster.Catalog, tb *testbed.Testbed, w scena
 // the invariants are checked against live state, not a post-hoc summary.
 func runChaosCell(opts ChaosSweepOptions, rate float64, exec testbed.ExecPolicy) (ChaosSweepCell, error) {
 	cell := ChaosSweepCell{Rate: rate, Exec: exec}
-	lab, err := NewLab(LabOptions{NumApps: 2, Seed: opts.Seed})
-	if err != nil {
-		return cell, err
-	}
-	inj := fault.New(fault.ChaosProfile(rate, opts.Seed))
-	tb, err := lab.NewTestbedExec(inj, exec)
-	if err != nil {
-		return cell, err
-	}
-	d, _, err := buildDecider(lab, StrategyMistral, false)
-	if err != nil {
-		return cell, err
-	}
-	g := guard.New(guard.Config{}, lab.Cat)
-	sc := lab.ScenarioConfig()
-	duration := opts.Duration
-	if duration <= 0 || duration > sc.Duration {
-		duration = sc.Duration
-	}
-	eng, err := scenario.NewEngine(tb, d, scenario.RunConfig{
-		Traces:   lab.Traces,
-		Duration: duration,
-		Interval: sc.Interval,
-		Utility:  lab.Util,
-		Fault:    inj,
-		Guard:    g,
-	})
+	rp, err := Recipe{Lab: LabOptions{NumApps: 2, Seed: opts.Seed}, Strategy: "mistral", ExecPolicy: exec, Guard: true}.Build(
+		paperMistral(), scenario.RunConfig{Duration: opts.Duration, Fault: fault.New(fault.ChaosProfile(rate, opts.Seed))})
 	if err != nil {
 		return cell, err
 	}
 	utilSum := 0.0
-	for !eng.Done() {
-		sr, err := eng.Step()
+	for !rp.Engine.Done() {
+		sr, err := rp.Engine.Step()
 		if err != nil {
 			return cell, fmt.Errorf("window %d: %w", sr.Index, err)
 		}
 		utilSum += sr.Window.Utility
-		cell.Violations = append(cell.Violations, chaosInvariants(sr.Index, lab.Cat, tb, sr.Window, exec, utilSum)...)
+		cell.Violations = append(cell.Violations, chaosInvariants(sr.Index, rp.Lab.Cat, rp.Testbed, sr.Window, exec, utilSum)...)
 	}
-	cell.Result = eng.Result()
-	cell.Faults = inj.Counts()
-	cell.GuardAdmitted, cell.GuardRejected, cell.BreakerOpens = g.Stats()
+	cell.Result = rp.Engine.Result()
+	cell.Faults = rp.Fault.Counts()
+	cell.GuardAdmitted, cell.GuardRejected, cell.BreakerOpens = rp.Guard.Stats()
 	return cell, nil
 }
 

@@ -226,28 +226,20 @@ func TestFig5Accuracy(t *testing.T) {
 	}
 }
 
+// TestRunStrategyShortScenario replays each compared strategy's recipe for
+// the first hour, and Build refuses a strategy it does not know.
 func TestRunStrategyShortScenario(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario replay")
 	}
-	lab, err := NewLab(LabOptions{NumApps: 2, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Trim the traces to one hour.
-	for name := range lab.Traces {
-		lab.Traces[name].Rates = lab.Traces[name].Rates[:61]
-	}
+	lab := LabOptions{NumApps: 2, Seed: 7}
 	for _, s := range AllStrategies() {
-		res, _, err := RunStrategy(lab, s, false)
-		if err != nil {
-			t.Fatalf("%s: %v", s, err)
-		}
+		res := shortReplay(t, Recipe{Lab: lab, Strategy: string(s)}, scenario.RunConfig{}).Engine.Result()
 		if len(res.Windows) != 30 {
 			t.Errorf("%s: %d windows", s, len(res.Windows))
 		}
 	}
-	if _, _, err := RunStrategy(lab, StrategyName("bogus"), false); err == nil {
+	if _, err := (Recipe{Lab: lab, Strategy: "bogus"}).Build(paperMistral(), scenario.RunConfig{}); err == nil {
 		t.Error("unknown strategy accepted")
 	}
 }

@@ -5,46 +5,37 @@ import (
 	"testing"
 	"time"
 
-	"github.com/mistralcloud/mistral/internal/core"
-	"github.com/mistralcloud/mistral/internal/fault"
 	"github.com/mistralcloud/mistral/internal/scenario"
-	"github.com/mistralcloud/mistral/internal/strategy"
 )
 
-// shortLab builds a 2-app lab with its traces trimmed to one hour.
-func shortLab(t *testing.T, seed uint64) *Lab {
+// shortReplay runs rc for the scenario's first hour (30 windows) with the
+// experiments' search charge.
+func shortReplay(t *testing.T, rc Recipe, run scenario.RunConfig) *Replay {
 	t.Helper()
-	lab, err := NewLab(LabOptions{NumApps: 2, Seed: seed})
+	run.Duration = time.Hour
+	rp, err := replay(rc, paperMistral(), run)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name := range lab.Traces {
-		lab.Traces[name].Rates = lab.Traces[name].Rates[:61]
-	}
-	return lab
+	return rp
 }
 
-// TestFaultDisabledIsByteIdentical pins the opt-in contract: running the
-// fault-aware path with an all-zero fault profile must reproduce the
-// pre-existing fault-free path byte for byte.
+// TestFaultDisabledIsByteIdentical pins the opt-in contract: at rate 0 the
+// fault plane is absent whatever its seed, and the replay is byte-identical
+// to one that never named a fault seed.
 func TestFaultDisabledIsByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario replay")
 	}
-	lab := shortLab(t, 7)
-	base, _, err := RunStrategy(lab, StrategyMistral, false)
-	if err != nil {
-		t.Fatal(err)
+	rc := Recipe{Lab: LabOptions{NumApps: 2, Seed: 7}, Strategy: "mistral"}
+	base := shortReplay(t, rc, scenario.RunConfig{})
+	rc.FaultSeed = 99
+	seeded := shortReplay(t, rc, scenario.RunConfig{})
+	if seeded.Fault != nil {
+		t.Errorf("rate 0 built a fault injector: %+v", seeded.Fault.Counts())
 	}
-	viaFault, counts, err := RunStrategyWithFaults(lab, StrategyMistral, fault.Profile(0, 7), 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if counts != (fault.Counts{}) {
-		t.Errorf("disabled injector drew faults: %+v", counts)
-	}
-	if !reflect.DeepEqual(base, viaFault) {
-		t.Errorf("zero-rate fault path diverges from fault-free path:\nbase: %+v\nfault: %+v", base, viaFault)
+	if !reflect.DeepEqual(base.Engine.Result(), seeded.Engine.Result()) {
+		t.Errorf("zero-rate fault seed changes the replay:\nbase:   %+v\nseeded: %+v", base.Engine.Result(), seeded.Engine.Result())
 	}
 }
 
@@ -55,11 +46,8 @@ func TestFaultReplayDegradesGracefully(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario replay")
 	}
-	lab := shortLab(t, 7)
-	res, counts, err := RunStrategyWithFaults(lab, StrategyMistral, fault.Profile(0.15, 7), 0)
-	if err != nil {
-		t.Fatalf("15%% fault replay aborted: %v", err)
-	}
+	rp := shortReplay(t, Recipe{Lab: LabOptions{NumApps: 2, Seed: 7}, Strategy: "mistral", FaultRate: 0.15}, scenario.RunConfig{})
+	res, counts := rp.Engine.Result(), rp.Fault.Counts()
 	if len(res.Windows) != 30 {
 		t.Errorf("windows = %d, want 30 (the replay must run to completion)", len(res.Windows))
 	}
@@ -74,40 +62,12 @@ func TestFaultReplayDegradesGracefully(t *testing.T) {
 	}
 }
 
-// runFaultyMistral replays the trimmed scenario under Mistral with a 15%
-// fault profile.
+// runFaultyMistral replays the first hour under Mistral with a 15% fault
+// profile.
 func runFaultyMistral(t *testing.T) *scenario.Result {
 	t.Helper()
-	lab := shortLab(t, 11)
-	eval, err := lab.NewEvaluator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := strategy.NewMistral(eval, strategy.MistralConfig{
-		HostGroups:         lab.HostGroups(),
-		MonitoringInterval: lab.Util.MonitoringInterval,
-		Search:             core.SearchOptions{TimePerChild: 300 * time.Microsecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := fault.New(fault.Profile(0.15, 99))
-	tb, err := lab.NewTestbedWithFaults(inj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := lab.ScenarioConfig()
-	res, err := scenario.Run(tb, m, scenario.RunConfig{
-		Traces:   lab.Traces,
-		Duration: sc.Duration,
-		Interval: sc.Interval,
-		Utility:  lab.Util,
-		Fault:    inj,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	rc := Recipe{Lab: LabOptions{NumApps: 2, Seed: 11}, Strategy: "mistral", FaultRate: 0.15, FaultSeed: 99}
+	return shortReplay(t, rc, scenario.RunConfig{}).Engine.Result()
 }
 
 // TestFaultDeterminismAcrossWorkers pins the seeded fault schedule: the

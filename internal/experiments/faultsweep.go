@@ -6,6 +6,7 @@ import (
 
 	"github.com/mistralcloud/mistral/internal/fault"
 	"github.com/mistralcloud/mistral/internal/scenario"
+	"github.com/mistralcloud/mistral/internal/workload"
 )
 
 // FaultSweepOptions configures the robustness sweep: each strategy replays
@@ -20,7 +21,7 @@ type FaultSweepOptions struct {
 	Rates []float64
 	// Duration bounds each replay (default 2 hours — long enough for
 	// retries, crashes, and degraded windows to show, short enough to keep
-	// the 4×4 sweep tractable).
+	// the 4×4 sweep tractable; at most the whole scenario).
 	Duration time.Duration
 }
 
@@ -31,6 +32,7 @@ func (o FaultSweepOptions) withDefaults() FaultSweepOptions {
 	if o.Duration <= 0 {
 		o.Duration = 2 * time.Hour
 	}
+	o.Duration = min(o.Duration, workload.ScenarioDuration)
 	return o
 }
 
@@ -50,37 +52,6 @@ type FaultSweepResult struct {
 	Cells map[StrategyName][]FaultSweepCell
 }
 
-// RunStrategyWithFaults replays the lab's scenario under one strategy with
-// a fault injector wired into both the testbed and the replay loop. A
-// disabled injector (nil, or all-zero rates) reproduces RunStrategy
-// exactly.
-func RunStrategyWithFaults(lab *Lab, name StrategyName, fo fault.Options, duration time.Duration) (*scenario.Result, fault.Counts, error) {
-	inj := fault.New(fo)
-	tb, err := lab.NewTestbedWithFaults(inj)
-	if err != nil {
-		return nil, fault.Counts{}, err
-	}
-	d, _, err := buildDecider(lab, name, false)
-	if err != nil {
-		return nil, fault.Counts{}, err
-	}
-	sc := lab.ScenarioConfig()
-	if duration <= 0 || duration > sc.Duration {
-		duration = sc.Duration
-	}
-	res, err := scenario.Run(tb, d, scenario.RunConfig{
-		Traces:   lab.Traces,
-		Duration: duration,
-		Interval: sc.Interval,
-		Utility:  lab.Util,
-		Fault:    inj,
-	})
-	if err != nil {
-		return nil, inj.Counts(), err
-	}
-	return res, inj.Counts(), nil
-}
-
 // FaultSweep reproduces the robustness study: Mistral and the three
 // baselines replayed at every fault rate. At rate 0 the injector is absent
 // and each replay is byte-identical to the fault-free Fig. 8/9 path; at
@@ -94,18 +65,13 @@ func FaultSweep(opts FaultSweepOptions) (*FaultSweepResult, error) {
 	}
 	for _, rate := range opts.Rates {
 		for _, name := range AllStrategies() {
-			// A fresh lab per cell: replays must not share testbed or
-			// estimator state.
-			lab, err := NewLab(LabOptions{NumApps: 2, Seed: opts.Seed})
-			if err != nil {
-				return nil, err
-			}
-			res, counts, err := RunStrategyWithFaults(lab, name, fault.Profile(rate, opts.Seed), opts.Duration)
+			rc := Recipe{Lab: LabOptions{NumApps: 2, Seed: opts.Seed}, Strategy: string(name), FaultRate: rate}
+			rp, err := replay(rc, paperMistral(), scenario.RunConfig{Duration: opts.Duration})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fault sweep %s @ %.0f%%: %w", name, rate*100, err)
 			}
 			out.Cells[name] = append(out.Cells[name], FaultSweepCell{
-				Rate: rate, Result: res, Faults: counts,
+				Rate: rate, Result: rp.Engine.Result(), Faults: rp.Fault.Counts(),
 			})
 		}
 	}

@@ -26,33 +26,23 @@ type Fig10Result struct {
 // naive searches up to ≈4× longer (≈24 s vs ≈5.5 s) and cumulative
 // utilities of 135.3 (naive) vs 152.3 (self-aware).
 func Fig10SearchCost(seed uint64) (*Fig10Result, error) {
-	res := &Fig10Result{}
-
-	lab, err := NewLab(LabOptions{NumApps: 2, Seed: seed})
+	lab := LabOptions{NumApps: 2, Seed: seed}
+	aware, err := replay(Recipe{Lab: lab, Strategy: "mistral"}, paperMistral(), scenario.RunConfig{})
+	if err != nil {
+		return nil, err
+	}
+	naive, err := replay(Recipe{Lab: lab, Strategy: "naive"}, paperMistral(), scenario.RunConfig{})
 	if err != nil {
 		return nil, err
 	}
 	// Controller host: a default host running the optimizer flat out vs
 	// idle.
 	spec := cluster.DefaultHostSpec("controller")
-	res.SearchPowerPct = (67 - spec.IdleWatts) / spec.IdleWatts * 100
-
-	aware, _, err := RunStrategy(lab, StrategyMistral, false)
-	if err != nil {
-		return nil, err
-	}
-	res.SelfAware = aware
-
-	labN, err := NewLab(LabOptions{NumApps: 2, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	naive, _, err := RunStrategy(labN, StrategyMistral, true)
-	if err != nil {
-		return nil, err
-	}
-	res.Naive = naive
-	return res, nil
+	return &Fig10Result{
+		SearchPowerPct: (67 - spec.IdleWatts) / spec.IdleWatts * 100,
+		SelfAware:      aware.Engine.Result(),
+		Naive:          naive.Engine.Result(),
+	}, nil
 }
 
 // MeanSearch returns the mean per-invocation search durations.

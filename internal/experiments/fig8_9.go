@@ -26,54 +26,23 @@ func AllStrategies() []StrategyName {
 	return []StrategyName{StrategyPerfPwr, StrategyPerfCost, StrategyPwrCost, StrategyMistral}
 }
 
-// buildDecider instantiates a strategy over a fresh evaluator.
-func buildDecider(lab *Lab, name StrategyName, naive bool) (scenario.Decider, *strategy.Mistral, error) {
-	eval, err := lab.NewEvaluator()
-	if err != nil {
-		return nil, nil, err
-	}
-	search := core.SearchOptions{TimePerChild: 300 * time.Microsecond}
-	if naive {
-		// Without the Self-Aware beam and deadline the naive search
-		// grinds hard instances to the ε-margin or this cap; the cap
-		// keeps full-scenario replays tractable while leaving the
-		// paper's duration contrast (≈4×, Fig. 10b) visible.
-		search.MaxExpansions = 2500
-	}
-	d, err := strategy.New(string(name), eval, lab.Util, strategy.MistralConfig{
-		HostGroups:         lab.HostGroups(),
-		Naive:              naive,
-		MonitoringInterval: lab.Util.MonitoringInterval,
-		Search:             search,
-	})
-	if err != nil {
-		return nil, nil, fmt.Errorf("experiments: %w", err)
-	}
-	m, _ := d.(*strategy.Mistral)
-	return d, m, nil
+// paperMistral is the Mistral template every experiment replays with: the
+// search is charged 300 µs per generated child.
+func paperMistral() strategy.MistralConfig {
+	return strategy.MistralConfig{Search: core.SearchOptions{TimePerChild: 300 * time.Microsecond}}
 }
 
-// RunStrategy replays the lab's full scenario under one strategy.
-func RunStrategy(lab *Lab, name StrategyName, naive bool) (*scenario.Result, *strategy.Mistral, error) {
-	tb, err := lab.NewTestbed()
+// replay builds rc and runs it to the end of run's duration (the whole
+// scenario when run leaves it zero).
+func replay(rc Recipe, mc strategy.MistralConfig, run scenario.RunConfig) (*Replay, error) {
+	rp, err := rc.Build(mc, run)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	d, m, err := buildDecider(lab, name, naive)
-	if err != nil {
-		return nil, nil, err
+	if _, err := rp.Engine.Run(); err != nil {
+		return nil, err
 	}
-	sc := lab.ScenarioConfig()
-	res, err := scenario.Run(tb, d, scenario.RunConfig{
-		Traces:   lab.Traces,
-		Duration: sc.Duration,
-		Interval: sc.Interval,
-		Utility:  lab.Util,
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, m, nil
+	return rp, nil
 }
 
 // Fig89Result is the four-strategy comparison of Figures 8 and 9: response
@@ -91,15 +60,11 @@ type Fig89Result struct {
 func Fig89StrategyComparison(seed uint64) (*Fig89Result, error) {
 	res := &Fig89Result{Results: make(map[StrategyName]*scenario.Result, 4)}
 	for _, name := range AllStrategies() {
-		lab, err := NewLab(LabOptions{NumApps: 2, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		r, _, err := RunStrategy(lab, name, false)
+		rp, err := replay(Recipe{Lab: LabOptions{NumApps: 2, Seed: seed}, Strategy: string(name)}, paperMistral(), scenario.RunConfig{})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", name, err)
 		}
-		res.Results[name] = r
+		res.Results[name] = rp.Engine.Result()
 	}
 	return res, nil
 }

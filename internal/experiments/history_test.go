@@ -5,50 +5,17 @@ import (
 	"encoding/json"
 	"reflect"
 	"testing"
-	"time"
 
-	"github.com/mistralcloud/mistral/internal/core"
-	"github.com/mistralcloud/mistral/internal/fault"
 	"github.com/mistralcloud/mistral/internal/obs/tsdb"
 	"github.com/mistralcloud/mistral/internal/scenario"
-	"github.com/mistralcloud/mistral/internal/strategy"
 )
 
-// runHistoryMistral replays the trimmed scenario with an explicit telemetry
-// history store attached and returns the result plus the store.
+// runHistoryMistral replays the first hour with an explicit telemetry
+// history store attached and returns the result.
 func runHistoryMistral(t *testing.T, faultRate float64, hist *tsdb.Store) *scenario.Result {
 	t.Helper()
-	lab := shortLab(t, 11)
-	eval, err := lab.NewEvaluator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := strategy.NewMistral(eval, strategy.MistralConfig{
-		HostGroups:         lab.HostGroups(),
-		MonitoringInterval: lab.Util.MonitoringInterval,
-		Search:             core.SearchOptions{TimePerChild: 300 * time.Microsecond},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	inj := fault.New(fault.Profile(faultRate, 99))
-	tb, err := lab.NewTestbedWithFaults(inj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := lab.ScenarioConfig()
-	res, err := scenario.Run(tb, m, scenario.RunConfig{
-		Traces:   lab.Traces,
-		Duration: sc.Duration,
-		Interval: sc.Interval,
-		Utility:  lab.Util,
-		Fault:    inj,
-		History:  hist,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res
+	rc := Recipe{Lab: LabOptions{NumApps: 2, Seed: 11}, Strategy: "mistral", FaultRate: faultRate, FaultSeed: 99}
+	return shortReplay(t, rc, scenario.RunConfig{History: hist}).Engine.Result()
 }
 
 // historyVirtualJSON runs one replay and serializes the store's virtual

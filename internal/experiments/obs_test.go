@@ -4,70 +4,40 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"log/slog"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"github.com/mistralcloud/mistral/internal/cluster"
 	"github.com/mistralcloud/mistral/internal/obs"
+	"github.com/mistralcloud/mistral/internal/provenance"
 	"github.com/mistralcloud/mistral/internal/scenario"
 )
 
-// planRecorder wraps a decider and fingerprints every decision it makes.
-type planRecorder struct {
-	scenario.Decider
-	log []string
-}
-
-func (p *planRecorder) Decide(now time.Duration, cfg cluster.Config, rates map[string]float64) (scenario.Decision, error) {
-	d, err := p.Decider.Decide(now, cfg, rates)
-	if err == nil {
-		p.log = append(p.log, fmt.Sprintf("%v st=%v cost=%.9f plan=%v", now, d.SearchTime, d.SearchCost, d.Plan))
-	}
-	return d, err
-}
-
-// runMistralRecorded replays a trimmed 1-app scenario under Mistral with
-// the given process-default observer installed, returning the result and
-// the decision fingerprints.
-func runMistralRecorded(t *testing.T, o *obs.Observer) (*scenario.Result, []string) {
+// runMistralRecorded replays the first 90 minutes of a 1-app scenario under
+// Mistral with the given process-default observer installed, returning the
+// result and the decision provenance stream.
+func runMistralRecorded(t *testing.T, o *obs.Observer) (*scenario.Result, []byte) {
 	t.Helper()
 	obs.SetDefault(o)
 	defer obs.SetDefault(nil)
-	lab, err := NewLab(LabOptions{NumApps: 1, Seed: 7})
+	var prov bytes.Buffer
+	rc := Recipe{Lab: LabOptions{NumApps: 1, Seed: 7}, Strategy: "mistral"}
+	rp, err := replay(rc, paperMistral(), scenario.RunConfig{Duration: 90 * time.Minute, Provenance: provenance.NewRecorder(&prov)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb, err := lab.NewTestbed()
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _, err := buildDecider(lab, StrategyMistral, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := &planRecorder{Decider: d}
-	res, err := scenario.Run(tb, rec, scenario.RunConfig{
-		Traces:   lab.Traces,
-		Duration: 90 * time.Minute,
-		Interval: lab.Util.MonitoringInterval,
-		Utility:  lab.Util,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return res, rec.log
+	return rp.Engine.Result(), prov.Bytes()
 }
 
 // TestTracingIsDeterministic replays the seeded 2-host scenario with
 // observability fully disabled and fully enabled (metrics + JSONL spans +
-// debug logging) and requires byte-identical decision plans and results:
-// instrumentation must never perturb control behaviour.
+// debug logging) and requires byte-identical decision provenance and
+// results: instrumentation must never perturb control behaviour.
 func TestTracingIsDeterministic(t *testing.T) {
-	baseRes, basePlans := runMistralRecorded(t, nil)
+	baseRes, baseProv := runMistralRecorded(t, nil)
 
 	var trace bytes.Buffer
 	full := &obs.Observer{
@@ -75,19 +45,16 @@ func TestTracingIsDeterministic(t *testing.T) {
 		Trace:   obs.NewTracer(&trace, obs.FormatJSONL),
 		Log:     slog.New(slog.NewTextHandler(io.Discard, &slog.HandlerOptions{Level: slog.LevelDebug})),
 	}
-	obsRes, obsPlans := runMistralRecorded(t, full)
+	obsRes, obsProv := runMistralRecorded(t, full)
 	if err := full.Trace.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	if a, b := strings.Join(basePlans, "\n"), strings.Join(obsPlans, "\n"); a != b {
-		t.Fatalf("plans diverge with tracing enabled:\n--- disabled ---\n%s\n--- enabled ---\n%s", a, b)
+	if !bytes.Equal(baseProv, obsProv) {
+		t.Fatalf("decisions diverge with tracing enabled:\n--- disabled ---\n%s\n--- enabled ---\n%s", baseProv, obsProv)
 	}
-	if baseRes.CumUtility != obsRes.CumUtility {
-		t.Errorf("cumulative utility diverged: %v vs %v", baseRes.CumUtility, obsRes.CumUtility)
-	}
-	if baseRes.TotalActions != obsRes.TotalActions {
-		t.Errorf("action count diverged: %d vs %d", baseRes.TotalActions, obsRes.TotalActions)
+	if !reflect.DeepEqual(baseRes, obsRes) {
+		t.Errorf("results diverge with tracing enabled:\n--- disabled ---\n%+v\n--- enabled ---\n%+v", baseRes, obsRes)
 	}
 
 	// The metrics registry must have seen the run.

@@ -22,29 +22,10 @@ func TestProvenanceUnderFaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario replay")
 	}
-	lab := shortLab(t, 13)
-	inj := fault.New(fault.Profile(0.30, 13))
-	tb, err := lab.NewTestbedWithFaults(inj)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _, err := buildDecider(lab, StrategyMistral, false)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var buf bytes.Buffer
 	rec := provenance.NewRecorder(&buf)
-	sc := lab.ScenarioConfig()
-	if _, err := scenario.Run(tb, d, scenario.RunConfig{
-		Traces:     lab.Traces,
-		Duration:   sc.Duration,
-		Interval:   sc.Interval,
-		Utility:    lab.Util,
-		Fault:      inj,
-		Provenance: rec,
-	}); err != nil {
-		t.Fatal(err)
-	}
+	rc := Recipe{Lab: LabOptions{NumApps: 2, Seed: 13}, Strategy: "mistral", FaultRate: 0.30}
+	inj := shortReplay(t, rc, scenario.RunConfig{Provenance: rec}).Fault
 	if err := rec.Err(); err != nil {
 		t.Fatal(err)
 	}

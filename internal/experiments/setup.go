@@ -219,19 +219,13 @@ func zonedDefaultConfig(cat *cluster.Catalog, apps []*app.Spec, cpuPct float64) 
 // NewTestbed builds a fresh virtual testbed in the lab's initial
 // configuration with the traces' rates at time zero.
 func (l *Lab) NewTestbed() (*testbed.Testbed, error) {
-	return l.NewTestbedWithFaults(nil)
+	return l.NewTestbedExec(nil, testbed.FailForward)
 }
 
-// NewTestbedWithFaults is NewTestbed with a fault injector wired into the
-// testbed's execution and measurement paths; a nil (or disabled) injector
-// reproduces NewTestbed exactly.
-func (l *Lab) NewTestbedWithFaults(inj *fault.Injector) (*testbed.Testbed, error) {
-	return l.NewTestbedExec(inj, testbed.FailForward)
-}
-
-// NewTestbedExec is NewTestbedWithFaults with an explicit execution
-// policy; RollbackOnFailure makes plans transactional (compensating
-// inverse actions on non-retryable failure).
+// NewTestbedExec is NewTestbed with a fault injector wired into the
+// testbed's execution and measurement paths (a nil injector injects
+// nothing) and an explicit execution policy; RollbackOnFailure makes plans
+// transactional (compensating inverse actions on non-retryable failure).
 func (l *Lab) NewTestbedExec(inj *fault.Injector, exec testbed.ExecPolicy) (*testbed.Testbed, error) {
 	tb, err := testbed.New(l.Cat, l.Apps, l.Initial, l.Traces.At(0), l.Costs, testbed.Options{
 		Mode:  l.Opts.Mode,
@@ -314,28 +308,4 @@ func (l *Lab) HostGroups() [][]string {
 	}
 	mid := (len(hosts) + 1) / 2
 	return [][]string{hosts[:mid], hosts[mid:]}
-}
-
-// ScenarioConfig is the standard replay configuration: the monitoring
-// interval plus the duration of the (possibly trimmed) traces.
-func (l *Lab) ScenarioConfig() ScenarioConfig {
-	var duration time.Duration
-	for _, tr := range l.Traces {
-		if d := tr.Duration(); d > duration {
-			duration = d
-		}
-	}
-	if duration == 0 {
-		duration = workload.ScenarioDuration
-	}
-	return ScenarioConfig{
-		Interval: l.Util.MonitoringInterval,
-		Duration: duration,
-	}
-}
-
-// ScenarioConfig carries replay bounds shared by experiments.
-type ScenarioConfig struct {
-	Interval time.Duration
-	Duration time.Duration
 }

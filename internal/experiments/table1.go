@@ -8,6 +8,7 @@ import (
 	"github.com/mistralcloud/mistral/internal/provenance"
 	"github.com/mistralcloud/mistral/internal/scenario"
 	"github.com/mistralcloud/mistral/internal/strategy"
+	"github.com/mistralcloud/mistral/internal/workload"
 )
 
 // Table1Scenario is one scalability configuration's outcome.
@@ -47,82 +48,46 @@ type Table1Options struct {
 func Table1Scalability(seed uint64, opts Table1Options) (*Table1Result, error) {
 	res := &Table1Result{}
 	for _, napps := range []int{2, 3, 4} {
-		lab, err := NewLab(LabOptions{NumApps: napps, Seed: seed})
-		if err != nil {
-			return nil, err
-		}
-		if opts.Duration > 0 {
-			// Shorten the replay window uniformly.
-			for name := range lab.Traces {
-				tr := lab.Traces[name]
-				n := int(opts.Duration/tr.Step) + 1
-				if n < len(tr.Rates) {
-					tr.Rates = tr.Rates[:n]
-				}
-			}
-		}
-		sc := Table1Scenario{
-			Apps:  napps,
-			VMs:   len(lab.Cat.VMIDs()),
-			Hosts: len(lab.Cat.HostNames()),
-		}
-
 		// Both algorithms face the search's default expansion cap, as in the
 		// Fig. 10 runs; the naive search's cost per expansion grows with the
 		// action space, so its duration scales steeply with system size.
-		runMistral := func(naive bool) (*scenario.Result, *strategy.Mistral, error) {
-			tb, err := lab.NewTestbed()
+		run := func(name string) (*Replay, error) {
+			rc := Recipe{Lab: LabOptions{NumApps: napps, Seed: seed}, Strategy: name}
+			rp, err := replay(rc, paperMistral(), scenario.RunConfig{Duration: opts.Duration, Provenance: opts.Provenance})
 			if err != nil {
-				return nil, nil, err
+				return nil, fmt.Errorf("experiments: table1 %d-app %s: %w", napps, name, err)
 			}
-			eval, err := lab.NewEvaluator()
-			if err != nil {
-				return nil, nil, err
-			}
-			m, err := strategy.NewMistral(eval, strategy.MistralConfig{
-				HostGroups:         lab.HostGroups(),
-				Naive:              naive,
-				MonitoringInterval: lab.Util.MonitoringInterval,
-				Provenance:         opts.Provenance.Enabled(),
-				Search:             core.SearchOptions{TimePerChild: 300 * time.Microsecond},
-			})
-			if err != nil {
-				return nil, nil, err
-			}
-			r, err := scenario.Run(tb, m, scenario.RunConfig{
-				Traces:     lab.Traces,
-				Duration:   opts.Duration,
-				Interval:   lab.Util.MonitoringInterval,
-				Utility:    lab.Util,
-				Provenance: opts.Provenance,
-			})
-			return r, m, err
+			return rp, nil
 		}
-
-		aware, awareM, err := runMistral(false)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: table1 %d-app self-aware: %w", napps, err)
-		}
-		sc.SelfAwareMean = aware.MeanSearchTime
-		l1, l2 := awareM.Stats()
-		sc.SelfAwareL1, sc.SelfAwareL2 = l1.MeanSearch(), l2.MeanSearch()
-		sc.MistralUtility = aware.CumUtility
-
-		naive, naiveM, err := runMistral(true)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: table1 %d-app naive: %w", napps, err)
-		}
-		sc.NaiveMean = naive.MeanSearchTime
-		nl1, nl2 := naiveM.Stats()
-		sc.NaiveL1, sc.NaiveL2 = nl1.MeanSearch(), nl2.MeanSearch()
-		sc.NaiveUtility = naive.CumUtility
-
-		ideal, err := IdealUtility(lab, opts.Duration)
+		aware, err := run("mistral")
 		if err != nil {
 			return nil, err
 		}
-		sc.IdealUtility = ideal
-		res.Scenarios = append(res.Scenarios, sc)
+		naive, err := run("naive")
+		if err != nil {
+			return nil, err
+		}
+		ideal, err := IdealUtility(aware.Lab, opts.Duration)
+		if err != nil {
+			return nil, err
+		}
+		ar, nr := aware.Engine.Result(), naive.Engine.Result()
+		l1, l2 := aware.Decider.(*strategy.Mistral).Stats()
+		nl1, nl2 := naive.Decider.(*strategy.Mistral).Stats()
+		res.Scenarios = append(res.Scenarios, Table1Scenario{
+			Apps:           napps,
+			VMs:            len(aware.Lab.Cat.VMIDs()),
+			Hosts:          len(aware.Lab.Cat.HostNames()),
+			SelfAwareMean:  ar.MeanSearchTime,
+			SelfAwareL1:    l1.MeanSearch(),
+			SelfAwareL2:    l2.MeanSearch(),
+			NaiveMean:      nr.MeanSearchTime,
+			NaiveL1:        nl1.MeanSearch(),
+			NaiveL2:        nl2.MeanSearch(),
+			MistralUtility: ar.CumUtility,
+			NaiveUtility:   nr.CumUtility,
+			IdealUtility:   ideal,
+		})
 	}
 	return res, nil
 }
@@ -136,7 +101,7 @@ func IdealUtility(lab *Lab, duration time.Duration) (float64, error) {
 		return 0, err
 	}
 	if duration <= 0 {
-		duration = lab.ScenarioConfig().Duration
+		duration = workload.ScenarioDuration
 	}
 	interval := lab.Util.MonitoringInterval
 	var total float64

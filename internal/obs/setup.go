@@ -3,6 +3,7 @@ package obs
 import (
 	"context"
 	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"log/slog"
@@ -37,6 +38,15 @@ type CLI struct {
 	// and /ops (mistral-serve rides its control API here). Patterns use
 	// net/http.ServeMux syntax; ignored unless PprofAddr is set.
 	Handlers map[string]http.Handler
+}
+
+// RegisterFlags declares the four observability flags -trace, -metrics,
+// -log-level and -pprof on fs.
+func (c *CLI) RegisterFlags(fs *flag.FlagSet) {
+	fs.StringVar(&c.TracePath, "trace", "", "write span trace to FILE (.json = Chrome trace_event for Perfetto, else JSONL)")
+	fs.StringVar(&c.MetricsPath, "metrics", "", `write metrics registry dump to FILE at exit ("-" = stderr)`)
+	fs.StringVar(&c.LogLevel, "log-level", "", "structured logging to stderr: debug, info, warn, error")
+	fs.StringVar(&c.PprofAddr, "pprof", "", "serve net/http/pprof and expvar (/debug/vars) on ADDR, e.g. localhost:6060")
 }
 
 // shutdownTimeout bounds how long the closer waits for in-flight HTTP

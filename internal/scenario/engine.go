@@ -603,3 +603,14 @@ func (e *Engine) Close() error {
 	}
 	return nil
 }
+
+// Run steps the engine to the end of its configured duration and closes it.
+// A step error stops the replay and is returned with the result so far.
+func (e *Engine) Run() (*Result, error) {
+	for !e.Done() {
+		if _, err := e.Step(); err != nil {
+			return e.res, err
+		}
+	}
+	return e.res, e.Close()
+}

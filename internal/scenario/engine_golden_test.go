@@ -13,10 +13,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/mistralcloud/mistral/internal/experiments"
-	"github.com/mistralcloud/mistral/internal/fault"
-	"github.com/mistralcloud/mistral/internal/guard"
 	"github.com/mistralcloud/mistral/internal/obs"
 	"github.com/mistralcloud/mistral/internal/obs/tsdb"
 	"github.com/mistralcloud/mistral/internal/provenance"
@@ -52,10 +51,6 @@ var wallUS = regexp.MustCompile(`"wall_us":\d+`)
 // fixture does not have renders as absent.
 func engineStreamsGolden(t *testing.T, strategyName string, faults, observers bool) []byte {
 	t.Helper()
-	lab, err := experiments.NewLab(experiments.LabOptions{NumApps: 2, Seed: 42})
-	if err != nil {
-		t.Fatal(err)
-	}
 	var ob *obs.Observer
 	var trace, logs bytes.Buffer
 	if observers {
@@ -75,48 +70,27 @@ func engineStreamsGolden(t *testing.T, strategyName string, faults, observers bo
 		}
 	}
 	// The testbed, fault plane, guard, evaluator and controllers resolve the
-	// process default at construction, as they do in the binaries.
+	// process default at construction, as they do in the binaries, which
+	// build their replays through the same Recipe.Build.
 	obs.SetDefault(ob)
 	defer obs.SetDefault(nil)
 
-	var inj *fault.Injector
-	exec := testbed.FailForward
-	var grd *guard.Guard
+	rc := experiments.Recipe{Lab: experiments.LabOptions{NumApps: 2, Seed: 42}, Strategy: strategyName}
 	if faults {
-		inj = fault.New(fault.Profile(0.3, 5))
-		exec = testbed.RollbackOnFailure
-		grd = guard.New(guard.Config{Obs: ob}, lab.Cat)
-	}
-	tb, err := lab.NewTestbedExec(inj, exec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	eval, err := lab.NewEvaluator()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec, err := strategy.New(strategyName, eval, lab.Util, strategy.MistralConfig{
-		HostGroups:         lab.HostGroups(),
-		MonitoringInterval: lab.Util.MonitoringInterval,
-		Provenance:         true,
-	})
-	if err != nil {
-		t.Fatal(err)
+		rc.FaultRate, rc.FaultSeed = 0.3, 5
+		rc.ExecPolicy = testbed.RollbackOnFailure
+		rc.Guard = true
 	}
 	var prov bytes.Buffer
-	e, err := scenario.NewEngine(tb, dec, scenario.RunConfig{
-		Traces:         lab.Traces,
-		Duration:       engineGoldenWindows * lab.Util.MonitoringInterval,
-		Interval:       lab.Util.MonitoringInterval,
-		Utility:        lab.Util,
-		Fault:          inj,
-		Guard:          grd,
+	rp, err := rc.Build(strategy.MistralConfig{}, scenario.RunConfig{
+		Duration:       engineGoldenWindows * 2 * time.Minute,
 		Provenance:     provenance.NewRecorder(&prov),
 		StepProvenance: faults,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	e := rp.Engine
 
 	// Registry values at every window boundary, not just the last.
 	var counters bytes.Buffer

@@ -439,10 +439,5 @@ func Run(tb *testbed.Testbed, d Decider, cfg RunConfig) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	for !e.Done() {
-		if _, err := e.Step(); err != nil {
-			return e.Result(), err
-		}
-	}
-	return e.Result(), e.Close()
+	return e.Run()
 }

@@ -256,23 +256,36 @@ func New(cat *cluster.Catalog, apps []*app.Spec, initial cluster.Config, rates m
 		if err != nil {
 			return nil, fmt.Errorf("testbed: %w", err)
 		}
-		for name, r := range tb.rates {
-			if err := tb.applyRate(name, r); err != nil {
-				return nil, fmt.Errorf("testbed: %w", err)
-			}
+		if err := tb.applyRates(tb.rates); err != nil {
+			return nil, err
 		}
 	}
 	return tb, nil
 }
 
-// applyRate propagates one application's offered rate to the request-level
-// simulator, as a Poisson stream or a closed session population.
-func (tb *Testbed) applyRate(name string, r float64) error {
-	if tb.opts.ClosedLoop {
-		sessions := int(r*8 + 0.5)
-		return tb.qsys.SetSessions(name, sessions, closedLoopThink)
+// applyRates propagates offered rates to the request-level simulator, each
+// application's as a Poisson stream or a closed session population. Every
+// stream draws from the simulator's one generator, so they start in sorted
+// application order: map order would hand each application different
+// random numbers from run to run.
+func (tb *Testbed) applyRates(rates map[string]float64) error {
+	names := make([]string, 0, len(rates))
+	for name := range rates {
+		names = append(names, name)
 	}
-	return tb.qsys.SetRate(name, r)
+	sort.Strings(names)
+	for _, name := range names {
+		var err error
+		if r := rates[name]; tb.opts.ClosedLoop {
+			err = tb.qsys.SetSessions(name, int(r*8+0.5), closedLoopThink)
+		} else {
+			err = tb.qsys.SetRate(name, r)
+		}
+		if err != nil {
+			return fmt.Errorf("testbed: %w", err)
+		}
+	}
+	return nil
 }
 
 // Now returns the virtual clock.
@@ -315,13 +328,11 @@ func (tb *Testbed) CostManager() *cost.Manager { return tb.costMgr }
 func (tb *Testbed) SetRates(rates map[string]float64) error {
 	for k, v := range rates {
 		tb.rates[k] = v
-		if tb.qsys != nil {
-			if err := tb.applyRate(k, v); err != nil {
-				return fmt.Errorf("testbed: %w", err)
-			}
-		}
 	}
-	return nil
+	if tb.qsys == nil {
+		return nil
+	}
+	return tb.applyRates(rates)
 }
 
 // BusyUntil returns the completion time of the last scheduled phase, or the

@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -326,6 +327,39 @@ func TestRequestLevelMigrationTransient(t *testing.T) {
 	// Host cycling unsupported at request level.
 	if _, err := tb.Execute([]cluster.Action{{Kind: cluster.ActionStartHost, Host: "h3"}}); err == nil {
 		t.Error("host cycling accepted in request-level mode")
+	}
+}
+
+// TestRequestLevelIsDeterministic pins the request-level testbed to its
+// seed: every application's arrival stream draws from the simulator's one
+// generator, so testbeds built alike must measure identical windows, before
+// and after a rate change. A map-ordered start reverses two applications'
+// order about one time in eight, so it takes a few dozen testbeds to show.
+func TestRequestLevelIsDeterministic(t *testing.T) {
+	cat, apps, cfg := setup(t, 4, "rubis1", "rubis2")
+	measure := func() []Window {
+		tb, err := New(cat, apps, cfg, map[string]float64{"rubis1": 50, "rubis2": 40}, nil, noiseless(ModeRequestLevel))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w0, err := tb.MeasureWindow(15 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tb.SetRates(map[string]float64{"rubis1": 30, "rubis2": 60}); err != nil {
+			t.Fatal(err)
+		}
+		w1, err := tb.MeasureWindow(30 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return []Window{w0, w1}
+	}
+	first := measure()
+	for i := 1; i < 32; i++ {
+		if again := measure(); !reflect.DeepEqual(first, again) {
+			t.Fatalf("testbed %d measured differently from the first:\nfirst: %+v\nagain: %+v", i, first, again)
+		}
 	}
 }
 

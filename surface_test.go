@@ -11,10 +11,12 @@ import (
 )
 
 // settableValuesCeiling is the most settable values the module may expose:
-// exported fields of struct types named *Options or *Config, plus flags
-// defined under cmd/. A change that adds one raises this number on purpose,
-// with the second caller that needs a different value as its reason.
-const settableValuesCeiling = 191
+// exported fields of struct types named *Options or *Config and of the
+// experiments Recipe, plus every flag the module defines, through the flag
+// package or a *flag.FlagSet. A change that adds one raises this number on
+// purpose, with the second caller that needs a different value as its
+// reason.
+const settableValuesCeiling = 181
 
 // flagDefiners are the flag package's functions that define a flag.
 var flagDefiners = map[string]bool{
@@ -29,7 +31,8 @@ var flagDefiners = map[string]bool{
 
 // TestSettableValuesCeiling holds the module's configuration surface to a
 // ceiling, counted over the non-test Go files of this module (bench/ is a
-// module of its own and is not counted).
+// module of its own and is not counted). A flag counts once where it is
+// defined, however many binaries register it.
 func TestSettableValuesCeiling(t *testing.T) {
 	var fields, flags int
 	fset := token.NewFileSet()
@@ -51,13 +54,13 @@ func TestSettableValuesCeiling(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		underCmd := strings.HasPrefix(filepath.ToSlash(path), "cmd/")
+		flagSets := flagSetNames(f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.TypeSpec:
 				st, ok := n.Type.(*ast.StructType)
 				name := n.Name.Name
-				if !ok || !(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
+				if !ok || !(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config") || name == "Recipe") {
 					return true
 				}
 				for _, fl := range st.Fields.List {
@@ -75,11 +78,18 @@ func TestSettableValuesCeiling(t *testing.T) {
 				}
 			case *ast.CallExpr:
 				sel, ok := n.Fun.(*ast.SelectorExpr)
-				if !ok || !underCmd {
+				if !ok || !flagDefiners[sel.Sel.Name] {
 					return true
 				}
-				if pkg, ok := sel.X.(*ast.Ident); ok && pkg.Name == "flag" && flagDefiners[sel.Sel.Name] {
-					flags++
+				switch x := sel.X.(type) {
+				case *ast.Ident: // flag.String(...) or fs.String(...)
+					if x.Name == "flag" || flagSets[x.Name] {
+						flags++
+					}
+				case *ast.SelectorExpr: // flag.CommandLine.String(...)
+					if isFlagSel(x, "CommandLine") {
+						flags++
+					}
 				}
 			}
 			return true
@@ -94,6 +104,57 @@ func TestSettableValuesCeiling(t *testing.T) {
 	if total > settableValuesCeiling {
 		t.Errorf("%d settable values exceed the ceiling of %d: make a value with one caller a constant", total, settableValuesCeiling)
 	}
+}
+
+// flagSetNames collects the identifiers a file declares as a
+// *flag.FlagSet: parameters, results and variables of that type, and names
+// assigned the result of flag.NewFlagSet.
+func flagSetNames(f *ast.File) map[string]bool {
+	names := map[string]bool{}
+	isFlagSet := func(x ast.Expr) bool {
+		star, ok := x.(*ast.StarExpr)
+		if !ok {
+			return false
+		}
+		sel, ok := star.X.(*ast.SelectorExpr)
+		return ok && isFlagSel(sel, "FlagSet")
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Field:
+			if isFlagSet(n.Type) {
+				for _, id := range n.Names {
+					names[id.Name] = true
+				}
+			}
+		case *ast.ValueSpec:
+			if n.Type != nil && isFlagSet(n.Type) {
+				for _, id := range n.Names {
+					names[id.Name] = true
+				}
+			}
+		case *ast.AssignStmt:
+			for i, rhs := range n.Rhs {
+				call, ok := rhs.(*ast.CallExpr)
+				if !ok || i >= len(n.Lhs) {
+					continue
+				}
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && isFlagSel(sel, "NewFlagSet") {
+					if id, ok := n.Lhs[i].(*ast.Ident); ok {
+						names[id.Name] = true
+					}
+				}
+			}
+		}
+		return true
+	})
+	return names
+}
+
+// isFlagSel reports whether sel is flag.<name>.
+func isFlagSel(sel *ast.SelectorExpr, name string) bool {
+	pkg, ok := sel.X.(*ast.Ident)
+	return ok && pkg.Name == "flag" && sel.Sel.Name == name
 }
 
 // embeddedExported reports whether an embedded field's type name is exported.
