@@ -201,7 +201,7 @@ func replayFile(path string) (*frame, error) {
 		return nil, fmt.Errorf("%s: no records", path)
 	}
 
-	eng := slo.New(slo.Config{}, nil)
+	eng := slo.New(0, nil)
 	f := &frame{ops: obs.OpsSnapshot{Schema: obs.OpsSchema, Strategy: recs[0].Strategy, Window: -1}}
 	for i := range recs {
 		r := &recs[i]

@@ -1,13 +1,13 @@
 // Package slo is Mistral's self-monitoring engine: declarative service
-// level objectives over the controller's own behavior — decision
-// latency budget per window, degraded-window burn rate, eval-cache hit
-// floor, fault-retry ceiling — evaluated online with SRE-style error
+// level objectives over what the controller delivers — decision latency
+// budget per window, degraded-window burn rate, guard-reject rate,
+// telemetry-history anomalies — evaluated online with SRE-style error
 // budget accounting.
 //
 // Determinism is a design constraint, not an accident: every input the
 // engine folds into its state is virtual-time or a deterministic count
-// (search time on the simulation clock, degraded flags, retry counts,
-// cache counters). Wall-clock latency never enters; the Profiler in
+// (search time on the simulation clock, degraded and guard flags, anomaly
+// counts). Wall-clock latency never enters; the Profiler in
 // package obs owns that side. Two runs with the same seed produce
 // byte-identical Snapshots, which the determinism test asserts.
 package slo
@@ -34,91 +34,30 @@ const (
 	SeverityPage = "page"
 )
 
-// Config declares the objectives. Zero fields take defaults derived
-// from the monitoring interval.
-type Config struct {
-	// Interval is the monitoring interval M (required; used to derive
-	// the default decide budget).
-	Interval time.Duration
-	// DecideBudget is the virtual-time budget for one decide
-	// (search+plan on the simulation clock). Default Interval/4.
-	DecideBudget time.Duration
-	// DecideBudgetFrac is the allowed fraction of invoked windows that
-	// may exceed DecideBudget. Default 0.10.
-	DecideBudgetFrac float64
-	// DegradedFrac is the allowed fraction of windows that may run
-	// degraded (fallback decisions). Default 0.05.
-	DegradedFrac float64
-	// CacheHitFloor is the minimum per-window eval-cache hit rate.
-	// The evaluator cache is a within-search dedup structure, so healthy
-	// hit rates are low single digits; the floor catches pathological
-	// cold-cache windows, not cache inefficiency. Default 0.001 (0.1%).
-	CacheHitFloor float64
-	// CacheHitFrac is the allowed fraction of measurable windows below
-	// the floor. Default 0.50.
-	CacheHitFrac float64
-	// RetryCeiling is the maximum fault retries per window before the
-	// objective breaches. Default 2.
-	RetryCeiling int
-	// RetryFrac is the allowed fraction of windows above the ceiling.
-	// Default 0.10.
-	RetryFrac float64
-	// GuardRejectFrac is the allowed fraction of guard-checked windows
+// The objectives' thresholds and budgets. The decide budget is a quarter of
+// the monitoring interval (decideBudgetDefault when the interval is unset).
+const (
+	decideBudgetDefault = 30 * time.Second
+	// decideBudgetFrac is the allowed fraction of invoked windows whose
+	// decide (search+plan on the simulation clock) exceeds the budget.
+	decideBudgetFrac = 0.10
+	// degradedFrac is the allowed fraction of windows that may run
+	// degraded (fallback decisions).
+	degradedFrac = 0.05
+	// guardRejectFrac is the allowed fraction of guard-checked windows
 	// whose plan the admission guard rejected. A guard that refuses most
 	// plans means the controller and the safety envelope disagree — the
-	// run is technically safe but no longer adapting. Default 0.25.
-	GuardRejectFrac float64
-	// AnomalyFrac is the allowed fraction of history-checked windows in
+	// run is technically safe but no longer adapting.
+	guardRejectFrac = 0.25
+	// anomalyFrac is the allowed fraction of history-checked windows in
 	// which the telemetry anomaly detector flagged a deterministic
-	// (virtual-time) series. Default 0.10.
-	AnomalyFrac float64
-	// BurnWindows is the trailing-window span for burn-rate estimation.
-	// Default 16.
-	BurnWindows int
-	// AlertCap bounds the in-memory alert ring. Default 64.
-	AlertCap int
-}
-
-func (c Config) withDefaults() Config {
-	if c.DecideBudget <= 0 {
-		if c.Interval > 0 {
-			c.DecideBudget = c.Interval / 4
-		} else {
-			c.DecideBudget = 30 * time.Second
-		}
-	}
-	if c.DecideBudgetFrac <= 0 {
-		c.DecideBudgetFrac = 0.10
-	}
-	if c.DegradedFrac <= 0 {
-		c.DegradedFrac = 0.05
-	}
-	if c.CacheHitFloor <= 0 {
-		c.CacheHitFloor = 0.001
-	}
-	if c.CacheHitFrac <= 0 {
-		c.CacheHitFrac = 0.50
-	}
-	if c.RetryCeiling <= 0 {
-		c.RetryCeiling = 2
-	}
-	if c.RetryFrac <= 0 {
-		c.RetryFrac = 0.10
-	}
-	if c.GuardRejectFrac <= 0 {
-		c.GuardRejectFrac = 0.25
-	}
-	if c.AnomalyFrac <= 0 {
-		c.AnomalyFrac = 0.10
-	}
-	if c.BurnWindows <= 0 {
-		c.BurnWindows = 16
-	}
-	if c.AlertCap <= 0 {
-		c.AlertCap = 64
-	}
-	return c
-}
+	// (virtual-time) series.
+	anomalyFrac = 0.10
+	// burnWindows is the trailing-window span for burn-rate estimation.
+	burnWindows = 16
+	// alertCap bounds the in-memory alert ring.
+	alertCap = 64
+)
 
 // WindowObs is one completed monitoring window's observations. All
 // fields are virtual-time or deterministic counts.
@@ -134,12 +73,6 @@ type WindowObs struct {
 	Degraded bool
 	// SearchTime is the decide duration on the simulation clock.
 	SearchTime time.Duration
-	// Retries is how many queued fault retries executed this window.
-	Retries int
-	// CacheHits/CacheMisses are cumulative evaluator cache counters;
-	// the engine diffs them per window. Zero deltas mark the window
-	// unmeasurable for the cache objective (skipped, not breached).
-	CacheHits, CacheMisses int64
 	// GuardChecked marks a window whose proposed plan went through the
 	// admission guard; GuardRejected reports the guard refused it.
 	// Windows without a guard (or without a plan) are unmeasurable for
@@ -207,13 +140,13 @@ type Snapshot struct {
 type objective struct {
 	name    string
 	budget  float64
-	measure func(e *Engine, w WindowObs) (value, threshold float64, measurable bool)
+	measure func(w WindowObs) (value, threshold float64, measurable bool)
 	breach  func(value, threshold float64) bool
 	format  func(value, threshold float64) string
 
 	windows, breaches int
 	lastBreach        int
-	ring              []bool // trailing breach flags, BurnWindows cap
+	ring              []bool // trailing breach flags, burnWindows cap
 	paged             bool
 }
 
@@ -222,24 +155,24 @@ type objective struct {
 // endpoint). A nil *Engine is valid and inert.
 type Engine struct {
 	mu         sync.Mutex
-	cfg        Config
 	objectives []*objective
 	windows    int
 	alerts     []Alert
 	total      int
-	lastHits   int64
-	lastMisses int64
 
 	breachCount *obs.Counter
 	alertCount  *obs.Counter
 	reg         *obs.Registry
 }
 
-// New builds an engine over cfg, registering its metrics on the
-// observer's registry (nil-safe).
-func New(cfg Config, o *obs.Observer) *Engine {
-	cfg = cfg.withDefaults()
-	e := &Engine{cfg: cfg}
+// New builds an engine for the monitoring interval (which sets the decide
+// budget), registering its metrics on the observer's registry (nil-safe).
+func New(interval time.Duration, o *obs.Observer) *Engine {
+	decideBudget := decideBudgetDefault
+	if interval > 0 {
+		decideBudget = interval / 4
+	}
+	e := &Engine{}
 	if o != nil {
 		e.reg = o.Metrics
 	}
@@ -248,9 +181,9 @@ func New(cfg Config, o *obs.Observer) *Engine {
 	e.objectives = []*objective{
 		{
 			name:   "decide-latency",
-			budget: cfg.DecideBudgetFrac,
-			measure: func(_ *Engine, w WindowObs) (float64, float64, bool) {
-				return w.SearchTime.Seconds(), cfg.DecideBudget.Seconds(), w.Invoked
+			budget: decideBudgetFrac,
+			measure: func(w WindowObs) (float64, float64, bool) {
+				return w.SearchTime.Seconds(), decideBudget.Seconds(), w.Invoked
 			},
 			breach: func(v, t float64) bool { return v > t },
 			format: func(v, t float64) string {
@@ -259,8 +192,8 @@ func New(cfg Config, o *obs.Observer) *Engine {
 		},
 		{
 			name:   "degraded-burn",
-			budget: cfg.DegradedFrac,
-			measure: func(_ *Engine, w WindowObs) (float64, float64, bool) {
+			budget: degradedFrac,
+			measure: func(w WindowObs) (float64, float64, bool) {
 				v := 0.0
 				if w.Degraded {
 					v = 1
@@ -271,36 +204,9 @@ func New(cfg Config, o *obs.Observer) *Engine {
 			format: func(_, _ float64) string { return "window ran degraded (fallback decision)" },
 		},
 		{
-			name:   "eval-cache-hit",
-			budget: cfg.CacheHitFrac,
-			measure: func(e *Engine, w WindowObs) (float64, float64, bool) {
-				dh := w.CacheHits - e.lastHits
-				dm := w.CacheMisses - e.lastMisses
-				if dh+dm <= 0 {
-					return 0, cfg.CacheHitFloor, false
-				}
-				return float64(dh) / float64(dh+dm), cfg.CacheHitFloor, true
-			},
-			breach: func(v, t float64) bool { return v < t },
-			format: func(v, t float64) string {
-				return fmt.Sprintf("eval-cache hit rate %.1f%%, floor %.1f%%", v*100, t*100)
-			},
-		},
-		{
-			name:   "fault-retry",
-			budget: cfg.RetryFrac,
-			measure: func(_ *Engine, w WindowObs) (float64, float64, bool) {
-				return float64(w.Retries), float64(cfg.RetryCeiling), true
-			},
-			breach: func(v, t float64) bool { return v > t },
-			format: func(v, t float64) string {
-				return fmt.Sprintf("%d fault retries, ceiling %d", int(v), int(t))
-			},
-		},
-		{
 			name:   "guard-reject",
-			budget: cfg.GuardRejectFrac,
-			measure: func(_ *Engine, w WindowObs) (float64, float64, bool) {
+			budget: guardRejectFrac,
+			measure: func(w WindowObs) (float64, float64, bool) {
 				v := 0.0
 				if w.GuardRejected {
 					v = 1
@@ -314,8 +220,8 @@ func New(cfg Config, o *obs.Observer) *Engine {
 		},
 		{
 			name:   "history-anomaly",
-			budget: cfg.AnomalyFrac,
-			measure: func(_ *Engine, w WindowObs) (float64, float64, bool) {
+			budget: anomalyFrac,
+			measure: func(w WindowObs) (float64, float64, bool) {
 				return float64(w.Anomalies), 0.5, w.HistoryChecked
 			},
 			breach: func(v, t float64) bool { return v > t },
@@ -341,14 +247,14 @@ func (e *Engine) ObserveWindow(w WindowObs) []Alert {
 	e.windows++
 	var fired []Alert
 	for _, ob := range e.objectives {
-		value, threshold, measurable := ob.measure(e, w)
+		value, threshold, measurable := ob.measure(w)
 		if !measurable {
 			continue
 		}
 		ob.windows++
 		bad := ob.breach(value, threshold)
 		ob.ring = append(ob.ring, bad)
-		if len(ob.ring) > e.cfg.BurnWindows {
+		if len(ob.ring) > burnWindows {
 			ob.ring = ob.ring[1:]
 		}
 		if bad {
@@ -359,18 +265,17 @@ func (e *Engine) ObserveWindow(w WindowObs) []Alert {
 			fired = append(fired, e.alertLocked(ob, w, SeverityWarn, value, threshold))
 		}
 		// Page on sustained exhaustion, evaluated every measurable window:
-		// a grace period of BurnWindows keeps a single cold-start breach
+		// a grace period of burnWindows keeps a single cold-start breach
 		// (1 breach / budget*1 window always exceeds 1) from latching the
 		// page, and a budget that recovers below 1 re-arms it.
 		switch used := budgetUsed(ob); {
-		case used >= 1 && !ob.paged && ob.windows >= e.cfg.BurnWindows:
+		case used >= 1 && !ob.paged && ob.windows >= burnWindows:
 			ob.paged = true
 			fired = append(fired, e.alertLocked(ob, w, SeverityPage, value, threshold))
 		case used < 1:
 			ob.paged = false
 		}
 	}
-	e.lastHits, e.lastMisses = w.CacheHits, w.CacheMisses
 	e.publishGaugesLocked()
 	return fired
 }
@@ -392,8 +297,8 @@ func (e *Engine) alertLocked(ob *objective, w WindowObs, severity string, value,
 		Message:   msg,
 	}
 	e.alerts = append(e.alerts, a)
-	if len(e.alerts) > e.cfg.AlertCap {
-		e.alerts = e.alerts[len(e.alerts)-e.cfg.AlertCap:]
+	if len(e.alerts) > alertCap {
+		e.alerts = e.alerts[len(e.alerts)-alertCap:]
 	}
 	e.total++
 	e.alertCount.Inc()
@@ -451,16 +356,13 @@ type ObjectivePersist struct {
 
 // PersistState is the engine's complete mutable state in serializable
 // form, for checkpoint/restore. Unlike Snapshot — a derived reporting view
-// — it carries the raw accounting ObserveWindow folds into, including the
-// cumulative cache-counter baseline the eval-cache objective diffs
-// against. Configuration is not included: state is restored into an engine
-// freshly built with the same Config.
+// — it carries the raw accounting ObserveWindow folds into. Configuration
+// is not included: state is restored into an engine freshly built for the
+// same interval.
 type PersistState struct {
 	Windows    int                `json:"windows"`
 	Alerts     []Alert            `json:"alerts,omitempty"`
 	Total      int                `json:"total"`
-	LastHits   int64              `json:"last_hits"`
-	LastMisses int64              `json:"last_misses"`
 	Objectives []ObjectivePersist `json:"objectives"`
 }
 
@@ -473,11 +375,9 @@ func (e *Engine) Persist() *PersistState {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	s := &PersistState{
-		Windows:    e.windows,
-		Alerts:     append([]Alert(nil), e.alerts...),
-		Total:      e.total,
-		LastHits:   e.lastHits,
-		LastMisses: e.lastMisses,
+		Windows: e.windows,
+		Alerts:  append([]Alert(nil), e.alerts...),
+		Total:   e.total,
 	}
 	for _, ob := range e.objectives {
 		s.Objectives = append(s.Objectives, ObjectivePersist{
@@ -504,8 +404,6 @@ func (e *Engine) Restore(s *PersistState) {
 	e.windows = s.Windows
 	e.alerts = append([]Alert(nil), s.Alerts...)
 	e.total = s.Total
-	e.lastHits = s.LastHits
-	e.lastMisses = s.LastMisses
 	byName := make(map[string]*objective, len(e.objectives))
 	for _, ob := range e.objectives {
 		byName[ob.name] = ob

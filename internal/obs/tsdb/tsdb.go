@@ -4,7 +4,7 @@
 // time, never wall clock — with tiered downsampling behind it: the raw
 // tier keeps the last RawWindows samples exactly, and each coarser tier
 // keeps min/max/sum/count aggregates over Factors[i]-window buckets, so
-// "how did cache hit rate evolve over the last 5,000 windows" is one
+// "how did power draw evolve over the last 5,000 windows" is one
 // in-process query instead of an offline provenance replay.
 //
 // Determinism is the design constraint the whole control plane already

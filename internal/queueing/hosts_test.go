@@ -77,6 +77,33 @@ func TestAddRemoveHost(t *testing.T) {
 	}
 }
 
+// TestRemoveVMWhileRequestsWaitAtDom0 removes a replica while requests
+// routed to it still queue at its host's Dom-0: they are dropped, as
+// RemoveVM's in-flight requests are, and the system keeps serving through
+// the other replica.
+func TestRemoveVMWhileRequestsWaitAtDom0(t *testing.T) {
+	sys := hostOpsSystem(t)
+	if err := sys.AddVM("a-app-1", "h1", 30); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SetRate("a", 400); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Run(1007 * time.Millisecond); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RemoveVM("a-app-1"); err != nil {
+		t.Fatal(err)
+	}
+	sys.ResetWindow()
+	if err := sys.Run(3 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if sys.Snapshot().Apps["a"].Completed == 0 {
+		t.Error("no completions after the replica was removed")
+	}
+}
+
 func TestAddVMValidation(t *testing.T) {
 	sys := hostOpsSystem(t)
 	if err := sys.AddVM("a-web-0", "h0", 30); err == nil {

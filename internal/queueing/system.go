@@ -291,8 +291,17 @@ func (s *System) visitTier(a *app.Spec, txn app.TxnSpec, i int, start time.Durat
 		return
 	}
 	proceed := func() {
+		// The replica may have been removed while the request waited at
+		// Dom-0: drop it, as RemoveVM drops its in-flight requests.
+		st, ok := s.vmStations[id]
+		if !ok {
+			if done != nil {
+				done()
+			}
+			return
+		}
 		demand := s.serviceRNG.LogNormal(txn.DemandMS[tier]/1000, serviceCV)
-		s.vmStations[id].Submit(demand, func() {
+		st.Submit(demand, func() {
 			s.visitTier(a, txn, i+1, start, done)
 		})
 	}

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
-	"regexp"
 	"strings"
 	"testing"
 
@@ -27,7 +26,6 @@ type ckEnv struct {
 	engine *scenario.Engine
 	prov   *bytes.Buffer
 	hist   *tsdb.Store
-	reg    *obs.Registry
 }
 
 func newCkEnv(t *testing.T) *ckEnv {
@@ -45,9 +43,8 @@ func newCkEnv(t *testing.T) *ckEnv {
 		t.Fatal(err)
 	}
 	// A fresh metrics registry per environment, fed by the evaluator and the
-	// controllers as the process default would be: the restore path must
-	// re-seat the cumulative counters the SLO engine diffs, exactly as a
-	// restarted process would have to.
+	// controllers as the process default would be, as in a restarted
+	// process.
 	ob := &obs.Observer{Metrics: obs.NewRegistry(), History: tsdb.New(tsdb.Options{})}
 	eval.SetObserver(ob)
 	dec, err := strategy.NewMistral(eval, strategy.MistralConfig{
@@ -71,7 +68,7 @@ func newCkEnv(t *testing.T) *ckEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &ckEnv{engine: e, prov: buf, hist: ob.History, reg: ob.Metrics}
+	return &ckEnv{engine: e, prov: buf, hist: ob.History}
 }
 
 // histQueryJSON renders a raw-resolution trend query over the full window
@@ -121,9 +118,15 @@ func sloJSON(t *testing.T, e *scenario.Engine) []byte {
 	return raw
 }
 
-// evalCounters matches the evaluator's counters in a Mistral decider's
-// checkpointed state.
-var evalCounters = regexp.MustCompile(`"eval":\{"hits":\d+,"evals":\d+`)
+// insertAfter inserts fields after the one occurrence of anchor in a
+// checkpoint's JSON.
+func insertAfter(t *testing.T, ck []byte, anchor, fields string) []byte {
+	t.Helper()
+	if n := bytes.Count(ck, []byte(anchor)); n != 1 {
+		t.Fatalf("checkpoint holds %d occurrences of %s, want 1", n, anchor)
+	}
+	return bytes.Replace(ck, []byte(anchor), []byte(anchor+fields), 1)
+}
 
 // TestCheckpointRoundTripDeterminism is the resumable engine's hard
 // compatibility bar: a 100-window fixed-seed run and a checkpoint-at-50 +
@@ -132,15 +135,17 @@ var evalCounters = regexp.MustCompile(`"eval":\{"hits":\d+,"evals":\d+`)
 // JSON serialization boundary inside the checkpoint.File envelope, as it
 // would a process boundary. Each input records a different worker count in
 // the envelope, the value older builds wrote there; the last also carries
-// the in-flight dedup counter older builds kept in the decider state.
-// Restore ignores both.
+// the keys older v3 builds wrote and this one no longer does: the
+// evaluator's counters (with the in-flight dedup counter) in the decider
+// state, the registry's cumulative cache counters, and the SLO engine's
+// cache baseline. Restore ignores all of them.
 func TestCheckpointRoundTripDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
-		dedups  bool
+		legacy  bool
 	}{{0, false}, {1, false}, {4, true}} {
 		name := fmt.Sprintf("workers=%d", tc.workers)
-		if tc.dedups {
+		if tc.legacy {
 			name += ",dedups=7"
 		}
 		t.Run(name, func(t *testing.T) {
@@ -158,11 +163,10 @@ func TestCheckpointRoundTripDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 			ckBytes = bytes.Replace(ckBytes, []byte(`"workers":0`), []byte(fmt.Sprintf(`"workers":%d`, tc.workers)), 1)
-			if tc.dedups {
-				if n := len(evalCounters.FindAll(ckBytes, -1)); n != 1 {
-					t.Fatalf("checkpoint holds %d evaluator counter sets, want 1", n)
-				}
-				ckBytes = evalCounters.ReplaceAll(ckBytes, []byte(`$0,"dedups":7`))
+			if tc.legacy {
+				ckBytes = insertAfter(t, ckBytes, `"decider":{`, `"eval":{"hits":3,"evals":41,"dedups":7},`)
+				ckBytes = insertAfter(t, ckBytes, `"scenario":{`, `"reg_cache_hits":412,"reg_cache_misses":9105,`)
+				ckBytes = insertAfter(t, ckBytes, `"slo":{`, `"last_hits":409,"last_misses":9064,`)
 			}
 
 			resumed := newCkEnv(t)
@@ -204,13 +208,12 @@ func TestCheckpointRoundTripDeterminism(t *testing.T) {
 }
 
 // windowView is everything an operator can see of one completed window
-// besides the decision itself: the cache-counter stream, the derived history
-// series, the SLO report, and how far the provenance stream has grown.
+// besides the decision itself: the expansions history series, the SLO
+// report, and how far the provenance stream has grown.
 type windowView struct {
-	log          scenario.WindowLog
-	hits, misses int64
-	hist, slo    []byte
-	provLen      int
+	log       scenario.WindowLog
+	hist, slo []byte
+	provLen   int
 }
 
 func stepViews(t *testing.T, env *ckEnv, n int) []windowView {
@@ -221,7 +224,7 @@ func stepViews(t *testing.T, env *ckEnv, n int) []windowView {
 		if err != nil {
 			t.Fatalf("step %d: %v", sr.Index, err)
 		}
-		q, err := env.hist.Query([]string{"cache_hit_pct", "expansions"}, 0, sr.Index, 1)
+		q, err := env.hist.Query([]string{"expansions"}, 0, sr.Index, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -235,8 +238,6 @@ func stepViews(t *testing.T, env *ckEnv, n int) []windowView {
 		}
 		views = append(views, windowView{
 			log:     sr.Window,
-			hits:    env.reg.CounterValue("eval_cache_hits_total"),
-			misses:  env.reg.CounterValue("eval_cache_misses_total"),
 			hist:    hist,
 			slo:     sloRaw,
 			provLen: env.prov.Len(),
@@ -245,15 +246,13 @@ func stepViews(t *testing.T, env *ckEnv, n int) []windowView {
 	return views
 }
 
-// TestResumeCarriesCountersNotEntries pins what a checkpoint must and must
-// not carry now that the eval memo is per-window: a Mistral engine with an
+// TestResumeCarriesNoMemoEntries pins what a checkpoint must and must not
+// carry now that the eval memo is per-window: a Mistral engine with an
 // observer, snapshotted at windows 7 and 20 and restored into a fresh
 // environment, continues for 15 windows with the same window logs,
-// provenance bytes, eval_cache_*_total readings, cache_hit_pct and
-// expansions series and SLO report as a run that never stopped — on the
-// strength of three un-flushed counters, in a checkpoint that holds no memo
-// entries and stays small.
-func TestResumeCarriesCountersNotEntries(t *testing.T) {
+// provenance bytes, expansions series and SLO report as a run that never
+// stopped, from a checkpoint that holds no memo entries and stays small.
+func TestResumeCarriesNoMemoEntries(t *testing.T) {
 	const after = 15
 	full := newCkEnv(t)
 	want := stepViews(t, full, 20+after)
@@ -292,11 +291,8 @@ func TestResumeCarriesCountersNotEntries(t *testing.T) {
 				if !reflect.DeepEqual(g.log, w.log) {
 					t.Errorf("window %d log diverges:\nfull:    %+v\nresumed: %+v", at+i, w.log, g.log)
 				}
-				if g.hits != w.hits || g.misses != w.misses {
-					t.Errorf("window %d eval_cache hits/misses = %d/%d, uninterrupted run read %d/%d", at+i, g.hits, g.misses, w.hits, w.misses)
-				}
 				if !bytes.Equal(g.hist, w.hist) {
-					t.Errorf("window %d cache_hit_pct/expansions series diverge:\nfull:    %s\nresumed: %s", at+i, w.hist, g.hist)
+					t.Errorf("window %d expansions series diverge:\nfull:    %s\nresumed: %s", at+i, w.hist, g.hist)
 				}
 				if !bytes.Equal(g.slo, w.slo) {
 					t.Errorf("window %d SLO report diverges:\nfull:    %s\nresumed: %s", at+i, w.slo, g.slo)

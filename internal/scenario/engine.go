@@ -46,11 +46,11 @@ type Engine struct {
 	begun bool
 
 	// Telemetry history plane (see history.go). hist is nil when
-	// observability is fully off; histBase is the cumulative registry
-	// baseline the per-window fold diffs against.
+	// observability is fully off; histBase is the cumulative
+	// search_expansions_total baseline the per-window fold diffs against.
 	hist     *tsdb.Store
 	det      *tsdb.Detector
-	histBase regCounters
+	histBase int64
 
 	cWindows       *obs.Counter
 	cViolations    *obs.Counter
@@ -128,7 +128,7 @@ func NewEngine(tb *testbed.Testbed, d Decider, cfg RunConfig) (*Engine, error) {
 	}
 	e.slo = cfg.SLO
 	if e.slo == nil && o != nil {
-		e.slo = slo.New(slo.Config{Interval: cfg.Interval}, o)
+		e.slo = slo.New(cfg.Interval, o)
 	}
 	e.ops = o.OpsState()
 
@@ -160,7 +160,7 @@ func (e *Engine) begin() {
 	e.begun = true
 	e.ops.BeginRun(e.d.Name(), e.cfg.Interval)
 	e.hist.Reset()
-	e.histBase = e.readCounters()
+	e.histBase = e.readExpansions()
 }
 
 // Result returns the accumulating result. The same pointer is live for the
@@ -191,12 +191,10 @@ func (e *Engine) Step() (StepResult, error) {
 	return e.StepRates(e.cfg.Traces.At(e.t))
 }
 
-func (e *Engine) readCounters() regCounters {
-	return regCounters{
-		expansions: e.reg.CounterValue("search_expansions_total"),
-		hits:       e.reg.CounterValue("eval_cache_hits_total"),
-		misses:     e.reg.CounterValue("eval_cache_misses_total"),
-	}
+// readExpansions reads the cumulative registry counter the history fold
+// diffs window over window.
+func (e *Engine) readExpansions() int64 {
+	return e.reg.CounterValue("search_expansions_total")
 }
 
 // StepRates runs one monitoring window under the given per-application
@@ -457,7 +455,7 @@ func (e *Engine) measure(w *window) error {
 			w.violations = append(w.violations, name)
 		}
 	}
-	w.reg = e.readCounters()
+	w.expansions = e.readExpansions()
 	return nil
 }
 
@@ -519,9 +517,6 @@ func (e *Engine) publish(w *window) {
 		Invoked:        w.Invoked,
 		Degraded:       w.Degraded,
 		SearchTime:     w.SearchTime,
-		Retries:        w.Retried,
-		CacheHits:      w.reg.hits,
-		CacheMisses:    w.reg.misses,
 		GuardChecked:   w.guard != nil,
 		GuardRejected:  w.GuardRejected,
 		HistoryChecked: histChecked,

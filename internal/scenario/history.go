@@ -25,22 +25,17 @@ const opsSparkN = 32
 // engine's history-anomaly objective. Wall-clock drift verdicts surface
 // as warnings and a counter only; they never reach deterministic state.
 //
-// The expansion and cache series are the window's deltas of the cumulative
-// registry counters. The invariant is histBase == the counters' value when
-// the previous window was folded (or when the engine began, or was
-// restored), so the delta covers exactly this window regardless of what
-// the registry held before this engine.
+// The expansions series is the window's delta of the cumulative registry
+// counter. The invariant is histBase == the counter's value when the
+// previous window was folded (or when the engine began, or was restored),
+// so the delta covers exactly this window regardless of what the registry
+// held before this engine.
 func (e *Engine) observeHistory(w *window) (checked bool, anomalies int) {
 	if e.hist == nil {
 		return false, 0
 	}
-	expD := w.reg.expansions - e.histBase.expansions
-	hitD, missD := w.reg.hits-e.histBase.hits, w.reg.misses-e.histBase.misses
-	e.histBase = w.reg
-	hitPct := 0.0
-	if hitD+missD > 0 {
-		hitPct = 100 * float64(hitD) / float64(hitD+missD)
-	}
+	expD := w.expansions - e.histBase
+	e.histBase = w.expansions
 
 	// The continuous virtual series are scored with a rolling median/MAD
 	// z-score, before appending: the baseline is strictly prior windows.
@@ -87,7 +82,6 @@ func (e *Engine) observeHistory(w *window) (checked bool, anomalies int) {
 	app("guard_rejected", float64(b2i(w.GuardRejected)))
 	app("breaker_state", float64(e.cfg.Guard.Breaker()))
 	app("expansions", float64(expD))
-	app("cache_hit_pct", hitPct)
 
 	// Wall-clock decide latency: busy windows ran no decide, so the
 	// series only carries windows where a measurement exists.

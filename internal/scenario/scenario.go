@@ -230,10 +230,6 @@ func (w *WindowLog) degrade(reason string) {
 	w.DegradedReason += reason
 }
 
-// regCounters are the cumulative registry counters the history and SLO
-// folds diff window over window.
-type regCounters struct{ expansions, hits, misses int64 }
-
 // window is one monitoring window's record. The phases of StepRates only
 // fill it; publish alone derives the views from it — Result totals, registry
 // metrics, the decider's feedback, log lines, provenance, the breaker,
@@ -266,7 +262,8 @@ type window struct {
 
 	perfRate, pwrRate float64
 	violations        []string // applications whose measured RT missed the target
-	reg               regCounters
+	// expansions is search_expansions_total as measure read it.
+	expansions int64
 }
 
 func b2i(b bool) int {

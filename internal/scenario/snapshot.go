@@ -20,16 +20,19 @@ import (
 // silent state corruption into a clean "unsupported schema" error.
 //
 // v3 dropped the evaluator's memo entries from the decider state (the memo
-// is per-window; only its un-flushed counters are carried). v1 and v2 files
-// are refused.
+// is per-window). v1 and v2 files are refused. Later v3 files also dropped
+// the evaluator's un-flushed cache counters, the registry's cumulative cache
+// counters and the SLO engine's cache baseline, with the eval-cache-hit
+// objective they fed; older v3 files still carry those keys, and Restore
+// ignores them. Such a file's cache_hit_pct history ring restores as a
+// series that no longer grows.
 const SnapshotSchema = "mistral.checkpoint/v3"
 
 // Snapshotter is the optional Decider extension that makes a strategy
 // checkpointable: SnapshotState serializes every piece of mutable decision
-// state (estimator histories, utility bands, per-level invocation stats,
-// the evaluator's un-flushed counters), and RestoreState rebuilds it in a
-// freshly constructed strategy. The encoding is the strategy's own business
-// — the engine stores it opaquely. A strategy that doesn't implement it can
+// state (estimator histories, utility bands, per-level invocation stats),
+// and RestoreState rebuilds it in a freshly constructed strategy. The
+// encoding is the strategy's own business — the engine stores it opaquely. A strategy that doesn't implement it can
 // still be engine-driven, just not checkpointed.
 type Snapshotter interface {
 	SnapshotState() (json.RawMessage, error)
@@ -72,14 +75,6 @@ type Snapshot struct {
 	SLO     *slo.PersistState `json:"slo,omitempty"`
 	Guard   *guard.State      `json:"guard,omitempty"`
 	Decider json.RawMessage   `json:"decider,omitempty"`
-
-	// Cumulative registry counters the SLO engine's eval-cache-hit
-	// objective diffs window over window. A fresh process's registry
-	// starts at zero; without these the first post-restore diff would go
-	// negative, the objective would mark windows unmeasurable, and the SLO
-	// state would drift from an uninterrupted run's.
-	RegCacheHits   int64 `json:"reg_cache_hits"`
-	RegCacheMisses int64 `json:"reg_cache_misses"`
 
 	// Telemetry history plane: the tsdb store's complete ring contents
 	// and the anomaly detector's wall-clock EWMA baselines, so trends and
@@ -133,8 +128,6 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	}
 	s.SLO = e.slo.Persist()
 	s.Guard = e.cfg.Guard.Snapshot()
-	reg := e.readCounters()
-	s.RegCacheHits, s.RegCacheMisses = reg.hits, reg.misses
 	s.History = e.hist.State()
 	s.Anomaly = e.det.State()
 	return s, nil
@@ -210,23 +203,11 @@ func (e *Engine) Restore(s *Snapshot) error {
 	}
 	e.begun = true
 	e.ops.BeginRun(e.d.Name(), e.cfg.Interval)
-	// Re-seat the cumulative eval-cache counters the SLO engine diffs:
-	// Add the shortfall so a fresh registry reads exactly what the
-	// checkpointed one did (residual un-flushed evaluator stats were
-	// restored separately with the decider's state).
-	if e.reg != nil {
-		if d := s.RegCacheHits - e.reg.CounterValue("eval_cache_hits_total"); d != 0 {
-			e.reg.Counter("eval_cache_hits_total").Add(d)
-		}
-		if d := s.RegCacheMisses - e.reg.CounterValue("eval_cache_misses_total"); d != 0 {
-			e.reg.Counter("eval_cache_misses_total").Add(d)
-		}
-	}
 	// Restore the wall-clock drift baselines and re-sync the counter
-	// baselines the per-window fold diffs — the registry was just
-	// re-seated above, so "baseline == live counter value" holds again and
-	// the next window's deltas cover exactly that window.
-	e.histBase = e.readCounters()
+	// baseline the per-window fold diffs: the registry's counters are
+	// process-local, so "baseline == live counter value" must hold again
+	// for the next window's delta to cover exactly that window.
+	e.histBase = e.readExpansions()
 	e.det.Restore(s.Anomaly)
 	e.ops.SetHistory(e.hist.Summaries(opsSparkN))
 	// Republish the headline gauges so a freshly restored daemon's

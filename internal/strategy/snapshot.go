@@ -11,10 +11,10 @@ import (
 
 // Every strategy implements scenario.Snapshotter: SnapshotState serializes
 // its complete mutable decision state — controller band/history/estimator
-// state, last-seen rates, per-level stats, and the un-flushed activity
-// counters of the evaluator it drives (the memo itself is per-window and
-// never persisted) — and RestoreState rebuilds it in a freshly constructed
-// strategy so a checkpointed run resumes with zero decision drift.
+// state, last-seen rates, per-level stats; the evaluator's memo is
+// per-window and never persisted — and RestoreState rebuilds it in a
+// freshly constructed strategy so a checkpointed run resumes with zero
+// decision drift.
 // Construction inputs (catalog, search options, host groups) are
 // not serialized; state restores into a strategy built from the same
 // configuration.
@@ -25,7 +25,6 @@ type mistralState struct {
 	L2    core.ControllerState   `json:"l2"`
 	L1    []core.ControllerState `json:"l1"`
 	Stats [3]LevelStats          `json:"stats"`
-	Eval  core.CacheSnapshot     `json:"eval"`
 }
 
 // SnapshotState implements scenario.Snapshotter.
@@ -36,7 +35,6 @@ func (m *Mistral) SnapshotState() (json.RawMessage, error) {
 	s := mistralState{
 		L2:    m.l2.Persist(),
 		Stats: stats,
-		Eval:  m.eval.SnapshotCache(),
 	}
 	if m.l3 != nil {
 		l3 := m.l3.Persist()
@@ -70,19 +68,17 @@ func (m *Mistral) RestoreState(raw json.RawMessage) error {
 	m.statsMu.Lock()
 	m.stats = s.Stats
 	m.statsMu.Unlock()
-	m.eval.RestoreCache(s.Eval)
 	return nil
 }
 
 // perfPwrState is the Perf-Pwr baseline's serialized form.
 type perfPwrState struct {
 	Last map[string]float64 `json:"last,omitempty"`
-	Eval core.CacheSnapshot `json:"eval"`
 }
 
 // SnapshotState implements scenario.Snapshotter.
 func (p *PerfPwr) SnapshotState() (json.RawMessage, error) {
-	s := perfPwrState{Eval: p.eval.SnapshotCache()}
+	var s perfPwrState
 	if p.last != nil {
 		s.Last = make(map[string]float64, len(p.last))
 		for k, v := range p.last {
@@ -105,23 +101,17 @@ func (p *PerfPwr) RestoreState(raw json.RawMessage) error {
 			p.last[k] = v
 		}
 	}
-	p.eval.RestoreCache(s.Eval)
 	return nil
 }
 
-// perfCostState is the Perf-Cost baseline's serialized form. Eval is the
-// baseline's private power-blind evaluator, not the shared one.
+// perfCostState is the Perf-Cost baseline's serialized form.
 type perfCostState struct {
 	Ctrl core.ControllerState `json:"ctrl"`
-	Eval core.CacheSnapshot   `json:"eval"`
 }
 
 // SnapshotState implements scenario.Snapshotter.
 func (p *PerfCost) SnapshotState() (json.RawMessage, error) {
-	return json.Marshal(perfCostState{
-		Ctrl: p.ctrl.Persist(),
-		Eval: p.eval.SnapshotCache(),
-	})
+	return json.Marshal(perfCostState{Ctrl: p.ctrl.Persist()})
 }
 
 // RestoreState implements scenario.Snapshotter.
@@ -131,7 +121,6 @@ func (p *PerfCost) RestoreState(raw json.RawMessage) error {
 		return fmt.Errorf("strategy: perf-cost state: %w", err)
 	}
 	p.ctrl.Restore(s.Ctrl)
-	p.eval.RestoreCache(s.Eval)
 	return nil
 }
 
@@ -141,7 +130,6 @@ type pwrCostState struct {
 	Last        map[string]float64   `json:"last,omitempty"`
 	BandStartNS int64                `json:"band_start_ns"`
 	Started     bool                 `json:"started"`
-	Eval        core.CacheSnapshot   `json:"eval"`
 }
 
 // SnapshotState implements scenario.Snapshotter.
@@ -150,7 +138,6 @@ func (p *PwrCost) SnapshotState() (json.RawMessage, error) {
 		Est:         p.est.Persist(),
 		BandStartNS: int64(p.bandStart),
 		Started:     p.started,
-		Eval:        p.eval.SnapshotCache(),
 	}
 	if p.last != nil {
 		s.Last = make(map[string]float64, len(p.last))
@@ -177,6 +164,5 @@ func (p *PwrCost) RestoreState(raw json.RawMessage) error {
 			p.last[k] = v
 		}
 	}
-	p.eval.RestoreCache(s.Eval)
 	return nil
 }

@@ -10,8 +10,9 @@
 # stdout and stderr. Exits non-zero if anything differs; the worktree is
 # removed on every exit.
 #
-# A commit that is meant to move decisions says so with [decisions-change]
-# in its message; CI skips this check for it.
+# A commit that is meant to change any of these bytes — decisions, output,
+# provenance or the checkpoint format — says so with [decisions-change] in
+# its message; CI skips this check for it.
 set -eu
 
 rev=${1:-HEAD~1}
