@@ -219,7 +219,7 @@ func BenchmarkPerfPwr(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				eval.ResetCache()
+				eval.BeginWindow()
 				if ideal, err = core.PerfPwr(eval, rates, core.PerfPwrOptions{}); err != nil {
 					b.Fatal(err)
 				}

@@ -3,7 +3,6 @@ package cluster
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -282,47 +281,10 @@ func (c Config) ActiveReplicas(cat *Catalog, k TierKey) []VMID {
 	return ids
 }
 
-// Key returns a canonical string identity for the configuration, suitable
-// for deduplication in graph search. CPU allocations are rounded to 0.01%.
-func (c Config) Key() string {
-	var b strings.Builder
-	hosts := c.ActiveHosts()
-	b.Grow(16 * (len(hosts) + len(c.placements)))
-	b.WriteString("H:")
-	for _, h := range hosts {
-		b.WriteString(h)
-		b.WriteByte(',')
-	}
-	b.WriteString("|V:")
-	for _, id := range c.ActiveVMs() {
-		p := c.placements[id]
-		b.WriteString(string(id))
-		b.WriteByte('@')
-		b.WriteString(p.Host)
-		b.WriteByte('=')
-		b.WriteString(strconv.FormatInt(int64(p.CPUPct*100+0.5), 10))
-		b.WriteByte(';')
-	}
-	if len(c.hostFreq) > 0 {
-		b.WriteString("|F:")
-		hosts := make([]string, 0, len(c.hostFreq))
-		for h := range c.hostFreq {
-			hosts = append(hosts, h)
-		}
-		sort.Strings(hosts)
-		for _, h := range hosts {
-			b.WriteString(h)
-			b.WriteByte('=')
-			b.WriteString(strconv.FormatInt(int64(c.hostFreq[h]*1000+0.5), 10))
-			b.WriteByte(';')
-		}
-	}
-	return b.String()
-}
-
-// Equal reports whether two configurations are identical under Key. It
-// compares the incrementally maintained fingerprints — two word compares —
-// rather than building two sorted key strings.
+// Equal reports whether two configurations are identical: the same hosts
+// on, the same placements at 0.01 % of CPU and the same DVFS levels at
+// 0.001. It compares the incrementally maintained fingerprints — two word
+// compares — rather than building two sorted key strings.
 func (c Config) Equal(o Config) bool { return c.fp == o.fp }
 
 // Violation describes one violated constraint found by Validate.

@@ -7,12 +7,13 @@ import "fmt"
 // CPU-bucket) placement, every powered-on host, and every (host,
 // freq-bucket) DVFS setting contributes an independent pseudo-random
 // 128-bit token, and the fingerprint is the XOR-fold of the tokens. Two
-// configurations have equal fingerprints iff they have equal Key() strings
-// (up to a ~2^-128 collision probability), but comparing fingerprints is
-// two word compares instead of building and comparing two sorted strings.
-// The bucket rounding deliberately mirrors Key(): CPU allocations at 0.01%
-// and DVFS fractions at 0.001, so the fingerprint and the string key
-// induce the same identity on configurations.
+// configurations have equal fingerprints iff they have equal canonical
+// strings (Config.Key, which the tests keep as the reference; up to a
+// ~2^-128 collision probability), but comparing fingerprints is two word
+// compares instead of building and comparing two sorted strings. The bucket
+// rounding deliberately mirrors Key: CPU allocations at 0.01% and DVFS
+// fractions at 0.001, so the fingerprint and the string key induce the same
+// identity on configurations.
 //
 // Fingerprints are comparable and usable as map keys; the zero Fingerprint
 // is the empty configuration (all hosts off, all VMs dormant).

@@ -1,6 +1,50 @@
 package cluster
 
-import "fmt"
+import (
+	"fmt"
+	"sort"
+	"strconv"
+	"strings"
+)
+
+// Key returns a canonical string identity for the configuration, the one
+// the fingerprint mirrors: the tests hold Fingerprint equality to equality
+// of these strings. CPU allocations are rounded to 0.01%.
+func (c Config) Key() string {
+	var b strings.Builder
+	hosts := c.ActiveHosts()
+	b.Grow(16 * (len(hosts) + len(c.placements)))
+	b.WriteString("H:")
+	for _, h := range hosts {
+		b.WriteString(h)
+		b.WriteByte(',')
+	}
+	b.WriteString("|V:")
+	for _, id := range c.ActiveVMs() {
+		p := c.placements[id]
+		b.WriteString(string(id))
+		b.WriteByte('@')
+		b.WriteString(p.Host)
+		b.WriteByte('=')
+		b.WriteString(strconv.FormatInt(int64(p.CPUPct*100+0.5), 10))
+		b.WriteByte(';')
+	}
+	if len(c.hostFreq) > 0 {
+		b.WriteString("|F:")
+		hosts := make([]string, 0, len(c.hostFreq))
+		for h := range c.hostFreq {
+			hosts = append(hosts, h)
+		}
+		sort.Strings(hosts)
+		for _, h := range hosts {
+			b.WriteString(h)
+			b.WriteByte('=')
+			b.WriteString(strconv.FormatInt(int64(c.hostFreq[h]*1000+0.5), 10))
+			b.WriteByte(';')
+		}
+	}
+	return b.String()
+}
 
 // The feasibility rules and the action enumeration as they were before
 // View.stage and View.Expand replaced them — string-keyed map reads, one

@@ -116,9 +116,9 @@ func TestEvaluatorSteadyAndCache(t *testing.T) {
 	if s1.Watts != s2.Watts {
 		t.Error("cache returned different result")
 	}
-	e.eval.ResetCache()
+	e.eval.BeginWindow()
 	if e.eval.Evals() != 0 {
-		t.Error("ResetCache did not clear counters")
+		t.Error("BeginWindow did not clear counters")
 	}
 }
 
@@ -159,7 +159,7 @@ func TestPerfPwrConsolidatesAtLowLoad(t *testing.T) {
 	if !low.Config.IsCandidate(e.cat) {
 		t.Fatalf("ideal config not a candidate: %v", low.Config.Validate(e.cat))
 	}
-	e.eval.ResetCache()
+	e.eval.BeginWindow()
 	high, err := PerfPwr(e.eval, rates(e, 95), PerfPwrOptions{})
 	if err != nil {
 		t.Fatal(err)
@@ -207,11 +207,24 @@ func TestPerfPwrHostSubset(t *testing.T) {
 	}
 }
 
+// fullFloor is the floor of PerfPwr's sweep over hosts.
+func fullFloor(e *env, hosts []string) int {
+	scope, _ := fullScope(e.eval, PerfPwrOptions{})
+	return newPackPlan(e.eval, rates(e, 50), scope, hosts).floor()
+}
+
+// TestMinHostsNeeded pins the sweep's floor on the paper's lab for both
+// scopes: six tiers keep a replica each, and 4-slot hosts need two for them;
+// a subset controller keeps every VM it manages, so the hard-coded one host
+// its sweep used to start from could never pack.
 func TestMinHostsNeeded(t *testing.T) {
 	e := newEnv(t, 4, 2)
-	// 6 required tiers at 20% on 80%-usable 4-slot hosts -> ceil(6*20/80)=2.
-	if got := minHostsNeeded(e.cat, e.cat.HostNames()); got != 2 {
-		t.Errorf("minHostsNeeded = %d, want 2", got)
+	if got := fullFloor(e, e.cat.HostNames()); got != 2 {
+		t.Errorf("PerfPwr floor = %d, want 2", got)
+	}
+	scope, hosts := subsetScope(e.eval, e.cfg, nil)
+	if got := newPackPlan(e.eval, rates(e, 50), scope, hosts).floor(); len(scope.managed) != 6 || got != 2 {
+		t.Errorf("PerfPwrSubset floor = %d for %d managed VMs, want 2 for 6", got, len(scope.managed))
 	}
 }
 
@@ -378,7 +391,7 @@ func TestSelfAwareSearchIsFasterThanNaive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.eval.ResetCache()
+	e.eval.BeginWindow()
 	// A small expected utility makes the self-cost budget trigger early:
 	// the Self-Aware search beams almost from the start.
 	aware := NewSearcher(e.eval, SearchOptions{SelfAware: true, MaxExpansions: 1500})

@@ -21,7 +21,7 @@ func TestSearchWorkersDeterminism(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			e.eval.ResetCache()
+			e.eval.BeginWindow()
 			s := NewSearcher(e.eval, SearchOptions{SelfAware: true, MaxExpansions: 600})
 			res, err := s.Search(e.cfg, w, time.Hour, ideal, ExpectedUtility{}, cluster.ActionSpace{})
 			if err != nil {

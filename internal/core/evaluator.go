@@ -119,8 +119,8 @@ type Evaluator struct {
 	cSolves *obs.Counter
 	gSize   *obs.Gauge
 
-	// cSweepArms counts Perf-Pwr sweep arms (the sweep is a free function
-	// over the evaluator, so its instrumentation lives here).
+	// cSweepArms counts the Perf-Pwr sweep arms that ran (the sweep is a
+	// free function over the evaluator, so its instrumentation lives here).
 	cSweepArms *obs.Counter
 }
 
@@ -219,6 +219,8 @@ func (e *Evaluator) BeginWindow() {
 }
 
 // ResetCache is BeginWindow under its older name.
+//
+// Deprecated: use BeginWindow; ResetCache remains only because bench/ calls it.
 func (e *Evaluator) ResetCache() { e.BeginWindow() }
 
 // Evals reports how many steady evaluations were performed since the last

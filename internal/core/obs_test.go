@@ -9,7 +9,7 @@ import (
 )
 
 // TestEvaluatorCacheStats exercises the CacheStats accessor and the
-// ResetCache flush into the metrics registry.
+// BeginWindow flush into the metrics registry.
 func TestEvaluatorCacheStats(t *testing.T) {
 	e := newEnv(t, 2, 1)
 	reg := obs.NewRegistry()
@@ -30,7 +30,7 @@ func TestEvaluatorCacheStats(t *testing.T) {
 		t.Errorf("hit rate = %v, want 0.5", hr)
 	}
 
-	e.eval.ResetCache()
+	e.eval.BeginWindow()
 	if got := reg.CounterValue("eval_cache_hits_total"); got != 1 {
 		t.Errorf("eval_cache_hits_total = %d, want 1", got)
 	}

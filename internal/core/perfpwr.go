@@ -54,27 +54,32 @@ type PerfPwrOptions struct {
 }
 
 // PerfPwr implements the optimizer of §IV-A. For each candidate number of
-// active hosts, from all available down to the minimum able to hold the
-// required VMs at minimum capacity, it starts from maximum CPU allocations
-// for every replica and repeatedly (a) reduces an individual VM's capacity
-// by one step or (b) removes a replica, choosing the candidate with the
-// highest utilization-per-utility gradient ∇ρ, until the VMs bin-pack onto
-// the hosts (worst-fit). The packed configuration with the highest overall
-// utility rate across host counts is the ideal configuration c*.
+// active hosts, from all available down to the fewest that could hold the
+// VMs no reduction removes, it starts from maximum CPU allocations for every
+// replica and repeatedly (a) reduces an individual VM's capacity by one step
+// or (b) removes a replica, choosing the candidate with the highest
+// utilization-per-utility gradient ∇ρ, until the VMs bin-pack onto the hosts
+// (worst-fit). The packed configuration with the highest overall utility
+// rate across host counts is the ideal configuration c*.
 func PerfPwr(e *Evaluator, rates map[string]float64, opts PerfPwrOptions) (Ideal, error) {
+	scope, hosts := fullScope(e, opts)
+	return sweepHostCounts(e, rates, scope, hosts)
+}
+
+// fullScope is PerfPwr's packing scope: every VM of the catalog, replicas
+// free to go, on the option's hosts or else all of them.
+func fullScope(e *Evaluator, opts PerfPwrOptions) (packScope, []string) {
 	hosts := opts.Hosts
 	if len(hosts) == 0 {
 		hosts = e.cat.HostNames()
 	}
-	scope := packScope{
+	return packScope{
 		managed:             e.cat.VMIDs(),
 		fixed:               cluster.NewConfig(),
 		allowReplicaRemoval: true,
 		zonePins:            opts.VMZonePins,
 		appPools:            opts.AppHostPools,
-	}
-	minHosts := minHostsNeeded(e.cat, hosts)
-	return sweepHostCounts(e, rates, scope, hosts, minHosts)
+	}, hosts
 }
 
 // VMZonePinsOf pins every active VM of a configuration to its current
@@ -92,6 +97,19 @@ func VMZonePinsOf(cat *cluster.Catalog, cfg cluster.Config) map[cluster.VMID]str
 // currently placed within the host subset (no replication changes), holding
 // everything outside the subset fixed.
 func PerfPwrSubset(e *Evaluator, base cluster.Config, rates map[string]float64, hosts []string) (Ideal, error) {
+	scope, onHosts := subsetScope(e, base, hosts)
+	if len(scope.managed) == 0 || len(onHosts) == 0 {
+		st, err := e.Steady(base, rates)
+		if err != nil {
+			return Ideal{}, err
+		}
+		return Ideal{Config: base.Clone(), Steady: st}, nil
+	}
+	return sweepHostCounts(e, rates, scope, onHosts)
+}
+
+// subsetScope is PerfPwrSubset's packing scope and the hosts it packs onto.
+func subsetScope(e *Evaluator, base cluster.Config, hosts []string) (packScope, []string) {
 	if len(hosts) == 0 {
 		hosts = e.cat.HostNames()
 	}
@@ -106,25 +124,15 @@ func PerfPwrSubset(e *Evaluator, base cluster.Config, rates map[string]float64, 
 			inScope[h] = true
 		}
 	}
-	hosts = onHosts
-	fixed := base.Clone()
-	var managed []cluster.VMID
+	scope := packScope{fixed: base.Clone()}
 	for _, id := range base.ActiveVMs() {
 		p, _ := base.PlacementOf(id)
 		if inScope[p.Host] {
-			managed = append(managed, id)
-			fixed.Unplace(id)
+			scope.managed = append(scope.managed, id)
+			scope.fixed.Unplace(id)
 		}
 	}
-	if len(managed) == 0 || len(hosts) == 0 {
-		st, err := e.Steady(base, rates)
-		if err != nil {
-			return Ideal{}, err
-		}
-		return Ideal{Config: base.Clone(), Steady: st}, nil
-	}
-	scope := packScope{managed: managed, fixed: fixed}
-	return sweepHostCounts(e, rates, scope, hosts, 1)
+	return scope, onHosts
 }
 
 // PerfPwrMeetingTargets is the modified Perf-Pwr optimizer behind the
@@ -134,22 +142,29 @@ func PerfPwrSubset(e *Evaluator, base cluster.Config, rates map[string]float64, 
 // It returns an error when even maximum capacities cannot meet the targets
 // on any host count.
 func PerfPwrMeetingTargets(e *Evaluator, rates map[string]float64) (Ideal, error) {
-	targets := make(map[string]float64, len(e.util.Apps))
-	for name, a := range e.util.Apps {
-		targets[name] = a.TargetRT.Seconds()
-	}
-	scope := packScope{
-		managed:             e.cat.VMIDs(),
-		fixed:               cluster.NewConfig(),
-		allowReplicaRemoval: true,
-		rtTargets:           targets,
-	}
-	hosts := e.cat.HostNames()
-	ideal, err := sweepHostCounts(e, rates, scope, hosts, minHostsNeeded(e.cat, hosts))
+	scope, hosts := targetsScope(e)
+	ideal, err := sweepHostCounts(e, rates, scope, hosts)
 	if err != nil {
 		return Ideal{}, fmt.Errorf("core: no configuration meets all response-time targets: %w", err)
 	}
 	return ideal, nil
+}
+
+// targetsScope is PerfPwrMeetingTargets' packing scope: PerfPwr's on every
+// host, under the applications' response-time targets.
+func targetsScope(e *Evaluator) (packScope, []string) {
+	scope, hosts := fullScope(e, PerfPwrOptions{})
+	scope.rtTargets = utilityTargets(e)
+	return scope, hosts
+}
+
+// utilityTargets is every application's response-time target in seconds.
+func utilityTargets(e *Evaluator) map[string]float64 {
+	targets := make(map[string]float64, len(e.util.Apps))
+	for name, a := range e.util.Apps {
+		targets[name] = a.TargetRT.Seconds()
+	}
+	return targets
 }
 
 // EvaluatePlan computes Eq. 3 for executing a plan from cfg: transient
@@ -190,31 +205,31 @@ func EvaluatePlan(e *Evaluator, cfg cluster.Config, plan []cluster.Action, rates
 	return total, nil
 }
 
-// sweepHostCounts runs the reduction/packing loop for every candidate host
-// count, from the most hosts down, and keeps the best packed configuration.
-// The arms — one per (host count, affinity variant) pair — are full
-// reduction loops over one shared packPlan. The first arm whose evaluation
-// fails ends the sweep with its error; otherwise an arm replaces the best so
-// far only by a strictly higher net rate, so the earliest of equals wins.
-func sweepHostCounts(e *Evaluator, rates map[string]float64, scope packScope, hosts []string, minHosts int) (Ideal, error) {
+// sweepHostCounts runs the reduction/packing loop for every host count from
+// the most hosts down to the plan's floor, and keeps the best packed
+// configuration. The arms — one per (host count, affinity variant) pair —
+// are full reduction loops over one shared packPlan. The first arm whose
+// evaluation fails ends the sweep with its error; otherwise an arm replaces
+// the best so far only by a strictly higher net rate, so the earliest of
+// equals wins.
+func sweepHostCounts(e *Evaluator, rates map[string]float64, scope packScope, hosts []string) (Ideal, error) {
 	// In a multi-zone catalog every host count is tried with and without
 	// the zone-affinity preference.
 	variants := 1
 	if len(e.cat.Zones()) > 1 {
 		variants = 2
 	}
-	e.cSweepArms.Add(int64(max(len(hosts)-minHosts+1, 0) * variants))
-
 	plan := newPackPlan(e, rates, scope, hosts)
 	var best *Ideal
 	dbg := e.log.Enabled(context.Background(), slog.LevelDebug)
-	for n := len(hosts); n >= minHosts; n-- {
+	for n, floor := len(hosts), plan.floor(); n >= floor; n-- {
 		// The variants of one host count walk the same states until their
 		// packings diverge, so they run back to back and the second replays
 		// the first's trail instead of scoring those states again.
 		var trail []step
 		for v := 0; v < variants; v++ {
 			noAffinity := v == 1
+			e.cSweepArms.Inc()
 			r := newReduction(plan, n, noAffinity)
 			if variants > 1 {
 				r.trail = &trail // a lone arm has no twin to record for
@@ -338,10 +353,7 @@ func cpuDelta(id cluster.VMID, host string, cpu, next float64) cluster.Delta {
 // optimization, not a reason to miss objectives.
 func tuneDVFS(e *Evaluator, ideal Ideal, rates map[string]float64, scope packScope) (Ideal, error) {
 	if scope.rtTargets == nil {
-		scope.rtTargets = make(map[string]float64, len(e.util.Apps))
-		for name, a := range e.util.Apps {
-			scope.rtTargets[name] = a.TargetRT.Seconds()
-		}
+		scope.rtTargets = utilityTargets(e)
 	}
 	// Guard band: a downclocked host must still meet targets if the
 	// workload grows ~30% before the next decision — frequency scaling is
@@ -395,46 +407,6 @@ func tuneDVFS(e *Evaluator, ideal Ideal, rates map[string]float64, scope packSco
 		}
 	}
 	return ideal, nil
-}
-
-// minHostsNeeded lower-bounds the host count able to hold one replica of
-// every required tier at minimum capacity.
-func minHostsNeeded(cat *cluster.Catalog, hosts []string) int {
-	// The memory bound assumes every required replica is as small as the
-	// smallest one, so it never exceeds what a real packing needs.
-	required, minMem := 0, math.MaxInt
-	for _, k := range cat.Tiers() {
-		if !cat.TierRequired(k) {
-			continue
-		}
-		required++
-		for _, id := range cat.TierVMs(k) {
-			if vm, _ := cat.VM(id); vm.MemoryMB < minMem {
-				minMem = vm.MemoryMB
-			}
-		}
-	}
-	if required == 0 || len(hosts) == 0 {
-		return 1
-	}
-	// Each per-host capacity is taken at its largest over the list, so the
-	// bound holds for whichever hosts a packing ends up using.
-	var maxVMs, freeMem int
-	var usableCPU float64
-	for _, h := range hosts {
-		spec, _ := cat.Host(h)
-		maxVMs = max(maxVMs, spec.MaxVMs)
-		usableCPU = max(usableCPU, spec.UsableCPUPct)
-		freeMem = max(freeMem, spec.MemoryMB-spec.Dom0MemoryMB)
-	}
-	byCount := int(math.Ceil(float64(required) / float64(maxVMs)))
-	byCPU := int(math.Ceil(float64(required) * cat.MinCPUPct / usableCPU))
-	perHostMem := freeMem / minMem
-	byMem := 1
-	if perHostMem > 0 {
-		byMem = int(math.Ceil(float64(required) / float64(perHostMem)))
-	}
-	return max(byCount, byCPU, byMem, 1)
 }
 
 // packScope bounds what the reduction/packing loop may touch: the VMs it
@@ -601,6 +573,38 @@ func newPackPlan(e *Evaluator, rates map[string]float64, scope packScope, hosts 
 		p.hosts[hi] = ph
 	}
 	return p
+}
+
+// floor is the fewest hosts an arm can pack onto. Every state a reduction
+// reaches keeps a floor set of VMs: with replica removal the first managed
+// replica of each tier (reduce removes only a tier's last active replica,
+// never its only one), without it every managed VM, and either way any VM
+// outside the catalog's tiers. Arm n packs onto hosts[:n], net of the fixed
+// VMs, so it can pack only if the floor set fits their slots, their memory
+// and their CPU at the minimum allocation: necessary for any packing, pins
+// and pools included, so every arm below the floor ends unpackable. The CPU
+// comparison credits each VM 1e-6 points, far above the 1e-9 slack reduce
+// and binPack allow. The largest arm always runs: a sweep where nothing fits
+// still reports it.
+func (p *packPlan) floor() int {
+	vms, memMB := 0, 0
+	for i, v := range p.vms {
+		if v.tier < 0 || !p.scope.allowReplicaRemoval || p.tierVMs[v.tier][0] == i {
+			vms++
+			memMB += v.spec.MemoryMB
+		}
+	}
+	minCPU := float64(vms) * (p.e.cat.MinCPUPct - 1e-6)
+	slots, freeMem, freeCPU := 0, 0, 0.0
+	for n, h := range p.hosts {
+		slots += max(h.slots, 0)
+		freeMem += max(h.freeMem, 0)
+		freeCPU += max(h.freeCPU, 0)
+		if slots >= vms && freeMem >= memMB && freeCPU >= minCPU {
+			return n + 1
+		}
+	}
+	return len(p.hosts)
 }
 
 // reduction is one sweep arm's §IV-A state: which managed replicas are

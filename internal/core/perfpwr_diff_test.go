@@ -204,7 +204,7 @@ func TestPerfPwrCandidatesMatchReference(t *testing.T) {
 		}
 
 		candidates, ruledOut := 0, 0
-		for n := len(hosts); n >= minHostsNeeded(cat, hosts); n-- {
+		for n := len(hosts); n >= plan.floor(); n-- {
 			r := newReduction(plan, n, false)
 			feasible, err := r.start()
 			defer r.close()
@@ -478,7 +478,7 @@ func TestPerfPwrAllocationCeilings(t *testing.T) {
 	}
 
 	perCall := testing.AllocsPerRun(1, func() {
-		e.eval.ResetCache()
+		e.eval.BeginWindow()
 		if _, err := PerfPwr(e.eval, w, PerfPwrOptions{}); err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,7 @@ func TestPerfPwrMeetingTargets(t *testing.T) {
 	// The unconstrained optimizer at the same rates may shave capacity
 	// below the targets; the constrained one must not, even if that costs
 	// power.
-	e.eval.ResetCache()
+	e.eval.BeginWindow()
 	free, err := PerfPwr(e.eval, w, PerfPwrOptions{})
 	if err != nil {
 		t.Fatal(err)

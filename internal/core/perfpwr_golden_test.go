@@ -68,11 +68,7 @@ func perfPwrGolden(t *testing.T, opts experiments.LabOptions) []byte {
 		last, lastArms = st, arms
 	}
 
-	pools := make(map[string][]string, len(lab.AppNames))
-	hosts := lab.Cat.HostNames()
-	for i, name := range lab.AppNames {
-		pools[name] = []string{hosts[(2*i)%len(hosts)], hosts[(2*i+1)%len(hosts)]}
-	}
+	pools := hostPools(lab.AppNames, lab.Cat.HostNames())
 	base := lab.Initial
 	for w := 0; w < goldenWindows; w++ {
 		eval.BeginWindow()

@@ -26,7 +26,7 @@ func TestPerfPwrWorkersDeterminism(t *testing.T) {
 		var want Ideal
 		var wantEvals int
 		for run := 0; run < 2; run++ {
-			lab.eval.ResetCache()
+			lab.eval.BeginWindow()
 			got, err := PerfPwr(lab.eval, w, opts)
 			if err != nil {
 				t.Fatal(err)
@@ -86,9 +86,9 @@ func TestTwinReplaysTrail(t *testing.T) {
 		zonePins: VMZonePinsOf(e.cat, e.cfg)}
 	plan := newPackPlan(e.eval, w, scope, hosts)
 	saved := 0
-	for n := len(hosts); n >= minHostsNeeded(e.cat, hosts); n-- {
+	for n := len(hosts); n >= plan.floor(); n-- {
 		run := func(noAffinity bool, trail *[]step) (cluster.Config, bool, int) {
-			e.eval.ResetCache()
+			e.eval.BeginWindow()
 			r := newReduction(plan, n, noAffinity)
 			r.trail = trail
 			cfg, ok, err := r.run()
@@ -114,9 +114,9 @@ func TestTwinReplaysTrail(t *testing.T) {
 	}
 }
 
-// TestMinHostsNeededUsesCatalogMemory pins the sweep's lower bound to the
-// catalog's VM sizes: it assumed 200 MB replicas, so a lab of 128 MB VMs
-// never tried the single host that holds all of them.
+// TestMinHostsNeededUsesCatalogMemory pins the sweep's floor to the
+// catalog's VM sizes: a bound that assumed 200 MB replicas never tried the
+// single host that holds a lab of 128 MB VMs.
 func TestMinHostsNeededUsesCatalogMemory(t *testing.T) {
 	for _, c := range []struct{ vmMB, want int }{{128, 1}, {200, 2}, {400, 3}} {
 		apps := []*app.Spec{app.RUBiS("rubis1"), app.RUBiS("rubis2")}
@@ -132,8 +132,8 @@ func TestMinHostsNeededUsesCatalogMemory(t *testing.T) {
 			hosts[i].MaxVMs, hosts[i].TotalCPUPct, hosts[i].UsableCPUPct = 8, 200, 160
 		}
 		e := buildEnv(t, hosts, apps)
-		if got := minHostsNeeded(e.cat, e.cat.HostNames()); got != c.want {
-			t.Errorf("%d MB VMs: minHostsNeeded = %d, want %d", c.vmMB, got, c.want)
+		if got := fullFloor(e, e.cat.HostNames()); got != c.want {
+			t.Errorf("%d MB VMs: floor = %d, want %d", c.vmMB, got, c.want)
 		}
 		if c.want > 1 {
 			continue
@@ -150,10 +150,12 @@ func TestMinHostsNeededUsesCatalogMemory(t *testing.T) {
 	}
 }
 
-// TestMinHostsNeededOnMixedHosts pins the sweep's lower bound to the roomiest
-// host of the list, wherever it stands: sized from the first host alone, a
-// list that opens with a small one started the sweep at three hosts and never
-// tried the two that hold everything.
+// TestMinHostsNeededOnMixedHosts pins the sweep's floor to the hosts each arm
+// actually packs onto, a prefix of the list: sized from the first host
+// alone, a list that opens with a small one started the sweep at three hosts
+// and never tried the two that hold everything, while one large host first
+// holds everything alone. A list too small for anything still runs its one
+// arm.
 func TestMinHostsNeededOnMixedHosts(t *testing.T) {
 	apps := []*app.Spec{app.RUBiS("rubis1"), app.RUBiS("rubis2")}
 	hosts := make([]cluster.HostSpec, 4)
@@ -167,12 +169,17 @@ func TestMinHostsNeededOnMixedHosts(t *testing.T) {
 	}
 	e := buildEnv(t, hosts, apps)
 	names := e.cat.HostNames()
-	if got := minHostsNeeded(e.cat, names[:1]); got != 3 {
-		t.Errorf("small hosts only: minHostsNeeded = %d, want 3", got)
-	}
-	for _, list := range [][]string{names, {"h1", "h2", "h3", "h0"}, {"h1"}} {
-		if got := minHostsNeeded(e.cat, list); got != 1 {
-			t.Errorf("hosts %v: minHostsNeeded = %d, want 1 (one large host holds every required VM)", list, got)
+	for _, c := range []struct {
+		list []string
+		want int
+	}{
+		{names, 2},                            // the small host and one large one
+		{[]string{"h1", "h2", "h3", "h0"}, 1}, // one large host holds every tier
+		{[]string{"h1"}, 1},
+		{names[:1], 1}, // nothing fits: the largest arm runs regardless
+	} {
+		if got := fullFloor(e, c.list); got != c.want {
+			t.Errorf("hosts %v: floor = %d, want %d", c.list, got, c.want)
 		}
 	}
 	// At a trickle of load the worst-fit packing fills the small host and one

@@ -58,7 +58,7 @@ func TestSearchSoundnessProperty(t *testing.T) {
 		w := rates(e, rate)
 		cw := time.Duration(4+int(cwMin%26)) * time.Minute
 
-		e.eval.ResetCache()
+		e.eval.BeginWindow()
 		ideal, err := PerfPwr(e.eval, w, PerfPwrOptions{})
 		if err != nil {
 			t.Logf("PerfPwr: %v", err)
@@ -106,7 +106,7 @@ func TestIdealDominatesRandomCandidatesProperty(t *testing.T) {
 	prop := func(rate8 uint8) bool {
 		rate := 5 + float64(rate8%60) // within the range all placements can serve
 		w := rates(e, rate)
-		e.eval.ResetCache()
+		e.eval.BeginWindow()
 		ideal, err := PerfPwr(e.eval, w, PerfPwrOptions{})
 		if err != nil {
 			return false

@@ -57,7 +57,7 @@ func allocSweep(t *testing.T, hosts, apps, maxExpansions int) func(cold bool) in
 		for i, win := range wins {
 			for _, from := range []cluster.Config{e.cfg, wins[(i+len(wins)-1)%len(wins)].ideal.Config} {
 				if cold {
-					e.eval.ResetCache()
+					e.eval.BeginWindow()
 				}
 				res, err := s.Search(from, win.rates, 2*time.Hour, win.ideal, ExpectedUtility{}, cluster.ActionSpace{})
 				if err != nil {
@@ -186,7 +186,7 @@ func TestSearchReleasesItsMemory(t *testing.T) {
 	opts := SearchOptions{MaxExpansions: expansions}
 	s := NewSearcher(e.eval, opts)
 	liveHeap := func() uint64 {
-		e.eval.ResetCache() // the evaluator's memo is per window, not per search
+		e.eval.BeginWindow() // the evaluator's memo is per window, not per search
 		runtime.GC()
 		runtime.GC()
 		var ms runtime.MemStats
