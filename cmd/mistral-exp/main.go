@@ -1,6 +1,10 @@
 // Command mistral-exp regenerates the paper's tables and figures from the
 // reproduction, rendering each as an ASCII table (or CSV) on stdout or
-// into an output directory.
+// into an output directory. -run fig7m is the offline adaptation-cost
+// campaign of §III-C on the request-level testbed, printed beside the
+// paper-anchored table by -run fig7; -run fig4 and -run fig6 show the
+// workloads and their stability intervals with the ARMA estimator's error
+// per application.
 //
 // Usage:
 //
@@ -121,7 +125,7 @@ func run() (err error) {
 		}
 	}
 	if want("fig6") {
-		if err := e.emit("fig6", []experiments.Table{mistral.RunFig6(*seed).Table()}); err != nil {
+		if err := e.emit("fig6", mistral.RunFig6(*seed).Tables()); err != nil {
 			return err
 		}
 	}

@@ -1,39 +1,43 @@
-// Command mistral-explain answers "why did the controller do that?" from a
-// decision-provenance stream recorded with mistral-sim/mistral-exp
-// -provenance. Without -window it prints a one-line-per-window summary;
-// with -window N it renders that window's full flight-recorder view: the
-// prediction context, the chosen plan's annotated Eq. 3 utility ledger,
-// and the top rejected frontier alternatives. With -check it validates the
-// stream instead (schema, window sequencing, and every ledger's sums
-// against the search's reported utility within the 1e-9 tolerance) and
-// exits non-zero on the first inconsistency.
+// Command mistral-explain inspects a Mistral run, recorded or live.
 //
-// Every window carries a deterministic trace ID (obs.TraceID of its
-// index, e.g. "w000042") shared with the span trace, SLO alerts, and the
-// ops plane. Pass -trace FILE (the JSONL from mistral-sim -trace) and
-// -window N to stitch the window's full causal chain — decide → perfpwr →
-// search (with expansion batches and cache stats) → actions → retries —
-// under the provenance record. -format json emits machine-readable output
-// for the ops plane and scripts.
+// On a decision-provenance stream (mistral-sim/mistral-exp -provenance) it
+// answers "why did the controller do that?": a one-line-per-window summary,
+// or with -window N that window's prediction context, the chosen plan's
+// Eq. 3 ledger and the top -top rejected alternatives. -trace SPANS.jsonl
+// (mistral-sim -trace) adds the window's causal chain — decide → perfpwr →
+// search → actions → retries — joined on its trace ID (obs.TraceID, e.g.
+// "w000042"). -check validates the stream instead (schema, window
+// sequencing, every ledger's sums within 1e-9) and exits non-zero on the
+// first inconsistency.
 //
-// With -series, FILE is a checkpoint file (mistral-sim -checkpoint /
-// mistral-serve /v1/checkpoint) instead of a provenance stream: the
-// telemetry history rings persisted in the checkpoint are rebuilt and
-// printed — "-series all" lists every retained series with its digest,
-// "-series utility,watts" dumps those series' retained samples window by
-// window. -format json emits the same data machine-readably.
+// With -series, FILE is a checkpoint (mistral-sim -checkpoint, mistral-serve
+// /v1/checkpoint): "-series all" lists the persisted telemetry series with
+// their digests, "-series utility,watts" dumps those series' samples.
+//
+// Ops mode is the controller-health view: run totals, SLO error budgets,
+// alerts, trends and the slowest windows. -addr HOST:PORT polls the /ops
+// endpoint of mistral-serve or of a -pprof run; -ops FILE replays the view
+// from a provenance stream, re-read on every refresh so a growing file
+// tails (virtual time only: the slowest windows rank by search time, and
+// retries replay as zero). -refresh D redraws every D instead of printing
+// one frame. -check validates the ops and SLO schemas (mistral.ops/v1,
+// mistral.slo/v1) and that the document counts windows 0 through its
+// current one.
+//
+// -format json prints the provenance and -series views machine-readably.
 //
 // Usage:
 //
-//	mistral-explain [-window N] [-top K] [-check] [-format text|json]
-//	                [-trace SPANS.jsonl] FILE
-//	mistral-explain -series all|NAME[,NAME...] [-format text|json] CHECKPOINT
+//	mistral-explain [-window N] [-top K] [-check] [-trace SPANS.jsonl] PROVENANCE.jsonl
+//	mistral-explain -series all|NAME[,NAME...] CHECKPOINT
+//	mistral-explain -addr HOST:PORT | -ops PROVENANCE.jsonl [-refresh 2s] [-check]
 package main
 
 import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -45,42 +49,44 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "mistral-explain:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
+func run(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("mistral-explain", flag.ExitOnError)
 	var (
-		window    = flag.Int("window", -1, "explain this window in full (default: summary of all windows)")
-		topK      = flag.Int("top", 3, "rejected alternatives to show with -window")
-		check     = flag.Bool("check", false, "validate the stream (schema, sequencing, ledger arithmetic) and exit")
-		format    = flag.String("format", "text", "output format: text or json")
-		tracePath = flag.String("trace", "", "span JSONL (from mistral-sim -trace) to stitch the window's causal chain from")
-		series    = flag.String("series", "", "print telemetry history from a CHECKPOINT file: 'all' lists every series, a comma list dumps those series' samples")
+		window    = fs.Int("window", -1, "explain this window in full (default: summary of all windows)")
+		topK      = fs.Int("top", 3, "rejected alternatives to show with -window")
+		check     = fs.Bool("check", false, "validate the stream (schema, sequencing, ledger arithmetic), or in ops mode the ops/SLO schemas, and exit")
+		format    = fs.String("format", "text", "output format: text or json")
+		tracePath = fs.String("trace", "", "span JSONL (from mistral-sim -trace) to stitch the window's causal chain from")
+		series    = fs.String("series", "", "print telemetry history from a CHECKPOINT file: 'all' lists every series, a comma list dumps those series' samples")
+		addr      = fs.String("addr", "", "ops mode: poll a live /ops endpoint at HOST:PORT")
+		opsPath   = fs.String("ops", "", "ops mode: replay the ops view from a PROVENANCE file")
+		refresh   = fs.Duration("refresh", 0, "ops mode: redraw at this interval (0: one frame)")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		return fmt.Errorf("usage: mistral-explain [-window N] [-top K] [-check] [-format text|json] [-trace SPANS.jsonl] FILE")
-	}
+	fs.Parse(args)
 	if *format != "text" && *format != "json" {
 		return fmt.Errorf("-format %q: want text or json", *format)
 	}
+	if *addr != "" || *opsPath != "" {
+		if *addr != "" && *opsPath != "" || fs.NArg() != 0 {
+			return fmt.Errorf("usage: mistral-explain -addr HOST:PORT | -ops PROVENANCE.jsonl [-refresh D] [-check]")
+		}
+		return watchOps(w, *addr, *opsPath, *refresh, *check)
+	}
+	if fs.NArg() != 1 {
+		return fmt.Errorf("usage: mistral-explain [-window N] [-top K] [-check] [-format text|json] [-trace SPANS.jsonl] FILE")
+	}
 	if *series != "" {
-		return explainSeries(flag.Arg(0), *series, *format)
+		return explainSeries(w, fs.Arg(0), *series, *format)
 	}
-	f, err := os.Open(flag.Arg(0))
+	recs, err := readRecords(fs.Arg(0))
 	if err != nil {
 		return err
-	}
-	defer f.Close()
-	recs, err := provenance.ReadAll(f)
-	if err != nil {
-		return err
-	}
-	if len(recs) == 0 {
-		return fmt.Errorf("%s: no records", flag.Arg(0))
 	}
 
 	var spans []obs.SpanRecord
@@ -109,7 +115,7 @@ func run() error {
 				}
 			}
 		}
-		fmt.Printf("ok: %d records, %d decisions, %d ledgers consistent within %g\n",
+		fmt.Fprintf(w, "ok: %d records, %d decisions, %d ledgers consistent within %g\n",
 			len(recs), decisions, ledgers, provenance.Tolerance)
 		return nil
 	}
@@ -120,11 +126,11 @@ func run() error {
 				tid := obs.TraceID(recs[i].Window)
 				wspans := obs.SpansForTrace(spans, tid)
 				if *format == "json" {
-					return writeJSON(windowDoc{Trace: tid, Record: &recs[i], Spans: wspans})
+					return writeJSON(w, windowDoc{Trace: tid, Record: &recs[i], Spans: wspans})
 				}
-				explain(&recs[i], *topK)
+				explain(w, &recs[i], *topK)
 				if *tracePath != "" {
-					causalChain(tid, wspans, *tracePath)
+					causalChain(w, tid, wspans, *tracePath)
 				}
 				return nil
 			}
@@ -133,22 +139,39 @@ func run() error {
 	}
 
 	if *format == "json" {
-		return writeJSON(summaryRows(recs))
+		return writeJSON(w, summaryRows(recs))
 	}
-	summarize(recs)
+	summarize(w, recs)
 	return nil
 }
 
-// writeJSON emits v as indented JSON on stdout.
-func writeJSON(v any) error {
-	enc := json.NewEncoder(os.Stdout)
+// readRecords reads a provenance stream, refusing an empty one.
+func readRecords(path string) ([]Record, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	recs, err := provenance.ReadAll(f)
+	if err != nil {
+		return nil, err
+	}
+	if len(recs) == 0 {
+		return nil, fmt.Errorf("%s: no records", path)
+	}
+	return recs, nil
+}
+
+// writeJSON emits v as indented JSON.
+func writeJSON(w io.Writer, v any) error {
+	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(v)
 }
 
 // explainSeries prints the telemetry history persisted in a checkpoint
 // file: the -series mode, where FILE is a checkpoint (not provenance).
-func explainSeries(path, sel, format string) error {
+func explainSeries(w io.Writer, path, sel, format string) error {
 	ck, err := checkpoint.Read(path)
 	if err != nil {
 		return err
@@ -164,18 +187,18 @@ func explainSeries(path, sel, format string) error {
 	if sel == "all" {
 		sums := store.Summaries(0)
 		if format == "json" {
-			return writeJSON(tsdb.ListResponse{
+			return writeJSON(w, tsdb.ListResponse{
 				Schema:     tsdb.Schema,
 				LastWindow: store.LastWindow(),
 				Steps:      store.Steps(),
 				Series:     sums,
 			})
 		}
-		fmt.Printf("telemetry history from %s — %d series, last window %d\n",
+		fmt.Fprintf(w, "telemetry history from %s — %d series, last window %d\n",
 			path, len(sums), store.LastWindow())
-		fmt.Printf("%-18s %-8s %8s %12s %12s %12s\n", "series", "class", "windows", "last", "min", "max")
+		fmt.Fprintf(w, "%-18s %-8s %8s %12s %12s %12s\n", "series", "class", "windows", "last", "min", "max")
 		for _, s := range sums {
-			fmt.Printf("%-18s %-8s %8d %12.4g %12.4g %12.4g\n",
+			fmt.Fprintf(w, "%-18s %-8s %8d %12.4g %12.4g %12.4g\n",
 				s.Name, s.Class, s.Windows, s.Last, s.Min, s.Max)
 		}
 		return nil
@@ -187,12 +210,12 @@ func explainSeries(path, sel, format string) error {
 		return err
 	}
 	if format == "json" {
-		return writeJSON(resp)
+		return writeJSON(w, resp)
 	}
 	for _, qs := range resp.Series {
-		fmt.Printf("series %s (%s) — %d retained sample(s)\n", qs.Name, qs.Class, len(qs.Points))
+		fmt.Fprintf(w, "series %s (%s) — %d retained sample(s)\n", qs.Name, qs.Class, len(qs.Points))
 		for _, p := range qs.Points {
-			fmt.Printf("  %s  %g\n", obs.TraceID(p.Window), p.Value)
+			fmt.Fprintf(w, "  %s  %g\n", obs.TraceID(p.Window), p.Value)
 		}
 	}
 	return nil
@@ -269,8 +292,8 @@ func summaryRows(recs []Record) []summaryRow {
 }
 
 // summarize prints the one-line-per-window overview.
-func summarize(recs []Record) {
-	fmt.Printf("%-6s  %9s  %-22s  %-8s  %3s  %10s  %10s  %7s  %s\n",
+func summarize(w io.Writer, recs []Record) {
+	fmt.Fprintf(w, "%-6s  %9s  %-22s  %-8s  %3s  %10s  %10s  %7s  %s\n",
 		"window", "t", "strategy", "state", "act", "utility($)", "cum($)", "watts", "termination")
 	for i := range recs {
 		r := &recs[i]
@@ -278,65 +301,65 @@ func summarize(recs []Record) {
 		if state == "degraded" {
 			state = "DEGRADED"
 		}
-		fmt.Printf("%-6d  %8.0fs  %-22s  %-8s  %3d  %10.3f  %10.1f  %7.0f  %s\n",
+		fmt.Fprintf(w, "%-6d  %8.0fs  %-22s  %-8s  %3d  %10.3f  %10.1f  %7.0f  %s\n",
 			r.Window, r.TimeSec, r.Strategy, state, r.Actions,
 			r.UtilityDollars, r.CumUtilityDollars, r.Watts, strings.Join(terminations(r), " "))
 	}
 }
 
 // explain renders one window's full provenance.
-func explain(r *Record, topK int) {
-	fmt.Printf("window %d  trace %s  t=%.0fs  strategy=%s\n",
+func explain(w io.Writer, r *Record, topK int) {
+	fmt.Fprintf(w, "window %d  trace %s  t=%.0fs  strategy=%s\n",
 		r.Window, obs.TraceID(r.Window), r.TimeSec, r.Strategy)
 	switch {
 	case r.Busy:
-		fmt.Println("state: busy — a previous plan was still executing; no decision this window")
+		fmt.Fprintln(w, "state: busy — a previous plan was still executing; no decision this window")
 	case r.Invoked:
-		fmt.Printf("state: invoked — %d action(s), search %.3fs costing $%.4f\n",
+		fmt.Fprintf(w, "state: invoked — %d action(s), search %.3fs costing $%.4f\n",
 			r.Actions, r.SearchTimeSec, r.SearchCostDollars)
 	default:
-		fmt.Println("state: idle — workload stayed inside the band; no controller ran")
+		fmt.Fprintln(w, "state: idle — workload stayed inside the band; no controller ran")
 	}
 	if r.Degraded {
-		fmt.Printf("DEGRADED: %s\n", r.DegradedReason)
+		fmt.Fprintf(w, "DEGRADED: %s\n", r.DegradedReason)
 	}
-	fmt.Printf("window utility $%.4f (cum $%.2f), %.0f W\n", r.UtilityDollars, r.CumUtilityDollars, r.Watts)
+	fmt.Fprintf(w, "window utility $%.4f (cum $%.2f), %.0f W\n", r.UtilityDollars, r.CumUtilityDollars, r.Watts)
 
 	for _, d := range r.Decisions {
-		fmt.Printf("\n── controller %s ", d.Controller)
-		fmt.Println(strings.Repeat("─", max(0, 60-len(d.Controller))))
+		fmt.Fprintf(w, "\n── controller %s ", d.Controller)
+		fmt.Fprintln(w, strings.Repeat("─", max(0, 60-len(d.Controller))))
 		if d.Degraded {
-			fmt.Printf("degraded: %s\n", d.DegradedReason)
+			fmt.Fprintf(w, "degraded: %s\n", d.DegradedReason)
 			continue
 		}
 		if p := d.Predict; p != nil {
-			fmt.Printf("prediction: band ±%.0f req/s; stability interval measured %.0fs, ARMA predicted %.0fs (β=%.2f)\n",
+			fmt.Fprintf(w, "prediction: band ±%.0f req/s; stability interval measured %.0fs, ARMA predicted %.0fs (β=%.2f)\n",
 				p.BandWidth, p.MeasuredSec, p.PredictedSec, p.Beta)
 			if p.Floor != "" {
-				fmt.Printf("control window: %.0fs (raised by the %s floor)\n", p.CWSec, p.Floor)
+				fmt.Fprintf(w, "control window: %.0fs (raised by the %s floor)\n", p.CWSec, p.Floor)
 			} else {
-				fmt.Printf("control window: %.0fs (raw prediction)\n", p.CWSec)
+				fmt.Fprintf(w, "control window: %.0fs (raw prediction)\n", p.CWSec)
 			}
 		}
 		s := d.Search
 		if s == nil {
 			continue
 		}
-		fmt.Printf("search: %s after %d expansions (%d generated, %d pruned, peak frontier %d), %.3fs costing $%.4f\n",
+		fmt.Fprintf(w, "search: %s after %d expansions (%d generated, %d pruned, peak frontier %d), %.3fs costing $%.4f\n",
 			s.Termination, s.Expanded, s.Generated, s.PrunedChildren, s.PeakFrontier,
 			s.SearchTimeSec, s.SearchCostDollars)
 		if s.Truncated {
-			fmt.Println("search: TRUNCATED — budget exhausted before the frontier settled")
+			fmt.Fprintln(w, "search: TRUNCATED — budget exhausted before the frontier settled")
 		}
 		for _, ev := range s.Events {
-			fmt.Printf("  event @%d: %s (%s, dropped %d)\n", ev.Expansion, ev.Kind, ev.Reason, ev.Dropped)
+			fmt.Fprintf(w, "  event @%d: %s (%s, dropped %d)\n", ev.Expansion, ev.Kind, ev.Reason, ev.Dropped)
 		}
 		if s.DroppedEvents > 0 {
-			fmt.Printf("  (+%d events past the digest cap)\n", s.DroppedEvents)
+			fmt.Fprintf(w, "  (+%d events past the digest cap)\n", s.DroppedEvents)
 		}
 
-		fmt.Printf("\nchosen plan — Eq. 3 ledger (utility $%.6f):\n", s.Utility)
-		ledger(&s.Chosen, "  ")
+		fmt.Fprintf(w, "\nchosen plan — Eq. 3 ledger (utility $%.6f):\n", s.Utility)
+		ledger(w, &s.Chosen, "  ")
 
 		shown := min(topK, len(s.Rejected))
 		for j := 0; j < shown; j++ {
@@ -345,26 +368,25 @@ func explain(r *Record, topK int) {
 			if alt.Complete {
 				kind = "complete plan"
 			}
-			fmt.Printf("\nrejected #%d — %s at depth %d (f=%.6f = g %.6f + h %.6f, distance %.2f):\n",
+			fmt.Fprintf(w, "\nrejected #%d — %s at depth %d (f=%.6f = g %.6f + h %.6f, distance %.2f):\n",
 				j+1, kind, alt.Depth, alt.F, alt.G, alt.H, alt.Distance)
-			ledger(&alt.Ledger, "  ")
+			ledger(w, &alt.Ledger, "  ")
 		}
 		if len(s.Rejected) == 0 {
-			fmt.Println("\nno rejected alternatives: the frontier was empty when the search committed")
+			fmt.Fprintln(w, "\nno rejected alternatives: the frontier was empty when the search committed")
 		}
 	}
 }
 
-// causalChain renders the window's spans as a parent/child tree in
-// virtual-time order: decide → perfpwr → search (expansion batches,
-// cache stats) → action/retry events, all sharing one trace ID.
-func causalChain(tid string, spans []obs.SpanRecord, tracePath string) {
-	fmt.Printf("\n── causal trace %s ", tid)
-	fmt.Println(strings.Repeat("─", max(0, 60-len(tid))))
-	if len(spans) == 0 {
-		fmt.Printf("no spans for %s in %s (was the run traced with -trace?)\n", tid, tracePath)
-		return
-	}
+// chainLine is one span of a rendered causal chain and its tree depth.
+type chainLine struct{ span, depth int }
+
+// chainOrder lays spans out as a parent/child tree in virtual-time order:
+// decide → perfpwr → search (expansion batches, cache stats) → action/retry
+// events, all sharing one trace ID. Every span is listed exactly once, so
+// duplicate span IDs or a parent cycle cannot recurse without bound; spans
+// that a cycle cuts off from every root follow at depth 0.
+func chainOrder(spans []obs.SpanRecord) []chainLine {
 	byID := make(map[uint64]int, len(spans))
 	children := make(map[uint64][]int, len(spans))
 	for i, s := range spans {
@@ -388,23 +410,46 @@ func causalChain(tid string, spans []obs.SpanRecord, tracePath string) {
 		})
 	}
 	order(roots)
-	var render func(i, depth int)
-	render = func(i, depth int) {
-		s := spans[i]
-		fmt.Printf("%s%s%s  [%.1fs → %.1fs", strings.Repeat("  ", depth+1), s.Name,
-			spanAttrs(s), float64(s.VStartUS)/1e6, float64(s.VEndUS)/1e6)
-		if s.WallUS > 0 {
-			fmt.Printf(", wall %.1fms", float64(s.WallUS)/1e3)
+	seen := make([]bool, len(spans))
+	lines := make([]chainLine, 0, len(spans))
+	var walk func(i, depth int)
+	walk = func(i, depth int) {
+		if seen[i] {
+			return
 		}
-		fmt.Println("]")
-		kids := children[s.ID]
+		seen[i] = true
+		lines = append(lines, chainLine{i, depth})
+		kids := children[spans[i].ID]
 		order(kids)
 		for _, k := range kids {
-			render(k, depth+1)
+			walk(k, depth+1)
 		}
 	}
 	for _, r := range roots {
-		render(r, 0)
+		walk(r, 0)
+	}
+	for i := range spans {
+		walk(i, 0)
+	}
+	return lines
+}
+
+// causalChain renders the window's spans as the tree chainOrder lays out.
+func causalChain(w io.Writer, tid string, spans []obs.SpanRecord, tracePath string) {
+	fmt.Fprintf(w, "\n── causal trace %s ", tid)
+	fmt.Fprintln(w, strings.Repeat("─", max(0, 60-len(tid))))
+	if len(spans) == 0 {
+		fmt.Fprintf(w, "no spans for %s in %s (was the run traced with -trace?)\n", tid, tracePath)
+		return
+	}
+	for _, l := range chainOrder(spans) {
+		s := spans[l.span]
+		fmt.Fprintf(w, "%s%s%s  [%.1fs → %.1fs", strings.Repeat("  ", l.depth+1), s.Name,
+			spanAttrs(s), float64(s.VStartUS)/1e6, float64(s.VEndUS)/1e6)
+		if s.WallUS > 0 {
+			fmt.Fprintf(w, ", wall %.1fms", float64(s.WallUS)/1e3)
+		}
+		fmt.Fprintln(w, "]")
 	}
 }
 
@@ -427,23 +472,23 @@ func spanAttrs(s obs.SpanRecord) string {
 }
 
 // ledger renders one plan's Eq. 3 decomposition.
-func ledger(l *provenance.PlanLedger, pad string) {
+func ledger(w io.Writer, l *provenance.PlanLedger, pad string) {
 	if l.Error != "" {
-		fmt.Printf("%sledger replay failed: %s\n", pad, l.Error)
+		fmt.Fprintf(w, "%sledger replay failed: %s\n", pad, l.Error)
 		return
 	}
 	if len(l.Actions) == 0 {
-		fmt.Printf("%s(no actions: stay in the current configuration)\n", pad)
+		fmt.Fprintf(w, "%s(no actions: stay in the current configuration)\n", pad)
 	}
 	for i, a := range l.Actions {
-		fmt.Printf("%s%2d. %-40s %6.1fs @ %+9.4f $/s = %+9.4f $\n",
+		fmt.Fprintf(w, "%s%2d. %-40s %6.1fs @ %+9.4f $/s = %+9.4f $\n",
 			pad, i+1, a.Action, a.DurationSec, a.RateDollarsPerSec, a.CostDollars)
 	}
-	fmt.Printf("%stransient: %+.4f $ over %.1fs\n", pad, l.TransientDollars, l.PlanDurationSec)
-	fmt.Printf("%ssteady:    %+.4f $ = (perf %+.4f + power %+.4f $/s) x %.1fs remaining\n",
+	fmt.Fprintf(w, "%stransient: %+.4f $ over %.1fs\n", pad, l.TransientDollars, l.PlanDurationSec)
+	fmt.Fprintf(w, "%ssteady:    %+.4f $ = (perf %+.4f + power %+.4f $/s) x %.1fs remaining\n",
 		pad, l.SteadyDollars, l.SteadyPerfRate, l.SteadyPwrRate, l.SteadySec)
-	fmt.Printf("%stotal:     %+.6f $\n", pad, l.Utility)
+	fmt.Fprintf(w, "%stotal:     %+.6f $\n", pad, l.Utility)
 }
 
-// Record aliases the provenance record for brevity in summarize.
+// Record aliases the provenance record for brevity.
 type Record = provenance.Record

@@ -5,7 +5,7 @@
 // restart mid-trace without losing calibration.
 //
 // The control API rides the same listener as the observability plane —
-// /metrics (Prometheus), /ops (poll with mistral-top), and /debug/pprof —
+// /metrics (Prometheus), /ops (poll with mistral-explain -addr), and /debug/pprof —
 // so one address serves both operators and automation:
 //
 //	POST /v1/window      {"rates":{"rubis1":55}} | {"windows":3} | {}

@@ -117,8 +117,22 @@ func TestFig6Estimation(t *testing.T) {
 	if r.ErrorPct <= 0 || r.ErrorPct > 100 {
 		t.Errorf("error = %v%%", r.ErrorPct)
 	}
-	if got := r.Table(); len(got.Rows) != len(r.MeasuredMS) {
-		t.Error("table row mismatch")
+	tables := r.Tables()
+	if len(tables) != 2 || len(tables[0].Rows) != len(r.MeasuredMS) {
+		t.Fatal("series table row mismatch")
+	}
+	// One summary row per application; RUBiS-1's carries the figure's error
+	// and its interval count.
+	if len(r.Apps) != 4 || len(tables[1].Rows) != 4 {
+		t.Fatalf("%d apps, %d summary rows; want 4", len(r.Apps), len(tables[1].Rows))
+	}
+	if a := r.Apps[0]; a.Name != "rubis1" || a.ErrorPct != r.ErrorPct || a.Intervals != len(r.MeasuredMS) {
+		t.Errorf("rubis1 summary %+v does not match the series (error %v, %d intervals)", a, r.ErrorPct, len(r.MeasuredMS))
+	}
+	for _, a := range r.Apps {
+		if a.Min > a.Mean || a.Mean > a.Max || a.ErrorPct <= 0 {
+			t.Errorf("%s: min %v mean %v max %v error %v%%", a.Name, a.Min, a.Mean, a.Max, a.ErrorPct)
+		}
 	}
 }
 

@@ -93,46 +93,78 @@ func (r *Fig4Result) Table() Table {
 // Fig6Result compares measured stability intervals against the ARMA
 // estimator's predictions.
 type Fig6Result struct {
+	// MeasuredMS and EstimatedMS are RUBiS-1's series, the one the figure
+	// plots.
 	MeasuredMS  []float64
 	EstimatedMS []float64
-	// ErrorPct is the normalized mean absolute error (the paper reports
-	// ≈14% on its testbed traces).
+	// ErrorPct is RUBiS-1's normalized mean absolute error (the paper
+	// reports ≈14% on its testbed traces).
 	ErrorPct float64
+	// Apps summarises every paper application, RUBiS-1 first.
+	Apps []Fig6App
 }
 
-// Fig6StabilityEstimation reproduces Figure 6: replaying the RUBiS-1
-// workload's stability intervals (8 req/s band, sampled at the 2-minute
-// monitoring interval) through the adaptive ARMA estimator of §III-D.
-func Fig6StabilityEstimation(seed uint64) *Fig6Result {
-	tr := workload.WorldCup(seed, 0)
-	measured := workload.StabilityIntervals(tr, 8, 2*time.Minute)
-	est := predict.NewEstimator(0, 0, measured[0])
-	preds := predict.Replay(est, measured)
+// Fig6App is one application's stability intervals and the ARMA
+// estimator's normalized mean absolute error over them.
+type Fig6App struct {
+	Name           string
+	Intervals      int
+	Min, Mean, Max time.Duration
+	ErrorPct       float64
+}
 
+// Fig6StabilityEstimation reproduces Figure 6: replaying each paper
+// workload's stability intervals (8 req/s band, sampled at the 2-minute
+// monitoring interval) through the adaptive ARMA estimator of §III-D. The
+// figure's series is RUBiS-1's.
+func Fig6StabilityEstimation(seed uint64) *Fig6Result {
+	names := []string{"rubis1", "rubis2", "rubis3", "rubis4"}
+	set := workload.PaperWorkloads(seed, names)
 	res := &Fig6Result{}
-	var a, p []float64
-	for i := range measured {
-		res.MeasuredMS = append(res.MeasuredMS, float64(measured[i].Milliseconds()))
-		res.EstimatedMS = append(res.EstimatedMS, float64(preds[i].Milliseconds()))
-		if i > 0 { // the first prediction is just the seed
-			a = append(a, measured[i].Seconds())
-			p = append(p, preds[i].Seconds())
+	for i, name := range names {
+		measured := workload.StabilityIntervals(set[name], 8, 2*time.Minute)
+		preds := predict.Replay(predict.NewEstimator(0, 0, measured[0]), measured)
+		app := Fig6App{Name: name, Intervals: len(measured), Min: measured[0], Max: measured[0]}
+		var sum time.Duration
+		var a, p []float64
+		for j, m := range measured {
+			if i == 0 {
+				res.MeasuredMS = append(res.MeasuredMS, float64(m.Milliseconds()))
+				res.EstimatedMS = append(res.EstimatedMS, float64(preds[j].Milliseconds()))
+			}
+			sum += m
+			app.Min, app.Max = min(app.Min, m), max(app.Max, m)
+			if j > 0 { // the first prediction is just the seed
+				a = append(a, m.Seconds())
+				p = append(p, preds[j].Seconds())
+			}
 		}
+		app.Mean = sum / time.Duration(len(measured))
+		app.ErrorPct = stats.NormMeanAbsError(a, p)
+		res.Apps = append(res.Apps, app)
 	}
-	res.ErrorPct = stats.NormMeanAbsError(a, p)
+	res.ErrorPct = res.Apps[0].ErrorPct
 	return res
 }
 
-// Table renders Figure 6.
-func (r *Fig6Result) Table() Table {
-	t := Table{
+// Tables renders Figure 6's series and the per-application summary.
+func (r *Fig6Result) Tables() []Table {
+	series := Table{
 		Title:  fmt.Sprintf("Fig. 6 — Stability interval estimation (normalized mean abs error %.1f%%)", r.ErrorPct),
 		Header: []string{"window", "measured(ms)", "model(ms)"},
 	}
 	for i := range r.MeasuredMS {
-		t.Rows = append(t.Rows, []string{fmt.Sprint(i + 1), f0(r.MeasuredMS[i]), f0(r.EstimatedMS[i])})
+		series.Rows = append(series.Rows, []string{fmt.Sprint(i + 1), f0(r.MeasuredMS[i]), f0(r.EstimatedMS[i])})
 	}
-	return t
+	apps := Table{
+		Title:  "Fig. 6 — Stability intervals per application (8 req/s band, 2 min sampling)",
+		Header: []string{"app", "intervals", "min", "mean", "max", "ARMA error(%)"},
+	}
+	for _, a := range r.Apps {
+		apps.Rows = append(apps.Rows, []string{a.Name, fmt.Sprint(a.Intervals),
+			a.Min.String(), a.Mean.Round(time.Second).String(), a.Max.String(), f1(a.ErrorPct)})
+	}
+	return []Table{series, apps}
 }
 
 // Fig7Row is one adaptation-cost table entry.

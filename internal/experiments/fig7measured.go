@@ -45,14 +45,11 @@ func campaignTable(memMB int) *cost.Table {
 // background application with all replicas at 40% CPU, random VM
 // placements, a 1-minute warm-up, baseline measurement, one adaptation
 // action, and measurement of its duration and response-time/power deltas.
-// Results are averaged across trials and indexed by workload, yielding a
-// measured counterpart to the Fig. 7 tables.
-func Fig7MeasuredCampaign(seed uint64, trials int, sessionLevels []float64) ([]Fig7Row, error) {
+// Results are averaged across trials and indexed by workload (100, 200, 400
+// and 800 sessions), yielding a measured counterpart to the Fig. 7 tables.
+func Fig7MeasuredCampaign(seed uint64, trials int) ([]Fig7Row, error) {
 	if trials <= 0 {
 		trials = 3
-	}
-	if len(sessionLevels) == 0 {
-		sessionLevels = []float64{100, 200, 400, 800}
 	}
 	tiers := []struct{ tier, label string }{
 		{"db", "Migration (MySQL)"},
@@ -61,7 +58,7 @@ func Fig7MeasuredCampaign(seed uint64, trials int, sessionLevels []float64) ([]F
 	}
 	rng := sim.NewRNG(seed, 0xca3b)
 	var rows []Fig7Row
-	for _, sessions := range sessionLevels {
+	for _, sessions := range []float64{100, 200, 400, 800} {
 		rate := workload.RateForSessions(sessions)
 		for _, tc := range tiers {
 			var dW, dRT, dur stats.Welford

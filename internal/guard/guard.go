@@ -20,50 +20,34 @@ import (
 	"github.com/mistralcloud/mistral/internal/obs"
 )
 
-// Config tunes the admission invariants and the circuit breaker. The zero
-// value of each field selects the documented default; negative values
-// disable the corresponding rule.
+// The admission invariants and the circuit breaker's thresholds.
+const (
+	// maxMigrationsPerWindow caps live migrations (LAN + WAN) a single plan
+	// may schedule. Each copy saturates Dom-0 shares on two hosts, so a
+	// plan of many back-to-back moves is a self-inflicted SLO violation.
+	maxMigrationsPerWindow = 4
+	// powerCycleCooldown is the minimum virtual time between power-state
+	// changes of the same host. Rapid on/off cycling burns the ~305 s boot
+	// transient for nothing and is the classic oscillation failure of
+	// threshold controllers.
+	powerCycleCooldown = 10 * time.Minute
+	// minReplicas is the floor of active replicas every required tier must
+	// keep after the plan lands. Staging and target validation already
+	// refuse a plan that empties a required tier, so this rule is their
+	// backstop.
+	minReplicas = 1
+	// breakerThreshold is K, the number of consecutive degraded windows
+	// that opens the breaker.
+	breakerThreshold = 4
+	// breakerCooldown is how many windows the breaker stays open before
+	// admitting a single probe plan half-open.
+	breakerCooldown = 8
+)
+
+// Config wires a guard to its observer.
 type Config struct {
-	// MaxMigrationsPerWindow caps live migrations (LAN + WAN) a single
-	// plan may schedule (default 4; negative for unlimited). Each copy
-	// saturates Dom-0 shares on two hosts, so a plan of many back-to-back
-	// moves is a self-inflicted SLO violation.
-	MaxMigrationsPerWindow int
-	// PowerCycleCooldown is the minimum virtual time between power-state
-	// changes of the same host (default 10m; negative for none). Rapid
-	// on/off cycling burns the ~305 s boot transient for nothing and is
-	// the classic oscillation failure of threshold controllers.
-	PowerCycleCooldown time.Duration
-	// MinReplicas is the floor of active replicas every required tier
-	// must keep after the plan lands (default 1; negative for none).
-	MinReplicas int
-	// BreakerThreshold is K, the number of consecutive degraded windows
-	// that opens the breaker (default 4; negative to disable the breaker).
-	BreakerThreshold int
-	// BreakerCooldown is how many windows the breaker stays open before
-	// admitting a single probe plan half-open (default 8).
-	BreakerCooldown int
 	// Obs overrides the process-default observer for guard metrics.
 	Obs *obs.Observer
-}
-
-func (c Config) withDefaults() Config {
-	if c.MaxMigrationsPerWindow == 0 {
-		c.MaxMigrationsPerWindow = 4
-	}
-	if c.PowerCycleCooldown == 0 {
-		c.PowerCycleCooldown = 10 * time.Minute
-	}
-	if c.MinReplicas == 0 {
-		c.MinReplicas = 1
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = 4
-	}
-	if c.BreakerCooldown <= 0 {
-		c.BreakerCooldown = 8
-	}
-	return c
 }
 
 // BreakerState is the circuit breaker's position.
@@ -122,7 +106,6 @@ type Verdict struct {
 // taken concurrently.
 type Guard struct {
 	mu  sync.Mutex
-	cfg Config
 	cat *cluster.Catalog
 
 	breaker      BreakerState
@@ -147,9 +130,7 @@ type Guard struct {
 // New builds a guard over the given catalog. The catalog is needed to
 // validate target configurations and resolve required tiers.
 func New(cfg Config, cat *cluster.Catalog) *Guard {
-	cfg = cfg.withDefaults()
 	g := &Guard{
-		cfg:       cfg,
 		cat:       cat,
 		lastCycle: make(map[string]time.Duration),
 	}
@@ -232,7 +213,7 @@ func (g *Guard) admitLocked(now time.Duration, cfg cluster.Config, plan []cluste
 	v := Verdict{Breaker: g.breaker}
 	if g.breaker == BreakerOpen {
 		v.Rule = "breaker-open"
-		v.Reason = fmt.Sprintf("circuit breaker open for %d more window(s) after %d consecutive degraded windows", g.cooldownLeft, g.cfg.BreakerThreshold)
+		v.Reason = fmt.Sprintf("circuit breaker open for %d more window(s) after %d consecutive degraded windows", g.cooldownLeft, breakerThreshold)
 		return v
 	}
 	// Target validity: the plan must stage cleanly from the current
@@ -250,43 +231,37 @@ func (g *Guard) admitLocked(now time.Duration, cfg cluster.Config, plan []cluste
 		v.Reason = fmt.Sprintf("target config violates %d constraint(s): %v", len(vs), vs[0])
 		return v
 	}
-	if g.cfg.MaxMigrationsPerWindow >= 0 {
-		migs := 0
-		for _, a := range filled {
-			if a.Kind == cluster.ActionMigrate || a.Kind == cluster.ActionWANMigrate {
-				migs++
-			}
+	migs := 0
+	for _, a := range filled {
+		if a.Kind == cluster.ActionMigrate || a.Kind == cluster.ActionWANMigrate {
+			migs++
 		}
-		if migs > g.cfg.MaxMigrationsPerWindow {
-			v.Rule = "migration-cap"
-			v.Reason = fmt.Sprintf("plan schedules %d migrations, cap is %d per window", migs, g.cfg.MaxMigrationsPerWindow)
-			return v
-		}
+	}
+	if migs > maxMigrationsPerWindow {
+		v.Rule = "migration-cap"
+		v.Reason = fmt.Sprintf("plan schedules %d migrations, cap is %d per window", migs, maxMigrationsPerWindow)
+		return v
 	}
 	var cycles []string
-	if g.cfg.PowerCycleCooldown > 0 {
-		for _, a := range filled {
-			if a.Kind != cluster.ActionStartHost && a.Kind != cluster.ActionStopHost {
-				continue
-			}
-			if last, ok := g.lastCycle[a.Host]; ok && now-last < g.cfg.PowerCycleCooldown {
-				v.Rule = "power-cycle-cooldown"
-				v.Reason = fmt.Sprintf("host %s power-cycled %v ago, cooldown is %v", a.Host, now-last, g.cfg.PowerCycleCooldown)
-				return v
-			}
-			cycles = append(cycles, a.Host)
+	for _, a := range filled {
+		if a.Kind != cluster.ActionStartHost && a.Kind != cluster.ActionStopHost {
+			continue
 		}
+		if last, ok := g.lastCycle[a.Host]; ok && now-last < powerCycleCooldown {
+			v.Rule = "power-cycle-cooldown"
+			v.Reason = fmt.Sprintf("host %s power-cycled %v ago, cooldown is %v", a.Host, now-last, powerCycleCooldown)
+			return v
+		}
+		cycles = append(cycles, a.Host)
 	}
-	if g.cfg.MinReplicas > 0 {
-		for _, k := range g.cat.Tiers() {
-			if !g.cat.TierRequired(k) {
-				continue
-			}
-			if n := len(final.ActiveReplicas(g.cat, k)); n < g.cfg.MinReplicas {
-				v.Rule = "min-replica-floor"
-				v.Reason = fmt.Sprintf("tier %s/%s would keep %d active replica(s), floor is %d", k.App, k.Tier, n, g.cfg.MinReplicas)
-				return v
-			}
+	for _, k := range g.cat.Tiers() {
+		if !g.cat.TierRequired(k) {
+			continue
+		}
+		if n := len(final.ActiveReplicas(g.cat, k)); n < minReplicas {
+			v.Rule = "min-replica-floor"
+			v.Reason = fmt.Sprintf("tier %s/%s would keep %d active replica(s), floor is %d", k.App, k.Tier, n, minReplicas)
+			return v
 		}
 	}
 	// Admitted: commit the power-cycle history now — the caller executes
@@ -309,12 +284,9 @@ func (g *Guard) ObserveWindow(degraded bool) {
 	defer g.mu.Unlock()
 	switch g.breaker {
 	case BreakerClosed:
-		if g.cfg.BreakerThreshold <= 0 {
-			return
-		}
 		if degraded {
 			g.consecDegr++
-			if g.consecDegr >= g.cfg.BreakerThreshold {
+			if g.consecDegr >= breakerThreshold {
 				g.openLocked()
 			}
 		} else {
@@ -339,7 +311,7 @@ func (g *Guard) ObserveWindow(degraded bool) {
 
 func (g *Guard) openLocked() {
 	g.breaker = BreakerOpen
-	g.cooldownLeft = g.cfg.BreakerCooldown
+	g.cooldownLeft = breakerCooldown
 	g.consecDegr = 0
 	g.opens++
 	g.cOpens.Inc()
@@ -384,9 +356,7 @@ func (g *Guard) Snapshot() *State {
 	return s
 }
 
-// Restore overwrites the guard's mutable state with a captured one. The
-// guard must have been built with the same Config as the one that
-// produced the snapshot.
+// Restore overwrites the guard's mutable state with a captured one.
 func (g *Guard) Restore(s *State) error {
 	if g == nil {
 		return fmt.Errorf("guard: restore into a nil guard")

@@ -89,26 +89,33 @@ func TestRejectInvalidPlan(t *testing.T) {
 }
 
 func TestRejectMigrationCap(t *testing.T) {
-	cat, cfg := setup(t, 4, "rubis1", "rubis2")
-	g := New(Config{MaxMigrationsPerWindow: 1}, cat)
+	cat, cfg := setup(t, 4, "rubis1")
+	g := New(Config{}, cat)
+	// One VM shuttled between two hosts: every hop is feasible, so only
+	// the count decides.
+	vm := cluster.VMID("rubis1-db-0")
+	home, _ := cfg.PlacementOf(vm)
+	away := feasibleDst(t, cat, cfg, vm)
 	var plan []cluster.Action
-	for _, vm := range []cluster.VMID{"rubis1-db-0", "rubis2-db-0"} {
-		plan = append(plan, cluster.Action{Kind: cluster.ActionMigrate, VM: vm, Host: feasibleDst(t, cat, cfg, vm)})
+	for i := 0; i <= maxMigrationsPerWindow; i++ {
+		dst := away
+		if i%2 == 1 {
+			dst = home.Host
+		}
+		plan = append(plan, cluster.Action{Kind: cluster.ActionMigrate, VM: vm, Host: dst})
+	}
+	if v := g.Admit(0, cfg, plan[:maxMigrationsPerWindow]); !v.Allowed {
+		t.Fatalf("plan at the cap rejected: %+v", v)
 	}
 	v := g.Admit(0, cfg, plan)
 	if v.Allowed || v.Rule != "migration-cap" {
 		t.Fatalf("verdict = %+v, want migration-cap rejection", v)
 	}
-	// Unlimited cap admits the same plan.
-	gu := New(Config{MaxMigrationsPerWindow: -1}, cat)
-	if v := gu.Admit(0, cfg, plan); !v.Allowed {
-		t.Fatalf("unlimited cap rejected: %+v", v)
-	}
 }
 
 func TestRejectPowerCycleCooldown(t *testing.T) {
 	cat, cfg := setup(t, 4, "rubis1")
-	g := New(Config{PowerCycleCooldown: 10 * time.Minute}, cat)
+	g := New(Config{}, cat)
 	off := ""
 	for _, h := range cat.HostNames() {
 		if !cfg.HostOn(h) {
@@ -138,67 +145,59 @@ func TestRejectPowerCycleCooldown(t *testing.T) {
 
 func TestRejectMinReplicaFloor(t *testing.T) {
 	cat, cfg := setup(t, 4, "rubis1")
-	g := New(Config{MinReplicas: 1}, cat)
-	// Find a required tier with exactly one active replica and try to
-	// remove it; ApplyAll stages it... Stage itself rejects removing the
-	// last required replica, so this lands as invalid-plan. Use a 2-replica
-	// tier and a floor of 2 instead to exercise the guard's own rule.
-	var vm cluster.VMID
+	g := New(Config{}, cat)
+	// The floor is one active replica per required tier. Staging already
+	// refuses a plan that removes a tier's last replica, so the guard
+	// rejects it as invalid before its own floor rule runs.
 	for _, k := range cat.Tiers() {
-		if !cat.TierRequired(k) {
+		reps := cfg.ActiveReplicas(cat, k)
+		if !cat.TierRequired(k) || len(reps) != 1 {
 			continue
 		}
-		reps := cfg.ActiveReplicas(cat, k)
-		if len(reps) == 2 {
-			vm = reps[1]
-			break
+		v := g.Admit(0, cfg, []cluster.Action{{Kind: cluster.ActionRemoveReplica, VM: reps[0]}})
+		if v.Allowed || v.Rule != "invalid-plan" {
+			t.Fatalf("removing the last replica of %v: verdict %+v, want invalid-plan", k, v)
 		}
+		return
 	}
-	if vm == "" {
-		t.Skip("no 2-replica required tier in this fixture")
-	}
-	g2 := New(Config{MinReplicas: 2}, cat)
-	v := g2.Admit(0, cfg, []cluster.Action{{Kind: cluster.ActionRemoveReplica, VM: vm}})
-	if v.Allowed || v.Rule != "min-replica-floor" {
-		t.Fatalf("verdict = %+v, want min-replica-floor rejection", v)
-	}
-	if v := g.Admit(0, cfg, []cluster.Action{{Kind: cluster.ActionRemoveReplica, VM: vm}}); !v.Allowed {
-		t.Fatalf("floor-1 removal rejected: %+v", v)
-	}
+	t.Fatal("no single-replica required tier in this fixture")
 }
 
 func TestBreakerStateMachine(t *testing.T) {
 	cat, cfg := setup(t, 4, "rubis1")
-	g := New(Config{BreakerThreshold: 3, BreakerCooldown: 2}, cat)
+	g := New(Config{}, cat)
 	plan := []cluster.Action{{Kind: cluster.ActionMigrate, VM: "rubis1-db-0", Host: feasibleDst(t, cat, cfg, "rubis1-db-0")}}
+	observe := func(degraded bool, n int) {
+		for i := 0; i < n; i++ {
+			g.ObserveWindow(degraded)
+		}
+	}
 
-	// Two degraded windows: still closed (threshold 3).
-	g.ObserveWindow(true)
-	g.ObserveWindow(true)
+	// One degraded window short of the threshold: still closed.
+	observe(true, breakerThreshold-1)
 	if g.Breaker() != BreakerClosed {
-		t.Fatalf("breaker = %v after 2 degraded, want closed", g.Breaker())
+		t.Fatalf("breaker = %v after %d degraded, want closed", g.Breaker(), breakerThreshold-1)
 	}
 	// A clean window resets the run.
-	g.ObserveWindow(false)
-	g.ObserveWindow(true)
-	g.ObserveWindow(true)
+	observe(false, 1)
+	observe(true, breakerThreshold-1)
 	if g.Breaker() != BreakerClosed {
 		t.Fatalf("breaker = %v, want closed (run was reset)", g.Breaker())
 	}
-	// Third consecutive degraded window trips it open.
-	g.ObserveWindow(true)
+	// The threshold-th consecutive degraded window trips it open.
+	observe(true, 1)
 	if g.Breaker() != BreakerOpen {
 		t.Fatalf("breaker = %v after threshold, want open", g.Breaker())
 	}
 	if v := g.Admit(0, cfg, plan); v.Allowed || v.Rule != "breaker-open" {
 		t.Fatalf("verdict = %+v, want breaker-open rejection", v)
 	}
-	// Cooldown of 2 windows, then half-open.
-	g.ObserveWindow(true)
+	// The cooldown, then half-open.
+	observe(true, breakerCooldown-1)
 	if g.Breaker() != BreakerOpen {
 		t.Fatalf("breaker = %v mid-cooldown, want open", g.Breaker())
 	}
-	g.ObserveWindow(true)
+	observe(true, 1)
 	if g.Breaker() != BreakerHalfOpen {
 		t.Fatalf("breaker = %v after cooldown, want half-open", g.Breaker())
 	}
@@ -207,16 +206,15 @@ func TestBreakerStateMachine(t *testing.T) {
 		t.Fatalf("half-open probe rejected: %+v", v)
 	}
 	// A degraded probe window re-opens; a clean one closes.
-	g.ObserveWindow(true)
+	observe(true, 1)
 	if g.Breaker() != BreakerOpen {
 		t.Fatalf("breaker = %v after degraded probe, want open", g.Breaker())
 	}
-	g.ObserveWindow(false)
-	g.ObserveWindow(false)
+	observe(false, breakerCooldown)
 	if g.Breaker() != BreakerHalfOpen {
 		t.Fatalf("breaker = %v after second cooldown, want half-open", g.Breaker())
 	}
-	g.ObserveWindow(false)
+	observe(false, 1)
 	if g.Breaker() != BreakerClosed {
 		t.Fatalf("breaker = %v after clean probe, want closed", g.Breaker())
 	}
@@ -227,7 +225,7 @@ func TestBreakerStateMachine(t *testing.T) {
 
 func TestSnapshotRoundTrip(t *testing.T) {
 	cat, cfg := setup(t, 4, "rubis1")
-	g := New(Config{BreakerThreshold: 2, BreakerCooldown: 3}, cat)
+	g := New(Config{}, cat)
 	off := ""
 	for _, h := range cat.HostNames() {
 		if !cfg.HostOn(h) {
@@ -236,8 +234,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 	g.Admit(7*time.Minute, cfg, []cluster.Action{{Kind: cluster.ActionStartHost, Host: off}})
-	g.ObserveWindow(true)
-	g.ObserveWindow(true) // trips open
+	for i := 0; i < breakerThreshold; i++ {
+		g.ObserveWindow(true) // the last one trips it open
+	}
 	s := g.Snapshot()
 
 	// Round-trip through JSON, as the checkpoint plane does.
@@ -249,7 +248,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(raw, &s2); err != nil {
 		t.Fatal(err)
 	}
-	g2 := New(Config{BreakerThreshold: 2, BreakerCooldown: 3}, cat)
+	g2 := New(Config{}, cat)
 	if err := g2.Restore(&s2); err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +260,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	// The power-cycle history survives: an immediate re-cycle is rejected
 	// once the breaker closes again.
-	for i := 0; i < 3; i++ {
+	for i := 0; i < breakerCooldown; i++ {
 		g2.ObserveWindow(false)
 	}
 	g2.ObserveWindow(false) // half-open -> closed

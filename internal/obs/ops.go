@@ -9,7 +9,7 @@ import (
 	"github.com/mistralcloud/mistral/internal/obs/tsdb"
 )
 
-// OpsSchema versions the /ops JSON snapshot so consumers (mistral-top,
+// OpsSchema versions the /ops JSON snapshot so consumers (mistral-explain,
 // CI scrapes) can reject incompatible payloads.
 const OpsSchema = "mistral.ops/v1"
 
@@ -55,24 +55,25 @@ type OpsSnapshot struct {
 }
 
 // OpsWindow is one completed window's contribution to the ops state; its
-// trace identity is TraceID(Window).
+// trace identity is TraceID(Window). The run totals come from the engine's
+// result, which a checkpoint restores, so a restored run's /ops carries on
+// counting where the checkpoint left off.
 type OpsWindow struct {
 	Window     int
 	TimeSec    float64
 	CumUtility float64
 	Degraded   bool
-	Error      bool
-	Retries    int
-	Crashes    int
 	// WallMS is the decide call's wall-clock duration in milliseconds
 	// (observational only).
 	WallMS        float64
 	SearchTimeSec float64
+	// Run totals through this window.
+	DegradedWindows, DecideErrors, Retries, HostCrashes int
 }
 
 // OpsState is the live controller-health surface behind /ops. The
 // scenario loop updates it once per window; the HTTP handler and
-// mistral-top read snapshots concurrently. A nil *OpsState is a valid
+// mistral-explain read snapshots concurrently. A nil *OpsState is a valid
 // disabled state: every method returns immediately, so the default
 // (observability off) path pays only a nil check.
 type OpsState struct {
@@ -103,7 +104,8 @@ func (s *OpsState) BeginRun(strategy string, interval time.Duration) {
 	}
 }
 
-// RecordWindow folds one completed window into the state.
+// RecordWindow folds one completed window into the state: windows run
+// 0..Window, and the totals are the window's own.
 func (s *OpsState) RecordWindow(w OpsWindow) {
 	if s == nil {
 		return
@@ -114,16 +116,12 @@ func (s *OpsState) RecordWindow(w OpsWindow) {
 	sn.Window = w.Window
 	sn.Trace = TraceID(w.Window)
 	sn.TimeSec = w.TimeSec
-	sn.Windows++
+	sn.Windows = w.Window + 1
 	sn.CumUtility = w.CumUtility
-	if w.Degraded {
-		sn.DegradedWindows++
-	}
-	if w.Error {
-		sn.DecideErrors++
-	}
-	sn.Retries += w.Retries
-	sn.HostCrashes += w.Crashes
+	sn.DegradedWindows = w.DegradedWindows
+	sn.DecideErrors = w.DecideErrors
+	sn.Retries = w.Retries
+	sn.HostCrashes = w.HostCrashes
 	sn.LastDecideWallMS = w.WallMS
 	sn.SlowestWindows = insertSlowWindow(sn.SlowestWindows, SlowWindow{
 		Window:        w.Window,

@@ -17,14 +17,15 @@ func TestOpsStateFold(t *testing.T) {
 	s.BeginRun("Mistral", 2*time.Minute)
 	for i := 0; i < DefaultSlowWindows+5; i++ {
 		s.RecordWindow(OpsWindow{
-			Window:     i,
-			TimeSec:    float64(i) * 120,
-			CumUtility: float64(i),
-			Degraded:   i == 3,
-			Error:      i == 3,
-			Retries:    i % 2,
-			Crashes:    btoi(i == 7),
-			WallMS:     float64(100 - i), // strictly decreasing: window 0 slowest
+			Window:          i,
+			TimeSec:         float64(i) * 120,
+			CumUtility:      float64(i),
+			Degraded:        i == 3,
+			WallMS:          float64(100 - i), // strictly decreasing: window 0 slowest
+			DegradedWindows: btoi(i >= 3),
+			DecideErrors:    btoi(i >= 3),
+			Retries:         i / 2,
+			HostCrashes:     btoi(i >= 7),
 		})
 	}
 	snap := s.Snapshot()
@@ -34,7 +35,8 @@ func TestOpsStateFold(t *testing.T) {
 	if snap.Windows != DefaultSlowWindows+5 || snap.Window != DefaultSlowWindows+4 {
 		t.Fatalf("windows %d current %d", snap.Windows, snap.Window)
 	}
-	if snap.DegradedWindows != 1 || snap.DecideErrors != 1 || snap.HostCrashes != 1 {
+	// The totals are the last window's, not a sum over windows.
+	if snap.DegradedWindows != 1 || snap.DecideErrors != 1 || snap.HostCrashes != 1 || snap.Retries != (DefaultSlowWindows+4)/2 {
 		t.Fatalf("aggregates %+v", snap)
 	}
 	if len(snap.SlowestWindows) != DefaultSlowWindows {

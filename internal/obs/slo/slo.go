@@ -22,7 +22,7 @@ import (
 )
 
 // Schema versions the Snapshot JSON for consumers (ops plane,
-// mistral-top, CI golden-schema validation).
+// mistral-explain, CI golden-schema validation).
 const Schema = "mistral.slo/v1"
 
 // Severity levels for alerts.

@@ -16,48 +16,25 @@ import "sort"
 //     mean/variance drift detector. Those verdicts depend on the machine
 //     the process runs on, so they are surfaced as warnings and counters
 //     only, never folded into deterministic state.
-type DetectorConfig struct {
-	// Trailing is how many prior samples form the robust baseline
-	// (default 32).
-	Trailing int
-	// MinSamples is the minimum baseline size before scoring (default 12):
-	// below it every window is "anomalous vs nothing".
-	MinSamples int
-	// ZThreshold is the |robust z| above which a virtual sample is
-	// anomalous (default 6; MAD z-scores are tight, so this is a loud
-	// signal, not a tuning knob).
-	ZThreshold float64
-	// Alpha is the EWMA smoothing factor for wall series (default 0.1).
-	Alpha float64
-	// DriftThreshold is the |sample − ewma| / stddev ratio above which a
-	// wall sample is drifting (default 8).
-	DriftThreshold float64
-	// MinWallMS floors the wall-series deviation (default 5ms): sub-floor
-	// jitter on a fast machine is noise, not drift.
-	MinWallMS float64
-}
-
-func (c DetectorConfig) withDefaults() DetectorConfig {
-	if c.Trailing <= 0 {
-		c.Trailing = 32
-	}
-	if c.MinSamples <= 0 {
-		c.MinSamples = 12
-	}
-	if c.ZThreshold <= 0 {
-		c.ZThreshold = 6
-	}
-	if c.Alpha <= 0 || c.Alpha >= 1 {
-		c.Alpha = 0.1
-	}
-	if c.DriftThreshold <= 0 {
-		c.DriftThreshold = 8
-	}
-	if c.MinWallMS <= 0 {
-		c.MinWallMS = 5
-	}
-	return c
-}
+const (
+	// trailing is how many prior samples form the robust baseline.
+	trailing = 32
+	// minSamples is the minimum baseline size before scoring: below it
+	// every window is "anomalous vs nothing".
+	minSamples = 12
+	// zThreshold is the |robust z| above which a virtual sample is
+	// anomalous (MAD z-scores are tight, so this is a loud signal, not a
+	// tuning knob).
+	zThreshold = 6
+	// alpha is the EWMA smoothing factor for wall series.
+	alpha = 0.1
+	// driftThreshold is the |sample − ewma| / stddev ratio above which a
+	// wall sample is drifting.
+	driftThreshold = 8
+	// minWallMS floors the wall-series deviation: sub-floor jitter on a
+	// fast machine is noise, not drift.
+	minWallMS = 5
+)
 
 // Anomaly is one flagged observation.
 type Anomaly struct {
@@ -88,13 +65,12 @@ type DetectorState struct {
 // Detector scores samples against history. It is driven by the engine's
 // single-threaded step loop and needs no locking of its own.
 type Detector struct {
-	cfg  DetectorConfig
 	ewma map[string]*EWMAState
 }
 
-// NewDetector builds a detector; zero config fields take defaults.
-func NewDetector(cfg DetectorConfig) *Detector {
-	return &Detector{cfg: cfg.withDefaults(), ewma: make(map[string]*EWMAState)}
+// NewDetector builds a detector.
+func NewDetector() *Detector {
+	return &Detector{ewma: make(map[string]*EWMAState)}
 }
 
 // ScoreVirtual scores one virtual-series sample against its trailing
@@ -108,8 +84,8 @@ func (d *Detector) ScoreVirtual(s *Store, name string, window int, value float64
 	if d == nil {
 		return nil
 	}
-	base := s.TrailingBefore(name, window, d.cfg.Trailing)
-	if len(base) < d.cfg.MinSamples {
+	base := s.TrailingBefore(name, window, trailing)
+	if len(base) < minSamples {
 		return nil
 	}
 	med := median(base)
@@ -124,7 +100,7 @@ func (d *Detector) ScoreVirtual(s *Store, name string, window int, value float64
 	// 0.6745 ≈ Φ⁻¹(3/4): scales MAD to the stddev of a normal
 	// distribution, making ZThreshold comparable to a plain z-score.
 	z := 0.6745 * (value - med) / mad
-	if abs(z) < d.cfg.ZThreshold {
+	if abs(z) < zThreshold {
 		return nil
 	}
 	return &Anomaly{Series: name, Window: window, Kind: "mad-z", Value: value, Score: z, Baseline: med}
@@ -144,13 +120,13 @@ func (d *Detector) ScoreWall(name string, window int, value float64) *Anomaly {
 		d.ewma[name] = st
 	}
 	var out *Anomaly
-	if st.N >= d.cfg.MinSamples {
+	if st.N >= minSamples {
 		dev := abs(value - st.Mean)
 		sd := sqrt(st.Var)
-		if sd < d.cfg.MinWallMS {
-			sd = d.cfg.MinWallMS
+		if sd < minWallMS {
+			sd = minWallMS
 		}
-		if score := dev / sd; score >= d.cfg.DriftThreshold {
+		if score := dev / sd; score >= driftThreshold {
 			out = &Anomaly{Series: name, Window: window, Kind: "ewma-drift", Value: value, Score: score, Baseline: st.Mean}
 		}
 	}
@@ -158,8 +134,8 @@ func (d *Detector) ScoreWall(name string, window int, value float64) *Anomaly {
 		st.Mean = value
 	} else {
 		delta := value - st.Mean
-		st.Mean += d.cfg.Alpha * delta
-		st.Var = (1 - d.cfg.Alpha) * (st.Var + d.cfg.Alpha*delta*delta)
+		st.Mean += alpha * delta
+		st.Var = (1 - alpha) * (st.Var + alpha*delta*delta)
 	}
 	st.N++
 	return out

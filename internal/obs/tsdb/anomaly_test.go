@@ -8,7 +8,7 @@ import (
 
 func TestScoreVirtualFlagsSpike(t *testing.T) {
 	s := New(Options{})
-	d := NewDetector(DetectorConfig{Trailing: 16, MinSamples: 8, ZThreshold: 6})
+	d := NewDetector()
 	// A noisy-but-bounded baseline.
 	vals := []float64{10, 11, 10, 12, 11, 10, 11, 12, 10, 11, 12, 10, 11, 10, 12, 11}
 	for w, v := range vals {
@@ -33,7 +33,7 @@ func TestScoreVirtualFlagsSpike(t *testing.T) {
 
 func TestScoreVirtualColdStartAndFlatBaseline(t *testing.T) {
 	s := New(Options{})
-	d := NewDetector(DetectorConfig{MinSamples: 8})
+	d := NewDetector()
 	// Under MinSamples: never flags, even on wild values.
 	s.Append("x", ClassVirtual, 0, 1)
 	s.Append("x", ClassVirtual, 1, 1)
@@ -53,7 +53,7 @@ func TestScoreVirtualColdStartAndFlatBaseline(t *testing.T) {
 func TestScoreVirtualDeterministic(t *testing.T) {
 	run := func() []Anomaly {
 		s := New(Options{})
-		d := NewDetector(DetectorConfig{})
+		d := NewDetector()
 		var out []Anomaly
 		for w := 0; w < 100; w++ {
 			v := float64((w*37)%11) * 0.5
@@ -80,7 +80,7 @@ func TestScoreVirtualDeterministic(t *testing.T) {
 }
 
 func TestScoreWallDrift(t *testing.T) {
-	d := NewDetector(DetectorConfig{MinSamples: 8, Alpha: 0.2, DriftThreshold: 8, MinWallMS: 1})
+	d := NewDetector()
 	// Stable ~50ms decides.
 	for w := 0; w < 20; w++ {
 		if a := d.ScoreWall("decide_wall_ms", w, 50+float64(w%3)); a != nil {
@@ -108,7 +108,7 @@ func TestScoreWallDrift(t *testing.T) {
 }
 
 func TestDetectorStateRoundTrip(t *testing.T) {
-	d := NewDetector(DetectorConfig{})
+	d := NewDetector()
 	for w := 0; w < 30; w++ {
 		d.ScoreWall("wall_a", w, float64(50+w%5))
 		d.ScoreWall("wall_b", w, float64(200+w%9))
@@ -120,7 +120,7 @@ func TestDetectorStateRoundTrip(t *testing.T) {
 	raw, _ := json.Marshal(st)
 	var decoded DetectorState
 	json.Unmarshal(raw, &decoded)
-	d2 := NewDetector(DetectorConfig{})
+	d2 := NewDetector()
 	d2.Restore(&decoded)
 	// Both detectors must produce identical verdicts from here on.
 	for w := 30; w < 40; w++ {

@@ -190,7 +190,7 @@ type series struct {
 
 // Store is the telemetry history plane: one writer (the scenario engine,
 // once per window) plus concurrent readers (the /v1/query handler, /ops
-// summaries, mistral-top). A nil *Store is a valid disabled store.
+// summaries, mistral-explain). A nil *Store is a valid disabled store.
 type Store struct {
 	mu     sync.RWMutex
 	opts   Options
@@ -432,7 +432,7 @@ func (s *Store) Aligned(names []string, from, to int) (windows []int, values [][
 	return windows, values
 }
 
-// Summary is one series' digest for the /ops snapshot and mistral-top:
+// Summary is one series' digest for the /ops snapshot and mistral-explain:
 // per-series min/max/last over the retained raw tier plus an optional
 // sparkline vector of the newest values.
 type Summary struct {

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sync"
 )
 
@@ -377,6 +378,9 @@ func ReadAll(r io.Reader) ([]Record, error) {
 		var rec Record
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
 			return nil, fmt.Errorf("provenance: line %d: %w", line, err)
+		}
+		if slices.Contains(rec.Decisions, nil) {
+			return nil, fmt.Errorf("provenance: line %d: null decision", line)
 		}
 		out = append(out, rec)
 	}

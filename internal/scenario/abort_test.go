@@ -29,9 +29,7 @@ func TestStepMeasureErrorBooksWindowOnly(t *testing.T) {
 	launched.Plan = []cluster.Action{{Kind: cluster.ActionDecreaseCPU, VM: "rubis1-web-0", DeltaCPUPct: 10}}
 	d := &scripted{name: "scripted", decisions: []Decision{invoked, invoked, launched}}
 	ob := &obs.Observer{Metrics: obs.NewRegistry(), Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})}
-	// A threshold of one: a single degraded window reaching the breaker
-	// would open it.
-	g := guard.New(guard.Config{BreakerThreshold: 1}, cat)
+	g := guard.New(guard.Config{}, cat)
 	var prov bytes.Buffer
 	e, err := NewEngine(tb, d, RunConfig{
 		Traces: traces, Duration: 30 * time.Minute, Utility: util,
@@ -50,6 +48,11 @@ func TestStepMeasureErrorBooksWindowOnly(t *testing.T) {
 		t.Fatalf("MeanSearchTime = %v before Close, want 0", e.Result().MeanSearchTime)
 	}
 
+	// One degraded window short of the breaker's threshold of four: the
+	// aborted window reaching the breaker would open it.
+	for i := 0; i < 3; i++ {
+		g.ObserveWindow(true)
+	}
 	if _, err := tb.MeasureWindow(e.Now() + e.Interval()); err != nil {
 		t.Fatal(err)
 	}

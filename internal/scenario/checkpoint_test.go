@@ -26,6 +26,7 @@ type ckEnv struct {
 	engine *scenario.Engine
 	prov   *bytes.Buffer
 	hist   *tsdb.Store
+	ops    *obs.OpsState
 }
 
 func newCkEnv(t *testing.T) *ckEnv {
@@ -45,7 +46,7 @@ func newCkEnv(t *testing.T) *ckEnv {
 	// A fresh metrics registry per environment, fed by the evaluator and the
 	// controllers as the process default would be, as in a restarted
 	// process.
-	ob := &obs.Observer{Metrics: obs.NewRegistry(), History: tsdb.New(tsdb.Options{})}
+	ob := &obs.Observer{Metrics: obs.NewRegistry(), History: tsdb.New(tsdb.Options{}), Ops: obs.NewOpsState()}
 	eval.SetObserver(ob)
 	dec, err := strategy.NewMistral(eval, strategy.MistralConfig{
 		HostGroups:         lab.HostGroups(),
@@ -68,7 +69,7 @@ func newCkEnv(t *testing.T) *ckEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &ckEnv{engine: e, prov: buf, hist: ob.History}
+	return &ckEnv{engine: e, prov: buf, hist: ob.History, ops: ob.Ops}
 }
 
 // histQueryJSON renders a raw-resolution trend query over the full window
@@ -305,6 +306,55 @@ func TestResumeCarriesNoMemoEntries(t *testing.T) {
 				t.Errorf("provenance bytes diverge over windows %d..%d", at, at+after-1)
 			}
 		})
+	}
+}
+
+// opsCounts is the part of an /ops snapshot that is a function of the run:
+// everything but the wall-clock fields and the history digests, which carry
+// a wall-clock series.
+func opsCounts(s obs.OpsSnapshot) obs.OpsSnapshot {
+	s.LastDecideWallMS, s.SlowestWindows, s.History, s.UpdatedUnixMS = 0, nil, nil, 0
+	return s
+}
+
+// TestOpsCarriesOnAfterRestore: a run restored at window 40 and stepped once
+// publishes the /ops document an uninterrupted 41-window run publishes —
+// current window, window count, degraded/error/retry/crash totals and SLO
+// state — instead of counting from zero again.
+func TestOpsCarriesOnAfterRestore(t *testing.T) {
+	full := newCkEnv(t)
+	stepN(t, full.engine, 41)
+
+	half := newCkEnv(t)
+	stepN(t, half.engine, 40)
+	snap, err := half.engine.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var restored scenario.Snapshot
+	if err := json.Unmarshal(raw, &restored); err != nil {
+		t.Fatal(err)
+	}
+	resumed := newCkEnv(t)
+	if err := resumed.engine.Restore(&restored); err != nil {
+		t.Fatal(err)
+	}
+	stepN(t, resumed.engine, 1)
+
+	want, got := opsCounts(full.ops.Snapshot()), opsCounts(resumed.ops.Snapshot())
+	if got.Window != 40 || got.Windows != 41 {
+		t.Errorf("restored /ops at window %d with %d windows, want 40 and 41", got.Window, got.Windows)
+	}
+	wantJSON, err := json.Marshal(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotJSON, err := json.Marshal(got); err != nil || !bytes.Equal(gotJSON, wantJSON) {
+		t.Errorf("restored /ops diverges (%v):\nfull:    %s\nresumed: %s", err, wantJSON, gotJSON)
 	}
 }
 

@@ -142,7 +142,7 @@ func NewEngine(tb *testbed.Testbed, d Decider, cfg RunConfig) (*Engine, error) {
 		}
 	}
 	if e.hist != nil {
-		e.det = tsdb.NewDetector(tsdb.DetectorConfig{})
+		e.det = tsdb.NewDetector()
 	}
 	return e, nil
 }
@@ -533,15 +533,16 @@ func (e *Engine) publish(w *window) {
 	// history store.
 	if e.ops != nil {
 		e.ops.RecordWindow(obs.OpsWindow{
-			Window:        w.index,
-			TimeSec:       w.Time.Seconds(),
-			CumUtility:    w.CumUtility,
-			Degraded:      w.Degraded,
-			Error:         w.decideErr,
-			Retries:       w.Retried,
-			Crashes:       w.HostCrashes,
-			WallMS:        float64(w.decideWall.Microseconds()) / 1000,
-			SearchTimeSec: w.SearchTime.Seconds(),
+			Window:          w.index,
+			TimeSec:         w.Time.Seconds(),
+			CumUtility:      w.CumUtility,
+			Degraded:        w.Degraded,
+			WallMS:          float64(w.decideWall.Microseconds()) / 1000,
+			SearchTimeSec:   w.SearchTime.Seconds(),
+			DegradedWindows: e.res.DegradedWindows,
+			DecideErrors:    e.res.DecideErrors,
+			Retries:         e.res.Retries,
+			HostCrashes:     e.res.HostCrashes,
 		})
 		if raw, err := json.Marshal(e.slo.Snapshot()); err == nil {
 			e.ops.SetSLO(raw)

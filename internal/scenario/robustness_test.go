@@ -175,7 +175,7 @@ func (d *rejectAll) Decide(now time.Duration, cfg cluster.Config, rates map[stri
 
 func TestRunGuardRejectionsAndBreaker(t *testing.T) {
 	tb, util, traces, cat := setup(t)
-	g := guard.New(guard.Config{BreakerThreshold: 3, BreakerCooldown: 100}, cat)
+	g := guard.New(guard.Config{}, cat)
 	d := &rejectAll{scripted{name: "rejected"}}
 	var buf bytes.Buffer
 	rec := provenance.NewRecorder(&buf)
@@ -194,9 +194,10 @@ func TestRunGuardRejectionsAndBreaker(t *testing.T) {
 			t.Fatalf("window %d not marked guard-rejected+degraded: %+v", i, w)
 		}
 	}
-	// Every rejected window is degraded, so the breaker trips at the
-	// threshold and stays open through the long cooldown; later windows
-	// are rejected by the breaker itself, before plan validation runs.
+	// Every rejected window is degraded, so the breaker trips after four
+	// windows and stays open through its eight-window cooldown; those
+	// windows are rejected by the breaker itself, before plan validation
+	// runs. The half-open probe is invalid too and re-opens it.
 	if res.Windows[0].GuardRule != "invalid-plan" {
 		t.Errorf("first rejection rule %q, want invalid-plan", res.Windows[0].GuardRule)
 	}
@@ -208,8 +209,8 @@ func TestRunGuardRejectionsAndBreaker(t *testing.T) {
 		t.Errorf("breaker = %v at end, want open", g.Breaker())
 	}
 	admitted, rejected, opens := g.Stats()
-	if admitted != 0 || rejected != int64(len(res.Windows)) || opens != 1 {
-		t.Errorf("guard stats admitted/rejected/opens = %d/%d/%d, want 0/%d/1", admitted, rejected, opens, len(res.Windows))
+	if admitted != 0 || rejected != int64(len(res.Windows)) || opens != 2 {
+		t.Errorf("guard stats admitted/rejected/opens = %d/%d/%d, want 0/%d/2", admitted, rejected, opens, len(res.Windows))
 	}
 	// The verdicts ride the provenance stream.
 	recs, err := provenance.ReadAll(&buf)

@@ -227,7 +227,7 @@ func RunFig7() []experiments.Fig7Row { return experiments.Fig7AdaptationCosts() 
 // RunFig7Measured reruns the §III-C offline cost-measurement campaign on
 // the request-level testbed.
 func RunFig7Measured(seed uint64, trials int) ([]experiments.Fig7Row, error) {
-	return experiments.Fig7MeasuredCampaign(seed, trials, nil)
+	return experiments.Fig7MeasuredCampaign(seed, trials)
 }
 
 // MeasureCostTable runs the full offline campaign and assembles a cost
