@@ -147,7 +147,7 @@ func TestOpsLive(t *testing.T) {
 			t.Errorf("frame lacks %q:\n%s", want, out)
 		}
 	}
-	if out, err := runOut(t, "-addr", addr, "-check"); err != nil || !strings.Contains(out, "3 windows, 4 objectives") {
+	if out, err := runOut(t, "-addr", addr, "-check"); err != nil || !strings.Contains(out, "3 windows, 3 objectives") {
 		t.Errorf("-check: %q, %v", out, err)
 	}
 

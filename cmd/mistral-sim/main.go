@@ -16,6 +16,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -31,31 +32,32 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "mistral-sim:", err)
 		os.Exit(1)
 	}
 }
 
-func run() (err error) {
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("mistral-sim", flag.ExitOnError)
 	var rc experiments.Recipe
-	rc.RegisterFlags(flag.CommandLine)
+	rc.RegisterFlags(fs)
 	var cli obs.CLI
-	cli.RegisterFlags(flag.CommandLine)
+	cli.RegisterFlags(fs)
 	var (
-		duration   = flag.Duration("duration", 0, "replay duration (0 = full 6.5h scenario)")
-		provPath   = flag.String("provenance", "", "write one decision-provenance record per window as JSONL to FILE (inspect with mistral-explain)")
-		asCSV      = flag.Bool("csv", false, "emit CSV instead of aligned columns")
-		sloReport  = flag.Bool("slo", false, "run the SLO self-monitoring engine and print the objective/error-budget report to stderr at exit")
-		profileDir = flag.String("profile-dir", "", "capture pprof CPU/heap artifacts into DIR when a decide blows its wall-clock latency budget")
-		profileBud = flag.Duration("profile-budget", 500*time.Millisecond, "wall-clock decide budget that triggers pprof capture (with -profile-dir)")
-		profileMax = flag.Int("profile-max", 8, "maximum pprof artifacts written (with -profile-dir)")
-		sloExit    = flag.Bool("slo-exit", false, "exit nonzero when any SLO objective's error budget is exhausted at the end of the run (for CI gates; implies the SLO engine)")
-		ckptPath   = flag.String("checkpoint", "", "write an engine checkpoint to FILE when the run completes (resume with -resume)")
-		resumePath = flag.String("resume", "", "restore the engine from a checkpoint FILE and continue the replay; the checkpoint's recorded environment (apps, seed, strategy, fault profile) overrides the corresponding flags")
-		stepProv   = flag.Bool("step-provenance", false, "include per-step execution outcomes (applied/failed/skipped/rolled-back, with causes) in each provenance record (with -provenance)")
+		duration   = fs.Duration("duration", 0, "replay duration (0 = full 6.5h scenario)")
+		provPath   = fs.String("provenance", "", "write one decision-provenance record per window as JSONL to FILE (inspect with mistral-explain)")
+		asCSV      = fs.Bool("csv", false, "emit CSV instead of aligned columns")
+		sloReport  = fs.Bool("slo", false, "run the SLO self-monitoring engine and print the objective/error-budget report to stderr at exit")
+		profileDir = fs.String("profile-dir", "", "capture pprof CPU/heap artifacts into DIR when a decide blows its wall-clock latency budget")
+		profileBud = fs.Duration("profile-budget", 500*time.Millisecond, "wall-clock decide budget that triggers pprof capture (with -profile-dir)")
+		profileMax = fs.Int("profile-max", 8, "maximum pprof artifacts written (with -profile-dir)")
+		sloExit    = fs.Bool("slo-exit", false, "exit nonzero when any SLO objective's error budget is exhausted at the end of the run (for CI gates; implies the SLO engine)")
+		ckptPath   = fs.String("checkpoint", "", "write an engine checkpoint to FILE when the run completes (resume with -resume)")
+		resumePath = fs.String("resume", "", "restore the engine from a checkpoint FILE and continue the replay; the checkpoint's recorded environment (apps, seed, strategy, fault profile) overrides the corresponding flags")
+		stepProv   = fs.Bool("step-provenance", false, "include per-step execution outcomes (applied/failed/skipped/rolled-back, with causes) in each provenance record (with -provenance)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	ob, closeObs, err := cli.Build()
 	if err != nil {
@@ -140,7 +142,7 @@ func run() (err error) {
 		if err := checkpoint.Write(*ckptPath, checkpoint.New(rp.Recipe, snap)); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "checkpoint: wrote %s (window %d, t=%s)\n", *ckptPath, engine.WindowIndex(), engine.Now())
+		fmt.Fprintf(stderr, "checkpoint: wrote %s (window %d, t=%s)\n", *ckptPath, engine.WindowIndex(), engine.Now())
 	}
 
 	appNames := make([]string, len(rp.Lab.AppNames))
@@ -148,41 +150,41 @@ func run() (err error) {
 	sort.Strings(appNames)
 
 	if *asCSV {
-		fmt.Print("time")
+		fmt.Fprint(stdout, "time")
 		for _, n := range appNames {
-			fmt.Printf(",%s_reqs,%s_rt_ms", n, n)
+			fmt.Fprintf(stdout, ",%s_reqs,%s_rt_ms", n, n)
 		}
-		fmt.Println(",watts,actions,utility,cum_utility")
+		fmt.Fprintln(stdout, ",watts,actions,utility,cum_utility")
 		for _, w := range res.Windows {
-			fmt.Printf("%.0f", w.Time.Seconds())
+			fmt.Fprintf(stdout, "%.0f", w.Time.Seconds())
 			for _, n := range appNames {
-				fmt.Printf(",%.1f,%.0f", w.Rates[n], w.RTSec[n]*1000)
+				fmt.Fprintf(stdout, ",%.1f,%.0f", w.Rates[n], w.RTSec[n]*1000)
 			}
-			fmt.Printf(",%.0f,%d,%.3f,%.3f\n", w.Watts, w.Actions, w.Utility, w.CumUtility)
+			fmt.Fprintf(stdout, ",%.0f,%d,%.3f,%.3f\n", w.Watts, w.Actions, w.Utility, w.CumUtility)
 		}
 	} else {
-		fmt.Printf("%-9s", "window")
+		fmt.Fprintf(stdout, "%-9s", "window")
 		for _, n := range appNames {
-			fmt.Printf("  %8s  %9s", n, "rt(ms)")
+			fmt.Fprintf(stdout, "  %8s  %9s", n, "rt(ms)")
 		}
-		fmt.Printf("  %6s  %4s  %8s\n", "watts", "act", "cum")
+		fmt.Fprintf(stdout, "  %6s  %4s  %8s\n", "watts", "act", "cum")
 		for _, w := range res.Windows {
-			fmt.Printf("%-9s", w.Time)
+			fmt.Fprintf(stdout, "%-9s", w.Time)
 			for _, n := range appNames {
-				fmt.Printf("  %8.1f  %9.0f", w.Rates[n], w.RTSec[n]*1000)
+				fmt.Fprintf(stdout, "  %8.1f  %9.0f", w.Rates[n], w.RTSec[n]*1000)
 			}
-			fmt.Printf("  %6.0f  %4d  %8.1f\n", w.Watts, w.Actions, w.CumUtility)
+			fmt.Fprintf(stdout, "  %6.0f  %4d  %8.1f\n", w.Watts, w.Actions, w.CumUtility)
 		}
 	}
 
-	fmt.Fprintf(os.Stderr, "\n%s: cumulative utility $%.1f, %d actions, %d decision runs (mean search %v), %d target violations\n",
+	fmt.Fprintf(stderr, "\n%s: cumulative utility $%.1f, %d actions, %d decision runs (mean search %v), %d target violations\n",
 		res.Strategy, res.CumUtility, res.TotalActions, res.Invocations, res.MeanSearchTime, res.TargetViolations)
 	if rec.Enabled() {
-		fmt.Fprintf(os.Stderr, "provenance: %d records written to %s (inspect with mistral-explain %[2]s)\n", rec.Count(), *provPath)
+		fmt.Fprintf(stderr, "provenance: %d records written to %s (inspect with mistral-explain %[2]s)\n", rec.Count(), *provPath)
 	}
 	if rp.Fault.Enabled() {
 		counts := rp.Fault.Counts()
-		fmt.Fprintf(os.Stderr, "faults (rate %.0f%%, seed %d): %d injected — %d degraded windows, %d failed actions (%d retries, %d skipped), %d host crashes, %d sensor drops\n",
+		fmt.Fprintf(stderr, "faults (rate %.0f%%, seed %d): %d injected — %d degraded windows, %d failed actions (%d retries, %d skipped), %d host crashes, %d sensor drops\n",
 			rp.Recipe.FaultRate*100, rp.Recipe.FaultSeed, counts.Injected,
 			res.DegradedWindows, res.FailedActions, res.Retries, res.SkippedActions,
 			res.HostCrashes, res.SensorDrops)
@@ -190,19 +192,19 @@ func run() (err error) {
 	// These lines only appear when their (default-off) planes are on, so a
 	// default invocation's stderr stays byte-identical across versions.
 	if rp.Recipe.ExecPolicy == testbed.RollbackOnFailure {
-		fmt.Fprintf(os.Stderr, "rollback: %d plan(s) compensated, %d rollback action(s) executed\n",
+		fmt.Fprintf(stderr, "rollback: %d plan(s) compensated, %d rollback action(s) executed\n",
 			res.CompensatedPlans, res.RolledBackActions)
 	}
 	if rp.Guard != nil {
 		adm, rej, opens := rp.Guard.Stats()
-		fmt.Fprintf(os.Stderr, "guard: %d plan(s) admitted, %d rejected, breaker opened %d time(s) (final state %s)\n",
+		fmt.Fprintf(stderr, "guard: %d plan(s) admitted, %d rejected, breaker opened %d time(s) (final state %s)\n",
 			adm, rej, opens, rp.Guard.Breaker())
 	}
 	eng := engine.SLO() // non-nil under -slo and -slo-exit: an observer exists
 
 	if *sloReport {
 		snap := eng.Snapshot()
-		fmt.Fprintf(os.Stderr, "slo: %d windows observed, %d alerts\n", snap.Windows, snap.TotalAlerts)
+		fmt.Fprintf(stderr, "slo: %d windows observed, %d alerts\n", snap.Windows, snap.TotalAlerts)
 		for _, o := range snap.Objectives {
 			status := "ok"
 			if !o.Healthy {
@@ -212,13 +214,13 @@ func run() (err error) {
 			if o.LastBreachWindow >= 0 {
 				last = fmt.Sprintf(", last breach %s", o.LastBreachTrace)
 			}
-			fmt.Fprintf(os.Stderr, "  %-16s %s: %d/%d windows breached (budget %.0f%%, used %.0f%%, burn %.2f)%s\n",
+			fmt.Fprintf(stderr, "  %-16s %s: %d/%d windows breached (budget %.0f%%, used %.0f%%, burn %.2f)%s\n",
 				o.Name, status, o.Breaches, o.Windows, o.Budget*100, o.BudgetUsed*100, o.BurnRate, last)
 		}
 	}
 	if prof != nil {
 		if arts := prof.Artifacts(); len(arts) > 0 {
-			fmt.Fprintf(os.Stderr, "profiling: %d pprof artifact(s) in %s (budget %v)\n", len(arts), *profileDir, *profileBud)
+			fmt.Fprintf(stderr, "profiling: %d pprof artifact(s) in %s (budget %v)\n", len(arts), *profileDir, *profileBud)
 		}
 	}
 	if *sloExit {

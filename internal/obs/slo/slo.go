@@ -1,14 +1,13 @@
 // Package slo is Mistral's self-monitoring engine: declarative service
 // level objectives over what the controller delivers — decision latency
-// budget per window, degraded-window burn rate, guard-reject rate,
-// telemetry-history anomalies — evaluated online with SRE-style error
-// budget accounting.
+// budget per window, degraded-window burn rate, guard-reject rate —
+// evaluated online with SRE-style error budget accounting.
 //
 // Determinism is a design constraint, not an accident: every input the
-// engine folds into its state is virtual-time or a deterministic count
-// (search time on the simulation clock, degraded and guard flags, anomaly
-// counts). Wall-clock latency never enters; the Profiler in
-// package obs owns that side. Two runs with the same seed produce
+// engine folds into its state is virtual-time or a deterministic flag
+// (search time on the simulation clock, degraded and guard flags).
+// Wall-clock latency never enters; the Profiler in package obs owns that
+// side, with its own decide budget. Two runs with the same seed produce
 // byte-identical Snapshots, which the determinism test asserts.
 package slo
 
@@ -49,10 +48,6 @@ const (
 	// plans means the controller and the safety envelope disagree — the
 	// run is technically safe but no longer adapting.
 	guardRejectFrac = 0.25
-	// anomalyFrac is the allowed fraction of history-checked windows in
-	// which the telemetry anomaly detector flagged a deterministic
-	// (virtual-time) series.
-	anomalyFrac = 0.10
 	// burnWindows is the trailing-window span for burn-rate estimation.
 	burnWindows = 16
 	// alertCap bounds the in-memory alert ring.
@@ -79,13 +74,6 @@ type WindowObs struct {
 	// the guard-reject objective — runs predating the guard keep their
 	// SLO accounting unchanged.
 	GuardChecked, GuardRejected bool
-	// HistoryChecked marks a window the telemetry history plane scored
-	// for anomalies; Anomalies counts the deterministic (virtual-time)
-	// series the detector flagged. Windows without a history store are
-	// unmeasurable for the history-anomaly objective, so runs predating
-	// the telemetry plane keep their SLO accounting unchanged.
-	HistoryChecked bool
-	Anomalies      int
 }
 
 // ObjectiveState is one objective's error-budget accounting.
@@ -216,17 +204,6 @@ func New(interval time.Duration, o *obs.Observer) *Engine {
 			breach: func(v, t float64) bool { return v > t },
 			format: func(_, _ float64) string {
 				return "admission guard rejected the window's plan"
-			},
-		},
-		{
-			name:   "history-anomaly",
-			budget: anomalyFrac,
-			measure: func(w WindowObs) (float64, float64, bool) {
-				return float64(w.Anomalies), 0.5, w.HistoryChecked
-			},
-			breach: func(v, t float64) bool { return v > t },
-			format: func(v, _ float64) string {
-				return fmt.Sprintf("telemetry history flagged %d anomalous series", int(v))
 			},
 		},
 	}

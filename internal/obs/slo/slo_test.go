@@ -51,7 +51,7 @@ func TestEngineDeterminism(t *testing.T) {
 	if string(ja) != string(jb) {
 		t.Fatal("serialized snapshots differ")
 	}
-	if a.Schema != Schema || a.Windows != 100 || len(a.Objectives) != 4 {
+	if a.Schema != Schema || a.Windows != 100 || len(a.Objectives) != 3 {
 		t.Fatalf("snapshot shape %+v", a)
 	}
 }

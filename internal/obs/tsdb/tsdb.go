@@ -2,8 +2,8 @@
 // zero-dependency, deterministic, windowed time-series store. Every series
 // is a fixed-capacity ring keyed by monitoring-window index — virtual
 // time, never wall clock — with tiered downsampling behind it: the raw
-// tier keeps the last RawWindows samples exactly, and each coarser tier
-// keeps min/max/sum/count aggregates over Factors[i]-window buckets, so
+// tier keeps the last rawWindows samples exactly, and each coarser tier
+// keeps min/max/sum/count aggregates over factors[i]-window buckets, so
 // "how did power draw evolve over the last 5,000 windows" is one
 // in-process query instead of an offline provenance replay.
 //
@@ -53,39 +53,29 @@ func (c Class) String() string {
 	return "virtual"
 }
 
-// classFromString inverts String for State restore.
-func classFromString(s string) Class {
-	if s == "wall" {
-		return ClassWall
+// parseClass inverts String for State restore.
+func parseClass(s string) (Class, error) {
+	switch s {
+	case "virtual":
+		return ClassVirtual, nil
+	case "wall":
+		return ClassWall, nil
 	}
-	return ClassVirtual
+	return 0, fmt.Errorf("tsdb: unknown series class %q", s)
 }
 
-// Options sizes the store. Zero fields take defaults.
-type Options struct {
-	// RawWindows is the raw tier's ring capacity (default 512): the last
-	// RawWindows samples are kept exactly.
-	RawWindows int
-	// AggBuckets is each coarse tier's bucket-ring capacity (default 256).
-	AggBuckets int
-	// Factors are the coarsening factors of the downsampled tiers
-	// (default 8, 64): one bucket aggregates Factors[i] consecutive
-	// windows.
-	Factors []int
-}
+// The store's capacities. The raw tier keeps the last rawWindows samples
+// exactly; each coarse tier keeps aggBuckets buckets, one bucket
+// aggregating factors[i] consecutive windows.
+const (
+	rawWindows = 512
+	aggBuckets = 256
+)
 
-func (o Options) withDefaults() Options {
-	if o.RawWindows <= 0 {
-		o.RawWindows = 512
-	}
-	if o.AggBuckets <= 0 {
-		o.AggBuckets = 256
-	}
-	if len(o.Factors) == 0 {
-		o.Factors = []int{8, 64}
-	}
-	return o
-}
+var factors = [...]int{8, 64}
+
+// Options configures New. It has no fields: the capacities are fixed.
+type Options struct{}
 
 // Sample is one raw observation: a value at a window index.
 type Sample struct {
@@ -193,15 +183,14 @@ type series struct {
 // summaries, mistral-explain). A nil *Store is a valid disabled store.
 type Store struct {
 	mu     sync.RWMutex
-	opts   Options
 	series map[string]*series
 	names  []string // sorted
 	last   int      // highest window appended, -1 before the first
 }
 
 // New builds an empty store.
-func New(opts Options) *Store {
-	return &Store{opts: opts.withDefaults(), series: make(map[string]*series), last: -1}
+func New(Options) *Store {
+	return &Store{series: make(map[string]*series), last: -1}
 }
 
 // Reset drops every series, returning the store to its freshly built
@@ -221,10 +210,10 @@ func (s *Store) newSeries(name string, class Class) *series {
 	se := &series{
 		name:  name,
 		class: class,
-		raw:   newRing[Sample](s.opts.RawWindows),
+		raw:   newRing[Sample](rawWindows),
 	}
-	for _, f := range s.opts.Factors {
-		se.tiers = append(se.tiers, &tier{factor: f, buckets: newRing[Agg](s.opts.AggBuckets)})
+	for _, f := range factors {
+		se.tiers = append(se.tiers, &tier{factor: f, buckets: newRing[Agg](aggBuckets)})
 	}
 	s.series[name] = se
 	i := sort.SearchStrings(s.names, name)
@@ -281,12 +270,12 @@ func (s *Store) LastWindow() int {
 }
 
 // Steps returns the query resolutions the store serves: 1 (raw) followed
-// by the configured coarsening factors.
+// by the coarsening factors.
 func (s *Store) Steps() []int {
 	if s == nil {
 		return nil
 	}
-	return append([]int{1}, s.opts.Factors...)
+	return append([]int{1}, factors[:]...)
 }
 
 // Range returns the raw samples of one series with Window in [from, to].
@@ -313,8 +302,8 @@ func (s *Store) Range(name string, from, to int) []Sample {
 }
 
 // RangeAgg returns one series' downsampled buckets whose start window
-// falls in [from, to] at the given coarsening factor. The factor must be
-// one of the configured Factors.
+// falls in [from, to] at the given coarsening factor, which must be one of
+// the store's factors.
 func (s *Store) RangeAgg(name string, from, to, factor int) ([]Agg, error) {
 	if s == nil {
 		return nil, nil
@@ -339,7 +328,7 @@ func (s *Store) RangeAgg(name string, from, to, factor int) ([]Agg, error) {
 		}
 		return out, nil
 	}
-	return nil, fmt.Errorf("tsdb: no %dx tier (have %v)", factor, s.opts.Factors)
+	return nil, fmt.Errorf("tsdb: no %dx tier (have %v)", factor, factors)
 }
 
 // LatestK returns the newest k raw samples of one series, oldest first.
@@ -362,74 +351,6 @@ func (s *Store) LatestK(name string, k int) []Sample {
 		out = append(out, se.raw.at(i))
 	}
 	return out
-}
-
-// TrailingBefore returns up to n raw values of one series with Window
-// strictly below the given window, oldest first — the anomaly detector's
-// baseline view.
-func (s *Store) TrailingBefore(name string, window, n int) []float64 {
-	if s == nil || n <= 0 {
-		return nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	se := s.series[name]
-	if se == nil {
-		return nil
-	}
-	end := se.raw.n
-	for end > 0 && se.raw.at(end-1).Window >= window {
-		end--
-	}
-	start := end - n
-	if start < 0 {
-		start = 0
-	}
-	out := make([]float64, 0, end-start)
-	for i := start; i < end; i++ {
-		out = append(out, se.raw.at(i).Value)
-	}
-	return out
-}
-
-// Aligned intersects the raw tiers of several series over [from, to]:
-// it returns the window indices present in every series, plus one value
-// column per series in the order the names were given.
-func (s *Store) Aligned(names []string, from, to int) (windows []int, values [][]float64) {
-	if s == nil || len(names) == 0 {
-		return nil, nil
-	}
-	cols := make([][]Sample, len(names))
-	for i, n := range names {
-		cols[i] = s.Range(n, from, to)
-		if len(cols[i]) == 0 {
-			return nil, nil
-		}
-	}
-	values = make([][]float64, len(names))
-	pos := make([]int, len(names))
-	for _, p := range cols[0] {
-		w := p.Window
-		row := make([]float64, 0, len(names))
-		ok := true
-		for i := range cols {
-			for pos[i] < len(cols[i]) && cols[i][pos[i]].Window < w {
-				pos[i]++
-			}
-			if pos[i] >= len(cols[i]) || cols[i][pos[i]].Window != w {
-				ok = false
-				break
-			}
-			row = append(row, cols[i][pos[i]].Value)
-		}
-		if ok {
-			windows = append(windows, w)
-			for i := range values {
-				values[i] = append(values[i], row[i])
-			}
-		}
-	}
-	return windows, values
 }
 
 // Summary is one series' digest for the /ops snapshot and mistral-explain:
@@ -500,7 +421,7 @@ type SeriesState struct {
 	// Raw holds the retained raw samples oldest-first.
 	Raw []Sample `json:"raw,omitempty"`
 	// Tiers holds each downsampled tier's retained buckets oldest-first,
-	// in Factors order.
+	// in factors order.
 	Tiers []TierState `json:"tiers,omitempty"`
 }
 
@@ -544,8 +465,9 @@ func (s *Store) State() *State {
 }
 
 // Restore overwrites the store's contents with a captured State. Rings are
-// refilled newest-last; contents beyond the store's configured capacities
-// keep only the newest entries. A nil state just resets the store.
+// refilled newest-last; contents beyond the store's capacities keep only
+// the newest entries. A nil state just resets the store. A state the store
+// could not have produced is refused before anything is overwritten.
 func (s *Store) Restore(st *State) error {
 	if s == nil {
 		return nil
@@ -554,8 +476,8 @@ func (s *Store) Restore(st *State) error {
 		s.Reset()
 		return nil
 	}
-	if st.Schema != Schema {
-		return fmt.Errorf("tsdb: unsupported history schema %q (want %q)", st.Schema, Schema)
+	if err := st.check(); err != nil {
+		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -563,26 +485,71 @@ func (s *Store) Restore(st *State) error {
 	s.names = nil
 	s.last = st.LastWindow
 	for _, ss := range st.Series {
-		se := s.newSeries(ss.Name, classFromString(ss.Class))
+		class, _ := parseClass(ss.Class) // checked
+		se := s.newSeries(ss.Name, class)
 		se.total = ss.Total
 		for _, p := range ss.Raw {
 			se.raw.push(p)
 		}
-		for _, ts := range ss.Tiers {
-			for _, t := range se.tiers {
-				if t.factor != ts.Factor {
-					continue
-				}
-				for _, b := range ts.Buckets {
-					t.buckets.push(b)
-				}
+		for i, ts := range ss.Tiers {
+			for _, b := range ts.Buckets {
+				se.tiers[i].buckets.push(b)
 			}
 		}
 	}
 	return nil
 }
 
-// FromState builds a default-sized store holding a captured State —
+// check refuses what Append could never have built: Append keys each
+// series by a unique name and keeps its windows strictly increasing and at
+// most the store's last window, and the ring order is what later appends
+// and queries rely on.
+func (st *State) check() error {
+	if st.Schema != Schema {
+		return fmt.Errorf("tsdb: unsupported history schema %q (want %q)", st.Schema, Schema)
+	}
+	if st.LastWindow < -1 {
+		return fmt.Errorf("tsdb: last window %d", st.LastWindow)
+	}
+	seen := make(map[string]bool, len(st.Series))
+	for _, ss := range st.Series {
+		if seen[ss.Name] {
+			return fmt.Errorf("tsdb: series %q appears twice", ss.Name)
+		}
+		seen[ss.Name] = true
+		if _, err := parseClass(ss.Class); err != nil {
+			return err
+		}
+		if ss.Total < len(ss.Raw) {
+			return fmt.Errorf("tsdb: series %q: total %d below its %d raw samples", ss.Name, ss.Total, len(ss.Raw))
+		}
+		if len(ss.Tiers) > len(factors) {
+			return fmt.Errorf("tsdb: series %q: %d tiers (want at most %d)", ss.Name, len(ss.Tiers), len(factors))
+		}
+		prev := -1
+		for _, p := range ss.Raw {
+			if p.Window <= prev || p.Window > st.LastWindow {
+				return fmt.Errorf("tsdb: series %q: raw window %d after %d (last window %d)", ss.Name, p.Window, prev, st.LastWindow)
+			}
+			prev = p.Window
+		}
+		for i, ts := range ss.Tiers {
+			if ts.Factor != factors[i] {
+				return fmt.Errorf("tsdb: series %q: tier %d has factor %d (want %d)", ss.Name, i, ts.Factor, factors[i])
+			}
+			prev := -1
+			for _, b := range ts.Buckets {
+				if b.Window <= prev || b.Window%ts.Factor != 0 || b.Window > st.LastWindow {
+					return fmt.Errorf("tsdb: series %q: %dx bucket %d after %d (last window %d)", ss.Name, ts.Factor, b.Window, prev, st.LastWindow)
+				}
+				prev = b.Window
+			}
+		}
+	}
+	return nil
+}
+
+// FromState builds a store holding a captured State —
 // the checkpoint reader's path (mistral-explain -series).
 func FromState(st *State) (*Store, error) {
 	s := New(Options{})
@@ -683,18 +650,15 @@ func (s *Store) autoStep(from int) int {
 	if s.last < 0 {
 		return 1
 	}
-	if s.last-s.opts.RawWindows < from {
+	if s.last-rawWindows < from {
 		return 1
 	}
-	for _, f := range s.opts.Factors {
-		if s.last-f*s.opts.AggBuckets < from {
+	for _, f := range factors {
+		if s.last-f*aggBuckets < from {
 			return f
 		}
 	}
-	if n := len(s.opts.Factors); n > 0 {
-		return s.opts.Factors[n-1]
-	}
-	return 1
+	return factors[len(factors)-1]
 }
 
 // Handler serves the trend-query API:

@@ -5,32 +5,34 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"os"
 	"testing"
 )
 
 func TestAppendRangeAndLatestK(t *testing.T) {
-	s := New(Options{RawWindows: 8, AggBuckets: 4, Factors: []int{4}})
-	for w := 0; w < 20; w++ {
+	s := New(Options{})
+	n := rawWindows + 12
+	for w := 0; w < n; w++ {
 		s.Append("util", ClassVirtual, w, float64(w)*0.5)
 	}
-	if got := s.LastWindow(); got != 19 {
-		t.Fatalf("LastWindow = %d, want 19", got)
+	if got := s.LastWindow(); got != n-1 {
+		t.Fatalf("LastWindow = %d, want %d", got, n-1)
 	}
-	// Raw ring keeps the newest 8 windows: 12..19.
+	// The raw ring keeps the newest rawWindows windows: 12..n-1.
 	all := s.Range("util", 0, -1)
-	if len(all) != 8 || all[0].Window != 12 || all[7].Window != 19 {
-		t.Fatalf("Range full = %+v", all)
+	if len(all) != rawWindows || all[0].Window != 12 || all[rawWindows-1].Window != n-1 {
+		t.Fatalf("Range full = %d samples, %+v..%+v", len(all), all[0], all[len(all)-1])
 	}
 	mid := s.Range("util", 14, 16)
 	if len(mid) != 3 || mid[0].Window != 14 || mid[2].Window != 16 {
 		t.Fatalf("Range[14,16] = %+v", mid)
 	}
 	lk := s.LatestK("util", 3)
-	if len(lk) != 3 || lk[0].Window != 17 || lk[2].Window != 19 {
+	if len(lk) != 3 || lk[0].Window != n-3 || lk[2].Window != n-1 {
 		t.Fatalf("LatestK(3) = %+v", lk)
 	}
-	if got := s.LatestK("util", 100); len(got) != 8 {
-		t.Fatalf("LatestK over-ask = %d samples, want 8", len(got))
+	if got := s.LatestK("util", 2*n); len(got) != rawWindows {
+		t.Fatalf("LatestK over-ask = %d samples, want %d", len(got), rawWindows)
 	}
 	if got := s.Range("nosuch", 0, -1); got != nil {
 		t.Fatalf("Range on unknown series = %+v, want nil", got)
@@ -51,75 +53,43 @@ func TestStaleWindowIgnored(t *testing.T) {
 }
 
 func TestDownsamplingTiers(t *testing.T) {
-	s := New(Options{RawWindows: 16, AggBuckets: 8, Factors: []int{4}})
-	// Windows 0..11, value == window index.
-	for w := 0; w < 12; w++ {
+	s := New(Options{})
+	f := factors[0]
+	// Windows 0..3f-1, value == window index.
+	for w := 0; w < 3*f; w++ {
 		s.Append("x", ClassVirtual, w, float64(w))
 	}
-	aggs, err := s.RangeAgg("x", 0, -1, 4)
+	aggs, err := s.RangeAgg("x", 0, -1, f)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(aggs) != 3 {
 		t.Fatalf("got %d buckets, want 3: %+v", len(aggs), aggs)
 	}
-	b := aggs[1] // windows 4..7
-	if b.Window != 4 || b.Min != 4 || b.Max != 7 || b.Count != 4 || b.Sum != 22 {
+	// Bucket 1 holds windows f..2f-1.
+	b, sum := aggs[1], float64(f*(3*f-1)/2)
+	if b.Window != f || b.Min != float64(f) || b.Max != float64(2*f-1) || b.Count != f || b.Sum != sum {
 		t.Fatalf("bucket[1] = %+v", b)
 	}
-	if m := b.Mean(); m != 5.5 {
-		t.Fatalf("Mean = %v, want 5.5", m)
+	if m := b.Mean(); m != sum/float64(f) {
+		t.Fatalf("Mean = %v, want %v", m, sum/float64(f))
 	}
 	// Gap across a bucket boundary: the partial bucket stays partial.
-	s.Append("x", ClassVirtual, 17, 100)
-	aggs, _ = s.RangeAgg("x", 0, -1, 4)
+	s.Append("x", ClassVirtual, 4*f+1, 100)
+	aggs, _ = s.RangeAgg("x", 0, -1, f)
 	last := aggs[len(aggs)-1]
-	if last.Window != 16 || last.Count != 1 || last.Min != 100 {
+	if last.Window != 4*f || last.Count != 1 || last.Min != 100 {
 		t.Fatalf("gap bucket = %+v", last)
 	}
-	if _, err := s.RangeAgg("x", 0, -1, 5); err == nil {
+	if _, err := s.RangeAgg("x", 0, -1, f+1); err == nil {
 		t.Fatal("RangeAgg with unknown factor should error")
 	}
 }
 
-func TestAligned(t *testing.T) {
-	s := New(Options{})
-	for w := 0; w < 10; w++ {
-		s.Append("a", ClassVirtual, w, float64(w))
-		if w%2 == 0 {
-			s.Append("b", ClassVirtual, w, float64(w*10))
-		}
-	}
-	wins, vals := s.Aligned([]string{"a", "b"}, 0, -1)
-	if len(wins) != 5 || wins[0] != 0 || wins[4] != 8 {
-		t.Fatalf("aligned windows = %v", wins)
-	}
-	if vals[0][2] != 4 || vals[1][2] != 40 {
-		t.Fatalf("aligned values = %v", vals)
-	}
-	if w, _ := s.Aligned([]string{"a", "nosuch"}, 0, -1); w != nil {
-		t.Fatalf("aligned with unknown series = %v, want nil", w)
-	}
-}
-
-func TestTrailingBefore(t *testing.T) {
-	s := New(Options{})
-	for w := 0; w < 10; w++ {
-		s.Append("a", ClassVirtual, w, float64(w))
-	}
-	got := s.TrailingBefore("a", 7, 3)
-	want := []float64{4, 5, 6}
-	if len(got) != 3 || got[0] != want[0] || got[2] != want[2] {
-		t.Fatalf("TrailingBefore = %v, want %v", got, want)
-	}
-	if got := s.TrailingBefore("a", 0, 5); len(got) != 0 {
-		t.Fatalf("TrailingBefore at window 0 = %v, want empty", got)
-	}
-}
-
 func TestSummaries(t *testing.T) {
-	s := New(Options{RawWindows: 4, AggBuckets: 4, Factors: []int{2}})
-	for w := 0; w < 6; w++ {
+	s := New(Options{})
+	n := rawWindows + 2
+	for w := 0; w < n; w++ {
 		s.Append("z", ClassWall, w, float64(w))
 		s.Append("a", ClassVirtual, w, float64(-w))
 	}
@@ -128,11 +98,12 @@ func TestSummaries(t *testing.T) {
 		t.Fatalf("summaries order = %+v", sums)
 	}
 	a := sums[0]
-	// Ring holds windows 2..5 → values -2..-5.
-	if a.Min != -5 || a.Max != -2 || a.Last != -5 || a.Windows != 6 || a.Class != "virtual" {
+	// The ring holds windows 2..n-1, so the values -2..-(n-1).
+	lo := float64(-(n - 1))
+	if a.Min != lo || a.Max != -2 || a.Last != lo || a.Windows != n || a.Class != "virtual" {
 		t.Fatalf("summary a = %+v", a)
 	}
-	if len(a.Spark) != 2 || a.Spark[1] != -5 {
+	if len(a.Spark) != 2 || a.Spark[1] != lo {
 		t.Fatalf("spark = %v", a.Spark)
 	}
 	if sums[1].Class != "wall" {
@@ -141,9 +112,11 @@ func TestSummaries(t *testing.T) {
 }
 
 func TestStateRoundTripByteIdentical(t *testing.T) {
+	// Enough windows to wrap the raw ring and the finest coarse tier.
+	n := factors[0]*aggBuckets + 100
 	build := func() *Store {
-		s := New(Options{RawWindows: 8, AggBuckets: 4, Factors: []int{2, 4}})
-		for w := 0; w < 25; w++ {
+		s := New(Options{})
+		for w := 0; w < n; w++ {
 			s.Append("util", ClassVirtual, w, 0.1*float64(w*w%17))
 			s.Append("watts", ClassVirtual, w, 100+float64(w%7))
 			if w%3 == 0 {
@@ -162,7 +135,7 @@ func TestStateRoundTripByteIdentical(t *testing.T) {
 	if err := json.Unmarshal(b1, &st); err != nil {
 		t.Fatal(err)
 	}
-	restored := New(Options{RawWindows: 8, AggBuckets: 4, Factors: []int{2, 4}})
+	restored := New(Options{})
 	if err := restored.Restore(&st); err != nil {
 		t.Fatal(err)
 	}
@@ -173,22 +146,138 @@ func TestStateRoundTripByteIdentical(t *testing.T) {
 	if !bytes.Equal(b1, b2) {
 		t.Fatalf("state round trip not byte-identical:\n%s\n%s", b1, b2)
 	}
-	// Queries answer identically too.
-	q1, _ := orig.Query([]string{"util", "watts"}, 0, -1, 1)
-	q2, _ := restored.Query([]string{"util", "watts"}, 0, -1, 1)
-	j1, _ := json.Marshal(q1)
-	j2, _ := json.Marshal(q2)
-	if !bytes.Equal(j1, j2) {
-		t.Fatalf("query after restore differs:\n%s\n%s", j1, j2)
+	// Queries answer identically too, at every resolution.
+	for _, step := range orig.Steps() {
+		q1, _ := orig.Query([]string{"util", "watts"}, 0, -1, step)
+		q2, _ := restored.Query([]string{"util", "watts"}, 0, -1, step)
+		j1, _ := json.Marshal(q1)
+		j2, _ := json.Marshal(q2)
+		if !bytes.Equal(j1, j2) {
+			t.Fatalf("step %d query after restore differs:\n%s\n%s", step, j1, j2)
+		}
 	}
 	// And appends continue from where the original left off.
-	restored.Append("util", ClassVirtual, 25, 1)
-	if got := restored.LastWindow(); got != 25 {
+	restored.Append("util", ClassVirtual, n, 1)
+	if got := restored.LastWindow(); got != n {
 		t.Fatalf("LastWindow after post-restore append = %d", got)
 	}
 	if err := restored.Restore(&State{Schema: "bogus/v9"}); err == nil {
 		t.Fatal("Restore should reject unknown schema")
 	}
+}
+
+// TestRestoreRefusesUnrepresentableStates feeds Restore states that no
+// sequence of appends builds. Each is refused, and the store keeps what it
+// held.
+func TestRestoreRefusesUnrepresentableStates(t *testing.T) {
+	at := func(name string, windows ...int) SeriesState {
+		ss := SeriesState{Name: name, Class: "virtual", Total: len(windows)}
+		for _, w := range windows {
+			ss.Raw = append(ss.Raw, Sample{Window: w, Value: float64(w)})
+		}
+		return ss
+	}
+	with := func(ss SeriesState, edit func(*SeriesState)) SeriesState { edit(&ss); return ss }
+	for _, c := range []struct {
+		name string
+		st   State
+	}{
+		// Accepted, it would lose the first a's samples and list a twice.
+		{"duplicate name", State{LastWindow: 2, Series: []SeriesState{at("a", 1), at("a", 2), at("b", 2)}}},
+		// Accepted, a later Append(…, 3, …) would add window 3 again.
+		{"raw windows out of order", State{LastWindow: 3, Series: []SeriesState{at("a", 3, 2)}}},
+		// Accepted, Query(…, to=-1) would answer "To": -5 with the
+		// window-10 point.
+		{"sample past the last window", State{LastWindow: -5, Series: []SeriesState{at("a", 10)}}},
+		{"last window below -1", State{LastWindow: -5}},
+		{"unknown class", State{LastWindow: 1, Series: []SeriesState{with(at("a", 1), func(ss *SeriesState) { ss.Class = "cpu" })}}},
+		{"total below the raw samples", State{LastWindow: 2, Series: []SeriesState{with(at("a", 1, 2), func(ss *SeriesState) { ss.Total = 1 })}}},
+		{"unknown tier factor", State{LastWindow: 1, Series: []SeriesState{with(at("a", 1), func(ss *SeriesState) {
+			ss.Tiers = []TierState{{Factor: 4, Buckets: []Agg{{Window: 0, Count: 1}}}}
+		})}}},
+		{"tier bucket off its factor", State{LastWindow: 9, Series: []SeriesState{with(at("a", 9), func(ss *SeriesState) {
+			ss.Tiers = []TierState{{Factor: factors[0], Buckets: []Agg{{Window: 9, Count: 1}}}}
+		})}}},
+	} {
+		s := New(Options{})
+		s.Append("kept", ClassVirtual, 0, 7)
+		before, _ := json.Marshal(s.State())
+		c.st.Schema = Schema
+		if err := s.Restore(&c.st); err == nil {
+			t.Errorf("%s: Restore accepted %+v", c.name, c.st)
+		}
+		if after, _ := json.Marshal(s.State()); !bytes.Equal(before, after) {
+			t.Errorf("%s: a refused Restore changed the store:\n%s\n%s", c.name, before, after)
+		}
+	}
+}
+
+// FuzzStoreRestore feeds Restore a real checkpoint's history (testdata,
+// the scenario.history of mistral-sim -apps 1 -duration 20m -slo
+// -checkpoint), truncations of it and hand-made defects. Restore must not
+// panic, and a state it accepts is one appends could have built: it
+// re-encodes through State and restores to the same State, its names are
+// unique, and each raw series rises strictly to at most the last window.
+func FuzzStoreRestore(f *testing.F) {
+	raw, err := os.ReadFile("testdata/history.json")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
+	for _, n := range []int{0, 1, len(raw) / 3, len(raw) / 2, len(raw) - 1} {
+		f.Add(raw[:n])
+	}
+	head := `{"schema":"` + Schema + `",`
+	for _, defect := range []string{
+		`"last_window":2,"series":[{"name":"a","class":"virtual","total":1,"raw":[{"w":1}]},{"name":"a","class":"virtual","total":1,"raw":[{"w":2}]}]}`,
+		`"last_window":3,"series":[{"name":"a","class":"wall","total":2,"raw":[{"w":3},{"w":2}]}]}`,
+		`"last_window":-5,"series":[{"name":"a","class":"virtual","total":1,"raw":[{"w":10}]}]}`,
+		`"last_window":70,"series":[{"name":"a","class":"virtual","total":1,"tiers":[{"factor":64,"buckets":[{"w":64,"n":1}]},{"factor":8,"buckets":[{"w":64,"n":1}]}]}]}`,
+		`"last_window":1,"series":[{"name":"a","class":"","total":-1}]}`,
+	} {
+		f.Add([]byte(head + defect))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var st State
+		if json.Unmarshal(data, &st) != nil {
+			return
+		}
+		s := New(Options{})
+		if s.Restore(&st) != nil {
+			return
+		}
+		enc, err := json.Marshal(s.State())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var again State
+		if err := json.Unmarshal(enc, &again); err != nil {
+			t.Fatal(err)
+		}
+		s2 := New(Options{})
+		if err := s2.Restore(&again); err != nil {
+			t.Fatalf("restoring an accepted state's re-encoding: %v\n%s", err, enc)
+		}
+		if enc2, _ := json.Marshal(s2.State()); !bytes.Equal(enc, enc2) {
+			t.Fatalf("re-encoded state restores differently:\n%s\n%s", enc, enc2)
+		}
+		names, last := s.Names(), s.LastWindow()
+		for i, name := range names {
+			if i > 0 && names[i-1] == name {
+				t.Fatalf("series %q restored twice: %v", name, names)
+			}
+			prev := -1
+			for _, p := range s.Range(name, 0, -1) {
+				if p.Window <= prev || p.Window > last {
+					t.Fatalf("series %q: window %d after %d, last window %d", name, p.Window, prev, last)
+				}
+				prev = p.Window
+			}
+		}
+		if _, err := s.Query(names, 0, -1, 0); err != nil {
+			t.Fatalf("query over an accepted state: %v", err)
+		}
+	})
 }
 
 func TestNilStoreIsSafe(t *testing.T) {
@@ -216,47 +305,30 @@ func TestNilStoreIsSafe(t *testing.T) {
 }
 
 func TestQueryAutoStep(t *testing.T) {
-	s := New(Options{RawWindows: 8, AggBuckets: 8, Factors: []int{4, 16}})
-	for w := 0; w < 100; w++ {
+	s := New(Options{})
+	last := factors[0]*aggBuckets + 99
+	for w := 0; w <= last; w++ {
 		s.Append("a", ClassVirtual, w, float64(w))
 	}
-	// from=95 is inside raw retention → step 1.
-	q, err := s.Query([]string{"a"}, 95, -1, 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, c := range []struct{ from, step int }{
+		{last - 10, 1},                       // inside raw retention
+		{last - rawWindows - 10, factors[0]}, // past raw, inside the finest tier
+		{0, factors[1]},                      // only the coarsest tier reaches back
+	} {
+		q, err := s.Query([]string{"a"}, c.from, -1, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.Step != c.step || len(q.Series[0].Points)+len(q.Series[0].Aggs) == 0 {
+			t.Fatalf("auto step from %d = %d over %+v, want %d", c.from, q.Step, q.Series[0], c.step)
+		}
 	}
-	if q.Step != 1 || len(q.Points()) == 0 {
-		t.Fatalf("auto step near tip = %d", q.Step)
-	}
-	// from=70 is past raw (92..99) but inside the 4x tier (68..99).
-	q, err = s.Query([]string{"a"}, 70, -1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Step != 4 {
-		t.Fatalf("auto step mid = %d, want 4", q.Step)
-	}
-	// from=0 is only reachable by the 16x tier? 16*8=128 > 100, so yes.
-	q, err = s.Query([]string{"a"}, 0, -1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.Step != 16 {
-		t.Fatalf("auto step deep = %d, want 16", q.Step)
-	}
-}
-
-// Points flattens the first series' raw points for test convenience.
-func (r *QueryResponse) Points() []Sample {
-	if len(r.Series) == 0 {
-		return nil
-	}
-	return r.Series[0].Points
 }
 
 func TestHandler(t *testing.T) {
-	s := New(Options{RawWindows: 16, AggBuckets: 8, Factors: []int{4}})
-	for w := 0; w < 12; w++ {
+	s := New(Options{})
+	f := factors[0]
+	for w := 0; w < 3*f; w++ {
 		s.Append("util", ClassVirtual, w, float64(w))
 		s.Append("watts", ClassVirtual, w, 100)
 	}
@@ -275,7 +347,7 @@ func TestHandler(t *testing.T) {
 	if err := json.Unmarshal(body, &list); err != nil {
 		t.Fatal(err)
 	}
-	if list.Schema != Schema || len(list.Series) != 2 || list.LastWindow != 11 {
+	if list.Schema != Schema || len(list.Series) != 2 || list.LastWindow != 3*f-1 {
 		t.Fatalf("catalog = %+v", list)
 	}
 
@@ -293,13 +365,13 @@ func TestHandler(t *testing.T) {
 	}
 
 	// Downsampled range.
-	code, body = get("/v1/query?series=util&step=4")
+	code, body = get(fmt.Sprintf("/v1/query?series=util&step=%d", f))
 	if code != 200 {
 		t.Fatalf("agg status %d: %s", code, body)
 	}
 	qr = QueryResponse{}
 	json.Unmarshal(body, &qr)
-	if len(qr.Series[0].Aggs) != 3 || qr.Series[0].Aggs[1].Mean != 5.5 {
+	if len(qr.Series[0].Aggs) != 3 || qr.Series[0].Aggs[1].Mean != float64(3*f-1)/2 {
 		t.Fatalf("aggs = %+v", qr.Series[0].Aggs)
 	}
 
@@ -310,7 +382,7 @@ func TestHandler(t *testing.T) {
 	}
 	qr = QueryResponse{}
 	json.Unmarshal(body, &qr)
-	if pts := qr.Series[0].Points; len(pts) != 3 || pts[2].Window != 11 {
+	if pts := qr.Series[0].Points; len(pts) != 3 || pts[2].Window != 3*f-1 {
 		t.Fatalf("latest-k = %+v", qr.Series[0].Points)
 	}
 
@@ -321,7 +393,7 @@ func TestHandler(t *testing.T) {
 	if code, _ := get("/v1/query?series=util&from=abc"); code != 400 {
 		t.Fatalf("bad from status %d, want 400", code)
 	}
-	if code, _ := get("/v1/query?series=util&step=7"); code != 400 {
+	if code, _ := get(fmt.Sprintf("/v1/query?series=util&step=%d", f+1)); code != 400 {
 		t.Fatalf("bad step status %d, want 400", code)
 	}
 	rr := httptest.NewRecorder()

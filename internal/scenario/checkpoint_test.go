@@ -138,8 +138,9 @@ func insertAfter(t *testing.T, ck []byte, anchor, fields string) []byte {
 // the envelope, the value older builds wrote there; the last also carries
 // the keys older v3 builds wrote and this one no longer does: the
 // evaluator's counters (with the in-flight dedup counter) in the decider
-// state, the registry's cumulative cache counters, and the SLO engine's
-// cache baseline. Restore ignores all of them.
+// state, the registry's cumulative cache counters, the SLO engine's cache
+// baseline, the anomaly detector's state and its history-anomaly
+// objective. Restore ignores all of them.
 func TestCheckpointRoundTripDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
@@ -166,8 +167,11 @@ func TestCheckpointRoundTripDeterminism(t *testing.T) {
 			ckBytes = bytes.Replace(ckBytes, []byte(`"workers":0`), []byte(fmt.Sprintf(`"workers":%d`, tc.workers)), 1)
 			if tc.legacy {
 				ckBytes = insertAfter(t, ckBytes, `"decider":{`, `"eval":{"hits":3,"evals":41,"dedups":7},`)
-				ckBytes = insertAfter(t, ckBytes, `"scenario":{`, `"reg_cache_hits":412,"reg_cache_misses":9105,`)
+				ckBytes = insertAfter(t, ckBytes, `"scenario":{`, `"reg_cache_hits":412,"reg_cache_misses":9105,`+
+					`"anomaly":{"ewma":{"decide_wall_ms":{"mean":12.5,"var":4,"n":50}}},`)
 				ckBytes = insertAfter(t, ckBytes, `"slo":{`, `"last_hits":409,"last_misses":9064,`)
+				ckBytes = insertAfter(t, ckBytes, `"objectives":[`,
+					`{"name":"history-anomaly","windows":50,"breaches":12,"last_breach":44,"ring":[true,false],"paged":true},`)
 			}
 
 			resumed := newCkEnv(t)

@@ -49,7 +49,6 @@ type Engine struct {
 	// observability is fully off; histBase is the cumulative
 	// search_expansions_total baseline the per-window fold diffs against.
 	hist     *tsdb.Store
-	det      *tsdb.Detector
 	histBase int64
 
 	cWindows       *obs.Counter
@@ -61,8 +60,6 @@ type Engine struct {
 	cExecRej       *obs.Counter
 	cCrashes       *obs.Counter
 	cRolledBack    *obs.Counter
-	cAnomalies     *obs.Counter
-	cWallDrift     *obs.Counter
 	hWindowUtil    *obs.Histogram
 	gCumUtil       *obs.Gauge
 }
@@ -112,8 +109,6 @@ func NewEngine(tb *testbed.Testbed, d Decider, cfg RunConfig) (*Engine, error) {
 	e.cExecRej = o.Counter("scenario_exec_rejections_total")
 	e.cCrashes = o.Counter("scenario_host_crashes_total")
 	e.cRolledBack = o.Counter("scenario_rolledback_actions_total")
-	e.cAnomalies = o.Counter("history_anomalies_total")
-	e.cWallDrift = o.Counter("history_wall_drift_total")
 	e.hWindowUtil = o.Histogram("scenario_window_utility_dollars", []float64{-10, -1, -0.1, 0, 0.1, 1, 10})
 	e.gCumUtil = o.Gauge("scenario_cum_utility_dollars")
 
@@ -140,9 +135,6 @@ func NewEngine(tb *testbed.Testbed, d Decider, cfg RunConfig) (*Engine, error) {
 		if e.hist = o.HistoryStore(); e.hist == nil {
 			e.hist = tsdb.New(tsdb.Options{})
 		}
-	}
-	if e.hist != nil {
-		e.det = tsdb.NewDetector()
 	}
 	return e, nil
 }
@@ -507,20 +499,15 @@ func (e *Engine) publish(w *window) {
 	// window's degraded status gates the next window's admission.
 	e.cfg.Guard.ObserveWindow(w.Degraded)
 
-	// History folds before the SLO engine so the history-anomaly objective
-	// sees this window's verdicts; the ops plane then gets the refreshed
-	// health snapshot and digests.
-	histChecked, anomalies := e.observeHistory(w)
+	e.observeHistory(w)
 	alerts := e.slo.ObserveWindow(slo.WindowObs{
-		Window:         w.index,
-		Time:           w.Time,
-		Invoked:        w.Invoked,
-		Degraded:       w.Degraded,
-		SearchTime:     w.SearchTime,
-		GuardChecked:   w.guard != nil,
-		GuardRejected:  w.GuardRejected,
-		HistoryChecked: histChecked,
-		Anomalies:      anomalies,
+		Window:        w.index,
+		Time:          w.Time,
+		Invoked:       w.Invoked,
+		Degraded:      w.Degraded,
+		SearchTime:    w.SearchTime,
+		GuardChecked:  w.guard != nil,
+		GuardRejected: w.GuardRejected,
 	})
 	for _, a := range alerts {
 		e.olog.Warn("slo alert",

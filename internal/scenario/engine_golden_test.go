@@ -146,11 +146,6 @@ func engineStreamsGolden(t *testing.T, strategyName string, faults, observers bo
 			}
 		}
 	}
-	if snap.Anomaly != nil {
-		for name, st := range snap.Anomaly.EWMA {
-			snap.Anomaly.EWMA[name] = tsdb.EWMAState{N: st.N}
-		}
-	}
 	line("snapshot", asJSON(snap))
 
 	if ob == nil {
@@ -189,15 +184,8 @@ func engineStreamsGolden(t *testing.T, strategyName string, faults, observers bo
 
 	line("metrics", counters.Bytes())
 
-	// Wall-latency drift warnings fire on the wall clock; every other line
-	// is deterministic once its timestamp is dropped.
-	var kept []string
-	for _, l := range strings.SplitAfter(logs.String(), "\n") {
-		if !strings.Contains(l, "decide wall-latency drift") {
-			kept = append(kept, l)
-		}
-	}
-	line("log", []byte(strings.Join(kept, "")))
+	// Every log line is deterministic once its timestamp is dropped.
+	line("log", logs.Bytes())
 	return out.Bytes()
 }
 
@@ -209,8 +197,7 @@ func deterministicMetrics(reg *obs.Registry) string {
 	for name, v := range snap.Counters {
 		switch {
 		case strings.HasPrefix(name, "scenario_"), strings.HasPrefix(name, "fault_"),
-			strings.HasPrefix(name, "eval_cache_"),
-			name == "history_anomalies_total", name == "search_expansions_total":
+			strings.HasPrefix(name, "eval_cache_"), name == "search_expansions_total":
 			parts = append(parts, fmt.Sprintf("%s=%d", name, v))
 		}
 	}

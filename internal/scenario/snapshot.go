@@ -76,12 +76,10 @@ type Snapshot struct {
 	Guard   *guard.State      `json:"guard,omitempty"`
 	Decider json.RawMessage   `json:"decider,omitempty"`
 
-	// Telemetry history plane: the tsdb store's complete ring contents
-	// and the anomaly detector's wall-clock EWMA baselines, so trends and
-	// drift detection survive a daemon restart. Absent from engines
-	// running without observability.
-	History *tsdb.State         `json:"history,omitempty"`
-	Anomaly *tsdb.DetectorState `json:"anomaly,omitempty"`
+	// Telemetry history plane: the tsdb store's complete ring contents, so
+	// trends survive a daemon restart. Absent from engines running without
+	// observability.
+	History *tsdb.State `json:"history,omitempty"`
 }
 
 // detached copies the result so that neither side sees the other's later
@@ -129,7 +127,6 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	s.SLO = e.slo.Persist()
 	s.Guard = e.cfg.Guard.Snapshot()
 	s.History = e.hist.State()
-	s.Anomaly = e.det.State()
 	return s, nil
 }
 
@@ -203,12 +200,11 @@ func (e *Engine) Restore(s *Snapshot) error {
 	}
 	e.begun = true
 	e.ops.BeginRun(e.d.Name(), e.cfg.Interval)
-	// Restore the wall-clock drift baselines and re-sync the counter
-	// baseline the per-window fold diffs: the registry's counters are
-	// process-local, so "baseline == live counter value" must hold again
-	// for the next window's delta to cover exactly that window.
+	// Re-sync the counter baseline the per-window fold diffs: the
+	// registry's counters are process-local, so "baseline == live counter
+	// value" must hold again for the next window's delta to cover exactly
+	// that window.
 	e.histBase = e.readExpansions()
-	e.det.Restore(s.Anomaly)
 	e.ops.SetHistory(e.hist.Summaries(opsSparkN))
 	// Republish the headline gauges so a freshly restored daemon's
 	// /metrics reflects the checkpoint instead of zero.
