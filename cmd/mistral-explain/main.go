@@ -11,8 +11,9 @@
 // first inconsistency.
 //
 // With -series, FILE is a checkpoint (mistral-sim -checkpoint, mistral-serve
-// /v1/checkpoint): "-series all" lists the persisted telemetry series with
-// their digests, "-series utility,watts" dumps those series' samples.
+// /v1/checkpoint): "-series all" lists the telemetry series, rebuilt from the
+// checkpoint's window logs, with their digests; "-series utility,watts"
+// dumps those series' samples.
 //
 // Ops mode is the controller-health view: run totals, SLO error budgets,
 // alerts, trends and the slowest windows. -addr HOST:PORT polls the /ops
@@ -169,20 +170,15 @@ func writeJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// explainSeries prints the telemetry history persisted in a checkpoint
-// file: the -series mode, where FILE is a checkpoint (not provenance).
+// explainSeries prints the telemetry history of a checkpointed run, folded
+// from its window logs: the -series mode, where FILE is a checkpoint (not
+// provenance).
 func explainSeries(w io.Writer, path, sel, format string) error {
 	ck, err := checkpoint.Read(path)
 	if err != nil {
 		return err
 	}
-	if ck.Scenario == nil || ck.Scenario.History == nil {
-		return fmt.Errorf("%s: checkpoint carries no telemetry history (pre-v2 checkpoint, or observability was off)", path)
-	}
-	store, err := tsdb.FromState(ck.Scenario.History)
-	if err != nil {
-		return err
-	}
+	store := ck.Scenario.History()
 
 	if sel == "all" {
 		sums := store.Summaries(0)
@@ -190,22 +186,21 @@ func explainSeries(w io.Writer, path, sel, format string) error {
 			return writeJSON(w, tsdb.ListResponse{
 				Schema:     tsdb.Schema,
 				LastWindow: store.LastWindow(),
-				Steps:      store.Steps(),
 				Series:     sums,
 			})
 		}
 		fmt.Fprintf(w, "telemetry history from %s — %d series, last window %d\n",
 			path, len(sums), store.LastWindow())
-		fmt.Fprintf(w, "%-18s %-8s %8s %12s %12s %12s\n", "series", "class", "windows", "last", "min", "max")
+		fmt.Fprintf(w, "%-18s %8s %12s %12s %12s\n", "series", "windows", "last", "min", "max")
 		for _, s := range sums {
-			fmt.Fprintf(w, "%-18s %-8s %8d %12.4g %12.4g %12.4g\n",
-				s.Name, s.Class, s.Windows, s.Last, s.Min, s.Max)
+			fmt.Fprintf(w, "%-18s %8d %12.4g %12.4g %12.4g\n",
+				s.Name, s.Windows, s.Last, s.Min, s.Max)
 		}
 		return nil
 	}
 
 	names := strings.Split(sel, ",")
-	resp, err := store.Query(names, 0, -1, 1)
+	resp, err := store.Query(names, 0, -1)
 	if err != nil {
 		return err
 	}
@@ -213,7 +208,7 @@ func explainSeries(w io.Writer, path, sel, format string) error {
 		return writeJSON(w, resp)
 	}
 	for _, qs := range resp.Series {
-		fmt.Fprintf(w, "series %s (%s) — %d retained sample(s)\n", qs.Name, qs.Class, len(qs.Points))
+		fmt.Fprintf(w, "series %s — %d retained sample(s)\n", qs.Name, len(qs.Points))
 		for _, p := range qs.Points {
 			fmt.Fprintf(w, "  %s  %g\n", obs.TraceID(p.Window), p.Value)
 		}

@@ -12,9 +12,14 @@ import (
 	"testing"
 	"time"
 
+	"github.com/mistralcloud/mistral/internal/checkpoint"
+	"github.com/mistralcloud/mistral/internal/experiments"
 	"github.com/mistralcloud/mistral/internal/obs"
 	"github.com/mistralcloud/mistral/internal/obs/slo"
+	"github.com/mistralcloud/mistral/internal/obs/tsdb"
 	"github.com/mistralcloud/mistral/internal/provenance"
+	"github.com/mistralcloud/mistral/internal/scenario"
+	"github.com/mistralcloud/mistral/internal/strategy"
 )
 
 // The testdata streams were recorded by
@@ -260,4 +265,51 @@ func FuzzCausalChain(f *testing.F) {
 		}
 		causalChain(io.Discard, "w000000", spans, "fuzz")
 	})
+}
+
+// TestSeriesFromCheckpointWithoutObservers: -series rebuilds the telemetry
+// history from the checkpoint's window logs, so it reads a checkpoint
+// written with observability off.
+func TestSeriesFromCheckpointWithoutObservers(t *testing.T) {
+	rc := experiments.Recipe{Lab: experiments.LabOptions{NumApps: 1, Seed: 42}, Strategy: "mistral"}
+	rp, err := rc.Build(strategy.MistralConfig{}, scenario.RunConfig{Duration: 20 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rp.Engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := rp.Engine.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ck.json")
+	if err := checkpoint.Write(path, checkpoint.New(rc, snap)); err != nil {
+		t.Fatal(err)
+	}
+
+	out, err := runOut(t, "-series", "all", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(out, "13 series, last window 9") {
+		t.Errorf("-series all:\n%s", out)
+	}
+	out, err = runOut(t, "-series", "utility", "-format", "json", path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resp tsdb.QueryResponse
+	if err := json.Unmarshal([]byte(out), &resp); err != nil {
+		t.Fatal(err)
+	}
+	windows := rp.Engine.Result().Windows
+	if len(resp.Series) != 1 || len(resp.Series[0].Points) != len(windows) {
+		t.Fatalf("-series utility = %+v, want %d points", resp, len(windows))
+	}
+	for i, p := range resp.Series[0].Points {
+		if p.Window != i || p.Value != windows[i].Utility {
+			t.Errorf("point %d = %+v, want window %d utility %v", i, p, i, windows[i].Utility)
+		}
+	}
 }

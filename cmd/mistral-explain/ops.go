@@ -90,9 +90,6 @@ func (f *frame) validate() error {
 		if h.Name == "" {
 			return fmt.Errorf("history series with empty name")
 		}
-		if h.Class != "virtual" && h.Class != "wall" {
-			return fmt.Errorf("history series %s: class %q", h.Name, h.Class)
-		}
 		if h.Min > h.Max {
 			return fmt.Errorf("history series %s: min %g > max %g", h.Name, h.Min, h.Max)
 		}
@@ -227,12 +224,8 @@ func (f *frame) render(w io.Writer, source string) {
 		}
 		fmt.Fprintf(w, "\ntrends (last %d windows)\n", width)
 		for _, h := range o.History {
-			mark := ""
-			if h.Class == "wall" {
-				mark = " (wall)"
-			}
-			fmt.Fprintf(w, "  %-16s %s  last %-10s min %-10s max %-10s%s\n",
-				h.Name, sparkline(h.Spark), fmtVal(h.Last), fmtVal(h.Min), fmtVal(h.Max), mark)
+			fmt.Fprintf(w, "  %-16s %s  last %-10s min %-10s max %s\n",
+				h.Name, sparkline(h.Spark), fmtVal(h.Last), fmtVal(h.Min), fmtVal(h.Max))
 		}
 	}
 

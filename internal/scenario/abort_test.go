@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"encoding/json"
 	"reflect"
 	"strings"
 	"testing"
@@ -143,5 +144,110 @@ func TestStepMeasureErrorBooksWindowOnly(t *testing.T) {
 	}
 	if g.Breaker() != guard.BreakerClosed {
 		t.Errorf("breaker = %v, want closed", g.Breaker())
+	}
+}
+
+// TestRestoreRefoldsAroundAbortedWindows: a window whose measurement failed
+// is booked in Result.Windows but never folded into the history, so the
+// store a restore rebuilds from the window logs must skip it — both when
+// the aborted window ends the stream and when a daemon retried it and ran
+// on. The restored store answers the digests and the full query exactly as
+// the live one does.
+func TestRestoreRefoldsAroundAbortedWindows(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		after int // windows stepped after the aborted one
+	}{{"aborted last", 0}, {"retried", 2}} {
+		t.Run(tc.name, func(t *testing.T) {
+			tb, util, traces, _ := setup(t)
+			d := &scripted{name: "scripted"}
+			for i := 0; i < 8; i++ {
+				d.decisions = append(d.decisions, Decision{
+					Invoked: true, SearchTime: time.Duration(i+1) * time.Second,
+					SearchCost: 0.01 * float64(i+1), Expansions: 10 * (i + 1),
+				})
+			}
+			ob := &obs.Observer{Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})}
+			cfg := RunConfig{Traces: traces, Duration: 30 * time.Minute, Utility: util, Obs: ob}
+			e, err := NewEngine(tb, d, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 2; i++ {
+				if _, err := e.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Move the testbed's clock past the window behind the engine's
+			// back, so its measurement is refused; a daemon's retry finds
+			// the testbed where it was.
+			before, err := tb.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := tb.MeasureWindow(e.Now() + e.Interval()); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.Step(); err == nil {
+				t.Fatal("the window's measurement was not refused")
+			}
+			if tc.after > 0 {
+				if err := tb.Restore(before); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < tc.after; i++ {
+				if _, err := e.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got, want := len(e.Result().Windows), 3+tc.after; got != want {
+				t.Fatalf("%d window logs, want %d", got, want)
+			}
+			snap, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := json.Marshal(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var restored Snapshot
+			if err := json.Unmarshal(raw, &restored); err != nil {
+				t.Fatal(err)
+			}
+
+			tb2, _, _, _ := setup(t)
+			ob2 := &obs.Observer{Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})}
+			cfg.Obs = ob2
+			e2, err := NewEngine(tb2, &scripted{name: "scripted"}, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := e2.Restore(&restored); err != nil {
+				t.Fatal(err)
+			}
+			view := func(h *tsdb.Store) []byte {
+				q, err := h.Query(h.Names(), 0, -1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				b, err := json.Marshal([]any{h.Summaries(opsSparkN), q})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			live := view(ob.History)
+			if got := view(ob2.History); !bytes.Equal(live, got) {
+				t.Errorf("restored history differs from the live one:\nlive:     %s\nrestored: %s", live, got)
+			}
+			if got := view(restored.History()); !bytes.Equal(live, got) {
+				t.Errorf("Snapshot.History differs from the live store:\nlive:     %s\nrebuilt:  %s", live, got)
+			}
+			if got, want := ob.History.LastWindow(), 1+tc.after; got != want {
+				t.Errorf("live history through window %d, want %d", got, want)
+			}
+		})
 	}
 }

@@ -72,12 +72,11 @@ func newCkEnv(t *testing.T) *ckEnv {
 	return &ckEnv{engine: e, prov: buf, hist: ob.History, ops: ob.Ops}
 }
 
-// histQueryJSON renders a raw-resolution trend query over the full window
-// range for a fixed set of virtual series. Wall-clock series are excluded:
-// they are observational and never identical across runs.
+// histQueryJSON renders a trend query over every series and the full window
+// range.
 func histQueryJSON(t *testing.T, hist *tsdb.Store) []byte {
 	t.Helper()
-	resp, err := hist.Query([]string{"utility", "watts", "expansions", "guard_rejected"}, 0, 99, 1)
+	resp, err := hist.Query(hist.Names(), 0, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +139,9 @@ func insertAfter(t *testing.T, ck []byte, anchor, fields string) []byte {
 // evaluator's counters (with the in-flight dedup counter) in the decider
 // state, the registry's cumulative cache counters, the SLO engine's cache
 // baseline, the anomaly detector's state and its history-anomaly
-// objective. Restore ignores all of them.
+// objective, and the history store's own copy of the series. Restore
+// ignores all of them; the history it rebuilds from the window logs must
+// not show the stale copy's values.
 func TestCheckpointRoundTripDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
@@ -168,7 +169,11 @@ func TestCheckpointRoundTripDeterminism(t *testing.T) {
 			if tc.legacy {
 				ckBytes = insertAfter(t, ckBytes, `"decider":{`, `"eval":{"hits":3,"evals":41,"dedups":7},`)
 				ckBytes = insertAfter(t, ckBytes, `"scenario":{`, `"reg_cache_hits":412,"reg_cache_misses":9105,`+
-					`"anomaly":{"ewma":{"decide_wall_ms":{"mean":12.5,"var":4,"n":50}}},`)
+					`"anomaly":{"ewma":{"decide_wall_ms":{"mean":12.5,"var":4,"n":50}}},`+
+					`"history":{"schema":"mistral.tsdb/v1","last_window":49,"series":[`+
+					`{"name":"utility","class":"virtual","total":1,"raw":[{"w":0,"v":999}],`+
+					`"tiers":[{"factor":8,"buckets":[{"w":0,"min":999,"max":999,"sum":999,"n":1}]}]},`+
+					`{"name":"decide_wall_ms","class":"wall","total":1,"raw":[{"w":0,"v":12.5}]}]},`)
 				ckBytes = insertAfter(t, ckBytes, `"slo":{`, `"last_hits":409,"last_misses":9064,`)
 				ckBytes = insertAfter(t, ckBytes, `"objectives":[`,
 					`{"name":"history-anomaly","windows":50,"breaches":12,"last_breach":44,"ring":[true,false],"paged":true},`)
@@ -229,7 +234,7 @@ func stepViews(t *testing.T, env *ckEnv, n int) []windowView {
 		if err != nil {
 			t.Fatalf("step %d: %v", sr.Index, err)
 		}
-		q, err := env.hist.Query([]string{"expansions"}, 0, sr.Index, 1)
+		q, err := env.hist.Query([]string{"expansions"}, 0, sr.Index)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -314,17 +319,16 @@ func TestResumeCarriesNoMemoEntries(t *testing.T) {
 }
 
 // opsCounts is the part of an /ops snapshot that is a function of the run:
-// everything but the wall-clock fields and the history digests, which carry
-// a wall-clock series.
+// everything but the wall-clock fields.
 func opsCounts(s obs.OpsSnapshot) obs.OpsSnapshot {
-	s.LastDecideWallMS, s.SlowestWindows, s.History, s.UpdatedUnixMS = 0, nil, nil, 0
+	s.LastDecideWallMS, s.SlowestWindows, s.UpdatedUnixMS = 0, nil, 0
 	return s
 }
 
 // TestOpsCarriesOnAfterRestore: a run restored at window 40 and stepped once
 // publishes the /ops document an uninterrupted 41-window run publishes —
-// current window, window count, degraded/error/retry/crash totals and SLO
-// state — instead of counting from zero again.
+// current window, window count, degraded/error/retry/crash totals, SLO
+// state and history digests — instead of counting from zero again.
 func TestOpsCarriesOnAfterRestore(t *testing.T) {
 	full := newCkEnv(t)
 	stepN(t, full.engine, 41)
@@ -418,5 +422,48 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 	}
 	if err := target.engine.Restore(snap); err != nil {
 		t.Errorf("the unmodified checkpoint: %v", err)
+	}
+}
+
+// TestCheckpointCarriesEachWindowOnce: the telemetry history is rebuilt from
+// the checkpoint's window logs, so a checkpoint of the paper's 195-window
+// day carries no copy of it, and observers add only the SLO engine's state.
+func TestCheckpointCarriesEachWindowOnce(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-day replay")
+	}
+	size := func(ob *obs.Observer) []byte {
+		rp, err := experiments.Recipe{Lab: experiments.LabOptions{NumApps: 2, Seed: 42}, Strategy: "mistral"}.
+			Build(strategy.MistralConfig{}, scenario.RunConfig{Obs: ob})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rp.Engine.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(rp.Engine.Result().Windows); n != 195 {
+			t.Fatalf("%d windows, want the 195-window day", n)
+		}
+		snap, err := rp.Engine.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := json.Marshal(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	with := size(&obs.Observer{Metrics: obs.NewRegistry(), Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})})
+	without := size(nil)
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(with, &keys); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := keys["history"]; ok {
+		t.Errorf("checkpoint carries a history key")
+	}
+	if gap := len(with) - len(without); gap > 2048 {
+		t.Errorf("observers add %d bytes to the checkpoint (%d with, %d without), want at most 2 KB", gap, len(with), len(without))
 	}
 }

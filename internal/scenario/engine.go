@@ -38,18 +38,15 @@ type Engine struct {
 
 	o    *obs.Observer
 	olog *slog.Logger
-	reg  *obs.Registry
 	slo  *slo.Engine
 	ops  *obs.OpsState
 	// begun records that this engine has taken over the observer's ops
 	// plane and history store (see begin).
 	begun bool
 
-	// Telemetry history plane (see history.go). hist is nil when
-	// observability is fully off; histBase is the cumulative
-	// search_expansions_total baseline the per-window fold diffs against.
-	hist     *tsdb.Store
-	histBase int64
+	// hist is the telemetry history plane (see history.go), nil when
+	// observability is fully off.
+	hist *tsdb.Store
 
 	cWindows       *obs.Counter
 	cViolations    *obs.Counter
@@ -115,23 +112,13 @@ func NewEngine(tb *testbed.Testbed, d Decider, cfg RunConfig) (*Engine, error) {
 	// Causal identity: each window gets a deterministic trace context
 	// (obs.WindowTrace) shared by spans, SLO alerts, the ops plane, and —
 	// by recomputation from Record.Window — provenance. The SLO engine
-	// defaults on whenever an observer is active; it reads only
-	// virtual-time quantities, so its state is deterministic and the
-	// decision stream is untouched.
-	if o != nil {
-		e.reg = o.Metrics
-	}
-	e.slo = cfg.SLO
-	if e.slo == nil && o != nil {
-		e.slo = slo.New(cfg.Interval, o)
-	}
+	// and the telemetry history run whenever an observer is active; both
+	// read only virtual-time quantities, so their state is deterministic
+	// and the decision stream is untouched. History goes to the observer's
+	// shared store (the one /v1/query serves), or a private one.
 	e.ops = o.OpsState()
-
-	// Telemetry history defaults on with any observer, like the SLO
-	// engine: an explicit store in the config wins, then the observer's
-	// shared store (the one /v1/query serves), then a private one.
-	e.hist = cfg.History
-	if e.hist == nil && o != nil {
+	if o != nil {
+		e.slo = slo.New(cfg.Interval, o)
 		if e.hist = o.HistoryStore(); e.hist == nil {
 			e.hist = tsdb.New(tsdb.Options{})
 		}
@@ -152,7 +139,6 @@ func (e *Engine) begin() {
 	e.begun = true
 	e.ops.BeginRun(e.d.Name(), e.cfg.Interval)
 	e.hist.Reset()
-	e.histBase = e.readExpansions()
 }
 
 // Result returns the accumulating result. The same pointer is live for the
@@ -181,12 +167,6 @@ func (e *Engine) Done() bool { return e.t >= e.cfg.Duration }
 // Step runs one monitoring window with the configured traces' rates.
 func (e *Engine) Step() (StepResult, error) {
 	return e.StepRates(e.cfg.Traces.At(e.t))
-}
-
-// readExpansions reads the cumulative registry counter the history fold
-// diffs window over window.
-func (e *Engine) readExpansions() int64 {
-	return e.reg.CounterValue("search_expansions_total")
 }
 
 // StepRates runs one monitoring window under the given per-application
@@ -316,8 +296,9 @@ func (e *Engine) decide(w *window) {
 	if dec.Invoked {
 		w.Invoked = true
 		w.SearchTime = dec.SearchTime
-		w.searchCost = dec.SearchCost
+		w.SearchCost = dec.SearchCost
 	}
+	w.Expansions = dec.Expansions
 	if dec.Degraded {
 		w.fallback = true
 		reason := dec.DegradedReason
@@ -447,7 +428,6 @@ func (e *Engine) measure(w *window) error {
 			w.violations = append(w.violations, name)
 		}
 	}
-	w.expansions = e.readExpansions()
 	return nil
 }
 
@@ -499,7 +479,7 @@ func (e *Engine) publish(w *window) {
 	// window's degraded status gates the next window's admission.
 	e.cfg.Guard.ObserveWindow(w.Degraded)
 
-	e.observeHistory(w)
+	fold(e.hist, w.index, &w.WindowLog)
 	alerts := e.slo.ObserveWindow(slo.WindowObs{
 		Window:        w.index,
 		Time:          w.Time,
@@ -558,7 +538,7 @@ func (e *Engine) record(w *window) {
 		DegradedReason:    w.DegradedReason,
 		Actions:           w.Actions,
 		SearchTimeSec:     w.SearchTime.Seconds(),
-		SearchCostDollars: w.searchCost,
+		SearchCostDollars: w.SearchCost,
 		UtilityDollars:    w.Utility,
 		CumUtilityDollars: w.CumUtility,
 		Watts:             w.Watts,

@@ -130,22 +130,6 @@ func engineStreamsGolden(t *testing.T, strategyName string, faults, observers bo
 	if err != nil {
 		t.Fatal(err)
 	}
-	if snap.History != nil {
-		for i := range snap.History.Series {
-			se := &snap.History.Series[i]
-			if se.Class != tsdb.ClassWall.String() {
-				continue
-			}
-			for j := range se.Raw {
-				se.Raw[j].Value = 0
-			}
-			for _, tier := range se.Tiers {
-				for j := range tier.Buckets {
-					tier.Buckets[j] = tsdb.Agg{Window: tier.Buckets[j].Window, Count: tier.Buckets[j].Count}
-				}
-			}
-		}
-	}
 	line("snapshot", asJSON(snap))
 
 	if ob == nil {
@@ -157,13 +141,7 @@ func engineStreamsGolden(t *testing.T, strategyName string, faults, observers bo
 
 	line("trace", wallUS.ReplaceAll(trace.Bytes(), []byte(`"wall_us":0`)))
 
-	var virtual []string
-	for _, s := range ob.History.Summaries(0) {
-		if s.Class == tsdb.ClassVirtual.String() {
-			virtual = append(virtual, s.Name)
-		}
-	}
-	resp, err := ob.History.Query(virtual, 0, -1, 1)
+	resp, err := ob.History.Query(ob.History.Names(), 0, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,13 +151,6 @@ func engineStreamsGolden(t *testing.T, strategyName string, faults, observers bo
 
 	ops := ob.Ops.Snapshot()
 	ops.LastDecideWallMS, ops.SlowestWindows, ops.UpdatedUnixMS = 0, nil, 0
-	hist := ops.History[:0]
-	for _, s := range ops.History {
-		if s.Class == tsdb.ClassVirtual.String() {
-			hist = append(hist, s)
-		}
-	}
-	ops.History = hist
 	line("ops", asJSON(ops))
 
 	line("metrics", counters.Bytes())

@@ -1,40 +1,31 @@
 package scenario
 
-import "github.com/mistralcloud/mistral/internal/obs/tsdb"
+import (
+	"time"
 
-// The telemetry history plane: every completed window folds a canonical
-// sample set into the engine's tsdb store, keyed by window index. The
-// fold reads only values already computed for the window log, the
-// provenance record, and the registry, so decisions, provenance bytes,
-// and stdout are untouched — history is a pure observer.
-//
-// Series classes follow the checkpoint discipline: everything below is
-// ClassVirtual (deterministic at a fixed seed) except decide_wall_ms,
-// which is explicitly ClassWall.
+	"github.com/mistralcloud/mistral/internal/obs/tsdb"
+)
+
+// The telemetry history plane is a view of Result.Windows: every completed
+// window's log folds into the engine's tsdb store, keyed by window index,
+// and a restore rebuilds the store by folding the checkpoint's windows
+// again. The fold reads only the window log, so decisions, provenance
+// bytes and stdout are untouched — history is a pure observer.
 
 // opsSparkN is how many trailing raw values the /ops history digests
 // carry as sparkline vectors.
 const opsSparkN = 32
 
-// observeHistory folds one completed window into the history store.
-//
-// The expansions series is the window's delta of the cumulative registry
-// counter. The invariant is histBase == the counter's value when the
-// previous window was folded (or when the engine began, or was restored),
-// so the delta covers exactly this window regardless of what the registry
-// held before this engine.
-func (e *Engine) observeHistory(w *window) {
-	if e.hist == nil {
+// fold appends one completed window's series to the store.
+func fold(s *tsdb.Store, index int, w *WindowLog) {
+	if s == nil {
 		return
 	}
-	expD := w.expansions - e.histBase
-	e.histBase = w.expansions
-
-	app := func(name string, v float64) { e.hist.Append(name, tsdb.ClassVirtual, w.index, v) }
+	app := func(name string, v float64) { s.Append(name, index, v) }
 	app("utility", w.Utility)
 	app("cum_utility", w.CumUtility)
 	app("watts", w.Watts)
-	app("search_cost", w.searchCost)
+	app("search_cost", w.SearchCost)
 	app("search_time_sec", w.SearchTime.Seconds())
 	app("active_hosts", float64(w.ActiveHosts))
 	app("actions", float64(w.Actions))
@@ -43,12 +34,34 @@ func (e *Engine) observeHistory(w *window) {
 	app("failed_actions", float64(w.FailedActions))
 	app("host_crashes", float64(w.HostCrashes))
 	app("guard_rejected", float64(b2i(w.GuardRejected)))
-	app("breaker_state", float64(e.cfg.Guard.Breaker()))
-	app("expansions", float64(expD))
+	app("expansions", float64(w.Expansions))
+}
 
-	// Wall-clock decide latency: busy windows ran no decide, so the
-	// series only carries windows where a measurement exists.
-	if !w.busy {
-		e.hist.Append("decide_wall_ms", tsdb.ClassWall, w.index, float64(w.decideWall.Microseconds())/1000)
+// refold rebuilds the store from a run's window logs, as of virtual time
+// now. A window whose measurement failed is booked in the logs but was
+// never folded, and the engine's clock did not pass it: the window after it
+// ends at the same time, or, when it is the last log, it ends after now.
+// Skipping those, the k-th window kept is window k.
+func refold(s *tsdb.Store, windows []WindowLog, now time.Duration) {
+	s.Reset()
+	k := 0
+	for i := range windows {
+		w := &windows[i]
+		if i+1 < len(windows) && windows[i+1].Time == w.Time || w.Time > now {
+			continue
+		}
+		fold(s, k, w)
+		k++
 	}
+}
+
+// History rebuilds the telemetry history the checkpointed run had folded,
+// from its window logs: the store mistral-explain -series reads. It works
+// on every checkpoint, including those written without observability.
+func (s *Snapshot) History() *tsdb.Store {
+	h := tsdb.New(tsdb.Options{})
+	if s.Result != nil {
+		refold(h, s.Result.Windows, time.Duration(s.TimeNS))
+	}
+	return h
 }

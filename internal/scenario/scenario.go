@@ -13,8 +13,6 @@ import (
 	"github.com/mistralcloud/mistral/internal/fault"
 	"github.com/mistralcloud/mistral/internal/guard"
 	"github.com/mistralcloud/mistral/internal/obs"
-	"github.com/mistralcloud/mistral/internal/obs/slo"
-	"github.com/mistralcloud/mistral/internal/obs/tsdb"
 	"github.com/mistralcloud/mistral/internal/provenance"
 	"github.com/mistralcloud/mistral/internal/testbed"
 	"github.com/mistralcloud/mistral/internal/utility"
@@ -33,6 +31,9 @@ type Decision struct {
 	// SearchCost is the dollar cost of the decision itself (controller
 	// host power over SearchTime); charged against the window's utility.
 	SearchCost float64
+	// Expansions counts the search vertices expanded by every controller
+	// consulted for this decision.
+	Expansions int
 	// Degraded reports the strategy fell back to a no-adaptation decision
 	// (evaluation error, search deadline) instead of failing outright;
 	// DegradedReason names the failing stage and error.
@@ -96,18 +97,6 @@ type RunConfig struct {
 	// Nil — the default — records nothing and leaves the replay
 	// byte-identical to an unrecorded one.
 	Provenance *provenance.Recorder
-	// SLO overrides the self-monitoring engine. Nil builds a default
-	// engine whenever an observer is active (SLO state is observational
-	// and deterministic under virtual time); with observability fully
-	// off, no engine runs.
-	SLO *slo.Engine
-	// History overrides the windowed telemetry store every completed
-	// window folds its canonical sample set into. Nil uses the observer's
-	// store (the one served at /v1/query), or a private one when the
-	// observer has none; with observability fully off, no history is
-	// kept. History is a pure observer: decisions, provenance bytes, and
-	// stdout are identical with it on or off.
-	History *tsdb.Store
 	// Profile, when non-nil, captures pprof artifacts for decide calls
 	// that blow their wall-clock latency budget. Observational only.
 	Profile *obs.Profiler
@@ -184,6 +173,10 @@ type WindowLog struct {
 	Invoked bool
 	// SearchTime is the decision procedure's (simulated) duration.
 	SearchTime time.Duration
+	// SearchCost is the decision's Eq. 3 charge in dollars, already
+	// deducted from Utility; Expansions counts its search vertices.
+	SearchCost float64 `json:",omitempty"`
+	Expansions int     `json:",omitempty"`
 	// ActiveHosts is the number of powered-on hosts at the window's end.
 	ActiveHosts int
 	// Degraded marks a window that absorbed a failure instead of aborting:
@@ -191,31 +184,31 @@ type WindowLog struct {
 	// action, a host crash, or a dropped sensor window. DegradedReason
 	// names every cause that struck, semicolon-joined in the order they
 	// landed.
-	Degraded       bool
-	DegradedReason string
+	Degraded       bool   `json:",omitempty"`
+	DegradedReason string `json:",omitempty"`
 	// FailedActions counts actions an injected fault aborted this window.
-	FailedActions int
+	FailedActions int `json:",omitempty"`
 	// Retried counts re-executions of previously failed actions.
-	Retried int
+	Retried int `json:",omitempty"`
 	// HostCrashes counts hosts that crashed this window.
-	HostCrashes int
+	HostCrashes int `json:",omitempty"`
 	// SensorDropped marks the window's measurements as a stale replay.
-	SensorDropped bool
+	SensorDropped bool `json:",omitempty"`
 	// RolledBack counts compensating steps executed this window after a
 	// non-retryable failure aborted a plan under
 	// testbed.RollbackOnFailure.
-	RolledBack int
+	RolledBack int `json:",omitempty"`
 	// Compensated marks a window whose plan aborted and was rolled back;
 	// FPRestored then reports whether the testbed's scheduled final
 	// configuration fingerprint returned to its pre-plan value (the
 	// transactional guarantee — always true unless the rollback engine
 	// itself is broken).
-	Compensated bool
-	FPRestored  bool
+	Compensated bool `json:",omitempty"`
+	FPRestored  bool `json:",omitempty"`
 	// GuardRejected marks a window whose proposed plan the guard refused;
 	// GuardRule names the invariant that fired.
-	GuardRejected bool
-	GuardRule     string
+	GuardRejected bool   `json:",omitempty"`
+	GuardRule     string `json:",omitempty"`
 }
 
 // degrade marks the window degraded and appends the cause to its reason.
@@ -251,7 +244,6 @@ type window struct {
 	decideErr    bool
 	fallback     bool
 	execRejected bool
-	searchCost   float64
 	provs        []*provenance.DecisionProv
 	guard        *provenance.GuardProv
 
@@ -262,8 +254,6 @@ type window struct {
 
 	perfRate, pwrRate float64
 	violations        []string // applications whose measured RT missed the target
-	// expansions is search_expansions_total as measure read it.
-	expansions int64
 }
 
 func b2i(b bool) int {

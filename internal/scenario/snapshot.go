@@ -11,7 +11,6 @@ import (
 	"github.com/mistralcloud/mistral/internal/fault"
 	"github.com/mistralcloud/mistral/internal/guard"
 	"github.com/mistralcloud/mistral/internal/obs/slo"
-	"github.com/mistralcloud/mistral/internal/obs/tsdb"
 	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
@@ -24,8 +23,10 @@ import (
 // the evaluator's un-flushed cache counters, the registry's cumulative cache
 // counters and the SLO engine's cache baseline, with the eval-cache-hit
 // objective they fed; older v3 files still carry those keys, and Restore
-// ignores them. Such a file's cache_hit_pct history ring restores as a
-// series that no longer grows.
+// ignores them. Files written before the history store became a view of
+// Result.Windows also carry a "history" key, which Restore ignores: it
+// rebuilds the store from the window logs, whose SearchCost and Expansions
+// such files lack, so those two series refold as 0 over their windows.
 const SnapshotSchema = "mistral.checkpoint/v3"
 
 // Snapshotter is the optional Decider extension that makes a strategy
@@ -75,11 +76,6 @@ type Snapshot struct {
 	SLO     *slo.PersistState `json:"slo,omitempty"`
 	Guard   *guard.State      `json:"guard,omitempty"`
 	Decider json.RawMessage   `json:"decider,omitempty"`
-
-	// Telemetry history plane: the tsdb store's complete ring contents, so
-	// trends survive a daemon restart. Absent from engines running without
-	// observability.
-	History *tsdb.State `json:"history,omitempty"`
 }
 
 // detached copies the result so that neither side sees the other's later
@@ -95,10 +91,7 @@ func (r *Result) detached() *Result {
 // Snapshot captures the engine's complete state between steps. The engine
 // keeps running — snapshotting is non-destructive — so a daemon can
 // checkpoint periodically while serving. Call it only between Step calls.
-// (An engine that has not stepped yet begins here, so the history it
-// captures is its own and not a previous run's over the same observer.)
 func (e *Engine) Snapshot() (*Snapshot, error) {
-	e.begin()
 	tbState, err := e.tb.Snapshot()
 	if err != nil {
 		return nil, fmt.Errorf("scenario: %w", err)
@@ -126,7 +119,6 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	}
 	s.SLO = e.slo.Persist()
 	s.Guard = e.cfg.Guard.Snapshot()
-	s.History = e.hist.State()
 	return s, nil
 }
 
@@ -185,26 +177,16 @@ func (e *Engine) Restore(s *Snapshot) error {
 	e.totalSearch = time.Duration(s.TotalSearchNS)
 	e.retries = slices.Clone(s.Retries)
 	e.slo.Restore(s.SLO)
+	// The guard is the last step that can fail; everything from here on
+	// publishes into planes the observer shares, so nothing before it may.
 	if s.Guard != nil {
 		if err := e.cfg.Guard.Restore(s.Guard); err != nil {
 			return fmt.Errorf("scenario: guard restore: %w", err)
 		}
 	}
-	// Telemetry history: repopulate the store's rings from the checkpoint
-	// (a checkpoint written without observability carries none —
-	// Restore(nil) just resets). This is the last step that can fail, and
-	// it refuses before it overwrites; everything from here on publishes
-	// into planes the observer shares, so nothing before it may.
-	if err := e.hist.Restore(s.History); err != nil {
-		return fmt.Errorf("scenario: history restore: %w", err)
-	}
 	e.begun = true
 	e.ops.BeginRun(e.d.Name(), e.cfg.Interval)
-	// Re-sync the counter baseline the per-window fold diffs: the
-	// registry's counters are process-local, so "baseline == live counter
-	// value" must hold again for the next window's delta to cover exactly
-	// that window.
-	e.histBase = e.readExpansions()
+	refold(e.hist, e.res.Windows, e.t)
 	e.ops.SetHistory(e.hist.Summaries(opsSparkN))
 	// Republish the headline gauges so a freshly restored daemon's
 	// /metrics reflects the checkpoint instead of zero.

@@ -234,8 +234,9 @@ func (m *Mistral) Decide(now time.Duration, cfg cluster.Config, rates map[string
 	m.eval.BeginWindow()
 	// Provenance entries accumulate across the levels consulted this
 	// opportunity, in controller order (L3 first when it ran, even if its
-	// empty plan fell through to the lower levels).
+	// empty plan fell through to the lower levels); so do expansions.
 	var provs []*provenance.DecisionProv
+	expanded := 0
 	if m.l3 != nil && m.l3.ShouldRun(rates) {
 		d, err := m.l3.Decide(now, cfg, rates)
 		if err != nil {
@@ -245,12 +246,14 @@ func (m *Mistral) Decide(now time.Duration, cfg cluster.Config, rates map[string
 		if d.Prov != nil {
 			provs = append(provs, d.Prov)
 		}
+		expanded = d.Search.Expanded
 		if len(d.Plan) > 0 {
 			return scenario.Decision{
 				Invoked:        d.Invoked,
 				Plan:           d.Plan,
 				SearchTime:     d.Search.SearchTime,
 				SearchCost:     d.Search.SearchCost,
+				Expansions:     expanded,
 				Degraded:       d.Degraded,
 				DegradedReason: d.DegradedReason,
 				Provs:          provs,
@@ -272,6 +275,7 @@ func (m *Mistral) Decide(now time.Duration, cfg cluster.Config, rates map[string
 			Plan:           d.Plan,
 			SearchTime:     d.Search.SearchTime,
 			SearchCost:     d.Search.SearchCost,
+			Expansions:     expanded + d.Search.Expanded,
 			Degraded:       d.Degraded,
 			DegradedReason: d.DegradedReason,
 			Provs:          provs,
@@ -279,7 +283,7 @@ func (m *Mistral) Decide(now time.Duration, cfg cluster.Config, rates map[string
 	}
 	// 1st-level results merge in controller order: plans, provenance and
 	// the SearchCost sum (float addition is order-sensitive) depend on it.
-	out := scenario.Decision{Provs: provs}
+	out := scenario.Decision{Provs: provs, Expansions: expanded}
 	for _, l1 := range m.l1 {
 		d, err := l1.Decide(now, cfg, rates)
 		if err != nil {
@@ -305,6 +309,7 @@ func (m *Mistral) Decide(now time.Duration, cfg cluster.Config, rates map[string
 			out.Provs = append(out.Provs, d.Prov)
 		}
 		out.SearchCost += d.Search.SearchCost
+		out.Expansions += d.Search.Expanded
 		if d.Search.SearchTime > out.SearchTime {
 			out.SearchTime = d.Search.SearchTime
 		}

@@ -80,6 +80,7 @@ func (p *PerfCost) Decide(now time.Duration, cfg cluster.Config, rates map[strin
 		Plan:           d.Plan,
 		SearchTime:     d.Search.SearchTime,
 		SearchCost:     d.Search.SearchCost,
+		Expansions:     d.Search.Expanded,
 		Degraded:       d.Degraded,
 		DegradedReason: d.DegradedReason,
 	}
