@@ -11,7 +11,7 @@
 // first inconsistency.
 //
 // With -series, FILE is a checkpoint (mistral-sim -checkpoint, mistral-serve
-// /v1/checkpoint): "-series all" lists the telemetry series, rebuilt from the
+// /v1/checkpoint): "-series all" lists the telemetry series, read from the
 // checkpoint's window logs, with their digests; "-series utility,watts"
 // dumps those series' samples.
 //
@@ -170,7 +170,7 @@ func writeJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// explainSeries prints the telemetry history of a checkpointed run, folded
+// explainSeries prints the telemetry history of a checkpointed run, read
 // from its window logs: the -series mode, where FILE is a checkpoint (not
 // provenance).
 func explainSeries(w io.Writer, path, sel, format string) error {

@@ -20,6 +20,7 @@ import (
 	"github.com/mistralcloud/mistral/internal/provenance"
 	"github.com/mistralcloud/mistral/internal/scenario"
 	"github.com/mistralcloud/mistral/internal/strategy"
+	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
 // The testdata streams were recorded by
@@ -120,6 +121,45 @@ func TestOpsReplayFrame(t *testing.T) {
 	}
 	if out, err := runOut(t, "-ops", provFile, "-check"); err != nil || !strings.HasPrefix(out, "ok: replay") {
 		t.Errorf("-ops -check: %q, %v", out, err)
+	}
+}
+
+// TestOpsReplayMatchesLiveSLO: replaying a guarded, faulted run's
+// provenance reproduces the SLO report the run published live, guard
+// verdicts included.
+func TestOpsReplayMatchesLiveSLO(t *testing.T) {
+	rc := experiments.Recipe{
+		Lab: experiments.LabOptions{NumApps: 2, Seed: 42}, Strategy: "mistral",
+		FaultRate: 0.3, ExecPolicy: testbed.RollbackOnFailure, Guard: true,
+	}
+	path := filepath.Join(t.TempDir(), "prov.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rp, err := rc.Build(strategy.MistralConfig{}, scenario.RunConfig{
+		Duration:   60 * 2 * time.Minute,
+		Obs:        &obs.Observer{Metrics: obs.NewRegistry()},
+		Provenance: provenance.NewRecorder(f),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rp.Engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	live := rp.Engine.SLO().Snapshot()
+	if live.Objectives[2].Breaches == 0 {
+		t.Fatal("the run's guard rejected no plan")
+	}
+	fr, err := replayFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := json.Marshal(live)
+	if got, _ := json.Marshal(fr.slo); !bytes.Equal(got, want) {
+		t.Errorf("replayed SLO report diverges from the live one:\nlive:   %s\nreplay: %s", want, got)
 	}
 }
 

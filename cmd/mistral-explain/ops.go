@@ -145,11 +145,13 @@ func replayFile(path string) (*frame, error) {
 			f.ops = obs.OpsSnapshot{Schema: obs.OpsSchema, Strategy: r.Strategy}
 		}
 		eng.ObserveWindow(slo.WindowObs{
-			Window:     r.Window,
-			Time:       time.Duration(r.TimeSec * float64(time.Second)),
-			Invoked:    r.Invoked,
-			Degraded:   r.Degraded,
-			SearchTime: time.Duration(r.SearchTimeSec * float64(time.Second)),
+			Window:        r.Window,
+			Time:          time.Duration(r.TimeSec * float64(time.Second)),
+			Invoked:       r.Invoked,
+			Degraded:      r.Degraded,
+			SearchTime:    time.Duration(r.SearchTimeSec * float64(time.Second)),
+			GuardChecked:  r.Guard != nil,
+			GuardRejected: r.Guard != nil && !r.Guard.Allowed,
 		})
 		f.ops.Window = r.Window
 		f.ops.Trace = obs.TraceID(r.Window)

@@ -148,7 +148,6 @@ type server struct {
 	ob *obs.Observer
 
 	env
-	windows []windowResp
 }
 
 // env is one environment built from a recipe, plus the in-memory sink its
@@ -208,7 +207,7 @@ func (s *server) rebuild(rc experiments.Recipe) error {
 	if err != nil {
 		return err
 	}
-	s.env, s.windows = e, nil
+	s.env = e
 	return nil
 }
 
@@ -227,7 +226,7 @@ func (s *server) restoreFrom(ck *checkpoint.File) error {
 	if err := e.Engine.Restore(ck.Scenario); err != nil {
 		return err
 	}
-	s.env, s.windows = e, nil
+	s.env = e
 	return nil
 }
 
@@ -246,13 +245,15 @@ type windowResp struct {
 	ActiveHosts    int                `json:"active_hosts"`
 	Degraded       bool               `json:"degraded,omitempty"`
 	DegradedReason string             `json:"degraded_reason,omitempty"`
-	ProvErr        string             `json:"prov_err,omitempty"`
+	// ProvErr is the provenance recorder's sticky first write error, on the
+	// POST /v1/window answer only.
+	ProvErr string `json:"prov_err,omitempty"`
 }
 
-func toResp(sr scenario.StepResult) windowResp {
-	w := sr.Window
-	r := windowResp{
-		Window:         sr.Index,
+// toResp renders completed window k.
+func toResp(k int, w *scenario.WindowLog) windowResp {
+	return windowResp{
+		Window:         k,
 		TimeSec:        w.Time.Seconds(),
 		Rates:          w.Rates,
 		RTSec:          w.RTSec,
@@ -266,10 +267,6 @@ func toResp(sr scenario.StepResult) windowResp {
 		Degraded:       w.Degraded,
 		DegradedReason: w.DegradedReason,
 	}
-	if sr.ProvErr != nil {
-		r.ProvErr = sr.ProvErr.Error()
-	}
-	return r
 }
 
 // stateResp is GET /v1/state.
@@ -452,13 +449,17 @@ func (s *server) handleWindow(r *http.Request) (any, error) {
 		if err != nil {
 			return nil, badRequest("window %d: %v", sr.Index, err)
 		}
-		resp := toResp(sr)
-		s.windows = append(s.windows, resp)
+		resp := toResp(sr.Index, &sr.Window)
+		if sr.ProvErr != nil {
+			resp.ProvErr = sr.ProvErr.Error()
+		}
 		out = append(out, resp)
 	}
 	return out, nil
 }
 
+// handleDecisions serves completed windows from=N onwards, read from the
+// engine's result, so a restored daemon serves the checkpoint's windows too.
 func (s *server) handleDecisions(r *http.Request) (any, error) {
 	from := 0
 	if v := r.URL.Query().Get("from"); v != "" {
@@ -468,21 +469,12 @@ func (s *server) handleDecisions(r *http.Request) (any, error) {
 		}
 		from = n
 	}
-	// Window indices are absolute; s.windows[0] is the first window this
-	// process ran (a restored daemon's earlier windows live in the
-	// checkpoint's result, served via /ops and the resumed provenance).
-	base := 0
-	if len(s.windows) > 0 {
-		base = s.windows[0].Window
+	out := make([]windowResp, 0, max(0, s.Engine.WindowIndex()-from))
+	for k := from; k < s.Engine.WindowIndex(); k++ {
+		w := s.Engine.Window(k)
+		out = append(out, toResp(k, &w))
 	}
-	if from < base {
-		from = base
-	}
-	i := from - base
-	if i > len(s.windows) {
-		i = len(s.windows)
-	}
-	return s.windows[i:], nil
+	return out, nil
 }
 
 func (s *server) handleProvenance(w http.ResponseWriter, r *http.Request) {

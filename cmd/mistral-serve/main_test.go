@@ -211,8 +211,22 @@ func TestServeGuardedStateAndBreaker(t *testing.T) {
 	}
 }
 
+// TestServeCheckpointRoundTripKeepsRecipe: a daemon restoring a checkpoint
+// resumes at the same window with the same recipe, and serves the
+// checkpoint's windows from /v1/decisions byte for byte.
 func TestServeCheckpointRoundTripKeepsRecipe(t *testing.T) {
 	s, ts := newTestServer(t)
+	decisions := func() []byte {
+		req, _ := http.NewRequest(http.MethodGet, ts.URL+"/v1/decisions?from=0", nil)
+		status, _, body := do(t, req)
+		if status != http.StatusOK {
+			t.Fatalf("decisions: %d (%s)", status, body)
+		}
+		return body
+	}
+	if got := decisions(); string(got) != "[]\n" {
+		t.Errorf("decisions before the first window = %q, want an empty list", got)
+	}
 	for i := 0; i < 3; i++ {
 		if status, msg, _ := do(t, post(t, ts.URL+"/v1/window", "application/json", "{}")); status != http.StatusOK {
 			t.Fatalf("window %d: %d (%s)", i, status, msg)
@@ -223,8 +237,7 @@ func TestServeCheckpointRoundTripKeepsRecipe(t *testing.T) {
 	if status, msg, _ := do(t, post(t, ts.URL+"/v1/checkpoint", "application/json", body)); status != http.StatusOK {
 		t.Fatalf("checkpoint: %d (%s)", status, msg)
 	}
-	// A fresh daemon restoring the checkpoint resumes at the same window
-	// with the same recipe.
+	want := decisions()
 	status, _, out := do(t, post(t, ts.URL+"/v1/restore", "application/json", body))
 	if status != http.StatusOK {
 		t.Fatalf("restore: %d (%s)", status, out)
@@ -241,6 +254,9 @@ func TestServeCheckpointRoundTripKeepsRecipe(t *testing.T) {
 		t.Errorf("restored engine at window %d, want 3", got)
 	}
 	s.mu.Unlock()
+	if got := decisions(); !bytes.Equal(got, want) {
+		t.Errorf("restored decisions diverge:\ncheckpointing daemon: %s\nrestored daemon:      %s", want, got)
+	}
 }
 
 // TestServeFailedRestoreLeavesDaemon pins that /v1/restore is all or

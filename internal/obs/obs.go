@@ -37,8 +37,8 @@ type Observer struct {
 	// Ops is the live controller-health surface served at /ops; nil
 	// disables it.
 	Ops *OpsState
-	// History is the windowed telemetry store behind /v1/query; nil
-	// disables per-window history retention.
+	// History is the windowed telemetry store behind /v1/query, a view
+	// the scenario engine publishes of its window logs; nil disables it.
 	History *tsdb.Store
 	// HTTPAddr is the bound address of the pprof/metrics/ops HTTP
 	// server when one is running ("" otherwise). Informational only.

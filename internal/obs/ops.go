@@ -69,6 +69,9 @@ type OpsWindow struct {
 	SearchTimeSec float64
 	// Run totals through this window.
 	DegradedWindows, DecideErrors, Retries, HostCrashes int
+	// Restored marks a window republished by a restore: no decide ran, so
+	// the slowest-windows leaderboard gains no entry.
+	Restored bool
 }
 
 // OpsState is the live controller-health surface behind /ops. The
@@ -123,6 +126,9 @@ func (s *OpsState) RecordWindow(w OpsWindow) {
 	sn.Retries = w.Retries
 	sn.HostCrashes = w.HostCrashes
 	sn.LastDecideWallMS = w.WallMS
+	if w.Restored {
+		return
+	}
 	sn.SlowestWindows = insertSlowWindow(sn.SlowestWindows, SlowWindow{
 		Window:        w.Window,
 		Trace:         sn.Trace,

@@ -147,14 +147,11 @@ type Engine struct {
 	windows    int
 	alerts     []Alert
 	total      int
-
-	breachCount *obs.Counter
-	alertCount  *obs.Counter
-	reg         *obs.Registry
+	reg        *obs.Registry
 }
 
 // New builds an engine for the monitoring interval (which sets the decide
-// budget), registering its metrics on the observer's registry (nil-safe).
+// budget), publishing its gauges on the observer's registry (nil-safe).
 func New(interval time.Duration, o *obs.Observer) *Engine {
 	decideBudget := decideBudgetDefault
 	if interval > 0 {
@@ -164,8 +161,6 @@ func New(interval time.Duration, o *obs.Observer) *Engine {
 	if o != nil {
 		e.reg = o.Metrics
 	}
-	e.breachCount = e.reg.Counter("slo_breaches_total")
-	e.alertCount = e.reg.Counter("slo_alerts_total")
 	e.objectives = []*objective{
 		{
 			name:   "decide-latency",
@@ -214,7 +209,9 @@ func New(interval time.Duration, o *obs.Observer) *Engine {
 }
 
 // ObserveWindow folds one window into every objective and returns the
-// alerts it raised (already appended to the ring).
+// alerts it raised (already appended to the ring). It publishes the budget
+// gauges but counts nothing: a restore refolds every window through it, so
+// the caller counts the alerts it acts on.
 func (e *Engine) ObserveWindow(w WindowObs) []Alert {
 	if e == nil {
 		return nil
@@ -237,8 +234,6 @@ func (e *Engine) ObserveWindow(w WindowObs) []Alert {
 		if bad {
 			ob.breaches++
 			ob.lastBreach = w.Window
-			e.breachCount.Inc()
-			e.reg.Counter("slo_breach_" + metricName(ob.name) + "_total").Inc()
 			fired = append(fired, e.alertLocked(ob, w, SeverityWarn, value, threshold))
 		}
 		// Page on sustained exhaustion, evaluated every measurable window:
@@ -278,7 +273,6 @@ func (e *Engine) alertLocked(ob *objective, w WindowObs, severity string, value,
 		e.alerts = e.alerts[len(e.alerts)-alertCap:]
 	}
 	e.total++
-	e.alertCount.Inc()
 	return a
 }
 
@@ -318,85 +312,6 @@ func (e *Engine) publishGaugesLocked() {
 		e.reg.Gauge("slo_budget_used_" + n).Set(budgetUsed(ob))
 		e.reg.Gauge("slo_burn_rate_" + n).Set(burnRate(ob))
 	}
-}
-
-// ObjectivePersist is one objective's mutable accounting in serializable
-// form.
-type ObjectivePersist struct {
-	Name       string `json:"name"`
-	Windows    int    `json:"windows"`
-	Breaches   int    `json:"breaches"`
-	LastBreach int    `json:"last_breach"`
-	Ring       []bool `json:"ring,omitempty"`
-	Paged      bool   `json:"paged,omitempty"`
-}
-
-// PersistState is the engine's complete mutable state in serializable
-// form, for checkpoint/restore. Unlike Snapshot — a derived reporting view
-// — it carries the raw accounting ObserveWindow folds into. Configuration
-// is not included: state is restored into an engine freshly built for the
-// same interval.
-type PersistState struct {
-	Windows    int                `json:"windows"`
-	Alerts     []Alert            `json:"alerts,omitempty"`
-	Total      int                `json:"total"`
-	Objectives []ObjectivePersist `json:"objectives"`
-}
-
-// Persist captures the engine's mutable state; a nil engine yields a nil
-// pointer.
-func (e *Engine) Persist() *PersistState {
-	if e == nil {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s := &PersistState{
-		Windows: e.windows,
-		Alerts:  append([]Alert(nil), e.alerts...),
-		Total:   e.total,
-	}
-	for _, ob := range e.objectives {
-		s.Objectives = append(s.Objectives, ObjectivePersist{
-			Name:       ob.name,
-			Windows:    ob.windows,
-			Breaches:   ob.breaches,
-			LastBreach: ob.lastBreach,
-			Ring:       append([]bool(nil), ob.ring...),
-			Paged:      ob.paged,
-		})
-	}
-	return s
-}
-
-// Restore overwrites the engine's mutable state with a captured one,
-// matching objectives by name (unknown names are ignored). Nil engine or
-// nil state is a no-op.
-func (e *Engine) Restore(s *PersistState) {
-	if e == nil || s == nil {
-		return
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.windows = s.Windows
-	e.alerts = append([]Alert(nil), s.Alerts...)
-	e.total = s.Total
-	byName := make(map[string]*objective, len(e.objectives))
-	for _, ob := range e.objectives {
-		byName[ob.name] = ob
-	}
-	for _, os := range s.Objectives {
-		ob := byName[os.Name]
-		if ob == nil {
-			continue
-		}
-		ob.windows = os.Windows
-		ob.breaches = os.Breaches
-		ob.lastBreach = os.LastBreach
-		ob.ring = append([]bool(nil), os.Ring...)
-		ob.paged = os.Paged
-	}
-	e.publishGaugesLocked()
 }
 
 // Snapshot returns the engine's deterministic serialized state.

@@ -130,23 +130,6 @@ func TestAlertRingCap(t *testing.T) {
 	}
 }
 
-// TestEngineMetrics checks breaches land on the observer's registry
-// under per-objective names.
-func TestEngineMetrics(t *testing.T) {
-	o := &obs.Observer{Metrics: obs.NewRegistry()}
-	e := New(0, o)
-	e.ObserveWindow(WindowObs{Window: 0, Degraded: true})
-	if got := o.Metrics.CounterValue("slo_breach_degraded_burn_total"); got != 1 {
-		t.Fatalf("breach counter %d", got)
-	}
-	if got := o.Metrics.CounterValue("slo_breaches_total"); got != 1 {
-		t.Fatalf("total breach counter %d", got)
-	}
-	if got := o.Metrics.CounterValue("slo_alerts_total"); got < 1 {
-		t.Fatalf("alert counter %d", got)
-	}
-}
-
 // TestNilEngine proves the disabled engine is inert.
 func TestNilEngine(t *testing.T) {
 	var e *Engine

@@ -1,18 +1,19 @@
 // Package tsdb is Mistral's embedded telemetry history plane: a
-// zero-dependency, deterministic, windowed time-series store. Every series
-// is a fixed-capacity ring of the last rawWindows samples, keyed by
-// monitoring-window index — virtual time, never wall clock — so "how did
-// power draw evolve over the last few hundred windows" is one in-process
-// query instead of an offline provenance replay.
+// zero-dependency, deterministic, windowed view over a run's per-window
+// series, keyed by monitoring-window index — virtual time, never wall clock
+// — so "how did power draw evolve over the last few hundred windows" is one
+// in-process query instead of an offline provenance replay.
 //
-// The store is a view, not a record: the scenario engine folds each
-// completed window's log into it, and rebuilds it from the run's window
-// logs after a restore, so it is never persisted.
+// The store holds no samples. Its writer publishes a header — the series
+// names, how many rows (windows) exist, and a function reading one cell —
+// and every query reads the newest rawWindows rows through that function.
+// The scenario engine publishes a view of Result.Windows after each
+// completed window and after a restore, so the history is never persisted.
 //
 // Determinism is the design constraint the whole control plane already
-// lives under: appends are keyed by window index and every query renders
-// series in sorted-name order, so two runs with the same seed produce
-// byte-identical query responses.
+// lives under: rows are window indices and every query renders series in
+// sorted-name order, so two runs with the same seed produce byte-identical
+// query responses.
 //
 // A nil *Store is a valid disabled store: every method returns
 // immediately, so instrumented paths pay only a nil check when history is
@@ -23,7 +24,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -32,11 +32,10 @@ import (
 // Schema versions the query responses.
 const Schema = "mistral.tsdb/v1"
 
-// rawWindows is each series' capacity: the ring keeps the newest
-// rawWindows samples.
+// rawWindows is how many of the newest rows every query reads.
 const rawWindows = 512
 
-// Options configures New. It has no fields: the capacity is fixed.
+// Options configures New. It has no fields: the retention is fixed.
 type Options struct{}
 
 // Sample is one raw observation: a value at a window index.
@@ -45,154 +44,112 @@ type Sample struct {
 	Value  float64 `json:"v"`
 }
 
-// series is one named time series: a circular buffer whose oldest sample
-// sits at head.
-type series struct {
-	buf  []Sample
-	head int
-	n    int
-	// total counts every sample ever appended, including evicted ones.
-	total int
-}
-
-func (se *series) push(p Sample) {
-	if se.n < len(se.buf) {
-		se.buf[(se.head+se.n)%len(se.buf)] = p
-		se.n++
-	} else {
-		se.buf[se.head] = p
-		se.head = (se.head + 1) % len(se.buf)
-	}
-	se.total++
-}
-
-// at returns the i-th retained sample, oldest first.
-func (se *series) at(i int) Sample { return se.buf[(se.head+i)%len(se.buf)] }
-
-// newest returns the last k retained samples, oldest first.
-func (se *series) newest(k int) []Sample {
-	k = min(k, se.n)
-	out := make([]Sample, 0, k)
-	for i := se.n - k; i < se.n; i++ {
-		out = append(out, se.at(i))
-	}
-	return out
-}
-
 // Store is the telemetry history plane: one writer (the scenario engine,
 // once per window) plus concurrent readers (the /v1/query handler, /ops
 // summaries, mistral-explain). A nil *Store is a valid disabled store.
+//
+// The lock guards only the header. The writer promises that a published
+// cell never changes, so readers call value without holding it.
 type Store struct {
-	mu     sync.RWMutex
-	series map[string]*series
-	names  []string // sorted
-	last   int      // highest window appended, -1 before the first
+	mu sync.RWMutex
+	v  view
+}
+
+// view is the published header: sorted series names, the row count, and
+// the function reading one cell.
+type view struct {
+	names []string
+	rows  int
+	value func(col, row int) float64
 }
 
 // New builds an empty store.
-func New(Options) *Store {
-	return &Store{series: make(map[string]*series), last: -1}
-}
+func New(Options) *Store { return &Store{} }
 
-// Reset drops every series, returning the store to its freshly built
-// state. Sequential runs over a shared observer each re-begin.
-func (s *Store) Reset() {
+// Publish replaces the store's view: names (sorted) are the series, rows
+// the windows 0..rows-1, and value(col, row) the value of series names[col]
+// at window row. Every cell published must keep its value for as long as
+// the view is served; readers call value concurrently with the writer.
+func (s *Store) Publish(names []string, rows int, value func(col, row int) float64) {
 	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.series = make(map[string]*series)
-	s.names = nil
-	s.last = -1
+	s.v = view{names, rows, value}
 }
 
-// Append records one sample. The series is created on first use; within a
-// series, windows must be strictly increasing — a stale or duplicate
-// window is ignored rather than corrupting the ring order.
-func (s *Store) Append(name string, window int, value float64) {
+// view returns the header; before the first row it names no series.
+func (s *Store) view() view {
 	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	se := s.series[name]
-	if se == nil {
-		se = &series{buf: make([]Sample, rawWindows)}
-		s.series[name] = se
-		i := sort.SearchStrings(s.names, name)
-		s.names = append(s.names, "")
-		copy(s.names[i+1:], s.names[i:])
-		s.names[i] = name
-	} else if se.n > 0 && window <= se.at(se.n-1).Window {
-		return
-	}
-	se.push(Sample{Window: window, Value: value})
-	if window > s.last {
-		s.last = window
-	}
-}
-
-// Names returns the series names in sorted order.
-func (s *Store) Names() []string {
-	if s == nil {
-		return nil
+		return view{}
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return append([]string(nil), s.names...)
+	if s.v.rows == 0 {
+		return view{}
+	}
+	return s.v
 }
 
-// LastWindow returns the highest window index appended (-1 when empty).
-func (s *Store) LastWindow() int {
-	if s == nil {
-		return -1
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.last
-}
-
-// Range returns the samples of one series with Window in [from, to].
-// to < 0 means "through the latest window".
-func (s *Store) Range(name string, from, to int) []Sample {
-	if s == nil {
-		return nil
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	se := s.series[name]
-	if se == nil {
-		return nil
-	}
-	var out []Sample
-	for i := 0; i < se.n; i++ {
-		p := se.at(i)
-		if p.Window < from || (to >= 0 && p.Window > to) {
-			continue
+// col returns the named series' column, or -1 when it is unknown.
+func (v view) col(name string) int {
+	for i, n := range v.names {
+		if n == name {
+			return i
 		}
-		out = append(out, p)
+	}
+	return -1
+}
+
+// first is the oldest retained row.
+func (v view) first() int { return max(0, v.rows-rawWindows) }
+
+// between reads one column's retained rows with window in [from, to]; to < 0
+// means "through the latest window". An unknown column (-1) reads nothing.
+func (v view) between(col, from, to int) []Sample {
+	if to < 0 || to >= v.rows {
+		to = v.rows - 1
+	}
+	from = max(from, v.first())
+	if col < 0 || from > to {
+		return nil
+	}
+	out := make([]Sample, 0, to-from+1)
+	for row := from; row <= to; row++ {
+		out = append(out, Sample{Window: row, Value: v.value(col, row)})
 	}
 	return out
+}
+
+// Names returns the series names in sorted order; none before the first
+// row.
+func (s *Store) Names() []string {
+	return append([]string(nil), s.view().names...)
+}
+
+// LastWindow returns the newest window index (-1 when empty).
+func (s *Store) LastWindow() int { return s.view().rows - 1 }
+
+// Range returns the retained samples of one series with Window in
+// [from, to]. to < 0 means "through the latest window".
+func (s *Store) Range(name string, from, to int) []Sample {
+	v := s.view()
+	return v.between(v.col(name), from, to)
 }
 
 // LatestK returns the newest k samples of one series, oldest first.
 func (s *Store) LatestK(name string, k int) []Sample {
-	if s == nil || k <= 0 {
+	if k <= 0 {
 		return nil
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	se := s.series[name]
-	if se == nil {
-		return nil
-	}
-	return se.newest(k)
+	v := s.view()
+	return v.between(v.col(name), v.rows-k, -1)
 }
 
 // Summary is one series' digest for the /ops snapshot and mistral-explain:
 // min/max/last over the retained samples plus an optional sparkline vector
-// of the newest values. Windows counts every sample ever appended.
+// of the newest values. Windows counts every window, retained or not.
 type Summary struct {
 	Name    string    `json:"name"`
 	Windows int       `json:"windows"`
@@ -208,26 +165,24 @@ func (s *Store) Summaries(sparkN int) []Summary {
 	if s == nil {
 		return nil
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	out := make([]Summary, 0, len(s.names))
-	for _, name := range s.names {
-		se := s.series[name]
-		first := se.at(0)
-		sum := Summary{Name: name, Windows: se.total, Min: first.Value, Max: first.Value}
-		for i := 0; i < se.n; i++ {
-			v := se.at(i).Value
-			if v < sum.Min {
-				sum.Min = v
-			}
-			if v > sum.Max {
-				sum.Max = v
-			}
-			sum.Last = v
-		}
+	v := s.view()
+	out := make([]Summary, 0, len(v.names))
+	for c, name := range v.names {
+		sum := Summary{Name: name, Windows: v.rows}
 		if sparkN > 0 {
-			for _, p := range se.newest(sparkN) {
-				sum.Spark = append(sum.Spark, p.Value)
+			sum.Spark = make([]float64, 0, min(sparkN, v.rows-v.first()))
+		}
+		for row := v.first(); row < v.rows; row++ {
+			x := v.value(c, row)
+			if row == v.first() || x < sum.Min {
+				sum.Min = x
+			}
+			if row == v.first() || x > sum.Max {
+				sum.Max = x
+			}
+			sum.Last = x
+			if sparkN > 0 && row >= v.rows-sparkN {
+				sum.Spark = append(sum.Spark, x)
 			}
 		}
 		out = append(out, sum)
@@ -260,23 +215,23 @@ type ListResponse struct {
 }
 
 // Query answers one range query over several series. to < 0 means
-// "through the latest appended window".
+// "through the latest window".
 func (s *Store) Query(names []string, from, to int) (*QueryResponse, error) {
 	if s == nil {
 		return nil, fmt.Errorf("tsdb: history disabled")
 	}
-	if from < 0 {
-		from = 0
-	}
+	v := s.view()
+	from = max(from, 0)
 	if to < 0 {
-		to = s.LastWindow()
+		to = v.rows - 1
 	}
 	resp := &QueryResponse{Schema: Schema, From: from, To: to}
 	for _, name := range names {
-		if !s.has(name) {
+		c := v.col(name)
+		if c < 0 {
 			return nil, fmt.Errorf("tsdb: unknown series %q", name)
 		}
-		resp.Series = append(resp.Series, QuerySeries{Name: name, Points: s.Range(name, from, to)})
+		resp.Series = append(resp.Series, QuerySeries{Name: name, Points: v.between(c, from, to)})
 	}
 	return resp, nil
 }
@@ -333,19 +288,17 @@ func (s *Store) Handler() http.Handler {
 			return
 		}
 		if k > 0 {
-			resp := &QueryResponse{Schema: Schema, From: -1, To: s.LastWindow()}
+			v := s.view()
+			from := max(v.first(), v.rows-k)
+			resp := &QueryResponse{Schema: Schema, From: from, To: v.rows - 1}
 			for _, name := range split {
-				if s != nil && !s.has(name) {
+				c := v.col(name)
+				if s != nil && c < 0 {
 					writeErr(http.StatusNotFound, fmt.Sprintf("unknown series %q", name))
 					return
 				}
-				pts := s.LatestK(name, k)
-				if len(pts) > 0 && (resp.From < 0 || pts[0].Window < resp.From) {
-					resp.From = pts[0].Window
-				}
-				resp.Series = append(resp.Series, QuerySeries{Name: name, Points: pts})
+				resp.Series = append(resp.Series, QuerySeries{Name: name, Points: v.between(c, from, -1)})
 			}
-			resp.From = max(resp.From, 0)
 			enc.Encode(resp)
 			return
 		}
@@ -370,14 +323,4 @@ func (s *Store) Handler() http.Handler {
 		}
 		enc.Encode(resp)
 	})
-}
-
-// has reports whether the named series exists.
-func (s *Store) has(name string) bool {
-	if s == nil {
-		return false
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.series[name] != nil
 }

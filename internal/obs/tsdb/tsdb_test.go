@@ -9,19 +9,22 @@ import (
 	"testing"
 )
 
-func TestAppendRangeAndLatestK(t *testing.T) {
-	s := New(Options{})
-	// Past one full turn of the ring, so head and the slot of each sample
-	// both wrap.
+// table publishes rows windows of the named series, each a function of
+// the window index.
+func table(s *Store, rows int, names []string, f func(col, row int) float64) *Store {
+	s.Publish(names, rows, f)
+	return s
+}
+
+func TestPublishRangeAndLatestK(t *testing.T) {
+	// Past the retained rows, so every read starts at an offset.
 	n := 2*rawWindows + 12
-	for w := 0; w < n; w++ {
-		s.Append("util", w, float64(w)*0.5)
-	}
+	s := table(New(Options{}), n, []string{"util"}, func(_, row int) float64 { return float64(row) * 0.5 })
 	if got := s.LastWindow(); got != n-1 {
 		t.Fatalf("LastWindow = %d, want %d", got, n-1)
 	}
-	// The ring keeps the newest rawWindows windows, oldest first, each
-	// with its own value.
+	// Reads see the newest rawWindows windows, oldest first, each with its
+	// own value.
 	all := s.Range("util", 0, -1)
 	if len(all) != rawWindows {
 		t.Fatalf("Range full = %d samples, want %d", len(all), rawWindows)
@@ -37,7 +40,7 @@ func TestAppendRangeAndLatestK(t *testing.T) {
 		t.Fatalf("Range[%d,%d] = %+v", from, from+2, mid)
 	}
 	if got := s.Range("util", 0, n-rawWindows-1); got != nil {
-		t.Fatalf("Range over evicted windows = %+v, want nil", got)
+		t.Fatalf("Range over unretained windows = %+v, want nil", got)
 	}
 	lk := s.LatestK("util", 3)
 	if len(lk) != 3 || lk[0].Window != n-3 || lk[2].Window != n-1 {
@@ -49,36 +52,30 @@ func TestAppendRangeAndLatestK(t *testing.T) {
 	if got := s.Range("nosuch", 0, -1); got != nil {
 		t.Fatalf("Range on unknown series = %+v, want nil", got)
 	}
-}
 
-func TestStaleWindowIgnored(t *testing.T) {
-	s := New(Options{})
-	s.Append("a", 5, 1)
-	s.Append("a", 5, 99) // duplicate
-	s.Append("a", 3, 99) // stale
-	s.Append("a", 6, 2)
-	got := s.Range("a", 0, -1)
-	want := []Sample{{Window: 5, Value: 1}, {Window: 6, Value: 2}}
-	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
-		t.Fatalf("Range = %+v, want %+v", got, want)
+	// A republished view replaces the old one; an empty one names no series.
+	s.Publish([]string{"util"}, 0, nil)
+	if s.Names() != nil || s.LastWindow() != -1 || s.Range("util", 0, -1) != nil {
+		t.Fatal("an empty view still serves the old rows")
 	}
 }
 
-// TestSummaries: Windows counts every sample ever appended, evicted ones
-// included, while min/max/last and the sparkline read the retained ones.
+// TestSummaries: Windows counts every window, unretained ones included,
+// while min/max/last and the sparkline read the retained ones.
 func TestSummaries(t *testing.T) {
-	s := New(Options{})
 	n := rawWindows + 2
-	for w := 0; w < n; w++ {
-		s.Append("z", w, float64(w))
-		s.Append("a", w, float64(-w))
-	}
+	s := table(New(Options{}), n, []string{"a", "z"}, func(col, row int) float64 {
+		if col == 0 {
+			return float64(-row)
+		}
+		return float64(row)
+	})
 	sums := s.Summaries(2)
 	if len(sums) != 2 || sums[0].Name != "a" || sums[1].Name != "z" {
 		t.Fatalf("summaries order = %+v", sums)
 	}
 	a := sums[0]
-	// The ring holds windows 2..n-1, so the values -2..-(n-1).
+	// Reads cover windows 2..n-1, so the values -2..-(n-1).
 	lo := float64(-(n - 1))
 	if a.Min != lo || a.Max != -2 || a.Last != lo || a.Windows != n {
 		t.Fatalf("summary a = %+v", a)
@@ -89,12 +86,14 @@ func TestSummaries(t *testing.T) {
 	if z := sums[1]; z.Min != 2 || z.Max != float64(n-1) || z.Windows != n {
 		t.Fatalf("summary z = %+v", z)
 	}
+	if got := New(Options{}).Summaries(2); got == nil || len(got) != 0 {
+		t.Fatalf("empty store summaries = %#v, want an empty list", got)
+	}
 }
 
 func TestNilStoreIsSafe(t *testing.T) {
 	var s *Store
-	s.Append("a", 0, 1)
-	s.Reset()
+	s.Publish([]string{"a"}, 1, func(int, int) float64 { return 1 })
 	if s.Names() != nil || s.LastWindow() != -1 {
 		t.Fatal("nil store leaked state")
 	}
@@ -114,16 +113,26 @@ func TestNilStoreIsSafe(t *testing.T) {
 
 func TestHandler(t *testing.T) {
 	s := New(Options{})
-	const f = 8
-	for w := 0; w < 3*f; w++ {
-		s.Append("util", w, float64(w))
-		s.Append("watts", w, 100)
-	}
 	get := func(url string) (int, []byte) {
 		rr := httptest.NewRecorder()
 		s.Handler().ServeHTTP(rr, httptest.NewRequest("GET", url, nil))
 		return rr.Code, rr.Body.Bytes()
 	}
+
+	// Before the first row no series exists.
+	for _, url := range []string{"/v1/query?series=util", "/v1/query?series=util&k=3"} {
+		if code, _ := get(url); code != 404 {
+			t.Fatalf("%s before the first row: status %d, want 404", url, code)
+		}
+	}
+
+	const f = 8
+	table(s, 3*f, []string{"util", "watts"}, func(col, row int) float64 {
+		if col == 0 {
+			return float64(row)
+		}
+		return 100
+	})
 
 	// Catalog.
 	code, body := get("/v1/query")
@@ -185,12 +194,12 @@ func TestHandler(t *testing.T) {
 
 func TestHandlerDeterministicBytes(t *testing.T) {
 	build := func() *Store {
-		s := New(Options{})
-		for w := 0; w < 40; w++ {
-			s.Append("util", w, float64(w%7)*0.25)
-			s.Append("watts", w, 100+float64(w%3))
-		}
-		return s
+		return table(New(Options{}), 40, []string{"util", "watts"}, func(col, row int) float64 {
+			if col == 0 {
+				return float64(row%7) * 0.25
+			}
+			return 100 + float64(row%3)
+		})
 	}
 	req := func(s *Store) []byte {
 		rr := httptest.NewRecorder()
@@ -203,16 +212,14 @@ func TestHandlerDeterministicBytes(t *testing.T) {
 	}
 }
 
-func BenchmarkAppend(b *testing.B) {
-	s := New(Options{})
-	names := make([]string, 8)
+func BenchmarkSummaries(b *testing.B) {
+	names := make([]string, 13)
 	for i := range names {
-		names[i] = fmt.Sprintf("series_%d", i)
+		names[i] = fmt.Sprintf("series_%02d", i)
 	}
+	s := table(New(Options{}), 2*rawWindows, names, func(col, row int) float64 { return float64(col * row) })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, n := range names {
-			s.Append(n, i, float64(i))
-		}
+		s.Summaries(32)
 	}
 }

@@ -148,11 +148,11 @@ func TestStepMeasureErrorBooksWindowOnly(t *testing.T) {
 }
 
 // TestRestoreRefoldsAroundAbortedWindows: a window whose measurement failed
-// is booked in Result.Windows but never folded into the history, so the
-// store a restore rebuilds from the window logs must skip it — both when
+// is booked in Result.Windows but never completed, so the history and the
+// SLO state a restore reads from the window logs must skip it — both when
 // the aborted window ends the stream and when a daemon retried it and ran
-// on. The restored store answers the digests and the full query exactly as
-// the live one does.
+// on. The restored store answers the digests and the full query, and the
+// restored SLO engine its report, exactly as the live ones do.
 func TestRestoreRefoldsAroundAbortedWindows(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -244,6 +244,13 @@ func TestRestoreRefoldsAroundAbortedWindows(t *testing.T) {
 			}
 			if got := view(restored.History()); !bytes.Equal(live, got) {
 				t.Errorf("Snapshot.History differs from the live store:\nlive:     %s\nrebuilt:  %s", live, got)
+			}
+			liveSLO, err := json.Marshal(e.SLO().Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := json.Marshal(e2.SLO().Snapshot()); err != nil || !bytes.Equal(liveSLO, got) {
+				t.Errorf("restored SLO report differs from the live one (%v):\nlive:     %s\nrestored: %s", err, liveSLO, got)
 			}
 			if got, want := ob.History.LastWindow(), 1+tc.after; got != want {
 				t.Errorf("live history through window %d, want %d", got, want)

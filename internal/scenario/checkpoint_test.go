@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/mistralcloud/mistral/internal/checkpoint"
 	"github.com/mistralcloud/mistral/internal/experiments"
@@ -17,6 +19,7 @@ import (
 	"github.com/mistralcloud/mistral/internal/provenance"
 	"github.com/mistralcloud/mistral/internal/scenario"
 	"github.com/mistralcloud/mistral/internal/strategy"
+	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
 // ckEnv is one independently constructed replay environment — its own lab,
@@ -46,7 +49,7 @@ func newCkEnv(t *testing.T) *ckEnv {
 	// A fresh metrics registry per environment, fed by the evaluator and the
 	// controllers as the process default would be, as in a restarted
 	// process.
-	ob := &obs.Observer{Metrics: obs.NewRegistry(), History: tsdb.New(tsdb.Options{}), Ops: obs.NewOpsState()}
+	ob := fullObserver()
 	eval.SetObserver(ob)
 	dec, err := strategy.NewMistral(eval, strategy.MistralConfig{
 		HostGroups:         lab.HostGroups(),
@@ -111,7 +114,7 @@ func resultJSON(t *testing.T, e *scenario.Engine) []byte {
 
 func sloJSON(t *testing.T, e *scenario.Engine) []byte {
 	t.Helper()
-	raw, err := json.Marshal(e.SLO().Persist())
+	raw, err := json.Marshal(e.SLO().Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +142,10 @@ func insertAfter(t *testing.T, ck []byte, anchor, fields string) []byte {
 // evaluator's counters (with the in-flight dedup counter) in the decider
 // state, the registry's cumulative cache counters, the SLO engine's cache
 // baseline, the anomaly detector's state and its history-anomaly
-// objective, and the history store's own copy of the series. Restore
-// ignores all of them; the history it rebuilds from the window logs must
-// not show the stale copy's values.
+// objective, the history store's own copy of the series, and the SLO
+// engine's whole state, objectives and alerts. Restore ignores all of them;
+// the history and SLO state it reads from the window logs must not show the
+// stale copies' values.
 func TestCheckpointRoundTripDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
@@ -174,9 +178,11 @@ func TestCheckpointRoundTripDeterminism(t *testing.T) {
 					`{"name":"utility","class":"virtual","total":1,"raw":[{"w":0,"v":999}],`+
 					`"tiers":[{"factor":8,"buckets":[{"w":0,"min":999,"max":999,"sum":999,"n":1}]}]},`+
 					`{"name":"decide_wall_ms","class":"wall","total":1,"raw":[{"w":0,"v":12.5}]}]},`)
-				ckBytes = insertAfter(t, ckBytes, `"slo":{`, `"last_hits":409,"last_misses":9064,`)
-				ckBytes = insertAfter(t, ckBytes, `"objectives":[`,
-					`{"name":"history-anomaly","windows":50,"breaches":12,"last_breach":44,"ring":[true,false],"paged":true},`)
+				ckBytes = insertAfter(t, ckBytes, `"scenario":{`, `"slo":{"last_hits":409,"last_misses":9064,"windows":50,`+
+					`"alerts":[{"window":3,"trace":"w000003","t_sec":480,"objective":"degraded-burn","severity":"warn",`+
+					`"value":1,"threshold":0.5,"message":"window ran degraded (fallback decision)"}],"total":7,"objectives":[`+
+					`{"name":"history-anomaly","windows":50,"breaches":12,"last_breach":44,"ring":[true,false],"paged":true},`+
+					`{"name":"degraded-burn","windows":50,"breaches":7,"last_breach":3,"ring":[true],"paged":true}]},`)
 			}
 
 			resumed := newCkEnv(t)
@@ -325,50 +331,61 @@ func opsCounts(s obs.OpsSnapshot) obs.OpsSnapshot {
 	return s
 }
 
-// TestOpsCarriesOnAfterRestore: a run restored at window 40 and stepped once
-// publishes the /ops document an uninterrupted 41-window run publishes —
-// current window, window count, degraded/error/retry/crash totals, SLO
-// state and history digests — instead of counting from zero again.
+// TestOpsCarriesOnAfterRestore: a run restored at window 40 publishes the
+// /ops document an uninterrupted run publishes — current window, window
+// count, degraded/error/retry/crash totals, SLO state and history digests —
+// instead of counting from zero again: at once, with no slowest-window
+// entry (wall time is not checkpointed), and after one more window.
 func TestOpsCarriesOnAfterRestore(t *testing.T) {
-	full := newCkEnv(t)
-	stepN(t, full.engine, 41)
+	for _, after := range []int{0, 1} {
+		t.Run(fmt.Sprintf("after=%d", after), func(t *testing.T) {
+			full := newCkEnv(t)
+			stepN(t, full.engine, 40+after)
 
-	half := newCkEnv(t)
-	stepN(t, half.engine, 40)
-	snap, err := half.engine.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := json.Marshal(snap)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var restored scenario.Snapshot
-	if err := json.Unmarshal(raw, &restored); err != nil {
-		t.Fatal(err)
-	}
-	resumed := newCkEnv(t)
-	if err := resumed.engine.Restore(&restored); err != nil {
-		t.Fatal(err)
-	}
-	stepN(t, resumed.engine, 1)
+			half := newCkEnv(t)
+			stepN(t, half.engine, 40)
+			snap, err := half.engine.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := json.Marshal(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var restored scenario.Snapshot
+			if err := json.Unmarshal(raw, &restored); err != nil {
+				t.Fatal(err)
+			}
+			resumed := newCkEnv(t)
+			if err := resumed.engine.Restore(&restored); err != nil {
+				t.Fatal(err)
+			}
+			stepN(t, resumed.engine, after)
 
-	want, got := opsCounts(full.ops.Snapshot()), opsCounts(resumed.ops.Snapshot())
-	if got.Window != 40 || got.Windows != 41 {
-		t.Errorf("restored /ops at window %d with %d windows, want 40 and 41", got.Window, got.Windows)
-	}
-	wantJSON, err := json.Marshal(want)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotJSON, err := json.Marshal(got); err != nil || !bytes.Equal(gotJSON, wantJSON) {
-		t.Errorf("restored /ops diverges (%v):\nfull:    %s\nresumed: %s", err, wantJSON, gotJSON)
+			live := resumed.ops.Snapshot()
+			if after == 0 && len(live.SlowestWindows) != 0 {
+				t.Errorf("restored /ops ranks %d slowest windows, want none", len(live.SlowestWindows))
+			}
+			want, got := opsCounts(full.ops.Snapshot()), opsCounts(live)
+			if got.Window != 39+after || got.Windows != 40+after || len(got.SLO) == 0 {
+				t.Errorf("restored /ops at window %d with %d windows (slo %d B), want %d and %d with an slo section",
+					got.Window, got.Windows, len(got.SLO), 39+after, 40+after)
+			}
+			wantJSON, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if gotJSON, err := json.Marshal(got); err != nil || !bytes.Equal(gotJSON, wantJSON) {
+				t.Errorf("restored /ops diverges (%v):\nfull:    %s\nresumed: %s", err, wantJSON, gotJSON)
+			}
+		})
 	}
 }
 
 // TestCheckpointMismatchRejected exercises the restore guard rails: retired
-// schemas, a wrong strategy, fault- and guard-plane mismatches and a
-// checkpointable strategy's missing state must all fail cleanly, before
+// schemas, a wrong strategy, fault- and guard-plane mismatches, a
+// checkpointable strategy's missing state and a window index its window
+// logs do not reach must all fail cleanly, before
 // Restore has changed anything, instead of silently resuming into a
 // different environment.
 func TestCheckpointMismatchRejected(t *testing.T) {
@@ -409,6 +426,7 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 		{"fault plane", func(s *scenario.Snapshot) { s.Fault = &fault.State{} }, "fault-injection state"},
 		{"guard plane", func(s *scenario.Snapshot) { s.Guard = &guard.State{} }, "guard state"},
 		{"no decider state", func(s *scenario.Snapshot) { s.Decider = nil }, "carries no state for checkpointable strategy"},
+		{"window count", func(s *scenario.Snapshot) { s.WindowIndex++ }, "holds 2 completed windows"},
 	} {
 		bad := *snap
 		tc.mutate(&bad)
@@ -425,45 +443,169 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestCheckpointCarriesEachWindowOnce: the telemetry history is rebuilt from
-// the checkpoint's window logs, so a checkpoint of the paper's 195-window
-// day carries no copy of it, and observers add only the SLO engine's state.
+// paperDay is the paper's 195-window day for 2 applications under Mistral;
+// faulted adds 30 % injected faults, rollback and the admission guard.
+func paperDay(faulted bool) experiments.Recipe {
+	rc := experiments.Recipe{Lab: experiments.LabOptions{NumApps: 2, Seed: 42}, Strategy: "mistral"}
+	if faulted {
+		rc.FaultRate, rc.ExecPolicy, rc.Guard = 0.3, testbed.RollbackOnFailure, true
+	}
+	return rc
+}
+
+// buildDay builds rc's replay over its first windows (0 = the whole day)
+// with the given observer.
+func buildDay(t *testing.T, rc experiments.Recipe, ob *obs.Observer, windows int) *scenario.Engine {
+	t.Helper()
+	rp, err := rc.Build(strategy.MistralConfig{}, scenario.RunConfig{Obs: ob, Duration: time.Duration(windows) * 2 * time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rp.Engine
+}
+
+func fullObserver() *obs.Observer {
+	return &obs.Observer{Metrics: obs.NewRegistry(), Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})}
+}
+
+// viewsJSON renders the SLO report and a query over every history series
+// and the whole run.
+func viewsJSON(t *testing.T, e *scenario.Engine, hist *tsdb.Store) []byte {
+	t.Helper()
+	q, err := hist.Query(hist.Names(), 0, -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal([]any{e.SLO().Snapshot(), q})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// TestCheckpointCarriesEachWindowOnce: the telemetry history and the SLO
+// state are read from the checkpoint's window logs, so a checkpoint of the
+// paper's 195-window day is byte-identical with observers and without, on
+// the clean day and on the faulted, guarded one.
 func TestCheckpointCarriesEachWindowOnce(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-day replay")
 	}
-	size := func(ob *obs.Observer) []byte {
-		rp, err := experiments.Recipe{Lab: experiments.LabOptions{NumApps: 2, Seed: 42}, Strategy: "mistral"}.
-			Build(strategy.MistralConfig{}, scenario.RunConfig{Obs: ob})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := rp.Engine.Run(); err != nil {
-			t.Fatal(err)
-		}
-		if n := len(rp.Engine.Result().Windows); n != 195 {
-			t.Fatalf("%d windows, want the 195-window day", n)
-		}
-		snap, err := rp.Engine.Snapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		raw, err := json.Marshal(snap)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return raw
+	for _, faulted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("faulted=%v", faulted), func(t *testing.T) {
+			checkpoint := func(ob *obs.Observer) []byte {
+				e := buildDay(t, paperDay(faulted), ob, 0)
+				if _, err := e.Run(); err != nil {
+					t.Fatal(err)
+				}
+				if n := len(e.Result().Windows); n != 195 {
+					t.Fatalf("%d windows, want the 195-window day", n)
+				}
+				snap, err := e.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := json.Marshal(snap)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return raw
+			}
+			if with, without := checkpoint(fullObserver()), checkpoint(nil); !bytes.Equal(with, without) {
+				t.Errorf("observers change the checkpoint: %d B with, %d B without", len(with), len(without))
+			}
+		})
 	}
-	with := size(&obs.Observer{Metrics: obs.NewRegistry(), Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})})
-	without := size(nil)
-	var keys map[string]json.RawMessage
-	if err := json.Unmarshal(with, &keys); err != nil {
+}
+
+// TestResumeRefoldsTheViews: a guarded, rollback, faulted replay restored
+// at windows 7, 33 and 60 serves the SLO report and the full history query
+// of the run that never stopped, both right after the restore and at the
+// end.
+func TestResumeRefoldsTheViews(t *testing.T) {
+	const windows = 120
+	cuts := []int{7, 33, 60}
+	rc := paperDay(true)
+	fullOb := fullObserver()
+	full := buildDay(t, rc, fullOb, windows)
+	atCut := map[int][]byte{}
+	for i := 1; i <= windows; i++ {
+		stepN(t, full, 1)
+		if slices.Contains(cuts, i) {
+			atCut[i] = viewsJSON(t, full, fullOb.History)
+		}
+	}
+	if full.SLO().Snapshot().Objectives[2].Windows == 0 {
+		t.Fatal("the replay checked no plan with the guard")
+	}
+	end := viewsJSON(t, full, fullOb.History)
+
+	for _, cut := range cuts {
+		t.Run(fmt.Sprintf("at=%d", cut), func(t *testing.T) {
+			half := buildDay(t, rc, fullObserver(), windows)
+			stepN(t, half, cut)
+			snap, err := half.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw, err := json.Marshal(snap)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var restored scenario.Snapshot
+			if err := json.Unmarshal(raw, &restored); err != nil {
+				t.Fatal(err)
+			}
+			ob := fullObserver()
+			resumed := buildDay(t, rc, ob, windows)
+			if err := resumed.Restore(&restored); err != nil {
+				t.Fatal(err)
+			}
+			if got := viewsJSON(t, resumed, ob.History); !bytes.Equal(got, atCut[cut]) {
+				t.Errorf("views at the cut diverge:\nfull:    %s\nresumed: %s", atCut[cut], got)
+			}
+			stepN(t, resumed, windows-cut)
+			if got := viewsJSON(t, resumed, ob.History); !bytes.Equal(got, end) {
+				t.Errorf("views at the end diverge:\nfull:    %s\nresumed: %s", end, got)
+			}
+		})
+	}
+}
+
+// TestEngineMetrics: the SLO counters count the alerts the engine published
+// — a warn alert is one objective's breach — and a restore into the same
+// registry, which refolds the SLO engine, counts nothing.
+func TestEngineMetrics(t *testing.T) {
+	ob := fullObserver()
+	e := buildDay(t, paperDay(true), ob, 60)
+	stepN(t, e, 60)
+	rep := e.SLO().Snapshot()
+	want := map[string]int64{"slo_alerts_total": int64(rep.TotalAlerts)}
+	breaches := 0
+	for _, o := range rep.Objectives {
+		want["slo_breach_"+strings.ReplaceAll(o.Name, "-", "_")+"_total"] = int64(o.Breaches)
+		breaches += o.Breaches
+	}
+	want["slo_breaches_total"] = int64(breaches)
+	if breaches == 0 || rep.TotalAlerts <= breaches {
+		t.Fatalf("%d breaches, %d alerts: the replay must breach and page", breaches, rep.TotalAlerts)
+	}
+	check := func(when string) {
+		t.Helper()
+		for name, n := range want {
+			if got := ob.Metrics.CounterValue(name); got != n {
+				t.Errorf("%s: %s = %d, want %d", when, name, got, n)
+			}
+		}
+	}
+	check("live")
+
+	snap, err := e.Snapshot()
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := keys["history"]; ok {
-		t.Errorf("checkpoint carries a history key")
+	if err := buildDay(t, paperDay(true), ob, 60).Restore(snap); err != nil {
+		t.Fatal(err)
 	}
-	if gap := len(with) - len(without); gap > 2048 {
-		t.Errorf("observers add %d bytes to the checkpoint (%d with, %d without), want at most 2 KB", gap, len(with), len(without))
-	}
+	check("after a restore into the same registry")
 }

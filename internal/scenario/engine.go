@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"strings"
 	"time"
 
 	"github.com/mistralcloud/mistral/internal/cluster"
@@ -30,7 +31,10 @@ type Engine struct {
 	d   Decider
 	cfg RunConfig
 
-	res         *Result
+	res *Result
+	// skip holds the positions in res.Windows of the windows whose
+	// measurement failed: booked, never completed (see aborted).
+	skip        []int
 	totalSearch time.Duration
 	retries     []RetryState
 	winIdx      int
@@ -44,8 +48,8 @@ type Engine struct {
 	// plane and history store (see begin).
 	begun bool
 
-	// hist is the telemetry history plane (see history.go), nil when
-	// observability is fully off.
+	// hist is the telemetry history plane (see history.go), nil when the
+	// observer has none.
 	hist *tsdb.Store
 
 	cWindows       *obs.Counter
@@ -57,6 +61,8 @@ type Engine struct {
 	cExecRej       *obs.Counter
 	cCrashes       *obs.Counter
 	cRolledBack    *obs.Counter
+	cSLOBreaches   *obs.Counter
+	cSLOAlerts     *obs.Counter
 	hWindowUtil    *obs.Histogram
 	gCumUtil       *obs.Gauge
 }
@@ -106,6 +112,8 @@ func NewEngine(tb *testbed.Testbed, d Decider, cfg RunConfig) (*Engine, error) {
 	e.cExecRej = o.Counter("scenario_exec_rejections_total")
 	e.cCrashes = o.Counter("scenario_host_crashes_total")
 	e.cRolledBack = o.Counter("scenario_rolledback_actions_total")
+	e.cSLOBreaches = o.Counter("slo_breaches_total")
+	e.cSLOAlerts = o.Counter("slo_alerts_total")
 	e.hWindowUtil = o.Histogram("scenario_window_utility_dollars", []float64{-10, -1, -0.1, 0, 0.1, 1, 10})
 	e.gCumUtil = o.Gauge("scenario_cum_utility_dollars")
 
@@ -114,14 +122,12 @@ func NewEngine(tb *testbed.Testbed, d Decider, cfg RunConfig) (*Engine, error) {
 	// by recomputation from Record.Window — provenance. The SLO engine
 	// and the telemetry history run whenever an observer is active; both
 	// read only virtual-time quantities, so their state is deterministic
-	// and the decision stream is untouched. History goes to the observer's
-	// shared store (the one /v1/query serves), or a private one.
+	// and the decision stream is untouched. History is published to the
+	// observer's store (the one /v1/query serves).
 	e.ops = o.OpsState()
+	e.hist = o.HistoryStore()
 	if o != nil {
 		e.slo = slo.New(cfg.Interval, o)
-		if e.hist = o.HistoryStore(); e.hist == nil {
-			e.hist = tsdb.New(tsdb.Options{})
-		}
 	}
 	return e, nil
 }
@@ -138,7 +144,7 @@ func (e *Engine) begin() {
 	}
 	e.begun = true
 	e.ops.BeginRun(e.d.Name(), e.cfg.Interval)
-	e.hist.Reset()
+	publishHistory(e.hist, nil, nil)
 }
 
 // Result returns the accumulating result. The same pointer is live for the
@@ -151,6 +157,9 @@ func (e *Engine) Now() time.Duration { return e.t }
 
 // WindowIndex returns the index of the next window to run.
 func (e *Engine) WindowIndex() int { return e.winIdx }
+
+// Window returns the log of completed window k, 0 <= k < WindowIndex().
+func (e *Engine) Window(k int) WindowLog { return *completed(e.res.Windows, e.skip, k) }
 
 // Interval returns the monitoring interval in force (after defaulting).
 func (e *Engine) Interval() time.Duration { return e.cfg.Interval }
@@ -325,7 +334,7 @@ func (e *Engine) decide(w *window) {
 // everything — then executes it and returns how long it will run.
 func (e *Engine) launch(w *window, plan []cluster.Action) time.Duration {
 	v := e.cfg.Guard.Admit(e.t, e.tb.FinalConfig(), plan)
-	if e.cfg.Guard.Enabled() {
+	if w.GuardChecked = e.cfg.Guard.Enabled(); w.GuardChecked {
 		w.guard = &provenance.GuardProv{
 			Allowed: v.Allowed,
 			Rule:    v.Rule,
@@ -447,6 +456,7 @@ func (e *Engine) publish(w *window) {
 	e.cExecRej.Add(int64(b2i(w.execRejected)))
 	e.record(w)
 	if w.aborted {
+		e.skip = append(e.skip, len(e.res.Windows)-1)
 		e.setMeanSearchTime()
 		return
 	}
@@ -479,45 +489,55 @@ func (e *Engine) publish(w *window) {
 	// window's degraded status gates the next window's admission.
 	e.cfg.Guard.ObserveWindow(w.Degraded)
 
-	fold(e.hist, w.index, &w.WindowLog)
-	alerts := e.slo.ObserveWindow(slo.WindowObs{
-		Window:        w.index,
-		Time:          w.Time,
-		Invoked:       w.Invoked,
-		Degraded:      w.Degraded,
-		SearchTime:    w.SearchTime,
-		GuardChecked:  w.guard != nil,
-		GuardRejected: w.GuardRejected,
-	})
-	for _, a := range alerts {
+	for _, a := range e.slo.ObserveWindow(sloObs(w.index, &w.WindowLog)) {
+		// A warn alert is one objective's breach; a page is not.
+		if a.Severity == slo.SeverityWarn {
+			e.cSLOBreaches.Inc()
+			e.o.Counter("slo_breach_" + strings.ReplaceAll(a.Objective, "-", "_") + "_total").Inc()
+		}
+		e.cSLOAlerts.Inc()
 		e.olog.Warn("slo alert",
 			"objective", a.Objective,
 			"severity", a.Severity,
 			"trace", a.Trace,
 			"msg", a.Message)
 	}
-	// An ops plane implies an observer, and with it the SLO engine and the
-	// history store.
-	if e.ops != nil {
-		e.ops.RecordWindow(obs.OpsWindow{
-			Window:          w.index,
-			TimeSec:         w.Time.Seconds(),
-			CumUtility:      w.CumUtility,
-			Degraded:        w.Degraded,
-			WallMS:          float64(w.decideWall.Microseconds()) / 1000,
-			SearchTimeSec:   w.SearchTime.Seconds(),
-			DegradedWindows: e.res.DegradedWindows,
-			DecideErrors:    e.res.DecideErrors,
-			Retries:         e.res.Retries,
-			HostCrashes:     e.res.HostCrashes,
-		})
-		if raw, err := json.Marshal(e.slo.Snapshot()); err == nil {
-			e.ops.SetSLO(raw)
-		}
-		e.ops.SetHistory(e.hist.Summaries(opsSparkN))
-	}
 	e.t = w.Time
 	e.winIdx++
+	e.publishViews(w)
+}
+
+// publishViews publishes the views that read the whole run through its last
+// completed window: the history store, then /ops. w is that window, or nil
+// when a restore republishes: the slowest-windows leaderboard then gains no
+// entry, since wall time is not checkpointed.
+func (e *Engine) publishViews(w *window) {
+	publishHistory(e.hist, e.res.Windows, e.skip)
+	// An ops plane implies an observer, and with it the SLO engine.
+	if e.ops == nil || e.winIdx == 0 {
+		return
+	}
+	last := completed(e.res.Windows, e.skip, e.winIdx-1)
+	ow := obs.OpsWindow{
+		Window:          e.winIdx - 1,
+		TimeSec:         last.Time.Seconds(),
+		CumUtility:      last.CumUtility,
+		DegradedWindows: e.res.DegradedWindows,
+		DecideErrors:    e.res.DecideErrors,
+		Retries:         e.res.Retries,
+		HostCrashes:     e.res.HostCrashes,
+		Restored:        w == nil,
+	}
+	if w != nil {
+		ow.Degraded = w.Degraded
+		ow.WallMS = float64(w.decideWall.Microseconds()) / 1000
+		ow.SearchTimeSec = w.SearchTime.Seconds()
+	}
+	e.ops.RecordWindow(ow)
+	if raw, err := json.Marshal(e.slo.Snapshot()); err == nil {
+		e.ops.SetSLO(raw)
+	}
+	e.ops.SetHistory(e.hist.Summaries(opsSparkN))
 }
 
 // record appends the window's provenance record; window indices count every

@@ -3,65 +3,108 @@ package scenario
 import (
 	"time"
 
+	"github.com/mistralcloud/mistral/internal/obs/slo"
 	"github.com/mistralcloud/mistral/internal/obs/tsdb"
 )
 
-// The telemetry history plane is a view of Result.Windows: every completed
-// window's log folds into the engine's tsdb store, keyed by window index,
-// and a restore rebuilds the store by folding the checkpoint's windows
-// again. The fold reads only the window log, so decisions, provenance
-// bytes and stdout are untouched — history is a pure observer.
+// The telemetry history and the SLO engine are views of Result.Windows:
+// the engine publishes the completed windows to the tsdb store as a
+// read-only view, and a restore refolds the SLO engine from the checkpoint's
+// window logs. Both read only the window logs, so decisions, provenance
+// bytes and stdout are untouched — they are pure observers.
 
 // opsSparkN is how many trailing raw values the /ops history digests
 // carry as sparkline vectors.
 const opsSparkN = 32
 
-// fold appends one completed window's series to the store.
-func fold(s *tsdb.Store, index int, w *WindowLog) {
-	if s == nil {
-		return
-	}
-	app := func(name string, v float64) { s.Append(name, index, v) }
-	app("utility", w.Utility)
-	app("cum_utility", w.CumUtility)
-	app("watts", w.Watts)
-	app("search_cost", w.SearchCost)
-	app("search_time_sec", w.SearchTime.Seconds())
-	app("active_hosts", float64(w.ActiveHosts))
-	app("actions", float64(w.Actions))
-	app("degraded", float64(b2i(w.Degraded)))
-	app("retries", float64(w.Retried))
-	app("failed_actions", float64(w.FailedActions))
-	app("host_crashes", float64(w.HostCrashes))
-	app("guard_rejected", float64(b2i(w.GuardRejected)))
-	app("expansions", float64(w.Expansions))
+// series are the history's columns, in name order: each reads one field of
+// a completed window's log.
+var series = []struct {
+	name  string
+	value func(*WindowLog) float64
+}{
+	{"actions", func(w *WindowLog) float64 { return float64(w.Actions) }},
+	{"active_hosts", func(w *WindowLog) float64 { return float64(w.ActiveHosts) }},
+	{"cum_utility", func(w *WindowLog) float64 { return w.CumUtility }},
+	{"degraded", func(w *WindowLog) float64 { return float64(b2i(w.Degraded)) }},
+	{"expansions", func(w *WindowLog) float64 { return float64(w.Expansions) }},
+	{"failed_actions", func(w *WindowLog) float64 { return float64(w.FailedActions) }},
+	{"guard_rejected", func(w *WindowLog) float64 { return float64(b2i(w.GuardRejected)) }},
+	{"host_crashes", func(w *WindowLog) float64 { return float64(w.HostCrashes) }},
+	{"retries", func(w *WindowLog) float64 { return float64(w.Retried) }},
+	{"search_cost", func(w *WindowLog) float64 { return w.SearchCost }},
+	{"search_time_sec", func(w *WindowLog) float64 { return w.SearchTime.Seconds() }},
+	{"utility", func(w *WindowLog) float64 { return w.Utility }},
+	{"watts", func(w *WindowLog) float64 { return w.Watts }},
 }
 
-// refold rebuilds the store from a run's window logs, as of virtual time
-// now. A window whose measurement failed is booked in the logs but was
-// never folded, and the engine's clock did not pass it: the window after it
-// ends at the same time, or, when it is the last log, it ends after now.
-// Skipping those, the k-th window kept is window k.
-func refold(s *tsdb.Store, windows []WindowLog, now time.Duration) {
-	s.Reset()
-	k := 0
+var seriesNames = func() []string {
+	names := make([]string, len(series))
+	for i, s := range series {
+		names[i] = s.name
+	}
+	return names
+}()
+
+// aborted returns the positions, ascending, of the windows whose
+// measurement failed, as of virtual time now. Such a window is booked in the
+// logs but never completed, and the engine's clock did not pass it: the
+// window after it ends at the same time, or, when it is the last log, it
+// ends after now.
+func aborted(windows []WindowLog, now time.Duration) []int {
+	var skip []int
 	for i := range windows {
-		w := &windows[i]
-		if i+1 < len(windows) && windows[i+1].Time == w.Time || w.Time > now {
-			continue
+		if i+1 < len(windows) && windows[i+1].Time == windows[i].Time || windows[i].Time > now {
+			skip = append(skip, i)
 		}
-		fold(s, k, w)
+	}
+	return skip
+}
+
+// completed returns the log of completed window k: the k-th log that is
+// not at one of the aborted positions skip.
+func completed(windows []WindowLog, skip []int, k int) *WindowLog {
+	for _, p := range skip {
+		if p > k {
+			break
+		}
 		k++
 	}
+	return &windows[k]
 }
 
-// History rebuilds the telemetry history the checkpointed run had folded,
-// from its window logs: the store mistral-explain -series reads. It works
-// on every checkpoint, including those written without observability.
+// publishHistory publishes the completed windows to the store. The logs up
+// to len(windows) are never written again, so the store's readers may read
+// them while the engine appends past them.
+func publishHistory(h *tsdb.Store, windows []WindowLog, skip []int) {
+	if h == nil {
+		return
+	}
+	h.Publish(seriesNames, len(windows)-len(skip), func(col, row int) float64 {
+		return series[col].value(completed(windows, skip, row))
+	})
+}
+
+// sloObs is completed window k as the SLO engine observes it.
+func sloObs(k int, w *WindowLog) slo.WindowObs {
+	return slo.WindowObs{
+		Window:        k,
+		Time:          w.Time,
+		Invoked:       w.Invoked,
+		Degraded:      w.Degraded,
+		SearchTime:    w.SearchTime,
+		GuardChecked:  w.GuardChecked,
+		GuardRejected: w.GuardRejected,
+	}
+}
+
+// History is the telemetry history of the checkpointed run, read from its
+// window logs: the store mistral-explain -series reads. It works on every
+// checkpoint, including those written without observability.
 func (s *Snapshot) History() *tsdb.Store {
 	h := tsdb.New(tsdb.Options{})
 	if s.Result != nil {
-		refold(h, s.Result.Windows, time.Duration(s.TimeNS))
+		publishHistory(h, s.Result.Windows, aborted(s.Result.Windows, time.Duration(s.TimeNS)))
 	}
 	return h
 }

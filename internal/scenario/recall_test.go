@@ -7,7 +7,6 @@ import (
 	"github.com/mistralcloud/mistral/internal/obs"
 	"github.com/mistralcloud/mistral/internal/obs/slo"
 	"github.com/mistralcloud/mistral/internal/obs/tsdb"
-	"github.com/mistralcloud/mistral/internal/provenance"
 )
 
 // recallEnv is an engine whose observers are fed hand-built window records
@@ -81,7 +80,7 @@ func TestSLORecall(t *testing.T) {
 		// 25 % of guard-checked windows, and the healthy ones had no plan
 		// to check: the 16th measurable window pages
 		{"guard-reject", func(w *window) {
-			w.guard, w.GuardRejected = &provenance.GuardProv{Rule: "injected"}, true
+			w.GuardChecked, w.GuardRejected = true, true
 		}, 15},
 	} {
 		t.Run(ob.name, func(t *testing.T) {

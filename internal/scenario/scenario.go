@@ -205,8 +205,10 @@ type WindowLog struct {
 	// itself is broken).
 	Compensated bool `json:",omitempty"`
 	FPRestored  bool `json:",omitempty"`
-	// GuardRejected marks a window whose proposed plan the guard refused;
+	// GuardChecked marks a window whose proposed plan went through the
+	// admission guard; GuardRejected marks one the guard refused, and
 	// GuardRule names the invariant that fired.
+	GuardChecked  bool   `json:",omitempty"`
 	GuardRejected bool   `json:",omitempty"`
 	GuardRule     string `json:",omitempty"`
 }

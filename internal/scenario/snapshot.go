@@ -24,9 +24,12 @@ import (
 // counters and the SLO engine's cache baseline, with the eval-cache-hit
 // objective they fed; older v3 files still carry those keys, and Restore
 // ignores them. Files written before the history store became a view of
-// Result.Windows also carry a "history" key, which Restore ignores: it
-// rebuilds the store from the window logs, whose SearchCost and Expansions
-// such files lack, so those two series refold as 0 over their windows.
+// Result.Windows also carry a "history" key, which Restore ignores: it reads
+// the history from the window logs, whose SearchCost and Expansions such
+// files lack, so those two series read 0 over their windows. Files written
+// before the SLO engine was refolded from the window logs carry an "slo"
+// key, which Restore ignores too; their windows lack GuardChecked, so
+// guard-reject refolds as unmeasured over them.
 const SnapshotSchema = "mistral.checkpoint/v3"
 
 // Snapshotter is the optional Decider extension that makes a strategy
@@ -71,11 +74,10 @@ type Snapshot struct {
 	Result *Result `json:"result"`
 
 	// Subsystem state.
-	Testbed *testbed.State    `json:"testbed"`
-	Fault   *fault.State      `json:"fault,omitempty"`
-	SLO     *slo.PersistState `json:"slo,omitempty"`
-	Guard   *guard.State      `json:"guard,omitempty"`
-	Decider json.RawMessage   `json:"decider,omitempty"`
+	Testbed *testbed.State  `json:"testbed"`
+	Fault   *fault.State    `json:"fault,omitempty"`
+	Guard   *guard.State    `json:"guard,omitempty"`
+	Decider json.RawMessage `json:"decider,omitempty"`
 }
 
 // detached copies the result so that neither side sees the other's later
@@ -117,7 +119,6 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 			return nil, fmt.Errorf("scenario: decider snapshot: %w", err)
 		}
 	}
-	s.SLO = e.slo.Persist()
 	s.Guard = e.cfg.Guard.Snapshot()
 	return s, nil
 }
@@ -148,6 +149,11 @@ func (e *Engine) Restore(s *Snapshot) error {
 	if s.Result == nil {
 		return fmt.Errorf("scenario: checkpoint has no result")
 	}
+	// Every view reads completed window k for k below the window index.
+	skip := aborted(s.Result.Windows, time.Duration(s.TimeNS))
+	if n := len(s.Result.Windows) - len(skip); n != s.WindowIndex {
+		return fmt.Errorf("scenario: checkpoint at window %d holds %d completed windows", s.WindowIndex, n)
+	}
 	// A checkpointable strategy resumed without its state would run on
 	// fresh bands and estimators and drift silently: refuse instead.
 	sn, checkpointable := e.d.(Snapshotter)
@@ -176,7 +182,6 @@ func (e *Engine) Restore(s *Snapshot) error {
 	e.t = time.Duration(s.TimeNS)
 	e.totalSearch = time.Duration(s.TotalSearchNS)
 	e.retries = slices.Clone(s.Retries)
-	e.slo.Restore(s.SLO)
 	// The guard is the last step that can fail; everything from here on
 	// publishes into planes the observer shares, so nothing before it may.
 	if s.Guard != nil {
@@ -184,10 +189,18 @@ func (e *Engine) Restore(s *Snapshot) error {
 			return fmt.Errorf("scenario: guard restore: %w", err)
 		}
 	}
+	// The SLO engine is refolded from the completed windows, as it folded
+	// them live.
+	e.skip = skip
+	if e.o != nil {
+		e.slo = slo.New(e.cfg.Interval, e.o)
+		for k := 0; k < e.winIdx; k++ {
+			e.slo.ObserveWindow(sloObs(k, completed(e.res.Windows, e.skip, k)))
+		}
+	}
 	e.begun = true
 	e.ops.BeginRun(e.d.Name(), e.cfg.Interval)
-	refold(e.hist, e.res.Windows, e.t)
-	e.ops.SetHistory(e.hist.Summaries(opsSparkN))
+	e.publishViews(nil)
 	// Republish the headline gauges so a freshly restored daemon's
 	// /metrics reflects the checkpoint instead of zero.
 	e.gCumUtil.Set(e.res.CumUtility)
