@@ -125,17 +125,18 @@ type SearchResult struct {
 	Prov *provenance.SearchDigest
 }
 
-// child is one priced child of the vertex being expanded: what dedup,
-// pruning and the heap need to know about staged[at] before (and mostly
-// instead of) making it a vertex.
+// child is one child of the vertex being expanded, as far as the cut needs
+// to know it: which staged action, the plan's duration, the distance to the
+// ideal. Only the children the cut keeps are priced and fingerprinted.
 type child struct {
-	at      int // index into the expansion's staged actions
-	fp      cluster.Fingerprint
-	dur     time.Duration
-	accrued float64
-	utility float64
-	dist    float64 // distance to ideal, for pruning/shaping
+	at   int // index into the expansion's staged actions
+	dur  time.Duration
+	dist float64 // distance to ideal, for pruning/shaping
 }
+
+// Test hooks, nil outside tests: called once per child an expansion prices
+// and once per child it fingerprints.
+var testHookPrice, testHookFingerprint func()
 
 // closest returns the keep entries of order with the smallest dist, in the
 // order a stable sort by dist would put them, reusing order's storage: each
@@ -174,7 +175,7 @@ type Searcher struct {
 	// expanded — the generator, the candidate test, child pricing and the
 	// distance terms all read that one load — dist the ideal and the
 	// parent's distance terms, staged the generator's output and kids the
-	// children that fit the window; order indexes the survivors.
+	// children that fit the window; order indexes the ones the cut keeps.
 	price  pricer
 	dist   distancer
 	staged []cluster.Staged
@@ -339,6 +340,7 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 	mem := searchPool.Get().(*searchMem)
 	defer mem.release()
 	mem.cat = s.eval.cat
+	mem.costs.reset(len(view.VMHost))
 	mem.cfgs = append(mem.cfgs, cfg)
 	rootID, root, err := mem.verts.alloc()
 	if err != nil {
@@ -497,12 +499,13 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		// Generate children: every feasible action plus "null" when the
 		// configuration is a candidate. The popped configuration is loaded
 		// into the dense view once — the last map reads of this expansion —
-		// and everything per child reads arrays: the generator yields each
-		// feasible action staged in index form, the transient is priced
-		// against the parent, the child's fingerprint is the parent's with
-		// the changed tokens folded in from the catalog's prefixes, and its
-		// distance the parent's term vector re-folded with the one changed
-		// term. Nothing is built: a child is its parent plus a staged action
+		// and everything per child reads arrays. Phase 1 measures every
+		// child the generator stages: its plan duration (the action's
+		// cost-table entry, looked up once per search), the control-window
+		// filter and its distance, the parent's fold resumed at the one
+		// changed term. That is all the self-time charge and the cut read.
+		// Phase 2 prices and fingerprints only the children the cut keeps.
+		// Nothing is built: a child is its parent plus a staged action
 		// until it is popped.
 		if !price.setParent(parentCfg, parentSteady) {
 			return SearchResult{}, fmt.Errorf("core: configuration does not fit the catalog")
@@ -522,26 +525,15 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		kids := s.kids[:0]
 		for i := range s.staged {
 			st := &s.staged[i]
-			ac := price.cost(st.Kind, int(st.VM), int(st.Host), -1)
+			dur := vmax.dur + mem.costs.get(price, st).Duration
 			// A plan must fit the control window: actions past its end
 			// would be charged against benefits the window cannot see —
 			// when the current configuration is bleeding, arbitrarily long
 			// plans would otherwise look free beyond the horizon.
-			if vmax.dur+ac.Duration > cw {
+			if dur > cw {
 				continue
 			}
-			k := child{
-				at:      i,
-				fp:      view.FingerprintWith(vmax.fp, st),
-				dur:     vmax.dur + ac.Duration,
-				accrued: vmax.accrued + ac.Duration.Seconds()*ac.Rate,
-				dist:    dc.child(view, st),
-			}
-			k.utility = k.accrued + remaining(k.dur)*idealRate
-			if distWeight > 0 {
-				k.utility -= distWeight * k.dist
-			}
-			kids = append(kids, k)
+			kids = append(kids, child{at: i, dur: dur, dist: dc.child(view, st)})
 		}
 		s.kids = kids
 		nChildren := len(kids)
@@ -612,7 +604,21 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 				continue
 			}
 			k := &kids[i]
-			if !mem.best.improve(k.fp, k.utility) {
+			st := &s.staged[k.at]
+			ac := price.costEntry(mem.costs.get(price, st), int(st.VM), int(st.Host), -1)
+			if testHookPrice != nil {
+				testHookPrice()
+			}
+			fp := view.FingerprintWith(vmax.fp, st)
+			if testHookFingerprint != nil {
+				testHookFingerprint()
+			}
+			accrued := vmax.accrued + ac.Duration.Seconds()*ac.Rate
+			utility := accrued + remaining(k.dur)*idealRate
+			if distWeight > 0 {
+				utility -= distWeight * k.dist
+			}
+			if !mem.best.improve(fp, utility) {
 				continue
 			}
 			id, v, err := mem.verts.alloc()
@@ -620,14 +626,14 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 				return SearchResult{}, err
 			}
 			*v = vertex{
-				fp:      k.fp,
-				st:      s.staged[k.at],
+				fp:      fp,
+				st:      *st,
 				parent:  top.vertex,
 				depth:   vmax.depth + 1,
 				dist:    k.dist,
 				dur:     k.dur,
-				accrued: k.accrued,
-				utility: k.utility,
+				accrued: accrued,
+				utility: utility,
 			}
 			mem.push(id, v)
 		}

@@ -27,23 +27,28 @@ const (
 // The distance is a floating-point fold the search compares exactly (the
 // prune sort, the heap), so its order is fixed: for every VM active in the
 // ideal, in catalog order, a placement term then a CPU term; for every other
-// VM a placement term; then the host power and frequency mismatch counts,
-// weighted, in one addition. load computes one parent's terms from its view;
-// child re-folds them with the one VM's or host's terms an action changes
-// replaced. A term that does not apply is +0.0, which leaves a non-negative
-// running sum bit-identical, so every distance equals the reference fold over
-// the built configuration (ConfigDistance in distance_test.go) to the bit.
+// VM a placement term then a +0.0 CPU term; then the host power and
+// frequency mismatch counts, weighted, in one addition. load computes one
+// parent's terms from its view and records the running sum before each VM's
+// terms; child resumes that fold at the one VM an action changes, or adds a
+// host action's mismatches to the VM sum. A term that does not apply is
+// +0.0, which leaves a non-negative running sum bit-identical, so every
+// distance equals the reference fold over the built configuration
+// (ConfigDistance in distance_test.go) to the bit.
 type distancer struct {
 	// ideal is the ideal configuration; cpuWeight holds, per catalog VM
 	// active in it, distCPUWeight times the VM's relative size there.
 	ideal     cluster.View
 	cpuWeight []float64
-	// Fold order: catalog indices of the VMs active in the ideal, then of
-	// the rest.
-	idealVMs, otherVMs []int32
+	// vms is the fold order — catalog indices of the VMs active in the
+	// ideal, then of the rest — and pos each catalog VM's place in it.
+	vms []int32
+	pos []int32
 
-	// The loaded parent: its terms per catalog VM and mismatch counts.
+	// The loaded parent: its terms per catalog VM, the running sum before
+	// each fold position (pre[len(vms)]: the VM sum) and mismatch counts.
 	place, cpu  []float64
+	pre         []float64
 	power, freq int
 }
 
@@ -57,24 +62,33 @@ func (d *distancer) reset(cat *cluster.Catalog, ideal cluster.Config) error {
 	d.cpuWeight = sized(d.cpuWeight, n)
 	d.place = sized(d.place, n)
 	d.cpu = sized(d.cpu, n)
-	d.idealVMs, d.otherVMs = d.idealVMs[:0], d.otherVMs[:0]
+	d.pre = sized(d.pre, n+1)
+	d.pos = sized(d.pos, n)
+	d.vms = d.vms[:0]
 	var totalIdeal float64
 	for i, h := range iv.VMHost {
 		if h >= 0 {
-			d.idealVMs = append(d.idealVMs, int32(i))
+			d.vms = append(d.vms, int32(i))
 			totalIdeal += iv.VMCPU[i]
-		} else {
-			d.otherVMs = append(d.otherVMs, int32(i))
 		}
 	}
-	for _, i := range d.idealVMs {
+	active := len(d.vms)
+	for _, i := range d.vms {
 		// Relative ideal size (§IV-B's "2 times more weight to VMi than
 		// VMj" rule).
 		w := 1.0
 		if totalIdeal > 0 {
-			w = iv.VMCPU[i] / totalIdeal * float64(len(d.idealVMs))
+			w = iv.VMCPU[i] / totalIdeal * float64(active)
 		}
 		d.cpuWeight[i] = distCPUWeight * w
+	}
+	for i, h := range iv.VMHost {
+		if h < 0 {
+			d.vms = append(d.vms, int32(i))
+		}
+	}
+	for j, i := range d.vms {
+		d.pos[i] = int32(j)
 	}
 	return nil
 }
@@ -115,30 +129,12 @@ func (d *distancer) hostTerms(h int, on bool, freq float64) (power, frequency in
 	return power, frequency
 }
 
-// fold sums the loaded terms in the fixed order, with VM k's terms (k < 0:
-// none) and the mismatch counts replaced by the arguments.
-func (d *distancer) fold(k int32, place, cpu float64, power, freq int) float64 {
-	var dist float64
-	for _, i := range d.idealVMs {
-		if i == k {
-			dist += place
-			dist += cpu
-			continue
-		}
-		dist += d.place[i]
-		dist += d.cpu[i]
-	}
-	for _, i := range d.otherVMs {
-		if i == k {
-			dist += place
-			continue
-		}
-		dist += d.place[i]
-	}
-	// Mismatches are integer counts folded in once: without the power term,
-	// starting a host toward the ideal would look like zero progress and the
-	// search could never justify it.
-	return dist + (float64(power)*distHostWeight + float64(freq)*distFreqWeight)
+// withHosts adds the weighted mismatch counts to a VM sum. They are integer
+// counts folded in once: without the power term, starting a host toward the
+// ideal would look like zero progress and the search could never justify
+// it.
+func withHosts(vmSum float64, power, freq int) float64 {
+	return vmSum + (float64(power)*distHostWeight + float64(freq)*distFreqWeight)
 }
 
 // load takes v as the parent configuration and returns its distance.
@@ -152,16 +148,33 @@ func (d *distancer) load(v *cluster.View) float64 {
 		d.power += p
 		d.freq += f
 	}
-	return d.fold(-1, 0, 0, d.power, d.freq)
+	// A VM dormant in the ideal has a +0.0 CPU term, so every position adds
+	// both terms.
+	var dist float64
+	for j, i := range d.vms {
+		d.pre[j] = dist
+		dist += d.place[i]
+		dist += d.cpu[i]
+	}
+	d.pre[len(d.vms)] = dist
+	return withHosts(dist, d.power, d.freq)
 }
 
 // child returns the distance of the loaded parent after the staged action:
-// the parent's fold with the one VM's terms, or the one host's mismatches,
-// that the action changes recomputed.
+// the parent's fold resumed at the one VM the action changes, with that
+// VM's terms recomputed, or the parent's VM sum with the one host's
+// mismatches recomputed.
 func (d *distancer) child(v *cluster.View, s *cluster.Staged) float64 {
 	if s.VM >= 0 {
 		place, cpu := d.vmTerms(int(s.VM), s.NewHost, s.NewCPU)
-		return d.fold(s.VM, place, cpu, d.power, d.freq)
+		j := int(d.pos[s.VM])
+		dist := d.pre[j] + place
+		dist += cpu
+		for _, i := range d.vms[j+1:] {
+			dist += d.place[i]
+			dist += d.cpu[i]
+		}
+		return withHosts(dist, d.power, d.freq)
 	}
 	h := int(s.Host)
 	on, freq := v.HostOn[h], v.HostFreq[h]
@@ -173,5 +186,5 @@ func (d *distancer) child(v *cluster.View, s *cluster.Staged) float64 {
 		freq = s.Freq
 	}
 	newPower, newFreq := d.hostTerms(h, on, freq)
-	return d.fold(-1, 0, 0, d.power-oldPower+newPower, d.freq-oldFreq+newFreq)
+	return withHosts(d.pre[len(d.vms)], d.power-oldPower+newPower, d.freq-oldFreq+newFreq)
 }

@@ -4,8 +4,10 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+	"time"
 
 	"github.com/mistralcloud/mistral/internal/cluster"
+	"github.com/mistralcloud/mistral/internal/cost"
 )
 
 // The differential tests of the dense-view expansion: on seeded random
@@ -115,7 +117,10 @@ func TestDistancerMatches(t *testing.T) {
 			var dc distancer
 			var view cluster.View
 			var staged []cluster.Staged
-			children := 0
+			// Children per fold class: a VM child active in the ideal, a VM
+			// child dormant there (each resumes the fold at its position),
+			// and a host-only child (the VM sum plus its mismatches).
+			var idealVM, otherVM, hostOnly int
 			for trial := 0; trial < 60; trial++ {
 				ideal, cfg := wildConfig(de.e, rng), wildConfig(de.e, rng)
 				if err := dc.reset(cat, ideal); err != nil {
@@ -138,12 +143,20 @@ func TestDistancerMatches(t *testing.T) {
 						if math.Float64bits(got) != math.Float64bits(want) {
 							t.Fatalf("trial %d action %s: term-vector distance %.17g != built %.17g", trial, st.Action(cat), got, want)
 						}
-						children++
+						switch {
+						case st.VM < 0:
+							hostOnly++
+						case dc.ideal.VMHost[st.VM] >= 0:
+							idealVM++
+						default:
+							otherVM++
+						}
 					}
 				}
 			}
-			if children < 1000 {
-				t.Fatalf("only %d children measured", children)
+			t.Logf("children measured: %d at ideal-VM positions, %d at other-VM positions, %d host-only", idealVM, otherVM, hostOnly)
+			if idealVM+otherVM+hostOnly < 1000 || idealVM == 0 || otherVM == 0 || hostOnly == 0 {
+				t.Fatalf("fixture too weak: %d ideal-VM, %d other-VM, %d host-only children", idealVM, otherVM, hostOnly)
 			}
 		})
 	}
@@ -155,9 +168,10 @@ func TestDistancerMatches(t *testing.T) {
 // map-reading rules), in order, with equal filled actions and deltas; the
 // view's candidate test equals IsCandidate on the parent and on every built
 // child; and pricing a child through the loaded pricer equals the map-based
-// Action on the parent configuration bit for bit — under steady states that
-// put applications on both sides of their response-time target and leave
-// some unevaluated.
+// Action on the parent configuration bit for bit, both through the bare
+// pricer and through the entry cache the search prices from — under steady
+// states that put applications on both sides of their response-time target
+// and leave some unevaluated.
 func TestExpansionMatchesReference(t *testing.T) {
 	for _, de := range diffEnvs(t) {
 		de := de
@@ -165,6 +179,7 @@ func TestExpansionMatchesReference(t *testing.T) {
 			e, cat := de.e.eval, de.e.cat
 			rng := rand.New(rand.NewPCG(29, uint64(len(cat.VMIDs()))))
 			price := pricer{e: e}
+			var costs entryCache
 			var childView cluster.View
 			var staged []cluster.Staged
 			children, candidates := 0, 0
@@ -181,6 +196,7 @@ func TestExpansionMatchesReference(t *testing.T) {
 					}
 				}
 				price.setRates(w)
+				costs.reset(len(cat.VMIDs()))
 				if !price.setParent(cfg, base) {
 					t.Fatalf("trial %d: %s does not fit the catalog", trial, cfg)
 				}
@@ -211,6 +227,9 @@ func TestExpansionMatchesReference(t *testing.T) {
 						if pub := e.Action(cfg, base, filled, w); pub != got {
 							t.Fatalf("trial %d action %s: Evaluator.Action %+v, pricer %+v", trial, filled, pub, got)
 						}
+						if cached := price.costEntry(costs.get(&price, st), int(st.VM), int(st.Host), -1); cached != got {
+							t.Fatalf("trial %d action %s: priced through the entry cache %+v, pricer %+v", trial, filled, cached, got)
+						}
 						built := cfg.Clone()
 						built.ApplyDelta(delta)
 						if !childView.Load(cat, built) {
@@ -231,5 +250,91 @@ func TestExpansionMatchesReference(t *testing.T) {
 				t.Fatalf("fixture too weak: %d children, %d candidates", children, candidates)
 			}
 		})
+	}
+}
+
+// TestPredictEntryMatchesPredictView holds the search's split of the cost
+// manager's prediction to the whole: on random configurations of the three
+// environments, for every action kind (and two that are not kinds), every
+// cataloged VM and none, and random rates and hosts, PredictEntry of the
+// entry Lookup finds predicts what PredictView does, bit for bit. An
+// unmeasured kind has no entry; the zero Entry the search's pricer then
+// charges must predict nothing, as PredictView does.
+func TestPredictEntryMatchesPredictView(t *testing.T) {
+	for _, de := range diffEnvs(t) {
+		de := de
+		t.Run(de.name, func(t *testing.T) {
+			m, cat := de.e.eval.costs, de.e.cat
+			rng := rand.New(rand.NewPCG(41, uint64(len(cat.VMIDs()))))
+			nApps, nVMs, nHosts := len(cat.Apps()), len(cat.VMIDs()), len(cat.HostNames())
+			want, got := make([]float64, nApps), make([]float64, nApps)
+			var view cluster.View
+			measured, unmeasured := 0, 0
+			for trial := 0; trial < 20; trial++ {
+				if !view.Load(cat, wildConfig(de.e, rng)) {
+					t.Fatalf("trial %d: configuration does not fit the catalog", trial)
+				}
+				for kind := cluster.ActionKind(-1); int(kind) <= entryKinds; kind++ {
+					for vm := -1; vm < nVMs; vm++ {
+						host, from := rng.IntN(nHosts+1)-1, rng.IntN(nHosts+1)-1
+						rate := 100 * rng.Float64()
+						wd, ww, wt := m.PredictView(&view, kind, vm, host, from, rate, want)
+						entry, ok := m.Lookup(kind, vm, rate)
+						gd, gw, gt := m.PredictEntry(&view, entry, vm, host, from, got)
+						if ok {
+							measured++
+						} else {
+							unmeasured++
+							if wt != -1 || entry != (cost.Entry{}) {
+								t.Fatalf("trial %d kind %d vm %d: unmeasured, yet target %d, entry %+v", trial, kind, vm, wt, entry)
+							}
+							gt = -1
+						}
+						if gd != wd || math.Float64bits(gw) != math.Float64bits(ww) || gt != wt {
+							t.Fatalf("trial %d kind %d vm %d: PredictEntry %v %.17g %d, PredictView %v %.17g %d", trial, kind, vm, gd, gw, gt, wd, ww, wt)
+						}
+						for a := range want {
+							if math.Float64bits(got[a]) != math.Float64bits(want[a]) {
+								t.Fatalf("trial %d kind %d vm %d app %d: PredictEntry delta %.17g, PredictView %.17g", trial, kind, vm, a, got[a], want[a])
+							}
+						}
+					}
+				}
+			}
+			if measured < 1000 || unmeasured == 0 {
+				t.Fatalf("fixture too weak: %d measured, %d unmeasured predictions", measured, unmeasured)
+			}
+		})
+	}
+}
+
+// TestSearchPricesOnlySurvivors pins the two-phase expansion: a Self-Aware
+// search on the 4-app lab whose budget trips on the first expansion cuts
+// every expansion to its kept few, and only those are priced and
+// fingerprinted — at most the children that survive the cut (the kept
+// ones, plus a finished candidate, which needs neither, per expansion).
+// The cut itself, and so the search's counts, are what they were when
+// every child was priced first.
+func TestSearchPricesOnlySurvivors(t *testing.T) {
+	e := newEnv(t, 8, 4)
+	w := rates(e, 55)
+	ideal, err := PerfPwr(e.eval, w, PerfPwrOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	priced, fingerprinted := countChildWork(t)
+	s := NewSearcher(e.eval, SearchOptions{SelfAware: true, MaxExpansions: 600})
+	res, err := s.Search(e.cfg, w, 2*time.Hour, ideal, ExpectedUtility{}, cluster.ActionSpace{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Expanded != 46 || res.Generated != 7797 || res.PrunedChildren != 7388 {
+		t.Fatalf("expanded %d, generated %d, pruned %d; want 46, 7797, 7388", res.Expanded, res.Generated, res.PrunedChildren)
+	}
+	survivors := res.Generated - res.PrunedChildren
+	t.Logf("%d children generated, %d survive the cut, %d priced, %d fingerprinted", res.Generated, survivors, *priced, *fingerprinted)
+	if *priced != *fingerprinted || *priced > survivors || *priced < survivors-res.Expanded {
+		t.Fatalf("%d children priced and %d fingerprinted; want both the %d that survive the cut, less one finished candidate at most per expansion (%d)",
+			*priced, *fingerprinted, survivors, res.Expanded)
 	}
 }

@@ -10,7 +10,18 @@ import (
 
 // This file opens the Perf-Pwr sweep's floor to the external tests, which
 // replay the experiments' labs (package experiments imports core, so only
-// an external test can build them).
+// an external test can build them), and the search's per-child work to the
+// tests that count it.
+
+// countChildWork counts, until the test ends, the children every search
+// prices and the children it fingerprints.
+func countChildWork(t testing.TB) (priced, fingerprinted *int) {
+	priced, fingerprinted = new(int), new(int)
+	testHookPrice = func() { *priced++ }
+	testHookFingerprint = func() { *fingerprinted++ }
+	t.Cleanup(func() { testHookPrice, testHookFingerprint = nil, nil })
+	return priced, fingerprinted
+}
 
 // NewTestEvaluator is buildEnv for the external tests: an evaluator over
 // the given hosts and applications and its calibrated default

@@ -228,7 +228,7 @@ func (t *bestTable) reset() {
 
 // searchMem is everything one search keeps that grows with the search: the
 // vertex arena, the configurations of the expanded vertices, the frontier and
-// the dedup table. A search takes one from searchPool and puts it back,
+// the dedup table, with the cost entries the search looked up. A search takes one from searchPool and puts it back,
 // emptied but with its storage, when it returns: the next search refills the
 // arena's chunks and the slices' backing arrays instead of allocating them.
 // The collector empties the pool within two cycles, so a resting daemon's
@@ -241,6 +241,8 @@ type searchMem struct {
 	open  frontier
 	// best is the highest priority seen per configuration.
 	best bestTable
+	// costs is the cost-table entry of each (kind, VM) the search prices.
+	costs entryCache
 }
 
 var searchPool = sync.Pool{New: func() any { return new(searchMem) }}

@@ -1,6 +1,9 @@
 package core
 
-import "github.com/mistralcloud/mistral/internal/cluster"
+import (
+	"github.com/mistralcloud/mistral/internal/cluster"
+	"github.com/mistralcloud/mistral/internal/cost"
+)
 
 // pricer evaluates the transient cost of single actions executed from one
 // parent configuration under one workload. setRates and setParent read the
@@ -118,16 +121,29 @@ func (p *pricer) setParent(cfg cluster.Config, base Steady) bool {
 // loaded parent: its duration and the utility accrual rate while it runs
 // (Eq. 1 and 2 applied to the degraded response times and elevated power of
 // §III-C). vm, host and from are the catalog indices of the action's VM,
-// Host and FromHost, -1 for none. The Eq. 1 fold visits the utility
-// applications in sorted order with the values the map-based formulation
-// read, so the rate keeps its bits.
+// Host and FromHost, -1 for none.
 func (p *pricer) cost(kind cluster.ActionKind, vm, host, from int) ActionCost {
-	e := p.e
+	return p.costEntry(p.entry(kind, vm), vm, host, from)
+}
+
+// entry is the cost-table entry an action of the given kind on the vm-th VM
+// is charged under the loaded workload; the zero Entry, which charges
+// nothing, when the kind is unmeasured.
+func (p *pricer) entry(kind cluster.ActionKind, vm int) cost.Entry {
 	var rate float64
 	if vm >= 0 {
-		rate = p.appRate[e.cat.VMApp(vm)]
+		rate = p.appRate[p.e.cat.VMApp(vm)]
 	}
-	dur, deltaWatts, _ := e.costs.PredictView(&p.view, kind, vm, host, from, rate, p.deltaRT)
+	en, _ := p.e.costs.Lookup(kind, vm, rate)
+	return en
+}
+
+// costEntry is cost for an action whose entry has been looked up. The Eq. 1
+// fold visits the utility applications in sorted order with the values the
+// map-based formulation read, so the rate keeps its bits.
+func (p *pricer) costEntry(en cost.Entry, vm, host, from int) ActionCost {
+	e := p.e
+	dur, deltaWatts, _ := e.costs.PredictEntry(&p.view, en, vm, host, from, p.deltaRT)
 	var perf float64
 	for i := range p.apps {
 		// Applications the model did not evaluate read as zero even when a
@@ -142,4 +158,36 @@ func (p *pricer) cost(kind cluster.ActionKind, vm, host, from int) ActionCost {
 		perf += p.perfRate(i, rt)
 	}
 	return ActionCost{Duration: dur, Rate: perf + e.util.PowerRate(p.watts+deltaWatts)}
+}
+
+// entryCache keeps the cost-table entry of each (kind, VM) one search
+// prices: a search's rates are fixed, so is every entry.
+type entryCache struct {
+	slots []entrySlot
+	cols  int // catalog VMs + 1; column 0 serves actions that name no VM
+}
+
+type entrySlot struct {
+	entry cost.Entry
+	set   bool
+}
+
+// entryKinds is how many action kinds an entryCache has rows for.
+const entryKinds = int(cluster.ActionWANMigrate) + 1
+
+// reset empties the cache for a search over a catalog of vms VMs.
+func (c *entryCache) reset(vms int) {
+	c.cols = vms + 1
+	c.slots = sized(c.slots, entryKinds*c.cols)
+	clear(c.slots)
+}
+
+// get returns p.entry(s.Kind, s.VM), looking it up on the first call of the
+// search.
+func (c *entryCache) get(p *pricer, s *cluster.Staged) cost.Entry {
+	slot := &c.slots[int(s.Kind)*c.cols+int(s.VM)+1]
+	if !slot.set {
+		*slot = entrySlot{entry: p.entry(s.Kind, int(s.VM)), set: true}
+	}
+	return slot.entry
 }

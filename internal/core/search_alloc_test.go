@@ -159,6 +159,7 @@ func TestSearchStateIsPointerFree(t *testing.T) {
 	walk("vertex", reflect.TypeOf(vertex{}))
 	walk("frontierEntry", reflect.TypeOf(frontierEntry{}))
 	walk("bestSlot", reflect.TypeOf(bestSlot{}))
+	walk("entrySlot", reflect.TypeOf(entrySlot{}))
 	walk("cluster.Staged", reflect.TypeOf(cluster.Staged{}))
 	if n := unsafe.Sizeof(cluster.Staged{}); n > 64 {
 		t.Errorf("cluster.Staged is %d bytes, budget 64", n)
