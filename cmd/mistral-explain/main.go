@@ -10,32 +10,34 @@
 // sequencing, every ledger's sums within 1e-9) and exits non-zero on the
 // first inconsistency.
 //
-// With -series, FILE is a checkpoint (mistral-sim -checkpoint, mistral-serve
-// /v1/checkpoint): "-series all" lists the telemetry series, read from the
-// checkpoint's window logs, with their digests; "-series utility,watts"
-// dumps those series' samples.
+// -series and -ops fold, as the engine does (scenario.Fold), the window
+// logs of FILE: a checkpoint (mistral-sim -checkpoint, mistral-serve
+// /v1/checkpoint) or a provenance stream's last run, by the file's schema.
+// "-series all" lists the telemetry series with their digests; "-series
+// utility,watts" dumps those series' samples.
 //
 // Ops mode is the controller-health view: run totals, SLO error budgets,
 // alerts, trends and the slowest windows. -addr HOST:PORT polls the /ops
-// endpoint of mistral-serve or of a -pprof run; -ops FILE replays the view
-// from a provenance stream, re-read on every refresh so a growing file
-// tails (virtual time only: the slowest windows rank by search time, and
-// retries replay as zero). -refresh D redraws every D instead of printing
-// one frame. -check validates the ops and SLO schemas (mistral.ops/v1,
-// mistral.slo/v1) and that the document counts windows 0 through its
-// current one.
+// endpoint of mistral-serve or of a -pprof run; -ops FILE builds the frame
+// an engine restored from FILE's windows publishes (no wall clock, so no
+// slowest windows). -refresh D redraws every D instead of printing one
+// frame, re-reading FILE so a growing one tails. -check
+// validates the ops and SLO schemas (mistral.ops/v1, mistral.slo/v1) and that
+// the document counts windows 0 through its current one.
 //
 // -format json prints the provenance and -series views machine-readably.
 //
 // Usage:
 //
 //	mistral-explain [-window N] [-top K] [-check] [-trace SPANS.jsonl] PROVENANCE.jsonl
-//	mistral-explain -series all|NAME[,NAME...] CHECKPOINT
-//	mistral-explain -addr HOST:PORT | -ops PROVENANCE.jsonl [-refresh 2s] [-check]
+//	mistral-explain -series all|NAME[,NAME...] CHECKPOINT|PROVENANCE.jsonl
+//	mistral-explain -addr HOST:PORT | -ops CHECKPOINT|PROVENANCE.jsonl [-refresh 2s] [-check]
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -47,6 +49,7 @@ import (
 	"github.com/mistralcloud/mistral/internal/obs"
 	"github.com/mistralcloud/mistral/internal/obs/tsdb"
 	"github.com/mistralcloud/mistral/internal/provenance"
+	"github.com/mistralcloud/mistral/internal/scenario"
 )
 
 func main() {
@@ -64,9 +67,9 @@ func run(args []string, w io.Writer) error {
 		check     = fs.Bool("check", false, "validate the stream (schema, sequencing, ledger arithmetic), or in ops mode the ops/SLO schemas, and exit")
 		format    = fs.String("format", "text", "output format: text or json")
 		tracePath = fs.String("trace", "", "span JSONL (from mistral-sim -trace) to stitch the window's causal chain from")
-		series    = fs.String("series", "", "print telemetry history from a CHECKPOINT file: 'all' lists every series, a comma list dumps those series' samples")
+		series    = fs.String("series", "", "print telemetry history from a checkpoint or provenance FILE: 'all' lists every series, a comma list dumps those series' samples")
 		addr      = fs.String("addr", "", "ops mode: poll a live /ops endpoint at HOST:PORT")
-		opsPath   = fs.String("ops", "", "ops mode: replay the ops view from a PROVENANCE file")
+		opsPath   = fs.String("ops", "", "ops mode: build the ops view from a checkpoint or provenance FILE")
 		refresh   = fs.Duration("refresh", 0, "ops mode: redraw at this interval (0: one frame)")
 	)
 	fs.Parse(args)
@@ -75,7 +78,7 @@ func run(args []string, w io.Writer) error {
 	}
 	if *addr != "" || *opsPath != "" {
 		if *addr != "" && *opsPath != "" || fs.NArg() != 0 {
-			return fmt.Errorf("usage: mistral-explain -addr HOST:PORT | -ops PROVENANCE.jsonl [-refresh D] [-check]")
+			return fmt.Errorf("usage: mistral-explain -addr HOST:PORT | -ops FILE [-refresh D] [-check]")
 		}
 		return watchOps(w, *addr, *opsPath, *refresh, *check)
 	}
@@ -85,9 +88,13 @@ func run(args []string, w io.Writer) error {
 	if *series != "" {
 		return explainSeries(w, fs.Arg(0), *series, *format)
 	}
-	recs, err := readRecords(fs.Arg(0))
+	raw, err := os.ReadFile(fs.Arg(0))
 	if err != nil {
 		return err
+	}
+	recs, err := readRecords(raw)
+	if err != nil {
+		return fmt.Errorf("%s: %w", fs.Arg(0), err)
 	}
 
 	var spans []obs.SpanRecord
@@ -147,20 +154,12 @@ func run(args []string, w io.Writer) error {
 }
 
 // readRecords reads a provenance stream, refusing an empty one.
-func readRecords(path string) ([]Record, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+func readRecords(raw []byte) ([]Record, error) {
+	recs, err := provenance.ReadAll(bytes.NewReader(raw))
+	if err == nil && len(recs) == 0 {
+		err = errors.New("no records")
 	}
-	defer f.Close()
-	recs, err := provenance.ReadAll(f)
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) == 0 {
-		return nil, fmt.Errorf("%s: no records", path)
-	}
-	return recs, nil
+	return recs, err
 }
 
 // writeJSON emits v as indented JSON.
@@ -170,16 +169,66 @@ func writeJSON(w io.Writer, v any) error {
 	return enc.Encode(v)
 }
 
-// explainSeries prints the telemetry history of a checkpointed run, read
-// from its window logs: the -series mode, where FILE is a checkpoint (not
-// provenance).
+// foldFile folds the window logs FILE holds (see readRun) as the engine
+// does: the /ops frame an engine restored from them publishes (no wall
+// clock, so no slowest windows), and their telemetry history.
+func foldFile(path string) (*frame, *tsdb.Store, error) {
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return nil, nil, err
+	}
+	strategy, windows, err := readRun(raw)
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s: %w", path, err)
+	}
+	o := &obs.Observer{Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})}
+	eng := scenario.Fold(o, strategy, windows)
+	return &frame{ops: o.Ops.Snapshot(), slo: eng.Snapshot()}, o.History, nil
+}
+
+// readRun decodes the strategy and window logs of the run a file holds: a
+// checkpoint's, when the first JSON value's schema names one, else those of
+// a provenance stream's last run. A record at window 0 begins a run, unless
+// it retries an aborted window 0.
+func readRun(raw []byte) (string, []scenario.WindowLog, error) {
+	var head struct{ Schema string }
+	if json.NewDecoder(bytes.NewReader(raw)).Decode(&head) == nil && strings.HasPrefix(head.Schema, "mistral.checkpoint") {
+		ck, err := checkpoint.Decode(raw)
+		if err == nil && ck.Scenario.Result == nil {
+			err = errors.New("checkpoint has no result")
+		}
+		if err != nil {
+			return "", nil, err
+		}
+		return ck.Scenario.Strategy, ck.Scenario.Result.Windows, nil
+	}
+	recs, err := readRecords(raw)
+	if err != nil {
+		return "", nil, err
+	}
+	start := 0
+	for i := 1; i < len(recs); i++ {
+		if recs[i].Window == 0 && !(recs[i-1].Window == 0 && recs[i-1].Log.Aborted) {
+			start = i
+		}
+	}
+	if recs[start].Window != 0 {
+		return "", nil, fmt.Errorf("run starts at window %d, not 0: read its checkpoint instead", recs[start].Window)
+	}
+	var windows []scenario.WindowLog
+	for _, r := range recs[start:] {
+		windows = append(windows, r.Log)
+	}
+	return recs[start].Strategy, windows, nil
+}
+
+// explainSeries prints the telemetry history of the run FILE holds: the
+// -series mode.
 func explainSeries(w io.Writer, path, sel, format string) error {
-	ck, err := checkpoint.Read(path)
+	_, store, err := foldFile(path)
 	if err != nil {
 		return err
 	}
-	store := ck.Scenario.History()
-
 	if sel == "all" {
 		sums := store.Summaries(0)
 		if format == "json" {
@@ -242,11 +291,11 @@ type summaryRow struct {
 // windowState classifies a record the way the text summary does.
 func windowState(r *Record) string {
 	switch {
-	case r.Degraded:
+	case r.Log.Degraded:
 		return "degraded"
 	case r.Busy:
 		return "busy"
-	case r.Invoked:
+	case r.Log.Invoked:
 		return "invoked"
 	}
 	return "idle"
@@ -272,15 +321,15 @@ func summaryRows(recs []Record) []summaryRow {
 		rows = append(rows, summaryRow{
 			Window:            r.Window,
 			Trace:             obs.TraceID(r.Window),
-			TimeSec:           r.TimeSec,
+			TimeSec:           r.Log.Time.Seconds(),
 			Strategy:          r.Strategy,
 			State:             windowState(r),
-			Actions:           r.Actions,
-			UtilityDollars:    r.UtilityDollars,
-			CumUtilityDollars: r.CumUtilityDollars,
-			Watts:             r.Watts,
+			Actions:           r.Log.Actions,
+			UtilityDollars:    r.Log.Utility,
+			CumUtilityDollars: r.Log.CumUtility,
+			Watts:             r.Log.Watts,
 			Terminations:      terminations(r),
-			DegradedReason:    r.DegradedReason,
+			DegradedReason:    r.Log.DegradedReason,
 		})
 	}
 	return rows
@@ -290,35 +339,33 @@ func summaryRows(recs []Record) []summaryRow {
 func summarize(w io.Writer, recs []Record) {
 	fmt.Fprintf(w, "%-6s  %9s  %-22s  %-8s  %3s  %10s  %10s  %7s  %s\n",
 		"window", "t", "strategy", "state", "act", "utility($)", "cum($)", "watts", "termination")
-	for i := range recs {
-		r := &recs[i]
-		state := windowState(r)
-		if state == "degraded" {
-			state = "DEGRADED"
+	for _, r := range summaryRows(recs) {
+		if r.State == "degraded" {
+			r.State = "DEGRADED"
 		}
 		fmt.Fprintf(w, "%-6d  %8.0fs  %-22s  %-8s  %3d  %10.3f  %10.1f  %7.0f  %s\n",
-			r.Window, r.TimeSec, r.Strategy, state, r.Actions,
-			r.UtilityDollars, r.CumUtilityDollars, r.Watts, strings.Join(terminations(r), " "))
+			r.Window, r.TimeSec, r.Strategy, r.State, r.Actions,
+			r.UtilityDollars, r.CumUtilityDollars, r.Watts, strings.Join(r.Terminations, " "))
 	}
 }
 
 // explain renders one window's full provenance.
 func explain(w io.Writer, r *Record, topK int) {
 	fmt.Fprintf(w, "window %d  trace %s  t=%.0fs  strategy=%s\n",
-		r.Window, obs.TraceID(r.Window), r.TimeSec, r.Strategy)
+		r.Window, obs.TraceID(r.Window), r.Log.Time.Seconds(), r.Strategy)
 	switch {
 	case r.Busy:
 		fmt.Fprintln(w, "state: busy — a previous plan was still executing; no decision this window")
-	case r.Invoked:
+	case r.Log.Invoked:
 		fmt.Fprintf(w, "state: invoked — %d action(s), search %.3fs costing $%.4f\n",
-			r.Actions, r.SearchTimeSec, r.SearchCostDollars)
+			r.Log.Actions, r.Log.SearchTime.Seconds(), r.Log.SearchCost)
 	default:
 		fmt.Fprintln(w, "state: idle — workload stayed inside the band; no controller ran")
 	}
-	if r.Degraded {
-		fmt.Fprintf(w, "DEGRADED: %s\n", r.DegradedReason)
+	if r.Log.Degraded {
+		fmt.Fprintf(w, "DEGRADED: %s\n", r.Log.DegradedReason)
 	}
-	fmt.Fprintf(w, "window utility $%.4f (cum $%.2f), %.0f W\n", r.UtilityDollars, r.CumUtilityDollars, r.Watts)
+	fmt.Fprintf(w, "window utility $%.4f (cum $%.2f), %.0f W\n", r.Log.Utility, r.Log.CumUtility, r.Log.Watts)
 
 	for _, d := range r.Decisions {
 		fmt.Fprintf(w, "\n── controller %s ", d.Controller)

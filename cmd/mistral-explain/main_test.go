@@ -23,11 +23,12 @@ import (
 	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
-// The testdata streams were recorded by
-// mistral-sim -apps 1 -duration 20m -provenance prov.jsonl -trace spans.jsonl.
+// The testdata files were recorded by
+// mistral-sim -apps 1 -duration 20m -provenance prov.jsonl -trace spans.jsonl -checkpoint ck.json.
 const (
 	provFile  = "testdata/prov.jsonl"
 	spansFile = "testdata/spans.jsonl"
+	ckFile    = "testdata/ck.json"
 )
 
 // runOut runs the command with args and returns what it printed.
@@ -79,7 +80,7 @@ func TestCheckRecordedStream(t *testing.T) {
 		t.Fatalf("-check on the recording: %q, %v", out, err)
 	}
 
-	recs, err := readRecords(provFile)
+	recs, err := readRecords(readFile(t, provFile))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +102,8 @@ func TestCheckRecordedStream(t *testing.T) {
 	}
 }
 
-// TestOpsReplayFrame renders and checks the ops view of a recorded run.
+// TestOpsReplayFrame renders and checks the ops view of a recorded run,
+// from its provenance stream and from its checkpoint: the same frame.
 func TestOpsReplayFrame(t *testing.T) {
 	out, err := runOut(t, "-ops", provFile)
 	if err != nil {
@@ -113,76 +115,219 @@ func TestOpsReplayFrame(t *testing.T) {
 		"windows=10",
 		"SLO objectives (" + slo.Schema + ")",
 		"decide-latency",
-		"slowest windows (top 10)",
+		"slowest windows (top 0)",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("frame lacks %q:\n%s", want, out)
 		}
 	}
-	if out, err := runOut(t, "-ops", provFile, "-check"); err != nil || !strings.HasPrefix(out, "ok: replay") {
-		t.Errorf("-ops -check: %q, %v", out, err)
+	ck, err := runOut(t, "-ops", ckFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, body, _ := strings.Cut(out, "\n"); !strings.HasSuffix(ck, body) {
+		t.Errorf("the checkpoint's frame differs from the stream's:\n%s\n%s", ck, out)
+	}
+	for _, path := range []string{provFile, ckFile} {
+		if out, err := runOut(t, "-ops", path, "-check"); err != nil || !strings.HasPrefix(out, "ok: replay") {
+			t.Errorf("-ops %s -check: %q, %v", path, out, err)
+		}
 	}
 }
 
-// TestOpsReplayMatchesLiveSLO: replaying a guarded, faulted run's
-// provenance reproduces the SLO report the run published live, guard
-// verdicts included.
+// TestOpsReplayMatchesLiveSLO: the -ops frame and the -series views that
+// mistral-explain folds from a run's provenance stream, and from its
+// checkpoint, equal what the engine publishes: the /ops document of an
+// engine restored from the checkpoint, the live SLO report, and the live
+// /v1/query catalog and full query — on the engine goldens' clean and
+// faulted, guarded fixtures, and on a run whose measurement failed once and
+// was retried.
 func TestOpsReplayMatchesLiveSLO(t *testing.T) {
-	rc := experiments.Recipe{
-		Lab: experiments.LabOptions{NumApps: 2, Seed: 42}, Strategy: "mistral",
-		FaultRate: 0.3, ExecPolicy: testbed.RollbackOnFailure, Guard: true,
+	clean := experiments.Recipe{Lab: experiments.LabOptions{NumApps: 2, Seed: 42}, Strategy: "mistral"}
+	faulted := clean
+	faulted.FaultRate, faulted.FaultSeed = 0.3, 5
+	faulted.ExecPolicy, faulted.Guard = testbed.RollbackOnFailure, true
+	for _, fx := range []struct {
+		name  string
+		rc    experiments.Recipe
+		abort bool // the third window's measurement fails and is retried
+	}{{"mistral", clean, false}, {"mistral-faults", faulted, false}, {"retried", clean, true}} {
+		t.Run(fx.name, func(t *testing.T) {
+			dir := t.TempDir()
+			provPath, ckPath := filepath.Join(dir, "prov.jsonl"), filepath.Join(dir, "ck.json")
+			f, err := os.Create(provPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			observer := func() *obs.Observer {
+				return &obs.Observer{Metrics: obs.NewRegistry(), Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})}
+			}
+			ob := observer()
+			run := scenario.RunConfig{Duration: 40 * 2 * time.Minute, Obs: ob, StepProvenance: fx.rc.Guard}
+			run.Provenance = provenance.NewRecorder(f)
+			rp, err := fx.rc.Build(strategy.MistralConfig{}, run)
+			if err != nil {
+				t.Fatal(err)
+			}
+			e := rp.Engine
+			for !e.Done() {
+				if fx.abort && e.WindowIndex() == 2 && len(e.Result().Windows) == 2 {
+					// Move the testbed's clock past the window behind the
+					// engine's back, so its measurement is refused; the retry
+					// finds the testbed where it was.
+					before, err := rp.Testbed.Snapshot()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if _, err := rp.Testbed.MeasureWindow(e.Now() + e.Interval()); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := e.Step(); err == nil {
+						t.Fatal("the window's measurement was not refused")
+					}
+					if err := rp.Testbed.Restore(before); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := e.Step(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := e.Close(); err != nil {
+				t.Fatal(err)
+			}
+			res := e.Result()
+			if fx.name == "mistral-faults" && (res.Retries == 0 || res.GuardRejections == 0) {
+				t.Fatalf("the faulted fixture retried %d actions and rejected %d plans", res.Retries, res.GuardRejections)
+			}
+			if fx.abort && !res.Windows[2].Aborted {
+				t.Fatal("the retried fixture has no aborted window")
+			}
+			snap, err := e.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := checkpoint.Write(ckPath, checkpoint.New(fx.rc, snap)); err != nil {
+				t.Fatal(err)
+			}
+
+			ck, err := checkpoint.Read(ckPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			restoredOb := observer()
+			rp2, err := fx.rc.Build(strategy.MistralConfig{}, scenario.RunConfig{Duration: run.Duration, Obs: restoredOb})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := rp2.Engine.Restore(ck.Scenario); err != nil {
+				t.Fatal(err)
+			}
+			opsJSON := func(doc obs.OpsSnapshot) []byte {
+				doc.UpdatedUnixMS = 0
+				raw, err := json.Marshal(doc)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return raw
+			}
+			wantOps := opsJSON(restoredOb.Ops.Snapshot())
+			wantSLO, err := json.Marshal(e.SLO().Snapshot())
+			if err != nil {
+				t.Fatal(err)
+			}
+			srv := httptest.NewServer(ob.History.Handler())
+			defer srv.Close()
+			get := func(query string) string {
+				resp, err := http.Get(srv.URL + query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				body, err := io.ReadAll(resp.Body)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return string(body)
+			}
+			all := strings.Join(ob.History.Names(), ",")
+			wantList, wantQuery := get("/v1/query"), get("/v1/query?series="+all)
+
+			for _, path := range []string{provPath, ckPath} {
+				fr, _, err := foldFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := opsJSON(fr.ops); !bytes.Equal(got, wantOps) {
+					t.Errorf("%s: -ops frame differs from the restored engine's /ops:\nrestored: %s\nfolded:   %s", path, wantOps, got)
+				}
+				if !bytes.Equal(fr.ops.SLO, wantSLO) {
+					t.Errorf("%s: folded SLO report differs from the live one:\nlive:   %s\nfolded: %s", path, wantSLO, fr.ops.SLO)
+				}
+				if got, err := runOut(t, "-series", "all", "-format", "json", path); err != nil || got != wantList {
+					t.Errorf("%s: -series all (%v):\n%s\nlive /v1/query:\n%s", path, err, got, wantList)
+				}
+				if got, err := runOut(t, "-series", all, "-format", "json", path); err != nil || got != wantQuery {
+					t.Errorf("%s: -series %s (%v):\n%s\nlive /v1/query:\n%s", path, all, err, got, wantQuery)
+				}
+			}
+		})
 	}
-	path := filepath.Join(t.TempDir(), "prov.jsonl")
-	f, err := os.Create(path)
+}
+
+// TestReadRunPicksTheLastRun: a provenance stream's views read its last run,
+// which a record at window 0 begins unless it retries an aborted window 0;
+// a run that starts past window 0 is refused, as are a v1 stream and an
+// empty one.
+func TestReadRunPicksTheLastRun(t *testing.T) {
+	rec := func(window int, end time.Duration, aborted bool) string {
+		line, err := json.Marshal(provenance.Record{
+			Schema: provenance.SchemaV2, Window: window, Strategy: "Mistral",
+			Log: scenario.WindowLog{Time: end, Watts: float64(window), Aborted: aborted},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(line) + "\n"
+	}
+	const m = 2 * time.Minute
+	stream := rec(0, m, false) + rec(1, 2*m, false) + rec(0, m, true) + rec(0, m, false) + rec(1, 2*m, false)
+	_, windows, err := readRun([]byte(stream))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	rp, err := rc.Build(strategy.MistralConfig{}, scenario.RunConfig{
-		Duration:   60 * 2 * time.Minute,
-		Obs:        &obs.Observer{Metrics: obs.NewRegistry()},
-		Provenance: provenance.NewRecorder(f),
-	})
-	if err != nil {
-		t.Fatal(err)
+	if len(windows) != 3 || !windows[0].Aborted || windows[1].Aborted {
+		t.Errorf("last run = %+v, want the aborted window 0, its retry and window 1", windows)
 	}
-	if _, err := rp.Engine.Run(); err != nil {
-		t.Fatal(err)
-	}
-	live := rp.Engine.SLO().Snapshot()
-	if live.Objectives[2].Breaches == 0 {
-		t.Fatal("the run's guard rejected no plan")
-	}
-	fr, err := replayFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _ := json.Marshal(live)
-	if got, _ := json.Marshal(fr.slo); !bytes.Equal(got, want) {
-		t.Errorf("replayed SLO report diverges from the live one:\nlive:   %s\nreplay: %s", want, got)
+	for _, tc := range []struct{ name, data, want string }{
+		{"mid-run", rec(3, 4*m, false), "run starts at window 3"},
+		{"v1", `{"schema":"mistral.provenance/v1","window":0}`, "re-record the run"},
+		{"empty", "\n", "no records"},
+	} {
+		if _, _, err := readRun([]byte(tc.data)); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: readRun = %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 
 // TestOpsLive polls an /ops endpoint serving a real OpsState and refuses
 // documents that break the schema contract.
 func TestOpsLive(t *testing.T) {
-	ops := obs.NewOpsState()
-	ops.BeginRun("Mistral", 2*time.Minute)
-	eng := slo.New(2*time.Minute, nil)
+	ob := &obs.Observer{Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})}
+	var logs []scenario.WindowLog
 	for i := 0; i < 3; i++ {
 		end := time.Duration(i+1) * 2 * time.Minute
-		eng.ObserveWindow(slo.WindowObs{Window: i, Time: end, Invoked: true, SearchTime: time.Second})
-		ops.RecordWindow(obs.OpsWindow{Window: i, TimeSec: end.Seconds(), CumUtility: float64(i), WallMS: 2, SearchTimeSec: 1})
+		logs = append(logs, scenario.WindowLog{Time: end, CumUtility: float64(i), Invoked: true, SearchTime: time.Second})
 	}
-	raw, err := json.Marshal(eng.Snapshot())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops.SetSLO(raw)
-	srv := httptest.NewServer(ops.Handler())
+	scenario.Fold(ob, "Mistral", logs)
+	doc := ob.Ops.Snapshot()
+	doc.SlowestWindows = []obs.SlowWindow{{Window: 2, Trace: obs.TraceID(2), WallMS: 2, SearchTimeSec: 1}}
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		writeJSON(w, doc)
+	}))
 	defer srv.Close()
 	addr := strings.TrimPrefix(srv.URL, "http://")
-
 	out, err := runOut(t, "-addr", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -238,28 +383,52 @@ func TestCausalChainDuplicateSpanIDs(t *testing.T) {
 	}
 }
 
-// FuzzReadAll feeds the provenance reader and stream check a recorded
-// stream, its truncations and malformed lines: nothing may panic, and a
-// stream the check accepts must re-encode to bytes that read back to the
-// same encoding.
+// FuzzReadAll feeds the file reader (a checkpoint or a provenance stream),
+// the stream check and the fold a recorded stream and checkpoint, their
+// truncations, a retired v1 record, an aborted window and its retry, and
+// malformed lines: nothing may panic, no input may read as both a
+// checkpoint and a stream, whatever reads as a run folds into a frame that
+// passes -check, and a stream the check accepts must re-encode to bytes
+// that read back to the same encoding.
 func FuzzReadAll(f *testing.F) {
 	raw := readFile(f, provFile)
 	f.Add(raw)
 	for _, n := range []int{0, 1, len(raw) / 3, len(raw) / 2, len(raw) - 1} {
 		f.Add(raw[:n])
 	}
+	ck := readFile(f, ckFile)
+	f.Add(ck)
+	f.Add(ck[:len(ck)/2])
+	f.Add(append(append([]byte{}, ck...), raw...))
+	v2 := `{"schema":"` + provenance.SchemaV2 + `",`
 	for _, confused := range []string{
-		`{"schema":"` + provenance.SchemaV1 + `","window":0}`,
-		`{"schema":"` + provenance.SchemaV1 + `","window":-1}`,
-		`{"schema":"` + provenance.SchemaV1 + `","window":0,"decisions":[{"search":{"termination":"goal","chosen":{"actions":[{}]}}}]}`,
-		`{"schema":"` + provenance.SchemaV1 + `","window":0,"decisions":[null]}`,
+		v2 + `"window":0}`,
+		v2 + `"window":-1}`,
+		v2 + `"window":0,"decisions":[{"search":{"termination":"goal","chosen":{"actions":[{}]}}}]}`,
+		v2 + `"window":0,"decisions":[null]}`,
+		v2 + `"window":0,"log":{"Time":120000000000,"Aborted":true}}` + "\n" + v2 + `"window":0,"log":{"Time":120000000000,"Watts":400}}`,
+		v2 + `"window":3,"log":{"Time":480000000000}}`,
+		`{"schema":"mistral.provenance/v1","window":0,"t_sec":120,"strategy":"Mistral","invoked":true,"watts":400}`,
+		`{"schema":"mistral.checkpoint-file/v1","scenario":{"result":{"Windows":[{"Time":-1,"Aborted":true},{"Time":0}]}}}`,
 		`{"window":"zero"}`,
 		"\n\n[]\n",
 	} {
 		f.Add([]byte(confused))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
+		if strategy, windows, err := readRun(data); err == nil {
+			ob := &obs.Observer{Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})}
+			eng := scenario.Fold(ob, strategy, windows)
+			fr := frame{ops: ob.Ops.Snapshot(), slo: eng.Snapshot()}
+			if err := fr.validate(); err != nil {
+				t.Fatalf("folded frame fails -check: %v", err)
+			}
+			fr.render(io.Discard, "fuzz")
+		}
 		recs, err := provenance.ReadAll(bytes.NewReader(data))
+		if _, ckErr := checkpoint.Decode(data); ckErr == nil && err == nil {
+			t.Fatal("input reads as both a checkpoint and a provenance stream")
+		}
 		if err != nil || provenance.CheckStream(recs) != nil {
 			return
 		}

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strings"
 	"time"
 
@@ -13,14 +12,18 @@ import (
 	"github.com/mistralcloud/mistral/internal/obs/slo"
 )
 
-// watchOps is ops mode: it fetches the ops view live from addr or replayed
-// from the provenance file at path, then checks it or renders it — once, or
-// every refresh until interrupted.
+// watchOps is ops mode: it fetches the ops view live from addr or folds it
+// from the checkpoint or provenance file at path, then checks it or renders
+// it — once, or every refresh until interrupted.
 func watchOps(w io.Writer, addr, path string, refresh time.Duration, check bool) error {
 	fetch := func() (*frame, error) { return fetchLive(addr) }
 	source := "live " + addr
 	if path != "" {
-		fetch = func() (*frame, error) { return replayFile(path) }
+		// Re-reading the whole file per refresh lets a growing file tail.
+		fetch = func() (*frame, error) {
+			f, _, err := foldFile(path)
+			return f, err
+		}
 		source = "replay " + path
 	}
 	for {
@@ -126,63 +129,6 @@ func fetchLive(addr string) (*frame, error) {
 	return &f, nil
 }
 
-// replayFile reconstructs the ops view from a recorded provenance stream,
-// running every window through a fresh SLO engine. A record at window 0
-// begins a new run, as a new engine does live. Re-reading the whole file per
-// refresh keeps the replay deterministic and lets a growing file act as a
-// live tail.
-func replayFile(path string) (*frame, error) {
-	recs, err := readRecords(path)
-	if err != nil {
-		return nil, err
-	}
-	var eng *slo.Engine
-	f := &frame{}
-	for i := range recs {
-		r := &recs[i]
-		if i == 0 || r.Window == 0 {
-			eng = slo.New(0, nil)
-			f.ops = obs.OpsSnapshot{Schema: obs.OpsSchema, Strategy: r.Strategy}
-		}
-		eng.ObserveWindow(slo.WindowObs{
-			Window:        r.Window,
-			Time:          time.Duration(r.TimeSec * float64(time.Second)),
-			Invoked:       r.Invoked,
-			Degraded:      r.Degraded,
-			SearchTime:    time.Duration(r.SearchTimeSec * float64(time.Second)),
-			GuardChecked:  r.Guard != nil,
-			GuardRejected: r.Guard != nil && !r.Guard.Allowed,
-		})
-		f.ops.Window = r.Window
-		f.ops.Trace = obs.TraceID(r.Window)
-		f.ops.TimeSec = r.TimeSec
-		f.ops.Windows = r.Window + 1
-		f.ops.CumUtility = r.CumUtilityDollars
-		if r.Degraded {
-			f.ops.DegradedWindows++
-		}
-		f.ops.SlowestWindows = append(f.ops.SlowestWindows, obs.SlowWindow{
-			Window:        r.Window,
-			Trace:         obs.TraceID(r.Window),
-			SearchTimeSec: r.SearchTimeSec,
-			Degraded:      r.Degraded,
-		})
-	}
-	sort.SliceStable(f.ops.SlowestWindows, func(i, j int) bool {
-		return f.ops.SlowestWindows[i].SearchTimeSec > f.ops.SlowestWindows[j].SearchTimeSec
-	})
-	if len(f.ops.SlowestWindows) > obs.DefaultSlowWindows {
-		f.ops.SlowestWindows = f.ops.SlowestWindows[:obs.DefaultSlowWindows]
-	}
-	f.slo = eng.Snapshot()
-	raw, err := json.Marshal(f.slo)
-	if err != nil {
-		return nil, err
-	}
-	f.ops.SLO = raw
-	return f, nil
-}
-
 // render writes one terminal frame.
 func (f *frame) render(w io.Writer, source string) {
 	o := &f.ops
@@ -237,11 +183,7 @@ func (f *frame) render(w io.Writer, source string) {
 		if s.Degraded {
 			mark = "  DEGRADED"
 		}
-		if s.WallMS > 0 {
-			fmt.Fprintf(w, "  %s  wall %7.1fms  search %6.2fs%s\n", s.Trace, s.WallMS, s.SearchTimeSec, mark)
-		} else {
-			fmt.Fprintf(w, "  %s  search %6.2fs%s\n", s.Trace, s.SearchTimeSec, mark)
-		}
+		fmt.Fprintf(w, "  %s  wall %7.1fms  search %6.2fs%s\n", s.Trace, s.WallMS, s.SearchTimeSec, mark)
 	}
 	if len(o.SlowestWindows) == 0 {
 		fmt.Fprintln(w, "  (none)")

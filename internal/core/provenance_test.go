@@ -53,7 +53,7 @@ func TestSearchProvenanceDigest(t *testing.T) {
 		t.Errorf("chosen ledger utility %v != search utility %v (want bit-exact)", d.Chosen.Utility, res.Utility)
 	}
 	rec := &provenance.Record{
-		Schema: provenance.SchemaV1, Strategy: "test", Invoked: true,
+		Schema: provenance.SchemaV2, Strategy: "test", Log: provenance.WindowLog{Invoked: true},
 		Decisions: []*provenance.DecisionProv{{Controller: "test", Search: d}},
 	}
 	if err := rec.Validate(); err != nil {

@@ -47,9 +47,9 @@ func TestProvenanceUnderFaults(t *testing.T) {
 	degraded := 0
 	for i := range recs {
 		r := &recs[i]
-		if r.Degraded {
+		if r.Log.Degraded {
 			degraded++
-			if r.DegradedReason == "" {
+			if r.Log.DegradedReason == "" {
 				t.Errorf("window %d degraded without a reason", r.Window)
 			}
 		}

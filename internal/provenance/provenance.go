@@ -11,7 +11,7 @@
 // return immediately, so instrumented paths pay only a nil check when
 // provenance is off — the default — and replays are byte-identical to an
 // uninstrumented build. Records serialize as deterministic JSONL (struct
-// fields in declaration order, map-free schema), so a fixed-seed replay
+// fields in declaration order, map keys sorted), so a fixed-seed replay
 // produces byte-identical record streams.
 package provenance
 
@@ -24,11 +24,26 @@ import (
 	"math"
 	"slices"
 	"sync"
+	"time"
 )
 
-// SchemaV1 identifies the record format; every Record carries it so a
+// SchemaV2 identifies the record format; every Record carries it so a
 // stream is self-describing and mistral-explain can reject foreign files.
-const SchemaV1 = "mistral.provenance/v1"
+// v2 records carry the window's log as the engine booked it (Record.Log);
+// v1 records repeated some of its fields under names of their own, and are
+// refused.
+const SchemaV2 = "mistral.provenance/v2"
+
+// checkSchema accepts SchemaV2 only, and asks for a v1 stream's re-recording.
+func checkSchema(schema string) error {
+	if schema == "mistral.provenance/v1" {
+		return fmt.Errorf("schema %q is no longer read (want %q): re-record the run", schema, SchemaV2)
+	}
+	if schema != SchemaV2 {
+		return fmt.Errorf("schema %q, want %q", schema, SchemaV2)
+	}
+	return nil
+}
 
 // Tolerance is the maximum absolute error allowed between a ledger's
 // recomputed sums and the search's reported utility (the --check bound).
@@ -51,10 +66,6 @@ const (
 	TermDeadline = "self-aware-deadline"
 	// TermMaxExpansions: the expansion cap was hit (best-so-far returned).
 	TermMaxExpansions = "max-expansions"
-	// TermMaxSearchTime: the simulated search-time deadline was hit. The
-	// search no longer has that deadline; Validate still accepts records
-	// that name it.
-	TermMaxSearchTime = "max-search-time"
 	// TermExhausted: the open set drained without a finished vertex.
 	TermExhausted = "frontier-exhausted"
 )
@@ -77,53 +88,102 @@ var terminations = map[string]bool{
 	TermEpsilon:       true,
 	TermDeadline:      true,
 	TermMaxExpansions: true,
-	TermMaxSearchTime: true,
 	TermExhausted:     true,
 }
 
-// Record is one monitoring window's provenance: what the strategy decided,
-// why, and what the window realized. One Record is written per window,
-// including windows where the testbed was busy executing a previous plan
-// (Busy) and windows that absorbed a failure (Degraded, with the reason).
+// Record is one monitoring window's provenance: the window's log plus what
+// only provenance knows, why the strategy decided what it did. One Record is
+// written per window, busy and aborted ones included.
 type Record struct {
-	Schema   string  `json:"schema"`
-	Window   int     `json:"window"` // 0-based window index within one replay
-	TimeSec  float64 `json:"t_sec"`  // window end, seconds of virtual time
-	Strategy string  `json:"strategy"`
-	// Invoked reports whether the strategy's decision procedure ran.
-	Invoked bool `json:"invoked"`
+	Schema   string `json:"schema"`
+	Window   int    `json:"window"` // 0-based window index within one replay
+	Strategy string `json:"strategy"`
 	// Busy marks a window skipped because a previous plan was executing.
 	Busy bool `json:"busy,omitempty"`
-	// Degraded marks a window that absorbed a failure; DegradedReason says
-	// which (decide error, strategy fallback, failed action, host crash,
-	// sensor drop), semicolon-joined when several struck.
-	Degraded       bool   `json:"degraded,omitempty"`
-	DegradedReason string `json:"degraded_reason,omitempty"`
-	// Actions counts adaptation actions started this window.
-	Actions int `json:"actions,omitempty"`
-	// SearchTimeSec / SearchCostDollars are the decision procedure's
-	// simulated duration and self-cost charged to this window.
-	SearchTimeSec     float64 `json:"search_time_sec,omitempty"`
-	SearchCostDollars float64 `json:"search_cost_dollars,omitempty"`
-	// UtilityDollars is the window's accrued utility (decision cost
-	// included); CumUtilityDollars the running total; Watts the measured
-	// mean power.
-	UtilityDollars    float64 `json:"utility_dollars"`
-	CumUtilityDollars float64 `json:"cum_utility_dollars"`
-	Watts             float64 `json:"watts"`
+	// Log is the window's log, encoded as a checkpoint encodes it.
+	Log WindowLog `json:"log"`
 	// Decisions carries one entry per controller invocation this window
 	// (the Mistral hierarchy can invoke several 1st-level controllers in
 	// one control opportunity, in controller order).
 	Decisions []*DecisionProv `json:"decisions,omitempty"`
-	// Guard carries the admission verdict for the window's proposed plan.
-	// Only populated when an admission guard is attached, so unguarded
-	// runs stay byte-identical to pre-guard recordings.
+	// Guard carries the admission verdict for the window's proposed plan,
+	// when an admission guard is attached.
 	Guard *GuardProv `json:"guard,omitempty"`
-	// Steps carries the window's per-step execution outcomes (main plan
-	// and retries, in execution order). Only populated when the run opts
-	// into step provenance (scenario.RunConfig.StepProvenance), so
-	// existing recordings stay byte-identical.
+	// Steps carries the window's per-step execution outcomes (main plan and
+	// retries, in execution order), when the run opts into step provenance
+	// (scenario.RunConfig.StepProvenance).
 	Steps []StepProv `json:"steps,omitempty"`
+}
+
+// WindowLog is one monitoring window's record: the entry of a run's
+// Result.Windows, a checkpoint's copy of it, and a provenance Record's Log.
+// Every view of a run — history, SLO, /ops — is derived from these logs.
+type WindowLog struct {
+	// Time is the window end, offset from scenario start.
+	Time time.Duration
+	// Rates are the offered request rates during the window.
+	Rates map[string]float64
+	// RTSec are measured mean response times per application.
+	RTSec map[string]float64
+	// Watts is the measured mean system power.
+	Watts float64
+	// Utility is the window's accrued utility in dollars, including the
+	// decision cost.
+	Utility float64
+	// CumUtility is the running total.
+	CumUtility float64
+	// Actions counts adaptation actions started this window (applied or
+	// failed; retries count again).
+	Actions int
+	// Invoked reports whether the strategy's decision procedure ran.
+	Invoked bool
+	// SearchTime is the decision procedure's (simulated) duration.
+	SearchTime time.Duration
+	// SearchCost is the decision's Eq. 3 charge in dollars, already
+	// deducted from Utility; Expansions counts its search vertices.
+	SearchCost float64 `json:",omitempty"`
+	Expansions int     `json:",omitempty"`
+	// ActiveHosts is the number of powered-on hosts at the window's end.
+	ActiveHosts int
+	// Degraded marks a window that absorbed a failure instead of aborting:
+	// a decide/execute error, a strategy fallback, a failed or skipped
+	// action, a host crash, or a dropped sensor window. DegradedReason
+	// names every cause that struck, semicolon-joined in the order they
+	// landed.
+	Degraded       bool   `json:",omitempty"`
+	DegradedReason string `json:",omitempty"`
+	// FailedActions counts actions an injected fault aborted this window.
+	FailedActions int `json:",omitempty"`
+	// Retried counts re-executions of previously failed actions.
+	Retried int `json:",omitempty"`
+	// HostCrashes counts hosts that crashed this window.
+	HostCrashes int `json:",omitempty"`
+	// SensorDropped marks the window's measurements as a stale replay.
+	SensorDropped bool `json:",omitempty"`
+	// RolledBack counts compensating steps executed this window after a
+	// non-retryable failure aborted a plan under
+	// testbed.RollbackOnFailure.
+	RolledBack int `json:",omitempty"`
+	// Compensated marks a window whose plan aborted and was rolled back;
+	// FPRestored then reports whether the testbed's scheduled final
+	// configuration fingerprint returned to its pre-plan value (the
+	// transactional guarantee — always true unless the rollback engine
+	// itself is broken).
+	Compensated bool `json:",omitempty"`
+	FPRestored  bool `json:",omitempty"`
+	// DecideError marks a decision procedure that returned an error or
+	// panicked.
+	DecideError bool `json:",omitempty"`
+	// Aborted marks a window whose measurement failed: booked, never
+	// completed. The engine's clock does not pass it, so the next window,
+	// a retry, carries the same index and end time.
+	Aborted bool `json:",omitempty"`
+	// GuardChecked marks a window whose proposed plan went through the
+	// admission guard; GuardRejected marks one the guard refused, and
+	// GuardRule names the invariant that fired.
+	GuardChecked  bool   `json:",omitempty"`
+	GuardRejected bool   `json:",omitempty"`
+	GuardRule     string `json:",omitempty"`
 }
 
 // GuardProv is the admission guard's verdict on the window's plan.
@@ -324,7 +384,7 @@ func (r *Recorder) Append(rec *Record) error {
 		return nil
 	}
 	if rec.Schema == "" {
-		rec.Schema = SchemaV1
+		rec.Schema = SchemaV2
 	}
 	b, err := json.Marshal(rec)
 	if err != nil {
@@ -363,8 +423,8 @@ func (r *Recorder) Err() error {
 	return r.err
 }
 
-// ReadAll decodes a JSONL record stream, skipping blank lines. Errors name
-// the offending line.
+// ReadAll decodes a JSONL record stream, skipping blank lines and refusing
+// any record not of SchemaV2. Errors name the offending line.
 func ReadAll(r io.Reader) ([]Record, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -377,6 +437,9 @@ func ReadAll(r io.Reader) ([]Record, error) {
 		}
 		var rec Record
 		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+			return nil, fmt.Errorf("provenance: line %d: %w", line, err)
+		}
+		if err := checkSchema(rec.Schema); err != nil {
 			return nil, fmt.Errorf("provenance: line %d: %w", line, err)
 		}
 		if slices.Contains(rec.Decisions, nil) {
@@ -433,8 +496,8 @@ func validateLedger(where string, l *PlanLedger, want float64) error {
 // Tolerance, every alternative's ledger must be internally consistent, and
 // termination/event fields must come from the known vocabulary.
 func (r *Record) Validate() error {
-	if r.Schema != SchemaV1 {
-		return fmt.Errorf("window %d: schema %q, want %q", r.Window, r.Schema, SchemaV1)
+	if err := checkSchema(r.Schema); err != nil {
+		return fmt.Errorf("window %d: %w", r.Window, err)
 	}
 	if r.Window < 0 {
 		return fmt.Errorf("negative window index %d", r.Window)
@@ -471,9 +534,9 @@ func (r *Record) Validate() error {
 }
 
 // CheckStream validates a whole record stream: per-record Validate plus
-// window sequencing (indices increase by one within a replay segment and
-// may reset to zero when a new replay starts, as mistral-exp's multi-run
-// experiments do).
+// window sequencing (indices increase by one within a replay segment, repeat
+// after an aborted window, which a daemon retries, and may reset to zero
+// when a new replay starts, as mistral-exp's multi-run experiments do).
 func CheckStream(recs []Record) error {
 	for i := range recs {
 		r := &recs[i]
@@ -481,10 +544,14 @@ func CheckStream(recs []Record) error {
 			return fmt.Errorf("record %d: %w", i, err)
 		}
 		if i > 0 {
-			prev := recs[i-1].Window
-			if r.Window != prev+1 && r.Window != 0 {
+			prev := &recs[i-1]
+			want := prev.Window + 1
+			if prev.Log.Aborted {
+				want = prev.Window
+			}
+			if r.Window != want && r.Window != 0 {
 				return fmt.Errorf("record %d: window %d does not follow %d (want %d or 0)",
-					i, r.Window, prev, prev+1)
+					i, r.Window, prev.Window, want)
 			}
 		}
 	}

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 )
 
 var update = flag.Bool("update", false, "rewrite golden files")
@@ -44,17 +45,23 @@ func sampleRecord() *Record {
 	altLedger.Utility = altLedger.TransientDollars + altLedger.SteadyDollars
 
 	return &Record{
-		Schema:            SchemaV1,
-		Window:            7,
-		TimeSec:           960,
-		Strategy:          "Mistral",
-		Invoked:           true,
-		Actions:           2,
-		SearchTimeSec:     0.012,
-		SearchCostDollars: 2.5e-7,
-		UtilityDollars:    0.91,
-		CumUtilityDollars: 6.4,
-		Watts:             512,
+		Schema:   SchemaV2,
+		Window:   7,
+		Strategy: "Mistral",
+		Log: WindowLog{
+			Time:        960 * time.Second,
+			Rates:       map[string]float64{"rubis1": 42.5},
+			RTSec:       map[string]float64{"rubis1": 0.21},
+			Watts:       512,
+			Utility:     0.91,
+			CumUtility:  6.4,
+			Actions:     2,
+			Invoked:     true,
+			SearchTime:  12 * time.Millisecond,
+			SearchCost:  2.5e-7,
+			Expansions:  41,
+			ActiveHosts: 3,
+		},
 		Decisions: []*DecisionProv{{
 			Controller: "Mistral/L2",
 			Predict: &PredictProv{
@@ -120,7 +127,7 @@ func TestRecorderAppendAndReadAll(t *testing.T) {
 	if err := r.Append(rec); err != nil {
 		t.Fatal(err)
 	}
-	empty := &Record{Window: 8, TimeSec: 1080, Strategy: "Mistral", Busy: true}
+	empty := &Record{Window: 8, Strategy: "Mistral", Busy: true, Log: WindowLog{Time: 1080 * time.Second}}
 	if err := r.Append(empty); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +144,7 @@ func TestRecorderAppendAndReadAll(t *testing.T) {
 	if len(recs) != 2 {
 		t.Fatalf("ReadAll = %d records", len(recs))
 	}
-	if recs[0].Schema != SchemaV1 {
+	if recs[0].Schema != SchemaV2 {
 		t.Errorf("schema not stamped: %q", recs[0].Schema)
 	}
 	if !recs[1].Busy || recs[1].Window != 8 {
@@ -241,17 +248,45 @@ func TestValidateSkipsErroredLedgers(t *testing.T) {
 }
 
 func TestCheckStreamSequencing(t *testing.T) {
-	mk := func(w int) Record { return Record{Schema: SchemaV1, Window: w} }
+	mk := func(w int) Record { return Record{Schema: SchemaV2, Window: w} }
 	if err := CheckStream([]Record{mk(0), mk(1), mk(2), mk(0), mk(1)}); err != nil {
 		t.Errorf("segment reset rejected: %v", err)
 	}
 	if err := CheckStream([]Record{mk(0), mk(2)}); err == nil {
 		t.Error("gap accepted")
 	}
+	if err := CheckStream([]Record{mk(0), mk(1), mk(1)}); err == nil {
+		t.Error("repeated window accepted")
+	}
+	// A daemon retries the window whose measurement failed under its index.
+	aborted := mk(1)
+	aborted.Log.Aborted = true
+	if err := CheckStream([]Record{mk(0), aborted, mk(1), mk(2)}); err != nil {
+		t.Errorf("retry of an aborted window rejected: %v", err)
+	}
+	if err := CheckStream([]Record{mk(0), aborted, mk(2)}); err == nil {
+		t.Error("window after an aborted one accepted without its retry")
+	}
+}
+
+// TestReadAllRefusesV1: a v1 stream is refused with an error naming both
+// schemas and asking for a re-recording; a foreign schema is refused too.
+func TestReadAllRefusesV1(t *testing.T) {
+	for _, tc := range []struct{ line, want string }{
+		{`{"schema":"mistral.provenance/v1","window":0,"t_sec":120,"strategy":"Mistral","invoked":true,"utility_dollars":0.5,"cum_utility_dollars":0.5,"watts":400}`,
+			`line 1: schema "mistral.provenance/v1" is no longer read (want "mistral.provenance/v2"): re-record the run`},
+		{`{"schema":"mistral.checkpoint-file/v1","scenario":{}}`, `line 1: schema "mistral.checkpoint-file/v1", want "mistral.provenance/v2"`},
+		{`{"window":0}`, `line 1: schema "", want "mistral.provenance/v2"`},
+	} {
+		_, err := ReadAll(strings.NewReader(tc.line + "\n"))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("ReadAll(%s) = %v, want an error containing %q", tc.line, err, tc.want)
+		}
+	}
 }
 
 // TestGoldenRecordSchema pins the JSONL wire format: any schema change
-// must be deliberate (run with -update and bump SchemaV1 if the change is
+// must be deliberate (run with -update and bump SchemaV2 if the change is
 // incompatible).
 func TestGoldenRecordSchema(t *testing.T) {
 	var buf bytes.Buffer
@@ -259,12 +294,15 @@ func TestGoldenRecordSchema(t *testing.T) {
 	if err := r.Append(sampleRecord()); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Append(&Record{Window: 8, TimeSec: 1080, Strategy: "Mistral", Busy: true}); err != nil {
+	if err := r.Append(&Record{Window: 8, Strategy: "Mistral", Busy: true, Log: WindowLog{Time: 1080 * time.Second}}); err != nil {
 		t.Fatal(err)
 	}
 	degraded := &Record{
-		Window: 9, TimeSec: 1200, Strategy: "Mistral", Invoked: true,
-		Degraded: true, DegradedReason: "decide: perfpwr: no feasible packing",
+		Window: 9, Strategy: "Mistral",
+		Log: WindowLog{
+			Time: 1200 * time.Second, Invoked: true, DecideError: true,
+			Degraded: true, DegradedReason: "decide: perfpwr: no feasible packing",
+		},
 		Decisions: []*DecisionProv{{
 			Controller: "Mistral/L2", Degraded: true,
 			DegradedReason: "perfpwr: no feasible packing",
@@ -274,7 +312,7 @@ func TestGoldenRecordSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	golden := filepath.Join("testdata", "record_v1.golden.jsonl")
+	golden := filepath.Join("testdata", "record_v2.golden.jsonl")
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

@@ -105,9 +105,7 @@ func TestStepMeasureErrorBooksWindowOnly(t *testing.T) {
 	if len(recs) != 3 {
 		t.Fatalf("provenance records = %d, want 3", len(recs))
 	}
-	if r := recs[2]; r.Window != 2 || !r.Degraded || r.DegradedReason != last.DegradedReason ||
-		!r.Invoked || r.SearchCostDollars != 0.25 || r.UtilityDollars != -0.25 || r.CumUtilityDollars != res.CumUtility ||
-		r.Actions != 1 || r.Guard == nil || !r.Guard.Allowed {
+	if r := recs[2]; r.Window != 2 || !reflect.DeepEqual(r.Log, last) || !last.Aborted || r.Guard == nil || !r.Guard.Allowed {
 		t.Errorf("aborted window's provenance record %+v", r)
 	}
 
@@ -148,11 +146,15 @@ func TestStepMeasureErrorBooksWindowOnly(t *testing.T) {
 }
 
 // TestRestoreRefoldsAroundAbortedWindows: a window whose measurement failed
-// is booked in Result.Windows but never completed, so the history and the
-// SLO state a restore reads from the window logs must skip it — both when
-// the aborted window ends the stream and when a daemon retried it and ran
-// on. The restored store answers the digests and the full query, and the
-// restored SLO engine its report, exactly as the live ones do.
+// is booked in Result.Windows, flagged Aborted, but never completed, so the
+// views every reader folds from the window logs must skip it — both when
+// the aborted window ends the run and when a daemon retried it and ran on.
+// The engine restored from the checkpoint, and Fold over the checkpoint's
+// logs and over the provenance stream's, answer the history digests and
+// full query and the SLO report exactly as the live engine does, and the
+// two offline /ops frames equal the restored engine's. A checkpoint whose
+// aborted window lacks the flag is refused, and MeanWatts averages the
+// completed windows only.
 func TestRestoreRefoldsAroundAbortedWindows(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -168,7 +170,8 @@ func TestRestoreRefoldsAroundAbortedWindows(t *testing.T) {
 				})
 			}
 			ob := &obs.Observer{Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})}
-			cfg := RunConfig{Traces: traces, Duration: 30 * time.Minute, Utility: util, Obs: ob}
+			var prov bytes.Buffer
+			cfg := RunConfig{Traces: traces, Duration: 30 * time.Minute, Utility: util, Obs: ob, Provenance: provenance.NewRecorder(&prov)}
 			e, err := NewEngine(tb, d, cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -201,9 +204,35 @@ func TestRestoreRefoldsAroundAbortedWindows(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if got, want := len(e.Result().Windows), 3+tc.after; got != want {
+			res := e.Result()
+			if got, want := len(res.Windows), 3+tc.after; got != want {
 				t.Fatalf("%d window logs, want %d", got, want)
 			}
+			var watts float64
+			for i, w := range res.Windows {
+				if w.Aborted != (i == 2) {
+					t.Fatalf("window log %d aborted=%v", i, w.Aborted)
+				}
+				if !w.Aborted {
+					watts += w.Watts
+				}
+			}
+			if want := watts / float64(len(res.Windows)-1); res.MeanWatts() != want || want == 0 {
+				t.Errorf("MeanWatts = %v, want the completed windows' %v", res.MeanWatts(), want)
+			}
+
+			recs, err := provenance.ReadAll(&prov)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := provenance.CheckStream(recs); err != nil {
+				t.Errorf("CheckStream refuses the stream: %v", err)
+			}
+			var streamLogs []WindowLog
+			for _, r := range recs {
+				streamLogs = append(streamLogs, r.Log)
+			}
+
 			snap, err := e.Snapshot()
 			if err != nil {
 				t.Fatal(err)
@@ -217,14 +246,31 @@ func TestRestoreRefoldsAroundAbortedWindows(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			tb2, _, _, _ := setup(t)
-			ob2 := &obs.Observer{Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})}
-			cfg.Obs = ob2
-			e2, err := NewEngine(tb2, &scripted{name: "scripted"}, cfg)
-			if err != nil {
-				t.Fatal(err)
+			newObserver := func() *obs.Observer {
+				return &obs.Observer{Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})}
 			}
-			if err := e2.Restore(&restored); err != nil {
+			restore := func(s *Snapshot) (*Engine, *obs.Observer, error) {
+				tb2, _, _, _ := setup(t)
+				ob2 := newObserver()
+				cfg2 := cfg
+				cfg2.Obs, cfg2.Provenance = ob2, nil
+				e2, err := NewEngine(tb2, &scripted{name: "scripted"}, cfg2)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return e2, ob2, e2.Restore(s)
+			}
+
+			// A pre-flag checkpoint: its aborted window counts as completed.
+			unflagged := restored
+			unflagged.Result = restored.Result.detached()
+			unflagged.Result.Windows[2].Aborted = false
+			if _, _, err := restore(&unflagged); err == nil || !strings.Contains(err.Error(), "completed windows") {
+				t.Errorf("Restore of an unflagged aborted window = %v, want the completed-count refusal", err)
+			}
+
+			e2, ob2, err := restore(&restored)
+			if err != nil {
 				t.Fatal(err)
 			}
 			view := func(h *tsdb.Store) []byte {
@@ -238,19 +284,42 @@ func TestRestoreRefoldsAroundAbortedWindows(t *testing.T) {
 				}
 				return b
 			}
-			live := view(ob.History)
+			opsDoc := func(o *obs.Observer) obs.OpsSnapshot {
+				doc := o.Ops.Snapshot()
+				doc.UpdatedUnixMS = 0
+				return doc
+			}
+			asJSON := func(v any) []byte {
+				b, err := json.Marshal(v)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+			live, liveSLO := view(ob.History), asJSON(e.SLO().Snapshot())
+			restoredOps := asJSON(opsDoc(ob2))
 			if got := view(ob2.History); !bytes.Equal(live, got) {
 				t.Errorf("restored history differs from the live one:\nlive:     %s\nrestored: %s", live, got)
 			}
-			if got := view(restored.History()); !bytes.Equal(live, got) {
-				t.Errorf("Snapshot.History differs from the live store:\nlive:     %s\nrebuilt:  %s", live, got)
+			if got := asJSON(e2.SLO().Snapshot()); !bytes.Equal(liveSLO, got) {
+				t.Errorf("restored SLO report differs from the live one:\nlive:     %s\nrestored: %s", liveSLO, got)
 			}
-			liveSLO, err := json.Marshal(e.SLO().Snapshot())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got, err := json.Marshal(e2.SLO().Snapshot()); err != nil || !bytes.Equal(liveSLO, got) {
-				t.Errorf("restored SLO report differs from the live one (%v):\nlive:     %s\nrestored: %s", err, liveSLO, got)
+			for _, off := range []struct {
+				name string
+				logs []WindowLog
+			}{{"checkpoint", restored.Result.Windows}, {"stream", streamLogs}} {
+				o := newObserver()
+				Fold(o, "scripted", off.logs)
+				if got := view(o.History); !bytes.Equal(live, got) {
+					t.Errorf("%s: folded history differs from the live one:\nlive:   %s\nfolded: %s", off.name, live, got)
+				}
+				doc := opsDoc(o)
+				if !bytes.Equal(doc.SLO, liveSLO) {
+					t.Errorf("%s: folded SLO report differs from the live one:\nlive:   %s\nfolded: %s", off.name, liveSLO, doc.SLO)
+				}
+				if got := asJSON(doc); !bytes.Equal(restoredOps, got) {
+					t.Errorf("%s: folded /ops differs from the restored engine's:\nrestored: %s\nfolded:   %s", off.name, restoredOps, got)
+				}
 			}
 			if got, want := ob.History.LastWindow(), 1+tc.after; got != want {
 				t.Errorf("live history through window %d, want %d", got, want)

@@ -1,7 +1,6 @@
 package scenario
 
 import (
-	"encoding/json"
 	"fmt"
 	"log/slog"
 	"strings"
@@ -10,7 +9,6 @@ import (
 	"github.com/mistralcloud/mistral/internal/cluster"
 	"github.com/mistralcloud/mistral/internal/obs"
 	"github.com/mistralcloud/mistral/internal/obs/slo"
-	"github.com/mistralcloud/mistral/internal/obs/tsdb"
 	"github.com/mistralcloud/mistral/internal/provenance"
 	"github.com/mistralcloud/mistral/internal/testbed"
 )
@@ -31,26 +29,16 @@ type Engine struct {
 	d   Decider
 	cfg RunConfig
 
-	res *Result
-	// skip holds the positions in res.Windows of the windows whose
-	// measurement failed: booked, never completed (see aborted).
-	skip        []int
+	res         *Result
 	totalSearch time.Duration
 	retries     []RetryState
-	winIdx      int
 	t           time.Duration
 
 	o    *obs.Observer
 	olog *slog.Logger
-	slo  *slo.Engine
-	ops  *obs.OpsState
-	// begun records that this engine has taken over the observer's ops
-	// plane and history store (see begin).
-	begun bool
-
-	// hist is the telemetry history plane (see history.go), nil when the
-	// observer has none.
-	hist *tsdb.Store
+	// views folds the window logs into the SLO engine, the history store and
+	// /ops (see history.go).
+	views *views
 
 	cWindows       *obs.Counter
 	cViolations    *obs.Counter
@@ -119,32 +107,10 @@ func NewEngine(tb *testbed.Testbed, d Decider, cfg RunConfig) (*Engine, error) {
 
 	// Causal identity: each window gets a deterministic trace context
 	// (obs.WindowTrace) shared by spans, SLO alerts, the ops plane, and —
-	// by recomputation from Record.Window — provenance. The SLO engine
-	// and the telemetry history run whenever an observer is active; both
-	// read only virtual-time quantities, so their state is deterministic
-	// and the decision stream is untouched. History is published to the
-	// observer's store (the one /v1/query serves).
-	e.ops = o.OpsState()
-	e.hist = o.HistoryStore()
-	if o != nil {
-		e.slo = slo.New(cfg.Interval, o)
-	}
+	// by recomputation from Record.Window — provenance. The views fold
+	// whenever an observer is active (see history.go).
+	e.views = newViews(o, d.Name(), cfg.Interval)
 	return e, nil
-}
-
-// begin takes over the observer's per-run planes: the ops surface and the
-// history store re-begin (sequential runs over a shared observer each start
-// empty). It runs when the engine first steps or is snapshotted, not at
-// construction, and Restore does the same once it can no longer fail — so an
-// engine built beside a running one, for a restore that may still be
-// refused, leaves what the running one publishes untouched.
-func (e *Engine) begin() {
-	if e.begun {
-		return
-	}
-	e.begun = true
-	e.ops.BeginRun(e.d.Name(), e.cfg.Interval)
-	publishHistory(e.hist, nil, nil)
 }
 
 // Result returns the accumulating result. The same pointer is live for the
@@ -156,17 +122,17 @@ func (e *Engine) Result() *Result { return e.res }
 func (e *Engine) Now() time.Duration { return e.t }
 
 // WindowIndex returns the index of the next window to run.
-func (e *Engine) WindowIndex() int { return e.winIdx }
+func (e *Engine) WindowIndex() int { return e.views.completed() }
 
 // Window returns the log of completed window k, 0 <= k < WindowIndex().
-func (e *Engine) Window(k int) WindowLog { return *completed(e.res.Windows, e.skip, k) }
+func (e *Engine) Window(k int) WindowLog { return *completed(e.res.Windows, e.views.skip, k) }
 
 // Interval returns the monitoring interval in force (after defaulting).
 func (e *Engine) Interval() time.Duration { return e.cfg.Interval }
 
 // SLO returns the self-monitoring engine (nil when observability is off
 // and none was injected).
-func (e *Engine) SLO() *slo.Engine { return e.slo }
+func (e *Engine) SLO() *slo.Engine { return e.views.slo }
 
 // Done reports whether the configured replay duration is exhausted. It
 // bounds Run; StepRates ignores it, so a daemon streaming live samples can
@@ -191,11 +157,11 @@ func (e *Engine) Step() (StepResult, error) {
 // errors — invalid rates, a broken measurement pipeline — return an error,
 // and a window whose measurement failed is still booked (see publish).
 func (e *Engine) StepRates(rates map[string]float64) (StepResult, error) {
-	e.begin()
+	e.views.begin()
 	if err := e.tb.SetRates(rates); err != nil {
-		return StepResult{Index: e.winIdx, ProvErr: e.cfg.Provenance.Err()}, fmt.Errorf("scenario: %w", err)
+		return StepResult{Index: e.WindowIndex(), ProvErr: e.cfg.Provenance.Err()}, fmt.Errorf("scenario: %w", err)
 	}
-	w := window{index: e.winIdx, tc: obs.WindowTrace(e.winIdx)}
+	w := window{index: e.WindowIndex(), tc: obs.WindowTrace(e.WindowIndex())}
 	w.Time, w.Rates = e.t+e.cfg.Interval, rates
 	if e.o.Tracer() != nil {
 		if ta, ok := e.d.(TraceAware); ok {
@@ -294,7 +260,7 @@ func (e *Engine) decide(w *window) {
 			"budget", e.cfg.Profile.Budget(), "artifacts", paths)
 	}
 	if err != nil {
-		w.decideErr = true
+		w.DecideError = true
 		sp.End(t, obs.Attr{Key: "error", Value: err.Error()})
 		e.olog.Warn("decide failed; degrading to no adaptation",
 			"strategy", e.d.Name(), "t", t, "err", err)
@@ -417,7 +383,7 @@ func (e *Engine) measure(w *window) error {
 	m, err := e.tb.MeasureWindow(w.Time)
 	w.ActiveHosts = e.tb.Config().NumActiveHosts()
 	if err != nil {
-		w.aborted = true
+		w.Aborted = true
 		w.degrade("measure: " + err.Error())
 		w.CumUtility = e.res.CumUtility + w.Utility
 		return err
@@ -452,11 +418,11 @@ func (e *Engine) publish(w *window) {
 	e.cRetries.Add(int64(w.Retried))
 	e.cFailedActions.Add(int64(w.FailedActions))
 	e.cRolledBack.Add(int64(w.RolledBack))
-	e.cDecideErr.Add(int64(b2i(w.decideErr)))
+	e.cDecideErr.Add(int64(b2i(w.DecideError)))
 	e.cExecRej.Add(int64(b2i(w.execRejected)))
 	e.record(w)
-	if w.aborted {
-		e.skip = append(e.skip, len(e.res.Windows)-1)
+	alerts := e.views.add(e.res.Windows)
+	if w.Aborted {
 		e.setMeanSearchTime()
 		return
 	}
@@ -489,7 +455,7 @@ func (e *Engine) publish(w *window) {
 	// window's degraded status gates the next window's admission.
 	e.cfg.Guard.ObserveWindow(w.Degraded)
 
-	for _, a := range e.slo.ObserveWindow(sloObs(w.index, &w.WindowLog)) {
+	for _, a := range alerts {
 		// A warn alert is one objective's breach; a page is not.
 		if a.Severity == slo.SeverityWarn {
 			e.cSLOBreaches.Inc()
@@ -503,41 +469,7 @@ func (e *Engine) publish(w *window) {
 			"msg", a.Message)
 	}
 	e.t = w.Time
-	e.winIdx++
-	e.publishViews(w)
-}
-
-// publishViews publishes the views that read the whole run through its last
-// completed window: the history store, then /ops. w is that window, or nil
-// when a restore republishes: the slowest-windows leaderboard then gains no
-// entry, since wall time is not checkpointed.
-func (e *Engine) publishViews(w *window) {
-	publishHistory(e.hist, e.res.Windows, e.skip)
-	// An ops plane implies an observer, and with it the SLO engine.
-	if e.ops == nil || e.winIdx == 0 {
-		return
-	}
-	last := completed(e.res.Windows, e.skip, e.winIdx-1)
-	ow := obs.OpsWindow{
-		Window:          e.winIdx - 1,
-		TimeSec:         last.Time.Seconds(),
-		CumUtility:      last.CumUtility,
-		DegradedWindows: e.res.DegradedWindows,
-		DecideErrors:    e.res.DecideErrors,
-		Retries:         e.res.Retries,
-		HostCrashes:     e.res.HostCrashes,
-		Restored:        w == nil,
-	}
-	if w != nil {
-		ow.Degraded = w.Degraded
-		ow.WallMS = float64(w.decideWall.Microseconds()) / 1000
-		ow.SearchTimeSec = w.SearchTime.Seconds()
-	}
-	e.ops.RecordWindow(ow)
-	if raw, err := json.Marshal(e.slo.Snapshot()); err == nil {
-		e.ops.SetSLO(raw)
-	}
-	e.ops.SetHistory(e.hist.Summaries(opsSparkN))
+	e.views.publish(w.decideWall, false)
 }
 
 // record appends the window's provenance record; window indices count every
@@ -549,22 +481,13 @@ func (e *Engine) record(w *window) {
 		return
 	}
 	_ = e.cfg.Provenance.Append(&provenance.Record{
-		Window:            w.index,
-		TimeSec:           w.Time.Seconds(),
-		Strategy:          e.res.Strategy,
-		Invoked:           w.Invoked,
-		Busy:              w.busy,
-		Degraded:          w.Degraded,
-		DegradedReason:    w.DegradedReason,
-		Actions:           w.Actions,
-		SearchTimeSec:     w.SearchTime.Seconds(),
-		SearchCostDollars: w.SearchCost,
-		UtilityDollars:    w.Utility,
-		CumUtilityDollars: w.CumUtility,
-		Watts:             w.Watts,
-		Decisions:         w.provs,
-		Guard:             w.guard,
-		Steps:             w.steps,
+		Window:    w.index,
+		Strategy:  e.res.Strategy,
+		Busy:      w.busy,
+		Log:       w.WindowLog,
+		Decisions: w.provs,
+		Guard:     w.guard,
+		Steps:     w.steps,
 	})
 }
 

@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -43,21 +44,18 @@ func TestRunEmitsProvenanceRecords(t *testing.T) {
 	if err := provenance.CheckStream(recs); err != nil {
 		t.Errorf("stream fails validation: %v", err)
 	}
-	if !recs[0].Invoked || recs[0].Actions != 1 {
-		t.Errorf("first record: invoked=%v actions=%d, want invoked with 1 action", recs[0].Invoked, recs[0].Actions)
+	if !recs[0].Log.Invoked || recs[0].Log.Actions != 1 {
+		t.Errorf("first record: invoked=%v actions=%d, want invoked with 1 action", recs[0].Log.Invoked, recs[0].Log.Actions)
 	}
-	if recs[0].SearchCostDollars != 0.05 {
-		t.Errorf("first record search cost %v, want 0.05", recs[0].SearchCostDollars)
+	if recs[0].Log.SearchCost != 0.05 {
+		t.Errorf("first record search cost %v, want 0.05", recs[0].Log.SearchCost)
 	}
 	for i, r := range recs {
 		if r.Strategy != "mover" {
 			t.Fatalf("record %d strategy %q", i, r.Strategy)
 		}
-		if r.TimeSec != res.Windows[i].Time.Seconds() {
-			t.Fatalf("record %d time %v != window %v", i, r.TimeSec, res.Windows[i].Time)
-		}
-		if r.UtilityDollars != res.Windows[i].Utility {
-			t.Fatalf("record %d utility %v != window %v", i, r.UtilityDollars, res.Windows[i].Utility)
+		if !reflect.DeepEqual(r.Log, res.Windows[i]) {
+			t.Fatalf("record %d log %+v != window %+v", i, r.Log, res.Windows[i])
 		}
 	}
 }
@@ -84,12 +82,13 @@ func TestRunProvenanceMarksDegradedWindows(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := recs[2]
-	if !r.Degraded || r.DegradedReason != w.DegradedReason {
-		t.Errorf("record 2: degraded=%v reason=%q, want %q", r.Degraded, r.DegradedReason, w.DegradedReason)
+	if !r.Log.Degraded || !r.Log.DecideError || r.Log.DegradedReason != w.DegradedReason {
+		t.Errorf("record 2: degraded=%v decide error=%v reason=%q, want a decide error %q",
+			r.Log.Degraded, r.Log.DecideError, r.Log.DegradedReason, w.DegradedReason)
 	}
 	for i, r := range recs {
-		if i != 2 && r.Degraded {
-			t.Errorf("record %d unexpectedly degraded: %q", i, r.DegradedReason)
+		if i != 2 && r.Log.Degraded {
+			t.Errorf("record %d unexpectedly degraded: %q", i, r.Log.DegradedReason)
 		}
 	}
 }

@@ -22,7 +22,7 @@ func newRecallEnv(t *testing.T) *recallEnv {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.begin()
+	e.views.begin()
 	return &recallEnv{e: e}
 }
 
@@ -30,7 +30,7 @@ func newRecallEnv(t *testing.T) *recallEnv {
 // with a 2 s search.
 func (r *recallEnv) healthy() *window {
 	e := r.e
-	w := &window{index: e.winIdx, tc: obs.WindowTrace(e.winIdx)}
+	w := &window{index: e.WindowIndex(), tc: obs.WindowTrace(e.WindowIndex())}
 	w.Time = e.t + e.cfg.Interval
 	w.Invoked, w.SearchTime = true, 2*time.Second
 	w.Utility, w.Watts = 0.30, 400
@@ -56,7 +56,7 @@ func (r *recallEnv) publishUntil(limit int, inject func(w *window), fired func()
 func (r *recallEnv) warm(t *testing.T, n int) {
 	t.Helper()
 	r.publishUntil(n, func(*window) {}, func() bool { return false })
-	if n := r.e.slo.Snapshot().TotalAlerts; n != 0 {
+	if n := r.e.SLO().Snapshot().TotalAlerts; n != 0 {
 		t.Fatalf("healthy baseline raised %d SLO alerts", n)
 	}
 }
@@ -88,7 +88,7 @@ func TestSLORecall(t *testing.T) {
 			r.warm(t, 40)
 			alerted := func(severity string) func() bool {
 				return func() bool {
-					for _, a := range r.e.slo.Snapshot().Alerts {
+					for _, a := range r.e.SLO().Snapshot().Alerts {
 						if a.Objective == ob.name && a.Severity == severity {
 							return true
 						}
@@ -102,7 +102,7 @@ func TestSLORecall(t *testing.T) {
 			if got := r.publishUntil(ob.pageWithin, ob.breach, alerted(slo.SeverityPage)); got != ob.pageWithin {
 				t.Errorf("%s paged after %d further breaching windows, want %d", ob.name, got, ob.pageWithin)
 			}
-			for _, a := range r.e.slo.Snapshot().Alerts {
+			for _, a := range r.e.SLO().Snapshot().Alerts {
 				if a.Objective != ob.name {
 					t.Errorf("breaching %s also alerted %s: %s", ob.name, a.Objective, a.Message)
 				}

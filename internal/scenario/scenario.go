@@ -151,79 +151,8 @@ func (c RunConfig) withDefaults() (RunConfig, error) {
 	return c, nil
 }
 
-// WindowLog is one monitoring window's record.
-type WindowLog struct {
-	// Time is the window end, offset from scenario start.
-	Time time.Duration
-	// Rates are the offered request rates during the window.
-	Rates map[string]float64
-	// RTSec are measured mean response times per application.
-	RTSec map[string]float64
-	// Watts is the measured mean system power.
-	Watts float64
-	// Utility is the window's accrued utility in dollars, including the
-	// decision cost.
-	Utility float64
-	// CumUtility is the running total.
-	CumUtility float64
-	// Actions counts adaptation actions started this window (applied or
-	// failed; retries count again).
-	Actions int
-	// Invoked reports whether the strategy's decision procedure ran.
-	Invoked bool
-	// SearchTime is the decision procedure's (simulated) duration.
-	SearchTime time.Duration
-	// SearchCost is the decision's Eq. 3 charge in dollars, already
-	// deducted from Utility; Expansions counts its search vertices.
-	SearchCost float64 `json:",omitempty"`
-	Expansions int     `json:",omitempty"`
-	// ActiveHosts is the number of powered-on hosts at the window's end.
-	ActiveHosts int
-	// Degraded marks a window that absorbed a failure instead of aborting:
-	// a decide/execute error, a strategy fallback, a failed or skipped
-	// action, a host crash, or a dropped sensor window. DegradedReason
-	// names every cause that struck, semicolon-joined in the order they
-	// landed.
-	Degraded       bool   `json:",omitempty"`
-	DegradedReason string `json:",omitempty"`
-	// FailedActions counts actions an injected fault aborted this window.
-	FailedActions int `json:",omitempty"`
-	// Retried counts re-executions of previously failed actions.
-	Retried int `json:",omitempty"`
-	// HostCrashes counts hosts that crashed this window.
-	HostCrashes int `json:",omitempty"`
-	// SensorDropped marks the window's measurements as a stale replay.
-	SensorDropped bool `json:",omitempty"`
-	// RolledBack counts compensating steps executed this window after a
-	// non-retryable failure aborted a plan under
-	// testbed.RollbackOnFailure.
-	RolledBack int `json:",omitempty"`
-	// Compensated marks a window whose plan aborted and was rolled back;
-	// FPRestored then reports whether the testbed's scheduled final
-	// configuration fingerprint returned to its pre-plan value (the
-	// transactional guarantee — always true unless the rollback engine
-	// itself is broken).
-	Compensated bool `json:",omitempty"`
-	FPRestored  bool `json:",omitempty"`
-	// GuardChecked marks a window whose proposed plan went through the
-	// admission guard; GuardRejected marks one the guard refused, and
-	// GuardRule names the invariant that fired.
-	GuardChecked  bool   `json:",omitempty"`
-	GuardRejected bool   `json:",omitempty"`
-	GuardRule     string `json:",omitempty"`
-}
-
-// degrade marks the window degraded and appends the cause to its reason.
-func (w *WindowLog) degrade(reason string) {
-	w.Degraded = true
-	if reason == "" {
-		return
-	}
-	if w.DegradedReason != "" {
-		w.DegradedReason += "; "
-	}
-	w.DegradedReason += reason
-}
+// WindowLog is one monitoring window's record; see provenance.WindowLog.
+type WindowLog = provenance.WindowLog
 
 // window is one monitoring window's record. The phases of StepRates only
 // fill it; publish alone derives the views from it — Result totals, registry
@@ -239,11 +168,8 @@ type window struct {
 	tc obs.TraceContext
 	// busy: the testbed was still executing an earlier plan; no decision ran.
 	busy bool
-	// aborted: the measurement failed; the window is booked, not completed.
-	aborted bool
 
 	decideWall   time.Duration
-	decideErr    bool
 	fallback     bool
 	execRejected bool
 	provs        []*provenance.DecisionProv
@@ -256,6 +182,15 @@ type window struct {
 
 	perfRate, pwrRate float64
 	violations        []string // applications whose measured RT missed the target
+}
+
+// degrade marks the window degraded and appends the cause to its reason.
+func (w *window) degrade(reason string) {
+	if w.Degraded {
+		w.DegradedReason += "; "
+	}
+	w.Degraded = true
+	w.DegradedReason += reason
 }
 
 func b2i(b bool) int {
@@ -332,12 +267,12 @@ func (r *Result) add(w *window, interval time.Duration) {
 	r.SkippedActions += w.skipped
 	r.RolledBackActions += w.RolledBack
 	r.CompensatedPlans += w.compensated
-	r.DecideErrors += b2i(w.decideErr)
+	r.DecideErrors += b2i(w.DecideError)
 	r.Invocations += b2i(w.Invoked)
 	r.FallbackDecisions += b2i(w.fallback)
 	r.GuardRejections += b2i(w.GuardRejected)
 	r.ExecRejections += b2i(w.execRejected)
-	if w.aborted {
+	if w.Aborted {
 		return
 	}
 	r.SensorDrops += b2i(w.SensorDropped)
@@ -350,16 +285,16 @@ func (r *Result) add(w *window, interval time.Duration) {
 	r.HostHours += float64(w.ActiveHosts) * interval.Hours()
 }
 
-// MeanWatts is the time-averaged power draw over the replay.
+// MeanWatts is the time-averaged power draw over the completed windows: an
+// aborted window measured nothing.
 func (r *Result) MeanWatts() float64 {
-	if len(r.Windows) == 0 {
-		return 0
-	}
-	var sum float64
+	var sum, n float64
 	for _, w := range r.Windows {
-		sum += w.Watts
+		if !w.Aborted {
+			sum, n = sum+w.Watts, n+1
+		}
 	}
-	return sum / float64(len(r.Windows))
+	return sum / max(n, 1)
 }
 
 // dueRetry returns the index of the first due retry (FIFO), or -1.
@@ -413,16 +348,10 @@ func safeDecide(d Decider, now time.Duration, cfg cluster.Config, rates map[stri
 
 // Run replays the traces on the testbed under the decider's control. It is
 // a thin loop over Engine.Step: batch replay is the resumable engine driven
-// to the trace horizon.
-//
-// The loop degrades rather than aborts: a decision error (or panic), a
-// rejected plan, a failed or skipped action, a host crash, or a dropped
-// sensor window marks that window Degraded, is counted on the Result, and
-// the replay carries the reconciled testbed configuration into the next
-// window so the strategy can replan against reality. Only infrastructure
-// errors — invalid rates, a broken measurement pipeline — still abort, and
-// even then the in-progress window (with its already-charged search cost)
-// is recorded before returning.
+// to the trace horizon. A window degrades rather than aborts (see
+// Engine.StepRates); only an infrastructure error stops the replay, and even
+// then the in-progress window (with its already-charged search cost) is
+// booked before returning.
 func Run(tb *testbed.Testbed, d Decider, cfg RunConfig) (*Result, error) {
 	e, err := NewEngine(tb, d, cfg)
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"github.com/mistralcloud/mistral/internal/cluster"
 	"github.com/mistralcloud/mistral/internal/fault"
 	"github.com/mistralcloud/mistral/internal/guard"
-	"github.com/mistralcloud/mistral/internal/obs/slo"
 	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
@@ -29,7 +28,9 @@ import (
 // files lack, so those two series read 0 over their windows. Files written
 // before the SLO engine was refolded from the window logs carry an "slo"
 // key, which Restore ignores too; their windows lack GuardChecked, so
-// guard-reject refolds as unmeasured over them.
+// guard-reject refolds as unmeasured over them. Windows logged before the
+// DecideError and Aborted flags read no decide errors on /ops, and a file
+// holding an aborted one is refused.
 const SnapshotSchema = "mistral.checkpoint/v3"
 
 // Snapshotter is the optional Decider extension that makes a strategy
@@ -105,7 +106,7 @@ func (e *Engine) Snapshot() (*Snapshot, error) {
 	s := &Snapshot{
 		Schema:        SnapshotSchema,
 		Strategy:      e.res.Strategy,
-		WindowIndex:   e.winIdx,
+		WindowIndex:   e.WindowIndex(),
 		TimeNS:        int64(e.t),
 		TotalSearchNS: int64(e.totalSearch),
 		Retries:       slices.Clone(e.retries),
@@ -150,8 +151,11 @@ func (e *Engine) Restore(s *Snapshot) error {
 		return fmt.Errorf("scenario: checkpoint has no result")
 	}
 	// Every view reads completed window k for k below the window index.
-	skip := aborted(s.Result.Windows, time.Duration(s.TimeNS))
-	if n := len(s.Result.Windows) - len(skip); n != s.WindowIndex {
+	n := 0
+	for i := range s.Result.Windows {
+		n += b2i(!s.Result.Windows[i].Aborted)
+	}
+	if n != s.WindowIndex {
 		return fmt.Errorf("scenario: checkpoint at window %d holds %d completed windows", s.WindowIndex, n)
 	}
 	// A checkpointable strategy resumed without its state would run on
@@ -178,7 +182,6 @@ func (e *Engine) Restore(s *Snapshot) error {
 	if e.res.ViolationsByApp == nil {
 		e.res.ViolationsByApp = make(map[string]int)
 	}
-	e.winIdx = s.WindowIndex
 	e.t = time.Duration(s.TimeNS)
 	e.totalSearch = time.Duration(s.TotalSearchNS)
 	e.retries = slices.Clone(s.Retries)
@@ -189,18 +192,8 @@ func (e *Engine) Restore(s *Snapshot) error {
 			return fmt.Errorf("scenario: guard restore: %w", err)
 		}
 	}
-	// The SLO engine is refolded from the completed windows, as it folded
-	// them live.
-	e.skip = skip
-	if e.o != nil {
-		e.slo = slo.New(e.cfg.Interval, e.o)
-		for k := 0; k < e.winIdx; k++ {
-			e.slo.ObserveWindow(sloObs(k, completed(e.res.Windows, e.skip, k)))
-		}
-	}
-	e.begun = true
-	e.ops.BeginRun(e.d.Name(), e.cfg.Interval)
-	e.publishViews(nil)
+	e.views = newViews(e.o, e.d.Name(), e.cfg.Interval)
+	e.views.refold(e.res.Windows)
 	// Republish the headline gauges so a freshly restored daemon's
 	// /metrics reflects the checkpoint instead of zero.
 	e.gCumUtil.Set(e.res.CumUtility)
