@@ -253,27 +253,15 @@ func BenchmarkTable1Scalability(b *testing.B) {
 
 // Ablation benches beyond the paper (see DESIGN.md §6).
 
-// BenchmarkAblationPruneFraction varies the Self-Aware beam width.
-func BenchmarkAblationPruneFraction(b *testing.B) {
+// BenchmarkAblations replays the ablation study list: beam width, L2 band,
+// DVFS and multi-zone variants of the paper's base recipe.
+func BenchmarkAblations(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationPruneFraction(benchSeed)
+		rows, err := experiments.Ablations(benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, row := range r {
-			b.ReportMetric(row.Utility, "util@"+row.Label)
-		}
-	}
-}
-
-// BenchmarkAblationBandWidth varies the 2nd-level workload band.
-func BenchmarkAblationBandWidth(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		r, err := experiments.AblationBandWidth(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range r {
+		for _, row := range rows {
 			b.ReportMetric(row.Utility, "util@"+row.Label)
 		}
 	}
@@ -290,34 +278,6 @@ func BenchmarkAblationARMA(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationDVFS contrasts Mistral with and without the DVFS
-// extension (the paper's §VI "complementary technique").
-func BenchmarkAblationDVFS(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationDVFS(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range rows {
-			b.ReportMetric(row.Utility, "util@"+row.Label)
-		}
-	}
-}
-
-// BenchmarkAblationMultiZone quantifies the structural cost of splitting
-// the cluster across two data centers (the §VI WAN extension).
-func BenchmarkAblationMultiZone(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := experiments.AblationMultiZone(benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, row := range rows {
-			b.ReportMetric(row.Utility, "util@"+row.Label)
-		}
-	}
-}
-
 // BenchmarkFaultSweep replays the robustness study beyond the paper: the
 // four strategies under seeded fault injection at 0/15/30% action-failure
 // rates. The reported metrics track how much utility Mistral preserves as
@@ -325,8 +285,7 @@ func BenchmarkAblationMultiZone(b *testing.B) {
 // control loop absorbed without aborting.
 func BenchmarkFaultSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := mistral.RunFaultSweep(experiments.FaultSweepOptions{
-			Seed:     benchSeed,
+		r, err := mistral.RunFaultSweep(experiments.PaperRecipe(benchSeed), experiments.SweepOptions{
 			Rates:    []float64{0, 0.15, 0.30},
 			Duration: 2 * time.Hour,
 		})

@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -29,15 +30,16 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Args[1:], os.Stdout, os.Stderr); err != nil {
 		fmt.Fprintln(os.Stderr, "mistral-exp:", err)
 		os.Exit(1)
 	}
 }
 
 type emitter struct {
-	csv    bool
-	outdir string
+	csv            bool
+	outdir         string
+	stdout, stderr io.Writer
 }
 
 func (e *emitter) emit(name string, tables []experiments.Table) error {
@@ -50,30 +52,31 @@ func (e *emitter) emit(name string, tables []experiments.Table) error {
 			ext = "csv"
 		}
 		if e.outdir == "" {
-			fmt.Println(body)
+			fmt.Fprintln(e.stdout, body)
 			continue
 		}
 		file := filepath.Join(e.outdir, fmt.Sprintf("%s_%d.%s", name, i, ext))
 		if err := os.WriteFile(file, []byte(body), 0o644); err != nil {
 			return err
 		}
-		fmt.Fprintf(os.Stderr, "wrote %s\n", file)
+		fmt.Fprintf(e.stderr, "wrote %s\n", file)
 	}
 	return nil
 }
 
-func run() (err error) {
+func run(args []string, stdout, stderr io.Writer) (err error) {
+	fs := flag.NewFlagSet("mistral-exp", flag.ExitOnError)
 	var cli obs.CLI
-	cli.RegisterFlags(flag.CommandLine)
+	cli.RegisterFlags(fs)
 	var (
-		which    = flag.String("run", "all", "which experiment: all, fig1, fig3, fig4, fig5, fig6, fig7, fig7m, fig89, fig10, table1, faultsweep, ablations, chaossweep (chaossweep is not part of all)")
-		seed     = flag.Uint64("seed", 42, "random seed (the faultsweep and chaossweep fault schedules too)")
-		asCSV    = flag.Bool("csv", false, "emit CSV instead of ASCII tables")
-		outdir   = flag.String("outdir", "", "write outputs to this directory instead of stdout")
-		quick    = flag.Bool("quick", false, "cheaper variants of the slow experiments (shorter replays, fewer trials)")
-		provPath = flag.String("provenance", "", "write table1's decision-provenance records as JSONL to FILE (inspect with mistral-explain)")
+		which    = fs.String("run", "all", "which experiment: all, fig1, fig3, fig4, fig5, fig6, fig7, fig7m, fig89, fig10, table1, faultsweep, ablations, chaossweep (chaossweep is not part of all)")
+		seed     = fs.Uint64("seed", 42, "random seed (the faultsweep and chaossweep fault schedules too)")
+		asCSV    = fs.Bool("csv", false, "emit CSV instead of ASCII tables")
+		outdir   = fs.String("outdir", "", "write outputs to this directory instead of stdout")
+		quick    = fs.Bool("quick", false, "cheaper variants of the slow experiments (shorter replays, fewer trials)")
+		provPath = fs.String("provenance", "", "write table1's decision-provenance records as JSONL to FILE (inspect with mistral-explain)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	ob, closeObs, err := cli.Build()
 	if err != nil {
@@ -86,7 +89,7 @@ func run() (err error) {
 		}
 	}()
 
-	e := &emitter{csv: *asCSV, outdir: *outdir}
+	e := &emitter{csv: *asCSV, outdir: *outdir, stdout: stdout, stderr: stderr}
 	if *outdir != "" {
 		if err := os.MkdirAll(*outdir, 0o755); err != nil {
 			return err
@@ -192,16 +195,16 @@ func run() (err error) {
 			return err
 		}
 		if opts.Provenance.Enabled() {
-			fmt.Fprintf(os.Stderr, "provenance: %d records written to %s\n", opts.Provenance.Count(), *provPath)
+			fmt.Fprintf(stderr, "provenance: %d records written to %s\n", opts.Provenance.Count(), *provPath)
 		}
 	}
 	if want("faultsweep") {
-		opts := experiments.FaultSweepOptions{Seed: *seed}
+		var opts experiments.SweepOptions
 		if *quick {
 			opts.Rates = []float64{0, 0.15, 0.30}
 			opts.Duration = time.Hour
 		}
-		r, err := mistral.RunFaultSweep(opts)
+		r, err := mistral.RunFaultSweep(experiments.PaperRecipe(*seed), opts)
 		if err != nil {
 			return fmt.Errorf("faultsweep: %w", err)
 		}
@@ -212,12 +215,12 @@ func run() (err error) {
 	// Like bench, chaossweep is opt-in: four full replays under maximum
 	// chaos are too slow to ride along with every "all" run.
 	if strings.EqualFold(*which, "chaossweep") {
-		opts := experiments.ChaosSweepOptions{Seed: *seed}
+		var opts experiments.SweepOptions
 		if *quick {
 			opts.Rates = []float64{0.30}
 			opts.Duration = time.Hour
 		}
-		r, err := mistral.RunChaosSweep(opts)
+		r, err := mistral.RunChaosSweep(experiments.PaperRecipe(*seed), opts)
 		if err != nil {
 			return fmt.Errorf("chaossweep: %w", err)
 		}
@@ -233,26 +236,12 @@ func run() (err error) {
 			Title:  "Ablations (beyond the paper)",
 			Header: []string{"study", "variant", "utility($)", "actions", "mean search"},
 		}
-		prune, err := experiments.AblationPruneFraction(*seed)
+		rows, err := experiments.Ablations(*seed)
 		if err != nil {
 			return fmt.Errorf("ablations: %w", err)
 		}
-		for _, r := range prune {
-			t.Rows = append(t.Rows, []string{"prune fraction", r.Label, fmt.Sprintf("%.2f", r.Utility), fmt.Sprint(r.Actions), r.MeanSearch.String()})
-		}
-		band, err := experiments.AblationBandWidth(*seed)
-		if err != nil {
-			return fmt.Errorf("ablations: %w", err)
-		}
-		for _, r := range band {
-			t.Rows = append(t.Rows, []string{"L2 band width", r.Label, fmt.Sprintf("%.2f", r.Utility), fmt.Sprint(r.Actions), r.MeanSearch.String()})
-		}
-		dvfs, err := experiments.AblationDVFS(*seed)
-		if err != nil {
-			return fmt.Errorf("ablations: %w", err)
-		}
-		for _, r := range dvfs {
-			t.Rows = append(t.Rows, []string{"DVFS extension", r.Label, fmt.Sprintf("%.2f", r.Utility), fmt.Sprint(r.Actions), r.MeanSearch.String()})
+		for _, r := range rows {
+			t.Rows = append(t.Rows, []string{r.Study, r.Label, fmt.Sprintf("%.2f", r.Utility), fmt.Sprint(r.Actions), r.MeanSearch.String()})
 		}
 		for _, r := range experiments.AblationARMA(*seed) {
 			t.Rows = append(t.Rows, []string{"ARMA estimator", r.Label, "-", "-", fmt.Sprintf("%.1f%% err", r.ErrorPct)})
@@ -267,6 +256,6 @@ func run() (err error) {
 			return err
 		}
 	}
-	fmt.Fprintf(os.Stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stderr, "done in %v\n", time.Since(start).Round(time.Millisecond))
 	return nil
 }

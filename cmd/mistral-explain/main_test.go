@@ -19,7 +19,6 @@ import (
 	"github.com/mistralcloud/mistral/internal/obs/tsdb"
 	"github.com/mistralcloud/mistral/internal/provenance"
 	"github.com/mistralcloud/mistral/internal/scenario"
-	"github.com/mistralcloud/mistral/internal/strategy"
 	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
@@ -166,7 +165,7 @@ func TestOpsReplayMatchesLiveSLO(t *testing.T) {
 			ob := observer()
 			run := scenario.RunConfig{Duration: 40 * 2 * time.Minute, Obs: ob, StepProvenance: fx.rc.Guard}
 			run.Provenance = provenance.NewRecorder(f)
-			rp, err := fx.rc.Build(strategy.MistralConfig{}, run)
+			rp, err := fx.rc.Build(run)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -217,7 +216,7 @@ func TestOpsReplayMatchesLiveSLO(t *testing.T) {
 				t.Fatal(err)
 			}
 			restoredOb := observer()
-			rp2, err := fx.rc.Build(strategy.MistralConfig{}, scenario.RunConfig{Duration: run.Duration, Obs: restoredOb})
+			rp2, err := fx.rc.Build(scenario.RunConfig{Duration: run.Duration, Obs: restoredOb})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -481,7 +480,7 @@ func FuzzCausalChain(f *testing.F) {
 // written with observability off.
 func TestSeriesFromCheckpointWithoutObservers(t *testing.T) {
 	rc := experiments.Recipe{Lab: experiments.LabOptions{NumApps: 1, Seed: 42}, Strategy: "mistral"}
-	rp, err := rc.Build(strategy.MistralConfig{}, scenario.RunConfig{Duration: 20 * time.Minute})
+	rp, err := rc.Build(scenario.RunConfig{Duration: 20 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,7 +54,6 @@ import (
 	"github.com/mistralcloud/mistral/internal/obs"
 	"github.com/mistralcloud/mistral/internal/provenance"
 	"github.com/mistralcloud/mistral/internal/scenario"
-	"github.com/mistralcloud/mistral/internal/strategy"
 )
 
 func main() {
@@ -185,7 +184,7 @@ func (b *lockedBuffer) Bytes() []byte {
 // live one.
 func (s *server) build(rc experiments.Recipe) (env, error) {
 	provBuf := &lockedBuffer{}
-	rp, err := rc.Build(strategy.MistralConfig{}, scenario.RunConfig{
+	rp, err := rc.Build(scenario.RunConfig{
 		Obs:        s.ob,
 		Provenance: provenance.NewRecorder(provBuf),
 		// The daemon's flight recorder always carries per-step outcomes:

@@ -8,8 +8,7 @@
 //	            [-dvfs] [-csv] [-fault-rate P] [-fault-seed N]
 //	            [-provenance FILE] [-trace FILE] [-metrics FILE]
 //	            [-log-level LEVEL] [-pprof ADDR]
-//	            [-slo] [-slo-exit] [-profile-dir DIR] [-profile-budget D]
-//	            [-profile-max N] [-checkpoint FILE] [-resume FILE]
+//	            [-slo] [-slo-exit] [-checkpoint FILE] [-resume FILE]
 //	            [-exec-policy fail-forward|rollback] [-guard] [-step-provenance]
 package main
 
@@ -20,14 +19,12 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"github.com/mistralcloud/mistral/internal/checkpoint"
 	"github.com/mistralcloud/mistral/internal/experiments"
 	"github.com/mistralcloud/mistral/internal/obs"
 	"github.com/mistralcloud/mistral/internal/provenance"
 	"github.com/mistralcloud/mistral/internal/scenario"
-	"github.com/mistralcloud/mistral/internal/strategy"
 	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
@@ -49,12 +46,9 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		provPath   = fs.String("provenance", "", "write one decision-provenance record per window as JSONL to FILE (inspect with mistral-explain)")
 		asCSV      = fs.Bool("csv", false, "emit CSV instead of aligned columns")
 		sloReport  = fs.Bool("slo", false, "run the SLO self-monitoring engine and print the objective/error-budget report to stderr at exit")
-		profileDir = fs.String("profile-dir", "", "capture pprof CPU/heap artifacts into DIR when a decide blows its wall-clock latency budget")
-		profileBud = fs.Duration("profile-budget", 500*time.Millisecond, "wall-clock decide budget that triggers pprof capture (with -profile-dir)")
-		profileMax = fs.Int("profile-max", 8, "maximum pprof artifacts written (with -profile-dir)")
 		sloExit    = fs.Bool("slo-exit", false, "exit nonzero when any SLO objective's error budget is exhausted at the end of the run (for CI gates; implies the SLO engine)")
 		ckptPath   = fs.String("checkpoint", "", "write an engine checkpoint to FILE when the run completes (resume with -resume)")
-		resumePath = fs.String("resume", "", "restore the engine from a checkpoint FILE and continue the replay; the checkpoint's recorded environment (apps, seed, strategy, fault profile) overrides the corresponding flags")
+		resumePath = fs.String("resume", "", "restore the engine from a checkpoint FILE and continue the replay; the checkpoint's recorded recipe (apps, seed, strategy, fault profile, Mistral knobs) overrides the corresponding flags")
 		stepProv   = fs.Bool("step-provenance", false, "include per-step execution outcomes (applied/failed/skipped/rolled-back, with causes) in each provenance record (with -provenance)")
 	)
 	fs.Parse(args)
@@ -105,21 +99,10 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}()
 		rec = provenance.NewRecorder(f)
 	}
-	// Optional latency-triggered pprof capture.
-	var prof *obs.Profiler
-	if *profileDir != "" {
-		prof, err = obs.NewProfiler(*profileDir, *profileBud, *profileMax)
-		if err != nil {
-			return err
-		}
-		defer prof.Close()
-	}
-
-	rp, err := rc.Build(strategy.MistralConfig{}, scenario.RunConfig{
+	rp, err := rc.Build(scenario.RunConfig{
 		Duration:       *duration,
 		Provenance:     rec,
 		StepProvenance: *stepProv,
-		Profile:        prof,
 	})
 	if err != nil {
 		return err
@@ -216,11 +199,6 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			}
 			fmt.Fprintf(stderr, "  %-16s %s: %d/%d windows breached (budget %.0f%%, used %.0f%%, burn %.2f)%s\n",
 				o.Name, status, o.Breaches, o.Windows, o.Budget*100, o.BudgetUsed*100, o.BurnRate, last)
-		}
-	}
-	if prof != nil {
-		if arts := prof.Artifacts(); len(arts) > 0 {
-			fmt.Fprintf(stderr, "profiling: %d pprof artifact(s) in %s (budget %v)\n", len(arts), *profileDir, *profileBud)
 		}
 	}
 	if *sloExit {

@@ -1,6 +1,7 @@
 // Package checkpoint is the on-disk envelope around a scenario engine
 // snapshot: the engine state itself plus the experiments.Recipe (lab
-// options, strategy, fault profile, execution policy, guard) a fresh
+// options, strategy, fault profile, execution policy, guard, Mistral
+// knobs) a fresh
 // process rebuilds an identical environment from before restoring into it.
 // New and File.Recipe are the one conversion between the two, so a batch
 // run can be resumed by the daemon and vice versa.
@@ -11,9 +12,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"time"
 
+	"github.com/mistralcloud/mistral/internal/core"
 	"github.com/mistralcloud/mistral/internal/experiments"
 	"github.com/mistralcloud/mistral/internal/scenario"
+	"github.com/mistralcloud/mistral/internal/strategy"
 	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
@@ -39,22 +43,32 @@ type File struct {
 	ExecPolicy string `json:"exec_policy,omitempty"`
 	// Guard records whether the admission guard was enabled; the engine
 	// snapshot carries its state when true.
-	Guard    bool               `json:"guard,omitempty"`
-	Scenario *scenario.Snapshot `json:"scenario"`
+	Guard bool `json:"guard,omitempty"`
+	// The recipe's Mistral knobs, each as given (pre-default) like Lab and
+	// absent while zero, so a file that sets none keeps its bytes.
+	L2Band        float64            `json:"l2_band,omitempty"`
+	PruneFraction float64            `json:"prune_fraction,omitempty"`
+	TimePerChild  time.Duration      `json:"time_per_child_ns,omitempty"`
+	MaxExpansions int                `json:"max_expansions,omitempty"`
+	Scenario      *scenario.Snapshot `json:"scenario"`
 }
 
 // New wraps an engine snapshot and the recipe its environment was built
 // from.
 func New(rc experiments.Recipe, snap *scenario.Snapshot) *File {
 	return &File{
-		Schema:     Schema,
-		Strategy:   rc.Strategy,
-		Lab:        rc.Lab,
-		FaultRate:  rc.FaultRate,
-		FaultSeed:  rc.FaultSeed,
-		ExecPolicy: rc.ExecPolicy.String(),
-		Guard:      rc.Guard,
-		Scenario:   snap,
+		Schema:        Schema,
+		Strategy:      rc.Strategy,
+		Lab:           rc.Lab,
+		FaultRate:     rc.FaultRate,
+		FaultSeed:     rc.FaultSeed,
+		ExecPolicy:    rc.ExecPolicy.String(),
+		Guard:         rc.Guard,
+		L2Band:        rc.Mistral.L2Band,
+		PruneFraction: rc.Mistral.Search.PruneFraction,
+		TimePerChild:  rc.Mistral.Search.TimePerChild,
+		MaxExpansions: rc.Mistral.Search.MaxExpansions,
+		Scenario:      snap,
 	}
 }
 
@@ -71,6 +85,9 @@ func (f *File) Recipe() (experiments.Recipe, error) {
 		FaultSeed:  f.FaultSeed,
 		ExecPolicy: exec,
 		Guard:      f.Guard,
+		Mistral: strategy.MistralConfig{L2Band: f.L2Band, Search: core.SearchOptions{
+			PruneFraction: f.PruneFraction, TimePerChild: f.TimePerChild, MaxExpansions: f.MaxExpansions,
+		}},
 	}, nil
 }
 

@@ -3,14 +3,18 @@ package checkpoint_test
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/mistralcloud/mistral/internal/checkpoint"
+	"github.com/mistralcloud/mistral/internal/core"
 	"github.com/mistralcloud/mistral/internal/experiments"
+	"github.com/mistralcloud/mistral/internal/provenance"
 	"github.com/mistralcloud/mistral/internal/scenario"
 	"github.com/mistralcloud/mistral/internal/strategy"
 	"github.com/mistralcloud/mistral/internal/testbed"
@@ -29,7 +33,7 @@ var realRecipe = experiments.Recipe{
 // snapshot in the envelope the binaries write.
 func realFile(tb testing.TB) *checkpoint.File {
 	tb.Helper()
-	rp, err := experiments.Recipe{Lab: realRecipe.Lab, Strategy: "Perf-Pwr"}.Build(strategy.MistralConfig{}, scenario.RunConfig{})
+	rp, err := experiments.Recipe{Lab: realRecipe.Lab, Strategy: "Perf-Pwr"}.Build(scenario.RunConfig{})
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -170,6 +174,12 @@ func FuzzDecode(f *testing.F) {
 	for _, n := range []int{0, 1, len(raw) / 3, len(raw) / 2, len(raw) - 1} {
 		f.Add(raw[:n])
 	}
+	knobbed := *file
+	knobbed.L2Band, knobbed.PruneFraction, knobbed.TimePerChild, knobbed.MaxExpansions = 4, 0.2, 300*time.Microsecond, 1500
+	if raw, err = json.Marshal(&knobbed); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(raw)
 	envelope := `{"schema":"` + checkpoint.Schema + `",`
 	for _, confused := range []string{
 		`"scenario":null}`,
@@ -179,6 +189,8 @@ func FuzzDecode(f *testing.F) {
 		`"scenario":{"result":[],"testbed":0}}`,
 		`"lab":7,"scenario":{}}`,
 		`"workers":"one","scenario":{}}`,
+		`"l2_band":"wide","scenario":{}}`,
+		`"prune_fraction":-1,"time_per_child_ns":1e99,"scenario":{}}`,
 		`"scenario":{"decider":{"eval":{"hits":"many"}},"history":{"series":{}}}}`,
 	} {
 		f.Add([]byte(envelope + confused))
@@ -195,4 +207,208 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("Decode accepted %q as %+v", data, got)
 		}
 	})
+}
+
+// knobRecipe is a Mistral replay on the 2-application lab with every knob
+// a checkpoint records moved off its default.
+var knobRecipe = experiments.Recipe{
+	Lab:      experiments.LabOptions{NumApps: 2, Seed: 7},
+	Strategy: "mistral",
+	Mistral: strategy.MistralConfig{L2Band: 4, Search: core.SearchOptions{
+		PruneFraction: 0.2, TimePerChild: 300 * time.Microsecond, MaxExpansions: 1500,
+	}},
+}
+
+// recorded builds rc with a provenance recorder writing to prov, for the
+// scenario's first hour (30 windows).
+func recorded(t *testing.T, rc experiments.Recipe, prov *bytes.Buffer) *experiments.Replay {
+	t.Helper()
+	rp, err := rc.Build(scenario.RunConfig{Duration: time.Hour, Provenance: provenance.NewRecorder(prov)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rp
+}
+
+// TestResumeWithKnobs runs knobRecipe to window 12, takes it through the
+// file (New, Write, Read, Recipe, Build, Restore) and finishes the hour: the
+// resumed run equals the uninterrupted one on every window log and on the
+// provenance bytes. The knobs move decisions, so a file that dropped them
+// would diverge: the same hour with default knobs does.
+func TestResumeWithKnobs(t *testing.T) {
+	const k = 12
+	var fullProv, headProv, tailProv, defaultProv bytes.Buffer
+	full := recorded(t, knobRecipe, &fullProv)
+	if _, err := full.Engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	head := recorded(t, knobRecipe, &headProv)
+	for i := 0; i < k; i++ {
+		if _, err := head.Engine.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	snap, err := head.Engine.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "ck.json")
+	if err := checkpoint.Write(path, checkpoint.New(head.Recipe, snap)); err != nil {
+		t.Fatal(err)
+	}
+	file, err := checkpoint.Read(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := file.Recipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(rc.Mistral, knobRecipe.Mistral) {
+		t.Fatalf("file records knobs %+v, want %+v", rc.Mistral, knobRecipe.Mistral)
+	}
+	tail := recorded(t, rc, &tailProv)
+	if err := tail.Engine.Restore(file.Scenario); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tail.Engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+
+	want := full.Engine.Result().Windows
+	if got := tail.Engine.Result().Windows; !reflect.DeepEqual(got, want) {
+		t.Errorf("resumed windows diverge from the uninterrupted run (%d vs %d windows)", len(got), len(want))
+	}
+	if cat := append(headProv.Bytes(), tailProv.Bytes()...); !bytes.Equal(cat, fullProv.Bytes()) {
+		t.Errorf("provenance diverges: uninterrupted %d bytes, head+tail %d", fullProv.Len(), len(cat))
+	}
+
+	defaults := knobRecipe
+	defaults.Mistral = strategy.MistralConfig{}
+	base := recorded(t, defaults, &defaultProv)
+	if _, err := base.Engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(base.Engine.Result().Windows, want) {
+		t.Error("default knobs decide the hour as knobRecipe does; the resume check cannot tell a dropped knob")
+	}
+}
+
+// TestEveryKnobIsRecordedOrRefused sets each field of strategy.MistralConfig
+// (and of its core.SearchOptions) in turn on a recipe: Build refuses it, or
+// the checkpoint carries it through New, JSON and File.Recipe unchanged. A
+// field added later that does neither fails here, before it can steer a
+// run the file does not describe.
+func TestEveryKnobIsRecordedOrRefused(t *testing.T) {
+	var leaves func(typ reflect.Type, prefix string, path []int)
+	leaves = func(typ reflect.Type, prefix string, path []int) {
+		for i := 0; i < typ.NumField(); i++ {
+			fld := typ.Field(i)
+			at := append(append([]int(nil), path...), i)
+			if !fld.IsExported() {
+				continue
+			}
+			name := prefix + fld.Name
+			if fld.Type.Kind() == reflect.Struct {
+				leaves(fld.Type, name+".", at)
+				continue
+			}
+			rc := experiments.Recipe{Lab: knobRecipe.Lab, Strategy: "mistral"}
+			v := reflect.ValueOf(&rc.Mistral).Elem().FieldByIndex(at)
+			switch v.Kind() {
+			case reflect.Float64:
+				v.SetFloat(0.5)
+			case reflect.Int, reflect.Int64:
+				v.SetInt(3)
+			case reflect.Bool:
+				v.SetBool(true)
+			case reflect.Slice:
+				v.Set(reflect.MakeSlice(v.Type(), 1, 1))
+			case reflect.Pointer:
+				v.Set(reflect.New(v.Type().Elem()))
+			default:
+				t.Fatalf("%s: no test value for a %s", name, v.Kind())
+			}
+			t.Run(name, func(t *testing.T) {
+				rp, err := rc.Build(scenario.RunConfig{})
+				if err != nil {
+					return // refused
+				}
+				snap, err := rp.Engine.Snapshot()
+				if err != nil {
+					t.Fatal(err)
+				}
+				raw, err := json.Marshal(checkpoint.New(rp.Recipe, snap))
+				if err != nil {
+					t.Fatal(err)
+				}
+				file, err := checkpoint.Decode(raw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				back, err := file.Recipe()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(back.Mistral, rc.Mistral) {
+					t.Errorf("Build accepts %s, but the checkpoint gives back %+v for %+v", name, back.Mistral, rc.Mistral)
+				}
+			})
+		}
+	}
+	leaves(reflect.TypeOf(strategy.MistralConfig{}), "", nil)
+}
+
+// TestBadKnobsRefused reads each out-of-range knob from a checkpoint
+// (Decode, File.Recipe) and requires Build to refuse it, naming the field.
+// A file whose knobs are all zero carries no knob key at all.
+func TestBadKnobsRefused(t *testing.T) {
+	f := realFile(t)
+	raw, err := json.Marshal(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range []string{"l2_band", "prune_fraction", "time_per_child_ns", "max_expansions"} {
+		if bytes.Contains(raw, []byte(`"`+key+`"`)) {
+			t.Errorf("zero-knob checkpoint carries %s", key)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		set   func(*checkpoint.File)
+		field string
+	}{
+		{"negative band", func(f *checkpoint.File) { f.L2Band = -1 }, "L2Band"},
+		{"prune above 1", func(f *checkpoint.File) { f.PruneFraction = 1.5 }, "PruneFraction"},
+		{"negative prune", func(f *checkpoint.File) { f.PruneFraction = -0.1 }, "PruneFraction"},
+		{"negative time per child", func(f *checkpoint.File) { f.TimePerChild = -time.Microsecond }, "TimePerChild"},
+		{"negative expansions", func(f *checkpoint.File) { f.MaxExpansions = -1 }, "MaxExpansions"},
+	} {
+		bad := *f
+		tc.set(&bad)
+		raw, err := json.Marshal(&bad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := checkpoint.Decode(raw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := file.Recipe()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := rc.Build(scenario.RunConfig{}); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Build = %v, want an error naming %s", tc.name, err, tc.field)
+		}
+	}
+	// JSON has no NaN or infinity; a recipe made in code can hold them.
+	for _, band := range []float64{math.NaN(), math.Inf(1)} {
+		rc := realRecipe
+		rc.Mistral.L2Band = band
+		if _, err := rc.Build(scenario.RunConfig{}); err == nil || !strings.Contains(err.Error(), "L2Band") {
+			t.Errorf("band %v: Build = %v, want an error naming L2Band", band, err)
+		}
+	}
 }

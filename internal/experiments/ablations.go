@@ -7,62 +7,63 @@ import (
 
 	"github.com/mistralcloud/mistral/internal/scenario"
 	"github.com/mistralcloud/mistral/internal/stats"
-	"github.com/mistralcloud/mistral/internal/strategy"
 	"github.com/mistralcloud/mistral/internal/testbed"
 	"github.com/mistralcloud/mistral/internal/workload"
 )
 
-// AblationRow is one configuration's outcome in a design-choice sweep.
+// AblationRow is one variant of the replay ablation study: the recipe it
+// ran and what came of it.
 type AblationRow struct {
-	Label      string
-	Utility    float64
-	Actions    int
-	MeanSearch time.Duration
+	Study, Label string
+	Recipe       Recipe
+	Utility      float64
+	Actions      int
+	MeanSearch   time.Duration
 }
 
 // ablationDuration keeps sweeps affordable while covering the first flash
 // crowd (the interesting control regime).
 const ablationDuration = 3 * time.Hour
 
-// ablationRow replays the shortened scenario under Mistral on lab with the
-// search and hierarchy of mc.
-func ablationRow(label string, lab LabOptions, mc strategy.MistralConfig) (AblationRow, error) {
-	rp, err := replay(Recipe{Lab: lab, Strategy: "mistral"}, mc, scenario.RunConfig{Duration: ablationDuration})
-	if err != nil {
-		return AblationRow{}, fmt.Errorf("experiments: ablation %s: %w", label, err)
+// ablationStudies lists the replay ablations beyond the paper, each a
+// variant of PaperRecipe(seed): the Self-Aware beam width (the paper keeps
+// the top 5%); the 2nd-level band (the paper's 8 req/s; narrow bands
+// re-plan constantly, wide ones react late); the §VI DVFS extension; and
+// the §VI WAN extension, the same cluster split across two data centers
+// with each application pinned to a home zone and only the 3rd level
+// moving VMs between zones.
+func ablationStudies(seed uint64) []AblationRow {
+	var out []AblationRow
+	add := func(study, label string, vary func(*Recipe)) {
+		rc := PaperRecipe(seed)
+		vary(&rc)
+		out = append(out, AblationRow{Study: study, Label: label, Recipe: rc})
 	}
-	res := rp.Engine.Result()
-	return AblationRow{Label: label, Utility: res.CumUtility, Actions: res.TotalActions, MeanSearch: res.MeanSearchTime}, nil
-}
-
-// AblationPruneFraction sweeps the Self-Aware beam width (the paper fixes
-// it at the top 5%).
-func AblationPruneFraction(seed uint64) ([]AblationRow, error) {
-	var rows []AblationRow
 	for _, frac := range []float64{0.01, 0.05, 0.20} {
-		mc := paperMistral()
-		mc.Search.PruneFraction = frac
-		row, err := ablationRow(fmt.Sprintf("%.0f%%", frac*100), LabOptions{NumApps: 2, Seed: seed}, mc)
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
+		add("prune fraction", fmt.Sprintf("%.0f%%", frac*100), func(rc *Recipe) { rc.Mistral.Search.PruneFraction = frac })
 	}
-	return rows, nil
+	for _, band := range []float64{2, 8, 16} {
+		add("L2 band width", fmt.Sprintf("%.0freq/s", band), func(rc *Recipe) { rc.Mistral.L2Band = band })
+	}
+	add("DVFS extension", "no-dvfs", func(*Recipe) {})
+	add("DVFS extension", "dvfs-60/80", func(rc *Recipe) { rc.Lab.DVFSLevels = []float64{0.6, 0.8} })
+	add("multi-zone", "single-zone", func(rc *Recipe) { rc.Lab.Zones = 1 })
+	add("multi-zone", "2-zones", func(rc *Recipe) { rc.Lab.Zones = 2 })
+	return out
 }
 
-// AblationBandWidth sweeps the 2nd-level workload band (the paper uses
-// 8 req/s): narrow bands re-plan constantly, wide bands react late.
-func AblationBandWidth(seed uint64) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, band := range []float64{2, 8, 16} {
-		mc := paperMistral()
-		mc.L2Band = band
-		row, err := ablationRow(fmt.Sprintf("%.0freq/s", band), LabOptions{NumApps: 2, Seed: seed}, mc)
+// Ablations replays every study of ablationStudies over the scenario's
+// first ablationDuration, in order.
+func Ablations(seed uint64) ([]AblationRow, error) {
+	rows := ablationStudies(seed)
+	for i := range rows {
+		r := &rows[i]
+		rp, err := replay(r.Recipe, scenario.RunConfig{Duration: ablationDuration})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: ablation %s %s: %w", r.Study, r.Label, err)
 		}
-		rows = append(rows, row)
+		res := rp.Engine.Result()
+		r.Utility, r.Actions, r.MeanSearch = res.CumUtility, res.TotalActions, res.MeanSearchTime
 	}
 	return rows, nil
 }
@@ -122,46 +123,6 @@ func AblationARMA(seed uint64) []ARMAAblationRow {
 		})
 	}
 	return rows
-}
-
-// AblationDVFS contrasts Mistral with and without the §VI DVFS extension:
-// hosts that can downclock shave watts during quiet phases without
-// migrations or power cycling.
-func AblationDVFS(seed uint64) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, levels := range [][]float64{nil, {0.6, 0.8}} {
-		label := "no-dvfs"
-		if levels != nil {
-			label = "dvfs-60/80"
-		}
-		row, err := ablationRow(label, LabOptions{NumApps: 2, Seed: seed, DVFSLevels: levels}, paperMistral())
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// AblationMultiZone quantifies the structural cost of splitting the same
-// cluster across data centers (the §VI WAN extension): each application is
-// pinned to a home zone, cross-zone traffic pays WAN latency, and only the
-// 3rd hierarchy level may move VMs between zones — so flash crowds that a
-// single-zone cluster absorbs by borrowing any host cost real utility.
-func AblationMultiZone(seed uint64) ([]AblationRow, error) {
-	var rows []AblationRow
-	for _, zones := range []int{1, 2} {
-		label := "single-zone"
-		if zones > 1 {
-			label = fmt.Sprintf("%d-zones", zones)
-		}
-		row, err := ablationRow(label, LabOptions{NumApps: 2, Seed: seed, Zones: zones}, paperMistral())
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
 }
 
 // FidelityResult compares the analytic and request-level testbeds

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"time"
@@ -9,34 +10,7 @@ import (
 	"github.com/mistralcloud/mistral/internal/fault"
 	"github.com/mistralcloud/mistral/internal/scenario"
 	"github.com/mistralcloud/mistral/internal/testbed"
-	"github.com/mistralcloud/mistral/internal/workload"
 )
-
-// ChaosSweepOptions configures the transactional-robustness study: the
-// Mistral strategy replayed under the hostile fault.ChaosProfile mix
-// (simultaneous crashes, failures, and delays, mostly non-retryable) with
-// the admission guard enabled, once per execution policy, while a set of
-// safety invariants is asserted after every window.
-type ChaosSweepOptions struct {
-	// Seed drives the lab and the fault schedule.
-	Seed uint64
-	// Rates are the headline chaos rates (default 15% and 30%).
-	Rates []float64
-	// Duration bounds each replay (default 2 hours; at most the whole
-	// scenario).
-	Duration time.Duration
-}
-
-func (o ChaosSweepOptions) withDefaults() ChaosSweepOptions {
-	if len(o.Rates) == 0 {
-		o.Rates = []float64{0.15, 0.30}
-	}
-	if o.Duration <= 0 {
-		o.Duration = 2 * time.Hour
-	}
-	o.Duration = min(o.Duration, workload.ScenarioDuration)
-	return o
-}
 
 // ChaosSweepCell is one (rate, execution policy) replay.
 type ChaosSweepCell struct {
@@ -118,13 +92,13 @@ func chaosInvariants(idx int, cat *cluster.Catalog, tb *testbed.Testbed, w scena
 	return out
 }
 
-// runChaosCell replays the Mistral strategy under one (rate, policy) cell
-// with guard and breaker active, stepping the engine window by window so
-// the invariants are checked against live state, not a post-hoc summary.
-func runChaosCell(opts ChaosSweepOptions, rate float64, exec testbed.ExecPolicy) (ChaosSweepCell, error) {
+// runChaosCell replays rc under one chaos rate with guard and breaker
+// active, stepping the engine window by window so the invariants are
+// checked against live state, not a post-hoc summary.
+func runChaosCell(rc Recipe, rate float64, d time.Duration) (ChaosSweepCell, error) {
+	exec := rc.ExecPolicy
 	cell := ChaosSweepCell{Rate: rate, Exec: exec}
-	rp, err := Recipe{Lab: LabOptions{NumApps: 2, Seed: opts.Seed}, Strategy: "mistral", ExecPolicy: exec, Guard: true}.Build(
-		paperMistral(), scenario.RunConfig{Duration: opts.Duration, Fault: fault.New(fault.ChaosProfile(rate, opts.Seed))})
+	rp, err := rc.Build(scenario.RunConfig{Duration: d, Fault: fault.New(fault.ChaosProfile(rate, cmp.Or(rc.FaultSeed, rc.Lab.Seed)))})
 	if err != nil {
 		return cell, err
 	}
@@ -143,14 +117,20 @@ func runChaosCell(opts ChaosSweepOptions, rate float64, exec testbed.ExecPolicy)
 	return cell, nil
 }
 
-// ChaosSweep runs the full grid: every chaos rate under both execution
-// policies, guard always on.
-func ChaosSweep(opts ChaosSweepOptions) (*ChaosSweepResult, error) {
-	opts = opts.withDefaults()
+// ChaosSweep runs the transactional-robustness study: base replayed under
+// the hostile fault.ChaosProfile mix (simultaneous crashes, failures, and
+// delays, mostly non-retryable) at every chaos rate, once per execution
+// policy, guard always on, while a set of safety invariants is asserted
+// after every window. base's fault seed (Lab.Seed when zero) seeds the
+// chaos schedule.
+func ChaosSweep(base Recipe, opts SweepOptions) (*ChaosSweepResult, error) {
+	opts = opts.withDefaults(0.15, 0.30)
 	out := &ChaosSweepResult{Rates: opts.Rates}
 	for _, rate := range opts.Rates {
 		for _, exec := range []testbed.ExecPolicy{testbed.FailForward, testbed.RollbackOnFailure} {
-			cell, err := runChaosCell(opts, rate, exec)
+			rc := base
+			rc.ExecPolicy, rc.Guard = exec, true
+			cell, err := runChaosCell(rc, rate, opts.Duration)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: chaos sweep %s @ %.0f%%: %w", exec, rate*100, err)
 			}

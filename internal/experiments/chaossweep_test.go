@@ -18,8 +18,7 @@ func TestChaosSweepInvariantsAndDeterminism(t *testing.T) {
 		t.Skip("chaos sweep replay")
 	}
 	run := func() *ChaosSweepResult {
-		r, err := ChaosSweep(ChaosSweepOptions{
-			Seed:     7,
+		r, err := ChaosSweep(PaperRecipe(7), SweepOptions{
 			Rates:    []float64{0.30},
 			Duration: time.Hour,
 		})

@@ -253,7 +253,7 @@ func TestRunStrategyShortScenario(t *testing.T) {
 			t.Errorf("%s: %d windows", s, len(res.Windows))
 		}
 	}
-	if _, err := (Recipe{Lab: lab, Strategy: "bogus"}).Build(paperMistral(), scenario.RunConfig{}); err == nil {
+	if _, err := (Recipe{Lab: lab, Strategy: "bogus"}).Build(scenario.RunConfig{}); err == nil {
 		t.Error("unknown strategy accepted")
 	}
 }

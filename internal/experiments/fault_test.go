@@ -9,11 +9,12 @@ import (
 )
 
 // shortReplay runs rc for the scenario's first hour (30 windows) with the
-// experiments' search charge.
+// paper recipe's Mistral knobs.
 func shortReplay(t *testing.T, rc Recipe, run scenario.RunConfig) *Replay {
 	t.Helper()
 	run.Duration = time.Hour
-	rp, err := replay(rc, paperMistral(), run)
+	rc.Mistral = PaperRecipe(0).Mistral
+	rp, err := replay(rc, run)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,8 +97,7 @@ func TestFaultHammer(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault sweep replay")
 	}
-	sweep, err := FaultSweep(FaultSweepOptions{
-		Seed:     7,
+	sweep, err := FaultSweep(PaperRecipe(7), SweepOptions{
 		Rates:    []float64{0.30},
 		Duration: time.Hour,
 	})

@@ -9,15 +9,11 @@ import (
 	"github.com/mistralcloud/mistral/internal/workload"
 )
 
-// FaultSweepOptions configures the robustness sweep: each strategy replays
-// the 2-application scenario under increasingly hostile fault injection.
-type FaultSweepOptions struct {
-	// Seed drives the lab (workload synthesis, testbed noise) and the
-	// fault schedule; the same seed reproduces the sweep byte for byte.
-	Seed uint64
-	// Rates are the action-failure probabilities to sweep (default
-	// 0, 5, 15, and 30%); fault.Profile derives delay, sensor, and crash
-	// rates from each.
+// SweepOptions bounds the fault and chaos sweeps.
+type SweepOptions struct {
+	// Rates are the fault rates to sweep (default 0, 5, 15 and 30% for
+	// FaultSweep, whose fault.Profile derives delay, sensor, and crash
+	// rates from each; 15 and 30% for ChaosSweep).
 	Rates []float64
 	// Duration bounds each replay (default 2 hours — long enough for
 	// retries, crashes, and degraded windows to show, short enough to keep
@@ -25,9 +21,10 @@ type FaultSweepOptions struct {
 	Duration time.Duration
 }
 
-func (o FaultSweepOptions) withDefaults() FaultSweepOptions {
+// withDefaults fills in rates when none were given, and the duration.
+func (o SweepOptions) withDefaults(rates ...float64) SweepOptions {
 	if len(o.Rates) == 0 {
-		o.Rates = []float64{0, 0.05, 0.15, 0.30}
+		o.Rates = rates
 	}
 	if o.Duration <= 0 {
 		o.Duration = 2 * time.Hour
@@ -53,20 +50,24 @@ type FaultSweepResult struct {
 }
 
 // FaultSweep reproduces the robustness study: Mistral and the three
-// baselines replayed at every fault rate. At rate 0 the injector is absent
-// and each replay is byte-identical to the fault-free Fig. 8/9 path; at
-// higher rates the comparison shows how much utility each strategy
-// preserves while actions fail, hosts crash, and sensors drop.
-func FaultSweep(opts FaultSweepOptions) (*FaultSweepResult, error) {
-	opts = opts.withDefaults()
+// baselines replayed at every fault rate, each a variant of base with its
+// strategy and fault rate set (base's seeds drive the lab and the fault
+// schedule, so the same base reproduces the sweep byte for byte). At rate
+// 0 the injector is absent and each replay of PaperRecipe is
+// byte-identical to the fault-free Fig. 8/9 path; at higher rates the
+// comparison shows how much utility each strategy preserves while actions
+// fail, hosts crash, and sensors drop.
+func FaultSweep(base Recipe, opts SweepOptions) (*FaultSweepResult, error) {
+	opts = opts.withDefaults(0, 0.05, 0.15, 0.30)
 	out := &FaultSweepResult{
 		Rates: opts.Rates,
 		Cells: make(map[StrategyName][]FaultSweepCell, 4),
 	}
 	for _, rate := range opts.Rates {
 		for _, name := range AllStrategies() {
-			rc := Recipe{Lab: LabOptions{NumApps: 2, Seed: opts.Seed}, Strategy: string(name), FaultRate: rate}
-			rp, err := replay(rc, paperMistral(), scenario.RunConfig{Duration: opts.Duration})
+			rc := base
+			rc.Strategy, rc.FaultRate = string(name), rate
+			rp, err := replay(rc, scenario.RunConfig{Duration: opts.Duration})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: fault sweep %s @ %.0f%%: %w", name, rate*100, err)
 			}

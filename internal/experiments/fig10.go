@@ -26,12 +26,13 @@ type Fig10Result struct {
 // naive searches up to ≈4× longer (≈24 s vs ≈5.5 s) and cumulative
 // utilities of 135.3 (naive) vs 152.3 (self-aware).
 func Fig10SearchCost(seed uint64) (*Fig10Result, error) {
-	lab := LabOptions{NumApps: 2, Seed: seed}
-	aware, err := replay(Recipe{Lab: lab, Strategy: "mistral"}, paperMistral(), scenario.RunConfig{})
+	rc := PaperRecipe(seed)
+	aware, err := replay(rc, scenario.RunConfig{})
 	if err != nil {
 		return nil, err
 	}
-	naive, err := replay(Recipe{Lab: lab, Strategy: "naive"}, paperMistral(), scenario.RunConfig{})
+	rc.Strategy = "naive"
+	naive, err := replay(rc, scenario.RunConfig{})
 	if err != nil {
 		return nil, err
 	}

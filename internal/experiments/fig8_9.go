@@ -4,9 +4,7 @@ import (
 	"fmt"
 	"time"
 
-	"github.com/mistralcloud/mistral/internal/core"
 	"github.com/mistralcloud/mistral/internal/scenario"
-	"github.com/mistralcloud/mistral/internal/strategy"
 	"github.com/mistralcloud/mistral/internal/workload"
 )
 
@@ -26,16 +24,10 @@ func AllStrategies() []StrategyName {
 	return []StrategyName{StrategyPerfPwr, StrategyPerfCost, StrategyPwrCost, StrategyMistral}
 }
 
-// paperMistral is the Mistral template every experiment replays with: the
-// search is charged 300 µs per generated child.
-func paperMistral() strategy.MistralConfig {
-	return strategy.MistralConfig{Search: core.SearchOptions{TimePerChild: 300 * time.Microsecond}}
-}
-
 // replay builds rc and runs it to the end of run's duration (the whole
 // scenario when run leaves it zero).
-func replay(rc Recipe, mc strategy.MistralConfig, run scenario.RunConfig) (*Replay, error) {
-	rp, err := rc.Build(mc, run)
+func replay(rc Recipe, run scenario.RunConfig) (*Replay, error) {
+	rp, err := rc.Build(run)
 	if err != nil {
 		return nil, err
 	}
@@ -60,7 +52,9 @@ type Fig89Result struct {
 func Fig89StrategyComparison(seed uint64) (*Fig89Result, error) {
 	res := &Fig89Result{Results: make(map[StrategyName]*scenario.Result, 4)}
 	for _, name := range AllStrategies() {
-		rp, err := replay(Recipe{Lab: LabOptions{NumApps: 2, Seed: seed}, Strategy: string(name)}, paperMistral(), scenario.RunConfig{})
+		rc := PaperRecipe(seed)
+		rc.Strategy = string(name)
+		rp, err := replay(rc, scenario.RunConfig{})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s: %w", name, err)
 		}
@@ -136,15 +130,8 @@ func (r *Fig89Result) Tables() []Table {
 	}
 	for _, s := range order {
 		res := r.Results[s]
-		var watts float64
-		for _, w := range res.Windows {
-			watts += w.Watts
-		}
-		if len(res.Windows) > 0 {
-			watts /= float64(len(res.Windows))
-		}
 		summary.Rows = append(summary.Rows, []string{
-			string(s), f1(res.CumUtility), fmt.Sprint(res.TotalActions), fmt.Sprint(res.TargetViolations), f0(watts),
+			string(s), f1(res.CumUtility), fmt.Sprint(res.TotalActions), fmt.Sprint(res.TargetViolations), f0(res.MeanWatts()),
 		})
 	}
 	return []Table{rt1, rt2, pwr, cum, summary}

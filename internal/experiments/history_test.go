@@ -130,7 +130,8 @@ func TestExpansionsMatchRegistry(t *testing.T) {
 			ob := &obs.Observer{Metrics: obs.NewRegistry()}
 			obs.SetDefault(ob)
 			defer obs.SetDefault(nil)
-			rp, err := rc.Build(paperMistral(), scenario.RunConfig{Duration: time.Hour})
+			rc.Mistral = PaperRecipe(0).Mistral
+			rp, err := rc.Build(scenario.RunConfig{Duration: time.Hour})
 			if err != nil {
 				t.Fatal(err)
 			}

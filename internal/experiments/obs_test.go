@@ -24,8 +24,9 @@ func runMistralRecorded(t *testing.T, o *obs.Observer) (*scenario.Result, []byte
 	obs.SetDefault(o)
 	defer obs.SetDefault(nil)
 	var prov bytes.Buffer
-	rc := Recipe{Lab: LabOptions{NumApps: 1, Seed: 7}, Strategy: "mistral"}
-	rp, err := replay(rc, paperMistral(), scenario.RunConfig{Duration: 90 * time.Minute, Provenance: provenance.NewRecorder(&prov)})
+	rc := PaperRecipe(7)
+	rc.Lab.NumApps = 1
+	rp, err := replay(rc, scenario.RunConfig{Duration: 90 * time.Minute, Provenance: provenance.NewRecorder(&prov)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,11 +1,17 @@
 package experiments
 
 import (
+	"cmp"
+	"errors"
 	"flag"
 	"fmt"
+	"math"
+	"reflect"
 	"strconv"
 	"strings"
+	"time"
 
+	"github.com/mistralcloud/mistral/internal/core"
 	"github.com/mistralcloud/mistral/internal/fault"
 	"github.com/mistralcloud/mistral/internal/guard"
 	"github.com/mistralcloud/mistral/internal/scenario"
@@ -15,7 +21,8 @@ import (
 
 // Recipe is the declarative description of one replay environment: what a
 // checkpoint records so a fresh process can rebuild it, what the binaries'
-// shared flags set, and what a fleet change edits. Build assembles it.
+// shared flags set, what a fleet change edits, and what a study varies.
+// Build assembles it.
 type Recipe struct {
 	// Lab holds the options as given to NewLab (pre-default): rebuilding
 	// applies the same defaulting the original construction did.
@@ -32,6 +39,45 @@ type Recipe struct {
 	// Guard screens every plan through the admission guard and circuit
 	// breaker before execution.
 	Guard bool
+	// Mistral holds the Mistral knobs as given (zero = the library
+	// default): L2Band, Search.PruneFraction, Search.TimePerChild and
+	// Search.MaxExpansions. Build derives the rest of the configuration
+	// from the lab, the strategy name and the run, and refuses a recipe
+	// that sets any other field.
+	Mistral strategy.MistralConfig
+}
+
+// PaperRecipe is the paper's base recipe, the one every study varies:
+// Mistral on the 2-application lab, its search charged 300 µs per
+// generated child.
+func PaperRecipe(seed uint64) Recipe {
+	return Recipe{
+		Lab:      LabOptions{NumApps: 2, Seed: seed},
+		Strategy: "mistral",
+		Mistral:  strategy.MistralConfig{Search: core.SearchOptions{TimePerChild: 300 * time.Microsecond}},
+	}
+}
+
+// checkKnobs refuses Mistral knobs no controller can run with, and any
+// MistralConfig field outside the four knobs: a checkpoint records only
+// those, so nothing else may steer a run.
+func (rc Recipe) checkKnobs() error {
+	m, s := rc.Mistral, rc.Mistral.Search
+	switch {
+	case math.IsNaN(m.L2Band) || math.IsInf(m.L2Band, 0) || m.L2Band < 0:
+		return fmt.Errorf("experiments: Mistral.L2Band %v is not a finite, non-negative band", m.L2Band)
+	case !(s.PruneFraction >= 0 && s.PruneFraction <= 1):
+		return fmt.Errorf("experiments: Mistral.Search.PruneFraction %v out of [0,1]", s.PruneFraction)
+	case s.TimePerChild < 0:
+		return fmt.Errorf("experiments: Mistral.Search.TimePerChild %v is negative", s.TimePerChild)
+	case s.MaxExpansions < 0:
+		return fmt.Errorf("experiments: Mistral.Search.MaxExpansions %d is negative", s.MaxExpansions)
+	}
+	if !reflect.DeepEqual(m, strategy.MistralConfig{L2Band: m.L2Band, Search: core.SearchOptions{
+		PruneFraction: s.PruneFraction, TimePerChild: s.TimePerChild, MaxExpansions: s.MaxExpansions}}) {
+		return errors.New(`experiments: Mistral sets a field other than L2Band, Search.PruneFraction, Search.TimePerChild and Search.MaxExpansions (the naive search is the strategy "naive")`)
+	}
+	return nil
 }
 
 // Replay is an environment built from a Recipe, positioned before window 0.
@@ -89,18 +135,19 @@ func (v execPolicyValue) Set(s string) error {
 }
 
 // Build assembles the recipe's environment: lab, fault plane, testbed,
-// guard, evaluator, strategy and engine, in that order. mc and run carry
-// what the recipe leaves to the caller. Build fills in mc's HostGroups,
-// MonitoringInterval and Provenance (on when run records provenance), and
-// run's Traces, Interval, Utility, Fault and Guard. A caller-supplied
-// run.Fault replaces the recipe's fault profile.
-func (rc Recipe) Build(mc strategy.MistralConfig, run scenario.RunConfig) (*Replay, error) {
+// guard, evaluator, strategy and engine, in that order. run carries what
+// the recipe leaves to the caller. Build fills in the Mistral
+// configuration's HostGroups, MonitoringInterval and Provenance (on when
+// run records provenance), and run's Traces, Interval, Utility, Fault and
+// Guard. A caller-supplied run.Fault replaces the recipe's fault profile.
+func (rc Recipe) Build(run scenario.RunConfig) (*Replay, error) {
 	if rc.FaultRate < 0 || rc.FaultRate > 1 {
 		return nil, fmt.Errorf("experiments: fault rate %v out of [0,1]", rc.FaultRate)
 	}
-	if rc.FaultSeed == 0 {
-		rc.FaultSeed = rc.Lab.Seed
+	if err := rc.checkKnobs(); err != nil {
+		return nil, err
 	}
+	rc.FaultSeed = cmp.Or(rc.FaultSeed, rc.Lab.Seed)
 	rc.Strategy = strings.ToLower(rc.Strategy)
 	lab, err := NewLab(rc.Lab)
 	if err != nil {
@@ -121,6 +168,7 @@ func (rc Recipe) Build(mc strategy.MistralConfig, run scenario.RunConfig) (*Repl
 	if err != nil {
 		return nil, err
 	}
+	mc := rc.Mistral
 	mc.HostGroups = lab.HostGroups()
 	mc.MonitoringInterval = lab.Util.MonitoringInterval
 	mc.Provenance = run.Provenance.Enabled()

@@ -16,9 +16,10 @@ import (
 // cumulative utility. A panic anywhere in the replay fails the test too.
 func requestLevelReplay(t *testing.T, s StrategyName, windows int) {
 	t.Helper()
-	rc := Recipe{Lab: LabOptions{NumApps: 2, Seed: 42, Mode: testbed.ModeRequestLevel}, Strategy: string(s)}
+	rc := PaperRecipe(42)
+	rc.Lab.Mode, rc.Strategy = testbed.ModeRequestLevel, string(s)
 	run := scenario.RunConfig{Duration: time.Duration(windows) * utility.PaperParams(nil).MonitoringInterval}
-	rp, err := replay(rc, paperMistral(), run)
+	rp, err := replay(rc, run)
 	if err != nil {
 		t.Fatalf("%s: %v", s, err)
 	}

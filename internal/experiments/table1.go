@@ -52,8 +52,9 @@ func Table1Scalability(seed uint64, opts Table1Options) (*Table1Result, error) {
 		// Fig. 10 runs; the naive search's cost per expansion grows with the
 		// action space, so its duration scales steeply with system size.
 		run := func(name string) (*Replay, error) {
-			rc := Recipe{Lab: LabOptions{NumApps: napps, Seed: seed}, Strategy: name}
-			rp, err := replay(rc, paperMistral(), scenario.RunConfig{Duration: opts.Duration, Provenance: opts.Provenance})
+			rc := PaperRecipe(seed)
+			rc.Lab.NumApps, rc.Strategy = napps, name
+			rp, err := replay(rc, scenario.RunConfig{Duration: opts.Duration, Provenance: opts.Provenance})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: table1 %d-app %s: %w", napps, name, err)
 			}

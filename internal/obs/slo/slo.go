@@ -6,9 +6,9 @@
 // Determinism is a design constraint, not an accident: every input the
 // engine folds into its state is virtual-time or a deterministic flag
 // (search time on the simulation clock, degraded and guard flags).
-// Wall-clock latency never enters; the Profiler in package obs owns that
-// side, with its own decide budget. Two runs with the same seed produce
-// byte-identical Snapshots, which the determinism test asserts.
+// Wall-clock latency never enters; only the /ops slowest-windows board
+// reports it. Two runs with the same seed produce byte-identical
+// Snapshots, which the determinism test asserts.
 package slo
 
 import (

@@ -457,7 +457,7 @@ func paperDay(faulted bool) experiments.Recipe {
 // with the given observer.
 func buildDay(t *testing.T, rc experiments.Recipe, ob *obs.Observer, windows int) *scenario.Engine {
 	t.Helper()
-	rp, err := rc.Build(strategy.MistralConfig{}, scenario.RunConfig{Obs: ob, Duration: time.Duration(windows) * 2 * time.Minute})
+	rp, err := rc.Build(scenario.RunConfig{Obs: ob, Duration: time.Duration(windows) * 2 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -250,15 +250,9 @@ func (e *Engine) decide(w *window) {
 		obs.Attr{Key: "strategy", Value: e.d.Name()},
 		w.tc.Attr(),
 		obs.Attr{Key: "span", Value: w.tc.SpanID("decide")})
-	e.cfg.Profile.BeginDecide(w.index)
 	wallT0 := time.Now()
 	dec, err := safeDecide(e.d, t, e.tb.Config(), w.Rates)
 	w.decideWall = time.Since(wallT0)
-	if paths := e.cfg.Profile.EndDecide(w.index, w.decideWall); len(paths) > 0 {
-		e.olog.Warn("decide blew latency budget; pprof captured",
-			"trace", w.tc.ID(), "wall", w.decideWall,
-			"budget", e.cfg.Profile.Budget(), "artifacts", paths)
-	}
 	if err != nil {
 		w.DecideError = true
 		sp.End(t, obs.Attr{Key: "error", Value: err.Error()})

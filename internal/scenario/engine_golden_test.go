@@ -20,7 +20,6 @@ import (
 	"github.com/mistralcloud/mistral/internal/obs/tsdb"
 	"github.com/mistralcloud/mistral/internal/provenance"
 	"github.com/mistralcloud/mistral/internal/scenario"
-	"github.com/mistralcloud/mistral/internal/strategy"
 	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
@@ -82,7 +81,7 @@ func engineStreamsGolden(t *testing.T, strategyName string, faults, observers bo
 		rc.Guard = true
 	}
 	var prov bytes.Buffer
-	rp, err := rc.Build(strategy.MistralConfig{}, scenario.RunConfig{
+	rp, err := rc.Build(scenario.RunConfig{
 		Duration:       engineGoldenWindows * 2 * time.Minute,
 		Provenance:     provenance.NewRecorder(&prov),
 		StepProvenance: faults,

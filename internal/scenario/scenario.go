@@ -97,9 +97,6 @@ type RunConfig struct {
 	// Nil — the default — records nothing and leaves the replay
 	// byte-identical to an unrecorded one.
 	Provenance *provenance.Recorder
-	// Profile, when non-nil, captures pprof artifacts for decide calls
-	// that blow their wall-clock latency budget. Observational only.
-	Profile *obs.Profiler
 	// Guard, when non-nil, screens every proposed plan against safety
 	// invariants before execution and freezes adaptation via its circuit
 	// breaker after runs of degraded windows. Its verdicts land on the

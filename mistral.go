@@ -253,16 +253,16 @@ func RunTable1(seed uint64, opts experiments.Table1Options) (*experiments.Table1
 }
 
 // RunFaultSweep runs the robustness study beyond the paper: the four
-// strategies replayed under seeded fault injection (failed and delayed
-// actions, host crashes, sensor dropouts) at each configured rate.
-func RunFaultSweep(opts experiments.FaultSweepOptions) (*experiments.FaultSweepResult, error) {
-	return experiments.FaultSweep(opts)
+// strategies replayed from base under seeded fault injection (failed and
+// delayed actions, host crashes, sensor dropouts) at each configured rate.
+func RunFaultSweep(base experiments.Recipe, opts experiments.SweepOptions) (*experiments.FaultSweepResult, error) {
+	return experiments.FaultSweep(base, opts)
 }
 
 // RunChaosSweep runs the transactional-robustness study: Mistral replayed
 // under the combined chaos profile (simultaneous crashes, failures, and
 // delays, mostly non-retryable) with the admission guard enabled, under
 // both execution policies, asserting the safety invariants every window.
-func RunChaosSweep(opts experiments.ChaosSweepOptions) (*experiments.ChaosSweepResult, error) {
-	return experiments.ChaosSweep(opts)
+func RunChaosSweep(base experiments.Recipe, opts experiments.SweepOptions) (*experiments.ChaosSweepResult, error) {
+	return experiments.ChaosSweep(base, opts)
 }
