@@ -10,7 +10,9 @@ import (
 
 // TestStdoutGoldens pins the replay studies' stdout byte for byte: Figs.
 // 8/9 and 10 and the ablations at full length, Table I and the fault and
-// chaos sweeps with -quick. Every run is deterministic at the default seed.
+// chaos sweeps with -quick, and the request-level measurements of Fig. 1
+// and (with -quick) the Fig. 7 cost campaign. Every run is deterministic at
+// the default seed.
 // A change meant to move a table regenerates its golden with
 // `go run ./cmd/mistral-exp ARGS > cmd/mistral-exp/testdata/NAME.golden`.
 func TestStdoutGoldens(t *testing.T) {
@@ -24,6 +26,8 @@ func TestStdoutGoldens(t *testing.T) {
 		{"table1-quick", []string{"-run", "table1", "-quick"}},
 		{"faultsweep-quick", []string{"-run", "faultsweep", "-quick"}},
 		{"chaossweep-quick", []string{"-run", "chaossweep", "-quick"}},
+		{"fig1", []string{"-run", "fig1"}},
+		{"fig7m-quick", []string{"-run", "fig7m", "-quick"}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			want, err := os.ReadFile(filepath.Join("testdata", c.name+".golden"))

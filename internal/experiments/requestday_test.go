@@ -11,6 +11,6 @@ import "testing"
 //	go test -tags requestday -run TestRequestLevelFullDay ./internal/experiments/
 func TestRequestLevelFullDay(t *testing.T) {
 	for _, s := range AllStrategies() {
-		requestLevelReplay(t, s, 0)
+		requestLevelReplay(t, strategyRecipe(s), 0)
 	}
 }
