@@ -3,6 +3,8 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"slices"
 	"time"
 
 	"github.com/mistralcloud/mistral/internal/scenario"
@@ -31,7 +33,8 @@ const ablationDuration = 3 * time.Hour
 // re-plan constantly, wide ones react late); the §VI DVFS extension; and
 // the §VI WAN extension, the same cluster split across two data centers
 // with each application pinned to a home zone and only the 3rd level
-// moving VMs between zones.
+// moving VMs between zones. A variant at the paper's default leaves its
+// field unset, so it is the base recipe itself.
 func ablationStudies(seed uint64) []AblationRow {
 	var out []AblationRow
 	add := func(study, label string, vary func(*Recipe)) {
@@ -40,24 +43,37 @@ func ablationStudies(seed uint64) []AblationRow {
 		out = append(out, AblationRow{Study: study, Label: label, Recipe: rc})
 	}
 	for _, frac := range []float64{0.01, 0.05, 0.20} {
-		add("prune fraction", fmt.Sprintf("%.0f%%", frac*100), func(rc *Recipe) { rc.Mistral.Search.PruneFraction = frac })
+		add("prune fraction", fmt.Sprintf("%.0f%%", frac*100), func(rc *Recipe) {
+			if frac != 0.05 {
+				rc.Mistral.Search.PruneFraction = frac
+			}
+		})
 	}
 	for _, band := range []float64{2, 8, 16} {
-		add("L2 band width", fmt.Sprintf("%.0freq/s", band), func(rc *Recipe) { rc.Mistral.L2Band = band })
+		add("L2 band width", fmt.Sprintf("%.0freq/s", band), func(rc *Recipe) {
+			if band != 8 {
+				rc.Mistral.L2Band = band
+			}
+		})
 	}
 	add("DVFS extension", "no-dvfs", func(*Recipe) {})
 	add("DVFS extension", "dvfs-60/80", func(rc *Recipe) { rc.Lab.DVFSLevels = []float64{0.6, 0.8} })
-	add("multi-zone", "single-zone", func(rc *Recipe) { rc.Lab.Zones = 1 })
+	add("multi-zone", "single-zone", func(*Recipe) {})
 	add("multi-zone", "2-zones", func(rc *Recipe) { rc.Lab.Zones = 2 })
 	return out
 }
 
-// Ablations replays every study of ablationStudies over the scenario's
-// first ablationDuration, in order.
+// Ablations replays every distinct recipe of ablationStudies over the
+// scenario's first ablationDuration, in order; a row whose recipe an
+// earlier row ran takes that row's result.
 func Ablations(seed uint64) ([]AblationRow, error) {
 	rows := ablationStudies(seed)
 	for i := range rows {
 		r := &rows[i]
+		if j := slices.IndexFunc(rows[:i], func(p AblationRow) bool { return reflect.DeepEqual(p.Recipe, r.Recipe) }); j >= 0 {
+			r.Utility, r.Actions, r.MeanSearch = rows[j].Utility, rows[j].Actions, rows[j].MeanSearch
+			continue
+		}
 		rp, err := replay(r.Recipe, scenario.RunConfig{Duration: ablationDuration})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: ablation %s %s: %w", r.Study, r.Label, err)

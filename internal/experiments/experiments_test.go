@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -415,5 +417,25 @@ func TestTable1Rendering(t *testing.T) {
 	}
 	if !strings.Contains(tbl.ASCII(), "10 / 4") {
 		t.Error("VM/host row missing")
+	}
+}
+
+// TestAblationStudiesShareTheBaseRecipe: the rows at the paper's defaults
+// (prune 5%, band 8 req/s, no DVFS, one zone) are the base recipe itself, so
+// Ablations replays 7 distinct recipes for its 10 rows.
+func TestAblationStudiesShareTheBaseRecipe(t *testing.T) {
+	rows := ablationStudies(3)
+	var distinct []Recipe
+	for _, r := range rows {
+		base := reflect.DeepEqual(r.Recipe, PaperRecipe(3))
+		if atDefault := strings.HasPrefix(r.Label, "5%") || r.Label == "8req/s" || r.Label == "no-dvfs" || r.Label == "single-zone"; base != atDefault {
+			t.Errorf("%s %s: base recipe %v, at the paper's default %v", r.Study, r.Label, base, atDefault)
+		}
+		if !slices.ContainsFunc(distinct, func(d Recipe) bool { return reflect.DeepEqual(d, r.Recipe) }) {
+			distinct = append(distinct, r.Recipe)
+		}
+	}
+	if len(rows) != 10 || len(distinct) != 7 {
+		t.Errorf("%d rows over %d distinct recipes, want 10 over 7", len(rows), len(distinct))
 	}
 }

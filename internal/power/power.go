@@ -1,11 +1,10 @@
 // Package power implements the utilization-based host power model of
-// §III-B: pwr = pwr_idle + (pwr_busy − pwr_idle)·(2ρ − ρ^r), with the
-// exponent r calibrated offline by least squares against metered samples,
-// plus system-level aggregation over powered-on hosts.
+// §III-B: pwr = pwr_idle + (pwr_busy − pwr_idle)·(2ρ − ρ^r), with each
+// host's exponent r a catalog parameter (the paper fits it to its meter),
+// plus DVFS scaling and system-level aggregation over powered-on hosts.
 package power
 
 import (
-	"fmt"
 	"math"
 
 	"github.com/mistralcloud/mistral/internal/cluster"
@@ -79,75 +78,4 @@ func SystemWattsDense(specs []cluster.HostSpec, on []bool, util, freq []float64)
 		}
 	}
 	return total
-}
-
-// Sample is one offline calibration measurement: metered watts at a given
-// CPU utilization.
-type Sample struct {
-	Util  float64
-	Watts float64
-}
-
-// FitR calibrates the exponent r of the power model for a host by
-// minimizing the squared error against metered samples, exactly as the
-// paper's "model calibration phase" does. The search is a golden-section
-// minimization over r ∈ [0.5, 8], which brackets all physically plausible
-// concavities. It returns an error if no samples are provided.
-func FitR(spec cluster.HostSpec, samples []Sample) (float64, error) {
-	if len(samples) == 0 {
-		return 0, fmt.Errorf("power: FitR needs at least one sample")
-	}
-	sse := func(r float64) float64 {
-		s := spec
-		s.PowerExponent = r
-		var sum float64
-		for _, smp := range samples {
-			d := HostWatts(s, smp.Util) - smp.Watts
-			sum += d * d
-		}
-		return sum
-	}
-	const (
-		lo, hi = 0.5, 8.0
-		phi    = 0.6180339887498949
-	)
-	a, b := lo, hi
-	c := b - phi*(b-a)
-	d := a + phi*(b-a)
-	fc, fd := sse(c), sse(d)
-	for i := 0; i < 100 && b-a > 1e-9; i++ {
-		if fc < fd {
-			b, d, fd = d, c, fc
-			c = b - phi*(b-a)
-			fc = sse(c)
-		} else {
-			a, c, fc = c, d, fd
-			d = a + phi*(b-a)
-			fd = sse(d)
-		}
-	}
-	return (a + b) / 2, nil
-}
-
-// CalibrationCampaign generates model samples for a host across a
-// utilization sweep using a ground-truth exponent and measurement noise
-// produced by the supplied jitter function (e.g. a seeded RNG). It supports
-// tests and the offline-calibration example; production users calibrate
-// against a real meter instead.
-func CalibrationCampaign(spec cluster.HostSpec, trueR float64, points int, jitter func(watts float64) float64) []Sample {
-	if points < 2 {
-		points = 2
-	}
-	truth := spec
-	truth.PowerExponent = trueR
-	samples := make([]Sample, 0, points)
-	for i := 0; i < points; i++ {
-		u := float64(i) / float64(points-1)
-		w := HostWatts(truth, u)
-		if jitter != nil {
-			w = jitter(w)
-		}
-		samples = append(samples, Sample{Util: u, Watts: w})
-	}
-	return samples
 }

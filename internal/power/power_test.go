@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"github.com/mistralcloud/mistral/internal/cluster"
-	"github.com/mistralcloud/mistral/internal/sim"
 )
 
 func TestHostWattsEndpoints(t *testing.T) {
@@ -78,48 +77,6 @@ func TestSystemWattsSumsOnlyActiveHosts(t *testing.T) {
 	dense := SystemWattsDense(cat.HostSpecs(), []bool{true, true, false}, []float64{0.5, 0, 0.9}, []float64{1, 0.6, 1})
 	if want := SystemWatts(cat, cfg, util); dense != want {
 		t.Errorf("SystemWattsDense = %v, SystemWatts = %v", dense, want)
-	}
-}
-
-func TestFitRRecoversTrueExponent(t *testing.T) {
-	spec := cluster.DefaultHostSpec("h")
-	for _, trueR := range []float64{1.1, 1.4, 2.0, 3.5} {
-		samples := CalibrationCampaign(spec, trueR, 50, nil)
-		got, err := FitR(spec, samples)
-		if err != nil {
-			t.Fatalf("FitR: %v", err)
-		}
-		if math.Abs(got-trueR) > 0.01 {
-			t.Errorf("FitR = %v, want %v", got, trueR)
-		}
-	}
-}
-
-func TestFitRWithNoise(t *testing.T) {
-	spec := cluster.DefaultHostSpec("h")
-	rng := sim.NewRNG(1, 2)
-	samples := CalibrationCampaign(spec, 1.4, 200, func(w float64) float64 {
-		return rng.Jitter(w, 0.02)
-	})
-	got, err := FitR(spec, samples)
-	if err != nil {
-		t.Fatalf("FitR: %v", err)
-	}
-	if math.Abs(got-1.4) > 0.25 {
-		t.Errorf("FitR with noise = %v, want ~1.4", got)
-	}
-}
-
-func TestFitRNoSamples(t *testing.T) {
-	if _, err := FitR(cluster.DefaultHostSpec("h"), nil); err == nil {
-		t.Error("FitR accepted empty samples")
-	}
-}
-
-func TestCalibrationCampaignMinPoints(t *testing.T) {
-	samples := CalibrationCampaign(cluster.DefaultHostSpec("h"), 1.4, 0, nil)
-	if len(samples) != 2 {
-		t.Errorf("samples = %d, want clamped to 2", len(samples))
 	}
 }
 

@@ -193,6 +193,9 @@ type Testbed struct {
 	phases   []phase
 
 	qsys *queueing.System
+	// desErr is the first error a scheduled DES operation returned; every
+	// later measurement fails with it, as the DES no longer follows cfg.
+	desErr error
 
 	// lastMeas caches the previously reported window so an injected sensor
 	// drop can replay it; only maintained when a fault injector is set.
@@ -467,11 +470,8 @@ func (tb *Testbed) Execute(plan []cluster.Action) (ExecReport, error) {
 			}
 			return ExecReport{}, fmt.Errorf("testbed: plan step %d: %w", i, err)
 		}
-		if tb.opts.Mode == ModeRequestLevel {
-			switch filled.Kind {
-			case cluster.ActionStartHost, cluster.ActionStopHost:
-				return ExecReport{}, fmt.Errorf("testbed: plan step %d: host power cycling is not supported in request-level mode", i)
-			}
+		if r := phaseTable[filled.Kind].refusal; r != "" && tb.opts.Mode == ModeRequestLevel {
+			return ExecReport{}, fmt.Errorf("testbed: plan step %d: %s is not supported in request-level mode", i, r)
 		}
 		pred := tb.costMgr.Predict(cur, filled, tb.rates)
 		f := inj.Action(filled.Kind)
@@ -526,7 +526,7 @@ func (tb *Testbed) Execute(plan []cluster.Action) (ExecReport, error) {
 						action:       inv,
 						pred:         ipred,
 						cfgAfter:     u.before,
-						applyAtStart: inv.Kind == cluster.ActionStopHost,
+						applyAtStart: phaseTable[inv.Kind].applyAtStart,
 						rollback:     true,
 					}
 					newPhases = append(newPhases, iph)
@@ -546,7 +546,7 @@ func (tb *Testbed) Execute(plan []cluster.Action) (ExecReport, error) {
 		} else {
 			ph.end = at + dur
 			ph.cfgAfter = next
-			ph.applyAtStart = filled.Kind == cluster.ActionStopHost
+			ph.applyAtStart = phaseTable[filled.Kind].applyAtStart
 			step.Status = StepApplied
 			step.Realized = dur
 			rep.Applied++
@@ -604,140 +604,146 @@ func (tb *Testbed) recordPhases(phases []phase) {
 	}
 }
 
-// injectPhases schedules the request-level side effects of newly planned
-// phases on the simulation engine.
+// desOp is one request-level DES operation of a phase, which runOp applies
+// to the phase's action and configuration after.
+type desOp uint8
+
+// DES operations: first the transient churn, then, from vmFrozen on, the
+// operations that commit the configuration change (see commits).
+const (
+	srcLoaded desOp = iota
+	srcIdle
+	dstLoaded
+	dstIdle
+	vmSlowed
+	vmResumed
+	vmFrozen
+	vmCapped
+	vmMoved
+	vmAdded
+	vmRemoved
+	hostFreq
+)
+
+// commits reports whether op is part of the action's configuration change
+// rather than its transient churn. A phase that fails mid-flight runs only
+// the transient operations: the Dom-0 copy load and the shadow-paging
+// slowdown come and go, but the VM never freezes, moves, starts or stops,
+// and no cap or frequency changes.
+func (op desOp) commits() bool { return op >= vmFrozen }
+
+// phaseRow is what one action kind does on the timeline: the DES operations
+// at the phase's start, at its end − downtime (the stop-and-copy freeze) and
+// at its end, each boundary's in the order they run.
+type phaseRow struct {
+	start, freeze, end []desOp
+	dom0               float64       // the Dom-0 share srcLoaded and dstLoaded consume
+	downtime           time.Duration // the stop-and-copy pause before the end
+	netHosts           float64       // hosts drawing migrationNetWatts while the phase runs, failed or not
+	applyAtStart       bool          // the configuration changes as the phase begins (a host stops taking work)
+	refusal            string        // set: request-level mode cannot run the kind, and Execute names it
+}
+
+// phaseTable is, per action kind, the measured transient of §III-C as the
+// request-level DES plays it. A replica add or remove copies to or from the
+// cold-store repository, the second host drawing network power.
+var phaseTable = [...]phaseRow{
+	cluster.ActionIncreaseCPU:   {end: []desOp{vmCapped}},
+	cluster.ActionDecreaseCPU:   {end: []desOp{vmCapped}},
+	cluster.ActionAddReplica:    {start: []desOp{dstLoaded}, end: []desOp{dstIdle, vmAdded}, dom0: migrationDom0Load * 0.8, netHosts: 2},
+	cluster.ActionRemoveReplica: {start: []desOp{srcLoaded, vmRemoved}, end: []desOp{srcIdle}, dom0: migrationDom0Load * 0.6, netHosts: 2},
+	cluster.ActionMigrate:       migration(migrationDom0Load, migrationDowntime),
+	cluster.ActionStartHost:     {refusal: "host power cycling"},
+	cluster.ActionStopHost:      {refusal: "host power cycling", applyAtStart: true},
+	cluster.ActionSetDVFS:       {end: []desOp{hostFreq}},
+	// Over the WAN: a lighter but sustained copy and a longer pause.
+	cluster.ActionWANMigrate: migration(migrationDom0Load*0.5, 4*migrationDowntime),
+}
+
+// migration is a live migration's row: Dom-0 copy load at both ends and the
+// shadow-paging slowdown, the stop-and-copy freeze, then the move and the
+// resume at full allocation on the destination.
+func migration(dom0 float64, downtime time.Duration) phaseRow {
+	return phaseRow{
+		start:    []desOp{srcLoaded, dstLoaded, vmSlowed},
+		freeze:   []desOp{vmFrozen},
+		end:      []desOp{srcIdle, dstIdle, vmMoved, vmResumed},
+		dom0:     dom0,
+		downtime: downtime,
+		netHosts: 2,
+	}
+}
+
+// injectPhases schedules newly planned phases on the request-level DES: per
+// phase, one event for each boundary with operations to run, in time order,
+// so same-instant events keep their FIFO order. The first operation to fail
+// is kept in desErr.
 func (tb *Testbed) injectPhases(phases []phase) {
 	eng := tb.qsys.Engine()
-	for i := range phases {
-		ph := phases[i]
-		if ph.failed {
-			tb.injectFailedPhase(ph)
-			continue
-		}
-		switch ph.action.Kind {
-		case cluster.ActionIncreaseCPU, cluster.ActionDecreaseCPU:
-			eng.ScheduleAt(ph.end, func() {
-				if p, ok := ph.cfgAfter.PlacementOf(ph.action.VM); ok {
-					_ = tb.qsys.SetVMRate(ph.action.VM, p.CPUPct)
+	for _, ph := range phases {
+		row := &phaseTable[ph.action.Kind]
+		at := [...]time.Duration{ph.start, ph.end - row.downtime, ph.end}
+		for b, ops := range [...][]desOp{row.start, row.freeze, row.end} {
+			var run []desOp
+			for _, op := range ops {
+				if !ph.failed || !op.commits() {
+					run = append(run, op)
 				}
-			})
-		case cluster.ActionMigrate:
-			load := migrationDom0Load
-			cpuPct := ph.action.CPUPct
-			eng.ScheduleAt(ph.start, func() {
-				_ = tb.qsys.SetDom0Background(ph.action.FromHost, load)
-				_ = tb.qsys.SetDom0Background(ph.action.Host, load)
-				// The migrating VM loses part of its CPU to shadow paging.
-				_ = tb.qsys.SetVMRate(ph.action.VM, cpuPct*(1-migrationVMSlowdown))
-			})
-			// Stop-and-copy: the VM is frozen for the final downtime, then
-			// resumes at full allocation on the destination (the explicit
-			// rate-set at ph.end below, which runs after this freeze).
-			eng.ScheduleAt(ph.end-migrationDowntime, func() {
-				_ = tb.qsys.SetVMRate(ph.action.VM, 0)
-			})
-			eng.ScheduleAt(ph.end, func() {
-				_ = tb.qsys.SetDom0Background(ph.action.FromHost, 0)
-				_ = tb.qsys.SetDom0Background(ph.action.Host, 0)
-				_ = tb.qsys.MoveVM(ph.action.VM, ph.action.Host)
-				_ = tb.qsys.SetVMRate(ph.action.VM, cpuPct)
-			})
-		case cluster.ActionAddReplica:
-			load := migrationDom0Load * 0.8
-			eng.ScheduleAt(ph.start, func() {
-				_ = tb.qsys.SetDom0Background(ph.action.Host, load)
-			})
-			eng.ScheduleAt(ph.end, func() {
-				_ = tb.qsys.SetDom0Background(ph.action.Host, 0)
-				if p, ok := ph.cfgAfter.PlacementOf(ph.action.VM); ok {
-					_ = tb.qsys.AddVM(ph.action.VM, p.Host, p.CPUPct)
-				}
-			})
-		case cluster.ActionWANMigrate:
-			// Sustained but lighter background copy over the WAN link, a
-			// longer stop-and-copy pause, and the same endpoint slowdown.
-			load := migrationDom0Load * 0.5
-			cpuPct := ph.action.CPUPct
-			downtime := 4 * migrationDowntime
-			eng.ScheduleAt(ph.start, func() {
-				_ = tb.qsys.SetDom0Background(ph.action.FromHost, load)
-				_ = tb.qsys.SetDom0Background(ph.action.Host, load)
-				_ = tb.qsys.SetVMRate(ph.action.VM, cpuPct*(1-migrationVMSlowdown))
-			})
-			eng.ScheduleAt(ph.end-downtime, func() {
-				_ = tb.qsys.SetVMRate(ph.action.VM, 0)
-			})
-			eng.ScheduleAt(ph.end, func() {
-				_ = tb.qsys.SetDom0Background(ph.action.FromHost, 0)
-				_ = tb.qsys.SetDom0Background(ph.action.Host, 0)
-				_ = tb.qsys.MoveVM(ph.action.VM, ph.action.Host)
-				_ = tb.qsys.SetVMRate(ph.action.VM, cpuPct)
-			})
-		case cluster.ActionSetDVFS:
-			eng.ScheduleAt(ph.end, func() {
-				allocs := make(map[cluster.VMID]float64)
-				for _, id := range ph.cfgAfter.VMsOnHost(ph.action.Host) {
-					if p, ok := ph.cfgAfter.PlacementOf(id); ok {
-						allocs[id] = p.CPUPct
+			}
+			if len(run) == 0 {
+				continue
+			}
+			eng.ScheduleAt(at[b], func() {
+				for _, op := range run {
+					if err := tb.runOp(ph, row, op); err != nil && tb.desErr == nil {
+						tb.desErr = fmt.Errorf("testbed: %s at %v: %w", ph.action, at[b], err)
 					}
 				}
-				_ = tb.qsys.SetHostFreq(ph.action.Host, ph.action.Freq, allocs)
-			})
-		case cluster.ActionRemoveReplica:
-			load := migrationDom0Load * 0.6
-			eng.ScheduleAt(ph.start, func() {
-				_ = tb.qsys.SetDom0Background(ph.action.FromHost, load)
-				_ = tb.qsys.RemoveVM(ph.action.VM)
-			})
-			eng.ScheduleAt(ph.end, func() {
-				_ = tb.qsys.SetDom0Background(ph.action.FromHost, 0)
 			})
 		}
 	}
 }
 
-// injectFailedPhase schedules the request-level side effects of an action
-// that fails mid-flight: the transient churn (Dom-0 copy load, shadow-paging
-// slowdown) runs for the sunk window, but the configuration change itself —
-// the VM move, the replica add/remove — never commits.
-func (tb *Testbed) injectFailedPhase(ph phase) {
-	eng := tb.qsys.Engine()
-	switch ph.action.Kind {
-	case cluster.ActionMigrate, cluster.ActionWANMigrate:
-		load := migrationDom0Load
-		if ph.action.Kind == cluster.ActionWANMigrate {
-			load *= 0.5
+// runOp applies one DES operation of ph.
+func (tb *Testbed) runOp(ph phase, row *phaseRow, op desOp) error {
+	a, q := ph.action, tb.qsys
+	switch op {
+	case srcLoaded:
+		return q.SetDom0Background(a.FromHost, row.dom0)
+	case srcIdle:
+		return q.SetDom0Background(a.FromHost, 0)
+	case dstLoaded:
+		return q.SetDom0Background(a.Host, row.dom0)
+	case dstIdle:
+		return q.SetDom0Background(a.Host, 0)
+	case vmSlowed:
+		return q.SetVMRate(a.VM, a.CPUPct*(1-migrationVMSlowdown))
+	case vmResumed:
+		return q.SetVMRate(a.VM, a.CPUPct)
+	case vmFrozen:
+		return q.SetVMRate(a.VM, 0)
+	case vmCapped:
+		if p, ok := ph.cfgAfter.PlacementOf(a.VM); ok {
+			return q.SetVMRate(a.VM, p.CPUPct)
 		}
-		cpuPct := ph.action.CPUPct
-		eng.ScheduleAt(ph.start, func() {
-			_ = tb.qsys.SetDom0Background(ph.action.FromHost, load)
-			_ = tb.qsys.SetDom0Background(ph.action.Host, load)
-			_ = tb.qsys.SetVMRate(ph.action.VM, cpuPct*(1-migrationVMSlowdown))
-		})
-		eng.ScheduleAt(ph.end, func() {
-			_ = tb.qsys.SetDom0Background(ph.action.FromHost, 0)
-			_ = tb.qsys.SetDom0Background(ph.action.Host, 0)
-			// The VM stays at its source and recovers full speed.
-			_ = tb.qsys.SetVMRate(ph.action.VM, cpuPct)
-		})
-	case cluster.ActionAddReplica:
-		load := migrationDom0Load * 0.8
-		eng.ScheduleAt(ph.start, func() {
-			_ = tb.qsys.SetDom0Background(ph.action.Host, load)
-		})
-		eng.ScheduleAt(ph.end, func() {
-			_ = tb.qsys.SetDom0Background(ph.action.Host, 0)
-		})
-	case cluster.ActionRemoveReplica:
-		load := migrationDom0Load * 0.6
-		eng.ScheduleAt(ph.start, func() {
-			_ = tb.qsys.SetDom0Background(ph.action.FromHost, load)
-		})
-		eng.ScheduleAt(ph.end, func() {
-			_ = tb.qsys.SetDom0Background(ph.action.FromHost, 0)
-		})
+	case vmMoved:
+		return q.MoveVM(a.VM, a.Host)
+	case vmAdded:
+		if p, ok := ph.cfgAfter.PlacementOf(a.VM); ok {
+			return q.AddVM(a.VM, p.Host, p.CPUPct)
+		}
+	case vmRemoved:
+		return q.RemoveVM(a.VM)
+	case hostFreq:
+		allocs := make(map[cluster.VMID]float64)
+		for _, id := range ph.cfgAfter.VMsOnHost(a.Host) {
+			if p, ok := ph.cfgAfter.PlacementOf(id); ok {
+				allocs[id] = p.CPUPct
+			}
+		}
+		return q.SetHostFreq(a.Host, a.Freq, allocs)
 	}
-	// CPU-cap and DVFS failures have no transient side effects to model.
+	return nil
 }
 
 // advanceTo moves the clock forward, applying phase transitions.
@@ -773,7 +779,7 @@ func (tb *Testbed) advanceTo(t time.Duration) error {
 			return fmt.Errorf("testbed: %w", err)
 		}
 	}
-	return nil
+	return tb.desErr
 }
 
 // Window is one measurement window's aggregated "measured" metrics.
@@ -961,9 +967,9 @@ func (tb *Testbed) measureWindowRequestLevel(to time.Duration) (Window, error) {
 		w.RTSec[name] = aw.MeanRTSec
 		w.Completed[name] = aw.Completed
 	}
-	// Watts from measured utilization plus the host-cycling transients that
-	// analytic phases would charge (none in request mode) — here the
-	// migration overhead is already inside HostUtil.
+	// Watts: the power model over the configuration in effect and the
+	// measured utilization, which already holds the migrations' Dom-0 and
+	// shadow-paging CPU, plus the data movers' network power.
 	baseCfg, _, _ := tb.stateAt(to)
 	util := make(map[string]float64, len(snap.HostUtil))
 	for h, u := range snap.HostUtil {
@@ -1105,8 +1111,8 @@ func (tb *Testbed) CrashHost(host string) (CrashReport, error) {
 	return rep, nil
 }
 
-// windowNetWatts returns the time-weighted NIC/chipset power of data-moving
-// phases (migration, replica add/remove) overlapping the window.
+// windowNetWatts returns the time-weighted NIC/chipset power of the
+// data-moving phases (phaseRow.netHosts) overlapping the window.
 func (tb *Testbed) windowNetWatts(from, to time.Duration) float64 {
 	window := (to - from).Seconds()
 	if window <= 0 {
@@ -1114,22 +1120,11 @@ func (tb *Testbed) windowNetWatts(from, to time.Duration) float64 {
 	}
 	var watts float64
 	for _, ph := range tb.phases {
-		var hosts float64
-		switch ph.action.Kind {
-		case cluster.ActionMigrate, cluster.ActionWANMigrate:
-			hosts = 2
-		case cluster.ActionAddReplica, cluster.ActionRemoveReplica:
-			hosts = 2 // target host plus the cold-store repository
-		default:
+		hosts := phaseTable[ph.action.Kind].netHosts
+		if hosts == 0 {
 			continue
 		}
-		lo, hi := ph.start, ph.end
-		if lo < from {
-			lo = from
-		}
-		if hi > to {
-			hi = to
-		}
+		lo, hi := max(ph.start, from), min(ph.end, to)
 		if hi > lo {
 			watts += migrationNetWatts * hosts * (hi - lo).Seconds() / window
 		}
