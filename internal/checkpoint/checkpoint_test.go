@@ -192,6 +192,11 @@ func FuzzDecode(f *testing.F) {
 		`"l2_band":"wide","scenario":{}}`,
 		`"prune_fraction":-1,"time_per_child_ns":1e99,"scenario":{}}`,
 		`"scenario":{"decider":{"eval":{"hits":"many"}},"history":{"series":{}}}}`,
+		// A v3 engine snapshot with the cost table and utility history v3
+		// files carried.
+		`"scenario":{"schema":"mistral.checkpoint/v3","result":{"Windows":[]},` +
+			`"testbed":{"costs":{"rows":[{"kind":0,"tier":"app","entries":[{"Sessions":40,"Duration":0}]}]}},` +
+			`"decider":{"l2":{"bands_set":true,"history":[{"utility":-1e9,"perf_rate":0,"pwr_rate":0}]},"l1":[]}}}`,
 	} {
 		f.Add([]byte(envelope + confused))
 	}

@@ -239,24 +239,17 @@ func (c *Controller) expected(cw time.Duration) ExpectedUtility {
 	}
 }
 
-// ControllerState is a controller's complete mutable state in serializable
-// form: the workload bands it tracks, the utility history feeding UH, and
-// the ARMA estimator internals. Configuration (options, evaluator,
-// searcher) is not included — state is restored into a freshly constructed
-// controller with the same options.
+// ControllerState is a controller's mutable state in serializable form: the
+// workload bands it tracks and the ARMA estimator internals. Configuration
+// (options, evaluator, searcher) is not included — state is restored into a
+// freshly constructed controller with the same options. Nor is the utility
+// history feeding UH: it is a fold over the run's window logs, which the
+// scenario engine replays through RecordWindow after Restore.
 type ControllerState struct {
 	Bands       map[string]workload.Band `json:"bands,omitempty"`
 	BandsSet    bool                     `json:"bands_set"`
 	BandStartNS int64                    `json:"band_start_ns"`
-	History     []WindowRecordState      `json:"history,omitempty"`
 	Estimator   predict.PersistState     `json:"estimator"`
-}
-
-// WindowRecordState is one past window's realized utility and rates.
-type WindowRecordState struct {
-	Utility  float64 `json:"utility"`
-	PerfRate float64 `json:"perf_rate"`
-	PwrRate  float64 `json:"pwr_rate"`
 }
 
 // Persist captures the controller's mutable state (maps and slices are
@@ -273,13 +266,11 @@ func (c *Controller) Persist() ControllerState {
 			s.Bands[name] = b
 		}
 	}
-	for _, r := range c.history {
-		s.History = append(s.History, WindowRecordState{Utility: r.utility, PerfRate: r.perfRate, PwrRate: r.pwrRate})
-	}
 	return s
 }
 
-// Restore overwrites the controller's mutable state with a captured one.
+// Restore overwrites the controller's mutable state with a captured one and
+// empties the utility history.
 func (c *Controller) Restore(s ControllerState) {
 	c.bands = nil
 	if len(s.Bands) > 0 {
@@ -291,9 +282,6 @@ func (c *Controller) Restore(s ControllerState) {
 	c.bandsSet = s.BandsSet
 	c.bandStart = time.Duration(s.BandStartNS)
 	c.history = nil
-	for _, r := range s.History {
-		c.history = append(c.history, windowRecord{utility: r.Utility, perfRate: r.PerfRate, pwrRate: r.PwrRate})
-	}
 	c.est.Restore(s.Estimator)
 }
 
@@ -415,7 +403,7 @@ func (c *Controller) Decide(now time.Duration, cfg cluster.Config, rates map[str
 		CurrentNetRate:   cur.NetRate(),
 	}
 	if c.opts.Provenance {
-		st := c.est.State()
+		st := c.est.Persist()
 		d.Prov = &provenance.DecisionProv{
 			Controller: c.opts.Name,
 			Predict: &provenance.PredictProv{

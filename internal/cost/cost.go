@@ -90,45 +90,6 @@ func (t *Table) Keys() []Key {
 // callers must not mutate it.
 func (t *Table) Entries(k Key) []Entry { return t.entries[k] }
 
-// TableRowState is one key's measured cost points in serializable form.
-type TableRowState struct {
-	Kind    cluster.ActionKind `json:"kind"`
-	Tier    string             `json:"tier,omitempty"`
-	Entries []Entry            `json:"entries"`
-}
-
-// TableState is a Table's complete serializable state, rows in the
-// deterministic Keys order. Checkpoints carry it so a restored process
-// charges the exact transients of the original — tables regenerated by an
-// offline measurement campaign travel with the run, not just PaperTable.
-type TableState struct {
-	Rows []TableRowState `json:"rows"`
-}
-
-// Snapshot captures the table (entry slices are copied).
-func (t *Table) Snapshot() TableState {
-	var s TableState
-	for _, k := range t.Keys() {
-		s.Rows = append(s.Rows, TableRowState{
-			Kind:    k.Kind,
-			Tier:    k.Tier,
-			Entries: append([]Entry(nil), t.entries[k]...),
-		})
-	}
-	return s
-}
-
-// RestoreTable rebuilds a Table from a captured state.
-func RestoreTable(s TableState) *Table {
-	t := NewTable()
-	for _, row := range s.Rows {
-		for _, e := range row.Entries {
-			t.Add(Key{Kind: row.Kind, Tier: row.Tier}, e)
-		}
-	}
-	return t
-}
-
 // Lookup returns the entry whose workload is closest to sessions, as the
 // paper's Cost Manager does. The second result reports whether the key has
 // any entries; a tier-specific miss falls back to the tierless key.
@@ -346,17 +307,15 @@ func NewManager(cat *cluster.Catalog, table *Table, sessionsPerReqSec float64) (
 	return m, nil
 }
 
-// Table returns the manager's underlying cost table.
-func (m *Manager) Table() *Table { return m.table }
-
 // Prediction is the Cost Manager's estimate for one action.
+// Checkpoints carry it under these keys (Duration as int64 nanoseconds).
 type Prediction struct {
-	Duration time.Duration
+	Duration time.Duration `json:"duration_ns"`
 	// DeltaRTSec maps each application to its response-time increase while
 	// the action runs.
-	DeltaRTSec map[string]float64
+	DeltaRTSec map[string]float64 `json:"delta_rt_sec,omitempty"`
 	// DeltaWatts is the system power increase while the action runs.
-	DeltaWatts float64
+	DeltaWatts float64 `json:"delta_watts"`
 }
 
 // Predict estimates the cost of executing action a in configuration cfg

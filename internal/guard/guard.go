@@ -13,6 +13,7 @@ package guard
 
 import (
 	"fmt"
+	"maps"
 	"sync"
 	"time"
 
@@ -323,13 +324,14 @@ func (g *Guard) publishBreaker() { g.gBreaker.Set(float64(g.breaker)) }
 // State is the guard's mutable state in serializable form, for the
 // scenario checkpoint plane.
 type State struct {
-	Breaker      string           `json:"breaker"`
-	ConsecDegr   int              `json:"consec_degraded,omitempty"`
-	CooldownLeft int              `json:"cooldown_left,omitempty"`
-	LastCycleNS  map[string]int64 `json:"last_cycle_ns,omitempty"`
-	Opens        int64            `json:"opens,omitempty"`
-	Admitted     int64            `json:"admitted,omitempty"`
-	Rejected     int64            `json:"rejected,omitempty"`
+	Breaker      string `json:"breaker"`
+	ConsecDegr   int    `json:"consec_degraded,omitempty"`
+	CooldownLeft int    `json:"cooldown_left,omitempty"`
+	// LastCycle marshals as int64 nanoseconds per host.
+	LastCycle map[string]time.Duration `json:"last_cycle_ns,omitempty"`
+	Opens     int64                    `json:"opens,omitempty"`
+	Admitted  int64                    `json:"admitted,omitempty"`
+	Rejected  int64                    `json:"rejected,omitempty"`
 }
 
 // Snapshot captures the guard's mutable state.
@@ -339,21 +341,15 @@ func (g *Guard) Snapshot() *State {
 	}
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	s := &State{
+	return &State{
 		Breaker:      g.breaker.String(),
 		ConsecDegr:   g.consecDegr,
 		CooldownLeft: g.cooldownLeft,
+		LastCycle:    maps.Clone(g.lastCycle),
 		Opens:        g.opens,
 		Admitted:     g.admitted,
 		Rejected:     g.rejected,
 	}
-	if len(g.lastCycle) > 0 {
-		s.LastCycleNS = make(map[string]int64, len(g.lastCycle))
-		for h, t := range g.lastCycle {
-			s.LastCycleNS[h] = int64(t)
-		}
-	}
-	return s
 }
 
 // Restore overwrites the guard's mutable state with a captured one.
@@ -376,10 +372,8 @@ func (g *Guard) Restore(s *State) error {
 	g.opens = s.Opens
 	g.admitted = s.Admitted
 	g.rejected = s.Rejected
-	g.lastCycle = make(map[string]time.Duration, len(s.LastCycleNS))
-	for h, ns := range s.LastCycleNS {
-		g.lastCycle[h] = time.Duration(ns)
-	}
+	g.lastCycle = make(map[string]time.Duration, len(s.LastCycle))
+	maps.Copy(g.lastCycle, s.LastCycle)
 	g.publishBreaker()
 	return nil
 }

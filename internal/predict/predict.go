@@ -71,31 +71,13 @@ func (e *Estimator) Predict() time.Duration {
 // enough history exists.
 func (e *Estimator) LastBeta() float64 { return e.beta }
 
-// State is a snapshot of the estimator's internals, taken for decision
-// provenance: the β in force and the bounded measurement/error histories
-// (seconds, newest last).
-type State struct {
-	Beta     float64
-	Measured []float64
-	Errors   []float64
-}
-
-// State snapshots the estimator (the slices are copies).
-func (e *Estimator) State() State {
-	return State{
-		Beta:     e.beta,
-		Measured: append([]float64(nil), e.measured...),
-		Errors:   append([]float64(nil), e.errors...),
-	}
-}
-
 // PersistState is the estimator's complete mutable state in serializable
-// form, used by checkpoint/restore. Unlike State (a provenance view), it
-// carries everything Observe folds into: the histories, the current
-// estimate and β, and whether a first measurement has seeded the error
-// term. The construction parameters k and γ are not included — an
-// estimator is restored into a freshly constructed instance with the same
-// options.
+// form, used by checkpoint/restore and read by decision provenance. It
+// carries everything Observe folds into — the histories (seconds, newest
+// last), the current estimate and β, and whether a first measurement has
+// seeded the error term. The construction parameters k and γ are not
+// included — an estimator is restored into a freshly constructed instance
+// with the same options.
 type PersistState struct {
 	Measured []float64 `json:"measured,omitempty"`
 	Errors   []float64 `json:"errors,omitempty"`

@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"github.com/mistralcloud/mistral/internal/checkpoint"
+	"github.com/mistralcloud/mistral/internal/cluster"
+	"github.com/mistralcloud/mistral/internal/cost"
 	"github.com/mistralcloud/mistral/internal/experiments"
 	"github.com/mistralcloud/mistral/internal/fault"
 	"github.com/mistralcloud/mistral/internal/guard"
@@ -137,15 +139,17 @@ func insertAfter(t *testing.T, ck []byte, anchor, fields string) []byte {
 // decisions, provenance streams, and SLO state. The checkpoint crosses a
 // JSON serialization boundary inside the checkpoint.File envelope, as it
 // would a process boundary. Each input records a different worker count in
-// the envelope, the value older builds wrote there; the last also carries
-// the keys older v3 builds wrote and this one no longer does: the
-// evaluator's counters (with the in-flight dedup counter) in the decider
-// state, the registry's cumulative cache counters, the SLO engine's cache
-// baseline, the anomaly detector's state and its history-anomaly
-// objective, the history store's own copy of the series, and the SLO
-// engine's whole state, objectives and alerts. Restore ignores all of them;
-// the history and SLO state it reads from the window logs must not show the
-// stale copies' values.
+// the envelope, the value older builds wrote there; the last is a v3 file
+// carrying the keys older builds wrote and this one no longer does: the
+// testbed's cost table, each controller's utility history, the evaluator's
+// counters (with the in-flight dedup counter) in the decider state, the
+// registry's cumulative cache counters, the SLO engine's cache baseline, the
+// anomaly detector's state and its history-anomaly objective, the history
+// store's own copy of the series, and the SLO engine's whole state,
+// objectives and alerts. Restore ignores all of them: the cost table is the
+// lab's, and the utility history, the history and the SLO state are read
+// from the window logs, so none may show the stale copies' values — here a
+// table whose every action takes no time and a history of −1e9 windows.
 func TestCheckpointRoundTripDeterminism(t *testing.T) {
 	for _, tc := range []struct {
 		workers int
@@ -171,6 +175,7 @@ func TestCheckpointRoundTripDeterminism(t *testing.T) {
 			}
 			ckBytes = bytes.Replace(ckBytes, []byte(`"workers":0`), []byte(fmt.Sprintf(`"workers":%d`, tc.workers)), 1)
 			if tc.legacy {
+				ckBytes = staleV3(t, ckBytes)
 				ckBytes = insertAfter(t, ckBytes, `"decider":{`, `"eval":{"hits":3,"evals":41,"dedups":7},`)
 				ckBytes = insertAfter(t, ckBytes, `"scenario":{`, `"reg_cache_hits":412,"reg_cache_misses":9105,`+
 					`"anomaly":{"ewma":{"decide_wall_ms":{"mean":12.5,"var":4,"n":50}}},`+
@@ -221,6 +226,81 @@ func TestCheckpointRoundTripDeterminism(t *testing.T) {
 			}
 		})
 	}
+}
+
+// staleV3 relabels a Mistral checkpoint file v3 and gives it the two keys v3
+// files carried and Restore now ignores, each holding what would derail the
+// resumed run if read: the testbed's cost table with every action's duration
+// zeroed, and a utility history of −1e9 windows in every controller.
+func staleV3(t *testing.T, ck []byte) []byte {
+	t.Helper()
+	var file, snap, dec map[string]json.RawMessage
+	unmarshal(t, ck, &file)
+	unmarshal(t, file["scenario"], &snap)
+	snap["schema"] = json.RawMessage(`"mistral.checkpoint/v3"`)
+	snap["testbed"] = withKey(t, snap["testbed"], "costs", instantCosts(t))
+	unmarshal(t, snap["decider"], &dec)
+	history := json.RawMessage(`[{"utility":-1e9,"perf_rate":-1e6,"pwr_rate":-1e6}]`)
+	for _, level := range []string{"l3", "l2"} {
+		if dec[level] != nil {
+			dec[level] = withKey(t, dec[level], "history", history)
+		}
+	}
+	var l1 []json.RawMessage
+	unmarshal(t, dec["l1"], &l1)
+	for i := range l1 {
+		l1[i] = withKey(t, l1[i], "history", history)
+	}
+	dec["l1"] = marshal(t, l1)
+	snap["decider"] = marshal(t, dec)
+	file["scenario"] = marshal(t, snap)
+	return marshal(t, file)
+}
+
+// withKey sets one key of a JSON object.
+func withKey(t *testing.T, obj json.RawMessage, key string, val json.RawMessage) json.RawMessage {
+	t.Helper()
+	var m map[string]json.RawMessage
+	unmarshal(t, obj, &m)
+	m[key] = val
+	return marshal(t, m)
+}
+
+func unmarshal(t *testing.T, raw []byte, v any) {
+	t.Helper()
+	if err := json.Unmarshal(raw, v); err != nil {
+		t.Fatal(err)
+	}
+}
+
+func marshal(t *testing.T, v any) []byte {
+	t.Helper()
+	raw, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// instantCosts renders the paper's cost table as v3 checkpoints carried it,
+// with every action's duration zeroed.
+func instantCosts(t *testing.T) []byte {
+	t.Helper()
+	type row struct {
+		Kind    cluster.ActionKind `json:"kind"`
+		Tier    string             `json:"tier,omitempty"`
+		Entries []cost.Entry       `json:"entries"`
+	}
+	var rows []row
+	table := cost.PaperTable()
+	for _, k := range table.Keys() {
+		entries := slices.Clone(table.Entries(k))
+		for i := range entries {
+			entries[i].Duration = 0
+		}
+		rows = append(rows, row{Kind: k.Kind, Tier: k.Tier, Entries: entries})
+	}
+	return marshal(t, map[string][]row{"rows": rows})
 }
 
 // windowView is everything an operator can see of one completed window
@@ -383,9 +463,9 @@ func TestOpsCarriesOnAfterRestore(t *testing.T) {
 }
 
 // TestCheckpointMismatchRejected exercises the restore guard rails: retired
-// schemas, a wrong strategy, fault- and guard-plane mismatches, a
-// checkpointable strategy's missing state and a window index its window
-// logs do not reach must all fail cleanly, before
+// schemas (v3, the previous one, still restores), a wrong strategy, fault-
+// and guard-plane mismatches, a checkpointable strategy's missing state and
+// a window index its window logs do not reach must all fail cleanly, before
 // Restore has changed anything, instead of silently resuming into a
 // different environment.
 func TestCheckpointMismatchRejected(t *testing.T) {
@@ -438,8 +518,18 @@ func TestCheckpointMismatchRejected(t *testing.T) {
 			t.Errorf("%s: refused Restore changed the engine", tc.name)
 		}
 	}
+	// The previous schema still restores, to the same state.
+	v3 := *snap
+	v3.Schema = "mistral.checkpoint/v3"
+	if err := target.engine.Restore(&v3); err != nil {
+		t.Errorf("the checkpoint relabelled v3: %v", err)
+	}
+	fromV3 := state()
 	if err := target.engine.Restore(snap); err != nil {
 		t.Errorf("the unmodified checkpoint: %v", err)
+	}
+	if !bytes.Equal(state(), fromV3) {
+		t.Error("the checkpoint relabelled v3 restores to a different state")
 	}
 }
 

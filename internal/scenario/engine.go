@@ -388,9 +388,8 @@ func (e *Engine) measure(w *window) error {
 		w.SensorDropped = true
 		w.degrade("sensor window dropped")
 	}
-	w.perfRate = e.cfg.Utility.PerfRateAll(w.Rates, m.RTSec)
-	w.pwrRate = e.cfg.Utility.PowerRate(m.Watts)
-	w.Utility += e.cfg.Interval.Seconds() * (w.perfRate + w.pwrRate)
+	perfRate, pwrRate := e.accrual(&w.WindowLog)
+	w.Utility += e.cfg.Interval.Seconds() * (perfRate + pwrRate)
 	w.CumUtility = e.res.CumUtility + w.Utility
 	for name, a := range e.cfg.Utility.Apps {
 		if w.Rates[name] > 0 && m.RTSec[name] > a.TargetRT.Seconds() {
@@ -398,6 +397,21 @@ func (e *Engine) measure(w *window) error {
 		}
 	}
 	return nil
+}
+
+// accrual is a measured window's Eq. 1 performance and Eq. 2 power accrual
+// rates (dollars/second), read from its log.
+func (e *Engine) accrual(w *WindowLog) (perfRate, pwrRate float64) {
+	return e.cfg.Utility.PerfRateAll(w.Rates, w.RTSec), e.cfg.Utility.PowerRate(w.Watts)
+}
+
+// feedback hands the decider a completed window's realized utility and
+// accrual rates. The decider's feedback is a fold over the window logs: the
+// live engine feeds each window as it publishes it, and Restore refeeds a
+// checkpoint's windows, so a checkpoint carries no copy of it.
+func (e *Engine) feedback(w *WindowLog) {
+	perfRate, pwrRate := e.accrual(w)
+	e.d.RecordWindow(w.Utility, perfRate, pwrRate)
 }
 
 // publish derives every view of the window from its record, once. A window
@@ -421,7 +435,7 @@ func (e *Engine) publish(w *window) {
 		return
 	}
 
-	e.d.RecordWindow(w.Utility, w.perfRate, w.pwrRate)
+	e.feedback(&w.WindowLog)
 	e.cWindows.Inc()
 	e.cViolations.Add(int64(len(w.violations)))
 	e.hWindowUtil.ObserveExemplar(w.Utility, w.tc.ID())

@@ -177,8 +177,7 @@ type window struct {
 	skipped, compensated int
 	steps                []provenance.StepProv
 
-	perfRate, pwrRate float64
-	violations        []string // applications whose measured RT missed the target
+	violations []string // applications whose measured RT missed the target
 }
 
 // degrade marks the window degraded and appends the cause to its reason.

@@ -13,25 +13,32 @@ import (
 	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
-// SnapshotSchema identifies the checkpoint format; Restore refuses any
-// other value. Bump it when a field changes meaning — a version bump turns
-// silent state corruption into a clean "unsupported schema" error.
+// SnapshotSchema identifies the checkpoint format. Bump it when a field
+// changes meaning or an older build would misread a file — a version bump
+// turns silent state corruption into a clean "unsupported schema" error.
 //
-// v3 dropped the evaluator's memo entries from the decider state (the memo
-// is per-window). v1 and v2 files are refused. Later v3 files also dropped
-// the evaluator's un-flushed cache counters, the registry's cumulative cache
-// counters and the SLO engine's cache baseline, with the eval-cache-hit
-// objective they fed; older v3 files still carry those keys, and Restore
-// ignores them. Files written before the history store became a view of
-// Result.Windows also carry a "history" key, which Restore ignores: it reads
-// the history from the window logs, whose SearchCost and Expansions such
-// files lack, so those two series read 0 over their windows. Files written
-// before the SLO engine was refolded from the window logs carry an "slo"
-// key, which Restore ignores too; their windows lack GuardChecked, so
+// v4 carries only state the code cannot rebuild: the testbed's cost table is
+// a construction input (the recipe's lab), and the decider's utility history
+// is refolded from Result.Windows. An older build would resume a v4 file on
+// an empty cost table, hence the bump. Restore also reads v3 files and
+// ignores their "costs" and controller "history" keys. v3 dropped the
+// evaluator's memo entries; v1 and v2 files are refused. Later v3 files also
+// dropped the evaluator's un-flushed cache counters, the registry's
+// cumulative cache counters and the SLO engine's cache baseline, with the
+// eval-cache-hit objective they fed; older v3 files still carry those keys,
+// and Restore ignores them. Files written before the history store became a
+// view of Result.Windows also carry a "history" key, which Restore ignores:
+// it reads the history from the window logs, whose SearchCost and Expansions
+// such files lack, so those two series read 0 over their windows. Files
+// written before the SLO engine was refolded from the window logs carry an
+// "slo" key, which Restore ignores too; their windows lack GuardChecked, so
 // guard-reject refolds as unmeasured over them. Windows logged before the
 // DecideError and Aborted flags read no decide errors on /ops, and a file
 // holding an aborted one is refused.
-const SnapshotSchema = "mistral.checkpoint/v3"
+const SnapshotSchema = "mistral.checkpoint/v4"
+
+// legacySchema is the previous checkpoint format, which Restore still reads.
+const legacySchema = "mistral.checkpoint/v3"
 
 // Snapshotter is the optional Decider extension that makes a strategy
 // checkpointable: SnapshotState serializes every piece of mutable decision
@@ -135,7 +142,7 @@ func (e *Engine) Restore(s *Snapshot) error {
 	if s == nil {
 		return fmt.Errorf("scenario: nil snapshot")
 	}
-	if s.Schema != SnapshotSchema {
+	if s.Schema != SnapshotSchema && s.Schema != legacySchema {
 		return fmt.Errorf("scenario: unsupported checkpoint schema %q (want %q)", s.Schema, SnapshotSchema)
 	}
 	if s.Strategy != e.d.Name() {
@@ -190,6 +197,11 @@ func (e *Engine) Restore(s *Snapshot) error {
 	if s.Guard != nil {
 		if err := e.cfg.Guard.Restore(s.Guard); err != nil {
 			return fmt.Errorf("scenario: guard restore: %w", err)
+		}
+	}
+	for i := range e.res.Windows {
+		if !e.res.Windows[i].Aborted {
+			e.feedback(&e.res.Windows[i])
 		}
 	}
 	e.views = newViews(e.o, e.d.Name(), e.cfg.Interval)

@@ -1,6 +1,7 @@
 package strategy
 
 import (
+	"maps"
 	"math"
 	"time"
 
@@ -15,16 +16,12 @@ import (
 // entirely ignoring transient adaptation costs.
 type PerfPwr struct {
 	eval *core.Evaluator
-	last map[string]float64
-	// RateEpsilon is the minimum per-app rate change (req/s) treated as "a
-	// workload change was observed" (default 0.5 — essentially any change
-	// at the monitoring granularity).
-	RateEpsilon float64
+	gate rateGate
 }
 
 // NewPerfPwr builds the baseline.
 func NewPerfPwr(eval *core.Evaluator) *PerfPwr {
-	return &PerfPwr{eval: eval, RateEpsilon: 0.5}
+	return &PerfPwr{eval: eval}
 }
 
 // Name implements scenario.Decider.
@@ -33,10 +30,9 @@ func (p *PerfPwr) Name() string { return "Perf-Pwr" }
 // Decide implements scenario.Decider.
 func (p *PerfPwr) Decide(now time.Duration, cfg cluster.Config, rates map[string]float64) (scenario.Decision, error) {
 	p.eval.BeginWindow()
-	if !p.changed(rates) {
+	if !p.gate.pass(rates) {
 		return scenario.Decision{}, nil
 	}
-	p.remember(rates)
 
 	ideal, err := core.PerfPwr(p.eval, rates, core.PerfPwrOptions{})
 	if err != nil {
@@ -52,23 +48,34 @@ func (p *PerfPwr) Decide(now time.Duration, cfg cluster.Config, rates map[string
 	return scenario.Decision{Invoked: true, Plan: plan}, nil
 }
 
-func (p *PerfPwr) changed(rates map[string]float64) bool {
-	if p.last == nil {
-		return true
+// rateEpsilon is the smallest per-application rate change (req/s) the
+// Perf-Pwr and Pwr-Cost baselines treat as a workload change: essentially
+// any change at the monitoring granularity.
+const rateEpsilon = 0.5
+
+// rateGate re-runs a baseline only on a workload change: last holds the
+// rates it last ran on (nil before the first run).
+type rateGate struct{ last map[string]float64 }
+
+// pass reports whether the baseline runs on rates — the first rates, or
+// some application's rate moved by more than rateEpsilon since the rates it
+// last ran on — and remembers them if so.
+func (g *rateGate) pass(rates map[string]float64) bool {
+	if g.last != nil && !g.moved(rates) {
+		return false
 	}
+	g.last = make(map[string]float64, len(rates))
+	maps.Copy(g.last, rates)
+	return true
+}
+
+func (g *rateGate) moved(rates map[string]float64) bool {
 	for name, r := range rates {
-		if math.Abs(r-p.last[name]) > p.RateEpsilon {
+		if math.Abs(r-g.last[name]) > rateEpsilon {
 			return true
 		}
 	}
 	return false
-}
-
-func (p *PerfPwr) remember(rates map[string]float64) {
-	p.last = make(map[string]float64, len(rates))
-	for k, v := range rates {
-		p.last[k] = v
-	}
 }
 
 // RecordWindow implements scenario.Decider (unused by this baseline).

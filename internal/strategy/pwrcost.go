@@ -1,7 +1,6 @@
 package strategy
 
 import (
-	"math"
 	"time"
 
 	"github.com/mistralcloud/mistral/internal/cluster"
@@ -19,21 +18,18 @@ import (
 // response time away — if the current configuration misses a target, the
 // plan executes regardless of cost.
 type PwrCost struct {
-	eval *core.Evaluator
-	est  *predict.Estimator
-	last map[string]float64
-	// RateEpsilon gates re-evaluation, like the Perf-Pwr baseline.
-	RateEpsilon float64
-	bandStart   time.Duration
-	started     bool
+	eval      *core.Evaluator
+	est       *predict.Estimator
+	gate      rateGate
+	bandStart time.Duration
+	started   bool
 }
 
 // NewPwrCost builds the baseline.
 func NewPwrCost(eval *core.Evaluator) *PwrCost {
 	return &PwrCost{
-		eval:        eval,
-		est:         predict.NewEstimator(0, 0, 4*time.Minute),
-		RateEpsilon: 0.5,
+		eval: eval,
+		est:  predict.NewEstimator(0, 0, 4*time.Minute),
 	}
 }
 
@@ -47,7 +43,7 @@ func (p *PwrCost) RecordWindow(utilityDollars, perfRate, pwrRate float64) {}
 // Decide implements scenario.Decider.
 func (p *PwrCost) Decide(now time.Duration, cfg cluster.Config, rates map[string]float64) (scenario.Decision, error) {
 	p.eval.BeginWindow()
-	if !p.changed(rates) {
+	if !p.gate.pass(rates) {
 		return scenario.Decision{}, nil
 	}
 	if p.started {
@@ -55,7 +51,6 @@ func (p *PwrCost) Decide(now time.Duration, cfg cluster.Config, rates map[string
 	}
 	p.bandStart = now
 	p.started = true
-	p.remember(rates)
 	cw := p.est.Predict()
 	if cw < 2*time.Minute {
 		cw = 2 * time.Minute
@@ -114,23 +109,4 @@ func (p *PwrCost) violatesTargets(cfg cluster.Config, rates map[string]float64) 
 		}
 	}
 	return false, nil
-}
-
-func (p *PwrCost) changed(rates map[string]float64) bool {
-	if p.last == nil {
-		return true
-	}
-	for name, r := range rates {
-		if math.Abs(r-p.last[name]) > p.RateEpsilon {
-			return true
-		}
-	}
-	return false
-}
-
-func (p *PwrCost) remember(rates map[string]float64) {
-	p.last = make(map[string]float64, len(rates))
-	for k, v := range rates {
-		p.last[k] = v
-	}
 }

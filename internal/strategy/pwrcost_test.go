@@ -55,7 +55,7 @@ func TestPwrCostSkipsUnprofitableConsolidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Identical rates: gated by RateEpsilon, no re-invocation.
+	// Identical rates: gated by rateEpsilon, no re-invocation.
 	d2, err := pc.Decide(2*time.Minute, cfg, rates)
 	if err != nil {
 		t.Fatal(err)

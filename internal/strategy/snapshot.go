@@ -3,6 +3,7 @@ package strategy
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"time"
 
 	"github.com/mistralcloud/mistral/internal/core"
@@ -10,9 +11,10 @@ import (
 )
 
 // Every strategy implements scenario.Snapshotter: SnapshotState serializes
-// its complete mutable decision state — controller band/history/estimator
-// state, last-seen rates, per-level stats; the evaluator's memo is
-// per-window and never persisted — and RestoreState rebuilds it in a
+// its mutable decision state — controller band/estimator state,
+// last-seen rates, per-level stats; the evaluator's memo is per-window and
+// never persisted, and the controllers' utility history is refolded from
+// the window logs by the engine — and RestoreState rebuilds it in a
 // freshly constructed strategy so a checkpointed run resumes with zero
 // decision drift.
 // Construction inputs (catalog, search options, host groups) are
@@ -78,14 +80,7 @@ type perfPwrState struct {
 
 // SnapshotState implements scenario.Snapshotter.
 func (p *PerfPwr) SnapshotState() (json.RawMessage, error) {
-	var s perfPwrState
-	if p.last != nil {
-		s.Last = make(map[string]float64, len(p.last))
-		for k, v := range p.last {
-			s.Last[k] = v
-		}
-	}
-	return json.Marshal(s)
+	return json.Marshal(perfPwrState{Last: maps.Clone(p.gate.last)})
 }
 
 // RestoreState implements scenario.Snapshotter.
@@ -94,13 +89,7 @@ func (p *PerfPwr) RestoreState(raw json.RawMessage) error {
 	if err := json.Unmarshal(raw, &s); err != nil {
 		return fmt.Errorf("strategy: perf-pwr state: %w", err)
 	}
-	p.last = nil
-	if s.Last != nil {
-		p.last = make(map[string]float64, len(s.Last))
-		for k, v := range s.Last {
-			p.last[k] = v
-		}
-	}
+	p.gate.last = maps.Clone(s.Last)
 	return nil
 }
 
@@ -134,18 +123,12 @@ type pwrCostState struct {
 
 // SnapshotState implements scenario.Snapshotter.
 func (p *PwrCost) SnapshotState() (json.RawMessage, error) {
-	s := pwrCostState{
+	return json.Marshal(pwrCostState{
 		Est:         p.est.Persist(),
+		Last:        maps.Clone(p.gate.last),
 		BandStartNS: int64(p.bandStart),
 		Started:     p.started,
-	}
-	if p.last != nil {
-		s.Last = make(map[string]float64, len(p.last))
-		for k, v := range p.last {
-			s.Last[k] = v
-		}
-	}
-	return json.Marshal(s)
+	})
 }
 
 // RestoreState implements scenario.Snapshotter.
@@ -157,12 +140,6 @@ func (p *PwrCost) RestoreState(raw json.RawMessage) error {
 	p.est.Restore(s.Est)
 	p.bandStart = time.Duration(s.BandStartNS)
 	p.started = s.Started
-	p.last = nil
-	if s.Last != nil {
-		p.last = make(map[string]float64, len(s.Last))
-		for k, v := range s.Last {
-			p.last[k] = v
-		}
-	}
+	p.gate.last = maps.Clone(s.Last)
 	return nil
 }

@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"fmt"
+	"maps"
 	"time"
 
 	"github.com/mistralcloud/mistral/internal/cluster"
@@ -13,7 +14,7 @@ type PhaseState struct {
 	StartNS      int64               `json:"start_ns"`
 	EndNS        int64               `json:"end_ns"`
 	Action       cluster.Action      `json:"action"`
-	PredState    PredState           `json:"pred"`
+	Pred         cost.Prediction     `json:"pred"`
 	CfgAfter     cluster.ConfigState `json:"cfg_after"`
 	ApplyAtStart bool                `json:"apply_at_start,omitempty"`
 	Applied      bool                `json:"applied,omitempty"`
@@ -21,19 +22,12 @@ type PhaseState struct {
 	Rollback     bool                `json:"rollback,omitempty"`
 }
 
-// PredState is a cost.Prediction in serializable form.
-type PredState struct {
-	DurationNS int64              `json:"duration_ns"`
-	DeltaRTSec map[string]float64 `json:"delta_rt_sec,omitempty"`
-	DeltaWatts float64            `json:"delta_watts"`
-}
-
 // State is the testbed's complete mutable state in serializable form: the
 // virtual clock, the in-effect and final configurations, the current
-// workload, the in-flight phases, the measurement-noise stream position,
-// the sensor-drop replay cache, and the cost table in force. Construction
-// inputs (catalog, app specs, options) are not included — state is restored
-// into a testbed freshly built with the same inputs. Only ModeAnalytic is
+// workload, the in-flight phases, the measurement-noise stream position and
+// the sensor-drop replay cache. Construction inputs (catalog, app specs, cost
+// table, options) are not included — state is restored into a testbed
+// freshly built with the same inputs. Only ModeAnalytic is
 // supported: the request-level discrete-event simulator's heap of pending
 // events is not serializable.
 type State struct {
@@ -44,7 +38,6 @@ type State struct {
 	Phases   []PhaseState        `json:"phases,omitempty"`
 	Noise    []byte              `json:"noise"`
 	LastMeas *Window             `json:"last_meas,omitempty"`
-	Costs    cost.TableState     `json:"costs"`
 }
 
 // Snapshot captures the testbed's mutable state. Only supported in
@@ -62,7 +55,6 @@ func (tb *Testbed) Snapshot() (*State, error) {
 		Cfg:      tb.cfg.Snapshot(),
 		CfgFinal: tb.cfgFinal.Snapshot(),
 		Noise:    noise,
-		Costs:    tb.costMgr.Table().Snapshot(),
 	}
 	if len(tb.rates) > 0 {
 		s.Rates = make(map[string]float64, len(tb.rates))
@@ -75,19 +67,12 @@ func (tb *Testbed) Snapshot() (*State, error) {
 			StartNS:      int64(ph.start),
 			EndNS:        int64(ph.end),
 			Action:       ph.action,
+			Pred:         clonePrediction(ph.pred),
 			CfgAfter:     ph.cfgAfter.Snapshot(),
 			ApplyAtStart: ph.applyAtStart,
 			Applied:      ph.applied,
 			Failed:       ph.failed,
 			Rollback:     ph.rollback,
-		}
-		ps.PredState.DurationNS = int64(ph.pred.Duration)
-		ps.PredState.DeltaWatts = ph.pred.DeltaWatts
-		if len(ph.pred.DeltaRTSec) > 0 {
-			ps.PredState.DeltaRTSec = make(map[string]float64, len(ph.pred.DeltaRTSec))
-			for k, v := range ph.pred.DeltaRTSec {
-				ps.PredState.DeltaRTSec[k] = v
-			}
 		}
 		s.Phases = append(s.Phases, ps)
 	}
@@ -111,11 +96,6 @@ func (tb *Testbed) Restore(s *State) error {
 	if err := tb.noise.Restore(s.Noise); err != nil {
 		return fmt.Errorf("testbed: %w", err)
 	}
-	costMgr, err := cost.NewManager(tb.cat, cost.RestoreTable(s.Costs), 8)
-	if err != nil {
-		return fmt.Errorf("testbed: %w", err)
-	}
-	tb.costMgr = costMgr
 	tb.now = time.Duration(s.NowNS)
 	tb.cfg = cluster.RestoreConfig(s.Cfg)
 	tb.cfgFinal = cluster.RestoreConfig(s.CfgFinal)
@@ -129,19 +109,12 @@ func (tb *Testbed) Restore(s *State) error {
 			start:        time.Duration(ps.StartNS),
 			end:          time.Duration(ps.EndNS),
 			action:       ps.Action,
+			pred:         clonePrediction(ps.Pred),
 			cfgAfter:     cluster.RestoreConfig(ps.CfgAfter),
 			applyAtStart: ps.ApplyAtStart,
 			applied:      ps.Applied,
 			failed:       ps.Failed,
 			rollback:     ps.Rollback,
-		}
-		ph.pred.Duration = time.Duration(ps.PredState.DurationNS)
-		ph.pred.DeltaWatts = ps.PredState.DeltaWatts
-		if len(ps.PredState.DeltaRTSec) > 0 {
-			ph.pred.DeltaRTSec = make(map[string]float64, len(ps.PredState.DeltaRTSec))
-			for k, v := range ps.PredState.DeltaRTSec {
-				ph.pred.DeltaRTSec[k] = v
-			}
 		}
 		tb.phases = append(tb.phases, ph)
 	}
@@ -151,6 +124,12 @@ func (tb *Testbed) Restore(s *State) error {
 		tb.lastMeas = &lm
 	}
 	return nil
+}
+
+// clonePrediction deep-copies a prediction's response-time deltas.
+func clonePrediction(p cost.Prediction) cost.Prediction {
+	p.DeltaRTSec = maps.Clone(p.DeltaRTSec)
+	return p
 }
 
 // cloneWindow deep-copies a measurement window's maps.

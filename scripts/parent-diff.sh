@@ -75,7 +75,9 @@ for side in parent change; do
 	if [ "$side" = parent ]; then other=change; fi
 	mkdir -p "$tmp/out.$side/resume"
 	cp "$tmp/out.$other/ck/ck.json" "$tmp/out.$side/resume/ck.json"
-	(cd "$tmp/out.$side/resume" && "$tmp/sim.$side" -resume ck.json -duration 2h >stdout 2>stderr)
+	# A side that refuses the other's file (a checkpoint schema bump) fails
+	# here; its stderr says why, and the comparison reports the difference.
+	(cd "$tmp/out.$side/resume" && "$tmp/sim.$side" -resume ck.json -duration 2h >stdout 2>stderr) || true
 done
 compare resume "mistral-sim -resume (the other side's ck.json) -duration 2h" stdout stderr
 exit $status
