@@ -316,6 +316,11 @@ func badRequest(format string, args ...any) *apiError {
 // orders of magnitude of headroom, and everything past it is abuse.
 const maxBodyBytes = 1 << 20
 
+// maxWindowsPerPost bounds {"windows":N}: one request steps at most a day of
+// the paper's replay (195 two-minute windows), and holds the engine lock
+// while it does.
+const maxWindowsPerPost = 200
+
 // decodeJSON strictly decodes a bounded request body: unknown fields and
 // trailing data are errors (they always indicate a malformed client, and
 // silently ignoring them turns typos into no-ops), while an entirely empty
@@ -421,6 +426,9 @@ func (s *server) handleWindow(r *http.Request) (any, error) {
 	}
 	if err := decodeJSON(r, &req); err != nil {
 		return nil, err
+	}
+	if req.Windows < 0 || req.Windows > maxWindowsPerPost {
+		return nil, badRequest("windows must be between 0 and %d, got %d", maxWindowsPerPost, req.Windows)
 	}
 	if req.Rates != nil && req.Windows > 1 {
 		return nil, badRequest("rates and windows are mutually exclusive")

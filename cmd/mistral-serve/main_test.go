@@ -10,6 +10,7 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/mistralcloud/mistral/internal/experiments"
 	"github.com/mistralcloud/mistral/internal/obs"
@@ -18,13 +19,16 @@ import (
 	"github.com/mistralcloud/mistral/internal/testbed"
 )
 
+// testRecipe is the test daemon's environment.
+var testRecipe = experiments.Recipe{Strategy: "perf-pwr", Lab: experiments.LabOptions{NumApps: 1, Seed: 7}}
+
 // newTestServer builds a 1-app daemon on the cheap perf-pwr strategy and
 // mounts the control API beside /v1/query exactly as the obs plane would.
-func newTestServer(t *testing.T) (*server, *httptest.Server) {
+func newTestServer(t testing.TB) (*server, *httptest.Server) {
 	t.Helper()
 	ob := &obs.Observer{Metrics: obs.NewRegistry(), Ops: obs.NewOpsState(), History: tsdb.New(tsdb.Options{})}
 	s := &server{ob: ob}
-	if err := s.rebuild(experiments.Recipe{Strategy: "perf-pwr", Lab: experiments.LabOptions{NumApps: 1, Seed: 7}}); err != nil {
+	if err := s.rebuild(testRecipe); err != nil {
 		t.Fatal(err)
 	}
 	mux := http.NewServeMux()
@@ -120,7 +124,7 @@ func TestServeContentTypeEnforced(t *testing.T) {
 }
 
 func TestServeStrictBodyValidation(t *testing.T) {
-	_, ts := newTestServer(t)
+	s, ts := newTestServer(t)
 	cases := []struct {
 		name, body string
 	}{
@@ -128,8 +132,14 @@ func TestServeStrictBodyValidation(t *testing.T) {
 		{"trailing data", `{} {"windows":1}`},
 		{"malformed", `{"windows":`},
 		{"wrong type", `{"windows":"three"}`},
+		{"unknown application", `{"rates":{"nope":5}}`},
+		{"unknown beside a known application", `{"rates":{"rubis1":50,"nope":5}}`},
+		{"negative rate", `{"rates":{"rubis1":-50}}`},
+		{"negative windows", `{"windows":-3}`},
+		{"windows over the cap", fmt.Sprintf(`{"windows":%d}`, maxWindowsPerPost+1)},
 	}
 	for _, tc := range cases {
+		before := engineState(s)
 		status, msg, _ := do(t, post(t, ts.URL+"/v1/window", "application/json", tc.body))
 		if status != http.StatusBadRequest {
 			t.Errorf("%s: status = %d, want 400", tc.name, status)
@@ -137,7 +147,69 @@ func TestServeStrictBodyValidation(t *testing.T) {
 		if msg == "" {
 			t.Errorf("%s: no structured error message", tc.name)
 		}
+		if after := engineState(s); after != before {
+			t.Errorf("%s: a refused request moved the engine from %+v to %+v", tc.name, before, after)
+		}
+		if status, msg, _ := do(t, post(t, ts.URL+"/v1/window", "application/json", `{}`)); status != http.StatusOK {
+			t.Errorf("%s: the next {} = %d (%s), want 200", tc.name, status, msg)
+		}
 	}
+}
+
+// stepState is what a refused POST /v1/window must leave as it was.
+type stepState struct {
+	window, booked int
+	now            time.Duration
+}
+
+func engineState(s *server) stepState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return stepState{window: s.Engine.WindowIndex(), booked: len(s.Engine.Result().Windows), now: s.Engine.Now()}
+}
+
+// FuzzWindowRequest posts arbitrary bodies to a 1-app daemon's
+// POST /v1/window: every answer is a status the API documents, a refused
+// request leaves the engine where it was, and the daemon still steps a
+// following {}. Inputs asking for more than a handful of windows are
+// skipped, so that one input cannot step hundreds of windows; the cap on
+// the count is TestServeStrictBodyValidation's.
+func FuzzWindowRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{}`, ``, `{"windows":3}`, `{"window":0}`, `{"rates":{"rubis1":55}}`,
+		`{"rates":{"nope":5}}`, `{"rates":{"rubis1":-50}}`, `{"windows":-3}`,
+		`{"windows":201}`, `{"rates":{"rubis1":5},"windows":2}`, `{"ratez":{}}`, `{} {}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	s, ts := newTestServer(f)
+	allowed := map[int]bool{http.StatusOK: true, http.StatusBadRequest: true, http.StatusConflict: true,
+		http.StatusRequestEntityTooLarge: true, http.StatusUnsupportedMediaType: true}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var asks struct{ Windows int }
+		if json.Unmarshal(body, &asks) == nil && asks.Windows > 4 {
+			t.Skip("steps too many windows for one input")
+		}
+		if engineState(s).window > 500 { // keep the run's memory bounded
+			s.mu.Lock()
+			err := s.rebuild(testRecipe)
+			s.mu.Unlock()
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+		before := engineState(s)
+		status, msg, _ := do(t, post(t, ts.URL+"/v1/window", "application/json", string(body)))
+		if !allowed[status] {
+			t.Fatalf("%q: status %d (%s)", body, status, msg)
+		}
+		if after := engineState(s); status != http.StatusOK && after != before {
+			t.Fatalf("%q: refused with %d (%s) but moved the engine from %+v to %+v", body, status, msg, before, after)
+		}
+		if status, msg, _ := do(t, post(t, ts.URL+"/v1/window", "application/json", `{}`)); status != http.StatusOK {
+			t.Fatalf("after %q: {} = %d (%s), want 200", body, status, msg)
+		}
+	})
 }
 
 func TestServeBodyTooLarge(t *testing.T) {

@@ -2,7 +2,9 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -196,7 +198,8 @@ func TestCloneSharedCopyOnWrite(t *testing.T) {
 // checks the incremental/recomputed fingerprint and the fp/Key identity
 // invariants hold after every operation — and that every action staged from
 // where the operation left the configuration folds, from the view, to the
-// fingerprint of the applied configuration.
+// fingerprint of the applied configuration, and loads, from the view's
+// arrays, into the view Load makes of the applied configuration.
 func FuzzFingerprintOps(f *testing.F) {
 	f.Add([]byte{0x00, 0x41, 0x82, 0xc3, 0x14})
 	f.Add([]byte{0xff, 0x01, 0x02, 0x03, 0x04, 0x05, 0x06})
@@ -211,7 +214,7 @@ func FuzzFingerprintOps(f *testing.F) {
 		vms := cat.VMIDs()
 		cfg := baseConfig(t, cat, 2, 40)
 		moves := ActionSpace{}.Resolve(cat)
-		var view View
+		var view, child, built View
 		var staged []Staged
 		for i, b := range script {
 			switch b % 5 {
@@ -238,10 +241,17 @@ func FuzzFingerprintOps(f *testing.F) {
 			staged = view.Expand(&moves, staged[:0])
 			for k := range staged {
 				s := &staged[k]
-				built := cfg.Clone()
-				built.ApplyDelta(s.Delta(cat))
-				if got, want := view.FingerprintWith(cfg.Fingerprint(), s), built.RecomputeFingerprint(); got != want {
+				applied := cfg.Clone()
+				applied.ApplyDelta(s.Delta(cat))
+				if got, want := view.FingerprintWith(cfg.Fingerprint(), s), applied.RecomputeFingerprint(); got != want {
 					t.Fatalf("op %d (byte %#x): %s folds to %v, applied configuration %v", i, b, s.Action(cat), got, want)
+				}
+				child.LoadStaged(cat, view.VMHost, view.VMCPU, view.HostOn, view.HostFreq, s)
+				if !built.Load(cat, applied) {
+					t.Fatalf("op %d (byte %#x): %s leaves the catalog", i, b, s.Action(cat))
+				}
+				if diff := viewDiff(&child, &built); diff != "" {
+					t.Fatalf("op %d (byte %#x): %s loaded from the parent's arrays: %s", i, b, s.Action(cat), diff)
 				}
 			}
 		}
@@ -250,4 +260,35 @@ func FuzzFingerprintOps(f *testing.F) {
 			t.Fatalf("clone identity broken")
 		}
 	})
+}
+
+// viewDiff names the first array in which two views differ, comparing
+// floating-point entries bit for bit; "" when they are equal.
+func viewDiff(a, b *View) string {
+	floats := func(x, y []float64) bool {
+		return slices.EqualFunc(x, y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
+	}
+	switch {
+	case a.cat != b.cat:
+		return "catalog"
+	case !slices.Equal(a.VMHost, b.VMHost):
+		return fmt.Sprintf("VMHost %v, want %v", a.VMHost, b.VMHost)
+	case !floats(a.VMCPU, b.VMCPU):
+		return fmt.Sprintf("VMCPU %v, want %v", a.VMCPU, b.VMCPU)
+	case !slices.Equal(a.HostOn, b.HostOn):
+		return fmt.Sprintf("HostOn %v, want %v", a.HostOn, b.HostOn)
+	case !floats(a.HostFreq, b.HostFreq):
+		return fmt.Sprintf("HostFreq %v, want %v", a.HostFreq, b.HostFreq)
+	case !floats(a.HostCPU, b.HostCPU):
+		return fmt.Sprintf("HostCPU %v, want %v", a.HostCPU, b.HostCPU)
+	case !slices.Equal(a.HostMem, b.HostMem):
+		return fmt.Sprintf("HostMem %v, want %v", a.HostMem, b.HostMem)
+	case !slices.Equal(a.HostVMs, b.HostVMs):
+		return fmt.Sprintf("HostVMs %v, want %v", a.HostVMs, b.HostVMs)
+	case !slices.Equal(a.TierActive, b.TierActive):
+		return fmt.Sprintf("TierActive %v, want %v", a.TierActive, b.TierActive)
+	case !slices.Equal(a.hostApps, b.hostApps):
+		return fmt.Sprintf("hostApps %v, want %v", a.hostApps, b.hostApps)
+	}
+	return ""
 }

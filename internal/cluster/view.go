@@ -14,11 +14,13 @@ const Dormant = -1
 // check and co-location scan needs. Loading one reads the configuration's
 // string-keyed maps once; everything that then looks at many single-action
 // neighbours of the configuration — the action generator, the candidate
-// test, the search's child pricing — reads arrays.
+// test, the search's child pricing — reads arrays, and LoadStaged loads a
+// neighbour from them without reading a map at all.
 //
 // A View is scratch: Load overwrites it, it aliases nothing in the Config,
-// and it is never stored or serialised (Config stays the only stored
-// representation). The zero value is ready to Load.
+// and it is never serialised (Config stays the only serialised
+// representation; the search keeps copies of the four per-VM and per-host
+// arrays for LoadStaged, nothing more). The zero value is ready to Load.
 type View struct {
 	cat *Catalog
 
@@ -75,8 +77,6 @@ func (v *View) size(cat *Catalog) {
 // holds only the part that does and must not be used to judge it.
 func (v *View) Load(cat *Catalog, cfg Config) bool {
 	v.size(cat)
-	na := len(cat.apps)
-
 	fits := true
 	placed := 0
 	for i, id := range cat.vmIDs {
@@ -93,11 +93,6 @@ func (v *View) Load(cat *Catalog, cfg Config) bool {
 		}
 		v.VMHost[i] = int32(h)
 		v.VMCPU[i] = p.CPUPct
-		v.HostCPU[h] += p.CPUPct
-		v.HostMem[h] += cat.vmMem[i]
-		v.HostVMs[h]++
-		v.TierActive[cat.vmTier[i]]++
-		v.hostApps[h*na+int(cat.vmApp[i])]++
 	}
 	if placed != len(cfg.placements) {
 		fits = false
@@ -119,7 +114,49 @@ func (v *View) Load(cat *Catalog, cfg Config) bool {
 	if on != cfg.NumActiveHosts() || scaled != len(cfg.hostFreq) {
 		fits = false
 	}
+	v.derive()
 	return fits
+}
+
+// LoadStaged fills the view with the configuration the staged action s makes
+// of another, given as that configuration's VMHost, VMCPU, HostOn and
+// HostFreq arrays (a loaded view's, or copies of them) from which s was
+// staged. No map is read: the arrays are copied, the one entry s changes is
+// written, and the aggregates are folded as Load folds them, so the view is
+// Load of the applied configuration, every array bit for bit.
+func (v *View) LoadStaged(cat *Catalog, vmHost []int32, vmCPU []float64, hostOn []bool, hostFreq []float64, s *Staged) {
+	v.size(cat)
+	copy(v.VMHost, vmHost)
+	copy(v.VMCPU, vmCPU)
+	copy(v.HostOn, hostOn)
+	copy(v.HostFreq, hostFreq)
+	switch s.Kind {
+	case ActionStartHost, ActionStopHost:
+		v.HostOn[s.Host] = s.Kind == ActionStartHost
+	case ActionSetDVFS:
+		v.HostFreq[s.Host] = s.Freq
+	default:
+		v.VMHost[s.VM], v.VMCPU[s.VM] = s.NewHost, s.NewCPU
+	}
+	v.derive()
+}
+
+// derive folds the per-host and per-tier aggregates from the per-VM arrays
+// of a freshly sized view, over the VMs in catalog (sorted) order: the one
+// fold Load and LoadStaged share.
+func (v *View) derive() {
+	cat := v.cat
+	na := len(cat.apps)
+	for i, h := range v.VMHost {
+		if h < 0 {
+			continue
+		}
+		v.HostCPU[h] += v.VMCPU[i]
+		v.HostMem[h] += cat.vmMem[i]
+		v.HostVMs[h]++
+		v.TierActive[cat.vmTier[i]]++
+		v.hostApps[int(h)*na+int(cat.vmApp[i])]++
+	}
 }
 
 // loadFor fills only the entries stage reads to judge one action — of the
@@ -208,8 +245,8 @@ func (v *View) Candidate() bool {
 // kind, the catalog indices of what it names, its numeric parameters and the
 // change it makes. It holds no pointer, so a search can keep one per frontier
 // vertex without giving the collector anything to scan; Action and Delta
-// render the named forms wherever names are needed (Stage, Apply, Enumerate,
-// the search's materialize and plan reconstruction).
+// render the named forms wherever names are needed (Stage, Apply, Enumerate
+// and the search's plan reconstruction).
 type Staged struct {
 	Kind ActionKind
 	// VM and Host are the catalog indices of the filled action's VM and

@@ -115,8 +115,8 @@ type SearchResult struct {
 
 	// PeakFrontier is the largest open-set size reached.
 	PeakFrontier int
-	// RootDistance is ConfigDistance from the starting configuration to
-	// the ideal one (0 when they are equal).
+	// RootDistance is the §IV-B weighted distance (see distancer) from the
+	// starting configuration to the ideal one (0 when they are equal).
 	RootDistance float64
 	// PrunedChildren counts children discarded by Self-Aware pruning.
 	PrunedChildren int
@@ -341,12 +341,11 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 	defer mem.release()
 	mem.cat = s.eval.cat
 	mem.costs.reset(len(view.VMHost))
-	mem.cfgs = append(mem.cfgs, cfg)
 	rootID, root, err := mem.verts.alloc()
 	if err != nil {
 		return SearchResult{}, err
 	}
-	*root = vertex{fp: cfg.Fingerprint(), parent: -1, dist: rootDist}
+	*root = vertex{fp: cfg.Fingerprint(), parent: -1, dist: rootDist, state: mem.states.save(view)}
 	root.utility = root.accrued + remaining(root.dur)*idealRate
 	if distWeight > 0 {
 		root.utility -= distWeight * rootDist
@@ -490,27 +489,32 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 				"frontier", len(mem.open))
 		}
 
-		parentCfg := mem.materialize(vmax)
-		parentSteady, err := s.eval.SteadyFP(parentCfg, rates, rfp)
+		// Load the popped vertex into the dense view. The root is there
+		// already: the search loaded it at its start and pops it first. Any
+		// other vertex is its parent's saved state plus its staged action,
+		// and its own state is saved in turn for its children. Its steady
+		// state is the window memo's entry under its fingerprint, solved
+		// from the view on a miss. No map of a configuration is read.
+		if vmax.parent >= 0 {
+			mem.states.load(view, mem.cat, mem.verts.at(vmax.parent).state, &vmax.st)
+			vmax.state = mem.states.save(view)
+		}
+		parentSteady, err := s.eval.steadyView(view, vmax.fp, rates, rfp)
 		if err != nil {
 			return SearchResult{}, err
 		}
+		price.setBase(parentSteady)
+		dc.load(view)
 
 		// Generate children: every feasible action plus "null" when the
-		// configuration is a candidate. The popped configuration is loaded
-		// into the dense view once — the last map reads of this expansion —
-		// and everything per child reads arrays. Phase 1 measures every
-		// child the generator stages: its plan duration (the action's
-		// cost-table entry, looked up once per search), the control-window
-		// filter and its distance, the parent's fold resumed at the one
-		// changed term. That is all the self-time charge and the cut read.
-		// Phase 2 prices and fingerprints only the children the cut keeps.
-		// Nothing is built: a child is its parent plus a staged action
-		// until it is popped.
-		if !price.setParent(parentCfg, parentSteady) {
-			return SearchResult{}, fmt.Errorf("core: configuration does not fit the catalog")
-		}
-		dc.load(view)
+		// configuration is a candidate; everything per child reads arrays.
+		// Phase 1 measures every child the generator stages: its plan
+		// duration (the action's cost-table entry, looked up once per
+		// search), the control-window filter and its distance, the parent's
+		// fold resumed at the one changed term. That is all the self-time
+		// charge and the cut read. Phase 2 prices and fingerprints only the
+		// children the cut keeps. Nothing is built: a child is its parent
+		// plus a staged action until it is popped.
 		s.staged = view.Expand(&moves, s.staged[:0])
 		finChild := int32(-1)
 		if view.Candidate() {
@@ -594,13 +598,17 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		}
 		s.order = order[:0]
 
-		for _, i := range order {
+		// Phase 2 makes three passes over the kept children, in the cut's
+		// order. The first prices and fingerprints them. The second reads
+		// each one's home slot in the dedup table, so that those cache
+		// misses — the table grows to megabytes beside a larger arena —
+		// overlap instead of stalling one improve at a time. The third
+		// deduplicates and keeps. Only independent work is reordered: what
+		// is priced, fingerprinted and improved, and in which order, is not.
+		ks := sized(mem.kept, len(order))
+		mem.kept = ks
+		for j, i := range order {
 			if i < 0 {
-				fin := mem.verts.at(finChild)
-				if bestCandidate < 0 || fin.utility > mem.verts.at(bestCandidate).utility {
-					bestCandidate = finChild
-				}
-				mem.push(finChild, fin)
 				continue
 			}
 			k := &kids[i]
@@ -618,22 +626,42 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 			if distWeight > 0 {
 				utility -= distWeight * k.dist
 			}
-			if !mem.best.improve(fp, utility) {
+			ks[j] = kept{fp: fp, accrued: accrued, utility: utility}
+		}
+		var probed uint32
+		for j, i := range order {
+			if i >= 0 {
+				probed += mem.best.home(ks[j].fp)
+			}
+		}
+		mem.probed += probed
+		for j, i := range order {
+			if i < 0 {
+				fin := mem.verts.at(finChild)
+				if bestCandidate < 0 || fin.utility > mem.verts.at(bestCandidate).utility {
+					bestCandidate = finChild
+				}
+				mem.push(finChild, fin)
 				continue
 			}
+			c := &ks[j]
+			if !mem.best.improve(c.fp, c.utility) {
+				continue
+			}
+			k := &kids[i]
 			id, v, err := mem.verts.alloc()
 			if err != nil {
 				return SearchResult{}, err
 			}
 			*v = vertex{
-				fp:      fp,
-				st:      *st,
+				fp:      c.fp,
+				st:      s.staged[k.at],
 				parent:  top.vertex,
 				depth:   vmax.depth + 1,
 				dist:    k.dist,
 				dur:     k.dur,
-				accrued: accrued,
-				utility: utility,
+				accrued: c.accrued,
+				utility: c.utility,
 			}
 			mem.push(id, v)
 		}

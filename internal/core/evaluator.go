@@ -279,24 +279,42 @@ func (e *Evaluator) steadyOver(cfg cluster.Config, d *cluster.Delta, rates map[s
 	if d != nil {
 		key.fp = cfg.FingerprintWith(*d)
 	}
-	if s, ok := e.memo[key]; ok {
-		e.cacheHits++
-		return *s, nil
+	if s, ok := e.lookup(key); ok {
+		return s, nil
 	}
-	s, err := e.solve(cfg, d, rates)
-	if err != nil {
-		return Steady{}, err
-	}
-	e.evals++
-	e.memo[key] = &s
-	return s, nil
+	sol, err := e.model.Solve(cfg, d, rates)
+	return e.keep(key, sol, err, rates)
 }
 
-// solve performs one uncached steady evaluation: the LQN solve (steady-only
-// projection, read through the delta overlay) plus power and utility-rate
-// derivation. The Steady it returns is the only thing it allocates.
-func (e *Evaluator) solve(cfg cluster.Config, d *cluster.Delta, rates map[string]float64) (Steady, error) {
-	sol, err := e.model.Solve(cfg, d, rates)
+// steadyView is SteadyFP for the configuration loaded in v, whose
+// fingerprint is fp: the same key, the same hit and miss counting, and on a
+// miss the same solve, read off the view's arrays instead of a Config's maps.
+// It is how the search evaluates the vertex it pops.
+func (e *Evaluator) steadyView(v *cluster.View, fp cluster.Fingerprint, rates map[string]float64, rfp RatesFP) (Steady, error) {
+	key := steadyKey{fp: fp, rfp: rfp}
+	if s, ok := e.lookup(key); ok {
+		return s, nil
+	}
+	sol, err := e.model.SolveView(v, rates)
+	return e.keep(key, sol, err, rates)
+}
+
+// lookup returns the window's memoized evaluation under key, counting a hit.
+func (e *Evaluator) lookup(key steadyKey) (Steady, bool) {
+	s, ok := e.memo[key]
+	if !ok {
+		return Steady{}, false
+	}
+	e.cacheHits++
+	return *s, true
+}
+
+// keep completes one uncached steady evaluation from its LQN solve — power
+// and utility-rate derivation — hands the solve back and memoizes the Steady
+// under key, counting the evaluation. A failed solve is neither kept nor
+// counted, so every later lookup of that key retries. The Steady is the only
+// thing it allocates.
+func (e *Evaluator) keep(key steadyKey, sol *lqn.Solution, err error, rates map[string]float64) (Steady, error) {
 	if err != nil {
 		return Steady{}, fmt.Errorf("core: steady evaluation: %w", err)
 	}
@@ -311,6 +329,8 @@ func (e *Evaluator) solve(cfg cluster.Config, d *cluster.Delta, rates map[string
 	}
 	e.model.Release(sol)
 	s.PerfRate = e.perfRateFold(rates, s.RTSec)
+	e.evals++
+	e.memo[key] = &s
 	return s, nil
 }
 
@@ -342,9 +362,10 @@ type ActionCost struct {
 func (e *Evaluator) Action(cfg cluster.Config, base Steady, a cluster.Action, rates map[string]float64) ActionCost {
 	p := &e.act
 	p.setRates(rates)
+	p.setBase(base)
 	// A configuration that does not fit the catalog is priced on the part
 	// that does, as cost.PredictInto does.
-	p.setParent(cfg, base)
+	p.view.Load(e.cat, cfg)
 	vm, host, from := e.cat.ActionIndices(a)
 	return p.cost(a.Kind, vm, host, from)
 }

@@ -197,7 +197,8 @@ func TestExpansionMatchesReference(t *testing.T) {
 				}
 				price.setRates(w)
 				costs.reset(len(cat.VMIDs()))
-				if !price.setParent(cfg, base) {
+				price.setBase(base)
+				if !price.view.Load(cat, cfg) {
 					t.Fatalf("trial %d: %s does not fit the catalog", trial, cfg)
 				}
 				if got, want := price.view.Candidate(), cfg.IsCandidate(cat); got != want {

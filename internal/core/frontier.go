@@ -15,14 +15,15 @@ import (
 // to rank and deduplicate it (fingerprint, priority, distance to the ideal),
 // but no configuration and no pointer: a search keeps ≈ 30 of them per
 // expansion and pops 1 in 25, so they live in an arena the collector never
-// scans. The configuration of a vertex that is expanded is built from its
-// parent's then (searchMem.materialize) and kept beside the arena; names are
+// scans. A vertex that is expanded is loaded from its parent's dense state
+// and its staged action (cluster.View.LoadStaged), and its own dense state is
+// kept beside the arena (searchMem.states) for its children; names are
 // rendered only for the plans a search reports.
 type vertex struct {
 	fp       cluster.Fingerprint
 	st       cluster.Staged // action that produced this vertex from parent
 	parent   int32          // arena index of the expansion parent; -1 at the root
-	cfg      int32          // index into searchMem.cfgs once expanded
+	state    int32          // index into searchMem.states once expanded
 	depth    int32          // plan length (root: 0)
 	finished bool           // reached via the "null" action
 	dist     float64        // distance to the ideal configuration
@@ -172,6 +173,14 @@ func (t *bestTable) get(fp cluster.Fingerprint) float64 {
 	}
 }
 
+// home returns the generation stamped on fp's home slot. Reading it ahead of
+// improve, for every child of an expansion in one loop, lets the cache misses
+// of those first probes overlap instead of waiting one improve at a time.
+// The table must have slots.
+func (t *bestTable) home(fp cluster.Fingerprint) uint32 {
+	return t.slots[fp[0]&t.mask].gen
+}
+
 // improve stores u as fp's priority unless one at least as high is already
 // stored, and reports whether it did.
 func (t *bestTable) improve(fp cluster.Fingerprint, u float64) bool {
@@ -226,36 +235,86 @@ func (t *bestTable) reset() {
 	}
 }
 
+// states holds the dense state of every expanded vertex — the VMHost, VMCPU,
+// HostOn and HostFreq arrays of its cluster.View, the ones LoadStaged starts
+// a child from — back to back, one stride per vertex, in slices without a
+// pointer: the collector never scans them.
+type states struct {
+	vmHost     []int32
+	vmCPU      []float64
+	hostOn     []bool
+	hostFreq   []float64
+	vms, hosts int   // the strides
+	n          int32 // states saved
+}
+
+// save appends the view's state and returns its index.
+func (s *states) save(v *cluster.View) int32 {
+	s.vms, s.hosts = len(v.VMHost), len(v.HostOn)
+	s.n++
+	s.vmHost = append(s.vmHost, v.VMHost...)
+	s.vmCPU = append(s.vmCPU, v.VMCPU...)
+	s.hostOn = append(s.hostOn, v.HostOn...)
+	s.hostFreq = append(s.hostFreq, v.HostFreq...)
+	return s.n - 1
+}
+
+// load fills v with the configuration the staged action makes of the i-th
+// saved state.
+func (s *states) load(v *cluster.View, cat *cluster.Catalog, i int32, st *cluster.Staged) {
+	vm, h := int(i)*s.vms, int(i)*s.hosts
+	v.LoadStaged(cat, s.vmHost[vm:vm+s.vms], s.vmCPU[vm:vm+s.vms], s.hostOn[h:h+s.hosts], s.hostFreq[h:h+s.hosts], st)
+}
+
+func (s *states) reset() {
+	s.n = 0
+	s.vmHost, s.vmCPU = s.vmHost[:0], s.vmCPU[:0]
+	s.hostOn, s.hostFreq = s.hostOn[:0], s.hostFreq[:0]
+}
+
+// kept is one child the width cut kept, priced and fingerprinted: phase 2 of
+// an expansion fills one per kept child before it consults the dedup table.
+type kept struct {
+	fp      cluster.Fingerprint
+	accrued float64
+	utility float64
+}
+
 // searchMem is everything one search keeps that grows with the search: the
-// vertex arena, the configurations of the expanded vertices, the frontier and
-// the dedup table, with the cost entries the search looked up. A search takes one from searchPool and puts it back,
-// emptied but with its storage, when it returns: the next search refills the
-// arena's chunks and the slices' backing arrays instead of allocating them.
-// The collector empties the pool within two cycles, so a resting daemon's
-// heap does not keep the largest search it ran, as it would if the Searcher
-// held the memory.
+// vertex arena, the dense states of the expanded vertices, the frontier and
+// the dedup table, with the cost entries the search looked up and the
+// expansion's kept children. A search takes one from searchPool and puts it
+// back, emptied but with its storage, when it returns: the next search
+// refills the arena's chunks and the slices' backing arrays instead of
+// allocating them. The collector empties the pool within two cycles, so a
+// resting daemon's heap does not keep the largest search it ran, as it would
+// if the Searcher held the memory.
 type searchMem struct {
-	cat   *cluster.Catalog
-	verts arena
-	cfgs  []cluster.Config
-	open  frontier
+	cat    *cluster.Catalog
+	verts  arena
+	states states
+	open   frontier
 	// best is the highest priority seen per configuration.
 	best bestTable
 	// costs is the cost-table entry of each (kind, VM) the search prices.
 	costs entryCache
+	// kept is the expansion's kept children, aligned with the cut's order
+	// (the finished candidate's entry unused); probed sums the generations
+	// read from their home slots of best, so that the reads are not dropped.
+	kept   []kept
+	probed uint32
 }
 
 var searchPool = sync.Pool{New: func() any { return new(searchMem) }}
 
-// release empties m, dropping every reference into the search's
-// configurations, and returns it to searchPool.
+// release empties m and returns it to searchPool.
 func (m *searchMem) release() {
 	m.cat = nil
 	m.verts.n = 0
-	clear(m.cfgs)
-	m.cfgs = m.cfgs[:0]
+	m.states.reset()
 	m.open = m.open[:0]
 	m.best.reset()
+	m.kept = m.kept[:0]
 	searchPool.Put(m)
 }
 
@@ -267,21 +326,6 @@ func (m *searchMem) push(id int32, v *vertex) {
 // v was pushed.
 func (m *searchMem) stale(v *vertex) bool {
 	return !v.finished && v.utility < m.best.get(v.fp)-1e-12
-}
-
-// materialize builds the configuration of a vertex about to be expanded as a
-// copy-on-write clone of its parent's with the staged change applied: only
-// the map the change touches is copied. The parent was expanded before it
-// could have children, so its configuration exists.
-func (m *searchMem) materialize(v *vertex) cluster.Config {
-	if v.parent < 0 {
-		return m.cfgs[v.cfg] // the root was given its configuration
-	}
-	cfg := m.cfgs[m.verts.at(v.parent).cfg].CloneShared()
-	cfg.ApplyDelta(v.st.Delta(m.cat))
-	v.cfg = int32(len(m.cfgs))
-	m.cfgs = append(m.cfgs, cfg)
-	return cfg
 }
 
 // planOf rebuilds the action sequence leading to the vertex by walking the

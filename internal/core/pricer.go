@@ -6,11 +6,12 @@ import (
 )
 
 // pricer evaluates the transient cost of single actions executed from one
-// parent configuration under one workload. setRates and setParent read the
-// string-keyed maps (rates, utility parameters, the parent's Config and
-// Steady) once; cost then reads arrays only, so pricing the ≈ 47 children of
-// an expansion touches no map. A pricer is scratch: the Searcher keeps one
-// for its expansions, and the Evaluator one that Action reloads per call.
+// parent configuration under one workload. setRates and setBase read the
+// string-keyed maps (rates, utility parameters, the parent's Steady) once and
+// the parent is loaded into view; cost then reads arrays only, so pricing the
+// ≈ 47 children of an expansion touches no map. A pricer is scratch: the
+// Searcher keeps one for its expansions, and the Evaluator one that Action
+// reloads per call.
 type pricer struct {
 	e *Evaluator
 	// view is the parent configuration; the search's generator, candidate
@@ -104,9 +105,9 @@ func (p *pricer) setRates(rates map[string]float64) {
 	p.eq1.load(e, rates)
 }
 
-// setParent loads the configuration actions are executed from, whose steady
-// state is base. It reports whether cfg fits the catalog (View.Load).
-func (p *pricer) setParent(cfg cluster.Config, base Steady) bool {
+// setBase fixes the steady state of the configuration actions are executed
+// from, which the caller loads into view.
+func (p *pricer) setBase(base Steady) {
 	names := p.e.utilNames
 	p.baseRT = sized(p.baseRT, len(names))
 	p.hasRT = sized(p.hasRT, len(names))
@@ -114,7 +115,6 @@ func (p *pricer) setParent(cfg cluster.Config, base Steady) bool {
 		p.baseRT[i], p.hasRT[i] = base.RTSec[name]
 	}
 	p.watts = base.Watts
-	return p.view.Load(p.e.cat, cfg)
 }
 
 // cost is the transient evaluation of one action of the given kind from the

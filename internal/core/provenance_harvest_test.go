@@ -76,7 +76,7 @@ func TestHarvestRejectedMatchesReference(t *testing.T) {
 	cw := time.Hour
 	moves := cluster.ActionSpace{}.Resolve(e.cat)
 	rng := rand.New(rand.NewPCG(3, 11))
-	var view cluster.View
+	var view, child cluster.View
 	var staged []cluster.Staged
 	ties, rendered, stale := 0, 0, 0
 	for frontier := 0; frontier < 240; frontier++ {
@@ -85,7 +85,7 @@ func TestHarvestRejectedMatchesReference(t *testing.T) {
 		if frontier < 4 {
 			size = frontier // empty and below the cap
 		}
-		mem := &searchMem{cat: e.cat, cfgs: []cluster.Config{e.cfg}}
+		mem := &searchMem{cat: e.cat}
 		alloc := func() (int32, *vertex) {
 			id, v, err := mem.verts.alloc()
 			if err != nil {
@@ -94,7 +94,10 @@ func TestHarvestRejectedMatchesReference(t *testing.T) {
 			return id, v
 		}
 		rootID, root := alloc()
-		*root = vertex{fp: e.cfg.Fingerprint(), parent: -1}
+		if !view.Load(e.cat, e.cfg) {
+			t.Fatal("default configuration does not fit the catalog")
+		}
+		*root = vertex{fp: e.cfg.Fingerprint(), parent: -1, state: mem.states.save(&view)}
 		nodes := []int32{rootID}
 		for len(mem.open) < size {
 			pid := nodes[rng.IntN(len(nodes))]
@@ -102,8 +105,10 @@ func TestHarvestRejectedMatchesReference(t *testing.T) {
 			if parent.depth >= 5 {
 				continue
 			}
-			if !view.Load(e.cat, mem.cfgs[parent.cfg]) {
-				t.Fatal("tree configuration does not fit the catalog")
+			if parent.parent < 0 {
+				view.Load(e.cat, e.cfg)
+			} else {
+				mem.states.load(&view, e.cat, mem.verts.at(parent.parent).state, &parent.st)
 			}
 			staged = view.Expand(&moves, staged[:0])
 			// A handful of siblings per pick: interchangeable hosts make
@@ -120,7 +125,8 @@ func TestHarvestRejectedMatchesReference(t *testing.T) {
 				if tieHeavy {
 					v.utility = float64(1 + rng.IntN(3))
 				}
-				mem.materialize(v) // so that it can parent later picks
+				mem.states.load(&child, e.cat, parent.state, st)
+				v.state = mem.states.save(&child) // so that it can parent later picks
 				nodes = append(nodes, id)
 				mem.push(id, v)
 				if tieHeavy && rng.IntN(3) == 0 && len(mem.open) < size {

@@ -14,22 +14,22 @@ import (
 )
 
 // searchAllocCeiling is the committed bound on heap allocations per vertex
-// expansion of a cold Self-Aware search (measured: 6.1 on 2 apps, 6.8 on 4;
+// expansion of a cold Self-Aware search (measured: 3.1 on 2 apps, 3.0 on 4;
 // the bound leaves ≈ 30 % for collections that empty a pool mid-sweep).
-// What an expansion may allocate is the popped vertex's configuration — the
-// one map its staged change touches, copied on write — and its steady-state
-// cache entry (the Steady and its response-time map). The arena's chunks and
-// the backing arrays of the frontier, the dedup table and the
-// expanded-configuration slice come back from searchPool; they are allocated
-// only when a search outgrows every earlier one. Nothing per generated child,
-// and nothing per surviving one.
-const searchAllocCeiling = 9
+// What an expansion may allocate is the popped vertex's steady-state cache
+// entry (the Steady and its response-time map); the vertex itself is loaded
+// from its parent's dense state and builds no configuration. The arena's
+// chunks and the backing arrays of the frontier, the dedup table, the
+// expanded vertices' dense states and the kept children come back from
+// searchPool; they are allocated only when a search outgrows every earlier
+// one. Nothing per generated child, and nothing per surviving one.
+const searchAllocCeiling = 4
 
 // searchReuseCeiling is the committed bound on bytes allocated per expansion
-// by a search whose evaluator memo is warm (measured: 665 on 2 apps, 1 319
-// on 4; with the search's memory allocated per search it was 2 944 and
-// 4 063).
-const searchReuseCeiling = 2000
+// by a search whose evaluator memo is warm (measured: 80 on 2 apps, 84 on 4;
+// when each popped vertex built its configuration it was 665 and 1 319, and
+// with the search's memory allocated per search 2 944 and 4 063).
+const searchReuseCeiling = 200
 
 // allocSweep builds a Self-Aware searcher on a 2-app or 4-app environment
 // and returns a function that runs it over a low-to-high sweep of workloads,
@@ -107,9 +107,8 @@ func TestSearchAllocationCeiling(t *testing.T) {
 
 // TestSearchReusesItsMemory is the third memory gate: a search refills the
 // memory an earlier one returned to searchPool. With the evaluator's memo
-// warm, a repeat of the ceiling's sweep allocates what its expansions build
-// — the popped vertices' copied-on-write configuration maps — and what its
-// searches report, not the arena, the frontier or the dedup table. The
+// warm, a repeat of the ceiling's sweep allocates what its searches report,
+// not the arena, the frontier, the dedup table or the dense states. The
 // collector is off while the repeat runs, so the pool cannot be emptied
 // under it.
 func TestSearchReusesItsMemory(t *testing.T) {
@@ -120,6 +119,11 @@ func TestSearchReusesItsMemory(t *testing.T) {
 		fx := fx
 		t.Run(fx.name, func(t *testing.T) {
 			sweep := allocSweep(t, fx.hosts, fx.apps, fx.maxExpansions)
+			// One P, as testing.AllocsPerRun measures: sync.Pool keeps its
+			// memory per P, and a goroutine moved to another P between two
+			// searches would be handed that P's, not what the last search
+			// returned (1 run in 20 read 521 bytes instead of 80 at two Ps).
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			sweep(false) // fills the memo
 			defer debug.SetGCPercent(debug.SetGCPercent(-1))
 			sweep(false) // fills the pool
@@ -137,10 +141,11 @@ func TestSearchReusesItsMemory(t *testing.T) {
 }
 
 // TestSearchStateIsPointerFree is the first of the memory gates: nothing
-// a search keeps per frontier vertex or per dedup entry may hold a pointer —
-// the arena, the frontier and the dedup table are then allocated as no-scan
-// spans and a 75 000-vertex search costs the collector nothing to mark — and
-// the two records stay inside their size budgets.
+// a search keeps per frontier vertex, per expanded vertex, per kept child or
+// per dedup entry may hold a pointer — the arena, the frontier, the dense
+// states and the dedup table are then allocated as no-scan spans and a
+// 75 000-vertex search costs the collector nothing to mark — and the two
+// records stay inside their size budgets.
 func TestSearchStateIsPointerFree(t *testing.T) {
 	var walk func(path string, typ reflect.Type)
 	walk = func(path string, typ reflect.Type) {
@@ -161,6 +166,17 @@ func TestSearchStateIsPointerFree(t *testing.T) {
 	walk("bestSlot", reflect.TypeOf(bestSlot{}))
 	walk("entrySlot", reflect.TypeOf(entrySlot{}))
 	walk("cluster.Staged", reflect.TypeOf(cluster.Staged{}))
+	walk("kept", reflect.TypeOf(kept{}))
+	// states is slices of an expanded vertex's arrays: their elements.
+	st := reflect.TypeOf(states{})
+	for i := 0; i < st.NumField(); i++ {
+		f := st.Field(i)
+		if f.Type.Kind() == reflect.Slice {
+			walk("states."+f.Name+"[]", f.Type.Elem())
+		} else {
+			walk("states."+f.Name, f.Type)
+		}
+	}
 	if n := unsafe.Sizeof(cluster.Staged{}); n > 64 {
 		t.Errorf("cluster.Staged is %d bytes, budget 64", n)
 	}
@@ -170,9 +186,10 @@ func TestSearchStateIsPointerFree(t *testing.T) {
 }
 
 // TestSearchReleasesItsMemory is the second: everything sized by a search
-// goes back to searchPool when it returns, and the pool lets the collector
-// have it. A 2 000-expansion Naive search on the two-zone DVFS lab holds
-// ≈ 90 000 vertices (≈ 13 MB with the frontier and the dedup table); two
+// goes back to searchPool when it returns — the dense states of its expanded
+// vertices among it — and the pool lets the collector have it. A
+// 2 000-expansion Naive search on the two-zone DVFS lab holds ≈ 90 000
+// vertices (≈ 13 MB with the frontier and the dedup table); two
 // collections after it, with the Searcher still in use, the live heap is
 // back to where it was — a daemon's resting heap does not remember its
 // largest search.
@@ -183,6 +200,9 @@ func TestSearchReleasesItsMemory(t *testing.T) {
 			e = de.e
 		}
 	}
+	// One P, so that the pool hands back the memory the search returned
+	// (see TestSearchReusesItsMemory).
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const expansions = 2000
 	opts := SearchOptions{MaxExpansions: expansions}
 	s := NewSearcher(e.eval, opts)
@@ -216,6 +236,20 @@ func TestSearchReleasesItsMemory(t *testing.T) {
 	}
 	before := liveHeap()
 	res := search(s, 70)
+	if !raceEnabled { // the race detector's pool drops what it is given
+		// The search gave its memory back emptied: the dense state of every
+		// vertex it expanded, in the pooled slices, kept for the next one.
+		m := searchPool.Get().(*searchMem)
+		ss := &m.states
+		if ss.n != 0 || len(ss.vmHost)+len(ss.vmCPU)+len(ss.hostOn)+len(ss.hostFreq)+len(m.kept) != 0 {
+			t.Errorf("released search memory holds %d states, %d kept children", ss.n, len(m.kept))
+		}
+		if cap(ss.hostOn) < res.Expanded*len(e.cat.HostNames()) || cap(ss.vmCPU) < res.Expanded*len(e.cat.VMIDs()) {
+			t.Errorf("pooled states hold %d host and %d VM entries; the search expanded %d vertices",
+				cap(ss.hostOn), cap(ss.vmCPU), res.Expanded)
+		}
+		searchPool.Put(m)
+	}
 	after := liveHeap()
 	if res.Expanded < expansions || res.PeakFrontier < 10000 {
 		t.Fatalf("fixture too small: %d expansions, peak frontier %d", res.Expanded, res.PeakFrontier)

@@ -525,17 +525,55 @@ func (m *Model) hostSlot(sc *solveScratch, cfg cluster.Config, d *cluster.Delta,
 	return HostSlot{idx: len(sc.hostFreq) - 1, freq: cfg.HostFreqOver(d, name)}
 }
 
-// load is the first half of a solve: it checks the workload and reads it,
-// and the configuration through the delta overlay, into the dense state of a
-// scratch drawn from the pool. Nothing after it touches a string-keyed map of
-// either.
-func (m *Model) load(cfg cluster.Config, d *cluster.Delta, load map[string]float64) (*solveScratch, error) {
+// SolveView is Solve for the configuration loaded in v, a view over the
+// model's catalog: the dense state is filled from the view's arrays instead
+// of a configuration's maps, and the same compute runs on it, so the Solution
+// is Solve's for that configuration bit for bit. A view cannot place a VM
+// outside the catalog; such a replica reads as not placed.
+func (m *Model) SolveView(v *cluster.View, load map[string]float64) (*Solution, error) {
+	if len(v.VMHost) != len(m.cat.VMIDs()) || len(v.HostOn) != len(m.cat.HostNames()) {
+		return nil, fmt.Errorf("lqn: view is not over the model's catalog")
+	}
+	sc, err := m.workload(load)
+	if err != nil {
+		return nil, err
+	}
+	copy(sc.hostOn, v.HostOn)
+	copy(sc.hostFreq, v.HostFreq)
+	clear(sc.vms)
+	for vi, h := range v.VMHost {
+		if h >= 0 {
+			sc.vms[vi] = vmPlace{host: int(h), cpuPct: v.VMCPU[vi], freq: v.HostFreq[h], placed: true}
+		}
+	}
+	m.compute(sc, nil, false)
+	return &sc.sol, nil
+}
+
+// workload checks the workload and reads it into a scratch drawn from the
+// pool: the part of a load that does not depend on the configuration.
+func (m *Model) workload(load map[string]float64) (*solveScratch, error) {
 	for name := range load {
 		if _, ok := m.apps[name]; !ok {
 			return nil, fmt.Errorf("lqn: workload references unknown application %q", name)
 		}
 	}
 	sc := m.scratch.Get().(*solveScratch)
+	for ai, name := range m.names {
+		sc.lambda[ai] = load[name]
+	}
+	return sc, nil
+}
+
+// load is the first half of a solve: it checks the workload and reads it,
+// and the configuration through the delta overlay, into the dense state of a
+// scratch drawn from the pool. Nothing after it touches a string-keyed map of
+// either.
+func (m *Model) load(cfg cluster.Config, d *cluster.Delta, load map[string]float64) (*solveScratch, error) {
+	sc, err := m.workload(load)
+	if err != nil {
+		return nil, err
+	}
 	for hi, h := range m.cat.HostNames() {
 		sc.hostOn[hi] = cfg.HostOnOver(d, h)
 		sc.hostFreq[hi] = cfg.HostFreqOver(d, h)
@@ -546,9 +584,6 @@ func (m *Model) load(cfg cluster.Config, d *cluster.Delta, load map[string]float
 			h := m.hostSlot(sc, cfg, d, p.Host)
 			sc.vms[vi] = vmPlace{host: h.idx, cpuPct: p.CPUPct, freq: h.freq, placed: true}
 		}
-	}
-	for ai, name := range m.names {
-		sc.lambda[ai] = load[name]
 	}
 	return sc, nil
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/mistralcloud/mistral/internal/app"
@@ -147,17 +148,47 @@ func sameSolve(t *testing.T, m *Model, what string, sol *Solution, res *Result) 
 	}
 }
 
+// inCatalog is cfg without what a cluster.View cannot hold: the placements
+// on the host outside the catalog and of the VM outside it, and that host's
+// own entries.
+func inCatalog(m *Model, cfg cluster.Config) cluster.Config {
+	out := cfg.Clone()
+	for vi, id := range m.slots {
+		if p, ok := out.PlacementOf(id); ok && (p.Host == ghost || vi >= len(m.Catalog().VMIDs())) {
+			out.Unplace(id)
+		}
+	}
+	out.SetHostOn(ghost, false)
+	out.SetHostFreq(ghost, 1)
+	return out
+}
+
+// sameSolution fails unless two steady-only projections carry the same bits.
+func sameSolution(t *testing.T, what string, got, want *Solution) {
+	t.Helper()
+	floats := func(x, y []float64) bool {
+		return slices.EqualFunc(x, y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
+	}
+	if !floats(got.MeanRTSec, want.MeanRTSec) || !slices.Equal(got.Saturated, want.Saturated) ||
+		!slices.Equal(got.HostOn, want.HostOn) || !floats(got.HostFreq, want.HostFreq) ||
+		!floats(got.HostCPUUtil, want.HostCPUUtil) {
+		t.Fatalf("%s: view solve %+v, Solve %+v", what, *got, *want)
+	}
+}
+
 // TestSolveMatchesEvaluate is the differential test of the solver's two
-// projections and of its overlay: over seeded random inputs of the 2-app
-// lab, the 4-app lab and a two-zone lab, Solve agrees bit-for-bit with
-// Evaluate on application response time, saturation and host utilization,
-// and Solve through a Delta agrees with Evaluate on the configuration the
-// Delta builds.
+// projections, of its overlay and of its view load: over seeded random
+// inputs of the 2-app lab, the 4-app lab and a two-zone lab, Solve agrees
+// bit-for-bit with Evaluate on application response time, saturation and
+// host utilization, Solve through a Delta agrees with Evaluate on the
+// configuration the Delta builds, and SolveView of that configuration's
+// view — without what the catalog cannot hold — agrees with Solve of it.
 func TestSolveMatchesEvaluate(t *testing.T) {
 	for _, lab := range []struct{ nApps, zones int }{{2, 1}, {4, 1}, {2, 2}} {
 		m := labModel(t, lab.nApps, lab.zones)
 		rng := rand.New(rand.NewSource(int64(42 + 10*lab.nApps + lab.zones)))
 		var saturated, oversubscribed int
+		var view cluster.View
 		for i := 0; i < 300; i++ {
 			cfg, load, d := randomCase(rng, m)
 			what := fmt.Sprintf("%d apps, %d zones, case %d", lab.nApps, lab.zones, i)
@@ -199,6 +230,22 @@ func TestSolveMatchesEvaluate(t *testing.T) {
 			}
 			sameSolve(t, m, what+" through overlay", sol, res)
 			m.Release(sol)
+
+			fit := inCatalog(m, built)
+			if !view.Load(m.Catalog(), fit) {
+				t.Fatalf("%s: %s does not fit the catalog", what, fit)
+			}
+			want, err := m.Solve(fit, nil, load)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := m.SolveView(&view, load)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSolution(t, what+" from the view", got, want)
+			m.Release(got)
+			m.Release(want)
 		}
 		if saturated == 0 || oversubscribed == 0 {
 			t.Errorf("%d apps, %d zones: generator drew %d saturated apps and %d oversubscribed hosts; want both",
@@ -215,7 +262,8 @@ func TestSolveUnknownAppInLoad(t *testing.T) {
 	}
 }
 
-// TestSolveAllocatesNothing pins the steady-only entry's reason to exist.
+// TestSolveAllocatesNothing pins the steady-only entries' reason to exist:
+// neither Solve nor SolveView allocates.
 func TestSolveAllocatesNothing(t *testing.T) {
 	m := labModel(t, 4, 1)
 	cfg, load, d := randomCase(rand.New(rand.NewSource(1)), m)
@@ -228,5 +276,19 @@ func TestSolveAllocatesNothing(t *testing.T) {
 	})
 	if n != 0 && !raceEnabled {
 		t.Errorf("Solve allocates %v times per call, want 0", n)
+	}
+	var view cluster.View
+	if !view.Load(m.Catalog(), inCatalog(m, cfg)) {
+		t.Fatal("fixture does not fit the catalog")
+	}
+	n = testing.AllocsPerRun(100, func() {
+		sol, err := m.SolveView(&view, load)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Release(sol)
+	})
+	if n != 0 && !raceEnabled {
+		t.Errorf("SolveView allocates %v times per call, want 0", n)
 	}
 }

@@ -23,6 +23,7 @@ package testbed
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -327,8 +328,26 @@ func (tb *Testbed) Apps() []*app.Spec { return tb.apps }
 // the same tables the testbed charges).
 func (tb *Testbed) CostManager() *cost.Manager { return tb.costMgr }
 
-// SetRates changes the offered request rates from the current instant.
+// SetRates changes the offered request rates from the current instant. An
+// application the testbed does not model, or a rate that is negative or not
+// finite, is refused before anything changes: merged, an unknown application
+// would fail every later measurement, and a negative rate would be run.
 func (tb *Testbed) SetRates(rates map[string]float64) error {
+	apps := tb.model.Apps()
+	var bad string // the first offender in name order is reported
+	found := false
+	for name, r := range rates {
+		_, known := apps[name]
+		if (!known || !(r >= 0) || math.IsInf(r, 1)) && (!found || name < bad) {
+			bad, found = name, true
+		}
+	}
+	if found {
+		if _, known := apps[bad]; !known {
+			return fmt.Errorf("testbed: rates name unknown application %q", bad)
+		}
+		return fmt.Errorf("testbed: application %q: rate %v is not a finite non-negative number", bad, rates[bad])
+	}
 	for k, v := range rates {
 		tb.rates[k] = v
 	}
