@@ -135,6 +135,7 @@ func TestServeStrictBodyValidation(t *testing.T) {
 		{"unknown application", `{"rates":{"nope":5}}`},
 		{"unknown beside a known application", `{"rates":{"rubis1":50,"nope":5}}`},
 		{"negative rate", `{"rates":{"rubis1":-50}}`},
+		{"rates omitting an application", `{"rates":{}}`},
 		{"negative windows", `{"windows":-3}`},
 		{"windows over the cap", fmt.Sprintf(`{"windows":%d}`, maxWindowsPerPost+1)},
 	}
@@ -179,6 +180,7 @@ func FuzzWindowRequest(f *testing.F) {
 		`{}`, ``, `{"windows":3}`, `{"window":0}`, `{"rates":{"rubis1":55}}`,
 		`{"rates":{"nope":5}}`, `{"rates":{"rubis1":-50}}`, `{"windows":-3}`,
 		`{"windows":201}`, `{"rates":{"rubis1":5},"windows":2}`, `{"ratez":{}}`, `{} {}`,
+		`{"rates":{}}`,
 	} {
 		f.Add([]byte(seed))
 	}

@@ -134,9 +134,10 @@ type child struct {
 	dist float64 // distance to ideal, for pruning/shaping
 }
 
-// Test hooks, nil outside tests: called once per child an expansion prices
-// and once per child it fingerprints.
-var testHookPrice, testHookFingerprint func()
+// Test hooks, nil outside tests: called once per child an expansion prices,
+// once per child it fingerprints and once per entry it pushes without a
+// vertex.
+var testHookPrice, testHookFingerprint, testHookVertexless func()
 
 // closest returns the keep entries of order with the smallest dist, in the
 // order a stable sort by dist would put them, reusing order's storage: each
@@ -355,6 +356,7 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 
 	res := SearchResult{RootDistance: rootDist, PeakFrontier: 1}
 	bestCandidate := int32(-1) // arena index of the best complete plan; -1: none yet
+	var bestUtility float64    // its priority
 	var dig *digestBuilder
 	if opts.Provenance {
 		dig = newDigestBuilder(rootDist)
@@ -430,7 +432,7 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		}
 		// ε-termination: the frontier's optimism has decayed to within the
 		// margin of the best complete plan.
-		if bestCandidate >= 0 && mem.verts.at(bestCandidate).utility >= vmax.utility-slack {
+		if bestCandidate >= 0 && bestUtility >= vmax.utility-slack {
 			// The popped head goes back on the heap first: it is the very
 			// alternative the search declined to explore, and the rejected
 			// digest should lead with it.
@@ -516,15 +518,10 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		// children the cut keeps. Nothing is built: a child is its parent
 		// plus a staged action until it is popped.
 		s.staged = view.Expand(&moves, s.staged[:0])
-		finChild := int32(-1)
-		if view.Candidate() {
-			var fin *vertex
-			if finChild, fin, err = mem.verts.alloc(); err != nil {
-				return SearchResult{}, err
-			}
-			*fin = *vmax
-			fin.finished = true
-			fin.utility = vmax.accrued + remaining(vmax.dur)*parentSteady.NetRate()
+		finished := view.Candidate()
+		var finUtility float64
+		if finished {
+			finUtility = vmax.accrued + remaining(vmax.dur)*parentSteady.NetRate()
 		}
 		kids := s.kids[:0]
 		for i := range s.staged {
@@ -541,7 +538,7 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		}
 		s.kids = kids
 		nChildren := len(kids)
-		if finChild >= 0 {
+		if finished {
 			nChildren++
 		}
 		res.Generated += nChildren
@@ -552,7 +549,7 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 		// generation order normally, distance-sorted order after a prune —
 		// insertion order breaks heap ties.
 		order := s.order[:0]
-		if finChild >= 0 {
+		if finished {
 			order = append(order, -1)
 		}
 		for i := range kids {
@@ -635,17 +632,38 @@ func (s *Searcher) search(cfg cluster.Config, rates map[string]float64, cw time.
 			}
 		}
 		mem.probed += probed
+		// The third pass pushes each child that survives the dedup with its
+		// priority. One below the best complete plan's gets no vertex when no
+		// digest will harvest the frontier: that plan pops first and ends the
+		// search, so the entry can never pop. It is pushed all the same — at
+		// equal priorities the heap's layout decides which vertex pops, and
+		// on the Fig. 9 day two pops in five leave a live entry of equal
+		// priority behind.
 		for j, i := range order {
 			if i < 0 {
-				fin := mem.verts.at(finChild)
-				if bestCandidate < 0 || fin.utility > mem.verts.at(bestCandidate).utility {
-					bestCandidate = finChild
+				if bestCandidate >= 0 && dig == nil && finUtility < bestUtility {
+					mem.pushVertexless(finUtility)
+					continue
 				}
-				mem.push(finChild, fin)
+				id, fin, err := mem.verts.alloc()
+				if err != nil {
+					return SearchResult{}, err
+				}
+				*fin = *vmax
+				fin.finished = true
+				fin.utility = finUtility
+				if bestCandidate < 0 || finUtility > bestUtility {
+					bestCandidate, bestUtility = id, finUtility
+				}
+				mem.push(id, fin)
 				continue
 			}
 			c := &ks[j]
 			if !mem.best.improve(c.fp, c.utility) {
+				continue
+			}
+			if bestCandidate >= 0 && dig == nil && c.utility < bestUtility {
+				mem.pushVertexless(c.utility)
 				continue
 			}
 			k := &kids[i]

@@ -102,7 +102,7 @@ func TestEvaluatorSteadyAndCache(t *testing.T) {
 	if s1.PowerRate >= 0 {
 		t.Error("power rate should be negative")
 	}
-	if s1.RTSec["rubis1"] <= 0 {
+	if RTByName(e.eval, s1)["rubis1"] <= 0 {
 		t.Error("no RT predicted")
 	}
 	evals := e.eval.Evals()

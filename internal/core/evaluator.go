@@ -10,6 +10,7 @@ package core
 import (
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"time"
 
@@ -33,8 +34,10 @@ type Steady struct {
 	PowerRate float64
 	// Watts is the predicted system power draw.
 	Watts float64
-	// RTSec is the predicted mean response time per application.
-	RTSec map[string]float64
+	// RT is the predicted mean response time of each application in
+	// seconds, aligned with the evaluating model's application order
+	// (lqn.Model.AppNames, Evaluator.Model).
+	RT []float64
 	// Saturated reports whether any application exceeded capacity.
 	Saturated bool
 }
@@ -68,9 +71,10 @@ type steadyKey struct {
 // lookups: with the lookup replaced by a direct solve every decision stayed
 // identical, and over 20 alternating benchmark pairs (2-vCPU Xeon,
 // reference time) table1-scale allocated 1.6 % more per window and its
-// median step took 2.9 % longer, each former hit an LQN solve that
-// allocates a Steady.RTSec map; the other workloads moved by less than
-// their run-to-run spread.
+// median step took 2.9 % longer, each former hit an LQN solve whose Steady
+// then allocated a string-keyed response-time map; the other workloads
+// moved by less than their run-to-run spread. A miss now allocates the
+// Steady and its dense RT slice, nothing else.
 //
 // An Evaluator has one caller at a time: the memo, the counters and the
 // pricer Action loads are unsynchronized. Every controller of a hierarchy
@@ -95,6 +99,9 @@ type Evaluator struct {
 	utilNames []string
 	utilApp   []int
 	utilModel []int
+
+	// fold is keep's scratch: Eq. 1 under the workload of a memo miss.
+	fold eq1
 
 	// memo holds the window's steady evaluations. Values stay pointers:
 	// BeginWindow keeps the map's buckets, and a Steady stored by value
@@ -312,35 +319,45 @@ func (e *Evaluator) lookup(key steadyKey) (Steady, bool) {
 // keep completes one uncached steady evaluation from its LQN solve — power
 // and utility-rate derivation — hands the solve back and memoizes the Steady
 // under key, counting the evaluation. A failed solve is neither kept nor
-// counted, so every later lookup of that key retries. The Steady is the only
-// thing it allocates.
+// counted, so every later lookup of that key retries. The Steady and its RT
+// are the only things it allocates.
 func (e *Evaluator) keep(key steadyKey, sol *lqn.Solution, err error, rates map[string]float64) (Steady, error) {
 	if err != nil {
 		return Steady{}, fmt.Errorf("core: steady evaluation: %w", err)
 	}
-	s := Steady{RTSec: make(map[string]float64, len(e.appNames))}
+	s := Steady{RT: make([]float64, len(e.appNames))}
 	s.Watts = power.SystemWattsDense(e.model.Catalog().HostSpecs(), sol.HostOn, sol.HostCPUUtil, sol.HostFreq)
 	s.PowerRate = e.util.PowerRate(s.Watts)
-	for i, name := range e.appNames {
-		s.RTSec[name] = sol.MeanRTSec[i]
-		if sol.Saturated[i] {
-			s.Saturated = true
-		}
-	}
+	copy(s.RT, sol.MeanRTSec)
+	s.Saturated = slices.Contains(sol.Saturated, true)
 	e.model.Release(sol)
-	s.PerfRate = e.perfRateFold(rates, s.RTSec)
+	e.fold.load(e, rates)
+	s.PerfRate = e.perfRate(&e.fold, s.RT)
 	e.evals++
 	e.memo[key] = &s
+	if testHookKeep != nil {
+		testHookKeep(e, s, rates)
+	}
 	return s, nil
 }
 
-// perfRateFold sums Eq. 1 across the utility application universe in the
-// cached sorted order: the identical floating-point fold PerfRateAll
-// performs, without its per-call name sort and allocation.
-func (e *Evaluator) perfRateFold(rates, rtSec map[string]float64) float64 {
+// testHookKeep, nil outside tests, sees every Steady keep memoizes with the
+// workload it was evaluated under.
+var testHookKeep func(e *Evaluator, s Steady, rates map[string]float64)
+
+// perfRate sums Eq. 1 across the utility application universe in sorted
+// order, reading each application's response time from rt (aligned with
+// appNames; an application the model does not evaluate reads zero): the
+// identical floating-point fold utility.Params.PerfRateAll performs over the
+// same values, without a map.
+func (e *Evaluator) perfRate(q *eq1, rt []float64) float64 {
 	var sum float64
-	for _, name := range e.utilNames {
-		sum += e.util.PerfRate(name, rates[name], rtSec[name])
+	for i, ai := range e.utilModel {
+		var v float64
+		if ai >= 0 {
+			v = rt[ai]
+		}
+		sum += q.perfRate(i, v)
 	}
 	return sum
 }

@@ -94,8 +94,9 @@ func wildConfig(e *env, rng *rand.Rand) cluster.Config {
 func referenceAction(e *Evaluator, cfg cluster.Config, base Steady, a cluster.Action, rates map[string]float64) ActionCost {
 	pred := e.costs.Predict(cfg, a, rates)
 	var perf float64
+	baseRT := RTByName(e, base)
 	for _, name := range e.utilNames {
-		rt, ok := base.RTSec[name]
+		rt, ok := baseRT[name]
 		if ok {
 			rt += pred.DeltaRTSec[name]
 		}
@@ -186,13 +187,16 @@ func TestExpansionMatchesReference(t *testing.T) {
 			for trial := 0; trial < 40; trial++ {
 				cfg := wildConfig(de.e, rng)
 				w := make(map[string]float64)
-				base := Steady{Watts: 100 + 400*rng.Float64(), RTSec: make(map[string]float64)}
+				base := Steady{Watts: 100 + 400*rng.Float64()}
+				if rng.IntN(6) > 0 { // else a Steady with no response times
+					base.RT = make([]float64, len(e.appNames))
+					for i := range base.RT {
+						base.RT[i] = 0.8 * rng.Float64() // the target is 0.4 s
+					}
+				}
 				for i, a := range de.e.apps {
 					if i == 0 || rng.IntN(6) > 0 {
 						w[a.Name] = 5 + 90*rng.Float64()
-					}
-					if rng.IntN(6) > 0 {
-						base.RTSec[a.Name] = 0.8 * rng.Float64() // the target is 0.4 s
 					}
 				}
 				price.setRates(w)

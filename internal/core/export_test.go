@@ -23,6 +23,36 @@ func countChildWork(t testing.TB) (priced, fingerprinted *int) {
 	return priced, fingerprinted
 }
 
+// CountVertexless counts, until the test ends, the entries every search
+// pushes without a vertex.
+func CountVertexless(t testing.TB) *int {
+	n := new(int)
+	testHookVertexless = func() { *n++ }
+	t.Cleanup(func() { testHookVertexless = nil })
+	return n
+}
+
+// ObserveKeeps calls f, until the test ends, with every Steady an evaluator
+// memoizes and the workload it was evaluated under.
+func ObserveKeeps(t testing.TB, f func(e *Evaluator, s Steady, rates map[string]float64)) {
+	testHookKeep = f
+	t.Cleanup(func() { testHookKeep = nil })
+}
+
+// RTByName is a Steady's response times keyed by application name, the
+// form utility.Params folds: nil when the Steady has none.
+func RTByName(e *Evaluator, st Steady) map[string]float64 {
+	if st.RT == nil {
+		return nil
+	}
+	names := e.Model().AppNames()
+	rt := make(map[string]float64, len(names))
+	for i, name := range names {
+		rt[name] = st.RT[i]
+	}
+	return rt
+}
+
 // NewTestEvaluator is buildEnv for the external tests: an evaluator over
 // the given hosts and applications and its calibrated default
 // configuration.

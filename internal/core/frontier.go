@@ -84,7 +84,8 @@ func (a *arena) alloc() (int32, *vertex, error) {
 }
 
 // frontierEntry is one open vertex: its priority, copied out so that ordering
-// the heap never touches the arena.
+// the heap never touches the arena. vertex is -1 for an entry that can never
+// pop (see searchMem.pushVertexless).
 type frontierEntry struct {
 	utility float64
 	vertex  int32
@@ -320,6 +321,17 @@ func (m *searchMem) release() {
 
 func (m *searchMem) push(id int32, v *vertex) {
 	m.open.push(frontierEntry{utility: v.utility, vertex: id})
+}
+
+// pushVertexless pushes a child whose priority is below the best complete
+// plan's, without a vertex. That plan is on the heap above it, and popping it
+// ends the search, so the entry never pops; it keeps its place in the heap so
+// that the order of the entries that do pop is unchanged.
+func (m *searchMem) pushVertexless(utility float64) {
+	m.open.push(frontierEntry{utility: utility, vertex: -1})
+	if testHookVertexless != nil {
+		testHookVertexless()
+	}
 }
 
 // stale reports whether a better path to v's configuration was found after

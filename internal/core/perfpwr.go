@@ -158,11 +158,16 @@ func targetsScope(e *Evaluator) (packScope, []string) {
 	return scope, hosts
 }
 
-// utilityTargets is every application's response-time target in seconds.
-func utilityTargets(e *Evaluator) map[string]float64 {
-	targets := make(map[string]float64, len(e.util.Apps))
-	for name, a := range e.util.Apps {
-		targets[name] = a.TargetRT.Seconds()
+// utilityTargets is every application's response-time target in seconds,
+// aligned with the evaluator's appNames: +Inf for an application the
+// utility parameters do not know.
+func utilityTargets(e *Evaluator) []float64 {
+	targets := make([]float64, len(e.appNames))
+	for ai, name := range e.appNames {
+		targets[ai] = math.Inf(1)
+		if a, ok := e.util.Apps[name]; ok {
+			targets[ai] = a.TargetRT.Seconds()
+		}
 	}
 	return targets
 }
@@ -319,7 +324,7 @@ func (p *packPlan) polish(cfg cluster.Config) (cluster.Config, Steady, error) {
 				if err != nil {
 					return cluster.Config{}, Steady{}, err
 				}
-				if st.NetRate() > cur.NetRate()+1e-12 && p.scope.meetsTargets(st, p.rates) {
+				if st.NetRate() > cur.NetRate()+1e-12 && p.scope.meetsTargets(p.e, st, p.rates) {
 					cfg.Place(id, host[i], next)
 					cpu[i], cur = next, st
 					improved = true
@@ -363,7 +368,7 @@ func tuneDVFS(e *Evaluator, ideal Ideal, rates map[string]float64, scope packSco
 		guard[name] = r * 1.3
 	}
 	rfp, guardFP := e.RatesFingerprint(rates), e.RatesFingerprint(guard)
-	if st, err := e.SteadyFP(ideal.Config, guard, guardFP); err != nil || !scope.meetsTargets(st, guard) {
+	if st, err := e.SteadyFP(ideal.Config, guard, guardFP); err != nil || !scope.meetsTargets(e, st, guard) {
 		// The best packing has no slack (or is already overloaded):
 		// frequency scaling has nothing safe to offer.
 		return ideal, err
@@ -388,7 +393,7 @@ func tuneDVFS(e *Evaluator, ideal Ideal, rates map[string]float64, scope packSco
 				if err != nil {
 					return Ideal{}, err
 				}
-				if st.NetRate() <= ideal.Steady.NetRate()+1e-12 || !scope.meetsTargets(st, rates) {
+				if st.NetRate() <= ideal.Steady.NetRate()+1e-12 || !scope.meetsTargets(e, st, rates) {
 					continue
 				}
 				// The guard band: still within targets at 1.3× the rates.
@@ -396,7 +401,7 @@ func tuneDVFS(e *Evaluator, ideal Ideal, rates map[string]float64, scope packSco
 				if err != nil {
 					return Ideal{}, err
 				}
-				if !scope.meetsTargets(gst, guard) {
+				if !scope.meetsTargets(e, gst, guard) {
 					continue
 				}
 				cfg := ideal.Config.CloneShared()
@@ -418,17 +423,16 @@ type packScope struct {
 	managed             []cluster.VMID
 	fixed               cluster.Config
 	allowReplicaRemoval bool
-	rtTargets           map[string]float64
+	rtTargets           []float64 // aligned with Evaluator.appNames
 	zonePins            map[cluster.VMID]string
 	appPools            map[string][]string
 }
 
-func (s packScope) meetsTargets(st Steady, rates map[string]float64) bool {
-	if s.rtTargets == nil {
-		return true
-	}
-	for appName, target := range s.rtTargets {
-		if rates[appName] > 0 && st.RTSec[appName] > target {
+// meetsTargets reports whether every application e evaluates with a
+// positive rate meets its response-time target in st.
+func (s packScope) meetsTargets(e *Evaluator, st Steady, rates map[string]float64) bool {
+	for ai, target := range s.rtTargets {
+		if st.RT[ai] > target && rates[e.appNames[ai]] > 0 {
 			return false
 		}
 	}
@@ -511,8 +515,8 @@ func newPackPlan(e *Evaluator, rates map[string]float64, scope packScope, hosts 
 		p.targets = make([]float64, len(e.appNames))
 		for ai, name := range e.appNames {
 			p.targets[ai] = math.Inf(1)
-			if target, ok := scope.rtTargets[name]; ok && rates[name] > 0 {
-				p.targets[ai] = target
+			if rates[name] > 0 {
+				p.targets[ai] = scope.rtTargets[ai]
 			}
 		}
 	}
@@ -730,7 +734,7 @@ func (r *reduction) run() (cluster.Config, bool, error) {
 				if err != nil {
 					return cluster.Config{}, false, err
 				}
-				if !r.scope.meetsTargets(st, r.rates) {
+				if !r.scope.meetsTargets(r.e, st, r.rates) {
 					return cluster.Config{}, false, nil
 				}
 			}
@@ -765,7 +769,7 @@ func (r *reduction) start() (bool, error) {
 		return false, err
 	}
 	r.curRho, r.curPerf = r.allocUtil(), st.PerfRate
-	if !r.scope.meetsTargets(st, r.rates) {
+	if !r.scope.meetsTargets(r.e, st, r.rates) {
 		return false, nil
 	}
 	if r.sess, err = r.e.model.Open(base, r.rates); err != nil {
@@ -947,9 +951,9 @@ func (r *reduction) allocUtil() float64 {
 
 // score solves a session's patched state and folds what a reduction reads
 // from it, straight from the dense response times: the performance rate
-// (Eq. 1 summed in perfRateFold's order), the summed response times (the
-// gradient's tie-breaker, in sorted application order) and whether the hard
-// targets hold (nil: none). Every fold is the one Evaluator.Steady performs
+// (Evaluator.perfRate), the summed response times (the gradient's
+// tie-breaker, in sorted application order) and whether the hard targets
+// hold (nil: none). Every fold is the one Evaluator.Steady performs
 // on the same configuration built, so the bits agree.
 func (e *Evaluator) score(sess *lqn.Session, q *eq1, targets []float64) (perf, sumRT float64, meets bool) {
 	rt, _ := sess.Solve()
@@ -960,14 +964,7 @@ func (e *Evaluator) score(sess *lqn.Session, q *eq1, targets []float64) (perf, s
 			meets = false
 		}
 	}
-	for i, ai := range e.utilModel {
-		var v float64
-		if ai >= 0 {
-			v = rt[ai]
-		}
-		perf += q.perfRate(i, v)
-	}
-	return perf, sumRT, meets
+	return e.perfRate(q, rt), sumRT, meets
 }
 
 // binPack attempts the paper's worst-fit packing of the current state: VMs

@@ -17,8 +17,9 @@ func TestPerfPwrMeetingTargets(t *testing.T) {
 	if !ideal.Config.IsCandidate(e.cat) {
 		t.Fatalf("target-meeting ideal invalid: %v", ideal.Config.Validate(e.cat))
 	}
+	rt := RTByName(e.eval, ideal.Steady)
 	for name, a := range e.eval.Utility().Apps {
-		if rt := ideal.Steady.RTSec[name]; rt > a.TargetRT.Seconds() {
+		if rt := rt[name]; rt > a.TargetRT.Seconds() {
 			t.Errorf("%s RT %v exceeds target %v", name, rt, a.TargetRT.Seconds())
 		}
 	}

@@ -138,3 +138,32 @@ func requireGolden(t *testing.T, what string, got, want []byte) {
 	}
 	t.Fatalf("%s: %d lines, golden has %d", what, len(gl), len(wl))
 }
+
+// TestDenseSteadyMatchesPerfRateAll holds every Steady the Perf-Pwr goldens'
+// labs evaluate to utility.Params over its response times rebuilt into a
+// map by application name: the performance rate is PerfRateAll's, the net
+// rate NetRate's, bit for bit.
+func TestDenseSteadyMatchesPerfRateAll(t *testing.T) {
+	for _, lab := range goldenLabs {
+		lab := lab
+		t.Run(lab.name, func(t *testing.T) {
+			checked := 0
+			core.ObserveKeeps(t, func(e *core.Evaluator, s core.Steady, rates map[string]float64) {
+				checked++
+				rt, util := core.RTByName(e, s), e.Utility()
+				if len(rt) != len(e.Model().AppNames()) {
+					t.Fatalf("Steady has %d response times for %d applications", len(s.RT), len(e.Model().AppNames()))
+				}
+				perf, net := util.PerfRateAll(rates, rt), util.NetRate(rates, rt, s.Watts)
+				if math.Float64bits(s.PerfRate) != math.Float64bits(perf) || math.Float64bits(s.NetRate()) != math.Float64bits(net) {
+					t.Fatalf("evaluation %d: PerfRate %v, NetRate %v; over the map %v, %v", checked, s.PerfRate, s.NetRate(), perf, net)
+				}
+			})
+			perfPwrGolden(t, lab.opts)
+			if checked < 1000 {
+				t.Fatalf("only %d evaluations checked", checked)
+			}
+			t.Logf("%d evaluations", checked)
+		})
+	}
+}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -50,7 +51,7 @@ func TestReductionReturnsItsSession(t *testing.T) {
 	hosts := e.cat.HostNames()
 	full := packScope{managed: e.cat.VMIDs(), fixed: cluster.NewConfig(), allowReplicaRemoval: true}
 	hopeless := full
-	hopeless.rtTargets = map[string]float64{"rubis1": 1e-6}
+	hopeless.rtTargets = []float64{1e-6, math.Inf(1)} // rubis1, rubis2
 	for _, c := range []struct {
 		exit   string
 		scope  packScope

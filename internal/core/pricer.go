@@ -6,12 +6,12 @@ import (
 )
 
 // pricer evaluates the transient cost of single actions executed from one
-// parent configuration under one workload. setRates and setBase read the
-// string-keyed maps (rates, utility parameters, the parent's Steady) once and
-// the parent is loaded into view; cost then reads arrays only, so pricing the
-// ≈ 47 children of an expansion touches no map. A pricer is scratch: the
-// Searcher keeps one for its expansions, and the Evaluator one that Action
-// reloads per call.
+// parent configuration under one workload. setRates reads the string-keyed
+// maps (rates, utility parameters) once, setBase realigns the parent's
+// Steady with the utility applications, and the parent is loaded into view;
+// cost then reads arrays only, so pricing the ≈ 47 children of an expansion
+// touches no map. A pricer is scratch: the Searcher keeps one for its
+// expansions, and the Evaluator one that Action reloads per call.
 type pricer struct {
 	e *Evaluator
 	// view is the parent configuration; the search's generator, candidate
@@ -108,11 +108,14 @@ func (p *pricer) setRates(rates map[string]float64) {
 // setBase fixes the steady state of the configuration actions are executed
 // from, which the caller loads into view.
 func (p *pricer) setBase(base Steady) {
-	names := p.e.utilNames
-	p.baseRT = sized(p.baseRT, len(names))
-	p.hasRT = sized(p.hasRT, len(names))
-	for i, name := range names {
-		p.baseRT[i], p.hasRT[i] = base.RTSec[name]
+	model := p.e.utilModel
+	p.baseRT = sized(p.baseRT, len(model))
+	p.hasRT = sized(p.hasRT, len(model))
+	for i, ai := range model {
+		p.baseRT[i], p.hasRT[i] = 0, ai >= 0 && ai < len(base.RT)
+		if p.hasRT[i] {
+			p.baseRT[i] = base.RT[ai]
+		}
 	}
 	p.watts = base.Watts
 }

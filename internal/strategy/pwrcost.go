@@ -103,8 +103,9 @@ func (p *PwrCost) violatesTargets(cfg cluster.Config, rates map[string]float64) 
 	if err != nil {
 		return false, err
 	}
-	for name, a := range p.eval.Utility().Apps {
-		if rates[name] > 0 && st.RTSec[name] > a.TargetRT.Seconds() {
+	apps := p.eval.Utility().Apps
+	for i, name := range p.eval.Model().AppNames() {
+		if a, ok := apps[name]; ok && rates[name] > 0 && st.RT[i] > a.TargetRT.Seconds() {
 			return true, nil
 		}
 	}

@@ -32,9 +32,9 @@ func TestPwrCostScalesUpWhenTargetsViolated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, a := range l.eval.Utility().Apps {
-		if st.RTSec[name] > a.TargetRT.Seconds() {
-			t.Errorf("%s still violates after Pwr-Cost plan: %v > %v", name, st.RTSec[name], a.TargetRT.Seconds())
+	for i, name := range l.eval.Model().AppNames() {
+		if a := l.eval.Utility().Apps[name]; st.RT[i] > a.TargetRT.Seconds() {
+			t.Errorf("%s still violates after Pwr-Cost plan: %v > %v", name, st.RT[i], a.TargetRT.Seconds())
 		}
 	}
 }

@@ -328,10 +328,13 @@ func (tb *Testbed) Apps() []*app.Spec { return tb.apps }
 // the same tables the testbed charges).
 func (tb *Testbed) CostManager() *cost.Manager { return tb.costMgr }
 
-// SetRates changes the offered request rates from the current instant. An
-// application the testbed does not model, or a rate that is negative or not
-// finite, is refused before anything changes: merged, an unknown application
-// would fail every later measurement, and a negative rate would be run.
+// SetRates changes the offered request rates from the current instant. The
+// map must be total: a rate for every application the testbed models. One
+// that omits an application, names one the testbed does not model, or holds
+// a rate that is negative or not finite is refused before anything changes:
+// an omitted application would keep its previous rate here while the window's
+// record and the decider read it as zero, an unknown one would fail every
+// later measurement, and a negative rate would be run.
 func (tb *Testbed) SetRates(rates map[string]float64) error {
 	apps := tb.model.Apps()
 	var bad string // the first offender in name order is reported
@@ -347,6 +350,14 @@ func (tb *Testbed) SetRates(rates map[string]float64) error {
 			return fmt.Errorf("testbed: rates name unknown application %q", bad)
 		}
 		return fmt.Errorf("testbed: application %q: rate %v is not a finite non-negative number", bad, rates[bad])
+	}
+	for name := range apps {
+		if _, ok := rates[name]; !ok && (!found || name < bad) {
+			bad, found = name, true
+		}
+	}
+	if found {
+		return fmt.Errorf("testbed: rates omit application %q", bad)
 	}
 	for k, v := range rates {
 		tb.rates[k] = v

@@ -387,3 +387,26 @@ func TestSetRatesPropagates(t *testing.T) {
 		t.Errorf("Rates() = %v, want 90", got)
 	}
 }
+
+// TestSetRatesRefusesPartialMap holds SetRates to a total map: one that
+// omits an application the testbed models is refused, and the rates stay as
+// they were, instead of the omitted application keeping its old rate while
+// the caller reads it as zero.
+func TestSetRatesRefusesPartialMap(t *testing.T) {
+	cat, apps, cfg := setup(t, 4, "rubis1", "rubis2")
+	tb, err := New(cat, apps, cfg, map[string]float64{"rubis1": 10, "rubis2": 20}, nil, noiseless(ModeAnalytic))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rates := range []map[string]float64{{"rubis1": 5}, {}, nil} {
+		if err := tb.SetRates(rates); err == nil || !strings.Contains(err.Error(), `omit application "rubis`) {
+			t.Errorf("SetRates(%v) = %v, want the omission refused", rates, err)
+		}
+	}
+	if got := tb.Rates(); got["rubis1"] != 10 || got["rubis2"] != 20 {
+		t.Errorf("refused maps moved the rates to %v", got)
+	}
+	if err := tb.SetRates(map[string]float64{"rubis1": 5, "rubis2": 0}); err != nil {
+		t.Errorf("a total map with a zero rate: %v", err)
+	}
+}
