@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"github.com/mistralcloud/mistral"
 	"github.com/mistralcloud/mistral/internal/core"
 	"github.com/mistralcloud/mistral/internal/experiments"
 	"github.com/mistralcloud/mistral/internal/obs"
@@ -53,7 +52,7 @@ func reportSearchMetrics(b *testing.B, reg *obs.Registry) {
 // sessions on the request-level testbed.
 func BenchmarkFig1MigrationCost(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := mistral.RunFig1(benchSeed)
+		r, err := experiments.Fig1MigrationCost(benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -66,7 +65,7 @@ func BenchmarkFig1MigrationCost(b *testing.B) {
 // BenchmarkFig3UtilityFunction regenerates Fig. 3's reward/penalty curves.
 func BenchmarkFig3UtilityFunction(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		points := mistral.RunFig3()
+		points := experiments.Fig3UtilityFunction()
 		b.ReportMetric(points[len(points)-1].Reward, "reward@100")
 		b.ReportMetric(points[0].Penalty, "penalty@0")
 	}
@@ -75,7 +74,7 @@ func BenchmarkFig3UtilityFunction(b *testing.B) {
 // BenchmarkFig4Workloads regenerates Fig. 4's four application workloads.
 func BenchmarkFig4Workloads(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := mistral.RunFig4(benchSeed)
+		r := experiments.Fig4Workloads(benchSeed)
 		var peak float64
 		for _, rates := range r.Rates {
 			for _, v := range rates {
@@ -93,7 +92,7 @@ func BenchmarkFig4Workloads(b *testing.B) {
 // (the paper reports ≈5% error).
 func BenchmarkFig5ModelAccuracy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := mistral.RunFig5(benchSeed)
+		r, err := experiments.Fig5ModelAccuracy(benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,7 +106,7 @@ func BenchmarkFig5ModelAccuracy(b *testing.B) {
 // estimator against measured stability intervals.
 func BenchmarkFig6StabilityEstimation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := mistral.RunFig6(benchSeed)
+		r := experiments.Fig6StabilityEstimation(benchSeed)
 		b.ReportMetric(r.ErrorPct, "nmae%")
 		b.ReportMetric(float64(len(r.MeasuredMS)), "intervals")
 	}
@@ -116,7 +115,7 @@ func BenchmarkFig6StabilityEstimation(b *testing.B) {
 // BenchmarkFig7AdaptationCosts regenerates Fig. 7's cost tables.
 func BenchmarkFig7AdaptationCosts(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := mistral.RunFig7()
+		rows := experiments.Fig7AdaptationCosts()
 		var peak float64
 		for _, r := range rows {
 			if r.DelayMS > peak {
@@ -132,7 +131,7 @@ func BenchmarkFig7AdaptationCosts(b *testing.B) {
 // Fig. 7 tables).
 func BenchmarkFig7MeasuredCampaign(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, err := mistral.RunFig7Measured(benchSeed, 1)
+		rows, err := experiments.Fig7MeasuredCampaign(benchSeed, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -153,7 +152,7 @@ func BenchmarkFig7MeasuredCampaign(b *testing.B) {
 // > Perf-Pwr −47.1).
 func BenchmarkFig8StrategyComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := mistral.RunFig89(benchSeed)
+		r, err := experiments.Fig89StrategyComparison(benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -167,7 +166,7 @@ func BenchmarkFig8StrategyComparison(b *testing.B) {
 // four strategies.
 func BenchmarkFig9CumulativeUtility(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := mistral.RunFig89(benchSeed)
+		r, err := experiments.Fig89StrategyComparison(benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -185,7 +184,7 @@ func BenchmarkFig9CumulativeUtility(b *testing.B) {
 func BenchmarkFig10SearchCost(b *testing.B) {
 	reg := benchRegistry(b)
 	for i := 0; i < b.N; i++ {
-		r, err := mistral.RunFig10(benchSeed)
+		r, err := experiments.Fig10SearchCost(benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -237,7 +236,7 @@ func BenchmarkPerfPwr(b *testing.B) {
 func BenchmarkTable1Scalability(b *testing.B) {
 	reg := benchRegistry(b)
 	for i := 0; i < b.N; i++ {
-		r, err := mistral.RunTable1(benchSeed, experiments.Table1Options{})
+		r, err := experiments.Table1Scalability(benchSeed, experiments.Table1Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -285,7 +284,7 @@ func BenchmarkAblationARMA(b *testing.B) {
 // control loop absorbed without aborting.
 func BenchmarkFaultSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r, err := mistral.RunFaultSweep(experiments.PaperRecipe(benchSeed), experiments.SweepOptions{
+		r, err := experiments.FaultSweep(experiments.PaperRecipe(benchSeed), experiments.SweepOptions{
 			Rates:    []float64{0, 0.15, 0.30},
 			Duration: 2 * time.Hour,
 		})

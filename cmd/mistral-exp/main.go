@@ -23,7 +23,6 @@ import (
 	"strings"
 	"time"
 
-	"github.com/mistralcloud/mistral"
 	"github.com/mistralcloud/mistral/internal/experiments"
 	"github.com/mistralcloud/mistral/internal/obs"
 	"github.com/mistralcloud/mistral/internal/provenance"
@@ -100,7 +99,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 	start := time.Now()
 
 	if want("fig1") {
-		r, err := mistral.RunFig1(*seed)
+		r, err := experiments.Fig1MigrationCost(*seed)
 		if err != nil {
 			return fmt.Errorf("fig1: %w", err)
 		}
@@ -109,17 +108,17 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 	if want("fig3") {
-		if err := e.emit("fig3", []experiments.Table{experiments.Fig3Table(mistral.RunFig3())}); err != nil {
+		if err := e.emit("fig3", []experiments.Table{experiments.Fig3Table(experiments.Fig3UtilityFunction())}); err != nil {
 			return err
 		}
 	}
 	if want("fig4") {
-		if err := e.emit("fig4", []experiments.Table{mistral.RunFig4(*seed).Table()}); err != nil {
+		if err := e.emit("fig4", []experiments.Table{experiments.Fig4Workloads(*seed).Table()}); err != nil {
 			return err
 		}
 	}
 	if want("fig5") {
-		r, err := mistral.RunFig5(*seed)
+		r, err := experiments.Fig5ModelAccuracy(*seed)
 		if err != nil {
 			return fmt.Errorf("fig5: %w", err)
 		}
@@ -128,12 +127,12 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 	if want("fig6") {
-		if err := e.emit("fig6", mistral.RunFig6(*seed).Tables()); err != nil {
+		if err := e.emit("fig6", experiments.Fig6StabilityEstimation(*seed).Tables()); err != nil {
 			return err
 		}
 	}
 	if want("fig7") {
-		if err := e.emit("fig7", []experiments.Table{experiments.Fig7Table(mistral.RunFig7())}); err != nil {
+		if err := e.emit("fig7", []experiments.Table{experiments.Fig7Table(experiments.Fig7AdaptationCosts())}); err != nil {
 			return err
 		}
 	}
@@ -142,7 +141,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		if *quick {
 			trials = 1
 		}
-		rows, err := mistral.RunFig7Measured(*seed, trials)
+		rows, err := experiments.Fig7MeasuredCampaign(*seed, trials)
 		if err != nil {
 			return fmt.Errorf("fig7m: %w", err)
 		}
@@ -153,7 +152,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 	if want("fig89") {
-		r, err := mistral.RunFig89(*seed)
+		r, err := experiments.Fig89StrategyComparison(*seed)
 		if err != nil {
 			return fmt.Errorf("fig89: %w", err)
 		}
@@ -162,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 		}
 	}
 	if want("fig10") {
-		r, err := mistral.RunFig10(*seed)
+		r, err := experiments.Fig10SearchCost(*seed)
 		if err != nil {
 			return fmt.Errorf("fig10: %w", err)
 		}
@@ -187,7 +186,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			}()
 			opts.Provenance = provenance.NewRecorder(f)
 		}
-		r, err := mistral.RunTable1(*seed, opts)
+		r, err := experiments.Table1Scalability(*seed, opts)
 		if err != nil {
 			return fmt.Errorf("table1: %w", err)
 		}
@@ -204,7 +203,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			opts.Rates = []float64{0, 0.15, 0.30}
 			opts.Duration = time.Hour
 		}
-		r, err := mistral.RunFaultSweep(experiments.PaperRecipe(*seed), opts)
+		r, err := experiments.FaultSweep(experiments.PaperRecipe(*seed), opts)
 		if err != nil {
 			return fmt.Errorf("faultsweep: %w", err)
 		}
@@ -220,7 +219,7 @@ func run(args []string, stdout, stderr io.Writer) (err error) {
 			opts.Rates = []float64{0.30}
 			opts.Duration = time.Hour
 		}
-		r, err := mistral.RunChaosSweep(experiments.PaperRecipe(*seed), opts)
+		r, err := experiments.ChaosSweep(experiments.PaperRecipe(*seed), opts)
 		if err != nil {
 			return fmt.Errorf("chaossweep: %w", err)
 		}

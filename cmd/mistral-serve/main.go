@@ -180,9 +180,22 @@ func (b *lockedBuffer) Bytes() []byte {
 	return out
 }
 
+// maxHosts bounds a fleet's application hosts. NewLab allocates for every
+// host before anything else can refuse a size, so the bound is checked
+// first; at the bound, 4 applications still step a window in tens of
+// milliseconds.
+const maxHosts = 64
+
 // build constructs a fresh environment from a recipe without touching the
-// live one.
+// live one. Every fleet change, restore and -resume passes through it, so
+// it refuses a fleet out of bounds before allocating anything.
 func (s *server) build(rc experiments.Recipe) (env, error) {
+	if n := rc.Lab.NumApps; n < 1 || n > 4 {
+		return env{}, badRequest("apps must be in 1..4 (got %d)", n)
+	}
+	if n := rc.Lab.NumHosts; n < 0 || n > maxHosts {
+		return env{}, badRequest("hosts must be in 0..%d, 0 for 2 per app (got %d)", maxHosts, n)
+	}
 	provBuf := &lockedBuffer{}
 	rp, err := rc.Build(scenario.RunConfig{
 		Obs:        s.ob,
@@ -534,12 +547,6 @@ func (s *server) deltaHandler(dApps, dHosts int) func(r *http.Request) (any, err
 }
 
 func (s *server) resize(apps, hosts int) (any, error) {
-	if apps < 1 || apps > 4 {
-		return nil, badRequest("apps must be in 1..4 (got %d)", apps)
-	}
-	if hosts < 0 {
-		return nil, badRequest("hosts must be positive (got %d)", hosts)
-	}
 	rc := s.Recipe
 	rc.Lab.NumApps = apps
 	rc.Lab.NumHosts = hosts

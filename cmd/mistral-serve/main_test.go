@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -212,6 +213,95 @@ func FuzzWindowRequest(f *testing.F) {
 			t.Fatalf("after %q: {} = %d (%s), want 200", body, status, msg)
 		}
 	})
+}
+
+// FuzzFleetRequest posts arbitrary bodies to a 1-app daemon's
+// POST /v1/fleet: every answer is a status the API documents, a refused
+// request leaves the engine and its recipe where they were, and the daemon
+// still steps a following {} window. Each input starts from the test
+// recipe, so an accepted fleet does not carry over to the next.
+func FuzzFleetRequest(f *testing.F) {
+	for _, seed := range []string{
+		`{}`, ``, `{"apps":2}`, `{"apps":1,"hosts":3}`, `{"hosts":100000000}`,
+		`{"apps":1,"hosts":100000000}`, `{"apps":5}`, `{"apps":-1}`, `{"hosts":-1}`,
+		fmt.Sprintf(`{"apps":4,"hosts":%d}`, maxHosts), fmt.Sprintf(`{"hosts":%d}`, maxHosts+1),
+		`{"appz":2}`, `{"apps":"two"}`, `{} {}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	s, ts := newTestServer(f)
+	allowed := map[int]bool{http.StatusOK: true, http.StatusBadRequest: true,
+		http.StatusRequestEntityTooLarge: true, http.StatusUnsupportedMediaType: true}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		s.mu.Lock()
+		err := s.rebuild(testRecipe)
+		s.mu.Unlock()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if status, msg, _ := do(t, post(t, ts.URL+"/v1/window", "application/json", `{}`)); status != http.StatusOK {
+			t.Fatalf("first window: %d (%s)", status, msg)
+		}
+		before, recipe := engineState(s), s.Recipe
+		status, msg, _ := do(t, post(t, ts.URL+"/v1/fleet", "application/json", string(body)))
+		if !allowed[status] {
+			t.Fatalf("%q: status %d (%s)", body, status, msg)
+		}
+		if status != http.StatusOK {
+			if after := engineState(s); after != before || !reflect.DeepEqual(s.Recipe, recipe) {
+				t.Fatalf("%q: refused with %d (%s) but moved the engine from %+v to %+v", body, status, msg, before, after)
+			}
+		}
+		if status, msg, _ := do(t, post(t, ts.URL+"/v1/window", "application/json", `{}`)); status != http.StatusOK {
+			t.Fatalf("after %q: {} = %d (%s), want 200", body, status, msg)
+		}
+	})
+}
+
+// TestServeRefusesOversizedRestore restores a checkpoint whose lab asks for
+// more hosts than the daemon builds: 400, before anything is allocated,
+// and the daemon keeps its recipe and its position.
+func TestServeRefusesOversizedRestore(t *testing.T) {
+	s, ts := newTestServer(t)
+	for i := 0; i < 2; i++ {
+		if status, msg, _ := do(t, post(t, ts.URL+"/v1/window", "application/json", "{}")); status != http.StatusOK {
+			t.Fatalf("window %d: %d (%s)", i, status, msg)
+		}
+	}
+	ck := t.TempDir() + "/ck.json"
+	if status, msg, _ := do(t, post(t, ts.URL+"/v1/checkpoint", "application/json", fmt.Sprintf(`{"path":%q}`, ck))); status != http.StatusOK {
+		t.Fatalf("checkpoint: %d (%s)", status, msg)
+	}
+	raw, err := os.ReadFile(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]json.RawMessage
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	var lab map[string]any
+	if err := json.Unmarshal(doc["lab"], &lab); err != nil {
+		t.Fatalf("checkpoint lab key: %v", err)
+	}
+	lab["NumHosts"] = maxHosts + 1
+	if doc["lab"], err = json.Marshal(lab); err != nil {
+		t.Fatal(err)
+	}
+	if raw, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(ck, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, recipe := engineState(s), s.Recipe
+	status, msg, _ := do(t, post(t, ts.URL+"/v1/restore", "application/json", fmt.Sprintf(`{"path":%q}`, ck)))
+	if status != http.StatusBadRequest || !strings.Contains(msg, "hosts must be in") {
+		t.Fatalf("restore of a %d-host lab = %d %q, want 400 naming the host bound", maxHosts+1, status, msg)
+	}
+	if after := engineState(s); after != before || !reflect.DeepEqual(s.Recipe, recipe) {
+		t.Errorf("a refused restore moved the daemon from %+v to %+v", before, after)
+	}
 }
 
 func TestServeBodyTooLarge(t *testing.T) {

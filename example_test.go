@@ -7,21 +7,19 @@ import (
 	"github.com/mistralcloud/mistral"
 )
 
-// ExampleNewSystem builds the paper's 2-application setup, runs the
-// hierarchical Mistral controller for half an hour of the Fig. 4 workload
-// day, and reports what it did.
-func ExampleNewSystem() {
-	sys, err := mistral.NewSystem(mistral.SystemOptions{NumApps: 2, Seed: 42})
+// ExampleRecipe_Build builds the paper's 2-application setup under the
+// hierarchical Mistral controller, replays half an hour of the Fig. 4
+// workload day, and reports what it did.
+func ExampleRecipe_Build() {
+	rep, err := mistral.Recipe{
+		Lab:      mistral.LabOptions{NumApps: 2, Seed: 42},
+		Strategy: "mistral",
+	}.Build(mistral.RunConfig{Duration: 30 * time.Minute})
 	if err != nil {
 		fmt.Println("setup:", err)
 		return
 	}
-	ctrl, err := sys.NewMistral(mistral.ControllerOptions{})
-	if err != nil {
-		fmt.Println("controller:", err)
-		return
-	}
-	res, err := sys.ReplayFor(ctrl, nil, 30*time.Minute)
+	res, err := rep.Engine.Run()
 	if err != nil {
 		fmt.Println("replay:", err)
 		return
@@ -33,20 +31,19 @@ func ExampleNewSystem() {
 	// strategy: Mistral
 }
 
-// ExampleSystem_IdealConfiguration shows the Perf-Pwr optimizer
-// consolidating at low load.
-func ExampleSystem_IdealConfiguration() {
-	sys, err := mistral.NewSystem(mistral.SystemOptions{NumApps: 2, Seed: 42})
+// ExamplePerfPwr shows the Perf-Pwr optimizer consolidating at low load.
+func ExamplePerfPwr() {
+	lab, err := mistral.NewLab(mistral.LabOptions{NumApps: 2, Seed: 42})
 	if err != nil {
 		fmt.Println("setup:", err)
 		return
 	}
-	low, err := sys.IdealConfiguration(map[string]float64{"rubis1": 5, "rubis2": 5})
+	low, err := mistral.PerfPwr(lab, map[string]float64{"rubis1": 5, "rubis2": 5})
 	if err != nil {
 		fmt.Println("optimize:", err)
 		return
 	}
-	high, err := sys.IdealConfiguration(map[string]float64{"rubis1": 90, "rubis2": 90})
+	high, err := mistral.PerfPwr(lab, map[string]float64{"rubis1": 90, "rubis2": 90})
 	if err != nil {
 		fmt.Println("optimize:", err)
 		return

@@ -22,27 +22,20 @@ func run() error {
 	fmt.Println("Replaying the full 15:00-21:30 scenario under Mistral and Perf-Pwr...")
 
 	results := make(map[string]*mistral.RunResult, 2)
-	for _, which := range []string{"Mistral", "Perf-Pwr"} {
-		// A fresh system per strategy: identical workloads and noise.
-		sys, err := mistral.NewSystem(mistral.SystemOptions{NumApps: 2, Seed: 42})
+	for _, strategy := range []string{"mistral", "perf-pwr"} {
+		// A fresh lab per strategy: identical workloads and noise.
+		rep, err := mistral.Recipe{
+			Lab:      mistral.LabOptions{NumApps: 2, Seed: 42},
+			Strategy: strategy,
+		}.Build(mistral.RunConfig{})
 		if err != nil {
 			return err
 		}
-		var d mistral.Decider
-		switch which {
-		case "Mistral":
-			d, err = sys.NewMistral(mistral.ControllerOptions{})
-		default:
-			d, err = sys.NewPerfPwrBaseline()
-		}
+		res, err := rep.Engine.Run()
 		if err != nil {
 			return err
 		}
-		res, err := sys.Replay(d, nil)
-		if err != nil {
-			return err
-		}
-		results[which] = res
+		results[res.Strategy] = res
 	}
 
 	fmt.Printf("\n%-10s  %12s  %9s  %12s  %11s\n", "strategy", "cum.utility", "actions", "violations", "mean watts")

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"os"
 
-	"github.com/mistralcloud/mistral"
 	"github.com/mistralcloud/mistral/internal/experiments"
 )
 
@@ -20,13 +19,13 @@ func main() {
 }
 
 func run() error {
-	tbl := experiments.Fig7Table(mistral.RunFig7())
+	tbl := experiments.Fig7Table(experiments.Fig7AdaptationCosts())
 	fmt.Println(tbl.ASCII())
 
 	fmt.Println("Rerunning the offline measurement campaign on the request-level testbed")
 	fmt.Println("(random placements, 40% caps, 1-minute warm-up, one action per trial)...")
 	fmt.Println()
-	rows, err := mistral.RunFig7Measured(42, 2)
+	rows, err := experiments.Fig7MeasuredCampaign(42, 2)
 	if err != nil {
 		return err
 	}

@@ -21,23 +21,19 @@ func main() {
 }
 
 func run() error {
-	sys, err := mistral.NewSystem(mistral.SystemOptions{NumApps: 4, Seed: 42})
-	if err != nil {
-		return err
-	}
-
-	// Partition the eight hosts into two "racks" of four.
-	hosts := sys.Catalog().HostNames()
-	ctrl, err := sys.NewMistral(mistral.ControllerOptions{
-		HostGroups: [][]string{hosts[:4], hosts[4:]},
-		L2Band:     8,
-	})
+	// Lab.HostGroups partitions the eight hosts into two "racks" of four,
+	// one 1st-level controller each; the 2nd level's band defaults to
+	// 8 req/s.
+	rep, err := mistral.Recipe{
+		Lab:      mistral.LabOptions{NumApps: 4, Seed: 42},
+		Strategy: "mistral",
+	}.Build(mistral.RunConfig{Duration: 2 * time.Hour})
 	if err != nil {
 		return err
 	}
 
 	fmt.Println("Replaying 2 hours of the 4-app scenario under the two-level hierarchy...")
-	res, err := sys.ReplayFor(ctrl, nil, 2*time.Hour)
+	res, err := rep.Engine.Run()
 	if err != nil {
 		return err
 	}
@@ -51,7 +47,7 @@ func run() error {
 			w.Watts, w.Actions, w.CumUtility)
 	}
 
-	l1, l2 := ctrl.Stats()
+	l1, l2 := rep.Decider.(*mistral.MistralController).Stats()
 	fmt.Printf("\nlevel-1 controllers: %d invocations, mean search %v\n", l1.Invocations, l1.MeanSearch())
 	fmt.Printf("level-2 controller:  %d invocations, mean search %v\n", l2.Invocations, l2.MeanSearch())
 	fmt.Printf("cumulative utility:  $%.1f (%d actions)\n", res.CumUtility, res.TotalActions)

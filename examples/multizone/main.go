@@ -13,9 +13,6 @@ import (
 	"time"
 
 	"github.com/mistralcloud/mistral"
-	"github.com/mistralcloud/mistral/internal/experiments"
-	"github.com/mistralcloud/mistral/internal/scenario"
-	"github.com/mistralcloud/mistral/internal/strategy"
 )
 
 func main() {
@@ -26,42 +23,21 @@ func main() {
 }
 
 func run() error {
-	lab, err := experiments.NewLab(experiments.LabOptions{
-		NumApps: 2,
-		Zones:   2,
-		Seed:    42,
-	})
+	rep, err := mistral.Recipe{
+		Lab:      mistral.LabOptions{NumApps: 2, Zones: 2, Seed: 42},
+		Strategy: "mistral",
+	}.Build(mistral.RunConfig{Duration: 3 * time.Hour})
 	if err != nil {
 		return err
 	}
-	fmt.Printf("zones: %v\n", lab.Cat.Zones())
-	for _, z := range lab.Cat.Zones() {
-		fmt.Printf("  %s: %v\n", z, lab.Cat.HostsInZone(z))
-	}
-
-	tb, err := lab.NewTestbed()
-	if err != nil {
-		return err
-	}
-	eval, err := lab.NewEvaluator()
-	if err != nil {
-		return err
-	}
-	ctrl, err := strategy.NewMistral(eval, strategy.MistralConfig{
-		HostGroups:         lab.HostGroups(),
-		MonitoringInterval: lab.Util.MonitoringInterval,
-	})
-	if err != nil {
-		return err
+	cat := rep.Lab.Cat
+	fmt.Printf("zones: %v\n", cat.Zones())
+	for _, z := range cat.Zones() {
+		fmt.Printf("  %s: %v\n", z, cat.HostsInZone(z))
 	}
 
 	fmt.Println("\nReplaying 3 hours across two data centers...")
-	res, err := scenario.Run(tb, ctrl, scenario.RunConfig{
-		Traces:   lab.Traces,
-		Duration: 3 * time.Hour,
-		Interval: lab.Util.MonitoringInterval,
-		Utility:  lab.Util,
-	})
+	res, err := rep.Engine.Run()
 	if err != nil {
 		return err
 	}
@@ -74,6 +50,7 @@ func run() error {
 			w.Time, w.Rates["rubis1"], w.Rates["rubis2"], w.Watts, w.Actions, w.CumUtility)
 	}
 
+	ctrl := rep.Decider.(*mistral.MistralController)
 	l1, l2 := ctrl.Stats()
 	l3 := ctrl.StatsL3()
 	fmt.Printf("\nlevel 1 (per-DC):    %3d invocations, mean search %v\n", l1.Invocations, l1.MeanSearch())

@@ -20,17 +20,16 @@ func main() {
 }
 
 func run() error {
-	sys, err := mistral.NewSystem(mistral.SystemOptions{NumApps: 2, Seed: 42})
-	if err != nil {
-		return err
-	}
-	ctrl, err := sys.NewMistral(mistral.ControllerOptions{})
+	rep, err := mistral.Recipe{
+		Lab:      mistral.LabOptions{NumApps: 2, Seed: 42},
+		Strategy: "mistral",
+	}.Build(mistral.RunConfig{Duration: time.Hour})
 	if err != nil {
 		return err
 	}
 
 	fmt.Println("Replaying one hour of the paper's workloads under Mistral...")
-	res, err := sys.ReplayFor(ctrl, nil, time.Hour)
+	res, err := rep.Engine.Run()
 	if err != nil {
 		return err
 	}

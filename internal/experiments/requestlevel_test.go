@@ -54,7 +54,8 @@ func strategyRecipe(s StrategyName) Recipe {
 // replica removal that once left a request queued at Dom-0 holding a nil
 // station, and the other three for their first hour; and Mistral for an
 // hour at a 10% action-failure rate under rollback, so failed and
-// compensating steps run through the DES too. Each slice's per-window
+// compensating steps run through the DES too. The testbed runs every plan:
+// no window is degraded by a rejected plan. Each slice's per-window
 // response times, watts, utility and degraded reason are pinned to
 // testdata/requestlevel-NAME.golden (`-update` rewrites them). The full day,
 // over a minute for all four, is TestRequestLevelFullDay behind the
@@ -92,6 +93,9 @@ func TestRequestLevelReplaySlices(t *testing.T) {
 				}
 				if w.DegradedReason != "" {
 					fmt.Fprintf(&buf, " degraded=%q", w.DegradedReason)
+				}
+				if strings.Contains(w.DegradedReason, "plan rejected") {
+					t.Errorf("window %d: the testbed rejected the plan: %s", i, w.DegradedReason)
 				}
 				buf.WriteByte('\n')
 			}

@@ -77,6 +77,31 @@ func TestAddRemoveHost(t *testing.T) {
 	}
 }
 
+// TestRestartedHostRunsAtFullFrequency power-cycles a host the DES had
+// slowed by DVFS and loaded with Dom-0 background work: it comes back at
+// its full Dom-0 share, as a host boots at its nominal frequency.
+func TestRestartedHostRunsAtFullFrequency(t *testing.T) {
+	sys := hostOpsSystem(t)
+	if err := sys.AddHost("h2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SetHostFreq("h2", 0.6, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.SetDom0Background("h2", 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.RemoveHost("h2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.AddHost("h2"); err != nil {
+		t.Fatal(err)
+	}
+	if got := sys.dom0["h2"].Rate(); got != cluster.Dom0CPUShare || sys.dom0BG["h2"] != 0 {
+		t.Errorf("restarted Dom-0 rate %v with background %v, want %v with none", got, sys.dom0BG["h2"], cluster.Dom0CPUShare)
+	}
+}
+
 // TestRemoveVMWhileRequestsWaitAtDom0 removes a replica while requests
 // routed to it still queue at its host's Dom-0: they are dropped, as
 // RemoveVM's in-flight requests are, and the system keeps serving through

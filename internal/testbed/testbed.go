@@ -500,9 +500,6 @@ func (tb *Testbed) Execute(plan []cluster.Action) (ExecReport, error) {
 			}
 			return ExecReport{}, fmt.Errorf("testbed: plan step %d: %w", i, err)
 		}
-		if r := phaseTable[filled.Kind].refusal; r != "" && tb.opts.Mode == ModeRequestLevel {
-			return ExecReport{}, fmt.Errorf("testbed: plan step %d: %s is not supported in request-level mode", i, r)
-		}
 		pred := tb.costMgr.Predict(cur, filled, tb.rates)
 		f := inj.Action(filled.Kind)
 		dur := pred.Duration
@@ -653,13 +650,15 @@ const (
 	vmAdded
 	vmRemoved
 	hostFreq
+	hostAdded
+	hostRemoved
 )
 
 // commits reports whether op is part of the action's configuration change
 // rather than its transient churn. A phase that fails mid-flight runs only
 // the transient operations: the Dom-0 copy load and the shadow-paging
 // slowdown come and go, but the VM never freezes, moves, starts or stops,
-// and no cap or frequency changes.
+// no cap or frequency changes, and no host powers up or down.
 func (op desOp) commits() bool { return op >= vmFrozen }
 
 // phaseRow is what one action kind does on the timeline: the DES operations
@@ -670,8 +669,8 @@ type phaseRow struct {
 	dom0               float64       // the Dom-0 share srcLoaded and dstLoaded consume
 	downtime           time.Duration // the stop-and-copy pause before the end
 	netHosts           float64       // hosts drawing migrationNetWatts while the phase runs, failed or not
+	cycleWatts         bool          // the phase draws its predicted DeltaWatts (boot or shutdown), failed or not
 	applyAtStart       bool          // the configuration changes as the phase begins (a host stops taking work)
-	refusal            string        // set: request-level mode cannot run the kind, and Execute names it
 }
 
 // phaseTable is, per action kind, the measured transient of §III-C as the
@@ -683,8 +682,8 @@ var phaseTable = [...]phaseRow{
 	cluster.ActionAddReplica:    {start: []desOp{dstLoaded}, end: []desOp{dstIdle, vmAdded}, dom0: migrationDom0Load * 0.8, netHosts: 2},
 	cluster.ActionRemoveReplica: {start: []desOp{srcLoaded, vmRemoved}, end: []desOp{srcIdle}, dom0: migrationDom0Load * 0.6, netHosts: 2},
 	cluster.ActionMigrate:       migration(migrationDom0Load, migrationDowntime),
-	cluster.ActionStartHost:     {refusal: "host power cycling"},
-	cluster.ActionStopHost:      {refusal: "host power cycling", applyAtStart: true},
+	cluster.ActionStartHost:     {end: []desOp{hostAdded}, cycleWatts: true},
+	cluster.ActionStopHost:      {start: []desOp{hostRemoved}, cycleWatts: true, applyAtStart: true},
 	cluster.ActionSetDVFS:       {end: []desOp{hostFreq}},
 	// Over the WAN: a lighter but sustained copy and a longer pause.
 	cluster.ActionWANMigrate: migration(migrationDom0Load*0.5, 4*migrationDowntime),
@@ -772,6 +771,10 @@ func (tb *Testbed) runOp(ph phase, row *phaseRow, op desOp) error {
 			}
 		}
 		return q.SetHostFreq(a.Host, a.Freq, allocs)
+	case hostAdded:
+		return q.AddHost(a.Host)
+	case hostRemoved:
+		return q.RemoveHost(a.Host)
 	}
 	return nil
 }
@@ -1141,8 +1144,10 @@ func (tb *Testbed) CrashHost(host string) (CrashReport, error) {
 	return rep, nil
 }
 
-// windowNetWatts returns the time-weighted NIC/chipset power of the
-// data-moving phases (phaseRow.netHosts) overlapping the window.
+// windowNetWatts returns the time-weighted transient power the DES's
+// utilization does not hold, over the phases overlapping the window: the
+// data movers' NIC/chipset power (phaseRow.netHosts) and the power cycles'
+// boot and shutdown draw (phaseRow.cycleWatts).
 func (tb *Testbed) windowNetWatts(from, to time.Duration) float64 {
 	window := (to - from).Seconds()
 	if window <= 0 {
@@ -1150,13 +1155,14 @@ func (tb *Testbed) windowNetWatts(from, to time.Duration) float64 {
 	}
 	var watts float64
 	for _, ph := range tb.phases {
-		hosts := phaseTable[ph.action.Kind].netHosts
-		if hosts == 0 {
-			continue
+		row := &phaseTable[ph.action.Kind]
+		w := migrationNetWatts * row.netHosts
+		if row.cycleWatts {
+			w += ph.pred.DeltaWatts
 		}
 		lo, hi := max(ph.start, from), min(ph.end, to)
-		if hi > lo {
-			watts += migrationNetWatts * hosts * (hi - lo).Seconds() / window
+		if w != 0 && hi > lo {
+			watts += w * (hi - lo).Seconds() / window
 		}
 	}
 	return watts

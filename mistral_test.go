@@ -7,56 +7,39 @@ import (
 	"github.com/mistralcloud/mistral"
 )
 
-func TestNewSystemDefaults(t *testing.T) {
-	sys, err := mistral.NewSystem(mistral.SystemOptions{Seed: 1})
+func TestRecipeDefaults(t *testing.T) {
+	rep, err := mistral.Recipe{Lab: mistral.LabOptions{Seed: 1}, Strategy: "mistral"}.Build(mistral.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(sys.Apps()); got != 2 {
+	lab := rep.Lab
+	if got := len(lab.Apps); got != 2 {
 		t.Errorf("apps = %d, want 2", got)
 	}
-	if got := len(sys.Catalog().HostNames()); got != 4 {
+	if got := len(lab.Cat.HostNames()); got != 4 {
 		t.Errorf("hosts = %d, want 4", got)
 	}
-	if !sys.InitialConfig().IsCandidate(sys.Catalog()) {
+	if !lab.Initial.IsCandidate(lab.Cat) {
 		t.Error("initial config invalid")
 	}
-	if sys.Workloads() == nil {
-		t.Error("no workloads")
+	if len(lab.Traces) != 2 {
+		t.Errorf("workload set = %d traces, want 2", len(lab.Traces))
 	}
-	if sys.Utility().MonitoringInterval != 2*time.Minute {
-		t.Errorf("monitoring interval = %v", sys.Utility().MonitoringInterval)
-	}
-}
-
-func TestNewSystemCustomApps(t *testing.T) {
-	a := mistral.RUBiS("shop")
-	sys, err := mistral.NewSystem(mistral.SystemOptions{
-		Apps:  []*mistral.AppSpec{a},
-		Hosts: []mistral.HostSpec{mistral.DefaultHostSpec("alpha"), mistral.DefaultHostSpec("beta")},
-		Seed:  2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := sys.Catalog().HostNames(); len(got) != 2 || got[0] != "alpha" {
-		t.Errorf("hosts = %v", got)
-	}
-	if _, ok := sys.Utility().Apps["shop"]; !ok {
-		t.Error("custom app missing from utility params")
+	if lab.Util.MonitoringInterval != 2*time.Minute {
+		t.Errorf("monitoring interval = %v", lab.Util.MonitoringInterval)
 	}
 }
 
 func TestSystemIdealConfiguration(t *testing.T) {
-	sys, err := mistral.NewSystem(mistral.SystemOptions{Seed: 3})
+	lab, err := mistral.NewLab(mistral.LabOptions{Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	low, err := sys.IdealConfiguration(map[string]float64{"rubis1": 5, "rubis2": 5})
+	low, err := mistral.PerfPwr(lab, map[string]float64{"rubis1": 5, "rubis2": 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	high, err := sys.IdealConfiguration(map[string]float64{"rubis1": 90, "rubis2": 90})
+	high, err := mistral.PerfPwr(lab, map[string]float64{"rubis1": 90, "rubis2": 90})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,15 +53,11 @@ func TestSystemReplayQuickstart(t *testing.T) {
 	if testing.Short() {
 		t.Skip("scenario replay")
 	}
-	sys, err := mistral.NewSystem(mistral.SystemOptions{Seed: 4})
+	rep, err := mistral.Recipe{Lab: mistral.LabOptions{Seed: 4}, Strategy: "mistral"}.Build(mistral.RunConfig{Duration: 30 * time.Minute})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := sys.NewMistral(mistral.ControllerOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.ReplayFor(ctrl, nil, 30*time.Minute)
+	res, err := rep.Engine.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,33 +70,49 @@ func TestSystemReplayQuickstart(t *testing.T) {
 }
 
 func TestSystemBaselines(t *testing.T) {
-	sys, err := mistral.NewSystem(mistral.SystemOptions{Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, mk := range []func() (mistral.Decider, error){
-		sys.NewPerfPwrBaseline, sys.NewPerfCostBaseline, sys.NewPwrCostBaseline,
-	} {
-		d, err := mk()
+	for _, s := range []string{"perf-pwr", "perf-cost", "pwr-cost"} {
+		rep, err := mistral.Recipe{Lab: mistral.LabOptions{Seed: 5}, Strategy: s}.Build(mistral.RunConfig{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if d.Name() == "" {
-			t.Error("baseline with empty name")
+		if rep.Decider.Name() == "" {
+			t.Errorf("%s: baseline with empty name", s)
 		}
 	}
 }
 
-func TestPaperHelpers(t *testing.T) {
-	if got := mistral.PaperCostTable(); len(got.Keys()) == 0 {
-		t.Error("empty cost table")
+// stayPut is a caller-written Decider: it never adapts.
+type stayPut struct{ windows int }
+
+func (*stayPut) Name() string { return "stay-put" }
+
+func (*stayPut) Decide(time.Duration, mistral.Config, map[string]float64) (mistral.Decision, error) {
+	return mistral.Decision{}, nil
+}
+
+func (d *stayPut) RecordWindow(float64, float64, float64) { d.windows++ }
+
+func TestRunCallerDecider(t *testing.T) {
+	lab, err := mistral.NewLab(mistral.LabOptions{Seed: 6})
+	if err != nil {
+		t.Fatal(err)
 	}
-	util := mistral.PaperUtility([]string{"x"})
-	if err := util.Validate(); err != nil {
-		t.Errorf("paper utility invalid: %v", err)
+	tb, err := lab.NewTestbed()
+	if err != nil {
+		t.Fatal(err)
 	}
-	set := mistral.PaperWorkloads(1, []string{"a", "b"})
-	if len(set) != 2 {
-		t.Errorf("workload set = %d", len(set))
+	d := &stayPut{}
+	res, err := mistral.Run(tb, d, mistral.RunConfig{
+		Traces:   lab.Traces,
+		Duration: 10 * time.Minute,
+		Interval: lab.Util.MonitoringInterval,
+		Utility:  lab.Util,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Windows) != 5 || d.windows != 5 || res.Strategy != "stay-put" || res.TotalActions != 0 {
+		t.Errorf("Run: %d windows (%d recorded) of %q with %d actions, want 5 of stay-put with none",
+			len(res.Windows), d.windows, res.Strategy, res.TotalActions)
 	}
 }

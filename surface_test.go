@@ -16,7 +16,7 @@ import (
 // package or a *flag.FlagSet. A change that adds one raises this number on
 // purpose, with the second caller that needs a different value as its
 // reason.
-const settableValuesCeiling = 136
+const settableValuesCeiling = 126
 
 // flagDefiners are the flag package's functions that define a flag.
 var flagDefiners = map[string]bool{
