@@ -158,17 +158,21 @@ func Apply(cat *Catalog, cfg Config, a Action) (Config, Action, error) {
 }
 
 // ApplyAll applies a sequence of actions, returning the final configuration
-// and the sequence with derived fields filled in.
+// and the sequence with derived fields filled in. cfg is never written: the
+// first step copies it once and every step applies to that copy in place.
 func ApplyAll(cat *Catalog, cfg Config, plan []Action) (Config, []Action, error) {
 	out := make([]Action, 0, len(plan))
 	cur := cfg
 	for i, a := range plan {
-		next, filled, err := Apply(cat, cur, a)
+		filled, d, err := Stage(cat, cur, a)
 		if err != nil {
 			return Config{}, nil, fmt.Errorf("cluster: applying step %d (%s): %w", i, a, err)
 		}
+		if i == 0 {
+			cur = cfg.Clone()
+		}
+		cur.ApplyDelta(d)
 		out = append(out, filled)
-		cur = next
 	}
 	return cur, out, nil
 }

@@ -345,6 +345,10 @@ func (c *Catalog) Apps() []string { return c.apps }
 // VMIDs belongs to.
 func (c *Catalog) VMApp(i int) int { return int(c.vmApp[i]) }
 
+// VMTier returns the position in Tiers of the tier the i-th VM of VMIDs
+// belongs to.
+func (c *Catalog) VMTier(i int) int { return int(c.vmTier[i]) }
+
 // ActionIndices resolves the names an action carries to catalog indices:
 // its VM's position in VMIDs and its Host's and FromHost's in HostNames,
 // each -1 when the action names none or one the catalog does not know.

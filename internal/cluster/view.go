@@ -159,6 +159,63 @@ func (v *View) derive() {
 	}
 }
 
+// Place puts the vm-th VM on the host-th host at cpuPct, or takes it out of
+// service with host Dormant, in the loaded configuration, and SetHostOn
+// powers the host-th host on or off. Each returns fp, the fingerprint of the
+// configuration before the change, updated as the Config mutator of the same
+// name (Unplace for Dormant) updates its own, and leaves the view Load of the
+// changed configuration, every array bit for bit: the host aggregates are
+// refolded in VM order. Build a configuration in a view with them where
+// nothing but the solver and the memo key read it.
+func (v *View) Place(fp Fingerprint, vm, host int, cpuPct float64) Fingerprint {
+	cat := v.cat
+	row := cat.tokPlace[vm*len(cat.hostNames):]
+	old := v.VMHost[vm]
+	if old >= 0 {
+		fp.xor(row[old].int64(cpuBucket(v.VMCPU[vm])).fingerprint())
+	}
+	if host < 0 {
+		host, cpuPct = Dormant, 0
+	} else {
+		fp.xor(row[host].int64(cpuBucket(cpuPct)).fingerprint())
+	}
+	v.VMHost[vm], v.VMCPU[vm] = int32(host), cpuPct
+	if old >= 0 {
+		v.count(vm, old, -1)
+	}
+	if host >= 0 {
+		v.count(vm, int32(host), 1)
+	}
+	return fp
+}
+
+// SetHostOn: see Place.
+func (v *View) SetHostOn(fp Fingerprint, host int, on bool) Fingerprint {
+	if v.HostOn[host] != on {
+		v.HostOn[host] = on
+		fp.xor(v.cat.tokOn[host])
+	}
+	return fp
+}
+
+// count adds the vm-th VM to the host-th host's aggregates (n = 1) or takes
+// it off them (n = -1), once the VM's entries say where it now is, and
+// refolds the host's allocated CPU as derive folds it.
+func (v *View) count(vm int, host int32, n int32) {
+	cat := v.cat
+	v.HostMem[host] += int(n) * cat.vmMem[vm]
+	v.HostVMs[host] += n
+	v.TierActive[cat.vmTier[vm]] += n
+	v.hostApps[int(host)*len(cat.apps)+int(cat.vmApp[vm])] += n
+	var sum float64
+	for i, h := range v.VMHost {
+		if h == host {
+			sum += v.VMCPU[i]
+		}
+	}
+	v.HostCPU[host] = sum
+}
+
 // loadFor fills only the entries stage reads to judge one action — of the
 // given kind, on the vm-th VM and the host-th host (-1: none) — so that
 // staging a single action costs a handful of map reads, as it always did,

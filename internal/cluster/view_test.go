@@ -257,3 +257,49 @@ func TestViewRejectsForeignConfig(t *testing.T) {
 		t.Error("Stage accepted an action on a VM placed outside the catalog")
 	}
 }
+
+// TestViewPlaceMatchesConfig drives random Place and SetHostOn sequences on
+// a loaded view and the same mutations on the configuration it holds: after
+// every step the view must be Load of the mutated configuration, array for
+// array, and the fingerprint it folded the configuration's own.
+func TestViewPlaceMatchesConfig(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 11))
+	for _, lab := range diffLabs(t) {
+		cat := lab.cat
+		for trial := 0; trial < 50; trial++ {
+			cfg := randomConfig(cat, rng)
+			var v View
+			if !v.Load(cat, cfg) {
+				t.Fatalf("%s: random configuration does not fit", lab.name)
+			}
+			fp := cfg.Fingerprint()
+			for step := 0; step < 20; step++ {
+				h := rng.IntN(len(cat.HostNames()))
+				if rng.IntN(4) == 0 {
+					on := rng.IntN(2) == 0
+					fp = v.SetHostOn(fp, h, on)
+					cfg.SetHostOn(cat.HostNames()[h], on)
+				} else {
+					vm := rng.IntN(len(cat.VMIDs()))
+					id := cat.VMIDs()[vm]
+					if rng.IntN(4) == 0 {
+						fp = v.Place(fp, vm, Dormant, 0)
+						cfg.Unplace(id)
+					} else {
+						cpu := 20 + 5*float64(rng.IntN(13))
+						fp = v.Place(fp, vm, h, cpu)
+						cfg.Place(id, cat.HostNames()[h], cpu)
+					}
+				}
+				var want View
+				want.Load(cat, cfg)
+				if fp != cfg.Fingerprint() {
+					t.Fatalf("%s trial %d step %d: fingerprint %v, configuration's %v", lab.name, trial, step, fp, cfg.Fingerprint())
+				}
+				if !reflect.DeepEqual(v, want) {
+					t.Fatalf("%s trial %d step %d: view differs from Load of the configuration", lab.name, trial, step)
+				}
+			}
+		}
+	}
+}

@@ -210,7 +210,16 @@ func TestPerfPwrHostSubset(t *testing.T) {
 // fullFloor is the floor of PerfPwr's sweep over hosts.
 func fullFloor(e *env, hosts []string) int {
 	scope, _ := fullScope(e.eval, PerfPwrOptions{})
-	return newPackPlan(e.eval, rates(e, 50), scope, hosts).floor()
+	return mustPlan(e.eval, rates(e, 50), scope, hosts).floor()
+}
+
+// mustPlan is newPackPlan for a scope the test knows fits the catalog.
+func mustPlan(e *Evaluator, rates map[string]float64, scope packScope, hosts []string) *packPlan {
+	p, err := newPackPlan(e, rates, scope, hosts)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // TestMinHostsNeeded pins the sweep's floor on the paper's lab for both
@@ -223,7 +232,7 @@ func TestMinHostsNeeded(t *testing.T) {
 		t.Errorf("PerfPwr floor = %d, want 2", got)
 	}
 	scope, hosts := subsetScope(e.eval, e.cfg, nil)
-	if got := newPackPlan(e.eval, rates(e, 50), scope, hosts).floor(); len(scope.managed) != 6 || got != 2 {
+	if got := mustPlan(e.eval, rates(e, 50), scope, hosts).floor(); len(scope.managed) != 6 || got != 2 {
 		t.Errorf("PerfPwrSubset floor = %d for %d managed VMs, want 2 for 6", got, len(scope.managed))
 	}
 }

@@ -99,7 +99,11 @@ func auditFloor(e *Evaluator, rates map[string]float64, scope packScope, hosts [
 	if len(e.cat.Zones()) > 1 {
 		variants = 2
 	}
-	plan := newPackPlan(e, rates, scope, hosts)
+	plan, err := newPackPlan(e, rates, scope, hosts)
+	if err != nil {
+		return FloorAudit{}, err
+	}
+	defer plan.release()
 	floor := plan.floor()
 	audit := FloorAudit{Arms: (len(hosts) - floor + 1) * variants}
 	for n := 1; n < floor; n++ {

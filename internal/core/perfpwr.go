@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"math"
 	"slices"
+	"sync"
 	"time"
 
 	"github.com/mistralcloud/mistral/internal/cluster"
@@ -224,20 +225,24 @@ func sweepHostCounts(e *Evaluator, rates map[string]float64, scope packScope, ho
 	if len(e.cat.Zones()) > 1 {
 		variants = 2
 	}
-	plan := newPackPlan(e, rates, scope, hosts)
+	plan, err := newPackPlan(e, rates, scope, hosts)
+	if err != nil {
+		return Ideal{}, err
+	}
+	defer plan.release()
 	var best *Ideal
 	dbg := e.log.Enabled(context.Background(), slog.LevelDebug)
 	for n, floor := len(hosts), plan.floor(); n >= floor; n-- {
 		// The variants of one host count walk the same states until their
 		// packings diverge, so they run back to back and the second replays
 		// the first's trail instead of scoring those states again.
-		var trail []step
+		plan.trail = plan.trail[:0]
 		for v := 0; v < variants; v++ {
 			noAffinity := v == 1
 			e.cSweepArms.Inc()
 			r := newReduction(plan, n, noAffinity)
 			if variants > 1 {
-				r.trail = &trail // a lone arm has no twin to record for
+				r.trail = &plan.trail // a lone arm has no twin to record for
 			}
 			cfg, ok, err := r.run()
 			if err != nil {
@@ -441,23 +446,25 @@ func (s packScope) meetsTargets(e *Evaluator, st Steady, rates map[string]float6
 
 // planVM is what a Perf-Pwr call knows about one managed VM up front.
 type planVM struct {
-	spec cluster.VMSpec // zero for a VM the catalog does not list
-	// tier indexes packPlan.tiers (-1 outside the catalog). counted is false
-	// for a VM whose tier or application catalog and model do not know: it
-	// carries no demand share.
+	spec cluster.VMSpec
+	// slot is the VM's position in the catalog, which is how a View and an
+	// lqn.Session address it; tier indexes packPlan.tiers and app the
+	// catalog's Apps. counted is false for a VM whose application the model
+	// does not know: it carries no demand share.
+	slot    int
 	tier    int
+	app     int
 	counted bool
 	pinZone string // zone pin; pinned false when free
 	pinned  bool
 	pool    []string // host pool of the VM's application; pooled false when unconfined
 	pooled  bool
-	appNo   int // dense application number, keys the packing's per-app zone memory
-	slot    int // the VM as an lqn.Session addresses it
 }
 
 // packHost is one packing target's remaining capacity.
 type packHost struct {
 	name    string
+	idx     int // position in the catalog
 	zone    string
 	freeCPU float64
 	freeMem int
@@ -472,6 +479,10 @@ type packHost struct {
 // rule they follow is DESIGN.md §9's — an arm loads its base configuration
 // into the solver once, and a reduction candidate is a patch of that state,
 // scored for what the gradient reads and never built.
+//
+// A plan is scratch drawn from planPool by newPackPlan and handed back by
+// release, the arrays of its arms included: the arms run one at a time in
+// arm, so a call allocates its working memory only when the pool is empty.
 type packPlan struct {
 	e     *Evaluator
 	rates map[string]float64
@@ -483,11 +494,9 @@ type packPlan struct {
 	// eq1 and targets are what scoring a candidate folds its response times
 	// through: the workload's Eq. 1 inputs and, aligned with
 	// Evaluator.appNames, the scope's hard response-time ceilings (+Inf for
-	// none; nil without targets).
+	// none; empty without targets).
 	eq1     eq1
 	targets []float64
-	// apps is how many distinct applications the managed VMs belong to.
-	apps int
 
 	tiers []cluster.TierKey
 	// tierVMs lists each tier's managed replicas (indices into ids) in ID
@@ -502,98 +511,124 @@ type packPlan struct {
 	// hosts is the call's packing targets with the capacity the fixed VMs
 	// leave on each; arm n packs onto hosts[:n].
 	hosts []packHost
+
+	// view holds the scope's fixed remainder, and from an arm's start the
+	// arm's initial state spread over it.
+	view cluster.View
+	// arm is the reduction newReduction hands out, trail the record the
+	// affinity twins of one host count share.
+	arm   reduction
+	trail []step
 }
 
-func newPackPlan(e *Evaluator, rates map[string]float64, scope packScope, hosts []string) *packPlan {
+// planPool recycles packPlans across Perf-Pwr calls.
+var planPool = sync.Pool{New: func() any { return new(packPlan) }}
+
+// newPackPlan draws a plan from the pool and fills it for one call. The
+// scope must fit the catalog — its managed VMs, its hosts and every VM and
+// host of its fixed remainder cataloged — as the arms' dense state cannot
+// express anything else.
+func newPackPlan(e *Evaluator, rates map[string]float64, scope packScope, hosts []string) (*packPlan, error) {
 	cat := e.cat
-	p := &packPlan{e: e, rates: rates, rfp: e.RatesFingerprint(rates), scope: scope, tiers: cat.Tiers()}
-	p.ids = slices.Clone(scope.managed)
+	p := planPool.Get().(*packPlan)
+	p.e, p.rates, p.rfp, p.scope, p.tiers = e, rates, e.RatesFingerprint(rates), scope, cat.Tiers()
+	if !p.view.Load(cat, scope.fixed) {
+		p.release()
+		return nil, fmt.Errorf("core: Perf-Pwr scope is outside the catalog: %s", scope.fixed)
+	}
+	p.ids = append(p.ids[:0], scope.managed...)
 	slices.Sort(p.ids)
-	p.vms = make([]planVM, len(p.ids))
+	p.vms = sized(p.vms, len(p.ids))
 	p.eq1.load(e, rates)
+	p.targets = p.targets[:0]
 	if scope.rtTargets != nil {
-		p.targets = make([]float64, len(e.appNames))
 		for ai, name := range e.appNames {
-			p.targets[ai] = math.Inf(1)
+			target := math.Inf(1)
 			if rates[name] > 0 {
-				p.targets[ai] = scope.rtTargets[ai]
+				target = scope.rtTargets[ai]
 			}
+			p.targets = append(p.targets, target)
 		}
 	}
-	p.tierVMs = make([][]int, len(p.tiers))
-	p.fixedReplicas = make([]int, len(p.tiers))
-	p.tierDemand = make([]float64, len(p.tiers))
-	tierNo := make(map[cluster.TierKey]int, len(p.tiers))
+	p.tierVMs = sized(p.tierVMs, len(p.tiers))
+	p.fixedReplicas = sized(p.fixedReplicas, len(p.tiers))
+	p.tierDemand = sized(p.tierDemand, len(p.tiers))
 	for t, k := range p.tiers {
-		tierNo[k] = t
+		p.tierVMs[t] = p.tierVMs[t][:0]
+		p.fixedReplicas[t] = int(p.view.TierActive[t])
+		p.tierDemand[t] = 0
 		if spec := e.model.Apps()[k.App]; spec != nil {
 			p.tierDemand[t] = rates[k.App] * spec.MeanDemandMS(k.Tier) / 1000
 		}
-		for _, id := range cat.TierVMs(k) {
-			if scope.fixed.Active(id) {
-				p.fixedReplicas[t]++
-			}
-		}
 	}
-	appNo := make(map[string]int)
 	for i, id := range p.ids {
-		vm, known := cat.VM(id)
-		v := planVM{spec: vm, tier: -1}
-		if known {
-			v.tier = tierNo[cluster.TierKey{App: vm.App, Tier: vm.Tier}]
-			p.tierVMs[v.tier] = append(p.tierVMs[v.tier], i)
-			v.counted = e.model.Apps()[vm.App] != nil
+		slot, known := cat.VMIndex(id)
+		if !known {
+			p.release()
+			return nil, fmt.Errorf("core: Perf-Pwr scope is outside the catalog: VM %q", id)
 		}
+		vm, _ := cat.VM(id)
+		v := planVM{spec: vm, slot: slot, tier: cat.VMTier(slot), app: cat.VMApp(slot)}
+		p.tierVMs[v.tier] = append(p.tierVMs[v.tier], i)
+		v.counted = e.model.Apps()[vm.App] != nil
 		v.pinZone, v.pinned = scope.zonePins[id]
 		v.pool, v.pooled = scope.appPools[vm.App]
-		if _, seen := appNo[vm.App]; !seen {
-			appNo[vm.App] = len(appNo)
-		}
-		v.appNo = appNo[vm.App]
-		v.slot = e.model.VMSlot(id)
 		p.vms[i] = v
 	}
-	p.apps = len(appNo)
 
-	p.hosts = make([]packHost, len(hosts))
+	p.hosts = sized(p.hosts, len(hosts))
 	for hi, h := range hosts {
-		spec, _ := cat.Host(h)
+		idx, known := cat.HostIndex(h)
+		if !known {
+			p.release()
+			return nil, fmt.Errorf("core: Perf-Pwr scope is outside the catalog: host %q", h)
+		}
+		spec := cat.HostSpecs()[idx]
 		ph := packHost{
 			name:    h,
-			zone:    cat.ZoneOf(h),
+			idx:     idx,
+			zone:    spec.Zone,
 			freeCPU: spec.UsableCPUPct,
-			freeMem: spec.MemoryMB - spec.Dom0MemoryMB,
-			slots:   spec.MaxVMs,
+			freeMem: spec.MemoryMB - spec.Dom0MemoryMB - p.view.HostMem[idx],
+			slots:   spec.MaxVMs - int(p.view.HostVMs[idx]),
+			used:    p.view.HostVMs[idx] > 0,
 		}
-		// Fixed VMs on in-scope hosts consume capacity up front.
-		for _, id := range scope.fixed.VMsOnHost(h) {
-			pl, _ := scope.fixed.PlacementOf(id)
-			vm, _ := cat.VM(id)
-			ph.freeCPU -= pl.CPUPct
-			ph.freeMem -= vm.MemoryMB
-			ph.slots--
-			ph.used = true
+		// Fixed VMs on in-scope hosts consume capacity up front, their CPU
+		// taken off one by one in VM order.
+		for vi, vh := range p.view.VMHost {
+			if int(vh) == idx {
+				ph.freeCPU -= p.view.VMCPU[vi]
+			}
 		}
 		p.hosts[hi] = ph
 	}
-	return p
+	return p, nil
+}
+
+// release hands the plan back to the pool, closing a session its last arm
+// left open and dropping what it references of the call.
+func (p *packPlan) release() {
+	p.arm.close()
+	p.arm.packPlan, p.arm.trail = nil, nil
+	p.e, p.rates, p.scope = nil, nil, packScope{}
+	clear(p.vms)
+	planPool.Put(p)
 }
 
 // floor is the fewest hosts an arm can pack onto. Every state a reduction
 // reaches keeps a floor set of VMs: with replica removal the first managed
 // replica of each tier (reduce removes only a tier's last active replica,
-// never its only one), without it every managed VM, and either way any VM
-// outside the catalog's tiers. Arm n packs onto hosts[:n], net of the fixed
-// VMs, so it can pack only if the floor set fits their slots, their memory
-// and their CPU at the minimum allocation: necessary for any packing, pins
-// and pools included, so every arm below the floor ends unpackable. The CPU
-// comparison credits each VM 1e-6 points, far above the 1e-9 slack reduce
-// and binPack allow. The largest arm always runs: a sweep where nothing fits
-// still reports it.
+// never its only one), without it every managed VM. Arm n packs onto
+// hosts[:n], net of the fixed VMs, so it can pack only if the floor set fits
+// their slots, their memory and their CPU at the minimum allocation:
+// necessary for any packing, pins and pools included, so every arm below the
+// floor ends unpackable. The CPU comparison credits each VM 1e-6 points, far
+// above the 1e-9 slack reduce and binPack allow. The largest arm always runs:
+// a sweep where nothing fits still reports it.
 func (p *packPlan) floor() int {
 	vms, memMB := 0, 0
 	for i, v := range p.vms {
-		if v.tier < 0 || !p.scope.allowReplicaRemoval || p.tierVMs[v.tier][0] == i {
+		if !p.scope.allowReplicaRemoval || p.tierVMs[v.tier][0] == i {
 			vms++
 			memMB += v.spec.MemoryMB
 		}
@@ -674,31 +709,28 @@ type step struct {
 	found   bool
 }
 
+// newReduction readies the plan's arm for nHosts hosts, reusing the arrays
+// of the arm before it (whose session it closes if still open): a plan runs
+// one arm at a time.
 func newReduction(p *packPlan, nHosts int, noAffinity bool) *reduction {
-	n := len(p.ids)
-	floats := make([]float64, 2*n+len(p.tiers))
-	r := &reduction{
-		packPlan:   p,
-		hosts:      p.hosts[:nHosts],
-		noAffinity: noAffinity,
-		cpu:        floats[:n:n],
-		alloc:      floats[n : 2*n : 2*n],
-		share:      floats[2*n:],
-		active:     make([]bool, n),
-		replicas:   make([]int, len(p.tiers)),
-		seats:      make([]lqn.HostSlot, nHosts),
-		free:       make([]packHost, nHosts),
-		order:      make([]int, 0, n),
-		target:     make([]int, n),
-		appZone:    make([]string, p.apps),
-		appZoneSet: make([]bool, p.apps),
-	}
+	r := &p.arm
+	r.close()
+	n, apps := len(p.ids), len(p.e.cat.Apps())
+	r.packPlan, r.hosts, r.noAffinity = p, p.hosts[:nHosts], noAffinity
+	r.cpu, r.alloc, r.active = sized(r.cpu, n), sized(r.alloc, n), sized(r.active, n)
+	r.replicas, r.share = sized(r.replicas, len(p.tiers)), sized(r.share, len(p.tiers))
+	r.seats, r.free = sized(r.seats, nHosts), sized(r.free, nHosts)
+	r.order, r.target = r.order[:0], sized(r.target, n)
+	r.appZone, r.appZoneSet = sized(r.appZone, apps), sized(r.appZoneSet, apps)
+	r.curRho, r.curPerf = 0, 0
+	r.trail, r.pos = nil, 0
 	// Initial state: every managed replica active at maximum capacity.
 	maxCPU := p.e.cat.MaxVMCPUPct()
 	for i := range r.cpu {
 		r.setCPU(i, maxCPU)
 		r.active[i] = true
 	}
+	clear(r.replicas)
 	for t := range r.replicas {
 		r.addReplicas(t, len(p.tierVMs[t]))
 	}
@@ -756,15 +788,19 @@ func (r *reduction) start() (bool, error) {
 	// Spread the state round-robin over the hosts (on top of the fixed
 	// remainder) ignoring capacity constraints — intermediate
 	// configurations are legal for model evaluation, which depends almost
-	// entirely on allocations.
-	base := r.scope.fixed.Clone()
+	// entirely on allocations. The spread is built in the plan's view, its
+	// fingerprint folded as the configuration's would be, so its steady
+	// state is the memo's under the same key.
+	v := &r.view
+	v.Load(r.e.cat, r.scope.fixed)
+	fp := r.scope.fixed.Fingerprint()
 	for _, h := range r.hosts {
-		base.SetHostOn(h.name, true)
+		fp = v.SetHostOn(fp, h.idx, true)
 	}
-	for i, id := range r.ids {
-		base.Place(id, r.hosts[i%len(r.hosts)].name, r.cpu[i])
+	for i := range r.ids {
+		fp = v.Place(fp, r.vms[i].slot, r.hosts[i%len(r.hosts)].idx, r.cpu[i])
 	}
-	st, err := r.e.SteadyFP(base, r.rates, r.rfp)
+	st, err := r.e.steadyView(v, fp, r.rates, r.rfp)
 	if err != nil {
 		return false, err
 	}
@@ -772,11 +808,11 @@ func (r *reduction) start() (bool, error) {
 	if !r.scope.meetsTargets(r.e, st, r.rates) {
 		return false, nil
 	}
-	if r.sess, err = r.e.model.Open(base, r.rates); err != nil {
+	if r.sess, err = r.e.model.OpenView(v, r.rates); err != nil {
 		return false, fmt.Errorf("core: steady evaluation: %w", err)
 	}
 	for k, h := range r.hosts {
-		r.seats[k] = r.sess.Host(h.name)
+		r.seats[k] = r.sess.Host(h.idx)
 	}
 	return true, nil
 }
@@ -953,14 +989,14 @@ func (r *reduction) allocUtil() float64 {
 // from it, straight from the dense response times: the performance rate
 // (Evaluator.perfRate), the summed response times (the gradient's
 // tie-breaker, in sorted application order) and whether the hard targets
-// hold (nil: none). Every fold is the one Evaluator.Steady performs
+// hold (empty: none). Every fold is the one Evaluator.Steady performs
 // on the same configuration built, so the bits agree.
 func (e *Evaluator) score(sess *lqn.Session, q *eq1, targets []float64) (perf, sumRT float64, meets bool) {
 	rt, _ := sess.Solve()
 	meets = true
 	for ai, v := range rt {
 		sumRT += v
-		if targets != nil && v > targets[ai] {
+		if len(targets) != 0 && v > targets[ai] {
 			meets = false
 		}
 	}
@@ -1004,7 +1040,7 @@ func (r *reduction) binPack() (ok bool, blocked int) {
 	for _, i := range order {
 		v := &r.vms[i]
 		need, memMB := r.cpu[i], v.spec.MemoryMB
-		zone, hasZone := r.appZone[v.appNo], r.appZoneSet[v.appNo]
+		zone, hasZone := r.appZone[v.app], r.appZoneSet[v.app]
 		if r.noAffinity {
 			hasZone = false
 		}
@@ -1055,7 +1091,7 @@ func (r *reduction) binPack() (ok bool, blocked int) {
 		h.slots--
 		r.target[i] = target
 		if !hasZone {
-			r.appZone[v.appNo], r.appZoneSet[v.appNo] = h.zone, true
+			r.appZone[v.app], r.appZoneSet[v.app] = h.zone, true
 		}
 	}
 	return true, -1

@@ -199,7 +199,7 @@ func TestPerfPwrCandidatesMatchReference(t *testing.T) {
 				scope.rtTargets[ai] = lab.targetSec
 			}
 		}
-		plan := newPackPlan(e.eval, w, scope, hosts)
+		plan := mustPlan(e.eval, w, scope, hosts)
 		managed := make(map[cluster.VMID]bool)
 		for _, id := range scope.managed {
 			managed[id] = true
@@ -433,8 +433,9 @@ func TestTuneDVFSMatchesReference(t *testing.T) {
 // Steady, its dense response times, amortised cache growth: measured 2.0,
 // where a response-time map made it 3.0), scoring a reduction candidate
 // allocates nothing at all, and a whole cold PerfPwr call — plan, arms,
-// packed configurations, polish — stays under 1 000 allocations however
-// many candidates it scores.
+// packed configurations, polish — stays under 420 allocations however many
+// candidates it scores: measured 357, nearly all of them the memo misses'
+// Steady values and the packed configurations.
 func TestPerfPwrAllocationCeilings(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops scratch under the race detector")
@@ -465,7 +466,7 @@ func TestPerfPwrAllocationCeilings(t *testing.T) {
 	}
 
 	scope := packScope{managed: e.cat.VMIDs(), fixed: cluster.NewConfig(), allowReplicaRemoval: true}
-	r := newReduction(newPackPlan(e.eval, w, scope, e.cat.HostNames()), 6, false)
+	r := newReduction(mustPlan(e.eval, w, scope, e.cat.HostNames()), 6, false)
 	if ok, err := r.start(); err != nil || !ok {
 		t.Fatalf("start = %v, %v", ok, err)
 	}
@@ -485,8 +486,8 @@ func TestPerfPwrAllocationCeilings(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if evals := e.eval.Evals(); perCall > 1000 || evals < 4000 {
-		t.Errorf("cold PerfPwr allocates %.0f times for %d evaluations, ceiling 1000 for at least 4000", perCall, evals)
+	if evals := e.eval.Evals(); perCall > 420 || evals < 4000 {
+		t.Errorf("cold PerfPwr allocates %.0f times for %d evaluations, ceiling 420 for at least 4000", perCall, evals)
 	} else {
 		t.Logf("steady miss: %.1f allocs; cold PerfPwr: %.0f allocs for %d evaluations", perMiss, perCall, evals)
 	}

@@ -65,7 +65,7 @@ func TestReductionReturnsItsSession(t *testing.T) {
 		{"converged", full, w, 4, true, false},
 		{"unpackable", full, w, 1, false, false}, // six required tiers, four VM slots
 	} {
-		r := newReduction(newPackPlan(e.eval, c.rates, c.scope, hosts), c.nHosts, false)
+		r := newReduction(mustPlan(e.eval, c.rates, c.scope, hosts), c.nHosts, false)
 		_, ok, err := r.run()
 		if ok != c.ok || (err != nil) != c.err {
 			t.Errorf("%s: run = %v, %v", c.exit, ok, err)
@@ -85,7 +85,7 @@ func TestTwinReplaysTrail(t *testing.T) {
 	hosts := e.cat.HostNames()
 	scope := packScope{managed: e.cat.VMIDs(), fixed: cluster.NewConfig(), allowReplicaRemoval: true,
 		zonePins: VMZonePinsOf(e.cat, e.cfg)}
-	plan := newPackPlan(e.eval, w, scope, hosts)
+	plan := mustPlan(e.eval, w, scope, hosts)
 	saved := 0
 	for n := len(hosts); n >= plan.floor(); n-- {
 		run := func(noAffinity bool, trail *[]step) (cluster.Config, bool, int) {

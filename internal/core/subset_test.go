@@ -104,3 +104,30 @@ func TestVMZonePinsOf(t *testing.T) {
 		t.Error("dormant replica pinned")
 	}
 }
+
+// TestPerfPwrRefusesForeignScope: an arm's state is dense over the catalog,
+// so a scope naming a host or a VM the catalog does not know — a packing
+// target, a managed VM, anything held fixed — is refused with an error
+// instead of being packed on the part that fits.
+func TestPerfPwrRefusesForeignScope(t *testing.T) {
+	e := newEnv(t, 4, 2)
+	w := rates(e, 30)
+	if _, err := PerfPwr(e.eval, w, PerfPwrOptions{Hosts: []string{"h0", "ghost"}}); err == nil {
+		t.Error("PerfPwr packed onto a host outside the catalog")
+	}
+	h0 := e.cat.HostNames()[0]
+	fixedGhost := e.cfg.Clone()
+	fixedGhost.SetHostOn("ghost", true)
+	fixedGhost.Place("stranger", "ghost", 40)
+	if _, err := PerfPwrSubset(e.eval, fixedGhost, w, []string{h0}); err == nil {
+		t.Error("PerfPwrSubset held a VM outside the catalog fixed")
+	}
+	managedStranger := e.cfg.Clone()
+	managedStranger.Place("stranger", h0, 20)
+	if _, err := PerfPwrSubset(e.eval, managedStranger, w, []string{h0}); err == nil {
+		t.Error("PerfPwrSubset managed a VM outside the catalog")
+	}
+	if _, err := PerfPwrSubset(e.eval, e.cfg, w, []string{h0}); err != nil {
+		t.Errorf("the same subset without them: %v", err)
+	}
+}

@@ -421,17 +421,16 @@ func (m *Model) Evaluate(cfg cluster.Config, load map[string]float64, dom0Backgr
 }
 
 // Session holds one loaded solver state open so that many configurations a
-// few placement changes apart are scored without re-reading any of them: Open
-// loads a configuration once, SetCPU / Move / Unplace patch single VM slots,
-// Solve runs the response-time half of the solver on the patched state,
-// Restore drops the patches made since the last Commit, and Close hands the
-// state back to the model's pool. This is how the Perf-Pwr reduction scores
+// few placement changes apart are scored without re-reading any of them:
+// OpenView loads a view's configuration once, SetCPU / Move / Unplace patch
+// single VMs by catalog index, Solve runs the response-time half of the
+// solver on the patched state, Restore drops the patches made since the last
+// Commit, and Close hands the state back to the model's pool. This is how the Perf-Pwr reduction scores
 // its candidates. A Session belongs to one goroutine; any number may be open
 // on one Model at a time.
 type Session struct {
-	m   *Model
-	sc  *solveScratch
-	cfg cluster.Config // the opened configuration, to resolve HostSlots
+	m  *Model
+	sc *solveScratch
 }
 
 // HostSlot is a host as a Session addresses it, resolved once with
@@ -441,56 +440,21 @@ type HostSlot struct {
 	freq float64
 }
 
-// Open loads cfg under the workload into a pooled solver state and returns
-// the session over it. Unknown applications in load are an error, as in
-// Solve.
-func (m *Model) Open(cfg cluster.Config, load map[string]float64) (*Session, error) {
-	sc, err := m.load(cfg, nil, load)
-	if err != nil {
-		return nil, err
-	}
-	copy(sc.saved, sc.vms)
-	return &Session{m: m, sc: sc, cfg: cfg}, nil
-}
+// Host resolves the host-th catalog host of the opened configuration for
+// Move.
+func (s *Session) Host(host int) HostSlot { return HostSlot{idx: host, freq: s.sc.hostFreq[host]} }
 
-// VMSlot returns the slot a Session addresses the VM by, or -1 for a VM the
-// model never reads (neither in the catalog nor a replica of a modelled
-// tier): patching slot -1 is a no-op.
-func (m *Model) VMSlot(id cluster.VMID) int {
-	if vi, ok := m.cat.VMIndex(id); ok {
-		return vi
-	}
-	n := len(m.cat.VMIDs())
-	if k := slices.Index(m.slots[n:], id); k >= 0 {
-		return n + k
-	}
-	return -1
-}
-
-// Host resolves a host of the opened configuration for Move.
-func (s *Session) Host(name string) HostSlot { return s.m.hostSlot(s.sc, s.cfg, nil, name) }
-
-// SetCPU changes a placed VM's CPU allocation.
-func (s *Session) SetCPU(slot int, cpuPct float64) {
-	if slot >= 0 {
-		s.sc.vms[slot].cpuPct = cpuPct
-	}
-}
+// SetCPU changes the allocation of a placed VM, given by its catalog index.
+func (s *Session) SetCPU(vm int, cpuPct float64) { s.sc.vms[vm].cpuPct = cpuPct }
 
 // Move puts a placed VM on another host, keeping its allocation.
-func (s *Session) Move(slot int, h HostSlot) {
-	if slot >= 0 {
-		p := &s.sc.vms[slot]
-		p.host, p.freq = h.idx, h.freq
-	}
+func (s *Session) Move(vm int, h HostSlot) {
+	p := &s.sc.vms[vm]
+	p.host, p.freq = h.idx, h.freq
 }
 
 // Unplace deactivates a VM.
-func (s *Session) Unplace(slot int) {
-	if slot >= 0 {
-		s.sc.vms[slot] = vmPlace{}
-	}
-}
+func (s *Session) Unplace(vm int) { s.sc.vms[vm] = vmPlace{} }
 
 // Solve evaluates the patched state's response times: each application's
 // mean and saturation flag in AppNames order, bit-identical to what Solve
@@ -505,7 +469,7 @@ func (s *Session) Solve() (meanRTSec []float64, saturated []bool) {
 // Commit makes the current patches the state Restore returns to.
 func (s *Session) Commit() { copy(s.sc.saved, s.sc.vms) }
 
-// Restore drops every patch made since the last Commit (or Open).
+// Restore drops every patch made since the last Commit (or OpenView).
 func (s *Session) Restore() { copy(s.sc.vms, s.sc.saved) }
 
 // Close returns the session's state to the model's pool; the session must
@@ -531,6 +495,29 @@ func (m *Model) hostSlot(sc *solveScratch, cfg cluster.Config, d *cluster.Delta,
 // is Solve's for that configuration bit for bit. A view cannot place a VM
 // outside the catalog; such a replica reads as not placed.
 func (m *Model) SolveView(v *cluster.View, load map[string]float64) (*Solution, error) {
+	sc, err := m.loadView(v, load)
+	if err != nil {
+		return nil, err
+	}
+	m.compute(sc, nil, false)
+	return &sc.sol, nil
+}
+
+// OpenView loads the configuration loaded in v under the workload into a
+// pooled solver state, as SolveView does, and returns the session over it.
+// Unknown applications in load are an error, as in Solve.
+func (m *Model) OpenView(v *cluster.View, load map[string]float64) (*Session, error) {
+	sc, err := m.loadView(v, load)
+	if err != nil {
+		return nil, err
+	}
+	copy(sc.saved, sc.vms)
+	return &Session{m: m, sc: sc}, nil
+}
+
+// loadView is load for the configuration loaded in v, read off the view's
+// arrays.
+func (m *Model) loadView(v *cluster.View, load map[string]float64) (*solveScratch, error) {
 	if len(v.VMHost) != len(m.cat.VMIDs()) || len(v.HostOn) != len(m.cat.HostNames()) {
 		return nil, fmt.Errorf("lqn: view is not over the model's catalog")
 	}
@@ -546,8 +533,7 @@ func (m *Model) SolveView(v *cluster.View, load map[string]float64) (*Solution, 
 			sc.vms[vi] = vmPlace{host: int(h), cpuPct: v.VMCPU[vi], freq: v.HostFreq[h], placed: true}
 		}
 	}
-	m.compute(sc, nil, false)
-	return &sc.sol, nil
+	return sc, nil
 }
 
 // workload checks the workload and reads it into a scratch drawn from the

@@ -27,15 +27,47 @@ func sameRT(t *testing.T, m *Model, what string, s *Session, built cluster.Confi
 	}
 }
 
-// placedSlots lists the session slots cfg places, in slot order.
+// placedSlots lists the catalog VMs cfg places, in catalog order.
 func placedSlots(m *Model, cfg cluster.Config) []int {
 	var out []int
-	for vi, id := range m.slots {
+	for vi, id := range m.Catalog().VMIDs() {
 		if cfg.Active(id) {
 			out = append(out, vi)
 		}
 	}
 	return out
+}
+
+// catalogOnly is cfg with everything a view cannot hold taken out: the VMs
+// outside the catalog and on a host outside it, and that host.
+func catalogOnly(m *Model, cfg cluster.Config) cluster.Config {
+	out := cfg.Clone()
+	for _, id := range m.slots[len(m.Catalog().VMIDs()):] {
+		out.Unplace(id)
+	}
+	for _, id := range m.Catalog().VMIDs() {
+		if p, ok := out.PlacementOf(id); ok && p.Host == ghost {
+			out.Unplace(id)
+		}
+	}
+	out.SetHostOn(ghost, false)
+	out.SetHostFreq(ghost, 1)
+	return out
+}
+
+// open loads cfg, which must lie inside the catalog, into a view and opens
+// a session over it.
+func open(t testing.TB, m *Model, cfg cluster.Config, load map[string]float64) *Session {
+	t.Helper()
+	var v cluster.View
+	if !v.Load(m.Catalog(), cfg) {
+		t.Fatal("configuration does not fit the catalog")
+	}
+	s, err := m.OpenView(&v, load)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 // removeWithShift is the Perf-Pwr reduction's replica removal on both
@@ -50,7 +82,8 @@ func removeWithShift(m *Model, s *Session, cfg cluster.Config, victim int) clust
 		prev, _ := cfg.PlacementOf(m.slots[placed[j-1]])
 		cur, _ := cfg.PlacementOf(m.slots[placed[j]])
 		built.Place(m.slots[placed[j]], prev.Host, cur.CPUPct)
-		s.Move(placed[j], s.Host(prev.Host))
+		h, _ := m.Catalog().HostIndex(prev.Host)
+		s.Move(placed[j], s.Host(h))
 	}
 	built.Unplace(m.slots[victim])
 	s.Unplace(victim)
@@ -59,24 +92,22 @@ func removeWithShift(m *Model, s *Session, cfg cluster.Config, victim int) clust
 
 // TestSessionMatchesSolve is the differential test of the load/compute
 // seam: over the seeded inputs of TestSolveMatchesEvaluate (oversubscribed
-// and downclocked hosts, dormant tiers, zero-rate applications, two zones,
-// a VM and a host outside the catalog) every single-slot CPU patch and every
-// removal-with-shift patch of an open session solves to the bits of Solve on
-// the same configuration built, Restore leaves the loaded state bit-equal,
-// and a 50-step sequence of committed patches tracks the built
+// and downclocked hosts, dormant tiers, zero-rate applications, two zones),
+// each cut down to what a view holds, a session opened from a view solves
+// to the bits of Solve on the same configuration, every single-slot CPU
+// patch and every removal-with-shift patch solves to the bits of Solve on
+// the configuration it amounts to, Restore leaves the loaded state
+// bit-equal, and a 50-step sequence of committed patches tracks the built
 // configuration step by step.
 func TestSessionMatchesSolve(t *testing.T) {
 	for _, lab := range []struct{ nApps, zones int }{{2, 1}, {4, 1}, {2, 2}} {
 		m := labModel(t, lab.nApps, lab.zones)
 		rng := rand.New(rand.NewSource(int64(42 + 10*lab.nApps + lab.zones)))
-		var offCatalogVM, offCatalogHost int
 		for i := 0; i < 300; i++ {
 			cfg, load, _ := randomCase(rng, m)
+			cfg = catalogOnly(m, cfg)
 			what := fmt.Sprintf("%d apps, %d zones, case %d", lab.nApps, lab.zones, i)
-			s, err := m.Open(cfg, load)
-			if err != nil {
-				t.Fatal(err)
-			}
+			s := open(t, m, cfg, load)
 			loaded := slices.Clone(s.sc.vms)
 			sameRT(t, m, what+" as opened", s, cfg, nil, load)
 
@@ -84,12 +115,6 @@ func TestSessionMatchesSolve(t *testing.T) {
 			for _, vi := range placed {
 				id := m.slots[vi]
 				p, _ := cfg.PlacementOf(id)
-				if vi >= len(m.Catalog().VMIDs()) {
-					offCatalogVM++
-				}
-				if p.Host == ghost {
-					offCatalogHost++
-				}
 				d := cluster.Delta{VM: id, OldPlaced: true, Old: p, NewPlaced: true,
 					New: cluster.Placement{Host: p.Host, CPUPct: p.CPUPct - 5}}
 				s.SetCPU(vi, p.CPUPct-5)
@@ -125,41 +150,49 @@ func TestSessionMatchesSolve(t *testing.T) {
 			}
 			s.Close()
 		}
-		if offCatalogVM == 0 || offCatalogHost == 0 {
-			t.Errorf("%d apps, %d zones: generator patched %d off-catalog VMs and %d VMs on an off-catalog host; want both",
-				lab.nApps, lab.zones, offCatalogVM, offCatalogHost)
-		}
 	}
 }
 
-// TestSessionSlots pins slot resolution: catalog VMs by catalog index, a
-// modelled replica outside the catalog behind them, anything else -1 — and a
-// patch of slot -1 is a no-op.
+// TestSessionSlots pins how a session is addressed: a VM by its catalog
+// index and a host by its own, each carrying the loaded frequency; a patch
+// names exactly that VM, and OpenView refuses a workload for an unknown
+// application or a view over another catalog.
 func TestSessionSlots(t *testing.T) {
 	m := labModel(t, 2, 1)
-	ids := m.Catalog().VMIDs()
-	if got := m.VMSlot(ids[3]); got != 3 {
-		t.Errorf("catalog VM slot = %d, want 3", got)
+	var empty cluster.View
+	empty.Load(m.Catalog(), cluster.NewConfig())
+	if _, err := m.OpenView(&empty, map[string]float64{"ghost": 1}); err == nil {
+		t.Error("OpenView accepted a workload for an unknown application")
 	}
-	if got := m.VMSlot("rubis1-db-2"); got != len(ids) {
-		t.Errorf("off-catalog replica slot = %d, want %d", got, len(ids))
+	if _, err := m.OpenView(&cluster.View{}, nil); err == nil {
+		t.Error("OpenView accepted a view over another catalog")
 	}
-	if got := m.VMSlot("stranger"); got != -1 {
-		t.Errorf("unmodelled VM slot = %d, want -1", got)
+	ids, hosts := m.Catalog().VMIDs(), m.Catalog().HostNames()
+	cfg := cluster.NewConfig()
+	for _, h := range hosts {
+		cfg.SetHostOn(h, true)
 	}
-	if _, err := m.Open(cluster.NewConfig(), map[string]float64{"ghost": 1}); err == nil {
-		t.Error("Open accepted a workload for an unknown application")
+	cfg.SetHostFreq(hosts[1], 0.6)
+	for i, id := range ids {
+		cfg.Place(id, hosts[0], 30)
+		if i == 3 {
+			break
+		}
 	}
-	cfg, load, _ := randomCase(rand.New(rand.NewSource(3)), m)
-	s, err := m.Open(cfg, load)
-	if err != nil {
-		t.Fatal(err)
-	}
+	load := map[string]float64{m.AppNames()[0]: 40}
+	s := open(t, m, cfg, load)
 	defer s.Close()
-	s.SetCPU(-1, 50)
-	s.Move(-1, s.Host("h0"))
-	s.Unplace(-1)
-	sameRT(t, m, "after no-op patches", s, cfg, nil, load)
+	if h := s.Host(1); h.idx != 1 || h.freq != 0.6 {
+		t.Errorf("Host(1) = %+v, want slot 1 at 0.6", h)
+	}
+	s.SetCPU(3, 50)
+	s.Move(2, s.Host(1))
+	s.Unplace(1)
+	built := cfg.Clone()
+	built.Place(ids[3], hosts[0], 50)
+	built.Place(ids[2], hosts[1], 30)
+	built.Unplace(ids[1])
+	sameRT(t, m, "after patches by catalog index", s, built, nil, load)
 }
 
 // TestSessionSolveAllocatesNothing pins the per-candidate cost the Perf-Pwr
@@ -167,10 +200,8 @@ func TestSessionSlots(t *testing.T) {
 func TestSessionSolveAllocatesNothing(t *testing.T) {
 	m := labModel(t, 4, 1)
 	cfg, load, _ := randomCase(rand.New(rand.NewSource(1)), m)
-	s, err := m.Open(cfg, load)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg = catalogOnly(m, cfg)
+	s := open(t, m, cfg, load)
 	defer s.Close()
 	vi := placedSlots(m, cfg)[0]
 	n := testing.AllocsPerRun(100, func() {
@@ -204,10 +235,7 @@ func BenchmarkSessionSolve(b *testing.B) {
 			for i, name := range m.AppNames() {
 				load[name] = []float64{32, 57, 18, 44}[i%4]
 			}
-			s, err := m.Open(cfg, load)
-			if err != nil {
-				b.Fatal(err)
-			}
+			s := open(b, m, cfg, load)
 			defer s.Close()
 			slots := placedSlots(m, cfg)
 			b.ReportAllocs()

@@ -168,3 +168,43 @@ func TestSetHostFreqValidation(t *testing.T) {
 		t.Errorf("app rate after restore = %v, want 0.30", got)
 	}
 }
+
+// TestOperationsKeepHostFrequency: on a host DVFS slowed to 0.6, every
+// operation that sets a station's rate sets it at that frequency, as the LQN
+// model scales it — a replica added, a CPU cap changed, Dom-0 background
+// work set, a VM migrated onto the host — and a VM migrated off it runs at
+// its destination's.
+func TestOperationsKeepHostFrequency(t *testing.T) {
+	const f = 0.6
+	vm := func(pct float64) float64 { return pct / 100 * f }
+	for _, c := range []struct {
+		op   string
+		do   func(*System) error
+		rate func(*System) float64
+		want float64
+	}{
+		{"add-vm", func(s *System) error { return s.AddVM("a-db-1", "h1", 40) },
+			func(s *System) float64 { return s.vmStations["a-db-1"].Rate() }, vm(40)},
+		{"set-vm-rate", func(s *System) error { return s.SetVMRate("a-db-0", 50) },
+			func(s *System) float64 { return s.vmStations["a-db-0"].Rate() }, vm(50)},
+		{"dom0-background", func(s *System) error { return s.SetDom0Background("h1", 0.5) },
+			func(s *System) float64 { return s.dom0["h1"].Rate() }, cluster.Dom0CPUShare * f * (1 - 0.5)},
+		{"move-vm-on", func(s *System) error { return s.MoveVM("a-web-0", "h1") },
+			func(s *System) float64 { return s.vmStations["a-web-0"].Rate() }, vm(30)},
+		{"move-vm-off", func(s *System) error { return s.MoveVM("a-db-0", "h0") },
+			func(s *System) float64 { return s.vmStations["a-db-0"].Rate() }, 30.0 / 100},
+		{"set-host-freq", func(s *System) error { return nil },
+			func(s *System) float64 { return s.vmStations["a-db-0"].Rate() }, vm(30)},
+	} {
+		sys := hostOpsSystem(t)
+		if err := sys.SetHostFreq("h1", f, nil); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.do(sys); err != nil {
+			t.Fatalf("%s: %v", c.op, err)
+		}
+		if got := c.rate(sys); got != c.want {
+			t.Errorf("%s on a host at %v: rate %v, want %v", c.op, f, got, c.want)
+		}
+	}
+}

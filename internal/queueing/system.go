@@ -27,7 +27,9 @@ type System struct {
 
 	vmStations map[cluster.VMID]*Station
 	vmHost     map[cluster.VMID]string
+	vmPct      map[cluster.VMID]float64 // the allocation last set, in percent at nominal speed
 	dom0       map[string]*Station
+	hostFreq   map[string]float64             // DVFS fraction of each active host
 	dom0BG     map[string]float64             // background fraction of Dom-0 share
 	dom0BGUse  map[string]*stats.TimeWeighted // CPU consumed by background work
 
@@ -58,7 +60,9 @@ func New(cat *cluster.Catalog, apps []*app.Spec, cfg cluster.Config, seed uint64
 		routeRNG:   root.Split(),
 		vmStations: make(map[cluster.VMID]*Station),
 		vmHost:     make(map[cluster.VMID]string),
+		vmPct:      make(map[cluster.VMID]float64),
 		dom0:       make(map[string]*Station),
+		hostFreq:   make(map[string]float64),
 		dom0BG:     make(map[string]float64),
 		dom0BGUse:  make(map[string]*stats.TimeWeighted),
 		rates:      make(map[string]float64),
@@ -75,7 +79,8 @@ func New(cat *cluster.Catalog, apps []*app.Spec, cfg cluster.Config, seed uint64
 		if _, ok := cat.Host(h); !ok {
 			return nil, fmt.Errorf("queueing: config references unknown host %q", h)
 		}
-		s.dom0[h] = NewStation(s.eng, cluster.Dom0CPUShare)
+		s.hostFreq[h] = cfg.HostFreq(h)
+		s.dom0[h] = NewStation(s.eng, s.dom0Rate(h))
 		tw := &stats.TimeWeighted{}
 		tw.Set(0, 0)
 		s.dom0BGUse[h] = tw
@@ -85,10 +90,24 @@ func New(cat *cluster.Catalog, apps []*app.Spec, cfg cluster.Config, seed uint64
 		if _, ok := s.dom0[p.Host]; !ok {
 			return nil, fmt.Errorf("queueing: VM %q on inactive host %q", id, p.Host)
 		}
-		s.vmStations[id] = NewStation(s.eng, p.CPUPct/100)
+		s.vmStations[id] = NewStation(s.eng, s.vmRate(p.Host, p.CPUPct))
 		s.vmHost[id] = p.Host
+		s.vmPct[id] = p.CPUPct
 	}
 	return s, nil
+}
+
+// vmRate is the service rate of a VM allocated cpuPct percent of host at
+// nominal speed: the allocation scaled by the host's DVFS frequency, as the
+// LQN model scales it.
+func (s *System) vmRate(host string, cpuPct float64) float64 {
+	return cpuPct / 100 * s.hostFreq[host]
+}
+
+// dom0Rate is the service rate of host's Dom-0 station: its share scaled by
+// the host's frequency, less what background work occupies.
+func (s *System) dom0Rate(host string) float64 {
+	return cluster.Dom0CPUShare * s.hostFreq[host] * (1 - s.dom0BG[host])
 }
 
 // Engine exposes the simulation engine (for scheduling custom events such
@@ -314,13 +333,15 @@ func (s *System) visitTier(a *app.Spec, txn app.TxnSpec, i int, start time.Durat
 	}
 }
 
-// SetVMRate changes a VM's CPU allocation (fraction of host, in percent).
+// SetVMRate changes a VM's CPU allocation (fraction of host, in percent, at
+// nominal speed; the host's frequency scales it).
 func (s *System) SetVMRate(id cluster.VMID, cpuPct float64) error {
 	st, ok := s.vmStations[id]
 	if !ok {
 		return fmt.Errorf("queueing: unknown VM %q", id)
 	}
-	st.SetRate(cpuPct / 100)
+	s.vmPct[id] = cpuPct
+	st.SetRate(s.vmRate(s.vmHost[id], cpuPct))
 	return nil
 }
 
@@ -338,21 +359,28 @@ func (s *System) PauseVM(id cluster.VMID, d time.Duration) error {
 }
 
 // MoveVM reassigns a VM's Dom-0 accounting to a new host (the completion of
-// a live migration). The VM's rate is preserved.
+// a live migration). The VM keeps its allocation, which runs at the
+// destination's frequency.
 func (s *System) MoveVM(id cluster.VMID, dstHost string) error {
-	if _, ok := s.vmStations[id]; !ok {
+	st, ok := s.vmStations[id]
+	if !ok {
 		return fmt.Errorf("queueing: unknown VM %q", id)
 	}
 	if _, ok := s.dom0[dstHost]; !ok {
 		return fmt.Errorf("queueing: destination host %q not active", dstHost)
 	}
+	src := s.vmHost[id]
 	s.vmHost[id] = dstHost
+	if s.hostFreq[dstHost] != s.hostFreq[src] {
+		st.SetRate(s.vmRate(dstHost, s.vmPct[id]))
+	}
 	return nil
 }
 
-// SetHostFreq rescales every station on a host for a DVFS transition: VM
-// stations run at allocation × freq, Dom-0 at its share × freq. newAllocs
-// supplies each VM's allocation in percent (from the configuration).
+// SetHostFreq records a host's DVFS frequency and rescales every station on
+// it: VM stations run at allocation × freq, Dom-0 at its share × freq (less
+// background). allocs supplies VMs' allocations in percent (from the
+// configuration); a VM it omits keeps the allocation last set.
 func (s *System) SetHostFreq(host string, freq float64, allocs map[cluster.VMID]float64) error {
 	d0, ok := s.dom0[host]
 	if !ok {
@@ -361,17 +389,17 @@ func (s *System) SetHostFreq(host string, freq float64, allocs map[cluster.VMID]
 	if freq <= 0 || freq > 1 {
 		return fmt.Errorf("queueing: invalid frequency %v", freq)
 	}
+	s.hostFreq[host] = freq
 	for id, h := range s.vmHost {
 		if h != host {
 			continue
 		}
-		alloc, ok := allocs[id]
-		if !ok {
-			continue
+		if alloc, ok := allocs[id]; ok {
+			s.vmPct[id] = alloc
 		}
-		s.vmStations[id].SetRate(alloc / 100 * freq)
+		s.vmStations[id].SetRate(s.vmRate(host, s.vmPct[id]))
 	}
-	d0.SetRate(cluster.Dom0CPUShare * freq * (1 - s.dom0BG[host]))
+	d0.SetRate(s.dom0Rate(host))
 	return nil
 }
 
@@ -384,7 +412,8 @@ func (s *System) AddHost(host string) error {
 	if _, ok := s.dom0[host]; ok {
 		return fmt.Errorf("queueing: host %q already active", host)
 	}
-	s.dom0[host] = NewStation(s.eng, cluster.Dom0CPUShare)
+	s.hostFreq[host] = 1
+	s.dom0[host] = NewStation(s.eng, s.dom0Rate(host))
 	tw := &stats.TimeWeighted{}
 	tw.Set(s.eng.Now(), 0)
 	s.dom0BGUse[host] = tw
@@ -403,6 +432,7 @@ func (s *System) RemoveHost(host string) error {
 		}
 	}
 	delete(s.dom0, host)
+	delete(s.hostFreq, host)
 	delete(s.dom0BG, host)
 	delete(s.dom0BGUse, host)
 	return nil
@@ -417,8 +447,9 @@ func (s *System) AddVM(id cluster.VMID, host string, cpuPct float64) error {
 	if _, ok := s.dom0[host]; !ok {
 		return fmt.Errorf("queueing: host %q not active", host)
 	}
-	s.vmStations[id] = NewStation(s.eng, cpuPct/100)
+	s.vmStations[id] = NewStation(s.eng, s.vmRate(host, cpuPct))
 	s.vmHost[id] = host
+	s.vmPct[id] = cpuPct
 	return nil
 }
 
@@ -432,6 +463,7 @@ func (s *System) RemoveVM(id cluster.VMID) error {
 	st.SetRate(0)
 	delete(s.vmStations, id)
 	delete(s.vmHost, id)
+	delete(s.vmPct, id)
 	return nil
 }
 
@@ -445,7 +477,7 @@ func (s *System) SetDom0Background(host string, frac float64) error {
 	}
 	frac = stats.Clamp(frac, 0, 1)
 	s.dom0BG[host] = frac
-	d0.SetRate(cluster.Dom0CPUShare * (1 - frac))
+	d0.SetRate(s.dom0Rate(host))
 	s.dom0BGUse[host].Set(s.eng.Now(), cluster.Dom0CPUShare*frac)
 	return nil
 }

@@ -24,6 +24,7 @@ package testbed
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -187,9 +188,13 @@ type Testbed struct {
 	costMgr *cost.Manager
 	noise   *sim.RNG
 
-	now      time.Duration
-	cfg      cluster.Config // configuration currently in effect
-	cfgFinal cluster.Config // configuration after all scheduled phases
+	now time.Duration
+	// cfg is the configuration in effect, cfgFinal the one after every
+	// scheduled phase. Neither, nor any phase's cfgAfter, is written once
+	// assigned: each is replaced by another configuration, so they share
+	// maps (CloneShared) where they are equal or one action apart.
+	cfg      cluster.Config
+	cfgFinal cluster.Config
 	rates    map[string]float64
 	phases   []phase
 
@@ -233,6 +238,7 @@ func New(cat *cluster.Catalog, apps []*app.Spec, initial cluster.Config, rates m
 	if err != nil {
 		return nil, fmt.Errorf("testbed: %w", err)
 	}
+	cfg := initial.Clone()
 	tb := &Testbed{
 		opts:     opts,
 		cat:      cat,
@@ -240,8 +246,8 @@ func New(cat *cluster.Catalog, apps []*app.Spec, initial cluster.Config, rates m
 		model:    model,
 		costMgr:  costMgr,
 		noise:    sim.NewRNG(opts.Seed, 0x7e57bed),
-		cfg:      initial.Clone(),
-		cfgFinal: initial.Clone(),
+		cfg:      cfg,
+		cfgFinal: cfg,
 		rates:    make(map[string]float64, len(rates)),
 	}
 	for k, v := range rates {
@@ -302,12 +308,13 @@ func (tb *Testbed) Mode() Mode { return tb.opts.Mode }
 func (tb *Testbed) Fault() *fault.Injector { return tb.opts.Fault }
 
 // Config returns the configuration currently in effect (transitions apply
-// as phases complete). The returned value is a clone.
-func (tb *Testbed) Config() cluster.Config { return tb.cfg.Clone() }
+// as phases complete). The returned value is a copy-on-write copy: mutating
+// it leaves the testbed unchanged.
+func (tb *Testbed) Config() cluster.Config { return tb.cfg.CloneShared() }
 
 // FinalConfig returns the configuration the system will reach once all
-// scheduled phases complete. The returned value is a clone.
-func (tb *Testbed) FinalConfig() cluster.Config { return tb.cfgFinal.Clone() }
+// scheduled phases complete, as a copy-on-write copy like Config.
+func (tb *Testbed) FinalConfig() cluster.Config { return tb.cfgFinal.CloneShared() }
 
 // Rates returns the current per-application request rates (a copy).
 func (tb *Testbed) Rates() map[string]float64 {
@@ -467,22 +474,28 @@ func (r ExecReport) Started() int { return r.Applied + r.Failed }
 // precondition.
 func (tb *Testbed) Execute(plan []cluster.Action) (ExecReport, error) {
 	startAt := tb.BusyUntil()
-	cur := tb.cfgFinal.Clone()
+	cur := tb.cfgFinal
 	inj := tb.opts.Fault
 	var rep ExecReport
-	var newPhases []phase
+	if len(plan) > 0 {
+		rep.Steps = make([]StepReport, 0, len(plan))
+	}
+	// The plan's phases are appended to the timeline as they are scheduled;
+	// a rejected plan takes them off again.
+	first := len(tb.phases)
 	// undo records the applied prefix so RollbackOnFailure can compensate
 	// it: each entry pairs the filled forward action with the configuration
-	// it was applied to.
+	// it was applied to. Only an injected failure can abort a plan.
 	type undoRec struct {
 		action cluster.Action
 		before cluster.Config
 	}
 	var undo []undoRec
+	mayAbort := tb.opts.Exec == RollbackOnFailure && inj.Enabled()
 	rep.PrePlanFP = cur.Fingerprint()
 	at := startAt
 	for i, a := range plan {
-		next, filled, err := cluster.Apply(tb.cat, cur, a)
+		filled, d, err := cluster.Stage(tb.cat, cur, a)
 		if err != nil {
 			if inj.Enabled() {
 				// An earlier injected failure may have invalidated this
@@ -498,6 +511,7 @@ func (tb *Testbed) Execute(plan []cluster.Action) (ExecReport, error) {
 				tb.cSkipped.Inc()
 				continue
 			}
+			tb.phases = tb.phases[:first]
 			return ExecReport{}, fmt.Errorf("testbed: plan step %d: %w", i, err)
 		}
 		pred := tb.costMgr.Predict(cur, filled, tb.rates)
@@ -511,7 +525,7 @@ func (tb *Testbed) Execute(plan []cluster.Action) (ExecReport, error) {
 		if f.Fail {
 			sunk := time.Duration(float64(dur) * f.SunkFraction)
 			ph.end = at + sunk
-			ph.cfgAfter = cur.Clone() // the change is lost
+			ph.cfgAfter = cur // the change is lost
 			ph.failed = true
 			step.Status = StepFailed
 			step.Realized = sunk
@@ -522,7 +536,7 @@ func (tb *Testbed) Execute(plan []cluster.Action) (ExecReport, error) {
 				// Transaction abort: the sunk cost of the doomed step is
 				// already charged; abandon the rest of the plan and unwind
 				// the applied prefix.
-				newPhases = append(newPhases, ph)
+				tb.phases = append(tb.phases, ph)
 				at = ph.end
 				rep.Steps = append(rep.Steps, step)
 				for j := i + 1; j < len(plan); j++ {
@@ -540,6 +554,7 @@ func (tb *Testbed) Execute(plan []cluster.Action) (ExecReport, error) {
 					if err != nil {
 						// Cannot happen for actions Stage accepted; guard
 						// anyway so a future kind fails loudly.
+						tb.phases = tb.phases[:first]
 						return ExecReport{}, fmt.Errorf("testbed: rollback step %d: %w", k, err)
 					}
 					// Compensation executes infallibly — no injector draws —
@@ -556,7 +571,7 @@ func (tb *Testbed) Execute(plan []cluster.Action) (ExecReport, error) {
 						applyAtStart: phaseTable[inv.Kind].applyAtStart,
 						rollback:     true,
 					}
-					newPhases = append(newPhases, iph)
+					tb.phases = append(tb.phases, iph)
 					at = iph.end
 					rep.Steps = append(rep.Steps, StepReport{
 						Action:   inv,
@@ -571,24 +586,30 @@ func (tb *Testbed) Execute(plan []cluster.Action) (ExecReport, error) {
 				break
 			}
 		} else {
+			// The step's configuration shares every map with the one before
+			// but the map the action writes.
+			next := cur.CloneShared()
+			next.ApplyDelta(d)
 			ph.end = at + dur
 			ph.cfgAfter = next
 			ph.applyAtStart = phaseTable[filled.Kind].applyAtStart
 			step.Status = StepApplied
 			step.Realized = dur
 			rep.Applied++
-			undo = append(undo, undoRec{action: filled, before: cur})
+			if mayAbort {
+				undo = append(undo, undoRec{action: filled, before: cur})
+			}
 			cur = next
 		}
 		if step.Status == StepFailed || step.Status == StepApplied {
-			newPhases = append(newPhases, ph)
+			tb.phases = append(tb.phases, ph)
 			at = ph.end
 			rep.Steps = append(rep.Steps, step)
 		}
 	}
 	rep.Duration = at - startAt
 	rep.FinalFP = cur.Fingerprint()
-	tb.phases = append(tb.phases, newPhases...)
+	newPhases := tb.phases[first:]
 	tb.cfgFinal = cur
 	if tb.qsys != nil {
 		tb.injectPhases(newPhases)
@@ -794,7 +815,7 @@ func (tb *Testbed) advanceTo(t time.Duration) error {
 			boundary = ph.start
 		}
 		if boundary <= t {
-			tb.cfg = ph.cfgAfter.Clone()
+			tb.cfg = ph.cfgAfter
 			ph.applied = true
 		}
 	}
@@ -887,26 +908,33 @@ func (tb *Testbed) applySensorFaults(inj *fault.Injector, w Window) Window {
 	return w
 }
 
+// measureWindowAnalytic integrates the window over its constant segments:
+// each segment's configuration is solved dense (lqn.Model.Solve) and priced
+// with power.SystemWattsDense over the Solution's per-host slices, the pair
+// core.Evaluator prices a steady state with, so nothing per segment is a map.
+// The Window's maps are the only ones built: RTSec for the applications with
+// load, HostUtil for every catalog host.
 func (tb *Testbed) measureWindowAnalytic(to time.Duration) (Window, error) {
 	from := tb.now
+	hosts := tb.cat.HostNames()
 	w := Window{
 		From:     from,
 		To:       to,
 		RTSec:    make(map[string]float64),
-		HostUtil: make(map[string]float64),
+		HostUtil: make(map[string]float64, len(hosts)),
 	}
 
 	// Breakpoints: every phase start/end (and apply boundary) inside the
 	// window splits it into segments with constant behaviour.
 	cuts := []time.Duration{from, to}
 	for _, ph := range tb.phases {
-		for _, b := range []time.Duration{ph.start, ph.end} {
+		for _, b := range [...]time.Duration{ph.start, ph.end} {
 			if b > from && b < to {
 				cuts = append(cuts, b)
 			}
 		}
 	}
-	sort.Slice(cuts, func(i, j int) bool { return cuts[i] < cuts[j] })
+	slices.Sort(cuts)
 
 	total := (to - from).Seconds()
 	for i := 0; i+1 < len(cuts); i++ {
@@ -916,37 +944,33 @@ func (tb *Testbed) measureWindowAnalytic(to time.Duration) (Window, error) {
 		}
 		mid := segFrom + (segTo-segFrom)/2
 		cfg, deltaRT, deltaWatts := tb.stateAt(mid)
-		res, err := tb.model.Evaluate(cfg, tb.rates, nil)
+		sol, err := tb.model.Solve(cfg, nil, tb.rates)
 		if err != nil {
 			return Window{}, fmt.Errorf("testbed: %w", err)
 		}
 		weight := (segTo - segFrom).Seconds() / total
-		hostUtil := make(map[string]float64, len(res.Hosts))
-		for h, hr := range res.Hosts {
-			hostUtil[h] = hr.CPUUtil
-			w.HostUtil[h] += weight * hr.CPUUtil
+		for hi, h := range hosts {
+			w.HostUtil[h] += weight * sol.HostCPUUtil[hi]
 		}
-		watts := power.SystemWatts(tb.cat, cfg, hostUtil) + deltaWatts
+		watts := power.SystemWattsDense(tb.cat.HostSpecs(), sol.HostOn, sol.HostCPUUtil, sol.HostFreq) + deltaWatts
 		w.Watts += weight * watts
-		for name := range tb.model.Apps() {
+		for ai, name := range tb.model.AppNames() {
 			if tb.rates[name] <= 0 {
 				continue
 			}
-			rt := res.MeanRTSec(name) + deltaRT[name]
+			rt := sol.MeanRTSec[ai] + deltaRT[name]
 			w.RTSec[name] += weight * rt
 		}
+		tb.model.Release(sol)
 	}
 
 	// Measurement noise, applied once per window. Apps are visited in
 	// sorted order so noise draws are reproducible across runs (map
 	// iteration order would otherwise shuffle them).
-	names := make([]string, 0, len(w.RTSec))
-	for name := range w.RTSec {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		w.RTSec[name] = tb.noise.Jitter(w.RTSec[name], tb.opts.RTNoise)
+	for _, name := range tb.model.AppNames() {
+		if rt, ok := w.RTSec[name]; ok {
+			w.RTSec[name] = tb.noise.Jitter(rt, tb.opts.RTNoise)
+		}
 	}
 	w.Watts = tb.noise.Jitter(w.Watts, tb.opts.WattsNoise)
 
@@ -957,10 +981,11 @@ func (tb *Testbed) measureWindowAnalytic(to time.Duration) (Window, error) {
 }
 
 // stateAt returns the configuration in effect at time t plus the transient
-// deltas of phases active at t.
+// deltas of phases active at t. The response-time deltas are nil while no
+// phase is active.
 func (tb *Testbed) stateAt(t time.Duration) (cluster.Config, map[string]float64, float64) {
 	cfg := tb.cfg
-	deltaRT := make(map[string]float64)
+	var deltaRT map[string]float64
 	var deltaWatts float64
 	for _, ph := range tb.phases {
 		boundary := ph.end
@@ -972,6 +997,9 @@ func (tb *Testbed) stateAt(t time.Duration) (cluster.Config, map[string]float64,
 		}
 		if ph.start <= t && t < ph.end {
 			deltaWatts += ph.pred.DeltaWatts
+			if deltaRT == nil {
+				deltaRT = make(map[string]float64, len(ph.pred.DeltaRTSec))
+			}
 			for name, d := range ph.pred.DeltaRTSec {
 				deltaRT[name] += d
 			}
@@ -1118,15 +1146,15 @@ func (tb *Testbed) CrashHost(host string) (CrashReport, error) {
 	// timeline as one merged recovery phase whose configuration is already
 	// in effect (restarting VMs run degraded, which the transient deltas
 	// model).
-	tb.cfg = cfg.Clone()
-	tb.cfgFinal = cfg.Clone()
+	tb.cfg = cfg
+	tb.cfgFinal = cfg
 	rep.Recovery = merged.Duration
 	if merged.Duration > 0 {
 		tb.phases = append(tb.phases, phase{
 			start:        tb.now,
 			end:          tb.now + merged.Duration,
 			pred:         merged,
-			cfgAfter:     cfg.Clone(),
+			cfgAfter:     cfg,
 			applyAtStart: true,
 			applied:      true,
 		})
